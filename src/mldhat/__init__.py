@@ -8,8 +8,8 @@ of two kinds of varieties:
   lambda is the minimum over interior lattice points of a spanning pairing
   sum over the Hilbert basis of the dual semigroup;
 * hypersurfaces with a fixed monomial support and very general
-  coefficients, where a certified box search over vanishing-order tuples
-  yields a lower bound together with an equality certificate when one
+  coefficients, where an exhaustive layered scan over vanishing-order
+  tuples yields a lower bound together with an equality certificate when one
   exists.
 
 A finite-field jet oracle provides independent desk-scale verification of

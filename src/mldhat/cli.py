@@ -199,7 +199,6 @@ def _run_hyper(args):
             "detail": dict(report.certificate.detail),
         },
         "diagnostics": {
-            "route": report.route,
             "search_box_bound": report.search_box_bound,
             "dropped_variables": list(report.dropped_variables),
             "hypersurface_dimension": support.dimension_of_hypersurface,

@@ -190,7 +190,8 @@ def dual_cone(c: Cone) -> Cone:
             "split off the torus factor first"
         )
     lines, rays = c.dual_pair
-    assert not lines
+    if lines:
+        raise AssertionError("the dual of a full-dimensional cone contains a line")
     return Cone(c.ambient_rank, tuple(sorted(rays)))
 
 

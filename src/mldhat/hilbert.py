@@ -97,7 +97,10 @@ def parallelepiped_points(rays) -> list[tuple[int, ...]]:
             j -= 1
         if j < 0:
             break
-    assert len(set(points)) == absdet
+    if len(set(points)) != absdet:
+        raise AssertionError(
+            f"found {len(set(points))} parallelepiped points, expected |det| = {absdet}"
+        )
     return points
 
 

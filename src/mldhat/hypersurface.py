@@ -19,15 +19,25 @@ mu >= n0 - alpha_{j*}, so Obj >= sum_{j != j*} (alpha_j - 1) >= 0.
 Each mu term is itself nonnegative since alpha . I^i >= alpha_j I^i_j
 >= alpha_j whenever I^i_j > 0.
 
-Certified search box.  Suppose Obj(alpha) <= B.  By the display above,
-sum_{j != j*} alpha_j <= B + n, so every coordinate except possibly j*
-is at most B + n.  Because the support touches the coordinate plane of
-j* (integrality), some I^i has I^i_{j*} = 0, giving
-n0 <= alpha . I^i <= D (B + n) with D the largest exponent entry; then
-alpha_{j*} - 1 <= sum_j (alpha_j - 1) <= B - 1 + n0 - mu <= B - 1 + D(B + n),
-so every coordinate is at most B + D(B + n).  Scanning that box after
-seeding an incumbent B with any feasible tuple is therefore exhaustive,
-and it also shows the minimum is attained.
+Layered scan.  Suppose Obj(alpha) <= B and (i*, j*) attains mu.  By the
+display above, sum_{j != j*} (alpha_j - 1) <= B.  Since mu >= 0,
+alpha_{j*} - 1 <= sum_j (alpha_j - 1) <= B - 1 + n0, and n0 <= alpha . I^i
+for every I^i with I^i_{j*} = 0; such an I^i exists because the support
+touches the coordinate plane of j* (integrality), and its weight does not
+involve alpha_{j*}.  So alpha lies in layer B: for some pivot j*, the
+other coordinates have sum_{j != j*} (alpha_j - 1) <= B and
+alpha_{j*} <= B + min {alpha . I^i : I^i_{j*} = 0}.  Layers are finite
+and nested, so scanning B = 0, 1, 2, ... and stopping at the first layer
+holding a tuple with Obj <= B is exhaustive: that layer holds every tuple
+with Obj <= B, the previous one held none with Obj <= B - 1, so the
+minimum is B and the layer's tuples of value B are all the minimizers.
+
+Existence.  The scan stops because a feasible tuple exists unless some
+monomial divides every other one.  If none does, the Newton polyhedron
+conv(A) + R_{>=0}^{n+1} has two vertices and so a bounded edge; the inner
+normals of a bounded face include a positive integral vector, and it
+attains its minimum at both ends of the edge.  If I^k divides every other
+exponent, alpha . I^k is the unique minimum for every alpha >= 1.
 
 Equality holds when the lowest-order coefficient form of the arc
 expansion has a torus zero off the vanishing locus of the pivot
@@ -40,9 +50,8 @@ always has one), or a finite-field sampler exhibits an explicit witness
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .lattice import LimitError, rank_of
 
@@ -82,7 +91,7 @@ class Support:
         The bound and certificate pipelines need validate_support; the arc
         expansion itself is defined for any exponent list.
         """
-        rows = sorted({tuple(int(x) for x in e) for e in exponents})
+        rows = sorted(set(_integer_rows(exponents)))
         if not rows:
             raise SupportError("empty", "the support has no monomials")
         width = len(rows[0])
@@ -108,8 +117,25 @@ class AlphaTuple:
             raise ValueError("vanishing orders must all be at least 1")
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integer_rows(exponents) -> list[tuple[int, ...]]:
+    """The exponent vectors as tuples; anything but plain integers is refused."""
+    try:
+        rows = [tuple(e) for e in exponents]
+    except TypeError:
+        raise SupportError("not_integer", "the support must be a list of exponent vectors")
+    if not all(_is_integer(x) for r in rows for x in r):
+        raise SupportError("not_integer", "exponents must be integers")
+    return rows
+
+
 def _as_alpha(alpha, num_vars) -> tuple[int, ...]:
-    orders = alpha.orders if isinstance(alpha, AlphaTuple) else tuple(int(x) for x in alpha)
+    orders = alpha.orders if isinstance(alpha, AlphaTuple) else tuple(alpha)
+    if not all(_is_integer(x) for x in orders):
+        raise ValueError("vanishing orders must be integers")
     if len(orders) != num_vars:
         raise ValueError(f"expected {num_vars} vanishing orders, got {len(orders)}")
     if any(x < 1 for x in orders):
@@ -125,7 +151,7 @@ def validate_support(exponents, num_vars=None) -> Support:
     the report records the dropped indices so the dimension bookkeeping
     stays with the original variety.
     """
-    rows = [tuple(int(x) for x in e) for e in exponents]
+    rows = _integer_rows(exponents)
     if not rows:
         raise SupportError("empty", "the support has no monomials")
     width = len(rows[0])
@@ -191,149 +217,151 @@ def validate_support(exponents, num_vars=None) -> Support:
     )
 
 
-def is_feasible(support: Support, alpha) -> bool:
-    """Is the minimal weight attained by at least two monomials?"""
-    orders = _as_alpha(alpha, support.num_vars)
-    products = [sum(a * i for a, i in zip(orders, e)) for e in support.exponents]
-    m = min(products)
-    return products.count(m) >= 2
-
-
 @dataclass(frozen=True)
 class WeightData:
-    """Minimal weight, pivot gap, and the pairs attaining the gap."""
+    """Monomial weights, their minimum, the pivot gap and the pairs attaining it."""
 
     min_weight: int  # minimal alpha-weight over the monomials
     pivot_gap: int  # min over (monomial, variable in it) of weight - order
     attaining_pairs: tuple[tuple[int, int], ...]  # (monomial index, variable)
+    weights: tuple[int, ...]  # alpha-weight of each monomial
+
+
+def _evaluate(exponents, orders) -> WeightData | None:
+    """The weight data of a tuple in one pass, or None when it is infeasible.
+
+    The single evaluation kernel: every query on a tuple and the scan in
+    minimize_objective go through it.
+    """
+    weights = tuple(sum(a * i for a, i in zip(orders, e)) for e in exponents)
+    n0 = min(weights)
+    if weights.count(n0) < 2:
+        return None
+    mu = None
+    pairs = []
+    for i, e in enumerate(exponents):
+        for j, x in enumerate(e):
+            if x <= 0:
+                continue
+            val = weights[i] - orders[j]
+            if mu is None or val < mu:
+                mu = val
+                pairs = [(i, j)]
+            elif val == mu:
+                pairs.append((i, j))
+    return WeightData(
+        min_weight=n0, pivot_gap=mu, attaining_pairs=tuple(pairs), weights=weights
+    )
+
+
+def is_feasible(support: Support, alpha) -> bool:
+    """Is the minimal weight attained by at least two monomials?"""
+    return _evaluate(support.exponents, _as_alpha(alpha, support.num_vars)) is not None
 
 
 def weight_data(support: Support, alpha) -> WeightData:
-    orders = _as_alpha(alpha, support.num_vars)
-    if not is_feasible(support, orders):
+    data = _evaluate(support.exponents, _as_alpha(alpha, support.num_vars))
+    if data is None:
         raise ValueError("the tuple is not feasible for this support")
-    products = [sum(a * i for a, i in zip(orders, e)) for e in support.exponents]
-    n0 = min(products)
-    best = None
-    pairs = []
-    for i, e in enumerate(support.exponents):
-        for j in range(support.num_vars):
-            if e[j] <= 0:
-                continue
-            val = products[i] - orders[j]
-            if best is None or val < best:
-                best = val
-                pairs = [(i, j)]
-            elif val == best:
-                pairs.append((i, j))
-    return WeightData(min_weight=n0, pivot_gap=best, attaining_pairs=tuple(pairs))
+    return data
 
 
 def objective(support: Support, alpha) -> int:
     """sum_j (alpha_j - 1) + 1 - min_weight + pivot_gap, always >= 0."""
     orders = _as_alpha(alpha, support.num_vars)
     data = weight_data(support, orders)
-    return sum(a - 1 for a in orders) + 1 - data.min_weight + data.pivot_gap
+    return sum(orders) - support.num_vars + 1 - data.min_weight + data.pivot_gap
 
 
 @dataclass(frozen=True)
 class ObjectiveMinimum:
     value: int
     witness: tuple[int, ...]
-    box_bound: int
-    minimizers: tuple[tuple[int, ...], ...]
+    box_bound: int  # largest coordinate of any scanned tuple
+    minimizers: tuple[tuple[int, ...], ...]  # sorted
     heuristic: bool = False
 
 
-def _seed_feasible(support: Support):
-    """Some feasible tuple with a small objective, found constructively.
-
-    Doubling box scans catch the common small seeds; the paired
-    construction below always produces a balanced tuple for two exponents
-    whose difference has both signs, which exists for every integral
-    support, and it is kept only when actually feasible.
-    """
-    nv = support.num_vars
-    best = None
-    for cap in (1, 2, 4, 8):
-        for orders in itertools.product(range(1, cap + 1), repeat=nv):
-            if is_feasible(support, orders):
-                val = objective(support, orders)
-                if best is None or (val, orders) < best:
-                    best = (val, orders)
-        if best is not None:
-            return best
-    for a, b in itertools.combinations(support.exponents, 2):
-        d = tuple(x - y for x, y in zip(a, b))
-        pos = sum(x for x in d if x > 0)
-        neg = -sum(x for x in d if x < 0)
-        if pos == 0 or neg == 0:
-            continue
-        orders = tuple(neg if x > 0 else (pos if x < 0 else 1) for x in d)
-        if is_feasible(support, orders):
-            val = objective(support, orders)
-            if best is None or (val, orders) < best:
-                best = (val, orders)
-    if best is not None:
-        return best
-    for cap in (16, 32, 64):
-        for orders in itertools.product(range(1, cap + 1), repeat=nv):
-            if is_feasible(support, orders):
-                val = objective(support, orders)
-                if best is None or (val, orders) < best:
-                    best = (val, orders)
-        if best is not None:
-            return best
-    return None
+def _small_tuples(count, budget):
+    """Tuples of `count` orders >= 1 with sum of (order - 1) at most budget."""
+    if count == 0:
+        yield ()
+        return
+    for first in range(1, budget + 2):
+        for rest in _small_tuples(count - 1, budget - first + 1):
+            yield (first,) + rest
 
 
 def minimize_objective(support: Support, box_override=None, max_points=None) -> ObjectiveMinimum:
-    """Global minimum of the objective over feasible tuples.
+    """Global minimum of the objective over feasible tuples, with all minimizers.
 
-    Exhaustive over the certified box described in the module docstring;
-    `box_override` replaces the certified edge length (the result is then
-    only a heuristic and is marked as such).
+    Scans the layers B = 0, 1, 2, ... described in the module docstring
+    and stops at the first one holding a tuple with Obj <= B.  The two
+    conditions the stopping argument needs are checked first: no monomial
+    divides every other one, and each coordinate plane holds a monomial.
+    `box_override` caps every coordinate inside the same scan; the result
+    is then only a heuristic and is marked as such.  `max_points` bounds
+    the estimated size of each layer before it is scanned.
     """
+    exponents = support.exponents
     nv = support.num_vars
-    n = nv - 1
-    seed = _seed_feasible(support)
-    if seed is None:
+    if any(all(all(x <= y for x, y in zip(e, f)) for f in exponents) for e in exponents):
         raise SupportError(
-            "infeasible",
-            "no feasible tuple was found; this cannot happen for an integral "
-            "support and indicates corrupted input",
+            "infeasible", "one monomial divides every other one, so no tuple is feasible"
         )
-    incumbent, _ = seed
+    # monomials whose weight bounds the pivot coordinate, per pivot
+    planes = [[e for e in exponents if e[j] == 0] for j in range(nv)]
+    if not all(planes):
+        raise SupportError(
+            "divisible",
+            "every monomial is divisible by one variable; the scan needs a "
+            "monomial in each coordinate plane",
+        )
     d_max = support.max_entry
-    certified = incumbent + d_max * (incumbent + n)
-    bound = certified if box_override is None else box_override
-    if max_points is not None and bound**nv > max_points:
-        raise LimitError(
-            f"search box of {bound}^{nv} tuples exceeds the limit ({max_points})"
-        )
-    best_val = None
-    minimizers = []
-    for orders in itertools.product(range(1, bound + 1), repeat=nv):
-        if not is_feasible(support, orders):
-            continue
-        val = objective(support, orders)
-        if best_val is None or val < best_val:
-            best_val = val
-            minimizers = [orders]
-        elif val == best_val:
-            minimizers.append(orders)
-    if not minimizers:
-        raise ValueError(
-            f"no feasible tuple inside the box of edge {bound}; "
-            "raise --box-bound or drop the override"
-        )
-    return ObjectiveMinimum(
-        value=best_val,
-        witness=minimizers[0],
-        box_bound=bound,
-        minimizers=tuple(minimizers),
-        heuristic=box_override is not None,
-    )
+    largest = 0
+    layer = 0
+    while True:
+        if box_override is not None and layer > nv * (box_override - 1):
+            raise ValueError(
+                f"no feasible tuple with every order at most {box_override}; "
+                "raise --box-bound or drop the override"
+            )
+        if max_points is not None:
+            size = nv * comb(layer + nv - 1, nv - 1) * (layer + 1 + d_max * (layer + nv - 1))
+            if size > max_points:
+                raise LimitError(
+                    f"layer {layer} of the tuple scan holds up to {size} tuples, "
+                    f"over the limit ({max_points})"
+                )
+        found = set()
+        for pivot in range(nv):
+            for rest in _small_tuples(nv - 1, layer):
+                if box_override is not None and max(rest) > box_override:
+                    continue
+                orders = list(rest)
+                orders.insert(pivot, 0)
+                top = layer + min(
+                    sum(a * i for a, i in zip(orders, e)) for e in planes[pivot]
+                )
+                if box_override is not None:
+                    top = min(top, box_override)
+                largest = max(largest, top)
+                base = sum(rest) - nv + 1
+                for a in range(1, top + 1):
+                    orders[pivot] = a
+                    data = _evaluate(exponents, orders)
+                    if data is not None and base + a - data.min_weight + data.pivot_gap <= layer:
+                        found.add(tuple(orders))
+        if found:
+            minimizers = tuple(sorted(found))
+            return ObjectiveMinimum(
+                value=layer,
+                witness=minimizers[0],
+                box_bound=largest,
+                minimizers=minimizers,
+                heuristic=box_override is not None,
+            )
+        layer += 1
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +422,15 @@ class CertificateData:
 def certificate_data(support: Support, alpha) -> CertificateData:
     orders = _as_alpha(alpha, support.num_vars)
     data = weight_data(support, orders)
-    products = [
-        sum(a * i for a, i in zip(orders, e)) for e in support.exponents
-    ]
-    minimal = [i for i, p in enumerate(products) if p == data.min_weight]
+    minimal = [i for i, p in enumerate(data.weights) if p == data.min_weight]
     initial = GenericForm(
         num_vars=support.num_vars,
         terms=tuple((1, i, support.exponents[i]) for i in minimal),
     )
     j0 = min(j for _, j in data.attaining_pairs)
     with_pivot = [i for i, e in enumerate(support.exponents) if e[j0] > 0]
-    pivot_order = min(products[i] for i in with_pivot)
-    sigma = tuple(i for i in with_pivot if products[i] == pivot_order)
+    pivot_order = min(data.weights[i] for i in with_pivot)
+    sigma = tuple(i for i in with_pivot if data.weights[i] == pivot_order)
     derivative_terms = []
     for i in sigma:
         e = support.exponents[i]
@@ -465,7 +490,7 @@ def equality_certificate(support: Support, alpha, sampler=None) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Binomial closed form
+# Binomials with disjoint variables
 
 
 def is_binomial(support: Support) -> bool:
@@ -479,61 +504,11 @@ def binomial_lambda(support: Support):
     """Exact lambda for a binomial support with disjoint variables.
 
     On the balance locus alpha . I^1 = alpha . I^2 the objective collapses
-    to sum(alpha) - max(alpha) - n, which is minimized over a certified box:
-    an incumbent B bounds every non-maximal coordinate by B + n, and the
-    balance equation then bounds the maximal one by D (B + n).
+    to sum(alpha) - max(alpha) - n; the general scan minimizes it.
     """
     if not is_binomial(support):
         raise ValueError("the closed form needs a binomial with disjoint variables")
-    nv = support.num_vars
-    n = nv - 1
-    d_max = support.max_entry
-    a, b = support.exponents
-
-    def balanced(orders):
-        return sum(x * i for x, i in zip(orders, a)) == sum(
-            x * i for x, i in zip(orders, b)
-        )
-
-    def value(orders):
-        return sum(orders) - max(orders) - n
-
-    best = None
-    for cap in (1, 2, 3):
-        for orders in itertools.product(range(1, cap + 1), repeat=nv):
-            if balanced(orders):
-                cand = (value(orders), orders)
-                if best is None or cand < best:
-                    best = cand
-        if best is not None:
-            break
-    if best is None:
-        # scaled construction: weight of b on the a-side and vice versa
-        wa = sum(a)
-        wb = sum(b)
-        orders = tuple((wb if x > 0 else wa) for x in a)
-        if not balanced(orders):
-            raise SupportError("infeasible", "no balanced tuple found for the binomial")
-        best = (value(orders), orders)
-    incumbent = best[0]
-    bound = max(d_max * (incumbent + n), incumbent + n)
-    best_val = None
-    minimizers = []
-    for orders in itertools.product(range(1, bound + 1), repeat=nv):
-        if not balanced(orders):
-            continue
-        val = value(orders)
-        if best_val is None or val < best_val:
-            best_val = val
-            minimizers = [orders]
-        elif val == best_val:
-            minimizers.append(orders)
-    return ObjectiveMinimum(
-        value=best_val,
-        witness=minimizers[0],
-        box_bound=bound,
-        minimizers=tuple(minimizers),
-    )
+    return minimize_objective(support)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +524,6 @@ class HypersurfaceMldReport:
     certificate: Certificate
     search_box_bound: int
     assumptions: tuple[str, ...]
-    route: str  # binomial or general
     dropped_variables: tuple[int, ...]
     heuristic_box: bool = False
 
@@ -557,19 +531,14 @@ class HypersurfaceMldReport:
 def hypersurface_report(support: Support, sampler=None, box_override=None, max_points=None) -> HypersurfaceMldReport:
     """Lower bound for lambda(0) with an equality certificate when found.
 
-    Binomial supports take the closed form (always exact); otherwise the
-    certified box search runs and the certificate is attempted at every
-    minimizer, in lexicographic order, until one is certified.
+    The layered scan finds every minimizer, and the certificate is
+    attempted at each of them, in lexicographic order, until one is
+    certified.
     """
     n = support.dimension_of_hypersurface
-    if is_binomial(support):
-        result = binomial_lambda(support)
-        route = "binomial"
-    else:
-        result = minimize_objective(
-            support, box_override=box_override, max_points=max_points
-        )
-        route = "general"
+    result = minimize_objective(
+        support, box_override=box_override, max_points=max_points
+    )
     chosen = None
     for orders in result.minimizers:
         cert = equality_certificate(support, orders)
@@ -593,7 +562,6 @@ def hypersurface_report(support: Support, sampler=None, box_override=None, max_p
         certificate=chosen,
         search_box_bound=result.box_bound,
         assumptions=ASSUMPTIONS,
-        route=route,
         dropped_variables=support.dropped_variables,
         heuristic_box=result.heuristic,
     )

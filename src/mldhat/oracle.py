@@ -234,6 +234,19 @@ def _nonzero_roots(uni, prime, rng):
     return roots
 
 
+def _solve_variable(form: GenericForm) -> int:
+    """The variable to solve a form for, at random values of the others.
+
+    Only a variable whose exponent differs between the terms qualifies: one
+    with the same exponent in every term factors out of the form, which
+    leaves 0 as its only root.  Among those, lowest top degree first, then
+    lowest index.
+    """
+    exponents = [expo for _, _, expo in form.terms]
+    varying = [j for j in range(form.num_vars) if len({e[j] for e in exponents}) > 1]
+    return min(varying, key=lambda j: (max(e[j] for e in exponents), j))
+
+
 def _staircase_plan(support: Support, alpha):
     """Pivot schedule for the equations from n0 through m + mu."""
     data = weight_data(support, alpha)
@@ -242,13 +255,7 @@ def _staircase_plan(support: Support, alpha):
     mu = data.pivot_gap
     j0 = cert.pivot_index
     n0p = cert.pivot_order
-    # base pivot: a variable of the initial form, preferring linear occurrences
-    candidates = {}
-    for _, i, expo in cert.initial_form.terms:
-        for j, e in enumerate(expo):
-            if e > 0:
-                candidates[j] = max(candidates.get(j, 0), e)
-    jp = min(candidates, key=lambda j: (candidates[j], j))
+    jp = _solve_variable(cert.initial_form)  # base pivot
     return data, cert, n0, mu, j0, n0p, jp
 
 
@@ -289,7 +296,8 @@ def staircase_verify(
     for k in range(n0p + 1, upto + 1):
         pivots[k] = (j0, k - mu)
     base_pivot = (jp, alpha[jp])
-    assert all(u <= m for _, u in pivots.values()), "pivot escaped the window"
+    if any(u > m for _, u in pivots.values()):
+        raise AssertionError("pivot escaped the window")
     equations = list(range(n0, upto + 1))
     n_equations = len(equations)
     rng = random.Random(seed)
@@ -389,16 +397,11 @@ def torus_point_sample(
     the pivot derivative is nonzero.  Returns an evidence dict or None;
     this is probabilistic evidence only.
     """
-    if initial_form.monomial_count < 2:
-        return None
+    if len({expo for _, _, expo in initial_form.terms}) < 2:
+        return None  # one monomial times a generic coefficient has no torus zero
     _require_odd_prime(prime)
     nv = initial_form.num_vars
-    degrees = {}
-    for _, _, expo in initial_form.terms:
-        for j, e in enumerate(expo):
-            if e > 0:
-                degrees[j] = max(degrees.get(j, 0), e)
-    solve_var = min(degrees, key=lambda j: (degrees[j], j))
+    solve_var = _solve_variable(initial_form)
     coeff_indices = sorted(
         {i for _, i, _ in initial_form.terms} | {i for _, i, _ in pivot_form.terms}
     )

@@ -170,12 +170,25 @@ class TestCommands:
         assert code == 3
         assert "error" in json.loads(err)
 
+    def test_hyper_limit_exit_code(self, support_file):
+        code, _, err = run_cli(["--max-subsets", "1", "hyper", "--support", support_file])
+        assert code == 3
+        assert json.loads(err)["kind"] == "LimitError"
+
+    @pytest.mark.parametrize("entry", [2.9, True])
+    def test_non_integer_exponent_rejected(self, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vars": 3, "support": [[entry, 0, 0], [0, 2, 1]]}))
+        code, out, err = run_cli(["hyper", "--support", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "SupportError"
+
     def test_heuristic_box_marked(self, support_file):
         code, out, _ = run_cli(
             ["--box-bound", "3", "hyper", "--support", support_file]
         )
         assert code == 0
-        # the binomial route ignores the override; a general-route support is needed
         report = json.loads(out)
         assert report["status"] in ("EXACT", "HEURISTIC")
 

@@ -48,15 +48,20 @@ def ade_support(kind, k=None, nvars=3):
 
 
 def brute_minimum(support, radius):
-    """Independent oracle: scan every tuple in a wide box."""
-    best = None
+    """Independent oracle: scan every tuple in a wide box.
+
+    Returns the minimum, the first minimizer and all minimizers, in
+    lexicographic order.
+    """
+    values = {}
     for orders in itertools.product(range(1, radius + 1), repeat=support.num_vars):
-        if not is_feasible(support, orders):
-            continue
-        val = objective(support, orders)
-        if best is None or (val, orders) < best:
-            best = (val, orders)
-    return best
+        if is_feasible(support, orders):
+            values[orders] = objective(support, orders)
+    if not values:
+        return None
+    best = min(values.values())
+    minimizers = tuple(o for o, v in values.items() if v == best)
+    return best, minimizers[0], minimizers
 
 
 def random_integral_support(rng, nvars, entries, max_monomials=4):
@@ -71,6 +76,18 @@ def random_integral_support(rng, nvars, entries, max_monomials=4):
             continue
 
 
+def random_disjoint_binomial(rng, nvars, entries):
+    """x^a - y^b with the variables split between the two monomials."""
+    while True:
+        split = rng.randint(1, nvars - 1)
+        a = [rng.randint(1, entries) if j < split else 0 for j in range(nvars)]
+        b = [0 if j < split else rng.randint(1, entries) for j in range(nvars)]
+        try:
+            return validate_support([tuple(a), tuple(b)])
+        except SupportError:
+            continue
+
+
 class TestValidation:
     def test_whitney(self):
         s = WHITNEY
@@ -81,6 +98,15 @@ class TestValidation:
     def test_curve(self):
         assert CURVE.num_vars == 2
         assert len(CURVE.exponents) == 4
+
+    def test_rejects_non_integers(self):
+        for bad in ([(2.9, 0), (0, 1)], [(True, 0), (0, 1)], [(2, 0), "01"], [3, 4]):
+            with pytest.raises(SupportError):
+                validate_support(bad)
+            with pytest.raises(SupportError):
+                Support.raw(bad)
+        with pytest.raises(ValueError):
+            is_feasible(WHITNEY, (2.0, 1, 2))
 
     def test_rejects_divisible(self):
         with pytest.raises(SupportError) as err:
@@ -235,18 +261,32 @@ class TestMinimize:
         rng = random.Random(7)
         checked = 0
         while checked < 25:
-            s = random_integral_support(rng, rng.randint(2, 3), 4, max_monomials=3)
+            nvars = rng.randint(2, 3)
+            if rng.random() < 0.3:
+                s = random_disjoint_binomial(rng, nvars, 4)
+            else:
+                s = random_integral_support(rng, nvars, 4, max_monomials=3)
             result = minimize_objective(s)
             if result.box_bound > 12:
                 continue  # keep the doubled oracle box tractable
             wide = brute_minimum(s, 2 * result.box_bound)
             assert result.value == wide[0]
             assert result.witness == wide[1]
+            assert result.minimizers == wide[2]
             checked += 1
 
     def test_box_override_marks_heuristic(self):
         result = minimize_objective(WHITNEY, box_override=4)
         assert result.heuristic
+        assert (result.value, result.minimizers) == (1, brute_minimum(WHITNEY, 4)[2])
+        with pytest.raises(ValueError):
+            minimize_objective(WHITNEY, box_override=1)
+
+    def test_no_feasible_tuple_raises(self):
+        # (1, 0) divides (2, 1): its weight is the unique minimum for every alpha
+        with pytest.raises(SupportError) as err:
+            minimize_objective(Support.raw([(1, 0), (2, 1)]))
+        assert err.value.clause == "infeasible"
 
 
 class TestCertificates:
@@ -330,7 +370,6 @@ class TestBinomial:
 class TestReports:
     def test_whitney(self):
         report = hypersurface_report(WHITNEY)
-        assert report.route == "binomial"
         assert report.lambda_lower_bound == 1
         assert report.mather_mld_lower_bound == 3
         assert report.status == "EXACT"

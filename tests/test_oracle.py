@@ -199,6 +199,9 @@ class TestTorusSample:
         form = GenericForm(num_vars=2, terms=((1, 0, (2, 0)),))
         pivot = GenericForm(num_vars=2, terms=((2, 0, (1, 0)),))
         assert torus_point_sample(form, pivot, prime=101, trials=10, seed=1) is None
+        # two coefficients on one monomial are still a monomial
+        form = GenericForm(num_vars=2, terms=((1, 0, (2, 0)), (1, 1, (2, 0))))
+        assert torus_point_sample(form, pivot, prime=101, trials=10, seed=1) is None
 
     def test_two_linear_monomials(self):
         from mldhat.hypersurface import GenericForm
@@ -210,6 +213,20 @@ class TestTorusSample:
         a, b = witness["coefficients"]
         x, y = witness["point"]
         assert (a * x + b * y) % 101 == 0
+
+    @pytest.mark.parametrize("perm", [(0, 2, 1), (2, 0, 1), (2, 1, 0)])
+    def test_solve_variable_is_not_a_factor(self, perm):
+        # the initial form x2 (a0 x1 + a3 x0^2) at alpha = (1, 2, 1): solving
+        # for the factor x2, which ties x1 on degree, finds only the root 0
+        rows = [(0, 1, 1), (0, 2, 0), (0, 3, 1), (2, 0, 1)]
+        s = validate_support([tuple(r[p] for p in perm) for r in rows])
+        alpha = tuple((1, 2, 1)[p] for p in perm)
+        data = certificate_data(s, alpha)
+        witness = torus_point_sample(
+            data.initial_form, data.pivot_coefficient, prime=10007, trials=50, seed=0
+        )
+        assert witness is not None
+        assert staircase_verify(s, alpha, m=4, prime=10007, trials=50, seed=0).successes > 0
 
     def test_curve_certificate_upgrade(self):
         curve = validate_support([(2, 0), (0, 2), (1, 1), (0, 3)])
