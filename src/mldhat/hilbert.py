@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .cones import Cone, ConeError, dual_cone
 from .lattice import (
     LatticeError,
+    LimitError,
     adjugate,
     as_vector,
     determinant,
@@ -135,19 +136,28 @@ def _grading_point(dual: Cone):
     return tuple(sum(col) for col in zip(*primal.generators))
 
 
-def hilbert_basis(dual: Cone) -> HilbertBasis:
+def check_point_budget(subsets, max_points, stage, scale=1):
+    """LimitError when a stage's scale * sum_T |det T| points exceed max_points."""
+    if max_points is None:
+        return
+    estimate = scale * sum(abs(determinant([list(r) for r in T])) for T in subsets)
+    if estimate > max_points:
+        raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
+
+
+def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     """The unique minimal generating set of the lattice points of `dual`.
 
-    Requires a full-dimensional pointed cone (reduce with
-    split_torus_factor first if needed).
+    Requires a full-dimensional pointed cone (reduce with split_torus_factor
+    first if needed); `max_points` caps the parallelepiped points.
     """
     n = dual.ambient_rank
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
+    subsets = [T for T in itertools.combinations(dual.generators, n) if rank_of(T) == n]
+    check_point_budget(subsets, max_points, "hilbert parallelepiped points")
     candidates: set[tuple[int, ...]] = set(dual.generators)
-    for combo in itertools.combinations(dual.generators, n):
-        if rank_of(combo) < n:
-            continue
+    for combo in subsets:
         candidates.update(parallelepiped_points(combo))
     candidates.discard(tuple([0] * n))
     grading = _grading_point(dual)

@@ -129,6 +129,8 @@ def _integer_rows(exponents) -> list[tuple[int, ...]]:
         raise SupportError("not_integer", "the support must be a list of exponent vectors")
     if not all(_is_integer(x) for r in rows for x in r):
         raise SupportError("not_integer", "exponents must be integers")
+    if any(not r for r in rows):
+        raise SupportError("empty", "an exponent vector has no entries")
     return rows
 
 

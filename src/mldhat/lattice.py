@@ -32,8 +32,10 @@ Vector = tuple[int, ...]
 
 
 def as_vector(entries, rank=None) -> Vector:
-    """Validate and normalize a vector to a tuple of ints."""
-    v = tuple(int(x) for x in entries)
+    """Validate a vector of plain ints (bools refused) and return it as a tuple."""
+    v = tuple(entries)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+        raise LatticeError(f"vector entries must be integers, got {list(v)!r}")
     if rank is not None and len(v) != rank:
         raise LatticeError(f"expected a vector of rank {rank}, got {len(v)} entries")
     return v

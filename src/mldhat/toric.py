@@ -11,18 +11,23 @@ independent n-element subsets {u_1, ..., u_n} of the dual semigroup; the
 minimum is always computed over Hilbert-basis elements, since any optimal
 u_i is irreducible.  The Mather minimal log discrepancy is lambda + dim X.
 
-Search certification.  Every pairing <a, u> with a interior and u a nonzero
-semigroup element is a positive integer, so cost(a) >= n and each term of
-an optimal spanning set is at most cost(a) - (n - 1).  Writing the global
-minimizer a* as a nonnegative combination of at most n independent
-primitive extreme rays (Caratheodory), each coefficient c_v satisfies
-c_v <= <u, a*> <= cost(a*) for the optimal u that pairs positively with v.
-Hence for any bound B >= cost(a*), the minimizer lies in the coordinate box
-of the zonotope {sum_v c_v v : 0 <= c_v <= B}.  The search scans that box
-for increasing B starting at the lower bound n; as soon as some interior
-point a in the box has cost(a) <= B, the box already contains every
-candidate at least as good, so the scan minimum is the global minimum.  The
-sum of the extreme rays caps B, so the iteration terminates.
+Candidate set.  The search evaluates the interior lattice points of the
+closed parallelepipeds {sum_{v in T} c_v v : 0 <= c_v <= 1} over the
+independent n-subsets T of the extreme rays; they hold a minimizer.
+(1) If a and a - w are interior, with w a lattice point of the cone, then
+cost(a - w) <= cost(a): every dual-semigroup element pairs nonnegatively
+with w.  (2) Triangulate the cone without new rays.  An interior point a
+lies in the relative interior of a face of a cell T, spanned by the rays S
+with positive coefficient c_v; that face is interior, since each dual ray
+pairs positively with a, hence with some v in S.  Subtracting
+w = sum_S (ceil(c_v) - 1) v leaves coefficients in (0, 1] on S and 0 off
+S: the same support, so a - w is interior, and it lies in the closed
+parallelepiped of T.  Closed matters: on the cone over the unit square,
+rays (0,0,1), (1,0,1), (0,1,1), (1,1,1), the only minimal interior point
+(1,1,2) lies on the diagonal wall between the two cells, and the points
+with every coefficient in (0, 1] give lambda = 1 instead of 0.  A closed
+parallelepiped point is p + sum_J v for a half-open point p and rays J on
+which p has coefficient 0, so there are at most 2^n sum_T |det T|.
 """
 
 from __future__ import annotations
@@ -34,18 +39,16 @@ from functools import lru_cache
 from .cones import Cone, ConeError, FaceSpec, dual_cone, face_cone
 from .cones import has_isolated_fixed_point, is_simplicial, is_smooth, resolve_face
 from .cones import split_torus_factor
-from .hilbert import HilbertBasis, hilbert_basis
+from .hilbert import HilbertBasis, check_point_budget, hilbert_basis, parallelepiped_points
 from .lattice import (
     LatticeError,
     LimitError,
-    RationalPolytope,
     adjugate,
     as_vector,
     determinant,
-    enumerate_lattice_points,
+    enumerate_lattice_points,  # not called here; perfbench/tracing.py wraps this name
     pairing,
     rank_of,
-    vec_neg,
 )
 
 
@@ -83,7 +86,6 @@ class ToricMldReport:
     lambda_value: int
     mather_mld: int
     witness: SpanningWitness
-    search_bound_used: int
     fast_path: str
     torus_factor_rank: int
     face_reduced_from: tuple[int, ...] | None
@@ -117,7 +119,7 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
 
 @lru_cache(maxsize=128)
 def _independent_subsets(elements, n):
-    """All rank-n subsets of the basis elements, cached per basis."""
+    """All rank-n subsets of a family of vectors, cached per family."""
     return tuple(
         combo
         for combo in itertools.combinations(elements, n)
@@ -160,18 +162,24 @@ def optimal_spanning_sets(a, hb: HilbertBasis, max_subsets=1_000_000):
     return best.value, out
 
 
-def _zonotope_box_polytope(cone: Cone, bound: int) -> RationalPolytope:
-    """Interior points of the cone inside the box of {sum c_v v : 0<=c_v<=B}."""
+def _candidate_points(cone: Cone, max_points: int | None):
+    """Interior lattice points of the closed ray parallelepipeds (see above)."""
     n = cone.ambient_rank
+    subsets = _independent_subsets(cone.generators, n)
+    check_point_budget(subsets, max_points, "toric candidates", scale=2**n)
     _, dual_rays = cone.dual_pair
-    ineqs = [(r, 1) for r in dual_rays]  # strict interior for lattice points
-    for j in range(n):
-        lo = bound * sum(min(0, v[j]) for v in cone.generators)
-        hi = bound * sum(max(0, v[j]) for v in cone.generators)
-        e = tuple(1 if k == j else 0 for k in range(n))
-        ineqs.append((e, lo))
-        ineqs.append((vec_neg(e), -hi))
-    return RationalPolytope(n, tuple(ineqs))
+    points: set[tuple[int, ...]] = set()
+    for rays in subsets:
+        # row i of the adjugate pairs with p to det * (coefficient of ray i)
+        adj = adjugate([[v[j] for v in rays] for j in range(n)])
+        for p in parallelepiped_points(rays):
+            zero = [v for v, row in zip(rays, adj) if pairing(row, p) == 0]
+            for k in range(len(zero) + 1):
+                for extra in itertools.combinations(zero, k):
+                    a = tuple(sum(col) for col in zip(p, *extra))
+                    if all(pairing(u, a) > 0 for u in dual_rays):
+                        points.add(a)
+    return points
 
 
 def _fast_path_witness(cone: Cone):
@@ -290,10 +298,12 @@ def _integer_inverse(matrix):
 def minimize_spanning_cost(
     cone: Cone,
     use_fast_paths: bool = True,
-    bound_override: int | None = None,
     max_points: int | None = None,
 ) -> ToricMldReport:
-    """lambda and mld-hat at the torus-fixed point of a full-dimensional cone."""
+    """lambda and mld-hat at the torus-fixed point of a full-dimensional cone.
+
+    `max_points` caps the Hilbert parallelepiped points and the candidates.
+    """
     n = cone.ambient_rank
     if not cone.is_full_dimensional:
         raise ConeError("split off the torus factor before minimizing")
@@ -313,46 +323,18 @@ def minimize_spanning_cost(
                     lambda_value=0,
                     mather_mld=n,
                     witness=witness,
-                    search_bound_used=n,
                     fast_path=fast,
                     torus_factor_rank=0,
                     face_reduced_from=None,
                 )
 
-    hb = hilbert_basis(dual_cone(cone))
-    a0 = tuple(sum(col) for col in zip(*cone.generators))
-    incumbent = spanning_cost_greedy(a0, hb)
-    cap = incumbent.value if bound_override is None else bound_override
-    best = incumbent
-    bound = n
-    evaluated: dict[tuple[int, ...], SpanningWitness] = {a0: incumbent}
-    while True:
-        region = _zonotope_box_polytope(cone, bound)
-        if max_points is not None:
-            volume = 1
-            for j in range(n):
-                width = bound * sum(abs(v[j]) for v in cone.generators) + 1
-                volume *= width
-            if volume > max_points:
-                raise LimitError(
-                    f"search box of about {volume} points exceeds the limit "
-                    f"({max_points})"
-                )
-        for a in enumerate_lattice_points(region):
-            if a in evaluated:
-                continue
-            evaluated[a] = spanning_cost_greedy(a, hb)
-        scan_best = min(evaluated.values(), key=lambda w: w.sort_key())
-        if scan_best.sort_key() < best.sort_key():
-            best = scan_best
-        if best.value <= bound or bound >= cap:
-            break
-        bound += 1
+    hb = hilbert_basis(dual_cone(cone), max_points=max_points)
+    witnesses = [spanning_cost_greedy(a, hb) for a in _candidate_points(cone, max_points)]
+    best = min(witnesses, key=SpanningWitness.sort_key)
     return ToricMldReport(
         lambda_value=best.value - n,
         mather_mld=best.value,
         witness=best,
-        search_bound_used=bound,
         fast_path="none",
         torus_factor_rank=0,
         face_reduced_from=None,
@@ -387,7 +369,6 @@ def mld_at_point(
     cone: Cone,
     face: FaceSpec | None = None,
     use_fast_paths: bool = True,
-    bound_override: int | None = None,
     max_points: int | None = None,
 ) -> ToricMldReport:
     """lambda and mld-hat at the distinguished point of a face of the cone.
@@ -410,7 +391,6 @@ def mld_at_point(
                 lambda_value=0,
                 mather_mld=n_original,
                 witness=witness,
-                search_bound_used=0,
                 fast_path="smooth",
                 torus_factor_rank=n_original,
                 face_reduced_from=face_indices,
@@ -420,14 +400,12 @@ def mld_at_point(
     report = minimize_spanning_cost(
         reduced,
         use_fast_paths=use_fast_paths,
-        bound_override=bound_override,
         max_points=max_points,
     )
     return ToricMldReport(
         lambda_value=report.lambda_value,
         mather_mld=report.lambda_value + n_original,
         witness=report.witness,
-        search_bound_used=report.search_bound_used,
         fast_path=report.fast_path,
         torus_factor_rank=torus_rank,
         face_reduced_from=face_indices,

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -183,6 +184,58 @@ class TestCommands:
         assert code == 2
         assert out == ""
         assert json.loads(err)["kind"] == "SupportError"
+
+    @pytest.mark.parametrize("rays", [[[2.7, -1], [1, 1]], [[2, -1], [True, 1]], [[2, -1], ["1", 1]]])
+    def test_non_integer_ray_rejected(self, tmp_path, rays):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"lattice_rank": 2, "rays": rays}))
+        code, out, err = run_cli(["dual", "--cone", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "LatticeError"
+
+    def test_non_list_ray_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"lattice_rank": 2, "rays": [1, 2]}))
+        code, out, err = run_cli(["dual", "--cone", str(path)])
+        assert code == 2
+        assert json.loads(err)["kind"] == "ConeError"
+
+    def test_empty_exponent_vectors_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vars": 0, "support": [[], []]}))
+        code, out, err = run_cli(["hyper", "--support", str(path)])
+        assert code == 2
+        assert out == ""
+        report = json.loads(err)
+        assert report["kind"] == "SupportError"
+        assert "no entries" in report["error"]
+
+    def test_hilbert_limit_exit_code(self, tmp_path):
+        # 200000 parallelepiped points: the guard trips before building any
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"lattice_rank": 2, "rays": [[1, 0], [1, 200000]]}))
+        started = time.perf_counter()
+        code, out, err = run_cli(["--max-subsets", "10", "hilbert", "--cone", str(path)])
+        assert time.perf_counter() - started < 5.0
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["kind"] == "LimitError"
+        assert "hilbert parallelepiped points" in report["error"]
+
+    def test_toric_rejects_box_bound(self, cone_file):
+        code, out, err = run_cli(["--box-bound", "3", "toric", "--cone", cone_file])
+        assert code == 2
+        assert out == ""
+        assert "hyper only" in json.loads(err)["error"]
+
+    def test_toric_report_is_exact(self, cone_file):
+        code, out, _ = run_cli(["--seed", "0", "toric", "--cone", cone_file, "--no-fast-paths"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "EXACT"
+        assert "search_bound_used" not in report["diagnostics"]
 
     def test_heuristic_box_marked(self, support_file):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import pytest
 
 from mldhat.cones import Cone, ConeError, dual_cone
 from mldhat.hilbert import hilbert_basis, is_irreducible, parallelepiped_points
-from mldhat.lattice import LatticeError, pairing, vec_sub
+from mldhat.lattice import LatticeError, LimitError, pairing, vec_sub
 
 
 def naive_basis_2d(dual, box):
@@ -96,6 +96,15 @@ class TestHilbertBasis:
         dual = Cone.from_generators(2, [(1, 0)])
         with pytest.raises(ConeError):
             hilbert_basis(dual)
+
+    def test_point_limit(self):
+        # |det| = 200000 parallelepiped points: refused before any is built
+        wide = Cone.from_generators(2, [(1, 0), (1, 200000)])
+        with pytest.raises(LimitError, match="hilbert parallelepiped points"):
+            hilbert_basis(wide, max_points=10)
+        # a limit equal to the point count (|det| = 2) is not exceeded
+        wedge = Cone.from_generators(2, [(1, 0), (1, 2)])
+        assert hilbert_basis(wedge, max_points=2).elements == ((1, 0), (1, 1), (1, 2))
 
     def test_agreement_with_naive_sieve_random_2d(self):
         rng = random.Random(41)

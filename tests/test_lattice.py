@@ -13,6 +13,7 @@ from mldhat.lattice import (
     LatticeError,
     RationalPolytope,
     UnboundedPolytopeError,
+    as_vector,
     enumerate_lattice_points,
     in_row_lattice,
     integer_kernel,
@@ -59,6 +60,20 @@ class TestPairing:
     def test_bilinear(self, u, v, a):
         left = pairing(tuple(x + y for x, y in zip(u, v)), tuple(a))
         assert left == pairing(tuple(u), tuple(a)) + pairing(tuple(v), tuple(a))
+
+
+class TestAsVector:
+    def test_plain_ints(self):
+        assert as_vector([2, -1], 2) == (2, -1)
+
+    @pytest.mark.parametrize("entry", [2.7, 2.0, True, "1", None, Fraction(1)])
+    def test_rejects_non_integers(self, entry):
+        with pytest.raises(LatticeError):
+            as_vector([entry, 1])
+
+    def test_rank_mismatch(self):
+        with pytest.raises(LatticeError):
+            as_vector([1, 2], 3)
 
 
 class TestRank:

@@ -1,10 +1,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mldhat.cones import Cone, ConeError, FaceSpec, dual_cone
 from mldhat.hilbert import hilbert_basis
-from mldhat.lattice import LatticeError, pairing, rank_of
+from mldhat.lattice import (
+    LatticeError,
+    LimitError,
+    RationalPolytope,
+    enumerate_lattice_points,
+    pairing,
+    rank_of,
+)
 from mldhat.toric import (
     mld_at_point,
     minimize_spanning_cost,
@@ -14,6 +23,43 @@ from mldhat.toric import (
 )
 
 A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
+
+# cone over the unit square; its only minimal interior point (1, 1, 2) lies
+# on the diagonal wall between the two cells of a triangulation
+SQUARE_CONE = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+
+
+def box_reference(cone):
+    """Minimum-cost witness by the zonotope box scan; the search's oracle.
+
+    Every pairing <a, u> with a interior and u a nonzero semigroup element
+    is a positive integer, so each term of an optimal spanning set at the
+    minimizer a* is at most cost(a*).  Writing a* over at most n independent
+    rays, each coefficient is at most cost(a*), so for any B >= cost(a*) the
+    minimizer lies in the coordinate box of {sum c_v v : 0 <= c_v <= B}.
+    The scan takes B = n, n + 1, ... and stops at the first box holding a
+    point of cost <= B; the boxes are nested and each holds the sum of the
+    rays, so it stops by B = cost(sum of the rays).
+    """
+    n = cone.ambient_rank
+    hb = hilbert_basis(dual_cone(cone))
+    _, dual_rays = cone.dual_pair
+    bound = n
+    while True:
+        ineqs = [(r, 1) for r in dual_rays]  # strict interior for lattice points
+        for j in range(n):
+            e = tuple(1 if k == j else 0 for k in range(n))
+            lo = bound * sum(min(0, v[j]) for v in cone.generators)
+            hi = bound * sum(max(0, v[j]) for v in cone.generators)
+            ineqs.append((e, lo))
+            ineqs.append((tuple(-x for x in e), -hi))
+        points = enumerate_lattice_points(RationalPolytope(n, tuple(ineqs)))
+        best = min(
+            (spanning_cost_greedy(a, hb) for a in points), key=lambda w: w.sort_key()
+        )
+        if best.value <= bound:
+            return best
+        bound += 1
 
 
 def orthant(n):
@@ -228,7 +274,7 @@ class TestMinimize:
                 continue
             report = minimize_spanning_cost(c, use_fast_paths=False)
             radius = min(
-                report.search_bound_used
+                report.witness.value
                 * max(sum(abs(v[j]) for v in c.generators) for j in range(n))
                 + 2,
                 8,
@@ -245,6 +291,54 @@ class TestMinimize:
                     best = w.value
             assert best - n == report.lambda_value, c.generators
             checked += 1
+
+    def test_square_cone_needs_closed_parallelepipeds(self):
+        # the points with every coefficient in (0, 1] over a ray subset miss
+        # (1, 1, 2) and give lambda = 1 here
+        report = minimize_spanning_cost(SQUARE_CONE, use_fast_paths=False)
+        assert report.lambda_value == 0
+        assert report.witness.point == (1, 1, 2)
+        assert box_reference(SQUARE_CONE).sort_key() == report.witness.sort_key()
+
+    def test_candidate_limit(self):
+        with pytest.raises(LimitError, match="toric candidates"):
+            minimize_spanning_cost(SQUARE_CONE, use_fast_paths=False, max_points=20)
+
+    # every ray has a positive last coordinate, so the cone is pointed; the
+    # box scan grows fast with the rank, so rank 4 gets 0/1 entries
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(-2, 2)] * (n - 1), st.integers(1, 3)),
+                min_size=n,
+                max_size=n + 1,
+            )
+        )
+    )
+    def test_search_agrees_with_box_reference(self, rays):
+        self._check_against_box_reference(rays)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(0, 1)] * 3, st.integers(1, 2)),
+            min_size=4,
+            max_size=5,
+        )
+    )
+    def test_search_agrees_with_box_reference_rank_4(self, rays):
+        self._check_against_box_reference(rays)
+
+    @staticmethod
+    def _check_against_box_reference(rays):
+        n = len(rays[0])
+        assume(rank_of(rays) == n)
+        cone = Cone.from_generators(n, rays)
+        report = minimize_spanning_cost(cone, use_fast_paths=False)
+        reference = box_reference(cone)
+        assert report.lambda_value == reference.value - n
+        assert report.witness.value == reference.value
 
 
 class TestCrossPipeline:
