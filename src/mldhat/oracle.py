@@ -12,6 +12,12 @@ solves the staircase, and verifies the resulting point against every
 equation, so a successful trial certifies that the expected number of
 equations cuts the window dimension down independently.
 
+The one nonlinear step, the nonzero roots of a univariate form over F_p,
+is exact and deterministic: gcd with x^(p-1) - 1, then equal-degree
+splitting (`_nonzero_roots`), in O(d^2 log p) field operations per gcd
+step.  Any odd prime works, 31-bit ones included; there is no scan over
+the residues.
+
 Randomly drawn nonzero coefficients stand in for "very general" complex
 ones; the evidence is probabilistic and is labeled as such wherever it is
 used.
@@ -49,6 +55,11 @@ def _require_odd_prime(p):
                 break
         else:
             raise OracleError(f"{p} is not prime")
+
+
+def _require_trials(trials):
+    if trials < 1:
+        raise OracleError("the sampler needs at least one trial")
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,8 @@ def _series_mul(a, b, upto):
 def _series_pow(base, e, upto):
     result = {0: {(): 1}}
     for _ in range(e):
+        if not result:
+            break  # every power of a series without constant term past t^upto
         result = _series_mul(result, base, upto)
     return result
 
@@ -134,6 +147,16 @@ class TruncatedExpansion:
         return self.terms.get(s, {})
 
 
+def _window_orders(support: Support, alpha, m):
+    """alpha as a tuple, checked against the support and the window cap m."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != support.num_vars or any(a < 1 for a in alpha):
+        raise OracleError("alpha must list a positive order for every variable")
+    if m < max(alpha):
+        raise OracleError("truncation order m must be at least every entry of alpha")
+    return alpha
+
+
 def expand(support: Support, coeffs, alpha, m, prime=None, upto=None) -> TruncatedExpansion:
     """Arc expansion of sum_i coeffs[i] x^{I^i} with orders alpha, cut at m.
 
@@ -141,11 +164,9 @@ def expand(support: Support, coeffs, alpha, m, prime=None, upto=None) -> Truncat
     sorted.  Every monomial of every G_s has weight exactly s; the
     expansion asserts this invariant as it goes.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != support.num_vars or any(a < 1 for a in alpha):
-        raise OracleError("alpha must list a positive order for every variable")
-    if m < max(alpha):
-        raise OracleError("truncation order m must be at least every entry of alpha")
+    alpha = _window_orders(support, alpha, m)
+    if prime is not None:
+        _require_odd_prime(prime)
     if len(coeffs) != len(support.exponents):
         raise OracleError("one coefficient per support monomial is required")
     if any(c == 0 if prime is None else c % prime == 0 for c in coeffs):
@@ -208,11 +229,83 @@ def _substitute(poly, assignment, pivot, prime):
     return {d: c for d, c in uni.items() if c % prime}
 
 
+# dense polynomials over F_p: coefficient lists, lowest degree first, no
+# trailing zeros (the zero polynomial is [])
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _monic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _divmod(a, b, p):
+    """Quotient and remainder of a by a monic b."""
+    a = a[:]
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        q[i - db] = c
+        if c:
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
+    return q, _trim(a[:db])
+
+
+def _gcd(a, b, p):
+    """Monic gcd of a monic a and any b."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return a
+
+
+def _powmod_minus_one(base, e, f, p):
+    """base^e - 1 mod a monic f, by square-and-multiply; base reduced mod f."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _divmod(_poly_product(result, base, p), f, p)[1]
+        base = _divmod(_poly_product(base, base, p), f, p)[1]
+        e >>= 1
+    result = result or [0]
+    result[0] = (result[0] - 1) % p
+    return _trim(result)
+
+
 def _nonzero_roots(uni, prime, rng):
     """Nonzero roots of a univariate polynomial over F_p, random order.
 
-    Linear equations are solved directly; higher degrees fall back to a
-    residue scan, which is the honest desk-scale method.
+    Linear equations are solved directly.  For degree d >= 2 the finder is
+    exact and deterministic (Cantor-Zassenhaus with a stepped shift,
+    O(d^2 log p) per gcd step), so every odd prime takes the same route:
+
+    * g = gcd(f, x^(p-1) - 1), with x^(p-1) reduced mod f by
+      square-and-multiply, is the product of x - r over exactly the distinct
+      nonzero roots r of f, since x^(p-1) - 1 = prod_{r != 0} (x - r).
+    * A factor h of g of degree >= 2 splits into gcd(h, (x+a)^((p-1)/2) - 1)
+      and its cofactor for the first a = 0, 1, 2, ... that separates two of
+      its roots: the gcd takes the roots r with r + a a nonzero square.  For
+      distinct roots r1 != r2, a -> (r1 + a)/(r2 + a) takes every value but
+      1 on F_p minus {-r2}, so some a < p gives the two roots opposite
+      quadratic character (or sends r1 to 0), and the split is proper.
+
+    The roots are sorted before the shuffle, and no step draws from `rng`,
+    so the caller's random stream is the one a residue scan would leave.
     """
     degree = max(uni, default=0)
     if degree == 0:
@@ -222,14 +315,23 @@ def _nonzero_roots(uni, prime, rng):
         c0 = uni.get(0, 0)
         root = (-c0 * pow(c1, prime - 2, prime)) % prime
         return [root] if root else []
+    f = _monic([uni.get(d, 0) % prime for d in range(degree + 1)], prime)
+    g = _gcd(f, _powmod_minus_one([0, 1], prime - 1, f, prime), prime)
     roots = []
-    dense = [uni.get(d, 0) for d in range(degree, -1, -1)]
-    for x in range(1, prime):
-        val = 0
-        for c in dense:
-            val = (val * x + c) % prime
-        if val == 0:
-            roots.append(x)
+    factors = [g] if len(g) > 1 else []
+    while factors:
+        h = factors.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % prime)
+            continue
+        for a in range(prime):
+            d = _gcd(h, _powmod_minus_one([a, 1], (prime - 1) // 2, h, prime), prime)
+            if 1 < len(d) < len(h):
+                factors += [d, _divmod(h, d, prime)[0]]
+                break
+        else:
+            raise AssertionError(f"no shift splits {h} over F_{prime}")
+    roots.sort()
     rng.shuffle(roots)
     return roots
 
@@ -269,10 +371,9 @@ def staircase_verify(
     each eliminate one variable, so the stratum dimension matches
     window - equations; infeasible order tuples give the empty stratum.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if m < max(alpha):
-        raise OracleError("truncation order m must be at least every entry of alpha")
+    alpha = _window_orders(support, alpha, m)
     _require_odd_prime(prime)
+    _require_trials(trials)
     nv = support.num_vars
     window = [(j, u) for j in range(nv) for u in range(alpha[j], m + 1)]
     if not is_feasible(support, alpha):
@@ -397,9 +498,10 @@ def torus_point_sample(
     the pivot derivative is nonzero.  Returns an evidence dict or None;
     this is probabilistic evidence only.
     """
+    _require_odd_prime(prime)
+    _require_trials(trials)
     if len({expo for _, _, expo in initial_form.terms}) < 2:
         return None  # one monomial times a generic coefficient has no torus zero
-    _require_odd_prime(prime)
     nv = initial_form.num_vars
     solve_var = _solve_variable(initial_form)
     coeff_indices = sorted(
@@ -424,21 +526,9 @@ def torus_point_sample(
         roots = _nonzero_roots(uni, prime, rng)
         for root in roots:
             point[solve_var] = root
-            check = 0
-            for mult, ci, expo in initial_form.terms:
-                term = (mult * coeffs[ci]) % prime
-                for j, e in enumerate(expo):
-                    term = (term * pow(point[j], e, prime)) % prime
-                check = (check + term) % prime
-            if check:
+            if initial_form.evaluate(coeffs, point, prime):
                 continue
-            pivot_value = 0
-            for mult, ci, expo in pivot_form.terms:
-                term = (mult * coeffs[ci]) % prime
-                for j, e in enumerate(expo):
-                    term = (term * pow(point[j], e, prime)) % prime
-                pivot_value = (pivot_value + term) % prime
-            if pivot_value:
+            if pivot_form.evaluate(coeffs, point, prime):
                 return {
                     "prime": prime,
                     "trials_used": trial + 1,
@@ -450,6 +540,8 @@ def torus_point_sample(
 
 def make_torus_sampler(config: OracleConfig):
     """Callback suitable for equality_certificate / hypersurface_report."""
+    _require_odd_prime(config.prime)
+    _require_trials(config.trials)
 
     def sampler(initial_form, pivot_form):
         return torus_point_sample(

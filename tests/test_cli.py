@@ -5,6 +5,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mldhat.cli import (
     dump_report,
@@ -237,6 +239,62 @@ class TestCommands:
         assert report["status"] == "EXACT"
         assert "search_bound_used" not in report["diagnostics"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "staircase", "--alpha", "2,1,2", "--m", "6", "--trials", "-1"],
+            ["oracle", "staircase", "--alpha", "2,1,2", "--m", "6", "--trials", "0"],
+            ["oracle", "torus-point", "--alpha", "2,1,2", "--trials", "0"],
+            ["hyper", "--certify", "--oracle-trials", "0"],
+        ],
+    )
+    def test_non_positive_trials_rejected(self, support_file, argv):
+        code, out, err = run_cli(["--seed", "0", *argv, "--support", support_file])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "OracleError"
+
+    @pytest.mark.parametrize("alpha", ["2,1", "2,0,2", "2,1,2,1"])
+    def test_staircase_rejects_wrong_alpha(self, support_file, alpha):
+        code, out, err = run_cli(
+            ["oracle", "staircase", "--support", support_file, "--alpha", alpha, "--m", "4"]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "OracleError"
+
+    def test_expand_rejects_composite_prime(self, support_file):
+        code, out, err = run_cli(
+            ["oracle", "expand", "--support", support_file, "--alpha", "2,1,2",
+             "--m", "4", "--prime", "4"]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "OracleError"
+
+    def test_expand_huge_exponent(self, tmp_path):
+        # the t-series of x^e is empty past t^m once e * alpha > m
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vars": 2, "support": [[10**20, 0], [0, 1]]}))
+        started = time.perf_counter()
+        code, out, _ = run_cli(["oracle", "expand", "--support", str(path), "--alpha", "1,1", "--m", "2"])
+        assert time.perf_counter() - started < 5.0
+        assert code == 0
+        assert json.loads(out)["terms"] == {"1": [{"coefficient": 1, "monomial": [[1, 1, 1]]}],
+                                            "2": [{"coefficient": 1, "monomial": [[1, 2, 1]]}]}
+
+    def test_staircase_large_prime(self, tmp_path):
+        path = tmp_path / "a2.json"
+        path.write_text(json.dumps({"vars": 3, "support": [[3, 0, 0], [0, 2, 0], [0, 0, 2]]}))
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            ["--seed", "0", "oracle", "staircase", "--support", str(path),
+             "--alpha", "1,1,1", "--m", "3", "--prime", "2147483647", "--trials", "1"]
+        )
+        assert time.perf_counter() - started < 5.0
+        assert code == 0
+        assert json.loads(out)["trials"] == 1
+
     def test_heuristic_box_marked(self, support_file):
         code, out, _ = run_cli(
             ["--box-bound", "3", "hyper", "--support", support_file]
@@ -253,6 +311,72 @@ class TestCommands:
             _, first, _ = run_cli(argv)
             _, second, _ = run_cli(argv)
             assert first == second
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+ENTRIES = st.integers(0, 3) | JSON_LEAVES
+SUPPORT_FILES = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {
+            "vars": st.integers(-1, 4) | JSON_LEAVES,
+            "support": st.lists(st.lists(ENTRIES, max_size=4), max_size=4) | JSON_VALUES,
+        }
+    ),
+    st.integers(1, 3).flatmap(
+        lambda nv: st.fixed_dictionaries(
+            {
+                "vars": st.just(nv),
+                "support": st.lists(
+                    st.lists(st.integers(0, 3), min_size=nv, max_size=nv), min_size=1, max_size=4
+                ),
+            }
+        )
+    ),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        payload=SUPPORT_FILES,
+        alpha=st.lists(st.integers(1, 3), min_size=1, max_size=3)
+        | st.lists(st.integers(-1, 3), min_size=1, max_size=4),
+        m=st.integers(0, 4),
+        prime=st.sampled_from(["-3", "0", "1", "2", "4", "101", "2147483647"]),
+        trials=st.integers(-1, 2),
+    )
+    def test_oracle_inputs_never_traceback(self, tmp_path, payload, alpha, m, prime, trials):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(payload))
+        common = ["--support", str(path), "--alpha=" + ",".join(map(str, alpha)), f"--prime={prime}"]
+        for argv in (
+            ["oracle", "staircase", *common, f"--m={m}", f"--trials={trials}"],
+            ["oracle", "torus-point", *common, f"--trials={trials}"],
+            ["oracle", "expand", *common, f"--m={m}"],
+            ["hyper", "--support", str(path)],
+            ["hyper", "--support", str(path), "--certify", f"--oracle-prime={prime}",
+             f"--oracle-trials={trials}"],
+        ):
+            code, out, err = run_cli(["--seed", "0", "--max-subsets", "100000", *argv])
+            assert code in (0, 2, 3), argv
+            if code == 0:
+                json.loads(out)
+            else:
+                assert out == ""
+                assert "error" in json.loads(err)
 
 
 class TestRoundTrip:

@@ -1,18 +1,25 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mldhat.hypersurface import certificate_data, validate_support, weight_data
+from mldhat.hypersurface import GenericForm, certificate_data, validate_support, weight_data
 from mldhat.oracle import (
+    OracleConfig,
     OracleError,
+    _nonzero_roots,
     expand,
+    make_torus_sampler,
     staircase_verify,
     torus_point_sample,
 )
 
 WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
+PRIMES = [p for p in range(3, 212) if all(p % q for q in range(2, p))]
 
 
 def mono(*pairs):
@@ -61,6 +68,11 @@ class TestExpand:
     def test_rejects_small_truncation(self):
         with pytest.raises(OracleError):
             expand(WHITNEY, [1, 1], (2, 1, 2), m=1)
+
+    @pytest.mark.parametrize("prime", [4, 91, 2, 1, 0, -7])
+    def test_rejects_non_prime_modulus(self, prime):
+        with pytest.raises(OracleError):
+            expand(WHITNEY, [1, 1], (2, 1, 2), m=4, prime=prime)
 
     def test_weight_invariant_random(self):
         rng = random.Random(9)
@@ -128,6 +140,21 @@ class TestStaircase:
         with pytest.raises(OracleError):
             staircase_verify(WHITNEY, (2, 1, 2), m=6, prime=91, trials=2)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_non_positive_trials_rejected(self, trials):
+        with pytest.raises(OracleError):
+            staircase_verify(WHITNEY, (2, 1, 2), m=6, prime=101, trials=trials)
+        with pytest.raises(OracleError):
+            staircase_verify(WHITNEY, (1, 1, 1), m=6, prime=101, trials=trials)
+
+    def test_large_prime(self):
+        started = time.perf_counter()
+        result = staircase_verify(WHITNEY, (2, 1, 2), m=8, prime=2147483647, trials=2, seed=1)
+        assert time.perf_counter() - started < 5.0
+        assert result.trials == 2
+        assert result.estimated_dim == 15
+        assert result.successes > 0
+
     def test_formula_across_orders(self):
         # window - equations must equal mn - sum(alpha - 1) - 1 + n0 - mu
         s = validate_support([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
@@ -193,9 +220,18 @@ class TestTorusSample:
         assert witness is not None
         assert all(x != 0 for x in witness["point"])
 
-    def test_monomial_has_no_torus_zero(self):
-        from mldhat.hypersurface import GenericForm
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_non_positive_trials_rejected(self, trials):
+        data = certificate_data(WHITNEY, (2, 1, 2))
+        with pytest.raises(OracleError):
+            torus_point_sample(data.initial_form, data.pivot_coefficient, prime=101, trials=trials)
+        monomial = GenericForm(num_vars=2, terms=((1, 0, (2, 0)),))
+        with pytest.raises(OracleError):
+            torus_point_sample(monomial, monomial, prime=101, trials=trials)
+        with pytest.raises(OracleError):
+            make_torus_sampler(OracleConfig(trials=trials))
 
+    def test_monomial_has_no_torus_zero(self):
         form = GenericForm(num_vars=2, terms=((1, 0, (2, 0)),))
         pivot = GenericForm(num_vars=2, terms=((2, 0, (1, 0)),))
         assert torus_point_sample(form, pivot, prime=101, trials=10, seed=1) is None
@@ -204,8 +240,6 @@ class TestTorusSample:
         assert torus_point_sample(form, pivot, prime=101, trials=10, seed=1) is None
 
     def test_two_linear_monomials(self):
-        from mldhat.hypersurface import GenericForm
-
         form = GenericForm(num_vars=2, terms=((1, 0, (1, 0)), (1, 1, (0, 1))))
         pivot = GenericForm(num_vars=2, terms=((1, 0, (0, 0)),))
         witness = torus_point_sample(form, pivot, prime=101, trials=10, seed=1)
@@ -235,3 +269,84 @@ class TestTorusSample:
             data.initial_form, data.pivot_coefficient, prime=10007, trials=50, seed=11
         )
         assert witness is not None
+
+
+def residue_scan_roots(uni, p):
+    """Nonzero roots by evaluating at every residue, in ascending order."""
+    dense = [uni.get(d, 0) for d in range(max(uni, default=0), -1, -1)]
+    roots = []
+    for x in range(1, p):
+        val = 0
+        for c in dense:
+            val = (val * x + c) % p
+        if val == 0:
+            roots.append(x)
+    return roots
+
+
+class RecordingRng:
+    """Stands in for random.Random: records shuffles and allows no draws."""
+
+    def __init__(self):
+        self.shuffled = []
+
+    def shuffle(self, items):
+        self.shuffled.append(list(items))
+
+
+def _times_linear(poly, r, p):
+    out = [0] * (len(poly) + 1)
+    for i, c in enumerate(poly):
+        out[i + 1] = (out[i + 1] + c) % p
+        out[i] = (out[i] - r * c) % p
+    return out
+
+
+@st.composite
+def univariate_forms(draw):
+    """(uni, p): degree 2-8, with repeated roots, a root at 0 or no roots."""
+    p = draw(st.sampled_from(PRIMES))
+    degree = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["random", "split", "rootless"]))
+    if kind == "rootless":
+        # x^k times irreducible quadratics x^2 - c, c a non-square: no nonzero root
+        non_square = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        poly = [0] * (degree % 2) + [1]
+        for _ in range(degree // 2):
+            poly = [(a - non_square * b) % p for a, b in zip([0, 0] + poly, poly + [0, 0])]
+    else:
+        roots = draw(st.lists(st.integers(0, p - 1), max_size=degree if kind == "split" else degree - 2))
+        roots += draw(st.lists(st.sampled_from([0, 1]), max_size=2))  # repeats and 0
+        roots = roots[:degree]
+        rest = degree - len(roots)
+        poly = draw(st.lists(st.integers(0, p - 1), min_size=rest, max_size=rest))
+        poly.append(draw(st.integers(1, p - 1)))
+        for r in roots:
+            poly = _times_linear(poly, r, p)
+    return {d: c for d, c in enumerate(poly) if c}, p
+
+
+class TestNonzeroRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(univariate_forms())
+    @example(({2: 1, 0: 1}, 7))  # x^2 + 1 has no root over F_7
+    @example(({3: 1}, 101))  # only the root 0
+    def test_agrees_with_residue_scan(self, case):
+        uni, p = case
+        assert max(uni) >= 2
+        rng = RecordingRng()
+        roots = _nonzero_roots(dict(uni), p, rng)
+        expected = residue_scan_roots(uni, p)
+        assert rng.shuffled == [expected]
+        assert sorted(roots) == expected
+
+    def test_large_prime_cubic(self):
+        p = 2147483647
+        r = (12345, 999999, 2**30)
+        uni = {
+            0: -r[0] * r[1] * r[2] % p,
+            1: (r[0] * r[1] + r[0] * r[2] + r[1] * r[2]) % p,
+            2: -sum(r) % p,
+            3: 1,
+        }
+        assert _nonzero_roots(uni, p, RecordingRng()) == sorted(r)
