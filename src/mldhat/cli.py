@@ -9,6 +9,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -138,12 +139,7 @@ def _run_toric(args):
     elif args.face_functional is not None:
         face = FaceSpec(supporting_functional=_alpha_like(args.face_functional))
     started = time.perf_counter()
-    report = mld_at_point(
-        cone,
-        face=face,
-        use_fast_paths=not args.no_fast_paths,
-        max_points=args.max_subsets,
-    )
+    report = mld_at_point(cone, face=face, max_points=args.max_subsets)
     elapsed = time.perf_counter() - started
     payload = {
         "variety_kind": "toric",
@@ -297,7 +293,9 @@ def _run_oracle(args):
     raise ValueError(f"unknown oracle command {args.oracle_command!r}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="mldhat",
         description=(
@@ -314,7 +312,7 @@ def build_parser():
     toric.add_argument("--cone", required=True, help="JSON file with lattice_rank and rays")
     toric.add_argument("--face", default=None, help="comma-separated ray indices of a face (empty string for the zero face)")
     toric.add_argument("--face-functional", default=None, help="comma-separated dual vector whose zero set is the face")
-    toric.add_argument("--no-fast-paths", action="store_true", help="force the general search")
+    toric.add_argument("--no-fast-paths", action="store_true", help="no effect: every cone takes the one general search")
     toric.set_defaults(func=_run_toric)
 
     hyper = sub.add_parser("hyper", help="lower bound and certificate for a hypersurface support")

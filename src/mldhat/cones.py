@@ -113,7 +113,9 @@ class Cone:
 
     @staticmethod
     def from_generators(ambient_rank, generators):
-        n = int(ambient_rank)
+        if type(ambient_rank) is not int:
+            raise ConeError(f"ambient rank must be an integer, got {ambient_rank!r}")
+        n = ambient_rank
         if n < 1:
             raise ConeError("ambient rank must be positive")
         gens = []
@@ -240,7 +242,9 @@ def resolve_face(c: Cone, f: FaceSpec) -> tuple[int, ...]:
         return tuple(
             i for i, v in enumerate(c.generators) if pairing(u, v) == 0
         )
-    subset = tuple(sorted(set(int(i) for i in f.generator_subset)))
+    if not all(type(i) is int for i in f.generator_subset):
+        raise FaceError(f"ray indices must be integers, got {list(f.generator_subset)!r}")
+    subset = tuple(sorted(set(f.generator_subset)))
     for i in subset:
         if not 0 <= i < len(c.generators):
             raise FaceError(f"ray index {i} out of range")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cones import Cone, ConeError, dual_cone
 from .lattice import (
@@ -136,6 +137,14 @@ def _grading_point(dual: Cone):
     return tuple(sum(col) for col in zip(*primal.generators))
 
 
+@lru_cache(maxsize=128)
+def independent_subsets(vectors, n):
+    """All rank-n subsets of a tuple of vectors, cached per tuple."""
+    return tuple(
+        combo for combo in itertools.combinations(vectors, n) if rank_of(combo) == n
+    )
+
+
 def check_point_budget(subsets, max_points, stage, scale=1):
     """LimitError when a stage's scale * sum_T |det T| points exceed max_points."""
     if max_points is None:
@@ -154,7 +163,7 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     n = dual.ambient_rank
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
-    subsets = [T for T in itertools.combinations(dual.generators, n) if rank_of(T) == n]
+    subsets = independent_subsets(dual.generators, n)
     check_point_budget(subsets, max_points, "hilbert parallelepiped points")
     candidates: set[tuple[int, ...]] = set(dual.generators)
     for combo in subsets:

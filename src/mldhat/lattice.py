@@ -48,10 +48,6 @@ def pairing(u, a) -> int:
     return sum(x * y for x, y in zip(u, a))
 
 
-def vec_add(u, v) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_sub(u, v) -> Vector:
     return tuple(x - y for x, y in zip(u, v))
 

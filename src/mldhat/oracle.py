@@ -149,7 +149,11 @@ class TruncatedExpansion:
 
 def _window_orders(support: Support, alpha, m):
     """alpha as a tuple, checked against the support and the window cap m."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(alpha)
+    if not all(type(a) is int for a in alpha):
+        raise OracleError(f"alpha entries must be integers, got {list(alpha)!r}")
+    if type(m) is not int:
+        raise OracleError(f"truncation order m must be an integer, got {m!r}")
     if len(alpha) != support.num_vars or any(a < 1 for a in alpha):
         raise OracleError("alpha must list a positive order for every variable")
     if m < max(alpha):

@@ -34,18 +34,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .cones import Cone, ConeError, FaceSpec, dual_cone, face_cone
-from .cones import has_isolated_fixed_point, is_simplicial, is_smooth, resolve_face
+from .cones import Cone, ConeError, FaceSpec, dual_cone, face_cone, resolve_face
 from .cones import split_torus_factor
-from .hilbert import HilbertBasis, check_point_budget, hilbert_basis, parallelepiped_points
+from .hilbert import (
+    HilbertBasis,
+    check_point_budget,
+    hilbert_basis,
+    independent_subsets,
+    parallelepiped_points,
+)
 from .lattice import (
     LatticeError,
     LimitError,
     adjugate,
     as_vector,
-    determinant,
     enumerate_lattice_points,  # not called here; perfbench/tracing.py wraps this name
     pairing,
     rank_of,
@@ -86,7 +89,7 @@ class ToricMldReport:
     lambda_value: int
     mather_mld: int
     witness: SpanningWitness
-    fast_path: str
+    fast_path: str  # "none" from the search, "smooth" at the zero face; kept for report readers
     torus_factor_rank: int
     face_reduced_from: tuple[int, ...] | None
 
@@ -117,16 +120,6 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
     return SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(chosen)))
 
 
-@lru_cache(maxsize=128)
-def _independent_subsets(elements, n):
-    """All rank-n subsets of a family of vectors, cached per family."""
-    return tuple(
-        combo
-        for combo in itertools.combinations(elements, n)
-        if rank_of(combo) == n
-    )
-
-
 def spanning_cost_bruteforce(a, hb: HilbertBasis, max_subsets=1_000_000) -> SpanningWitness:
     """Exhaustive minimum over all spanning subsets; the greedy oracle."""
     n = hb.rank
@@ -142,7 +135,7 @@ def spanning_cost_bruteforce(a, hb: HilbertBasis, max_subsets=1_000_000) -> Span
             f"{count} subsets exceed the guard ({max_subsets}); use the greedy form"
         )
     best = None
-    for combo in _independent_subsets(hb.elements, n):
+    for combo in independent_subsets(hb.elements, n):
         value = sum(pairing(u, a) for u in combo)
         cand = SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(combo)))
         if best is None or cand.sort_key() < best.sort_key():
@@ -156,7 +149,7 @@ def optimal_spanning_sets(a, hb: HilbertBasis, max_subsets=1_000_000):
     """All spanning subsets attaining the minimum cost at a."""
     best = spanning_cost_bruteforce(a, hb, max_subsets)
     out = []
-    for combo in _independent_subsets(hb.elements, hb.rank):
+    for combo in independent_subsets(hb.elements, hb.rank):
         if sum(pairing(u, a) for u in combo) == best.value:
             out.append(tuple(sorted(combo)))
     return best.value, out
@@ -165,7 +158,7 @@ def optimal_spanning_sets(a, hb: HilbertBasis, max_subsets=1_000_000):
 def _candidate_points(cone: Cone, max_points: int | None):
     """Interior lattice points of the closed ray parallelepipeds (see above)."""
     n = cone.ambient_rank
-    subsets = _independent_subsets(cone.generators, n)
+    subsets = independent_subsets(cone.generators, n)
     check_point_budget(subsets, max_points, "toric candidates", scale=2**n)
     _, dual_rays = cone.dual_pair
     points: set[tuple[int, ...]] = set()
@@ -182,124 +175,7 @@ def _candidate_points(cone: Cone, max_points: int | None):
     return points
 
 
-def _fast_path_witness(cone: Cone):
-    """Explicit certificate that lambda = 0 for the structured fast paths.
-
-    Adapted coordinates send a smooth facet to the first n-1 unit vectors
-    and shear the last ray into the box 0 <= a_i < t; the rows of the
-    combined unimodular map are then dual-semigroup elements pairing to 1
-    with the preimage of the all-ones point.  Everything is verified in the
-    original coordinates before being returned.
-    """
-    n = cone.ambient_rank
-    rays = list(cone.generators)
-    if n == 1:
-        return SpanningWitness(point=rays[0], value=1, chosen_set=(rays[0],))
-    facet = rays[: n - 1]
-    matrix = [list(r) for r in facet]
-    # complete the facet basis to a basis of the ambient lattice
-    try:
-        cof = _primitive_cofactor(matrix, n)
-        w = _solve_bezout(cof)
-    except LatticeError:
-        return None
-    base = [list(v) for v in facet] + [list(w)]
-    det = determinant(base)
-    if det == 0:
-        return None
-    if det < 0:
-        base[-1] = [-x for x in base[-1]]
-    if abs(determinant(base)) != 1:
-        return None
-
-    def coordinate_rows(b):
-        # functional rows of the map sending the basis rows of b to unit vectors
-        inv = _integer_inverse([list(col) for col in zip(*b)])
-        return [list(r) for r in inv]
-
-    change = coordinate_rows(base)
-    last = [sum(change[i][j] * rays[-1][j] for j in range(n)) for i in range(n)]
-    t = last[-1]
-    if t < 0:
-        # flip the complement direction instead
-        base[-1] = [-x for x in base[-1]]
-        change = coordinate_rows(base)
-        last = [sum(change[i][j] * rays[-1][j] for j in range(n)) for i in range(n)]
-        t = last[-1]
-    if t <= 0:
-        return None
-    # shear the new coordinates so the last ray has 0 <= a_i < t
-    for i in range(n - 1):
-        q = last[i] // t
-        if q:
-            change[i] = [x - q * y for x, y in zip(change[i], change[-1])]
-    witness_set = tuple(sorted(tuple(row) for row in change))
-    point = _integer_inverse([list(r) for r in change])
-    a = tuple(sum(point[i][j] for j in range(n)) for i in range(n))
-    # verify before trusting the construction
-    if not cone.contains(a, strict=True):
-        return None
-    for u in witness_set:
-        if any(pairing(u, v) < 0 for v in cone.generators):
-            return None
-    if sum(pairing(u, a) for u in witness_set) != n:
-        return None
-    if rank_of(witness_set) != n:
-        return None
-    return SpanningWitness(point=a, value=n, chosen_set=witness_set)
-
-
-def _primitive_cofactor(matrix, n):
-    """Vector of maximal minors of an (n-1) x n matrix, as a linear form."""
-    cof = []
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in matrix]
-        cof.append((-1) ** j * determinant(minor))
-    return tuple(cof)
-
-
-def _solve_bezout(c):
-    """Integer vector w with c . w = 1 for a primitive integer vector c."""
-    n = len(c)
-    g = 0
-    gw: list[int] = [0] * n
-    for i, x in enumerate(c):
-        if x == 0:
-            continue
-        if g == 0:
-            g = abs(x)
-            gw = [0] * n
-            gw[i] = 1 if x > 0 else -1
-            continue
-        # extended gcd of g and x
-        a, b = g, abs(x)
-        sa, sb = list(gw), [0] * n
-        sb[i] = 1 if x > 0 else -1
-        while b:
-            q = a // b
-            a, b = b, a - q * b
-            sa, sb = sb, [p - q * r for p, r in zip(sa, sb)]
-        g, gw = a, sa
-    if g != 1:
-        raise LatticeError("cofactor vector is not primitive; facet is not smooth")
-    return tuple(gw)
-
-
-def _integer_inverse(matrix):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(matrix)
-    det = determinant(matrix)
-    if abs(det) != 1:
-        raise LatticeError("matrix is not unimodular")
-    adj = adjugate(matrix)
-    return [[det * adj[i][j] for j in range(n)] for i in range(n)]
-
-
-def minimize_spanning_cost(
-    cone: Cone,
-    use_fast_paths: bool = True,
-    max_points: int | None = None,
-) -> ToricMldReport:
+def minimize_spanning_cost(cone: Cone, max_points: int | None = None) -> ToricMldReport:
     """lambda and mld-hat at the torus-fixed point of a full-dimensional cone.
 
     `max_points` caps the Hilbert parallelepiped points and the candidates.
@@ -307,27 +183,6 @@ def minimize_spanning_cost(
     n = cone.ambient_rank
     if not cone.is_full_dimensional:
         raise ConeError("split off the torus factor before minimizing")
-
-    if use_fast_paths:
-        fast = None
-        if is_smooth(cone):
-            fast = "smooth"
-        elif n == 2:
-            fast = "surface"
-        elif is_simplicial(cone) and has_isolated_fixed_point(cone):
-            fast = "simplicial_isolated"
-        if fast is not None:
-            witness = _fast_path_witness(cone)
-            if witness is not None:
-                return ToricMldReport(
-                    lambda_value=0,
-                    mather_mld=n,
-                    witness=witness,
-                    fast_path=fast,
-                    torus_factor_rank=0,
-                    face_reduced_from=None,
-                )
-
     hb = hilbert_basis(dual_cone(cone), max_points=max_points)
     witnesses = [spanning_cost_greedy(a, hb) for a in _candidate_points(cone, max_points)]
     best = min(witnesses, key=SpanningWitness.sort_key)
@@ -368,7 +223,6 @@ def orbit_dimension(a, m: int, hb: HilbertBasis, max_subsets=1_000_000) -> Orbit
 def mld_at_point(
     cone: Cone,
     face: FaceSpec | None = None,
-    use_fast_paths: bool = True,
     max_points: int | None = None,
 ) -> ToricMldReport:
     """lambda and mld-hat at the distinguished point of a face of the cone.
@@ -397,11 +251,7 @@ def mld_at_point(
             )
         working = face_cone(cone, FaceSpec(generator_subset=face_indices))
     reduced, torus_rank = split_torus_factor(working)
-    report = minimize_spanning_cost(
-        reduced,
-        use_fast_paths=use_fast_paths,
-        max_points=max_points,
-    )
+    report = minimize_spanning_cost(reduced, max_points=max_points)
     return ToricMldReport(
         lambda_value=report.lambda_value,
         mather_mld=report.lambda_value + n_original,

@@ -168,7 +168,7 @@ class TestCommands:
 
     def test_limit_exit_code(self, cone_file):
         code, _, err = run_cli(
-            ["--max-subsets", "1", "toric", "--cone", cone_file, "--no-fast-paths"]
+            ["--max-subsets", "1", "toric", "--cone", cone_file]
         )
         assert code == 3
         assert "error" in json.loads(err)
@@ -233,7 +233,7 @@ class TestCommands:
         assert "hyper only" in json.loads(err)["error"]
 
     def test_toric_report_is_exact(self, cone_file):
-        code, out, _ = run_cli(["--seed", "0", "toric", "--cone", cone_file, "--no-fast-paths"])
+        code, out, _ = run_cli(["--seed", "0", "toric", "--cone", cone_file])
         assert code == 0
         report = json.loads(out)
         assert report["status"] == "EXACT"
@@ -311,6 +311,36 @@ class TestCommands:
             _, first, _ = run_cli(argv)
             _, second, _ = run_cli(argv)
             assert first == second
+
+    def test_parser_is_reused_across_calls(self, support_file, cone_file):
+        hyper = ["--seed", "0", "hyper", "--support", support_file, "--certify"]
+        code, first, _ = run_cli(hyper)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(["toric", "--cone", cone_file, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert run_cli(["--seed", "0", "toric", "--cone", cone_file])[0] == 0
+        code, second, _ = run_cli(hyper)
+        assert code == 0
+        assert first == second
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[2, -1], [0, 1]],
+            [[1, 0, 0], [0, 1, 0], [1, 2, 5]],
+        ],
+        ids=["smooth-orthant", "surface", "simplicial-isolated"],
+    )
+    def test_no_fast_paths_flag_has_no_effect(self, tmp_path, rays):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"lattice_rank": len(rays[0]), "rays": rays}))
+        argv = ["--seed", "0", "toric", "--cone", str(path)]
+        plain = run_cli(argv)
+        flagged = run_cli(argv + ["--no-fast-paths"])
+        assert plain[0] == 0
+        assert plain == flagged
 
 
 JSON_LEAVES = (

@@ -69,6 +69,11 @@ class TestConstruction:
         with pytest.raises(ConeError):
             Cone.from_generators(2, [(1, 0), (-1, 0)])
 
+    @pytest.mark.parametrize("rank", [True, 1.0, "1"])
+    def test_rejects_non_integer_rank(self, rank):
+        with pytest.raises(ConeError):
+            Cone.from_generators(rank, [(1,)])
+
     def test_keeps_extreme_rays_only(self):
         c = Cone.from_generators(2, [(1, 0), (1, 1), (0, 1)])
         assert c.generators == ((0, 1), (1, 0))
@@ -221,6 +226,12 @@ class TestFaces:
         j = gens.index((0, 1, 1))
         with pytest.raises(FaceError):
             face_cone(c, FaceSpec(generator_subset=(i, j)))
+
+    @pytest.mark.parametrize("index", [0.9, True])
+    def test_non_integer_ray_index_rejected(self, index):
+        c = Cone.from_generators(2, [(1, 0), (0, 1)])
+        with pytest.raises(FaceError):
+            resolve_face(c, FaceSpec(generator_subset=(index,)))
 
     def test_functional_outside_dual_rejected(self):
         c = Cone.from_generators(2, [(1, 0), (0, 1)])

@@ -140,6 +140,14 @@ class TestStaircase:
         with pytest.raises(OracleError):
             staircase_verify(WHITNEY, (2, 1, 2), m=6, prime=91, trials=2)
 
+    @pytest.mark.parametrize(
+        "alpha, m", [((1.9, 1.2), 4), ((True, 1), 4), ((1, 1), 4.5), ((1, 1), True)]
+    )
+    def test_non_integer_orders_rejected(self, alpha, m):
+        s = validate_support([(2, 0), (0, 3)])
+        with pytest.raises(OracleError):
+            staircase_verify(s, alpha, m=m)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_non_positive_trials_rejected(self, trials):
         with pytest.raises(OracleError):

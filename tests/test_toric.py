@@ -179,11 +179,6 @@ class TestMinimize:
         report = minimize_spanning_cost(A1_CONE)
         assert report.lambda_value == 0
         assert report.mather_mld == 2
-
-    def test_a1_cone_general_search(self):
-        report = minimize_spanning_cost(A1_CONE, use_fast_paths=False)
-        assert report.lambda_value == 0
-        assert report.mather_mld == 2
         assert report.fast_path == "none"
 
     def test_smooth_orthants(self):
@@ -191,10 +186,9 @@ class TestMinimize:
             report = minimize_spanning_cost(orthant(n))
             assert report.lambda_value == 0
             assert report.mather_mld == n
-            assert report.fast_path == "smooth"
 
     def test_witness_is_valid(self):
-        report = minimize_spanning_cost(A1_CONE, use_fast_paths=False)
+        report = minimize_spanning_cost(A1_CONE)
         w = report.witness
         assert A1_CONE.contains(w.point, strict=True)
         assert rank_of(w.chosen_set) == 2
@@ -205,19 +199,10 @@ class TestMinimize:
         with pytest.raises(ConeError):
             minimize_spanning_cost(c)
 
-    def test_fast_path_consistency_random(self):
-        rng = random.Random(61)
-        checked = 0
-        while checked < 15:
-            c = random_pointed_cone(rng, 2, 5)
-            fast = minimize_spanning_cost(c)
-            slow = minimize_spanning_cost(c, use_fast_paths=False)
-            assert fast.lambda_value == slow.lambda_value
-            checked += 1
-
-    def test_fast_path_witnesses_are_valid(self):
-        # the adapted-coordinate construction must always hand back a
-        # verifiable certificate: interior point, dual elements, total n
+    def test_structured_cone_witnesses_are_valid(self):
+        # surfaces and cones over a smooth facet with one extra ray have
+        # lambda = 0; the search must hand back a verifiable certificate:
+        # interior point, dual elements, total n
         from math import gcd
 
         rng = random.Random(63)
@@ -236,10 +221,7 @@ class TestMinimize:
                 continue
             cones.append(c)
         for c in cones:
-            report = minimize_spanning_cost(c)
-            if report.fast_path == "none":
-                continue
-            w = report.witness
+            w = minimize_spanning_cost(c).witness
             n = c.ambient_rank
             assert w.value == n
             assert c.contains(w.point, strict=True)
@@ -272,7 +254,7 @@ class TestMinimize:
                 continue
             if len(hb.elements) > 10:
                 continue
-            report = minimize_spanning_cost(c, use_fast_paths=False)
+            report = minimize_spanning_cost(c)
             radius = min(
                 report.witness.value
                 * max(sum(abs(v[j]) for v in c.generators) for j in range(n))
@@ -295,14 +277,14 @@ class TestMinimize:
     def test_square_cone_needs_closed_parallelepipeds(self):
         # the points with every coefficient in (0, 1] over a ray subset miss
         # (1, 1, 2) and give lambda = 1 here
-        report = minimize_spanning_cost(SQUARE_CONE, use_fast_paths=False)
+        report = minimize_spanning_cost(SQUARE_CONE)
         assert report.lambda_value == 0
         assert report.witness.point == (1, 1, 2)
         assert box_reference(SQUARE_CONE).sort_key() == report.witness.sort_key()
 
     def test_candidate_limit(self):
         with pytest.raises(LimitError, match="toric candidates"):
-            minimize_spanning_cost(SQUARE_CONE, use_fast_paths=False, max_points=20)
+            minimize_spanning_cost(SQUARE_CONE, max_points=20)
 
     # every ray has a positive last coordinate, so the cone is pointed; the
     # box scan grows fast with the rank, so rank 4 gets 0/1 entries
@@ -335,7 +317,7 @@ class TestMinimize:
         n = len(rays[0])
         assume(rank_of(rays) == n)
         cone = Cone.from_generators(n, rays)
-        report = minimize_spanning_cost(cone, use_fast_paths=False)
+        report = minimize_spanning_cost(cone)
         reference = box_reference(cone)
         assert report.lambda_value == reference.value - n
         assert report.witness.value == reference.value
@@ -351,7 +333,7 @@ class TestCrossPipeline:
         dual = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)])
         hb = hilbert_basis(dual)
         assert hb.elements == ((0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 1, 2))
-        toric = minimize_spanning_cost(dual_cone(dual), use_fast_paths=False)
+        toric = minimize_spanning_cost(dual_cone(dual))
         support = validate_support([(1, 1, 1, 0), (0, 0, 0, 2)])
         assert toric.lambda_value == binomial_lambda(support).value == 1
         assert toric.mather_mld == 4
@@ -363,7 +345,7 @@ class TestCrossPipeline:
         square = Cone.from_generators(
             3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
         )
-        toric = minimize_spanning_cost(square, use_fast_paths=False)
+        toric = minimize_spanning_cost(square)
         support = validate_support([(1, 1, 0, 0), (0, 0, 1, 1)])
         assert toric.lambda_value == binomial_lambda(support).value == 0
 
