@@ -179,7 +179,16 @@ class TestMinimize:
         report = minimize_spanning_cost(A1_CONE)
         assert report.lambda_value == 0
         assert report.mather_mld == 2
+
+    def test_a1_cone_general_search(self):
+        # the candidate search reports itself as "none", and the greedy cost
+        # of its witness is the exhaustive minimum at the witness point
+        report = minimize_spanning_cost(A1_CONE)
+        assert report.lambda_value == 0
+        assert report.mather_mld == 2
         assert report.fast_path == "none"
+        hb = hilbert_basis(dual_cone(A1_CONE))
+        assert spanning_cost_bruteforce(report.witness.point, hb).value == report.witness.value
 
     def test_smooth_orthants(self):
         for n in (1, 2, 3, 4):
