@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 
@@ -127,15 +128,23 @@ def _alpha_like(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def _face_indices(text):
+    """The ray indices of --face: "" is the zero face, else comma-separated integers."""
+    if text == "":
+        return ()
+    entries = text.split(",")
+    if not all(re.fullmatch(r"-?[0-9]+", e) for e in entries):
+        raise ValueError(f"--face expects comma-separated ray indices, got {text!r}")
+    return tuple(int(e) for e in entries)
+
+
 def _run_toric(args):
-    if args.box_bound is not None:
-        raise ValueError("--box-bound applies to hyper only; the toric search is finite")
     cone = parse_cone_file(args.cone)
     if args.face is not None and args.face_functional is not None:
         raise ValueError("give at most one of --face and --face-functional")
     face = None
     if args.face is not None:
-        face = FaceSpec(generator_subset=tuple(int(i) for i in args.face.split(",") if i != ""))
+        face = FaceSpec(generator_subset=_face_indices(args.face))
     elif args.face_functional is not None:
         face = FaceSpec(supporting_functional=_alpha_like(args.face_functional))
     started = time.perf_counter()
@@ -175,19 +184,13 @@ def _run_hyper(args):
             )
         )
     started = time.perf_counter()
-    report = hypersurface_report(
-        support,
-        sampler=sampler,
-        box_override=args.box_bound,
-        max_points=args.max_subsets,
-    )
+    report = hypersurface_report(support, sampler=sampler, max_points=args.max_subsets)
     elapsed = time.perf_counter() - started
-    status = "HEURISTIC" if report.heuristic_box else report.status
     payload = {
         "variety_kind": "hypersurface",
         "lambda_lower_bound": report.lambda_lower_bound,
         "mather_mld_lower_bound": report.mather_mld_lower_bound,
-        "status": status,
+        "status": report.status,
         "witness": {"alpha": list(report.witness_alpha)},
         "assumptions": list(report.assumptions),
         "certificate": {
@@ -305,7 +308,6 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=None, help="fix all randomness; makes output byte-identical")
     parser.add_argument("--max-subsets", type=int, default=None, help="abort with exit code 3 when a stage would generate more than this many points")
-    parser.add_argument("--box-bound", type=int, default=None, help="hyper only: cap every vanishing order (marks the report HEURISTIC)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     toric = sub.add_parser("toric", help="invariants at a point of an affine toric variety")

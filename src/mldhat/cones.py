@@ -244,7 +244,9 @@ def resolve_face(c: Cone, f: FaceSpec) -> tuple[int, ...]:
         )
     if not all(type(i) is int for i in f.generator_subset):
         raise FaceError(f"ray indices must be integers, got {list(f.generator_subset)!r}")
-    subset = tuple(sorted(set(f.generator_subset)))
+    subset = tuple(sorted(f.generator_subset))
+    if len(set(subset)) != len(subset):
+        raise FaceError(f"ray indices repeat in {list(f.generator_subset)!r}")
     for i in subset:
         if not 0 <= i < len(c.generators):
             raise FaceError(f"ray index {i} out of range")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .cones import Cone, ConeError, dual_cone
 from .lattice import (
@@ -145,13 +146,22 @@ def independent_subsets(vectors, n):
     )
 
 
-def check_point_budget(subsets, max_points, stage, scale=1):
-    """LimitError when a stage's scale * sum_T |det T| points exceed max_points."""
-    if max_points is None:
-        return
-    estimate = scale * sum(abs(determinant([list(r) for r in T])) for T in subsets)
-    if estimate > max_points:
-        raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
+def budgeted_subsets(vectors, n, max_points, stage, scale=1):
+    """The independent n-subsets T of `vectors`, within a stage's budget.
+
+    With `max_points` set, a LimitError names the stage before any rank test
+    when the C(k, n) subsets to test exceed it, and before any point is built
+    when the stage's scale * sum_T |det T| points do.
+    """
+    tests = comb(len(vectors), n)
+    if max_points is not None and tests > max_points:
+        raise LimitError(f"{stage}: {tests} ray subsets to rank-test exceed the limit ({max_points})")
+    subsets = independent_subsets(vectors, n)
+    if max_points is not None:
+        estimate = scale * sum(abs(determinant([list(r) for r in T])) for T in subsets)
+        if estimate > max_points:
+            raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
+    return subsets
 
 
 def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
@@ -163,8 +173,7 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     n = dual.ambient_rank
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
-    subsets = independent_subsets(dual.generators, n)
-    check_point_budget(subsets, max_points, "hilbert parallelepiped points")
+    subsets = budgeted_subsets(dual.generators, n, max_points, "hilbert parallelepiped points")
     candidates: set[tuple[int, ...]] = set(dual.generators)
     for combo in subsets:
         candidates.update(parallelepiped_points(combo))

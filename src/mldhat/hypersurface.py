@@ -92,13 +92,7 @@ class Support:
         expansion itself is defined for any exponent list.
         """
         rows = sorted(set(_integer_rows(exponents)))
-        if not rows:
-            raise SupportError("empty", "the support has no monomials")
         width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise SupportError("ragged", "exponent vectors have mixed lengths")
-        if any(min(r) < 0 for r in rows):
-            raise SupportError("negative", "exponents must be nonnegative")
         return Support(
             num_vars=width,
             exponents=tuple(rows),
@@ -121,8 +115,9 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _integer_rows(exponents) -> list[tuple[int, ...]]:
-    """The exponent vectors as tuples; anything but plain integers is refused."""
+def _integer_rows(exponents, num_vars=None) -> list[tuple[int, ...]]:
+    """The exponent vectors as tuples: a nonempty list of nonnegative integer
+    rows of one width (`num_vars` when given); anything else is refused."""
     try:
         rows = [tuple(e) for e in exponents]
     except TypeError:
@@ -131,6 +126,17 @@ def _integer_rows(exponents) -> list[tuple[int, ...]]:
         raise SupportError("not_integer", "exponents must be integers")
     if any(not r for r in rows):
         raise SupportError("empty", "an exponent vector has no entries")
+    if not rows:
+        raise SupportError("empty", "the support has no monomials")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise SupportError("ragged", "exponent vectors have mixed lengths")
+    if num_vars is not None and width != num_vars:
+        raise SupportError(
+            "ragged", f"expected exponent vectors of length {num_vars}, got {width}"
+        )
+    if any(min(r) < 0 for r in rows):
+        raise SupportError("negative", "exponents must be nonnegative")
     return rows
 
 
@@ -153,18 +159,8 @@ def validate_support(exponents, num_vars=None) -> Support:
     the report records the dropped indices so the dimension bookkeeping
     stays with the original variety.
     """
-    rows = _integer_rows(exponents)
-    if not rows:
-        raise SupportError("empty", "the support has no monomials")
+    rows = _integer_rows(exponents, num_vars)
     width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise SupportError("ragged", "exponent vectors have mixed lengths")
-    if num_vars is not None and width != num_vars:
-        raise SupportError(
-            "ragged", f"expected exponent vectors of length {num_vars}, got {width}"
-        )
-    if any(min(r) < 0 for r in rows):
-        raise SupportError("negative", "exponents must be nonnegative")
     if len(set(rows)) != len(rows):
         raise SupportError("duplicate", "the support lists a monomial twice")
     if any(all(x == 0 for x in r) for r in rows):
@@ -281,7 +277,6 @@ class ObjectiveMinimum:
     witness: tuple[int, ...]
     box_bound: int  # largest coordinate of any scanned tuple
     minimizers: tuple[tuple[int, ...], ...]  # sorted
-    heuristic: bool = False
 
 
 def _small_tuples(count, budget):
@@ -294,16 +289,15 @@ def _small_tuples(count, budget):
             yield (first,) + rest
 
 
-def minimize_objective(support: Support, box_override=None, max_points=None) -> ObjectiveMinimum:
+def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
     """Global minimum of the objective over feasible tuples, with all minimizers.
 
     Scans the layers B = 0, 1, 2, ... described in the module docstring
     and stops at the first one holding a tuple with Obj <= B.  The two
     conditions the stopping argument needs are checked first: no monomial
     divides every other one, and each coordinate plane holds a monomial.
-    `box_override` caps every coordinate inside the same scan; the result
-    is then only a heuristic and is marked as such.  `max_points` bounds
-    the estimated size of each layer before it is scanned.
+    `max_points` bounds the estimated size of each layer before it is
+    scanned.
     """
     exponents = support.exponents
     nv = support.num_vars
@@ -323,11 +317,6 @@ def minimize_objective(support: Support, box_override=None, max_points=None) -> 
     largest = 0
     layer = 0
     while True:
-        if box_override is not None and layer > nv * (box_override - 1):
-            raise ValueError(
-                f"no feasible tuple with every order at most {box_override}; "
-                "raise --box-bound or drop the override"
-            )
         if max_points is not None:
             size = nv * comb(layer + nv - 1, nv - 1) * (layer + 1 + d_max * (layer + nv - 1))
             if size > max_points:
@@ -338,15 +327,11 @@ def minimize_objective(support: Support, box_override=None, max_points=None) -> 
         found = set()
         for pivot in range(nv):
             for rest in _small_tuples(nv - 1, layer):
-                if box_override is not None and max(rest) > box_override:
-                    continue
                 orders = list(rest)
                 orders.insert(pivot, 0)
                 top = layer + min(
                     sum(a * i for a, i in zip(orders, e)) for e in planes[pivot]
                 )
-                if box_override is not None:
-                    top = min(top, box_override)
                 largest = max(largest, top)
                 base = sum(rest) - nv + 1
                 for a in range(1, top + 1):
@@ -361,7 +346,6 @@ def minimize_objective(support: Support, box_override=None, max_points=None) -> 
                 witness=minimizers[0],
                 box_bound=largest,
                 minimizers=minimizers,
-                heuristic=box_override is not None,
             )
         layer += 1
 
@@ -503,13 +487,12 @@ def is_binomial(support: Support) -> bool:
 
 
 def binomial_lambda(support: Support):
-    """Exact lambda for a binomial support with disjoint variables.
+    """Minimum of the objective for a binomial support with disjoint variables.
 
-    On the balance locus alpha . I^1 = alpha . I^2 the objective collapses
-    to sum(alpha) - max(alpha) - n; the general scan minimizes it.
+    Checks the shape and runs the general scan, minimize_objective.
     """
     if not is_binomial(support):
-        raise ValueError("the closed form needs a binomial with disjoint variables")
+        raise ValueError("binomial_lambda needs a binomial with disjoint variables")
     return minimize_objective(support)
 
 
@@ -527,10 +510,9 @@ class HypersurfaceMldReport:
     search_box_bound: int
     assumptions: tuple[str, ...]
     dropped_variables: tuple[int, ...]
-    heuristic_box: bool = False
 
 
-def hypersurface_report(support: Support, sampler=None, box_override=None, max_points=None) -> HypersurfaceMldReport:
+def hypersurface_report(support: Support, sampler=None, max_points=None) -> HypersurfaceMldReport:
     """Lower bound for lambda(0) with an equality certificate when found.
 
     The layered scan finds every minimizer, and the certificate is
@@ -538,12 +520,11 @@ def hypersurface_report(support: Support, sampler=None, box_override=None, max_p
     certified.
     """
     n = support.dimension_of_hypersurface
-    result = minimize_objective(
-        support, box_override=box_override, max_points=max_points
-    )
-    chosen = None
+    result = minimize_objective(support, max_points=max_points)
+    chosen = first = None
     for orders in result.minimizers:
         cert = equality_certificate(support, orders)
+        first = first or cert
         if cert.status == "CERTIFIED":
             chosen = cert
             break
@@ -554,7 +535,7 @@ def hypersurface_report(support: Support, sampler=None, box_override=None, max_p
                 chosen = cert
                 break
     if chosen is None:
-        chosen = equality_certificate(support, result.witness, sampler=None)
+        chosen = first  # the sampler-free certificate of result.witness
     status = "EXACT" if chosen.status == "CERTIFIED" else "LOWER_BOUND"
     return HypersurfaceMldReport(
         lambda_lower_bound=result.value,
@@ -565,5 +546,4 @@ def hypersurface_report(support: Support, sampler=None, box_override=None, max_p
         search_box_bound=result.box_bound,
         assumptions=ASSUMPTIONS,
         dropped_variables=support.dropped_variables,
-        heuristic_box=result.heuristic,
     )

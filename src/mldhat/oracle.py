@@ -353,18 +353,6 @@ def _solve_variable(form: GenericForm) -> int:
     return min(varying, key=lambda j: (max(e[j] for e in exponents), j))
 
 
-def _staircase_plan(support: Support, alpha):
-    """Pivot schedule for the equations from n0 through m + mu."""
-    data = weight_data(support, alpha)
-    cert = certificate_data(support, alpha)
-    n0 = data.min_weight
-    mu = data.pivot_gap
-    j0 = cert.pivot_index
-    n0p = cert.pivot_order
-    jp = _solve_variable(cert.initial_form)  # base pivot
-    return data, cert, n0, mu, j0, n0p, jp
-
-
 def staircase_verify(
     support: Support, alpha, m, prime=10007, trials=50, seed=0
 ) -> StaircaseResult:
@@ -390,7 +378,12 @@ def staircase_verify(
             window_size=len(window),
             empty=True,
         )
-    data, cert, n0, mu, j0, n0p, jp = _staircase_plan(support, alpha)
+    # pivot schedule for the equations from n0 through m + mu
+    data = weight_data(support, alpha)
+    cert = certificate_data(support, alpha)
+    n0, mu = data.min_weight, data.pivot_gap
+    j0, n0p = cert.pivot_index, cert.pivot_order
+    jp = _solve_variable(cert.initial_form)  # base pivot
     upto = m + mu
     per_monomial = [
         _expand_single_monomial(e, alpha, m, upto) for e in support.exponents

@@ -39,7 +39,7 @@ from .cones import Cone, ConeError, FaceSpec, dual_cone, face_cone, resolve_face
 from .cones import split_torus_factor
 from .hilbert import (
     HilbertBasis,
-    check_point_budget,
+    budgeted_subsets,
     hilbert_basis,
     independent_subsets,
     parallelepiped_points,
@@ -158,8 +158,7 @@ def optimal_spanning_sets(a, hb: HilbertBasis, max_subsets=1_000_000):
 def _candidate_points(cone: Cone, max_points: int | None):
     """Interior lattice points of the closed ray parallelepipeds (see above)."""
     n = cone.ambient_rank
-    subsets = independent_subsets(cone.generators, n)
-    check_point_budget(subsets, max_points, "toric candidates", scale=2**n)
+    subsets = budgeted_subsets(cone.generators, n, max_points, "toric candidates", scale=2**n)
     _, dual_rays = cone.dual_pair
     points: set[tuple[int, ...]] = set()
     for rays in subsets:

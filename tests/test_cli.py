@@ -34,6 +34,13 @@ def cone_file(tmp_path):
 
 
 @pytest.fixture
+def orthant_file(tmp_path):
+    path = tmp_path / "orthant3.json"
+    path.write_text(json.dumps({"lattice_rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    return str(path)
+
+
+@pytest.fixture
 def support_file(tmp_path):
     path = tmp_path / "whitney.json"
     path.write_text(json.dumps({"vars": 3, "support": [[2, 0, 0], [0, 2, 1]]}))
@@ -226,11 +233,50 @@ class TestCommands:
         assert report["kind"] == "LimitError"
         assert "hilbert parallelepiped points" in report["error"]
 
-    def test_toric_rejects_box_bound(self, cone_file):
-        code, out, err = run_cli(["--box-bound", "3", "toric", "--cone", cone_file])
+    def test_box_bound_is_refused(self, support_file, cone_file):
+        # the hypersurface scan has one exact mode, and the parser knows no cap
+        for argv in (
+            ["--box-bound", "3", "hyper", "--support", support_file],
+            ["--box-bound", "3", "toric", "--cone", cone_file],
+        ):
+            with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+                main(argv)
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("face", ["0,,1", "0,0", ",", "0,", "a", " 1"])
+    def test_malformed_face_rejected(self, orthant_file, face):
+        code, out, err = run_cli(["--seed", "0", "toric", "--cone", orthant_file, "--face", face])
         assert code == 2
         assert out == ""
-        assert "hyper only" in json.loads(err)["error"]
+        assert json.loads(err)["kind"] in ("ValueError", "FaceError")
+
+    def test_zero_face(self, orthant_file):
+        code, out, _ = run_cli(["--seed", "0", "toric", "--cone", orthant_file, "--face", ""])
+        assert code == 0
+        report = json.loads(out)
+        assert report["diagnostics"]["face_reduced_from"] == []
+        assert report["lambda"] == 0
+
+    def test_face_indices_in_any_order(self, orthant_file):
+        argv = ["--seed", "0", "toric", "--cone", orthant_file, "--face"]
+        code, out, _ = run_cli(argv + ["1,0"])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["face_reduced_from"] == [0, 1]
+        assert (code, out) == run_cli(argv + ["0,1"])[:2]
+
+    def test_rank_tests_limit_exit_code(self, tmp_path):
+        # the rank-4 moment cone: C(30, 4) = 27405 ray subsets to rank-test
+        path = tmp_path / "moment.json"
+        rays = [[1, i, i**2, i**3] for i in range(30)]
+        path.write_text(json.dumps({"lattice_rank": 4, "rays": rays}))
+        started = time.perf_counter()
+        code, out, err = run_cli(["--max-subsets", "1000", "hilbert", "--cone", str(path)])
+        assert time.perf_counter() - started < 5.0
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["kind"] == "LimitError"
+        assert "hilbert parallelepiped points: 27405 ray subsets" in report["error"]
 
     def test_toric_report_is_exact(self, cone_file):
         code, out, _ = run_cli(["--seed", "0", "toric", "--cone", cone_file])
@@ -294,14 +340,6 @@ class TestCommands:
         assert time.perf_counter() - started < 5.0
         assert code == 0
         assert json.loads(out)["trials"] == 1
-
-    def test_heuristic_box_marked(self, support_file):
-        code, out, _ = run_cli(
-            ["--box-bound", "3", "hyper", "--support", support_file]
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["status"] in ("EXACT", "HEURISTIC")
 
     def test_determinism_with_seed(self, support_file, cone_file):
         for argv in (
@@ -403,7 +441,9 @@ class TestFuzz:
             code, out, err = run_cli(["--seed", "0", "--max-subsets", "100000", *argv])
             assert code in (0, 2, 3), argv
             if code == 0:
-                json.loads(out)
+                report = json.loads(out)
+                if argv[0] == "hyper":
+                    assert report["status"] in ("EXACT", "LOWER_BOUND"), argv
             else:
                 assert out == ""
                 assert "error" in json.loads(err)

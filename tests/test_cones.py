@@ -233,6 +233,12 @@ class TestFaces:
         with pytest.raises(FaceError):
             resolve_face(c, FaceSpec(generator_subset=(index,)))
 
+    def test_repeated_ray_index_rejected(self):
+        c = Cone.from_generators(2, [(1, 0), (0, 1)])
+        with pytest.raises(FaceError, match="repeat"):
+            resolve_face(c, FaceSpec(generator_subset=(0, 0)))
+        assert resolve_face(c, FaceSpec(generator_subset=(1, 0))) == (0, 1)
+
     def test_functional_outside_dual_rejected(self):
         c = Cone.from_generators(2, [(1, 0), (0, 1)])
         with pytest.raises(FaceError):

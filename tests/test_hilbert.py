@@ -102,6 +102,14 @@ class TestHilbertBasis:
         wide = Cone.from_generators(2, [(1, 0), (1, 200000)])
         with pytest.raises(LimitError, match="hilbert parallelepiped points"):
             hilbert_basis(wide, max_points=10)
+        # six rays in rank 3: C(6, 3) = 20 subsets to rank-test
+        hexagon = Cone.from_generators(
+            3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
+        )
+        with pytest.raises(LimitError, match="hilbert parallelepiped points: 20 ray subsets"):
+            hilbert_basis(hexagon, max_points=19)
+        with pytest.raises(LimitError, match="hilbert parallelepiped points: about"):
+            hilbert_basis(hexagon, max_points=20)
         # a limit equal to the point count (|det| = 2) is not exceeded
         wedge = Cone.from_generators(2, [(1, 0), (1, 2)])
         assert hilbert_basis(wedge, max_points=2).elements == ((1, 0), (1, 1), (1, 2))

@@ -108,6 +108,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             is_feasible(WHITNEY, (2.0, 1, 2))
 
+    def test_raw_shares_the_row_checks(self):
+        for bad, clause in (
+            ([], "empty"),
+            ([(), ()], "empty"),
+            ([(2, 0), (0,)], "ragged"),
+            ([(2, -1), (0, 1)], "negative"),
+        ):
+            errors = []
+            for make in (validate_support, Support.raw):
+                with pytest.raises(SupportError) as err:
+                    make(bad)
+                errors.append((err.value.clause, str(err.value)))
+            assert errors[0] == errors[1]
+            assert errors[0][0] == clause
+        # the expected width is checked before the signs
+        with pytest.raises(SupportError) as err:
+            validate_support([(2, -1), (0, 1)], num_vars=3)
+        assert err.value.clause == "ragged"
+
     def test_rejects_divisible(self):
         with pytest.raises(SupportError) as err:
             validate_support([(2, 0), (4, 0)])
@@ -274,13 +293,6 @@ class TestMinimize:
             assert result.witness == wide[1]
             assert result.minimizers == wide[2]
             checked += 1
-
-    def test_box_override_marks_heuristic(self):
-        result = minimize_objective(WHITNEY, box_override=4)
-        assert result.heuristic
-        assert (result.value, result.minimizers) == (1, brute_minimum(WHITNEY, 4)[2])
-        with pytest.raises(ValueError):
-            minimize_objective(WHITNEY, box_override=1)
 
     def test_no_feasible_tuple_raises(self):
         # (1, 0) divides (2, 1): its weight is the unique minimum for every alpha
