@@ -22,7 +22,7 @@ here is safe to call concurrently.
 
 from .cones import Cone, FaceSpec, dual_cone, face_cone, has_isolated_fixed_point
 from .cones import is_simplicial, is_smooth, membership, split_torus_factor
-from .hilbert import HilbertBasis, hilbert_basis, is_irreducible
+from .hilbert import HilbertBasis, hilbert_basis
 from .hypersurface import (
     AlphaTuple,
     HypersurfaceMldReport,
@@ -95,7 +95,6 @@ __all__ = [
     "hilbert_basis",
     "hypersurface_report",
     "is_feasible",
-    "is_irreducible",
     "is_simplicial",
     "is_smooth",
     "make_torus_sampler",

@@ -117,25 +117,32 @@ def _witness_dict(witness):
     }
 
 
+def integer(text):
+    """A decimal integer: an optional minus sign and ASCII digits, nothing else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def _integers(text):
+    return tuple(integer(x) for x in text.split(","))
+
+
 def _alpha_arg(text):
     try:
-        return tuple(int(x) for x in text.split(","))
+        return _integers(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated integer tuple")
-
-
-def _alpha_like(text):
-    return tuple(int(x) for x in text.split(","))
 
 
 def _face_indices(text):
     """The ray indices of --face: "" is the zero face, else comma-separated integers."""
     if text == "":
         return ()
-    entries = text.split(",")
-    if not all(re.fullmatch(r"-?[0-9]+", e) for e in entries):
+    try:
+        return _integers(text)
+    except ValueError:
         raise ValueError(f"--face expects comma-separated ray indices, got {text!r}")
-    return tuple(int(e) for e in entries)
 
 
 def _run_toric(args):
@@ -146,7 +153,7 @@ def _run_toric(args):
     if args.face is not None:
         face = FaceSpec(generator_subset=_face_indices(args.face))
     elif args.face_functional is not None:
-        face = FaceSpec(supporting_functional=_alpha_like(args.face_functional))
+        face = FaceSpec(supporting_functional=_integers(args.face_functional))
     started = time.perf_counter()
     report = mld_at_point(cone, face=face, max_points=args.max_subsets)
     elapsed = time.perf_counter() - started
@@ -306,8 +313,8 @@ def build_parser():
             "very general hypersurfaces"
         ),
     )
-    parser.add_argument("--seed", type=int, default=None, help="fix all randomness; makes output byte-identical")
-    parser.add_argument("--max-subsets", type=int, default=None, help="abort with exit code 3 when a stage would generate more than this many points")
+    parser.add_argument("--seed", type=integer, default=None, help="fix all randomness; makes output byte-identical")
+    parser.add_argument("--max-subsets", type=integer, default=None, help="abort with exit code 3 when a stage would generate more than this many points")
     sub = parser.add_subparsers(dest="command", required=True)
 
     toric = sub.add_parser("toric", help="invariants at a point of an affine toric variety")
@@ -320,8 +327,8 @@ def build_parser():
     hyper = sub.add_parser("hyper", help="lower bound and certificate for a hypersurface support")
     hyper.add_argument("--support", required=True, help="JSON file with vars and support")
     hyper.add_argument("--certify", action="store_true", help="strengthen the certificate with finite-field sampling")
-    hyper.add_argument("--oracle-prime", type=int, default=10007)
-    hyper.add_argument("--oracle-trials", type=int, default=50)
+    hyper.add_argument("--oracle-prime", type=integer, default=10007)
+    hyper.add_argument("--oracle-trials", type=integer, default=50)
     hyper.set_defaults(func=_run_hyper)
 
     hilb = sub.add_parser("hilbert", help="minimal generating set of the lattice points of a cone")
@@ -337,22 +344,22 @@ def build_parser():
     stair = osub.add_parser("staircase", help="sample the staircase solution of the window equations")
     stair.add_argument("--support", required=True)
     stair.add_argument("--alpha", required=True, type=_alpha_arg)
-    stair.add_argument("--m", required=True, type=int)
-    stair.add_argument("--prime", type=int, default=10007)
-    stair.add_argument("--trials", type=int, default=50)
+    stair.add_argument("--m", required=True, type=integer)
+    stair.add_argument("--prime", type=integer, default=10007)
+    stair.add_argument("--trials", type=integer, default=50)
     stair.set_defaults(func=_run_oracle)
     torus = osub.add_parser("torus-point", help="sample a torus zero of the initial form")
     torus.add_argument("--support", required=True)
     torus.add_argument("--alpha", required=True, type=_alpha_arg)
-    torus.add_argument("--prime", type=int, default=10007)
-    torus.add_argument("--trials", type=int, default=50)
+    torus.add_argument("--prime", type=integer, default=10007)
+    torus.add_argument("--trials", type=integer, default=50)
     torus.set_defaults(func=_run_oracle)
     expand_p = osub.add_parser("expand", help="print the truncated arc expansion")
     expand_p.add_argument("--support", required=True)
     expand_p.add_argument("--alpha", required=True, type=_alpha_arg)
-    expand_p.add_argument("--m", required=True, type=int)
+    expand_p.add_argument("--m", required=True, type=integer)
     expand_p.add_argument("--coeffs", type=_alpha_arg, default=None)
-    expand_p.add_argument("--prime", dest="prime_opt", type=int, default=None)
+    expand_p.add_argument("--prime", dest="prime_opt", type=integer, default=None)
     expand_p.set_defaults(func=_run_oracle)
     return parser
 

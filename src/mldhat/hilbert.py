@@ -8,6 +8,18 @@ subset of the extreme rays of D, in the union of those rays with the
 half-open parallelepiped they span; so the basis is found by collecting
 these candidates over all spanning ray subsets and sieving out the
 reducible ones.
+
+The sieve runs in facet-value coordinates, exactly:
+
+* the candidate set is the one above, each point built from the same
+  coefficient numerators that `parallelepiped_points` folds into points;
+* the facet-value map u -> (<r, u>)_r over the primal rays r is injective
+  on a full-dimensional cone, so deduplicating values deduplicates points;
+* the degree of u, its pairing with the grading point sum_r r, is the sum
+  of its facet values;
+* every value is below 2^(w - 1) for the field width w, so in the packed
+  subtraction no borrow crosses a field, and the guard-bit test equals the
+  componentwise comparison u >= e that decides whether u - e lies in D.
 """
 
 from __future__ import annotations
@@ -22,13 +34,10 @@ from .lattice import (
     LatticeError,
     LimitError,
     adjugate,
-    as_vector,
     determinant,
-    is_zero,
     pairing,
     rank_of,
     row_hermite,
-    vec_sub,
 )
 
 
@@ -48,58 +57,72 @@ class HilbertBasis:
         return all(pairing(u, a) > 0 for u in self.dual.generators)
 
 
-def parallelepiped_points(rays) -> list[tuple[int, ...]]:
-    """Lattice points of {sum l_i r_i : 0 <= l_i < 1} for independent rays.
+def _numerators(rays):
+    """|det T| and a walk over the coefficient numerators of the points of T.
 
-    One point per coset of the sublattice spanned by the rays, produced from
-    the diagonal of a triangular basis of that sublattice and folded into
-    the half-open parallelepiped with exact rational arithmetic.
+    For independent rays T the half-open parallelepiped {sum l_i t_i :
+    0 <= l_i < 1} holds one lattice point per coset of the sublattice T
+    spans.  The walk yields, for each, the numerators frac with
+    l_i = frac_i / |det T|: an odometer over the coordinate box on the
+    diagonal of a triangular basis of that sublattice (a transversal of the
+    quotient) keeps q = sign * adj(T) @ t, and frac = q mod |det T| folds t
+    into the parallelepiped.
     """
     n = len(rays)
-    matrix = [tuple(r[j] for r in rays) for j in range(n)]  # columns = rays
+    matrix = [[r[j] for r in rays] for j in range(n)]  # columns = rays
     tri = row_hermite([tuple(r) for r in rays])
     if len(tri) != n:
         raise LatticeError("parallelepiped needs linearly independent rays")
-    det = determinant([list(r) for r in matrix])
-    adj = adjugate([list(r) for r in matrix])
+    det = determinant(matrix)
+    adj = adjugate(matrix)
     sign = 1 if det > 0 else -1
     absdet = abs(det)
-    # tri is square upper triangular, so the coordinate box over its diagonal
-    # is a transversal of the quotient lattice
     diag = [tri[i][i] for i in range(n)]
-    # walk the box with an odometer, updating q = sign * adj @ t incrementally
     cols = [[sign * adj[i][j] for i in range(n)] for j in range(n)]
-    t = [0] * n
-    q = [0] * n
+
+    def walk():
+        t = [0] * n
+        q = [0] * n
+        while True:
+            yield [x % absdet for x in q]
+            j = n - 1
+            while j >= 0:
+                t[j] += 1
+                if t[j] < diag[j]:
+                    col = cols[j]
+                    for i in range(n):
+                        q[i] += col[i]
+                    break
+                t[j] = 0
+                col = cols[j]
+                back = diag[j] - 1
+                for i in range(n):
+                    q[i] -= back * col[i]
+                j -= 1
+            if j < 0:
+                return
+
+    return absdet, walk()
+
+
+def parallelepiped_points(rays) -> list[tuple[int, ...]]:
+    """Lattice points of {sum l_i r_i : 0 <= l_i < 1} for independent rays.
+
+    The numerators of `_numerators` folded into points with exact division.
+    """
+    n = len(rays)
+    absdet, numerators = _numerators(rays)
     points = []
-    while True:
-        frac = [x % absdet for x in q]
+    for frac in numerators:
         pt = []
         for j in range(n):
-            row = matrix[j]
             num = 0
             for i in range(n):
-                num += row[i] * frac[i]
+                num += rays[i][j] * frac[i]
             if num % absdet != 0:
                 raise LatticeError("parallelepiped fold produced a non-lattice point")
             pt.append(num // absdet)
         points.append(tuple(pt))
-        j = n - 1
-        while j >= 0:
-            t[j] += 1
-            if t[j] < diag[j]:
-                col = cols[j]
-                for i in range(n):
-                    q[i] += col[i]
-                break
-            t[j] = 0
-            col = cols[j]
-            back = diag[j] - 1
-            for i in range(n):
-                q[i] -= back * col[i]
-            j -= 1
-        if j < 0:
-            break
     if len(set(points)) != absdet:
         raise AssertionError(
             f"found {len(set(points))} parallelepiped points, expected |det| = {absdet}"
@@ -107,35 +130,31 @@ def parallelepiped_points(rays) -> list[tuple[int, ...]]:
     return points
 
 
-def is_irreducible(u, candidates, dual: Cone) -> bool:
-    """Can u not be split as a sum of two nonzero semigroup elements?
+def _pack(values, width) -> int:
+    """The values as one integer, field k in bits [k * width, (k + 1) * width)."""
+    packed = 0
+    for k, v in enumerate(values):
+        packed |= v << (k * width)
+    return packed
 
-    `candidates` must contain every irreducible element below u; scanning
-    them suffices because any decomposition refines to one whose first part
-    is irreducible.
+
+def _sieve(ordered, guard) -> list[int]:
+    """The packed vectors of `ordered` not reducible by an earlier kept one.
+
+    e reduces u when u - e >= 0 in every field.  With every field value
+    below 2^(width - 1) and `guard` holding the top bit of each field,
+    (u | guard) - e subtracts field by field with no borrow crossing a
+    field, and a field keeps its guard bit exactly when u_k >= e_k.
     """
-    u = as_vector(u, dual.ambient_rank)
-    if is_zero(u):
-        raise LatticeError("the zero element is neither reducible nor irreducible")
-    if not dual.contains(u):
-        raise LatticeError("element lies outside the cone")
-    grading = _grading_point(dual)
-    gu = pairing(u, grading)
-    for v in candidates:
-        v = tuple(v)
-        if v == u or is_zero(v):
-            continue
-        if pairing(v, grading) >= gu:
-            continue
-        if dual.contains(vec_sub(u, v)):
-            return False
-    return True
-
-
-def _grading_point(dual: Cone):
-    """Interior point of the primal cone: positive on the dual minus 0."""
-    primal = dual_cone(dual)
-    return tuple(sum(col) for col in zip(*primal.generators))
+    elements: list[int] = []
+    for u in ordered:
+        ug = u | guard
+        for e in elements:
+            if (ug - e) & guard == guard:
+                break
+        else:
+            elements.append(u)
+    return elements
 
 
 @lru_cache(maxsize=128)
@@ -169,37 +188,103 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
 
     Requires a full-dimensional pointed cone (reduce with split_torus_factor
     first if needed); `max_points` caps the parallelepiped points.
+
+    The work runs in facet-value coordinates: u maps to its values <r, u>
+    under the primal rays r, the facet forms of `dual`, packed as one
+    integer with the degree sum_r <r, u> as its top field.
+
+    * Candidates: the rays of `dual` and the points of the half-open
+      parallelepipeds of its independent ray subsets T, the candidate set
+      of the module docstring.  A point with numerators frac packs to
+      sum_i frac_i * P(t_i) // |det T|, since P is linear and no field of
+      the sum overflows: each is at most n * max|det T| * max value, below
+      2^(width - 1).
+    * Deduplicating on the packed integer deduplicates points: the facet
+      forms span the dual space of a full-dimensional cone, so the
+      facet-value map is injective.
+    * Order: the grading point sum_r r is interior to the primal cone, and
+      the degree of u is its pairing with u, the sum of the facet values.
+      Sorting the packed integers sorts by degree, the top field.  A
+      reducible u = v + w has v, w of smaller degree, and some irreducible
+      e of smaller degree has u - e in the cone; equal degrees never
+      reduce each other.  So one scan against the elements kept so far
+      leaves exactly the irreducible candidates.
+    * Sieve: u - e lies in the cone exactly when every facet value of u is
+      at least that of e.  Every value is below 2^(width - 1), so no borrow
+      crosses a field and the guard-bit test of `_sieve` equals this
+      componentwise comparison.
+    * Checks, each raising: every fold divides exactly, every subset gives
+      |det T| distinct points, and every element mapped back through n
+      independent facet forms (adjugate, exact division) reproduces all
+      its facet values.
     """
     n = dual.ambient_rank
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
     subsets = budgeted_subsets(dual.generators, n, max_points, "hilbert parallelepiped points")
-    candidates: set[tuple[int, ...]] = set(dual.generators)
-    for combo in subsets:
-        candidates.update(parallelepiped_points(combo))
-    candidates.discard(tuple([0] * n))
-    grading = _grading_point(dual)
-    primal_rays = dual_cone(dual).generators
-    # scan in grading order: a reducible element always splits off an
-    # irreducible part of strictly smaller grading, so testing against the
-    # irreducibles found so far is enough
-    ordered = sorted(candidates, key=lambda u: (pairing(u, grading), u))
-    elements: list[tuple[int, ...]] = []
-    for u in ordered:
-        reducible = False
-        for v in elements:
-            w = vec_sub(u, v)
-            inside = True
-            for r in primal_rays:
-                s = 0
-                for x, y in zip(r, w):
-                    s += x * y
-                if s < 0:
-                    inside = False
-                    break
-            if inside:
-                reducible = True
-                break
-        if not reducible:
-            elements.append(u)
-    return HilbertBasis(dual=dual, elements=tuple(sorted(elements)))
+    forms = dual_cone(dual).generators
+    m = len(forms)
+    walks = [(T, *_numerators(T)) for T in subsets]
+    values = {t: [pairing(r, t) for r in forms] for t in dual.generators}
+    max_det = max(absdet for _, absdet, _ in walks)
+    max_value = max(max(v) for v in values.values())
+    width = (n * max_det * max_value).bit_length() + 1
+    field = (1 << width) - 1
+    guard = _pack([1 << (width - 1)] * m, width)
+    # fold check: with 2^g > max|det T|, a true point has every facet value
+    # below n * max value < 2^(width - g); conversely a quotient with the top
+    # g bits of each field clear, times |det T|, carries into no next field,
+    # so the sum was divisible field by field
+    g = max_det.bit_length()
+    high = _pack([field ^ ((1 << (width - g)) - 1)] * m, width)
+    packed = {t: _pack(v + [sum(v)], width) for t, v in values.items()}
+    candidates = set(packed.values())
+    for T, absdet, numerators in walks:
+        rays = [packed[t] for t in T]
+        points = set()
+        for frac in numerators:
+            s = 0
+            for f, p in zip(frac, rays):
+                s += f * p
+            u, rest = divmod(s, absdet)
+            if rest or u & high:
+                raise LatticeError("parallelepiped fold produced a non-lattice point")
+            points.add(u)
+        if len(points) != absdet:
+            raise AssertionError(
+                f"found {len(points)} parallelepiped points, expected |det| = {absdet}"
+            )
+        candidates |= points
+    candidates.discard(0)
+    kept = _sieve(sorted(candidates), guard)
+    return HilbertBasis(dual=dual, elements=tuple(sorted(_unpack_points(kept, forms, width))))
+
+
+def _unpack_points(kept, forms, width):
+    """The lattice points whose packed facet values are `kept`."""
+    basis: list[int] = []
+    for k, r in enumerate(forms):
+        if len(row_hermite([forms[i] for i in basis] + [r])) > len(basis):
+            basis.append(k)
+    rows = [forms[k] for k in basis]
+    det = determinant(rows)
+    adj = adjugate(rows)
+    field = (1 << width) - 1
+    points = []
+    for u in kept:
+        vals = [(u >> (k * width)) & field for k in range(len(forms))]
+        chosen = [vals[k] for k in basis]
+        point = []
+        for row in adj:
+            num = 0
+            for a, v in zip(row, chosen):
+                num += a * v
+            x, rest = divmod(num, det)
+            if rest:
+                raise LatticeError("facet values of a candidate are not a lattice point")
+            point.append(x)
+        point = tuple(point)
+        if [pairing(r, point) for r in forms] != vals:
+            raise AssertionError(f"point {point} does not reproduce its facet values")
+        points.append(point)
+    return points

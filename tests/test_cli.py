@@ -264,6 +264,70 @@ class TestCommands:
         assert json.loads(out)["diagnostics"]["face_reduced_from"] == [0, 1]
         assert (code, out) == run_cli(argv + ["0,1"])[:2]
 
+    # digit separators, plus signs, surrounding spaces, non-ASCII digits
+    # (Arabic-Indic one, fullwidth two) and empty entries
+    NOT_INTEGERS = ["1_0", "+1", " 1", "1 ", "\u0661", "\uff12", ""]
+
+    @pytest.mark.parametrize("functional", ["1_0, 0,+1", *(f"{e},0,1" for e in NOT_INTEGERS)])
+    def test_face_functional_entries_are_strict(self, orthant_file, functional):
+        argv = ["--seed", "0", "toric", "--cone", orthant_file, "--face-functional", functional]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "ValueError"
+
+    @pytest.mark.parametrize("entry", NOT_INTEGERS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "staircase", "--alpha", "2,{},2", "--m", "4"],
+            ["oracle", "torus-point", "--alpha", "{},1,2"],
+            ["oracle", "expand", "--alpha", "2,1,{}", "--m", "4"],
+            ["oracle", "expand", "--alpha", "2,1,2", "--m", "4", "--coeffs", "1,{}"],
+        ],
+    )
+    def test_tuple_entries_are_strict(self, support_file, argv, entry):
+        argv = [a.format(entry) for a in argv] + ["--support", support_file]
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(["--seed", "0", *argv])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("entry", NOT_INTEGERS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "{}", "toric"],
+            ["--max-subsets", "{}", "toric"],
+            ["hyper", "--certify", "--oracle-prime", "{}"],
+            ["hyper", "--certify", "--oracle-trials", "{}"],
+            ["oracle", "staircase", "--alpha", "2,1,2", "--m", "{}"],
+            ["oracle", "staircase", "--alpha", "2,1,2", "--m", "4", "--prime", "{}"],
+            ["oracle", "staircase", "--alpha", "2,1,2", "--m", "4", "--trials", "{}"],
+            ["oracle", "torus-point", "--alpha", "2,1,2", "--prime", "{}"],
+            ["oracle", "torus-point", "--alpha", "2,1,2", "--trials", "{}"],
+            ["oracle", "expand", "--alpha", "2,1,2", "--m", "{}"],
+            ["oracle", "expand", "--alpha", "2,1,2", "--m", "4", "--prime", "{}"],
+        ],
+    )
+    def test_integer_options_are_strict(self, support_file, cone_file, argv, entry):
+        argv = [a.format(entry) for a in argv]
+        argv += ["--cone", cone_file] if "toric" in argv else ["--support", support_file]
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_strict_integers_keep_signed_decimals(self, support_file, orthant_file):
+        code, out, _ = run_cli(
+            ["--seed", "-3", "toric", "--cone", orthant_file, "--face-functional", "1,0,01"]
+        )
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["face_reduced_from"] == [1]
+        code, out, _ = run_cli(
+            ["oracle", "expand", "--support", support_file, "--alpha", "2,1,2",
+             "--m", "4", "--coeffs=-1,3", "--prime", "7"]
+        )
+        assert code == 0
+
     def test_rank_tests_limit_exit_code(self, tmp_path):
         # the rank-4 moment cone: C(30, 4) = 27405 ray subsets to rank-test
         path = tmp_path / "moment.json"

@@ -4,8 +4,73 @@ import random
 import pytest
 
 from mldhat.cones import Cone, ConeError, dual_cone
-from mldhat.hilbert import hilbert_basis, is_irreducible, parallelepiped_points
-from mldhat.lattice import LatticeError, LimitError, pairing, vec_sub
+from mldhat.hilbert import (
+    _pack,
+    _sieve,
+    hilbert_basis,
+    independent_subsets,
+    parallelepiped_points,
+)
+from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, vec_sub
+
+
+def _grading_point(dual):
+    """Interior point of the primal cone: positive on the dual minus 0."""
+    primal = dual_cone(dual)
+    return tuple(sum(col) for col in zip(*primal.generators))
+
+
+def is_irreducible(u, candidates, dual):
+    """Can u not be split as a sum of two nonzero semigroup elements?
+
+    `candidates` must contain every irreducible element below u; scanning
+    them suffices because any decomposition refines to one whose first part
+    is irreducible.
+    """
+    u = as_vector(u, dual.ambient_rank)
+    if is_zero(u):
+        raise LatticeError("the zero element is neither reducible nor irreducible")
+    if not dual.contains(u):
+        raise LatticeError("element lies outside the cone")
+    grading = _grading_point(dual)
+    gu = pairing(u, grading)
+    for v in candidates:
+        v = tuple(v)
+        if v == u or is_zero(v):
+            continue
+        if pairing(v, grading) >= gu:
+            continue
+        if dual.contains(vec_sub(u, v)):
+            return False
+    return True
+
+
+def reference_sieve(dual):
+    """The Hilbert basis by the pairwise sieve over parallelepiped points.
+
+    The same candidates as hilbert_basis, kept as coordinate vectors and
+    scanned in grading order; u is reducible when u - v lies in the cone
+    for an irreducible v found before it.
+    """
+    n = dual.ambient_rank
+    candidates = set(dual.generators)
+    for combo in independent_subsets(dual.generators, n):
+        candidates.update(parallelepiped_points(combo))
+    candidates.discard(tuple([0] * n))
+    grading = _grading_point(dual)
+    primal_rays = dual_cone(dual).generators
+    ordered = sorted(candidates, key=lambda u: (pairing(u, grading), u))
+    elements = []
+    for u in ordered:
+        reducible = False
+        for v in elements:
+            w = vec_sub(u, v)
+            if all(pairing(r, w) >= 0 for r in primal_rays):
+                reducible = True
+                break
+        if not reducible:
+            elements.append(u)
+    return tuple(sorted(elements))
 
 
 def naive_basis_2d(dual, box):
@@ -183,3 +248,46 @@ class TestIrreducibility:
         dual = Cone.from_generators(2, [(1, 0), (0, 1)])
         with pytest.raises(LatticeError):
             is_irreducible((-1, 0), [], dual)
+
+
+# entry bound of the random rays by rank: keeps every cone within 60000 points
+SCALE = {2: 12, 3: 5, 4: 3, 5: 2}
+
+
+def random_full_cones(rng, n, count):
+    """Full-dimensional pointed cones from n + 0..3 random rays in rank n."""
+    cones = []
+    while len(cones) < count:
+        s = SCALE[n]
+        rays = [tuple(rng.randint(-s, s) for _ in range(n)) for _ in range(n + rng.randint(0, 3))]
+        try:
+            cone = Cone.from_generators(n, rays)
+        except ConeError:
+            continue
+        if cone.is_full_dimensional:
+            cones.append(cone)
+    return cones
+
+
+class TestFacetValueKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_reference_sieve(self, n):
+        rng = random.Random(700 + n)
+        cones = random_full_cones(rng, n, 40)
+        # from rank 3 on, non-simplicial cones are in the draw
+        assert n == 2 or any(len(c.generators) > n for c in cones)
+        for cone in cones:
+            assert hilbert_basis(cone, max_points=60000).elements == reference_sieve(cone)
+
+    def test_guard_bits_compare_componentwise(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            fields = rng.randint(1, 6)
+            top = 2 ** rng.choice([3, 20, 64, 80])
+            u = [rng.randint(0, top) for _ in range(fields)]
+            # e near u in each field, so both outcomes of each comparison occur
+            e = [max(0, x + rng.randint(-2, 1)) if rng.random() < 0.8 else rng.randint(0, top) for x in u]
+            width = top.bit_length() + 1
+            guard = _pack([1 << (width - 1)] * fields, width)
+            reduced = _sieve([_pack(e, width), _pack(u, width)], guard) == [_pack(e, width)]
+            assert reduced == all(x >= y for x, y in zip(u, e))
