@@ -364,9 +364,31 @@ def build_parser():
     return parser
 
 
+# options whose value is a comma-separated integer tuple
+TUPLE_OPTIONS = ("--face-functional", "--alpha", "--coeffs")
+
+
+def _attach_tuple_values(argv):
+    """Rewrite `--alpha -1,2` as `--alpha=-1,2` for the tuple options.
+
+    argparse takes a token that starts with "-" and is not a plain negative
+    number for an option, so a tuple with a negative first entry would
+    leave its option without a value.  Any token after a tuple option that
+    starts with "-" and a digit is that option's value; a missing value
+    (the next token is an option) is still an argparse error.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in TUPLE_OPTIONS and re.match(r"-[0-9]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_tuple_values(sys.argv[1:] if argv is None else argv))
     try:
         payload = args.func(args)
     except (ConeError, FaceError, SupportError, LatticeError, OracleError, ValueError) as exc:

@@ -2,10 +2,18 @@
 
 A cone is stored by its primitive extreme rays in a lattice Z^n and must be
 pointed (it contains no nonzero linear subspace).  Dual descriptions are
-computed by an incremental double-description sweep over exact integers:
-rays are recombined across each new half-space and pruned back to extreme
-rays with a tightness-rank test, which keeps every intermediate set minimal
-and the final output canonical (primitive, lexicographically sorted).
+computed by an incremental double-description sweep over exact integers.
+Each ray carries the bitmask of the inequalities that vanish on it: a new
+line-splitting inequality projects the rays along the split line, and any
+other inequality combines exactly the adjacent pairs of rays across it,
+found by comparing bitmasks.  No step computes a rank, every intermediate
+set is minimal, and the output is canonical (primitive, lexicographically
+sorted).  Extreme rays are picked out by the same zero-set comparison.
+
+`Cone.from_generators` keeps the dual description it computes as the
+cone's dual pair when the cone is full-dimensional, and `dual_cone` gives
+the dual the original rays as its own dual pair, so a cone and its dual
+together cost one sweep.
 """
 
 from __future__ import annotations
@@ -46,6 +54,33 @@ def dual_description(ineq_vectors, n):
     The lineality part `lines` is a lattice basis of the maximal linear
     subspace; `rays` generate the pointed remainder and are exactly the
     extreme rays modulo lineality.  Both lists are primitive and sorted.
+
+    The sweep starts from Z^n (lines = unit vectors, no rays) and adds one
+    inequality a at a time.  Each ray carries the bitmask of the processed
+    inequalities that vanish on it; no rank is ever computed.
+
+    * Pivot step, when a is nonzero on some line.  The first such line p,
+      oriented so that <p, a> > 0, leaves the lineality space, and the
+      other lines are moved into a^perp as before.  Since p lies in the
+      lineality space L of the current cone C, every x of the new cone
+      C' = C cap {a >= 0} splits as x = (x - t p) + t p with
+      t = <x, a> / <p, a> >= 0 and x - t p in C cap a^perp; so
+      C' = (C cap a^perp) + R_{>=0} p, a direct sum.  Projection along p is
+      an isomorphism C / L -> (C cap a^perp) / (L cap a^perp), so the
+      extreme rays of C' are p and the projections of the rays of C, with
+      no test.  A processed b vanishes on p, so p's mask has every earlier
+      bit set, and b(projected r) is a positive multiple of b(r), so a
+      projected ray keeps its mask and gains the bit of a.
+    * Ordinary step, when a vanishes on every line.  Rays with <r, a> >= 0
+      stay extreme.  Every new extreme ray lies on a 2-face of C spanned by
+      a ray r+ with <r+, a> > 0 and a ray r- with <r-, a> < 0, so the new
+      rays are the combinations of adjacent such pairs.  Adjacency lemma
+      (Fukuda and Prodon, 1996): the minimal face of the pointed cone C / L
+      containing r+ and r- is cut out by their common zero set Z, and it is
+      2-dimensional exactly when it holds no third extreme ray, that is,
+      when no other ray's mask contains Z.  The combination vanishes on a
+      processed b exactly when both rays do, so its mask is Z plus the bit
+      of a.
     """
     ineqs = []
     seen = set()
@@ -57,24 +92,9 @@ def dual_description(ineq_vectors, n):
         ineqs.append(a)
     lines = _unit_vectors(n)
     rays: list[tuple[int, ...]] = []
-    processed: list[tuple[int, ...]] = []
-
-    def prune(candidates):
-        # keep extreme rays of the current cone {<.,a> >= 0 for processed}
-        lineality_dim = n - rank_of(processed) if processed else n
-        out = []
-        seen_local = set()
-        for r in candidates:
-            r = primitive(r)
-            if is_zero(r) or r in seen_local:
-                continue
-            seen_local.add(r)
-            tight = [a for a in processed if pairing(r, a) == 0]
-            if n - rank_of(tight) == lineality_dim + 1:
-                out.append(r)
-        return sorted(out)
-
-    for a in ineqs:
+    masks: list[int] = []
+    for k, a in enumerate(ineqs):
+        bit = 1 << k
         pivot = next((l for l in lines if pairing(l, a) != 0), None)
         if pivot is not None:
             d0 = pairing(pivot, a)
@@ -88,20 +108,66 @@ def dual_description(ineq_vectors, n):
                 else:
                     new_lines.append(primitive(vec_sub(vec_scale(d0, l), vec_scale(d, pivot))))
             lines = sorted(new_lines)
-            rays = rays + [pivot, vec_neg(pivot)]
-        # ordinary double-description step on the pointed part
-        pos = [r for r in rays if pairing(r, a) > 0]
-        zero = [r for r in rays if pairing(r, a) == 0]
-        neg = [r for r in rays if pairing(r, a) < 0]
-        combos = []
-        for rp in pos:
-            wp = pairing(rp, a)
-            for rn in neg:
-                wn = pairing(rn, a)
-                combos.append(vec_sub(vec_scale(wp, rn), vec_scale(wn, rp)))
-        processed.append(a)
-        rays = prune(pos + zero + combos)
+            if d0 < 0:
+                pivot, d0 = vec_neg(pivot), -d0
+            rays = [
+                primitive(vec_sub(vec_scale(d0, r), vec_scale(pairing(r, a), pivot)))
+                for r in rays
+            ]
+            rays.append(pivot)
+            masks = [m | bit for m in masks] + [bit - 1]
+            continue
+        values = [pairing(r, a) for r in rays]
+        new_rays = []
+        new_masks = []
+        for r, m, v in zip(rays, masks, values):
+            if v >= 0:
+                new_rays.append(r)
+                new_masks.append(m | bit if v == 0 else m)
+        pos = [i for i, v in enumerate(values) if v > 0]
+        neg = [j for j, v in enumerate(values) if v < 0]
+        for i in pos:
+            for j in neg:
+                common = masks[i] & masks[j]
+                if any(
+                    m & common == common and t != i and t != j
+                    for t, m in enumerate(masks)
+                ):
+                    continue
+                new_rays.append(
+                    primitive(vec_sub(vec_scale(values[i], rays[j]), vec_scale(values[j], rays[i])))
+                )
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
     return sorted(lines), sorted(rays)
+
+
+def _extreme_rays(gens, dual_rays):
+    """Extreme rays among distinct primitive generators of a pointed cone C.
+
+    With Z(g) the dual rays vanishing on g, the face cut out by Z(g) is the
+    minimal face F of C containing g, and F is generated by the generators
+    lying in it, those h with Z(h) containing Z(g).  So g spans the face
+    R_{>=0} g, that is, g is extreme, exactly when no other generator
+    vanishes on every dual ray that vanishes on g.  The dual lines vanish on
+    all of C and do not enter the test.
+    """
+    # bit k of masks[i] is set when dual_rays[k] vanishes on gens[i]
+    masks = [
+        sum(1 << k for k, r in enumerate(dual_rays) if pairing(g, r) == 0) for g in gens
+    ]
+    return [
+        g
+        for i, (g, m) in enumerate(zip(gens, masks))
+        if not any(mh & m == m and h != i for h, mh in enumerate(masks))
+    ]
+
+
+def _with_dual_pair(cone, lines, rays):
+    """`cone`, known to be full-dimensional, with its cached dual pair and span rank filled in."""
+    cone.__dict__["dual_pair"] = (lines, rays)
+    cone.__dict__["span_rank"] = cone.ambient_rank
+    return cone
 
 
 @dataclass(frozen=True)
@@ -133,8 +199,14 @@ class Cone:
         lines, rays = dual_description(gens, n)
         if rank_of(list(lines) + list(rays)) < n:
             raise ConeError("cone is not pointed: it contains a nonzero linear subspace")
-        extremes = _extreme_rays(gens, lines, rays, n)
-        return Cone(n, tuple(sorted(extremes)))
+        cone = Cone(n, tuple(sorted(_extreme_rays(gens, rays))))
+        if lines:
+            # the stored rays are representatives modulo lineality, which
+            # depend on the input; the cone's own dual pair stays lazy
+            return cone
+        # with no lines the output is canonical, so it equals the dual
+        # description of the extreme rays
+        return _with_dual_pair(cone, lines, rays)
 
     def __post_init__(self):
         if not self.generators:
@@ -169,21 +241,6 @@ class Cone:
         )
 
 
-def _extreme_rays(gens, dual_lines, dual_rays, n):
-    """Extreme rays among generators of a pointed cone.
-
-    A generator is extreme exactly when the constraints tight at it cut the
-    cone down to a one-dimensional face.
-    """
-    lineality = list(dual_lines)
-    out = []
-    for g in gens:
-        tight = lineality + [r for r in dual_rays if pairing(r, g) == 0]
-        if n - rank_of(tight) == 1:
-            out.append(g)
-    return out
-
-
 def dual_cone(c: Cone) -> Cone:
     """The dual cone in the dual lattice, for a full-dimensional cone."""
     if not c.is_full_dimensional:
@@ -194,7 +251,19 @@ def dual_cone(c: Cone) -> Cone:
     lines, rays = c.dual_pair
     if lines:
         raise AssertionError("the dual of a full-dimensional cone contains a line")
-    return Cone(c.ambient_rank, tuple(sorted(rays)))
+    dual = Cone(c.ambient_rank, tuple(sorted(rays)))
+    gens = list(c.generators)
+    # when no generator's zero set over the dual rays lies in another's,
+    # each generator spans a 1-dimensional face (see _extreme_rays), so c is
+    # pointed with exactly these extreme rays and the dual of the dual is c;
+    # a cone built with a redundant generator keeps the lazy dual pair
+    if (
+        gens == sorted(gens)
+        and all(primitive(g) == g for g in gens)
+        and _extreme_rays(gens, rays) == gens
+    ):
+        _with_dual_pair(dual, [], gens)
+    return dual
 
 
 def membership(c: Cone, a, mode="closed") -> bool:
@@ -278,11 +347,11 @@ def face_cone(c: Cone, f: FaceSpec) -> Cone:
     subset = resolve_face(c, f)
     if not subset:
         raise FaceError("the zero face has no cone; handle dimension 0 at the call site")
-    rays = [c.generators[i] for i in subset]
     if len(subset) == len(c.generators):
         sub = c
     else:
-        sub = Cone.from_generators(c.ambient_rank, rays)
+        # the extreme rays of a face are the extreme rays of c lying in it
+        sub = Cone(c.ambient_rank, tuple(c.generators[i] for i in subset))
     reduced, _ = split_torus_factor(sub)
     return reduced
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mldhat import cones
 from mldhat.cli import (
     dump_report,
     load_report,
@@ -328,6 +329,56 @@ class TestCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (["--face-functional", "-1,0,0"], ["--face-functional=-1,0,0"]),
+            (["--face-functional", "-1,0,-0"], ["--face-functional=-1,0,-0"]),
+            (["--face-functional", "-1,x"], ["--face-functional=-1,x"]),
+        ],
+    )
+    def test_negative_face_functional_spellings_agree(self, tmp_path, spaced, joined):
+        # (-1, 0, 0) is in the dual and cuts out the face of rays 1 and 2
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"lattice_rank": 3, "rays": [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        argv = ["--seed", "0", "toric", "--cone", str(path)]
+        result = run_cli(argv + spaced)
+        assert result == run_cli(argv + joined)
+        if spaced[1] != "-1,x":
+            assert result[0] == 0
+            assert json.loads(result[1])["diagnostics"]["face_reduced_from"] == [1, 2]
+        else:
+            assert result[0] == 2
+
+    def test_negative_tuple_spellings_agree(self, support_file):
+        for tail in (
+            ["expand", "--support", support_file, "--alpha", "2,1,2", "--m", "4",
+             "--prime", "7", "--coeffs", "{}"],
+            ["expand", "--support", support_file, "--m", "4", "--alpha", "{}"],
+            ["staircase", "--support", support_file, "--m", "4", "--alpha", "{}"],
+            ["torus-point", "--support", support_file, "--alpha", "{}"],
+        ):
+            value = "-1,3" if "--coeffs" in tail else "-2,1,2"
+            spaced = [t.format(value) for t in tail]
+            joined = tail[:-2] + [f"{tail[-2]}={value}"]
+            result = run_cli(["--seed", "0", "oracle", *spaced])
+            assert result == run_cli(["--seed", "0", "oracle", *joined])
+            assert result[0] == (0 if "--coeffs" in tail else 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toric", "--face-functional", "--cone", "{cone}"],
+            ["toric", "--cone", "{cone}", "--face-functional"],
+            ["oracle", "expand", "--support", "{support}", "--m", "4", "--alpha", "--coeffs", "1,1"],
+        ],
+    )
+    def test_missing_tuple_value_still_rejected(self, cone_file, support_file, argv):
+        argv = [a.format(cone=cone_file, support=support_file) for a in argv]
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(argv)
+        assert exc.value.code == 2
+
     def test_rank_tests_limit_exit_code(self, tmp_path):
         # the rank-4 moment cone: C(30, 4) = 27405 ray subsets to rank-test
         path = tmp_path / "moment.json"
@@ -478,6 +529,39 @@ SUPPORT_FILES = st.one_of(
         )
     ),
 )
+
+
+class TestDualDescriptionCalls:
+    """A cone read from a file and its dual cost one double description."""
+
+    @staticmethod
+    def count_calls(monkeypatch, argv):
+        calls = []
+        original = cones.dual_description
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "dual_description", counted)
+        code, _, _ = run_cli(["--seed", "0", *argv])
+        assert code == 0
+        return len(calls)
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [[2, -1], [0, 1]],
+            [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+            [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, 1, 2]],
+        ],
+        ids=["wedge", "square", "square-with-interior-ray"],
+    )
+    @pytest.mark.parametrize("command", ["dual", "hilbert", "toric"])
+    def test_one_call_per_op(self, monkeypatch, tmp_path, rays, command):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"lattice_rank": len(rays[0]), "rays": rays}))
+        assert self.count_calls(monkeypatch, [command, "--cone", str(path)]) == 1
 
 
 class TestFuzz:

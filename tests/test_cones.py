@@ -19,7 +19,131 @@ from mldhat.cones import (
     resolve_face,
     split_torus_factor,
 )
-from mldhat.lattice import pairing, rank_of
+from mldhat.lattice import (
+    as_vector,
+    is_zero,
+    pairing,
+    primitive,
+    rank_of,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+)
+
+
+def reference_dual_description(ineq_vectors, n):
+    """The rank-pruned double description that the bitmask sweep replaced.
+
+    Every step recombines all positive/negative pairs and keeps a candidate
+    when the processed inequalities tight at it have the rank of a
+    one-dimensional face modulo lineality.
+    """
+    ineqs = []
+    seen = set()
+    for a in ineq_vectors:
+        a = primitive(as_vector(a, n))
+        if is_zero(a) or a in seen:
+            continue
+        seen.add(a)
+        ineqs.append(a)
+    lines = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    rays = []
+    processed = []
+
+    def prune(candidates):
+        lineality_dim = n - rank_of(processed) if processed else n
+        out = []
+        seen_local = set()
+        for r in candidates:
+            r = primitive(r)
+            if is_zero(r) or r in seen_local:
+                continue
+            seen_local.add(r)
+            tight = [a for a in processed if pairing(r, a) == 0]
+            if n - rank_of(tight) == lineality_dim + 1:
+                out.append(r)
+        return sorted(out)
+
+    for a in ineqs:
+        pivot = next((l for l in lines if pairing(l, a) != 0), None)
+        if pivot is not None:
+            d0 = pairing(pivot, a)
+            new_lines = []
+            for l in lines:
+                if l is pivot:
+                    continue
+                d = pairing(l, a)
+                if d == 0:
+                    new_lines.append(l)
+                else:
+                    new_lines.append(primitive(vec_sub(vec_scale(d0, l), vec_scale(d, pivot))))
+            lines = sorted(new_lines)
+            rays = rays + [pivot, vec_neg(pivot)]
+        pos = [r for r in rays if pairing(r, a) > 0]
+        zero = [r for r in rays if pairing(r, a) == 0]
+        neg = [r for r in rays if pairing(r, a) < 0]
+        combos = []
+        for rp in pos:
+            wp = pairing(rp, a)
+            for rn in neg:
+                wn = pairing(rn, a)
+                combos.append(vec_sub(vec_scale(wp, rn), vec_scale(wn, rp)))
+        processed.append(a)
+        rays = prune(pos + zero + combos)
+    return sorted(lines), sorted(rays)
+
+
+def reference_extreme_rays(gens, dual_lines, dual_rays, n):
+    """Generators whose tight dual constraints cut out a one-dimensional face."""
+    out = []
+    for g in gens:
+        tight = list(dual_lines) + [r for r in dual_rays if pairing(r, g) == 0]
+        if n - rank_of(tight) == 1:
+            out.append(g)
+    return out
+
+
+def reference_from_generators(n, generators):
+    """Cone.from_generators on the reference kernels: (generators, dual pair)."""
+    if type(n) is not int:
+        raise ConeError(f"ambient rank must be an integer, got {n!r}")
+    if n < 1:
+        raise ConeError("ambient rank must be positive")
+    gens = []
+    for g in generators:
+        v = as_vector(g, n)
+        if is_zero(v):
+            raise ConeError("zero vector is not a valid ray generator")
+        v = primitive(v)
+        if v not in gens:
+            gens.append(v)
+    if not gens:
+        raise ConeError("a cone needs at least one generator")
+    lines, rays = reference_dual_description(gens, n)
+    if rank_of(list(lines) + list(rays)) < n:
+        raise ConeError("cone is not pointed: it contains a nonzero linear subspace")
+    extremes = tuple(sorted(reference_extreme_rays(gens, lines, rays, n)))
+    return extremes, reference_dual_description(extremes, n)
+
+
+ENTRIES = (0, 1, -1, 2, -2, 3, -3, 5, -5)
+
+
+def random_vectors(rng, n):
+    """1 to n + 4 vectors, with a repeat, a negative or a multiple at times."""
+    vecs = [tuple(rng.choice(ENTRIES) for _ in range(n)) for _ in range(rng.randint(1, n + 4))]
+    roll = rng.random()
+    if roll < 0.15:
+        vecs.append(vec_neg(rng.choice(vecs)))  # often not pointed
+    elif roll < 0.3:
+        vecs.append(vec_scale(rng.randint(2, 3), rng.choice(vecs)))
+    elif roll < 0.45:
+        vecs = vecs[: max(1, n - 2)]  # often not full-dimensional
+    return vecs
+
+
+def moment_rays(k):
+    return [(1, i, i * i, i**3) for i in range(1, k + 1)]
 
 
 def random_pointed_cone(rng, n, entry_bound, max_gens=None):
@@ -280,6 +404,83 @@ class TestPredicates:
         c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 0, 2), (0, 1, 2)])
         # facet spanned by (1,0,0),(1,0,2) has saturation Z^2 but index-2 lattice
         assert not has_isolated_fixed_point(c)
+
+
+class TestBitmaskKernelAgainstRankReference:
+    def test_dual_description_identical(self):
+        rng = random.Random(2024)
+        for _ in range(1000):
+            n = rng.randint(1, 5)
+            vecs = random_vectors(rng, n)
+            assert dual_description(vecs, n) == reference_dual_description(vecs, n), vecs
+
+    def test_from_generators_identical(self):
+        rng = random.Random(2025)
+        for _ in range(1000):
+            n = rng.randint(1, 5)
+            vecs = random_vectors(rng, n)
+            try:
+                expected = reference_from_generators(n, vecs)
+            except ConeError as exc:
+                with pytest.raises(ConeError) as got:
+                    Cone.from_generators(n, vecs)
+                assert str(got.value) == str(exc)
+                continue
+            c = Cone.from_generators(n, vecs)
+            assert c.generators == expected[0]
+            if c.is_full_dimensional:
+                assert "dual_pair" in c.__dict__
+            assert c.dual_pair == expected[1], vecs
+
+    def test_dual_pairs_of_dual_cones(self):
+        rng = random.Random(2026)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            try:
+                c = Cone.from_generators(n, random_vectors(rng, n))
+            except ConeError:
+                continue
+            if not c.is_full_dimensional:
+                continue
+            d = dual_cone(c)
+            assert "dual_pair" in d.__dict__
+            assert d.dual_pair == reference_dual_description(d.generators, n)
+            assert dual_cone(d).generators == c.generators
+
+    @pytest.mark.parametrize("k", [4, 7, 12])
+    def test_moment_cones(self, k):
+        c = Cone.from_generators(4, moment_rays(k))
+        expected = reference_from_generators(4, moment_rays(k))
+        assert c.generators == expected[0] and len(c.generators) == k
+        assert c.dual_pair == expected[1]
+        d = dual_cone(c)
+        assert d.dual_pair == reference_dual_description(d.generators, 4)
+
+    def test_redundant_generator_keeps_lazy_dual_pair(self):
+        # (1, 1) lies inside the orthant, so the direct Cone is not in
+        # extreme-ray form and the dual's dual pair is computed on demand
+        c = Cone(2, ((0, 1), (1, 0), (1, 1)))
+        d = dual_cone(c)
+        assert "dual_pair" not in d.__dict__
+        assert d.dual_pair == ([], [(0, 1), (1, 0)])
+        assert dual_cone(d).generators == ((0, 1), (1, 0))
+        skew = Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2)))
+        assert dual_cone(dual_cone(skew)).generators == (
+            (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)
+        )
+
+    def test_other_direct_generators_keep_lazy_dual_pair(self):
+        # unsorted, not primitive, repeated, and not pointed
+        for gens in (
+            ((1, 0), (0, 1)),
+            ((0, 1), (2, 0)),
+            ((0, 1), (0, 1), (1, 0)),
+            ((-1, 0), (0, 1), (1, 0)),
+        ):
+            c = Cone(2, gens)
+            d = dual_cone(c)
+            assert "dual_pair" not in d.__dict__
+            assert d.dual_pair == reference_dual_description(d.generators, 2)
 
 
 class TestDualDescription:
