@@ -124,6 +124,14 @@ def integer(text):
     return int(text)
 
 
+def nonnegative_integer(text):
+    """A decimal integer that is zero or more."""
+    value = integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _integers(text):
     return tuple(integer(x) for x in text.split(","))
 
@@ -305,56 +313,63 @@ def _run_oracle(args):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built on first use and shared by every main() call."""
+    """The argument parser, built on first use and shared by every main() call.
+
+    Every parser refuses abbreviated options, so each option is spelled in
+    full: an abbreviation such as `--face-func` escapes
+    `_attach_tuple_values`, which would leave a negative tuple after it to be
+    read as an option.
+    """
     parser = argparse.ArgumentParser(
         prog="mldhat",
+        allow_abbrev=False,
         description=(
             "Mather minimal log discrepancies of affine toric varieties and "
             "very general hypersurfaces"
         ),
     )
     parser.add_argument("--seed", type=integer, default=None, help="fix all randomness; makes output byte-identical")
-    parser.add_argument("--max-subsets", type=integer, default=None, help="abort with exit code 3 when a stage would generate more than this many points")
+    parser.add_argument("--max-subsets", type=nonnegative_integer, default=None, help="abort with exit code 3 when a stage would generate more than this many points")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    toric = sub.add_parser("toric", help="invariants at a point of an affine toric variety")
+    toric = sub.add_parser("toric", help="invariants at a point of an affine toric variety", allow_abbrev=False)
     toric.add_argument("--cone", required=True, help="JSON file with lattice_rank and rays")
     toric.add_argument("--face", default=None, help="comma-separated ray indices of a face (empty string for the zero face)")
     toric.add_argument("--face-functional", default=None, help="comma-separated dual vector whose zero set is the face")
     toric.add_argument("--no-fast-paths", action="store_true", help="no effect: every cone takes the one general search")
     toric.set_defaults(func=_run_toric)
 
-    hyper = sub.add_parser("hyper", help="lower bound and certificate for a hypersurface support")
+    hyper = sub.add_parser("hyper", help="lower bound and certificate for a hypersurface support", allow_abbrev=False)
     hyper.add_argument("--support", required=True, help="JSON file with vars and support")
     hyper.add_argument("--certify", action="store_true", help="strengthen the certificate with finite-field sampling")
     hyper.add_argument("--oracle-prime", type=integer, default=10007)
     hyper.add_argument("--oracle-trials", type=integer, default=50)
     hyper.set_defaults(func=_run_hyper)
 
-    hilb = sub.add_parser("hilbert", help="minimal generating set of the lattice points of a cone")
+    hilb = sub.add_parser("hilbert", help="minimal generating set of the lattice points of a cone", allow_abbrev=False)
     hilb.add_argument("--cone", required=True)
     hilb.set_defaults(func=_run_hilbert)
 
-    dual = sub.add_parser("dual", help="extreme rays of the dual cone")
+    dual = sub.add_parser("dual", help="extreme rays of the dual cone", allow_abbrev=False)
     dual.add_argument("--cone", required=True)
     dual.set_defaults(func=_run_dual)
 
-    oracle = sub.add_parser("oracle", help="finite-field verification tools")
+    oracle = sub.add_parser("oracle", help="finite-field verification tools", allow_abbrev=False)
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
-    stair = osub.add_parser("staircase", help="sample the staircase solution of the window equations")
+    stair = osub.add_parser("staircase", help="sample the staircase solution of the window equations", allow_abbrev=False)
     stair.add_argument("--support", required=True)
     stair.add_argument("--alpha", required=True, type=_alpha_arg)
     stair.add_argument("--m", required=True, type=integer)
     stair.add_argument("--prime", type=integer, default=10007)
     stair.add_argument("--trials", type=integer, default=50)
     stair.set_defaults(func=_run_oracle)
-    torus = osub.add_parser("torus-point", help="sample a torus zero of the initial form")
+    torus = osub.add_parser("torus-point", help="sample a torus zero of the initial form", allow_abbrev=False)
     torus.add_argument("--support", required=True)
     torus.add_argument("--alpha", required=True, type=_alpha_arg)
     torus.add_argument("--prime", type=integer, default=10007)
     torus.add_argument("--trials", type=integer, default=50)
     torus.set_defaults(func=_run_oracle)
-    expand_p = osub.add_parser("expand", help="print the truncated arc expansion")
+    expand_p = osub.add_parser("expand", help="print the truncated arc expansion", allow_abbrev=False)
     expand_p.add_argument("--support", required=True)
     expand_p.add_argument("--alpha", required=True, type=_alpha_arg)
     expand_p.add_argument("--m", required=True, type=integer)

@@ -10,16 +10,17 @@ found by comparing bitmasks.  No step computes a rank, every intermediate
 set is minimal, and the output is canonical (primitive, lexicographically
 sorted).  Extreme rays are picked out by the same zero-set comparison.
 
-`Cone.from_generators` keeps the dual description it computes as the
-cone's dual pair when the cone is full-dimensional, and `dual_cone` gives
-the dual the original rays as its own dual pair, so a cone and its dual
-together cost one sweep.
+Every cone carries its double description: `Cone.from_generators` and
+`dual_cone`, the only two constructors, store the pair (dual lines, dual
+rays) as the cone's `dual_pair` next to its sorted primitive extreme rays.
+`dual_cone` swaps the two halves, so a cone and its dual together cost one
+sweep, and a face is a new cone built from its rays in the lattice they
+span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .lattice import (
     as_vector,
@@ -163,19 +164,20 @@ def _extreme_rays(gens, dual_rays):
     ]
 
 
-def _with_dual_pair(cone, lines, rays):
-    """`cone`, known to be full-dimensional, with its cached dual pair and span rank filled in."""
-    cone.__dict__["dual_pair"] = (lines, rays)
-    cone.__dict__["span_rank"] = cone.ambient_rank
-    return cone
-
-
 @dataclass(frozen=True)
 class Cone:
-    """A pointed rational polyhedral cone given by primitive extreme rays."""
+    """A pointed rational polyhedral cone with its double description.
+
+    `generators` are the primitive extreme rays, sorted; `dual_pair` is
+    (lines, rays) of `dual_description(generators)`: the lines are a
+    lattice basis of span(generators)^perp and the rays generate the dual
+    cone modulo them.  Equality and hashing use the generators only.  Build
+    cones with `Cone.from_generators` or `dual_cone`, which establish both.
+    """
 
     ambient_rank: int
     generators: tuple[tuple[int, ...], ...]
+    dual_pair: tuple[list, list] = field(compare=False, repr=False)
 
     @staticmethod
     def from_generators(ambient_rank, generators):
@@ -199,14 +201,12 @@ class Cone:
         lines, rays = dual_description(gens, n)
         if rank_of(list(lines) + list(rays)) < n:
             raise ConeError("cone is not pointed: it contains a nonzero linear subspace")
-        cone = Cone(n, tuple(sorted(_extreme_rays(gens, rays))))
+        extremes = tuple(sorted(_extreme_rays(gens, rays)))
         if lines:
-            # the stored rays are representatives modulo lineality, which
-            # depend on the input; the cone's own dual pair stays lazy
-            return cone
-        # with no lines the output is canonical, so it equals the dual
-        # description of the extreme rays
-        return _with_dual_pair(cone, lines, rays)
+            # rays modulo lineality are representatives that depend on the
+            # input; sweeping the extreme rays makes the pair canonical
+            lines, rays = dual_description(extremes, n)
+        return Cone(n, extremes, (lines, rays))
 
     def __post_init__(self):
         if not self.generators:
@@ -215,18 +215,13 @@ class Cone:
             if len(g) != self.ambient_rank:
                 raise ConeError("generator rank mismatch")
 
-    @cached_property
-    def dual_pair(self):
-        """(lines, rays) generating the dual cone; lines span span(self)^perp."""
-        return dual_description(self.generators, self.ambient_rank)
-
-    @cached_property
+    @property
     def span_rank(self) -> int:
-        return rank_of(self.generators)
+        return self.ambient_rank - len(self.dual_pair[0])
 
     @property
     def is_full_dimensional(self) -> bool:
-        return self.span_rank == self.ambient_rank
+        return not self.dual_pair[0]
 
     def contains(self, point, strict=False) -> bool:
         """Closed (or topological-interior) membership via the dual description."""
@@ -242,28 +237,17 @@ class Cone:
 
 
 def dual_cone(c: Cone) -> Cone:
-    """The dual cone in the dual lattice, for a full-dimensional cone."""
+    """The dual cone in the dual lattice, for a full-dimensional cone.
+
+    The dual's generators are c's dual rays, and its dual pair is c's
+    generators with no lines: c is pointed, so its dual is full-dimensional.
+    """
     if not c.is_full_dimensional:
         raise ConeError(
             "dual of a non-full-dimensional cone is not pointed; "
             "split off the torus factor first"
         )
-    lines, rays = c.dual_pair
-    if lines:
-        raise AssertionError("the dual of a full-dimensional cone contains a line")
-    dual = Cone(c.ambient_rank, tuple(sorted(rays)))
-    gens = list(c.generators)
-    # when no generator's zero set over the dual rays lies in another's,
-    # each generator spans a 1-dimensional face (see _extreme_rays), so c is
-    # pointed with exactly these extreme rays and the dual of the dual is c;
-    # a cone built with a redundant generator keeps the lazy dual pair
-    if (
-        gens == sorted(gens)
-        and all(primitive(g) == g for g in gens)
-        and _extreme_rays(gens, rays) == gens
-    ):
-        _with_dual_pair(dual, [], gens)
-    return dual
+    return Cone(c.ambient_rank, tuple(c.dual_pair[1]), ([], list(c.generators)))
 
 
 def membership(c: Cone, a, mode="closed") -> bool:
@@ -272,19 +256,21 @@ def membership(c: Cone, a, mode="closed") -> bool:
     return c.contains(a, strict=(mode == "interior"))
 
 
+def _in_span_lattice(gens) -> Cone:
+    """The cone of `gens` in the coordinates of the saturation of its span."""
+    basis = saturate(gens)
+    return Cone.from_generators(len(basis), [express_in_basis(basis, g) for g in gens])
+
+
 def split_torus_factor(c: Cone):
     """Re-express a cone inside the saturation of its span.
 
     Returns (full-dimensional cone in Z^k, torus_rank n-k); a cone that
     already spans comes back unchanged with torus rank 0.
     """
-    k = c.span_rank
-    n = c.ambient_rank
-    if k == n:
+    if c.is_full_dimensional:
         return c, 0
-    basis = saturate(c.generators)
-    coords = [express_in_basis(basis, g) for g in c.generators]
-    return Cone.from_generators(k, coords), n - k
+    return _in_span_lattice(c.generators), c.ambient_rank - c.span_rank
 
 
 @dataclass(frozen=True)
@@ -348,12 +334,9 @@ def face_cone(c: Cone, f: FaceSpec) -> Cone:
     if not subset:
         raise FaceError("the zero face has no cone; handle dimension 0 at the call site")
     if len(subset) == len(c.generators):
-        sub = c
-    else:
-        # the extreme rays of a face are the extreme rays of c lying in it
-        sub = Cone(c.ambient_rank, tuple(c.generators[i] for i in subset))
-    reduced, _ = split_torus_factor(sub)
-    return reduced
+        return split_torus_factor(c)[0]
+    # the extreme rays of a face are the extreme rays of c lying in it
+    return _in_span_lattice([c.generators[i] for i in subset])
 
 
 def _require_full_pointed(c: Cone):

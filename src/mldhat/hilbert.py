@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .cones import Cone, ConeError, dual_cone
+from .cones import Cone, ConeError
 from .lattice import (
     LatticeError,
     LimitError,
@@ -222,7 +222,7 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
     subsets = budgeted_subsets(dual.generators, n, max_points, "hilbert parallelepiped points")
-    forms = dual_cone(dual).generators
+    _, forms = dual.dual_pair
     m = len(forms)
     walks = [(T, *_numerators(T)) for T in subsets]
     values = {t: [pairing(r, t) for r in forms] for t in dual.generators}

@@ -2,7 +2,7 @@
 
 Lattice vectors are plain tuples of Python ints; the ambient rank is the
 tuple length.  Everything here is exact: integer elimination for ranks,
-kernels and saturations, ``fractions.Fraction`` for linear solves, and an
+kernels, saturations and coordinates, and a ``fractions.Fraction``
 exact-pivot simplex for certifying that polytopes are bounded.  No floating
 point is used anywhere.
 """
@@ -174,7 +174,9 @@ def saturate(vectors) -> list[Vector]:
     The double integer-kernel of the input: the kernel of a matrix is always
     a saturated lattice, and the orthogonal complement taken twice returns
     the saturation of the row span.  The result has rank_of(vectors) elements
-    and every input vector is an integer combination of it.
+    and every input vector is an integer combination of it.  Its rows are
+    the kernel rows of a row Hermite form, restricted to the kernel block,
+    so they are in row Hermite form themselves, as `express_in_basis` needs.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
@@ -187,18 +189,36 @@ def saturate(vectors) -> list[Vector]:
     return kernel_in_rank(perp, n)
 
 
+def _echelon_reduce(rows, v):
+    """Coordinates q and remainder v - sum q_i rows_i along echelon pivots.
+
+    Each row's first nonzero entry, its pivot, lies right of the previous
+    row's, so every later row vanishes in that column: reading q_i from the
+    pivot column of row i, top to bottom, leaves a remainder that is zero
+    there.  The remainder is zero exactly when v is an integer combination of
+    the rows, and then q is its unique coordinate vector.  Raises
+    LatticeError on rows that are not in echelon form.
+    """
+    x = list(v)
+    coords = []
+    last = -1
+    for r in rows:
+        if len(r) != len(x):
+            raise LatticeError(f"rank mismatch: row of rank {len(r)}, vector of rank {len(x)}")
+        col = next((j for j, e in enumerate(r) if e != 0), len(r))
+        if not last < col < len(r):
+            raise LatticeError("basis rows are not in echelon form")
+        q = x[col] // r[col]
+        x = [a - q * b for a, b in zip(x, r)]
+        coords.append(q)
+        last = col
+    return tuple(coords), x
+
+
 def in_row_lattice(rows, x) -> bool:
     """Is x an integer combination of the given rows?"""
-    h = row_hermite(list(rows))
-    x = list(x)
-    for r in h:
-        col = next((j for j, e in enumerate(r) if e != 0), None)
-        if col is None:
-            continue
-        if x[col] % r[col] == 0:
-            q = x[col] // r[col]
-            x = [a - q * b for a, b in zip(x, r)]
-    return all(e == 0 for e in x)
+    _, rest = _echelon_reduce(row_hermite(list(rows)), x)
+    return is_zero(rest)
 
 
 def same_lattice(rows_a, rows_b) -> bool:
@@ -208,7 +228,7 @@ def same_lattice(rows_a, rows_b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Small exact dense routines (Fraction based)
+# Small exact dense routines
 
 
 def determinant(rows) -> int:
@@ -256,54 +276,16 @@ def adjugate(rows) -> list[Vector]:
     return adj
 
 
-def solve_rational(rows, rhs):
-    """Solve A x = rhs exactly over Q for square invertible integer A.
-
-    Returns a tuple of Fractions; raises LatticeError if A is singular.
-    """
-    n = len(rows)
-    mat = [[Fraction(e) for e in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            raise LatticeError("singular system")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        d = mat[col][col]
-        mat[col] = [e / d for e in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return tuple(mat[i][n] for i in range(n))
-
-
 def express_in_basis(basis_rows, v) -> Vector:
-    """Integer coordinates of v in a full-row-rank basis (rows), exact.
+    """Integer coordinates of v in a basis given in echelon form.
 
-    Raises LatticeError when v is not an integer combination of the rows.
+    `saturate` and `row_hermite` return their rows in that form.  Raises
+    LatticeError when the rows are not in echelon form or v is not an
+    integer combination of them.
     """
-    k = len(basis_rows)
-    n = len(v)
-    # pick k independent columns of the k x n basis matrix
-    cols: list[int] = []
-    for j in range(n):
-        trial = cols + [j]
-        sub = [[basis_rows[i][c] for c in trial] for i in range(k)]
-        if rank_of([tuple(r) for r in sub]) == len(trial):
-            cols = trial
-        if len(cols) == k:
-            break
-    if len(cols) < k:
-        raise LatticeError("basis rows are not independent")
-    square = [[basis_rows[i][c] for i in range(k)] for c in cols]
-    rhs = [v[c] for c in cols]
-    sol = solve_rational(square, rhs)
-    if any(x.denominator != 1 for x in sol):
-        raise LatticeError("vector is not an integer combination of the basis")
-    coords = tuple(int(x) for x in sol)
-    check = [sum(coords[i] * basis_rows[i][j] for i in range(k)) for j in range(n)]
-    if list(v) != check:
-        raise LatticeError("vector lies outside the span of the basis")
+    coords, rest = _echelon_reduce(basis_rows, v)
+    if not is_zero(rest):
+        raise LatticeError("vector is not in the lattice of the basis")
     return coords
 
 

@@ -145,16 +145,6 @@ def spanning_cost_bruteforce(a, hb: HilbertBasis, max_subsets=1_000_000) -> Span
     return best
 
 
-def optimal_spanning_sets(a, hb: HilbertBasis, max_subsets=1_000_000):
-    """All spanning subsets attaining the minimum cost at a."""
-    best = spanning_cost_bruteforce(a, hb, max_subsets)
-    out = []
-    for combo in independent_subsets(hb.elements, hb.rank):
-        if sum(pairing(u, a) for u in combo) == best.value:
-            out.append(tuple(sorted(combo)))
-    return best.value, out
-
-
 def _candidate_points(cone: Cone, max_points: int | None):
     """Interior lattice points of the closed ray parallelepipeds (see above)."""
     n = cone.ambient_rank
@@ -195,27 +185,34 @@ def minimize_spanning_cost(cone: Cone, max_points: int | None = None) -> ToricMl
     )
 
 
-def orbit_dimension(a, m: int, hb: HilbertBasis, max_subsets=1_000_000) -> OrbitDimension:
+def orbit_dimension(a, m: int, hb: HilbertBasis) -> OrbitDimension:
     """Dimension of the jet orbit through the order map of a at level m.
 
-    Exact when m reaches the largest pairing in some optimal spanning set;
-    otherwise only the bracket [ (m+1)n - cost, (m+1)n - m ] is known.
-    Any optimal set qualifies for the threshold: ordering an optimal set by
-    pairing value, a cheaper element outside each partial span could be
-    exchanged in and would lower the total, so every optimal set already
-    satisfies the greedy minimality property that the exactness argument
-    needs step by step.
+    Exact when m reaches the threshold, the least over optimal spanning
+    sets of their largest pairing with a; otherwise only the bracket
+    [ (m+1)n - cost, (m+1)n - m ] is known.  Any optimal set qualifies for
+    the threshold: ordering an optimal set by pairing value, a cheaper
+    element outside each partial span could be exchanged in and would lower
+    the total, so every optimal set already satisfies the greedy minimality
+    property that the exactness argument needs step by step.
+
+    The greedy set of `spanning_cost_greedy` attains the threshold.  The
+    spanning sets are the bases of a matroid, and the greedy basis is Gale
+    optimal (Gale, 1968): its k-th smallest pairing is at most the k-th
+    smallest pairing of every basis, for each k.  Summing over k makes it
+    an optimal set, and k = n makes its largest pairing at most that of
+    every basis, in particular of every optimal set.
     """
     if m < 1:
         raise ValueError("jet level m must be at least 1")
     n = hb.rank
-    value, optima = optimal_spanning_sets(a, hb, max_subsets)
-    threshold = min(max(pairing(u, a) for u in combo) for combo in optima)
+    best = spanning_cost_greedy(a, hb)
+    threshold = max(pairing(u, best.point) for u in best.chosen_set)
     exact = m >= threshold
-    lower = (m + 1) * n - value
+    lower = (m + 1) * n - best.value
     upper = lower if exact else (m + 1) * n - m
     return OrbitDimension(
-        exact=exact, lower=lower, upper=upper, cost=value, threshold=threshold
+        exact=exact, lower=lower, upper=upper, cost=best.value, threshold=threshold
     )
 
 

@@ -317,6 +317,40 @@ class TestCommands:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["-5", "-1"])
+    def test_negative_max_subsets_rejected(self, cone_file, value):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+            main(["--max-subsets", value, "toric", "--cone", cone_file])
+        assert exc.value.code == 2
+        assert "nonnegative" in err.getvalue()
+
+    def test_zero_max_subsets_is_a_limit(self, cone_file):
+        code, out, err = run_cli(["--seed", "0", "--max-subsets", "0", "toric", "--cone", cone_file])
+        assert code == 3
+        assert json.loads(err)["kind"] == "LimitError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toric", "--cone", "{cone}", "--face-func", "-1,0,0"],
+            ["toric", "--cone", "{cone}", "--face-func=-1,0,0"],
+            ["toric", "--cone", "{cone}", "--face-func", "1,0,0"],
+            ["oracle", "expand", "--support", "{support}", "--alpha", "2,1,2", "--m", "4",
+             "--coef", "-1,3"],
+            ["oracle", "expand", "--support", "{support}", "--alpha", "2,1,2", "--m", "4",
+             "--coef=-1,3"],
+            ["--max-sub", "5", "toric", "--cone", "{cone}"],
+            ["hyper", "--support", "{support}", "--cert"],
+            ["dual", "--con", "{cone}"],
+        ],
+    )
+    def test_abbreviated_options_rejected(self, orthant_file, support_file, argv):
+        argv = [a.format(cone=orthant_file, support=support_file) for a in argv]
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(["--seed", "0", *argv])
+        assert exc.value.code == 2
+
     def test_strict_integers_keep_signed_decimals(self, support_file, orthant_file):
         code, out, _ = run_cli(
             ["--seed", "-3", "toric", "--cone", orthant_file, "--face-functional", "1,0,01"]
@@ -562,6 +596,21 @@ class TestDualDescriptionCalls:
         path = tmp_path / "cone.json"
         path.write_text(json.dumps({"lattice_rank": len(rays[0]), "rays": rays}))
         assert self.count_calls(monkeypatch, [command, "--cone", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "rays, face",
+        [
+            ([[2, -1], [0, 1]], "0"),
+            ([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]], "0,1"),
+            ([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, 1, 2]], "3"),
+        ],
+        ids=["wedge-ray", "square-facet", "square-with-interior-ray-ray"],
+    )
+    def test_two_calls_per_face_op(self, monkeypatch, tmp_path, rays, face):
+        # one for the cone, one for the face in the lattice it spans
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"lattice_rank": len(rays[0]), "rays": rays}))
+        assert self.count_calls(monkeypatch, ["toric", "--cone", str(path), "--face", face]) == 2
 
 
 class TestFuzz:

@@ -428,9 +428,8 @@ class TestBitmaskKernelAgainstRankReference:
                 continue
             c = Cone.from_generators(n, vecs)
             assert c.generators == expected[0]
-            if c.is_full_dimensional:
-                assert "dual_pair" in c.__dict__
             assert c.dual_pair == expected[1], vecs
+            assert c.span_rank == rank_of(c.generators)
 
     def test_dual_pairs_of_dual_cones(self):
         rng = random.Random(2026)
@@ -443,7 +442,6 @@ class TestBitmaskKernelAgainstRankReference:
             if not c.is_full_dimensional:
                 continue
             d = dual_cone(c)
-            assert "dual_pair" in d.__dict__
             assert d.dual_pair == reference_dual_description(d.generators, n)
             assert dual_cone(d).generators == c.generators
 
@@ -456,31 +454,35 @@ class TestBitmaskKernelAgainstRankReference:
         d = dual_cone(c)
         assert d.dual_pair == reference_dual_description(d.generators, 4)
 
-    def test_redundant_generator_keeps_lazy_dual_pair(self):
-        # (1, 1) lies inside the orthant, so the direct Cone is not in
-        # extreme-ray form and the dual's dual pair is computed on demand
-        c = Cone(2, ((0, 1), (1, 0), (1, 1)))
+    @pytest.mark.parametrize(
+        "gens, canonical",
+        [
+            # (1, 1) lies inside the orthant
+            (((0, 1), (1, 0), (1, 1)), ((0, 1), (1, 0))),
+            # (1, 1, 2) lies inside the cone over the unit square
+            (
+                ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2)),
+                ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)),
+            ),
+            (((1, 0), (0, 1)), ((0, 1), (1, 0))),
+            (((0, 1), (2, 0)), ((0, 1), (1, 0))),
+            (((0, 1), (0, 1), (1, 0)), ((0, 1), (1, 0))),
+        ],
+        ids=["redundant", "redundant-rank-3", "unsorted", "not-primitive", "repeated"],
+    )
+    def test_canonical_pair(self, gens, canonical):
+        n = len(gens[0])
+        c = Cone.from_generators(n, gens)
+        assert c.generators == canonical
+        assert c.dual_pair == reference_dual_description(canonical, n)
         d = dual_cone(c)
-        assert "dual_pair" not in d.__dict__
-        assert d.dual_pair == ([], [(0, 1), (1, 0)])
-        assert dual_cone(d).generators == ((0, 1), (1, 0))
-        skew = Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2)))
-        assert dual_cone(dual_cone(skew)).generators == (
-            (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)
-        )
+        assert d.dual_pair == reference_dual_description(d.generators, n)
+        assert dual_cone(d) == c
+        assert dual_cone(d).dual_pair == c.dual_pair
 
-    def test_other_direct_generators_keep_lazy_dual_pair(self):
-        # unsorted, not primitive, repeated, and not pointed
-        for gens in (
-            ((1, 0), (0, 1)),
-            ((0, 1), (2, 0)),
-            ((0, 1), (0, 1), (1, 0)),
-            ((-1, 0), (0, 1), (1, 0)),
-        ):
-            c = Cone(2, gens)
-            d = dual_cone(c)
-            assert "dual_pair" not in d.__dict__
-            assert d.dual_pair == reference_dual_description(d.generators, 2)
+    def test_non_pointed_generators_rejected(self):
+        with pytest.raises(ConeError, match="not pointed"):
+            Cone.from_generators(2, ((-1, 0), (0, 1), (1, 0)))
 
 
 class TestDualDescription:

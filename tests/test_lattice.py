@@ -15,6 +15,7 @@ from mldhat.lattice import (
     UnboundedPolytopeError,
     as_vector,
     enumerate_lattice_points,
+    express_in_basis,
     in_row_lattice,
     integer_kernel,
     pairing,
@@ -24,6 +25,54 @@ from mldhat.lattice import (
     saturate,
     solve_lp_max,
 )
+
+
+def reference_express_in_basis(basis_rows, v):
+    """Coordinates by a Fraction solve on k independent columns; the route
+    that back-substitution along the echelon pivots replaced.
+    """
+    k = len(basis_rows)
+    n = len(v)
+    cols = []
+    for j in range(n):
+        trial = cols + [j]
+        if rank_of([tuple(basis_rows[i][c] for c in trial) for i in range(k)]) == len(trial):
+            cols = trial
+        if len(cols) == k:
+            break
+    if len(cols) < k:
+        raise LatticeError("basis rows are not independent")
+    mat = [[Fraction(basis_rows[i][c]) for i in range(k)] + [Fraction(v[c])] for c in cols]
+    for col in range(k):
+        piv = next(i for i in range(col, k) if mat[i][col] != 0)
+        mat[col], mat[piv] = mat[piv], mat[col]
+        mat[col] = [e / mat[col][col] for e in mat[col]]
+        for i in range(k):
+            if i != col and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    sol = [mat[i][k] for i in range(k)]
+    if any(x.denominator != 1 for x in sol):
+        raise LatticeError("vector is not an integer combination of the basis")
+    coords = tuple(int(x) for x in sol)
+    if [sum(coords[i] * basis_rows[i][j] for i in range(k)) for j in range(n)] != list(v):
+        raise LatticeError("vector lies outside the span of the basis")
+    return coords
+
+
+def is_row_hermite(rows):
+    """Echelon form, positive pivots, entries above each pivot in [0, pivot)."""
+    pivots = []
+    for r in rows:
+        col = next((j for j, e in enumerate(r) if e != 0), None)
+        if col is None or (pivots and col <= pivots[-1]) or r[col] < 0:
+            return False
+        pivots.append(col)
+    return all(
+        0 <= rows[i][col] < rows[t][col]
+        for t, col in enumerate(pivots)
+        for i in range(t)
+    )
 
 
 def brute_force_points(p, radius):
@@ -158,6 +207,69 @@ class TestSaturate:
         for k in ker:
             for r in rows:
                 assert pairing(r, k) == 0
+
+
+class TestExpressInBasis:
+    @staticmethod
+    def outcome(fn, basis, v):
+        try:
+            return fn(basis, v)
+        except LatticeError:
+            return "LatticeError"
+
+    def test_saturate_returns_row_hermite_rows(self):
+        rng = random.Random(401)
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            vecs = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+            assert is_row_hermite(saturate(vecs)), vecs
+
+    def test_agrees_with_fraction_reference(self):
+        rng = random.Random(402)
+        counts = {"member": 0, "non-member": 0, "outside": 0}
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            n = rng.randint(k, 6)
+            basis = saturate([tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(k)])
+            if len(basis) != k:
+                continue
+            # the basis with its last row doubled: still echelon, index 2
+            half = basis[:-1] + [tuple(2 * x for x in basis[-1])]
+            for _ in range(5):
+                coords = [rng.randint(-4, 4) for _ in range(k)]
+                v = tuple(sum(c * b[j] for c, b in zip(coords, basis)) for j in range(n))
+                assert express_in_basis(basis, v) == tuple(coords)
+                assert reference_express_in_basis(basis, v) == tuple(coords)
+                counts["member"] += 1
+                if coords[-1] % 2:
+                    counts["non-member"] += 1
+                    assert self.outcome(express_in_basis, half, v) == "LatticeError"
+                    assert self.outcome(reference_express_in_basis, half, v) == "LatticeError"
+                    assert not in_row_lattice(half, v)
+                else:
+                    expected = tuple(coords[:-1]) + (coords[-1] // 2,)
+                    assert express_in_basis(half, v) == expected
+                    assert reference_express_in_basis(half, v) == expected
+                w = tuple(rng.randint(-5, 5) for _ in range(n))
+                if rank_of(basis + [w]) > k:
+                    counts["outside"] += 1
+                    assert self.outcome(express_in_basis, basis, w) == "LatticeError"
+                    assert self.outcome(reference_express_in_basis, basis, w) == "LatticeError"
+                    assert not in_row_lattice(basis, w)
+        assert min(counts.values()) >= 100, counts
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(0, 1), (1, 0)], [(1, 0), (2, 1)], [(1, 0), (0, 0)], [(0, 1, 0), (0, 1, 1)]],
+        ids=["pivots-descend", "pivot-column-not-cleared", "zero-row", "repeated-pivot"],
+    )
+    def test_rejects_rows_not_in_echelon_form(self, rows):
+        with pytest.raises(LatticeError, match="echelon"):
+            express_in_basis(rows, tuple(sum(col) for col in zip(*rows)))
+
+    def test_rejects_rank_mismatch(self):
+        with pytest.raises(LatticeError, match="rank"):
+            express_in_basis([(1, 0)], (1, 0, 0))
 
 
 class TestLp:

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mldhat.cones import Cone, ConeError, FaceSpec, dual_cone
-from mldhat.hilbert import hilbert_basis
+from mldhat.hilbert import hilbert_basis, independent_subsets
 from mldhat.lattice import (
     LatticeError,
     LimitError,
@@ -15,6 +15,7 @@ from mldhat.lattice import (
     rank_of,
 )
 from mldhat.toric import (
+    OrbitDimension,
     mld_at_point,
     minimize_spanning_cost,
     orbit_dimension,
@@ -395,7 +396,54 @@ class TestInvariants:
             assert spanning_cost_greedy(a, hb).value >= n
 
 
+def reference_orbit_dimension(a, m, hb):
+    """The orbit dimension from every optimal spanning set, by brute force.
+
+    The threshold is the least, over the spanning sets of least cost, of
+    their largest pairing with a.
+    """
+    n = hb.rank
+    costs = [
+        (sum(pairing(u, a) for u in combo), max(pairing(u, a) for u in combo))
+        for combo in independent_subsets(hb.elements, n)
+    ]
+    value = min(cost for cost, _ in costs)
+    threshold = min(top for cost, top in costs if cost == value)
+    exact = m >= threshold
+    lower = (m + 1) * n - value
+    upper = lower if exact else (m + 1) * n - m
+    return OrbitDimension(exact=exact, lower=lower, upper=upper, cost=value, threshold=threshold)
+
+
 class TestOrbitDimension:
+    def test_agrees_with_bruteforce_threshold(self):
+        rng = random.Random(83)
+        checks = 0
+        below = 0
+        cones = 0
+        while cones < 40:
+            n = rng.choice((2, 2, 3, 3, 4))
+            c = random_pointed_cone(rng, n, 3 if n < 4 else 2)
+            d = dual_cone(c)
+            if len(independent_subsets(d.generators, n)) > 40:
+                continue
+            try:
+                hb = hilbert_basis(d, max_points=2000)
+            except LimitError:
+                continue
+            if len(hb.elements) > 14:
+                continue
+            cones += 1
+            for _ in range(6):
+                a = random_interior_point(rng, c)
+                for m in range(1, 9):
+                    expected = reference_orbit_dimension(a, m, hb)
+                    assert orbit_dimension(a, m, hb) == expected, (c.generators, a, m)
+                    below += not expected.exact
+                    checks += 1
+        assert checks == 40 * 6 * 8
+        assert below >= 200
+
     def test_exact_smooth_case(self):
         hb = hilbert_basis(dual_cone(orthant(2)))
         d = orbit_dimension((1, 1), 3, hb)
