@@ -15,13 +15,14 @@ of two kinds of varieties:
 A finite-field jet oracle provides independent desk-scale verification of
 the dimension formulas behind both computations.
 
-All arithmetic is exact (arbitrary-precision integers and rationals); all
+All arithmetic is exact (arbitrary-precision integers only); all
 values are immutable and all operations are pure functions, so everything
 here is safe to call concurrently.
 """
 
 from .cones import Cone, FaceSpec, dual_cone, face_cone, has_isolated_fixed_point
 from .cones import is_simplicial, is_smooth, membership, split_torus_factor
+from .cones import RationalPolytope, UnboundedPolytopeError, enumerate_lattice_points
 from .hilbert import HilbertBasis, hilbert_basis
 from .hypersurface import (
     AlphaTuple,
@@ -39,9 +40,6 @@ from .hypersurface import (
 from .lattice import (
     LatticeError,
     LimitError,
-    RationalPolytope,
-    UnboundedPolytopeError,
-    enumerate_lattice_points,
     pairing,
     rank_of,
     saturate,
@@ -62,7 +60,6 @@ from .toric import (
     mld_at_point,
     minimize_spanning_cost,
     orbit_dimension,
-    spanning_cost_bruteforce,
     spanning_cost_greedy,
 )
 
@@ -107,7 +104,6 @@ __all__ = [
     "pairing",
     "rank_of",
     "saturate",
-    "spanning_cost_bruteforce",
     "spanning_cost_greedy",
     "split_torus_factor",
     "staircase_verify",

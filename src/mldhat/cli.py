@@ -36,6 +36,7 @@ from .oracle import (
 from .toric import mld_at_point
 
 BIG = 2**63
+INTEGER = re.compile(r"-?[0-9]+")  # the decimal integers of `integer`
 
 
 def _encode(value):
@@ -56,10 +57,13 @@ def _encode(value):
 
 
 def _decode(value):
-    """Inverse of _encode: big-integer strings come back as ints."""
+    """Inverse of _encode: big-integer strings come back as ints.
+
+    A string counts as an integer by the rule of `integer`, so "--5" or
+    "²" stay strings.
+    """
     if isinstance(value, str):
-        stripped = value.lstrip("-")
-        if stripped.isdigit() and abs(int(value)) >= BIG:
+        if INTEGER.fullmatch(value) and abs(int(value)) >= BIG:
             return int(value)
         return value
     if isinstance(value, dict):
@@ -119,7 +123,7 @@ def _witness_dict(witness):
 
 def integer(text):
     """A decimal integer: an optional minus sign and ASCII digits, nothing else."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not INTEGER.fullmatch(text):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
 

@@ -20,9 +20,11 @@ span.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .lattice import (
+    LatticeError,
     as_vector,
     determinant,
     express_in_basis,
@@ -381,3 +383,64 @@ def has_isolated_fixed_point(c: Cone) -> bool:
         if not is_smooth(face):
             return False
     return True
+
+
+class UnboundedPolytopeError(LatticeError):
+    """The polytope handed to an enumeration is unbounded."""
+
+
+@dataclass(frozen=True)
+class RationalPolytope:
+    """Intersection of half-spaces <normal, x> >= offset with integer data."""
+
+    ambient_rank: int
+    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+
+    def __post_init__(self):
+        for normal, _offset in self.inequalities:
+            if len(normal) != self.ambient_rank:
+                raise LatticeError("inequality normal has wrong rank")
+
+    def contains(self, point) -> bool:
+        return all(pairing(n, point) >= b for n, b in self.inequalities)
+
+
+def enumerate_lattice_points(p: RationalPolytope) -> list[tuple[int, ...]]:
+    """All lattice points of a bounded polytope, in lexicographic order.
+
+    P = {x : <normal, x> >= offset} is the slice t = 1 of the cone
+    K = {(x, t) : t >= 0, <normal, x> - offset t >= 0} in Z^(n+1), and
+    `dual_description` writes K = lin + cone(rays).  The lines have t = 0,
+    since t >= 0 is one of the inequalities.  As t is nonnegative on K, the
+    face K cap {t = 0}, the recession cone of P, is generated by the lines
+    and the rays with t = 0; and P is empty exactly when no ray has t > 0.
+    Otherwise:
+
+    * Coordinate j is unbounded above on P exactly when the recession cone
+      holds an x with x_j > 0: when some line has x_j != 0 or some ray with
+      t = 0 has x_j > 0.  It is unbounded below exactly when some ray with
+      t = 0 has x_j < 0 (a line would already have counted as "above").
+      Coordinates are checked in order, above before below.
+    * Past these checks there are no lines and no rays with t = 0 (each is
+      nonzero in some coordinate), so P is the convex hull of its vertices
+      r / t over the rays with t > 0.  Every lattice point lies in the box
+      min ceil(r_j / t) <= x_j <= max floor(r_j / t), in exact floor
+      division, and the box is scanned and filtered by the inequalities.
+    """
+    n = p.ambient_rank
+    cone_ineqs = [tuple(normal) + (-offset,) for normal, offset in p.inequalities]
+    lines, rays = dual_description(cone_ineqs + [(0,) * n + (1,)], n + 1)
+    vertices = [r for r in rays if r[n] > 0]
+    if not vertices:
+        return []
+    recession = [r for r in rays if r[n] == 0]
+    for j in range(n):
+        if any(l[j] for l in lines) or any(r[j] > 0 for r in recession):
+            raise UnboundedPolytopeError(f"coordinate {j} is unbounded above")
+        if any(r[j] < 0 for r in recession):
+            raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")
+    ranges = [
+        range(min(-(-r[j] // r[n]) for r in vertices), max(r[j] // r[n] for r in vertices) + 1)
+        for j in range(n)
+    ]
+    return [pt for pt in itertools.product(*ranges) if p.contains(pt)]

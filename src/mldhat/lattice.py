@@ -1,27 +1,21 @@
-"""Exact integer and rational linear algebra for lattice computations.
+"""Exact integer linear algebra for lattice computations.
 
 Lattice vectors are plain tuples of Python ints; the ambient rank is the
-tuple length.  Everything here is exact: integer elimination for ranks,
-kernels, saturations and coordinates, and a ``fractions.Fraction``
-exact-pivot simplex for certifying that polytopes are bounded.  No floating
-point is used anywhere.
+tuple length.  Everything here is integer elimination: the row Hermite form
+gives ranks, kernels and saturations, Bareiss elimination gives
+determinants, and one pass along echelon pivots gives coordinates.  No
+floating point and no rational arithmetic is used anywhere.  Polyhedral
+questions (duals, faces, lattice points of polytopes) are answered by the
+double description in `cones`.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
 class LatticeError(ValueError):
     """Invalid input to a lattice operation (e.g. mismatched ranks)."""
-
-
-class UnboundedPolytopeError(LatticeError):
-    """The polytope handed to an enumeration is unbounded."""
 
 
 class LimitError(RuntimeError):
@@ -142,30 +136,21 @@ def rank_of(vectors) -> int:
     return len(row_hermite(vecs))
 
 
-def integer_kernel(rows) -> list[Vector]:
+def integer_kernel(rows, n) -> list[Vector]:
     """Basis of the saturated lattice {x in Z^n : r . x = 0 for all rows r}.
 
     Computed from the Hermite form of the transposed matrix augmented with an
     identity block: rows whose constraint part vanishes carry a kernel basis.
+    With no rows every row of the block qualifies, and the kernel Z^n comes
+    back as the unit vectors.
     """
-    rows = [tuple(r) for r in rows]
-    if rows:
-        n = len(rows[0])
-    else:
-        raise LatticeError("integer_kernel needs the ambient rank; pass a nonempty matrix")
+    rows = [as_vector(r, n) for r in rows]
     m = len(rows)
     aug = []
     for j in range(n):
         aug.append(tuple(rows[i][j] for i in range(m)) + tuple(1 if k == j else 0 for k in range(n)))
     h = row_hermite(aug)
     return [r[m:] for r in h if all(x == 0 for x in r[:m])]
-
-
-def kernel_in_rank(rows, n) -> list[Vector]:
-    """Like integer_kernel but usable with an empty constraint list."""
-    if not rows:
-        return [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-    return integer_kernel(rows)
 
 
 def saturate(vectors) -> list[Vector]:
@@ -178,53 +163,11 @@ def saturate(vectors) -> list[Vector]:
     the kernel rows of a row Hermite form, restricted to the kernel block,
     so they are in row Hermite form themselves, as `express_in_basis` needs.
     """
-    vecs = [tuple(v) for v in vectors]
+    vecs = list(vectors)
     if not vecs:
         return []
     n = len(vecs[0])
-    for v in vecs:
-        if len(v) != n:
-            raise LatticeError("vectors of mixed rank")
-    perp = kernel_in_rank(vecs, n)
-    return kernel_in_rank(perp, n)
-
-
-def _echelon_reduce(rows, v):
-    """Coordinates q and remainder v - sum q_i rows_i along echelon pivots.
-
-    Each row's first nonzero entry, its pivot, lies right of the previous
-    row's, so every later row vanishes in that column: reading q_i from the
-    pivot column of row i, top to bottom, leaves a remainder that is zero
-    there.  The remainder is zero exactly when v is an integer combination of
-    the rows, and then q is its unique coordinate vector.  Raises
-    LatticeError on rows that are not in echelon form.
-    """
-    x = list(v)
-    coords = []
-    last = -1
-    for r in rows:
-        if len(r) != len(x):
-            raise LatticeError(f"rank mismatch: row of rank {len(r)}, vector of rank {len(x)}")
-        col = next((j for j, e in enumerate(r) if e != 0), len(r))
-        if not last < col < len(r):
-            raise LatticeError("basis rows are not in echelon form")
-        q = x[col] // r[col]
-        x = [a - q * b for a, b in zip(x, r)]
-        coords.append(q)
-        last = col
-    return tuple(coords), x
-
-
-def in_row_lattice(rows, x) -> bool:
-    """Is x an integer combination of the given rows?"""
-    _, rest = _echelon_reduce(row_hermite(list(rows)), x)
-    return is_zero(rest)
-
-
-def same_lattice(rows_a, rows_b) -> bool:
-    return all(in_row_lattice(rows_b, a) for a in rows_a) and all(
-        in_row_lattice(rows_a, b) for b in rows_b
-    )
+    return integer_kernel(integer_kernel(vecs, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -279,185 +222,28 @@ def adjugate(rows) -> list[Vector]:
 def express_in_basis(basis_rows, v) -> Vector:
     """Integer coordinates of v in a basis given in echelon form.
 
-    `saturate` and `row_hermite` return their rows in that form.  Raises
-    LatticeError when the rows are not in echelon form or v is not an
-    integer combination of them.
+    `saturate` and `row_hermite` return their rows in that form.  Each row's
+    first nonzero entry, its pivot, lies right of the previous row's, so
+    every later row vanishes in that column: reading the coordinate q_i from
+    the pivot column of row i, top to bottom, leaves a remainder
+    v - sum q_i rows_i that is zero there.  The remainder is zero exactly
+    when v is an integer combination of the rows, and then q is its unique
+    coordinate vector.  Raises LatticeError when the rows are not in echelon
+    form, a rank differs, or v is not an integer combination of the rows.
     """
-    coords, rest = _echelon_reduce(basis_rows, v)
-    if not is_zero(rest):
+    x = list(v)
+    coords = []
+    last = -1
+    for r in basis_rows:
+        if len(r) != len(x):
+            raise LatticeError(f"rank mismatch: row of rank {len(r)}, vector of rank {len(x)}")
+        col = next((j for j, e in enumerate(r) if e != 0), len(r))
+        if not last < col < len(r):
+            raise LatticeError("basis rows are not in echelon form")
+        q = x[col] // r[col]
+        x = [a - q * b for a, b in zip(x, r)]
+        coords.append(q)
+        last = col
+    if not is_zero(x):
         raise LatticeError("vector is not in the lattice of the basis")
-    return coords
-
-
-# ---------------------------------------------------------------------------
-# Exact linear programming (simplex with Fraction pivots, Bland's rule)
-
-OPTIMAL = "OPTIMAL"
-UNBOUNDED = "UNBOUNDED"
-INFEASIBLE = "INFEASIBLE"
-
-
-def solve_lp_max(objective, ineq_rows, ineq_rhs):
-    """Maximize objective . x subject to A x >= b, x free.
-
-    Returns (status, value, point) with exact Fractions; value and point are
-    None unless status is OPTIMAL.
-    """
-    m = len(ineq_rows)
-    n = len(objective)
-    # x = u - w with u, w >= 0; A x - s = b with surplus s >= 0.
-    nv = 2 * n + m
-    rows = []
-    rhs = []
-    for i in range(m):
-        a = ineq_rows[i]
-        row = [Fraction(x) for x in a] + [Fraction(-x) for x in a] + [
-            Fraction(-1) if j == i else Fraction(0) for j in range(m)
-        ]
-        b = Fraction(ineq_rhs[i])
-        if b < 0:
-            row = [-e for e in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-    cost = [Fraction(x) for x in objective] + [Fraction(-x) for x in objective] + [
-        Fraction(0)
-    ] * m
-
-    # phase 1: artificial basis
-    basis = list(range(nv, nv + m))
-    tab = [
-        rows[i]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        + [rhs[i]]
-        for i in range(m)
-    ]
-
-    def run_simplex(costvec, total):
-        # minimize costvec . vars with Bland's rule; False means unbounded
-        while True:
-            nrows = len(tab)
-            cb = [costvec[b] for b in basis]
-            entering = -1
-            for j in range(total):
-                if j in basis:
-                    continue
-                red = costvec[j] - sum(cb[i] * tab[i][j] for i in range(nrows))
-                if red < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return True
-            leaving = -1
-            best = None
-            for i in range(nrows):
-                if tab[i][entering] > 0:
-                    ratio = tab[i][-1] / tab[i][entering]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = i
-            if leaving < 0:
-                return False
-            piv = tab[leaving][entering]
-            tab[leaving] = [e / piv for e in tab[leaving]]
-            for i in range(nrows):
-                if i != leaving and tab[i][entering]:
-                    f = tab[i][entering]
-                    tab[i] = [a - f * b for a, b in zip(tab[i], tab[leaving])]
-            basis[leaving] = entering
-
-    phase_cost = [Fraction(0)] * nv + [Fraction(1)] * m
-    run_simplex(phase_cost, nv + m)
-    phase1 = sum(tab[i][-1] for i in range(len(tab)) if basis[i] >= nv)
-    if phase1 != 0:
-        return INFEASIBLE, None, None
-    # drive leftover zero-level artificials out of the basis when possible
-    for i in range(len(tab)):
-        if basis[i] >= nv:
-            entering = next((j for j in range(nv) if tab[i][j] != 0), None)
-            if entering is None:
-                continue
-            piv = tab[i][entering]
-            tab[i] = [e / piv for e in tab[i]]
-            for r in range(len(tab)):
-                if r != i and tab[r][entering]:
-                    f = tab[r][entering]
-                    tab[r] = [a - f * b for a, b in zip(tab[r], tab[i])]
-            basis[i] = entering
-    # rows still basic in an artificial are redundant (all real coefficients 0)
-    keep = [i for i in range(len(tab)) if basis[i] < nv]
-    tab = [tab[i][:nv] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # phase 2: maximize cost = minimize -cost on the artificial-free tableau
-    if not run_simplex([-c for c in cost], nv):
-        return UNBOUNDED, None, None
-    values = [Fraction(0)] * nv
-    for i in range(len(tab)):
-        values[basis[i]] = tab[i][-1]
-    point = tuple(values[j] - values[n + j] for j in range(n))
-    value = sum(Fraction(objective[j]) * point[j] for j in range(n))
-    return OPTIMAL, value, point
-
-
-# ---------------------------------------------------------------------------
-# Rational polytopes and lattice point enumeration
-
-
-@dataclass(frozen=True)
-class RationalPolytope:
-    """Intersection of half-spaces <normal, x> >= offset with integer data."""
-
-    ambient_rank: int
-    inequalities: tuple[tuple[Vector, int], ...]
-
-    def __post_init__(self):
-        for normal, _offset in self.inequalities:
-            if len(normal) != self.ambient_rank:
-                raise LatticeError("inequality normal has wrong rank")
-
-    def contains(self, point) -> bool:
-        return all(pairing(n, point) >= b for n, b in self.inequalities)
-
-
-def polytope_bounds(p: RationalPolytope):
-    """Exact coordinate-wise bounds of a polytope via linear programming.
-
-    Returns (lower, upper) integer bounds covering all lattice points, or
-    None when the polytope is empty.  Raises UnboundedPolytopeError when any
-    coordinate is unbounded.
-    """
-    n = p.ambient_rank
-    rows = [ineq[0] for ineq in p.inequalities]
-    rhs = [ineq[1] for ineq in p.inequalities]
-    lower = []
-    upper = []
-    for j in range(n):
-        direction = tuple(1 if k == j else 0 for k in range(n))
-        status, value, _ = solve_lp_max(direction, rows, rhs)
-        if status == INFEASIBLE:
-            return None
-        if status == UNBOUNDED:
-            raise UnboundedPolytopeError(f"coordinate {j} is unbounded above")
-        hi = value
-        status, value, _ = solve_lp_max(vec_neg(direction), rows, rhs)
-        if status == UNBOUNDED:
-            raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")
-        lo = -value
-        lower.append(math.ceil(lo))
-        upper.append(math.floor(hi))
-    return lower, upper
-
-
-def enumerate_lattice_points(p: RationalPolytope) -> list[Vector]:
-    """All lattice points of a bounded polytope, in lexicographic order."""
-    bounds = polytope_bounds(p)
-    if bounds is None:
-        return []
-    lower, upper = bounds
-    if any(lo > hi for lo, hi in zip(lower, upper)):
-        return []
-    ranges = [range(lo, hi + 1) for lo, hi in zip(lower, upper)]
-    return [pt for pt in itertools.product(*ranges) if p.contains(pt)]
+    return tuple(coords)

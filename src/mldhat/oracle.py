@@ -161,6 +161,24 @@ def _window_orders(support: Support, alpha, m):
     return alpha
 
 
+def _combine(coeffs, per_monomial, s, prime):
+    """G_s = sum_i coeffs[i] * (t^s coefficient of monomial i's series).
+
+    Reduced mod prime unless prime is None; zero coefficients are dropped.
+    """
+    acc: dict[Monomial, int] = {}
+    for c, series in zip(coeffs, per_monomial):
+        for mono, k in series.get(s, {}).items():
+            v = acc.get(mono, 0) + c * k
+            if prime is not None:
+                v %= prime
+            if v:
+                acc[mono] = v
+            else:
+                acc.pop(mono, None)
+    return acc
+
+
 def expand(support: Support, coeffs, alpha, m, prime=None, upto=None) -> TruncatedExpansion:
     """Arc expansion of sum_i coeffs[i] x^{I^i} with orders alpha, cut at m.
 
@@ -176,20 +194,10 @@ def expand(support: Support, coeffs, alpha, m, prime=None, upto=None) -> Truncat
     if any(c == 0 if prime is None else c % prime == 0 for c in coeffs):
         raise OracleError("coefficients must be nonzero in the field")
     upto = m if upto is None else upto
-    total: dict[int, dict] = {}
-    for c, exponents in zip(coeffs, support.exponents):
-        series = _expand_single_monomial(exponents, alpha, m, upto)
-        for s, poly in series.items():
-            acc = total.setdefault(s, {})
-            for mono, k in poly.items():
-                v = acc.get(mono, 0) + c * k
-                if prime is not None:
-                    v %= prime
-                if v:
-                    acc[mono] = v
-                else:
-                    acc.pop(mono, None)
-    total = {s: p for s, p in total.items() if p}
+    per_monomial = [_expand_single_monomial(e, alpha, m, upto) for e in support.exponents]
+    total = {
+        s: poly for s in range(upto + 1) if (poly := _combine(coeffs, per_monomial, s, prime))
+    }
     for s, poly in total.items():
         for mono in poly:
             if _monomial_weight(mono) != s:
@@ -403,17 +411,7 @@ def staircase_verify(
     reasons = []
     for _ in range(trials):
         coeffs = [rng.randrange(1, prime) for _ in support.exponents]
-        gks = {}
-        for k in equations:
-            acc: dict[Monomial, int] = {}
-            for c, series in zip(coeffs, per_monomial):
-                for mono, v in series.get(k, {}).items():
-                    combined = (acc.get(mono, 0) + c * v) % prime
-                    if combined:
-                        acc[mono] = combined
-                    else:
-                        acc.pop(mono, None)
-            gks[k] = acc
+        gks = {k: _combine(coeffs, per_monomial, k, prime) for k in equations}
         assignment = {}
         pivot_vars = set(pivots.values()) | {base_pivot}
         for var in window:
@@ -508,19 +506,13 @@ def torus_point_sample(
     for trial in range(trials):
         coeffs = {i: rng.randrange(1, prime) for i in coeff_indices}
         point = [rng.randrange(1, prime) for _ in range(nv)]
-        uni: dict[int, int] = {}
+        # the form as a window polynomial in variables j, terms with equal
+        # exponents added up, collapsed onto the solve variable
+        poly: dict[tuple, int] = {}
         for mult, ci, expo in initial_form.terms:
-            val = (mult * coeffs[ci]) % prime
-            deg = 0
-            for j, e in enumerate(expo):
-                if j == solve_var:
-                    deg += e
-                else:
-                    val = (val * pow(point[j], e, prime)) % prime
-            if val:
-                uni[deg] = (uni.get(deg, 0) + val) % prime
-        uni = {d: c for d, c in uni.items() if c % prime}
-        roots = _nonzero_roots(uni, prime, rng)
+            mono = tuple(enumerate(expo))
+            poly[mono] = poly.get(mono, 0) + mult * coeffs[ci]
+        roots = _nonzero_roots(_substitute(poly, point, solve_var, prime), prime, rng)
         for root in roots:
             point[solve_var] = root
             if initial_form.evaluate(coeffs, point, prime):

@@ -37,22 +37,14 @@ from dataclasses import dataclass
 
 from .cones import Cone, ConeError, FaceSpec, dual_cone, face_cone, resolve_face
 from .cones import split_torus_factor
+from .cones import enumerate_lattice_points  # not called here; perfbench/tracing.py wraps this name
 from .hilbert import (
     HilbertBasis,
     budgeted_subsets,
     hilbert_basis,
-    independent_subsets,
     parallelepiped_points,
 )
-from .lattice import (
-    LatticeError,
-    LimitError,
-    adjugate,
-    as_vector,
-    enumerate_lattice_points,  # not called here; perfbench/tracing.py wraps this name
-    pairing,
-    rank_of,
-)
+from .lattice import LatticeError, adjugate, as_vector, pairing, rank_of
 
 
 @dataclass(frozen=True)
@@ -118,31 +110,6 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
         raise LatticeError("basis does not span; cone cannot be full-dimensional")
     value = sum(pairing(u, a) for u in chosen)
     return SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(chosen)))
-
-
-def spanning_cost_bruteforce(a, hb: HilbertBasis, max_subsets=1_000_000) -> SpanningWitness:
-    """Exhaustive minimum over all spanning subsets; the greedy oracle."""
-    n = hb.rank
-    a = as_vector(a, n)
-    if not hb.is_interior_point(a):
-        raise LatticeError("spanning cost needs an interior lattice point")
-    s = len(hb.elements)
-    count = 1
-    for i in range(n):
-        count = count * (s - i) // (i + 1)
-    if count > max_subsets:
-        raise LimitError(
-            f"{count} subsets exceed the guard ({max_subsets}); use the greedy form"
-        )
-    best = None
-    for combo in independent_subsets(hb.elements, n):
-        value = sum(pairing(u, a) for u in combo)
-        cand = SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(combo)))
-        if best is None or cand.sort_key() < best.sort_key():
-            best = cand
-    if best is None:
-        raise LatticeError("basis does not span; cone cannot be full-dimensional")
-    return best
 
 
 def _candidate_points(cone: Cone, max_points: int | None):

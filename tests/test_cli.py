@@ -657,3 +657,13 @@ class TestRoundTrip:
     def test_small_integers_stay_ints(self):
         report = {"value": 42, "flag": True, "none": None}
         assert load_report(dump_report(report)) == report
+
+    @pytest.mark.parametrize("text", ["--5", "²", "--99999999999999999999"])
+    def test_strings_that_are_not_integers_stay_strings(self, text):
+        # before, str.isdigit admitted these and int() raised ValueError
+        assert load_report(json.dumps({"value": text})) == {"value": text}
+
+    def test_big_integer_round_trip_at_the_threshold(self):
+        values = [2**63, -(2**63), 2**63 - 1, -(2**63) + 1, 10**40, -(10**40)]
+        report = {"values": values, "text": "99999999999999999999x"}
+        assert load_report(dump_report(report)) == report

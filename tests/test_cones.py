@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,39 @@ from mldhat.lattice import (
     vec_scale,
     vec_sub,
 )
+
+
+def exact_coefficients(cols, u):
+    """The c with sum c_i cols_i = u for independent cols, by Fraction
+    elimination; None when the cols are dependent or u is outside their span.
+    """
+    k = len(cols)
+    mat = [[Fraction(c[i]) for c in cols] + [Fraction(u[i])] for i in range(len(u))]
+    for col in range(k):
+        piv = next((i for i in range(col, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        mat[col] = [e / mat[col][col] for e in mat[col]]
+        for i in range(len(mat)):
+            if i != col and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    if any(mat[i][k] for i in range(k, len(mat))):
+        return None
+    return [mat[i][k] for i in range(k)]
+
+
+def in_cone_caratheodory(u, gens):
+    """Is u a nonnegative combination of gens?  By Caratheodory's theorem it
+    is exactly when it is one of some linearly independent subset, whose
+    coefficients are unique and found by exact elimination.
+    """
+    return any(
+        (c := exact_coefficients(subset, u)) is not None and all(x >= 0 for x in c)
+        for k in range(len(u) + 1)
+        for subset in itertools.combinations(gens, k)
+    )
 
 
 def reference_dual_description(ineq_vectors, n):
@@ -494,10 +528,10 @@ class TestDualDescription:
     def test_generation_completeness_via_lp(self):
         # every grid point satisfying the inequalities must be a combination
         # of the returned generators with free line and nonnegative ray
-        # coefficients; checked by an exact feasibility program
-        from mldhat.lattice import INFEASIBLE, solve_lp_max
-
+        # coefficients; checked exactly by Caratheodory's theorem over the
+        # rays and both signs of every line
         rng = random.Random(47)
+        checked = 0
         for _ in range(25):
             n = rng.randint(1, 3)
             vecs = [
@@ -506,27 +540,12 @@ class TestDualDescription:
             ]
             vecs = [v for v in vecs if any(v)] or [(1,) * n]
             lines, rays = dual_description(vecs, n)
-            gens = list(lines) + list(rays)
-            if not gens:
-                continue
+            gens = list(rays) + list(lines) + [vec_neg(l) for l in lines]
             for u in itertools.product(range(-2, 3), repeat=n):
-                if not all(pairing(u, v) >= 0 for v in vecs):
-                    continue
-                # coordinates: line coefficients free, ray coefficients >= 0
-                cols = len(gens)
-                ineqs = []
-                rhs = []
-                for i in range(n):
-                    row = tuple(g[i] for g in gens)
-                    ineqs.append(row)
-                    rhs.append(u[i])
-                    ineqs.append(tuple(-x for x in row))
-                    rhs.append(-u[i])
-                for j in range(len(lines), cols):
-                    ineqs.append(tuple(1 if k == j else 0 for k in range(cols)))
-                    rhs.append(0)
-                status, _, _ = solve_lp_max((0,) * cols, ineqs, rhs)
-                assert status != INFEASIBLE, (vecs, lines, rays, u)
+                if all(pairing(u, v) >= 0 for v in vecs):
+                    assert in_cone_caratheodory(u, gens), (vecs, lines, rays, u)
+                    checked += 1
+        assert checked >= 200
 
     def test_random_agreement_with_grid(self):
         rng = random.Random(31)

@@ -6,24 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mldhat.cones import RationalPolytope, UnboundedPolytopeError, enumerate_lattice_points
 from mldhat.lattice import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
     LatticeError,
-    RationalPolytope,
-    UnboundedPolytopeError,
     as_vector,
-    enumerate_lattice_points,
     express_in_basis,
-    in_row_lattice,
     integer_kernel,
     pairing,
     primitive,
     rank_of,
-    same_lattice,
+    row_hermite,
     saturate,
-    solve_lp_max,
 )
 
 
@@ -161,16 +154,17 @@ class TestSaturate:
         basis = saturate([(2, 0)])
         assert len(basis) == 1
         assert primitive(basis[0]) == basis[0]
-        assert same_lattice(basis, [(1, 0)])
+        # the row Hermite form is canonical: equal forms, equal lattices
+        assert row_hermite(basis) == row_hermite([(1, 0)])
 
     def test_identity(self):
         basis = saturate([(1, 0), (0, 1)])
-        assert same_lattice(basis, [(1, 0), (0, 1)])
+        assert row_hermite(basis) == row_hermite([(1, 0), (0, 1)])
 
     def test_full_saturation_by_smith_reasoning(self):
         # the Q-span of (2,2),(0,4) is the whole plane, so the saturation is Z^2
         basis = saturate([(2, 2), (0, 4)])
-        assert same_lattice(basis, [(1, 0), (0, 1)])
+        assert row_hermite(basis) == row_hermite([(1, 0), (0, 1)])
 
     def test_inputs_are_integer_combinations(self):
         rng = random.Random(11)
@@ -183,7 +177,8 @@ class TestSaturate:
             basis = saturate(vecs)
             assert len(basis) == rank_of(vecs)
             for v in vecs:
-                assert in_row_lattice(basis, v)
+                coords = express_in_basis(basis, v)
+                assert tuple(sum(c * b[j] for c, b in zip(coords, basis)) for j in range(n)) == v
 
     def test_idempotent(self):
         rng = random.Random(13)
@@ -195,7 +190,7 @@ class TestSaturate:
             ]
             once = saturate(vecs)
             twice = saturate(once) if once else []
-            assert same_lattice(once, twice)
+            assert row_hermite(once) == row_hermite(twice)
 
     def test_zero_vector_input(self):
         assert saturate([(0, 0)]) == []
@@ -203,10 +198,19 @@ class TestSaturate:
 
     def test_kernel_orthogonality(self):
         rows = [(2, 4, 6), (1, 1, 1)]
-        ker = integer_kernel(rows)
+        ker = integer_kernel(rows, 3)
+        assert len(ker) == 1
         for k in ker:
             for r in rows:
                 assert pairing(r, k) == 0
+
+    def test_kernel_without_constraints(self):
+        assert integer_kernel([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert integer_kernel([], 0) == []
+
+    def test_kernel_rejects_wrong_rank(self):
+        with pytest.raises(LatticeError):
+            integer_kernel([(1, 2)], 3)
 
 
 class TestExpressInBasis:
@@ -245,7 +249,6 @@ class TestExpressInBasis:
                     counts["non-member"] += 1
                     assert self.outcome(express_in_basis, half, v) == "LatticeError"
                     assert self.outcome(reference_express_in_basis, half, v) == "LatticeError"
-                    assert not in_row_lattice(half, v)
                 else:
                     expected = tuple(coords[:-1]) + (coords[-1] // 2,)
                     assert express_in_basis(half, v) == expected
@@ -255,7 +258,6 @@ class TestExpressInBasis:
                     counts["outside"] += 1
                     assert self.outcome(express_in_basis, basis, w) == "LatticeError"
                     assert self.outcome(reference_express_in_basis, basis, w) == "LatticeError"
-                    assert not in_row_lattice(basis, w)
         assert min(counts.values()) >= 100, counts
 
     @pytest.mark.parametrize(
@@ -270,34 +272,6 @@ class TestExpressInBasis:
     def test_rejects_rank_mismatch(self):
         with pytest.raises(LatticeError, match="rank"):
             express_in_basis([(1, 0)], (1, 0, 0))
-
-
-class TestLp:
-    def test_bounded_segment(self):
-        status, value, _ = solve_lp_max((1,), [(1,), (-1,)], [0, -1])
-        assert status == OPTIMAL and value == 1
-
-    def test_unbounded(self):
-        status, _, _ = solve_lp_max((1,), [(1,)], [0])
-        assert status == UNBOUNDED
-
-    def test_infeasible(self):
-        status, _, _ = solve_lp_max((1,), [(1,), (-1,)], [1, 0])
-        assert status == INFEASIBLE
-
-    def test_triangle_vertex(self):
-        # max x + y over x >= 0, y >= 0, x + y <= 1
-        status, value, _ = solve_lp_max(
-            (1, 1), [(1, 0), (0, 1), (-1, -1)], [0, 0, -1]
-        )
-        assert status == OPTIMAL and value == 1
-
-    def test_fractional_optimum(self):
-        # max y over y <= x/2, x <= 3, y >= 0 -> 3/2
-        status, value, _ = solve_lp_max(
-            (0, 1), [(1, -2), (-1, 0), (0, 1)], [0, -3, 0]
-        )
-        assert status == OPTIMAL and value == Fraction(3, 2)
 
 
 class TestEnumerate:
@@ -327,25 +301,71 @@ class TestEnumerate:
 
     def test_random_polytopes_against_box_scan(self):
         rng = random.Random(23)
-        tried = 0
-        while tried < 40:
-            n = rng.randint(1, 3)
+        counts = {"points": 0, "empty": 0}
+        ranks = set()
+        for _ in range(120):
+            n = rng.randint(1, 4)
             ineqs = []
             # random cuts plus a bounding box to keep things bounded
-            for _ in range(rng.randint(0, 3)):
+            for _ in range(rng.randint(0, 4)):
                 normal = tuple(rng.randint(-4, 4) for _ in range(n))
                 if all(x == 0 for x in normal):
                     continue
-                ineqs.append((normal, rng.randint(-6, 6)))
-            bound = rng.randint(1, 10)
+                # offsets up to 10 cut many boxes away entirely
+                ineqs.append((normal, rng.randint(-6, 10)))
+            bound = rng.randint(1, 10 if n < 4 else 3)
             for j in range(n):
                 e = tuple(1 if k == j else 0 for k in range(n))
                 ineqs.append((e, -bound))
                 ineqs.append((tuple(-x for x in e), -bound))
             p = RationalPolytope(n, tuple(ineqs))
-            expected = sorted(brute_force_points(p, 12))
-            assert enumerate_lattice_points(p) == expected
-            tried += 1
+            expected = sorted(brute_force_points(p, bound))
+            assert enumerate_lattice_points(p) == expected, ineqs
+            counts["points" if expected else "empty"] += 1
+            ranks.add(n)
+        assert ranks == {1, 2, 3, 4}
+        assert min(counts.values()) >= 20, counts
+
+    @pytest.mark.parametrize(
+        "ineqs, message",
+        [
+            # 0 <= x0 <= 1 and x1 free: the line (0, 1)
+            ((((1, 0), 0), ((-1, 0), -1)), "coordinate 1 is unbounded above"),
+            # 0 <= x0 <= 1, x1 >= 0: the recession ray (0, 1)
+            ((((1, 0), 0), ((-1, 0), -1), ((0, 1), 0)), "coordinate 1 is unbounded above"),
+            # 0 <= x0 <= 1, x1 <= 0: the recession ray (0, -1)
+            ((((1, 0), 0), ((-1, 0), -1), ((0, -1), 0)), "coordinate 1 is unbounded below"),
+            # x0 <= 2, 0 <= x1 <= 1: coordinate 0 goes down only
+            ((((-1, 0), -2), ((0, 1), 0), ((0, -1), -1)), "coordinate 0 is unbounded below"),
+            # x0 >= x1 >= 0: coordinate 0 comes first, and above before below
+            ((((1, -1), 0), ((0, 1), 0)), "coordinate 0 is unbounded above"),
+            # x0 + x1 = 0: the line (1, -1) is unbounded both ways in both coordinates
+            ((((1, 1), 0), ((-1, -1), 0)), "coordinate 0 is unbounded above"),
+        ],
+        ids=["line", "ray-up", "ray-down", "first-coordinate-down", "order", "diagonal-line"],
+    )
+    def test_unbounded_direction_in_message(self, ineqs, message):
+        with pytest.raises(UnboundedPolytopeError, match=f"^{message}$"):
+            enumerate_lattice_points(RationalPolytope(2, ineqs))
+
+    def test_empty_before_unbounded(self):
+        # x0 >= 1 and x0 <= 0 with x1 free: empty, though its recession cone is a line
+        p = RationalPolytope(2, (((1, 0), 1), ((-1, 0), 0)))
+        assert enumerate_lattice_points(p) == []
+
+    def test_zero_dimensional_ambient(self):
+        assert enumerate_lattice_points(RationalPolytope(0, ())) == [()]
+        assert enumerate_lattice_points(RationalPolytope(0, (((), 0), ((), -3)))) == [()]
+        assert enumerate_lattice_points(RationalPolytope(0, (((), 1),))) == []
+
+    def test_zero_normal(self):
+        square = (((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1))
+        points = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert enumerate_lattice_points(RationalPolytope(2, square + (((0, 0), -2),))) == points
+        assert enumerate_lattice_points(RationalPolytope(2, square + (((0, 0), 0),))) == points
+        assert enumerate_lattice_points(RationalPolytope(2, square + (((0, 0), 1),))) == []
+        # 0 >= 1 cuts away everything, unbounded directions included
+        assert enumerate_lattice_points(RationalPolytope(2, (((0, 0), 1),))) == []
 
     def test_degenerate_segment(self):
         # opposing inequalities carve out the segment x + y = 1, 0 <= x <= 1

@@ -12,3 +12,38 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def inexact_nodes(tree):
+    """(line, what) for each true division, float literal or fractions import."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "true division"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, "float literal"
+        elif isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "fractions" for alias in node.names
+        ):
+            yield node.lineno, "fractions import"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
+            yield node.lineno, "fractions import"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exact_arithmetic_only(path):
+    # every value is an exact integer: no floats, no rationals
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = sorted(inexact_nodes(tree))
+    assert not found, f"{path.name} has inexact arithmetic: {found}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["x = a / b", "x /= 2", "x = 0.5", "x = 1e3", "from fractions import Fraction", "import fractions"],
+)
+def test_exactness_check_catches(source):
+    assert list(inexact_nodes(ast.parse(source)))
+
+
+def test_exactness_check_passes_integer_code():
+    assert not list(inexact_nodes(ast.parse("x = a // b\nx //= 2\ny = 10**3\nz = float")))

@@ -4,22 +4,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mldhat.cones import Cone, ConeError, FaceSpec, dual_cone
-from mldhat.hilbert import hilbert_basis, independent_subsets
-from mldhat.lattice import (
-    LatticeError,
-    LimitError,
+from mldhat.cones import (
+    Cone,
+    ConeError,
+    FaceSpec,
     RationalPolytope,
+    dual_cone,
     enumerate_lattice_points,
-    pairing,
-    rank_of,
 )
+from mldhat.hilbert import HilbertBasis, hilbert_basis, independent_subsets
+from mldhat.lattice import LatticeError, LimitError, as_vector, pairing, rank_of
 from mldhat.toric import (
     OrbitDimension,
+    SpanningWitness,
     mld_at_point,
     minimize_spanning_cost,
     orbit_dimension,
-    spanning_cost_bruteforce,
     spanning_cost_greedy,
 )
 
@@ -28,6 +28,31 @@ A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
 # cone over the unit square; its only minimal interior point (1, 1, 2) lies
 # on the diagonal wall between the two cells of a triangulation
 SQUARE_CONE = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+
+
+def spanning_cost_bruteforce(a, hb: HilbertBasis, max_subsets=1_000_000) -> SpanningWitness:
+    """Exhaustive minimum over all spanning subsets; the greedy oracle."""
+    n = hb.rank
+    a = as_vector(a, n)
+    if not hb.is_interior_point(a):
+        raise LatticeError("spanning cost needs an interior lattice point")
+    s = len(hb.elements)
+    count = 1
+    for i in range(n):
+        count = count * (s - i) // (i + 1)
+    if count > max_subsets:
+        raise LimitError(
+            f"{count} subsets exceed the guard ({max_subsets}); use the greedy form"
+        )
+    best = None
+    for combo in independent_subsets(hb.elements, n):
+        value = sum(pairing(u, a) for u in combo)
+        cand = SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(combo)))
+        if best is None or cand.sort_key() < best.sort_key():
+            best = cand
+    if best is None:
+        raise LatticeError("basis does not span; cone cannot be full-dimensional")
+    return best
 
 
 def box_reference(cone):
