@@ -45,11 +45,9 @@ from .lattice import (
     saturate,
 )
 from .oracle import (
-    OracleConfig,
     StaircaseResult,
     TruncatedExpansion,
     expand,
-    make_torus_sampler,
     staircase_verify,
     torus_point_sample,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "HypersurfaceMldReport",
     "LatticeError",
     "LimitError",
-    "OracleConfig",
     "OrbitDimension",
     "RationalPolytope",
     "SpanningWitness",
@@ -94,7 +91,6 @@ __all__ = [
     "is_feasible",
     "is_simplicial",
     "is_smooth",
-    "make_torus_sampler",
     "membership",
     "minimize_objective",
     "minimize_spanning_cost",

@@ -25,22 +25,24 @@ from .hypersurface import (
     validate_support,
 )
 from .lattice import LatticeError, LimitError
-from .oracle import (
-    OracleConfig,
-    OracleError,
-    expand,
-    make_torus_sampler,
-    staircase_verify,
-    torus_point_sample,
-)
+from .oracle import OracleError, expand, staircase_verify, torus_point_sample
 from .toric import mld_at_point
 
 BIG = 2**63
 INTEGER = re.compile(r"-?[0-9]+")  # the decimal integers of `integer`
 
 
+def _is_big_integer_text(text):
+    """Does _decode read this string back as an integer?"""
+    return INTEGER.fullmatch(text) is not None and abs(int(text)) >= BIG
+
+
 def _encode(value):
-    """JSON-safe copy with arbitrary-precision integers kept lossless."""
+    """JSON-safe copy with arbitrary-precision integers kept lossless.
+
+    Integers of magnitude 2^63 or more become decimal strings, so a string
+    that reads as one is refused: the encoding stays one-to-one.
+    """
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
@@ -48,6 +50,8 @@ def _encode(value):
     if isinstance(value, float):
         return value
     if isinstance(value, str):
+        if _is_big_integer_text(value):
+            raise ValueError(f"the string {value!r} would read back as an integer")
         return value
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
@@ -63,9 +67,7 @@ def _decode(value):
     "²" stay strings.
     """
     if isinstance(value, str):
-        if INTEGER.fullmatch(value) and abs(int(value)) >= BIG:
-            return int(value)
-        return value
+        return int(value) if _is_big_integer_text(value) else value
     if isinstance(value, dict):
         return {k: _decode(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -193,17 +195,8 @@ def _run_toric(args):
 
 def _run_hyper(args):
     support = parse_support_file(args.support)
-    sampler = None
-    if args.certify:
-        sampler = make_torus_sampler(
-            OracleConfig(
-                prime=args.oracle_prime,
-                trials=args.oracle_trials,
-                seed=args.seed if args.seed is not None else 0,
-            )
-        )
     started = time.perf_counter()
-    report = hypersurface_report(support, sampler=sampler, max_points=args.max_subsets)
+    report = hypersurface_report(support, certify=args.certify, max_points=args.max_subsets)
     elapsed = time.perf_counter() - started
     payload = {
         "variety_kind": "hypersurface",
@@ -345,9 +338,7 @@ def build_parser():
 
     hyper = sub.add_parser("hyper", help="lower bound and certificate for a hypersurface support", allow_abbrev=False)
     hyper.add_argument("--support", required=True, help="JSON file with vars and support")
-    hyper.add_argument("--certify", action="store_true", help="strengthen the certificate with finite-field sampling")
-    hyper.add_argument("--oracle-prime", type=integer, default=10007)
-    hyper.add_argument("--oracle-trials", type=integer, default=50)
+    hyper.add_argument("--certify", action="store_true", help="decide the equality certificate exactly with the torus-zero criterion")
     hyper.set_defaults(func=_run_hyper)
 
     hilb = sub.add_parser("hilbert", help="minimal generating set of the lattice points of a cone", allow_abbrev=False)

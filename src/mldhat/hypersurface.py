@@ -39,13 +39,13 @@ normals of a bounded face include a positive integral vector, and it
 attains its minimum at both ends of the edge.  If I^k divides every other
 exponent, alpha . I^k is the unique minimum for every alpha >= 1.
 
-Equality holds when the lowest-order coefficient form of the arc
+Equality holds when the lowest-order coefficient form f of the arc
 expansion has a torus zero off the vanishing locus of the pivot
-derivative; the certificate below detects the two decidable cases:
-the pivot derivative is a single monomial (monomials have no torus
-zeros, while a very general form with two or more distinct monomials
-always has one), or a finite-field sampler exhibits an explicit witness
-(probabilistic evidence, clearly labeled).
+derivative g.  For very general coefficients this is decided exactly
+(see equality_certificate): it holds precisely when f has two or more
+monomials and f does not divide g.  Two criteria are applied in turn:
+the monomial criterion (g is a single monomial, which f cannot divide)
+and, under `certify`, the torus-zero criterion, which is the full test.
 """
 
 from __future__ import annotations
@@ -83,21 +83,6 @@ class Support:
     @property
     def max_entry(self) -> int:
         return max(max(e) for e in self.exponents)
-
-    @staticmethod
-    def raw(exponents):
-        """A support without the integrality checks, for expansion work.
-
-        The bound and certificate pipelines need validate_support; the arc
-        expansion itself is defined for any exponent list.
-        """
-        rows = sorted(set(_integer_rows(exponents)))
-        width = len(rows[0])
-        return Support(
-            num_vars=width,
-            exponents=tuple(rows),
-            original_num_vars=width,
-        )
 
 
 @dataclass(frozen=True)
@@ -435,44 +420,71 @@ def certificate_data(support: Support, alpha) -> CertificateData:
 @dataclass(frozen=True)
 class Certificate:
     status: str  # CERTIFIED or UNDECIDED
-    kind: str | None  # monomial_criterion | finite_field_witness | None
+    kind: str | None  # monomial_criterion | torus_zero_criterion | None
     alpha: tuple[int, ...]
     detail: dict
 
 
-def equality_certificate(support: Support, alpha, sampler=None) -> Certificate:
-    """Decide the sufficient conditions for the lower bound to be attained.
+def _divides_pivot_derivative(data: CertificateData) -> bool:
+    """Does the initial form f divide the pivot derivative g on the torus?
 
-    The deterministic criterion: the initial form keeps at least two
-    monomials while the pivot derivative is a single monomial.  When it
-    fails and a `sampler` callback is supplied (see the oracle module), a
-    finite-field witness upgrades the verdict with probabilistic evidence.
+    Both are linear in the coefficient symbols, so g = h * f forces h to be
+    free of them: f and g then carry the same symbols, and each term
+    k_i a_i x^(I^i - e_j0) of g is h times a_i x^(I^i), so every k_i (the
+    pivot exponent of I^i) is one common k and g = k * f / x_j0.
+    """
+    symbols = {i for _, i, _ in data.initial_form.terms}
+    exponents = {k for k, _, _ in data.pivot_coefficient.terms}
+    return set(data.pivot_monomials) == symbols and len(exponents) == 1
+
+
+def equality_certificate(support: Support, alpha, certify=False) -> Certificate:
+    """Decide whether the lower bound is attained at alpha.
+
+    The bound is attained once, for very general coefficients c, the
+    initial form f has a torus zero off the zero set of the pivot
+    derivative g.  Two criteria certify this:
+
+    * monomial criterion: f has at least two monomials and g is a single
+      monomial, which has no torus zero;
+    * torus-zero criterion (only when `certify`): f has at least two
+      monomials and does not divide g in the Laurent polynomial ring, which
+      `_divides_pivot_derivative` reads off the terms.
+
+    The torus-zero criterion is exact.  A form with one monomial has no
+    torus zero.  Otherwise let Z = {(c, x) in (C*)^N x (C*)^(n+1) : f = 0}.
+    f is linear in c with unit monomial coefficients x^(I^i), so solving
+    f = 0 for one coefficient makes Z isomorphic to an open subset of a
+    torus: Z is irreducible, and f, being irreducible in the Laurent ring,
+    generates its ideal.  Z maps onto the coefficient torus: some variable
+    has two different exponents in f, and for every c, at general values of
+    the other variables, f is a Laurent polynomial in it with at least two
+    terms, which has a nonzero root.  If g does not vanish on all of Z,
+    {g != 0} is dense open in Z, its image contains a dense open set of
+    coefficients, and for general (so for very general) c the form f has a
+    torus zero off {g = 0}.  If g vanishes on Z, then g lies in (f), and
+    every torus zero of f is one of g, for every c.  The second case is
+    exactly the one `_divides_pivot_derivative` detects.  The same argument
+    shows that a finite-field witness (oracle.torus_point_sample) can exist
+    only when the criterion holds.
     """
     orders = _as_alpha(alpha, support.num_vars)
     data = certificate_data(support, orders)
-    base = {
+    detail = {
         "pivot_index": data.pivot_index,
         "initial_form": data.initial_form.describe(),
         "initial_form_monomials": data.initial_form.monomial_count,
         "pivot_coefficient": data.pivot_coefficient.describe(),
         "pivot_coefficient_monomials": data.pivot_coefficient.monomial_count,
     }
-    if (
-        data.initial_form.monomial_count >= 2
-        and data.pivot_coefficient.monomial_count == 1
-    ):
-        return Certificate(
-            status="CERTIFIED", kind="monomial_criterion", alpha=orders, detail=base
-        )
-    if sampler is not None and data.initial_form.monomial_count >= 2:
-        evidence = sampler(data.initial_form, data.pivot_coefficient)
-        if evidence is not None:
-            detail = dict(base)
-            detail.update(evidence)
-            return Certificate(
-                status="CERTIFIED", kind="finite_field_witness", alpha=orders, detail=detail
-            )
-    return Certificate(status="UNDECIDED", kind=None, alpha=orders, detail=base)
+    kind = None
+    if data.initial_form.monomial_count >= 2:
+        if data.pivot_coefficient.monomial_count == 1:
+            kind = "monomial_criterion"
+        elif certify and not _divides_pivot_derivative(data):
+            kind = "torus_zero_criterion"
+    status = "UNDECIDED" if kind is None else "CERTIFIED"
+    return Certificate(status=status, kind=kind, alpha=orders, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +524,12 @@ class HypersurfaceMldReport:
     dropped_variables: tuple[int, ...]
 
 
-def hypersurface_report(support: Support, sampler=None, max_points=None) -> HypersurfaceMldReport:
+def hypersurface_report(support: Support, certify=False, max_points=None) -> HypersurfaceMldReport:
     """Lower bound for lambda(0) with an equality certificate when found.
 
-    The layered scan finds every minimizer, and the certificate is
-    attempted at each of them, in lexicographic order, until one is
-    certified.
+    The layered scan finds every minimizer.  The monomial criterion is
+    tried at each of them in lexicographic order; when none is certified
+    and `certify` is set, the torus-zero criterion then gets the same pass.
     """
     n = support.dimension_of_hypersurface
     result = minimize_objective(support, max_points=max_points)
@@ -528,14 +540,14 @@ def hypersurface_report(support: Support, sampler=None, max_points=None) -> Hype
         if cert.status == "CERTIFIED":
             chosen = cert
             break
-    if chosen is None and sampler is not None:
+    if chosen is None and certify:
         for orders in result.minimizers:
-            cert = equality_certificate(support, orders, sampler=sampler)
+            cert = equality_certificate(support, orders, certify=True)
             if cert.status == "CERTIFIED":
                 chosen = cert
                 break
     if chosen is None:
-        chosen = first  # the sampler-free certificate of result.witness
+        chosen = first  # the undecided certificate of result.witness
     status = "EXACT" if chosen.status == "CERTIFIED" else "LOWER_BOUND"
     return HypersurfaceMldReport(
         lambda_lower_bound=result.value,

@@ -19,8 +19,9 @@ step.  Any odd prime works, 31-bit ones included; there is no scan over
 the residues.
 
 Randomly drawn nonzero coefficients stand in for "very general" complex
-ones; the evidence is probabilistic and is labeled as such wherever it is
-used.
+ones.  Finite-field evidence comes only from the `oracle` commands: the
+equality certificate of `hyper --certify` is decided exactly in the
+hypersurface module, and `torus_point_sample` is its independent check.
 """
 
 from __future__ import annotations
@@ -60,15 +61,6 @@ def _require_odd_prime(p):
 def _require_trials(trials):
     if trials < 1:
         raise OracleError("the sampler needs at least one trial")
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Sampling parameters for the finite-field checks."""
-
-    prime: int = 10007
-    trials: int = 50
-    seed: int = 0
 
 
 # polynomials in window variables: {((j, u), exponent) sorted tuple: coefficient}
@@ -476,7 +468,7 @@ def staircase_verify(
 
 
 # ---------------------------------------------------------------------------
-# Torus point sampling for equality certificates
+# Torus point sampling: a finite-field check of equality certificates
 
 
 def torus_point_sample(
@@ -490,8 +482,9 @@ def torus_point_sample(
 
     Draws nonzero coefficients and nonzero values for all but one variable,
     solves the initial form for the remaining one, and keeps a root where
-    the pivot derivative is nonzero.  Returns an evidence dict or None;
-    this is probabilistic evidence only.
+    the pivot derivative is nonzero.  Returns an evidence dict or None.
+    A witness exists only where the exact torus-zero criterion of
+    hypersurface.equality_certificate holds; None proves nothing.
     """
     _require_odd_prime(prime)
     _require_trials(trials)
@@ -525,20 +518,3 @@ def torus_point_sample(
                     "coefficients": tuple(coeffs[i] for i in coeff_indices),
                 }
     return None
-
-
-def make_torus_sampler(config: OracleConfig):
-    """Callback suitable for equality_certificate / hypersurface_report."""
-    _require_odd_prime(config.prime)
-    _require_trials(config.trials)
-
-    def sampler(initial_form, pivot_form):
-        return torus_point_sample(
-            initial_form,
-            pivot_form,
-            prime=config.prime,
-            trials=config.trials,
-            seed=config.seed,
-        )
-
-    return sampler

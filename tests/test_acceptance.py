@@ -27,7 +27,7 @@ from mldhat.hypersurface import (
     weight_data,
 )
 from mldhat.lattice import pairing, rank_of
-from mldhat.oracle import OracleConfig, expand, make_torus_sampler, staircase_verify
+from mldhat.oracle import expand, staircase_verify
 from mldhat.toric import minimize_spanning_cost, spanning_cost_greedy
 from test_toric import spanning_cost_bruteforce
 
@@ -249,14 +249,12 @@ def test_criterion_7_ade_regression_table():
 
 def test_criterion_8_curve_example():
     curve = validate_support([(2, 0), (0, 2), (1, 1), (0, 3)])
-    report = hypersurface_report(
-        curve, sampler=make_torus_sampler(OracleConfig(prime=10007, trials=50, seed=0))
-    )
+    report = hypersurface_report(curve, certify=True)
     assert report.lambda_lower_bound == 0
     assert report.witness_alpha == (1, 1)
     assert report.status == "EXACT"
-    assert report.certificate.kind == "finite_field_witness"
-    report_pass(8, "plane curve support gives bound 0 at (1,1), EXACT via a finite-field witness")
+    assert report.certificate.kind == "torus_zero_criterion"
+    report_pass(8, "plane curve support gives bound 0 at (1,1), EXACT via the torus-zero criterion")
 
 
 def test_criterion_9_oracle_agreement():

@@ -101,8 +101,7 @@ class TestCommands:
 
     def test_hyper_certify(self, support_file):
         code, out, _ = run_cli(
-            ["--seed", "5", "hyper", "--support", support_file, "--certify",
-             "--oracle-prime", "10007"]
+            ["--seed", "5", "hyper", "--support", support_file, "--certify"]
         )
         assert code == 0
         report = json.loads(out)
@@ -299,8 +298,8 @@ class TestCommands:
         [
             ["--seed", "{}", "toric"],
             ["--max-subsets", "{}", "toric"],
-            ["hyper", "--certify", "--oracle-prime", "{}"],
-            ["hyper", "--certify", "--oracle-trials", "{}"],
+            ["--seed", "{}", "hyper"],
+            ["--max-subsets", "{}", "hyper"],
             ["oracle", "staircase", "--alpha", "2,1,2", "--m", "{}"],
             ["oracle", "staircase", "--alpha", "2,1,2", "--m", "4", "--prime", "{}"],
             ["oracle", "staircase", "--alpha", "2,1,2", "--m", "4", "--trials", "{}"],
@@ -440,7 +439,7 @@ class TestCommands:
             ["oracle", "staircase", "--alpha", "2,1,2", "--m", "6", "--trials", "-1"],
             ["oracle", "staircase", "--alpha", "2,1,2", "--m", "6", "--trials", "0"],
             ["oracle", "torus-point", "--alpha", "2,1,2", "--trials", "0"],
-            ["hyper", "--certify", "--oracle-trials", "0"],
+            ["oracle", "torus-point", "--alpha", "2,1,2", "--trials", "-1"],
         ],
     )
     def test_non_positive_trials_rejected(self, support_file, argv):
@@ -498,6 +497,13 @@ class TestCommands:
             _, first, _ = run_cli(argv)
             _, second, _ = run_cli(argv)
             assert first == second
+
+    @pytest.mark.parametrize("option", ["--oracle-prime", "--oracle-trials"])
+    def test_hyper_has_no_sampler_options(self, support_file, option):
+        # the certificate is exact, so hyper takes no prime or trial count
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(["hyper", "--support", support_file, "--certify", option, "10007"])
+        assert exc.value.code == 2
 
     def test_parser_is_reused_across_calls(self, support_file, cone_file):
         hyper = ["--seed", "0", "hyper", "--support", support_file, "--certify"]
@@ -632,8 +638,7 @@ class TestFuzz:
             ["oracle", "torus-point", *common, f"--trials={trials}"],
             ["oracle", "expand", *common, f"--m={m}"],
             ["hyper", "--support", str(path)],
-            ["hyper", "--support", str(path), "--certify", f"--oracle-prime={prime}",
-             f"--oracle-trials={trials}"],
+            ["hyper", "--support", str(path), "--certify"],
         ):
             code, out, err = run_cli(["--seed", "0", "--max-subsets", "100000", *argv])
             assert code in (0, 2, 3), argv
@@ -666,4 +671,18 @@ class TestRoundTrip:
     def test_big_integer_round_trip_at_the_threshold(self):
         values = [2**63, -(2**63), 2**63 - 1, -(2**63) + 1, 10**40, -(10**40)]
         report = {"values": values, "text": "99999999999999999999x"}
+        assert load_report(dump_report(report)) == report
+
+    @pytest.mark.parametrize(
+        "text", ["99999999999999999999", "-99999999999999999999", str(2**63), str(-(2**63))]
+    )
+    def test_strings_that_read_as_big_integers_are_refused(self, text):
+        # they would come back as ints, so the encoding would not be one-to-one
+        with pytest.raises(ValueError):
+            dump_report({"v": text})
+        with pytest.raises(ValueError):
+            dump_report({"nested": [{"v": text}]})
+
+    def test_strings_below_the_threshold_round_trip(self):
+        report = {"v": str(2**63 - 1), "w": "-42", "x": "007", "y": "--99999999999999999999"}
         assert load_report(dump_report(report)) == report

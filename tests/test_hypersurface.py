@@ -9,6 +9,7 @@ from mldhat.hypersurface import (
     AlphaTuple,
     Support,
     SupportError,
+    _integer_rows,
     binomial_lambda,
     certificate_data,
     equality_certificate,
@@ -20,9 +21,25 @@ from mldhat.hypersurface import (
     validate_support,
     weight_data,
 )
+from mldhat.lattice import LimitError
+from mldhat.oracle import torus_point_sample
 
 WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
 CURVE = validate_support([(2, 0), (0, 2), (1, 1), (0, 3)])
+# f = a2*x0*x2 + a3*x0*x1 = x0 * g at alpha = (1, 1, 1)
+DIVIDES = validate_support([(1, 1, 0), (1, 0, 1), (0, 3, 0), (0, 0, 3)])
+
+
+def raw_support(exponents):
+    """A support with only the row checks of validate_support.
+
+    The rows are sorted and deduplicated; the integrality checks are left
+    out, for the arc expansion and the scan's own guards, which are defined
+    on any exponent list.
+    """
+    rows = sorted(set(_integer_rows(exponents)))
+    width = len(rows[0])
+    return Support(num_vars=width, exponents=tuple(rows), original_num_vars=width)
 
 
 def ade_support(kind, k=None, nvars=3):
@@ -104,7 +121,7 @@ class TestValidation:
             with pytest.raises(SupportError):
                 validate_support(bad)
             with pytest.raises(SupportError):
-                Support.raw(bad)
+                raw_support(bad)
         with pytest.raises(ValueError):
             is_feasible(WHITNEY, (2.0, 1, 2))
 
@@ -116,7 +133,7 @@ class TestValidation:
             ([(2, -1), (0, 1)], "negative"),
         ):
             errors = []
-            for make in (validate_support, Support.raw):
+            for make in (validate_support, raw_support):
                 with pytest.raises(SupportError) as err:
                     make(bad)
                 errors.append((err.value.clause, str(err.value)))
@@ -297,7 +314,7 @@ class TestMinimize:
     def test_no_feasible_tuple_raises(self):
         # (1, 0) divides (2, 1): its weight is the unique minimum for every alpha
         with pytest.raises(SupportError) as err:
-            minimize_objective(Support.raw([(1, 0), (2, 1)]))
+            minimize_objective(raw_support([(1, 0), (2, 1)]))
         assert err.value.clause == "infeasible"
 
 
@@ -327,24 +344,86 @@ class TestCertificates:
             assert data.initial_form.monomial_count == nvars - 2
             assert data.pivot_coefficient.monomial_count == 1
 
-    def test_curve_needs_sampler(self):
+    def test_curve_needs_the_torus_zero_criterion(self):
         cert = equality_certificate(CURVE, (1, 1))
         assert cert.status == "UNDECIDED"
         data = certificate_data(CURVE, (1, 1))
         assert data.initial_form.monomial_count == 3
         assert data.pivot_coefficient.monomial_count == 2
-
-    def test_sampler_callback_is_used(self):
-        marker = {"called": False}
-
-        def fake_sampler(initial_form, pivot_form):
-            marker["called"] = True
-            return {"witness": "stub"}
-
-        cert = equality_certificate(CURVE, (1, 1), sampler=fake_sampler)
-        assert marker["called"]
+        cert = equality_certificate(CURVE, (1, 1), certify=True)
         assert cert.status == "CERTIFIED"
-        assert cert.kind == "finite_field_witness"
+        assert cert.kind == "torus_zero_criterion"
+
+    def test_torus_zero_certificate_carries_no_sample(self):
+        undecided = equality_certificate(CURVE, (1, 1))
+        certified = equality_certificate(CURVE, (1, 1), certify=True)
+        assert certified.detail == undecided.detail
+        assert set(certified.detail) == {
+            "pivot_index",
+            "initial_form",
+            "initial_form_monomials",
+            "pivot_coefficient",
+            "pivot_coefficient_monomials",
+        }
+
+    def test_initial_form_dividing_the_pivot_derivative(self):
+        data = certificate_data(DIVIDES, (1, 1, 1))
+        assert data.initial_form.describe() == "a2*x0*x2 + a3*x0*x1"
+        assert data.pivot_coefficient.describe() == "a2*x2 + a3*x1"
+        cert = equality_certificate(DIVIDES, (1, 1, 1), certify=True)
+        assert cert.status == "UNDECIDED" and cert.kind is None
+        for prime in (101, 10007):
+            assert torus_point_sample(
+                data.initial_form, data.pivot_coefficient, prime=prime, trials=50, seed=3
+            ) is None
+
+    def test_unequal_pivot_exponents_do_not_divide(self):
+        # f and g share their symbols, but the pivot exponents 2 and 1 differ
+        s = validate_support([(0, 0, 2), (1, 1, 1), (3, 2, 0)])
+        data = certificate_data(s, (1, 1, 2))
+        assert data.initial_form.describe() == "a0*x2^2 + a1*x0*x1*x2"
+        assert data.pivot_coefficient.describe() == "2*a0*x2 + a1*x0*x1"
+        cert = equality_certificate(s, (1, 1, 2), certify=True)
+        assert cert.kind == "torus_zero_criterion"
+
+
+def random_supports(rng, count):
+    """Seeded integral supports: 2-4 variables, entries 0-3, 2-4 monomials."""
+    made = 0
+    while made < count:
+        nv = rng.randint(2, 4)
+        rows = [tuple(rng.randint(0, 3) for _ in range(nv)) for _ in range(rng.randint(2, 4))]
+        try:
+            s = validate_support(rows)
+            minimizers = minimize_objective(s, max_points=20000).minimizers
+        except (SupportError, LimitError):
+            continue
+        made += 1
+        yield s, minimizers
+
+
+class TestTorusZeroCriterionAgainstSampler:
+    """The exact criterion against torus_point_sample, the reference."""
+
+    def test_sampler_agrees_at_every_minimizer(self):
+        # a witness proves the criterion; a "no" means f divides g, which
+        # leaves no witness over any field.  At this seed the sampler also
+        # finds a witness wherever the criterion says yes.
+        rng = random.Random(20261018)
+        yes = no = 0
+        for s, minimizers in random_supports(rng, 1000):
+            for alpha in minimizers:
+                data = certificate_data(s, alpha)
+                certified = equality_certificate(s, alpha, certify=True).status == "CERTIFIED"
+                forms = (data.initial_form, data.pivot_coefficient)
+                witness = torus_point_sample(*forms, prime=10007, trials=50, seed=1)
+                assert (witness is not None) == certified, (s.exponents, alpha)
+                if certified:
+                    yes += 1
+                else:
+                    assert torus_point_sample(*forms, prime=101, trials=50, seed=1) is None
+                    no += 1
+        assert yes > 1000 and no > 15
 
 
 class TestBinomial:
@@ -401,11 +480,20 @@ class TestReports:
         assert report.witness_alpha == (2, 1, 2)
         assert report.status == "EXACT"
 
-    def test_curve_without_sampler_stays_lower_bound(self):
+    def test_curve_without_certify_stays_lower_bound(self):
         report = hypersurface_report(CURVE)
         assert report.lambda_lower_bound == 0
         assert report.witness_alpha == (1, 1)
         assert report.status == "LOWER_BOUND"
+
+    def test_certify_moves_past_a_divisible_minimizer(self):
+        # (1, 1, 1) is the first minimizer, but there f divides g
+        report = hypersurface_report(DIVIDES, certify=True)
+        assert report.lambda_lower_bound == 0
+        assert minimize_objective(DIVIDES).minimizers[0] == (1, 1, 1)
+        assert report.witness_alpha == (2, 1, 1)
+        assert report.status == "EXACT"
+        assert report.certificate.kind == "torus_zero_criterion"
 
     def test_assumptions_recorded(self):
         report = hypersurface_report(WHITNEY)

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from mldhat.hypersurface import GenericForm, certificate_data, validate_support, weight_data
 from mldhat.oracle import (
-    OracleConfig,
     OracleError,
     _nonzero_roots,
     expand,
-    make_torus_sampler,
     staircase_verify,
     torus_point_sample,
 )
+from test_hypersurface import raw_support
 
 WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
 PRIMES = [p for p in range(3, 212) if all(p % q for q in range(2, p))]
@@ -30,9 +29,7 @@ def mono(*pairs):
 class TestExpand:
     def test_pure_square(self):
         # f = x^2 with order 1 and truncation 3
-        from mldhat.hypersurface import Support
-
-        s = Support.raw([(2,)])
+        s = raw_support([(2,)])
         exp = expand(s, [1], (1,), m=3)
         assert exp.coefficient(2) == {mono((((0, 1)), 2)): 1}
         assert exp.coefficient(3) == {mono((((0, 1)), 1), (((0, 2)), 1)): 2}
@@ -236,8 +233,6 @@ class TestTorusSample:
         monomial = GenericForm(num_vars=2, terms=((1, 0, (2, 0)),))
         with pytest.raises(OracleError):
             torus_point_sample(monomial, monomial, prime=101, trials=trials)
-        with pytest.raises(OracleError):
-            make_torus_sampler(OracleConfig(trials=trials))
 
     def test_monomial_has_no_torus_zero(self):
         form = GenericForm(num_vars=2, terms=((1, 0, (2, 0)),))

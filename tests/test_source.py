@@ -6,12 +6,27 @@ import pytest
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "mldhat").glob("*.py"))
 
 
+def assert_lines(tree):
+    """The line of each assert statement."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # correctness checks must raise: python -O strips assert statements
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = assert_lines(tree)
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_assert_check_catches():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'negative'\n"
+    assert assert_lines(ast.parse(source)) == [3]
+
+
+def test_assert_check_passes_raising_code():
+    source = "if x < 0:\n    raise AssertionError('negative')\nassertion = x\n"
+    assert not assert_lines(ast.parse(source))
 
 
 def inexact_nodes(tree):
