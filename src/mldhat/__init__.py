@@ -25,7 +25,6 @@ from .cones import is_simplicial, is_smooth, membership, split_torus_factor
 from .cones import RationalPolytope, UnboundedPolytopeError, enumerate_lattice_points
 from .hilbert import HilbertBasis, hilbert_basis
 from .hypersurface import (
-    AlphaTuple,
     HypersurfaceMldReport,
     Support,
     binomial_lambda,
@@ -64,7 +63,6 @@ from .toric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaTuple",
     "Cone",
     "FaceSpec",
     "HilbertBasis",

@@ -112,6 +112,8 @@ def parse_support_file(path) -> Support:
         raise SupportError("io", f"support file is not valid JSON: {exc}")
     if not isinstance(data, dict) or "vars" not in data or "support" not in data:
         raise SupportError("io", "support file needs keys 'vars' and 'support'")
+    if type(data["vars"]) is not int:
+        raise SupportError("io", f"'vars' must be an integer, got {data['vars']!r}")
     return validate_support(data["support"], num_vars=data["vars"])
 
 

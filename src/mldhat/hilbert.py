@@ -11,8 +11,10 @@ reducible ones.
 
 The sieve runs in facet-value coordinates, exactly:
 
-* the candidate set is the one above, each point built from the same
-  coefficient numerators that `parallelepiped_points` folds into points;
+* the candidate set is the one above, walked once per ray subset T:
+  `_numerators` gives |det T| and the coefficient numerators of each
+  point, the sieve folds them into facet values, and each kept value is
+  folded back into its point from the first (T, numerators) that gave it;
 * the facet-value map u -> (<r, u>)_r over the primal rays r is injective
   on a full-dimensional cone, so deduplicating values deduplicates points;
 * the degree of u, its pairing with the grading point sum_r r, is the sum
@@ -105,28 +107,36 @@ def _numerators(rays):
     return absdet, walk()
 
 
+def _fold(rays, frac, absdet) -> tuple[int, ...]:
+    """The point sum_i frac_i * rays_i / |det T|, by exact division."""
+    point = []
+    for j in range(len(rays[0])):
+        num = 0
+        for r, f in zip(rays, frac):
+            num += r[j] * f
+        x, rest = divmod(num, absdet)
+        if rest:
+            raise LatticeError("parallelepiped fold produced a non-lattice point")
+        point.append(x)
+    return tuple(point)
+
+
+def _check_distinct(points, absdet):
+    """Raise unless the set `points` of one ray subset T holds |det T| points."""
+    if len(points) != absdet:
+        raise AssertionError(
+            f"found {len(points)} parallelepiped points, expected |det| = {absdet}"
+        )
+
+
 def parallelepiped_points(rays) -> list[tuple[int, ...]]:
     """Lattice points of {sum l_i r_i : 0 <= l_i < 1} for independent rays.
 
-    The numerators of `_numerators` folded into points with exact division.
+    The numerators of `_numerators`, each folded into its point.
     """
-    n = len(rays)
     absdet, numerators = _numerators(rays)
-    points = []
-    for frac in numerators:
-        pt = []
-        for j in range(n):
-            num = 0
-            for i in range(n):
-                num += rays[i][j] * frac[i]
-            if num % absdet != 0:
-                raise LatticeError("parallelepiped fold produced a non-lattice point")
-            pt.append(num // absdet)
-        points.append(tuple(pt))
-    if len(set(points)) != absdet:
-        raise AssertionError(
-            f"found {len(set(points))} parallelepiped points, expected |det| = {absdet}"
-        )
+    points = [_fold(rays, frac, absdet) for frac in numerators]
+    _check_distinct(set(points), absdet)
     return points
 
 
@@ -165,8 +175,8 @@ def independent_subsets(vectors, n):
     )
 
 
-def budgeted_subsets(vectors, n, max_points, stage, scale=1):
-    """The independent n-subsets T of `vectors`, within a stage's budget.
+def budgeted_walks(vectors, n, max_points, stage, scale=1):
+    """(T, |det T|, numerator walk) for the independent n-subsets T of `vectors`.
 
     With `max_points` set, a LimitError names the stage before any rank test
     when the C(k, n) subsets to test exceed it, and before any point is built
@@ -175,12 +185,12 @@ def budgeted_subsets(vectors, n, max_points, stage, scale=1):
     tests = comb(len(vectors), n)
     if max_points is not None and tests > max_points:
         raise LimitError(f"{stage}: {tests} ray subsets to rank-test exceed the limit ({max_points})")
-    subsets = independent_subsets(vectors, n)
+    walks = [(T, *_numerators(T)) for T in independent_subsets(vectors, n)]
     if max_points is not None:
-        estimate = scale * sum(abs(determinant([list(r) for r in T])) for T in subsets)
+        estimate = scale * sum(absdet for _, absdet, _ in walks)
         if estimate > max_points:
             raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
-    return subsets
+    return walks
 
 
 def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
@@ -213,18 +223,20 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
       at least that of e.  Every value is below 2^(width - 1), so no borrow
       crosses a field and the guard-bit test of `_sieve` equals this
       componentwise comparison.
-    * Checks, each raising: every fold divides exactly, every subset gives
-      |det T| distinct points, and every element mapped back through n
-      independent facet forms (adjugate, exact division) reproduces all
-      its facet values.
+    * Points: each packed candidate remembers the first (T, frac) that
+      gave it, a ray t the origin ((t,), (1,), 1); a kept value becomes
+      its point by `_fold` from that origin, with no second solve.
+    * Checks, each raising: every packed fold divides exactly and leaves
+      the top bits of each field clear, every subset gives |det T|
+      distinct points, every point fold divides exactly, and every element
+      reproduces all its facet values.
     """
     n = dual.ambient_rank
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
-    subsets = budgeted_subsets(dual.generators, n, max_points, "hilbert parallelepiped points")
+    walks = budgeted_walks(dual.generators, n, max_points, "hilbert parallelepiped points")
     _, forms = dual.dual_pair
     m = len(forms)
-    walks = [(T, *_numerators(T)) for T in subsets]
     values = {t: [pairing(r, t) for r in forms] for t in dual.generators}
     max_det = max(absdet for _, absdet, _ in walks)
     max_value = max(max(v) for v in values.values())
@@ -238,7 +250,7 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     g = max_det.bit_length()
     high = _pack([field ^ ((1 << (width - g)) - 1)] * m, width)
     packed = {t: _pack(v + [sum(v)], width) for t, v in values.items()}
-    candidates = set(packed.values())
+    origin = {p: ((t,), (1,), 1) for t, p in packed.items()}  # packed value -> (T, frac, |det T|)
     for T, absdet, numerators in walks:
         rays = [packed[t] for t in T]
         points = set()
@@ -250,41 +262,14 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
             if rest or u & high:
                 raise LatticeError("parallelepiped fold produced a non-lattice point")
             points.add(u)
-        if len(points) != absdet:
-            raise AssertionError(
-                f"found {len(points)} parallelepiped points, expected |det| = {absdet}"
-            )
-        candidates |= points
-    candidates.discard(0)
-    kept = _sieve(sorted(candidates), guard)
-    return HilbertBasis(dual=dual, elements=tuple(sorted(_unpack_points(kept, forms, width))))
-
-
-def _unpack_points(kept, forms, width):
-    """The lattice points whose packed facet values are `kept`."""
-    basis: list[int] = []
-    for k, r in enumerate(forms):
-        if len(row_hermite([forms[i] for i in basis] + [r])) > len(basis):
-            basis.append(k)
-    rows = [forms[k] for k in basis]
-    det = determinant(rows)
-    adj = adjugate(rows)
-    field = (1 << width) - 1
-    points = []
-    for u in kept:
-        vals = [(u >> (k * width)) & field for k in range(len(forms))]
-        chosen = [vals[k] for k in basis]
-        point = []
-        for row in adj:
-            num = 0
-            for a, v in zip(row, chosen):
-                num += a * v
-            x, rest = divmod(num, det)
-            if rest:
-                raise LatticeError("facet values of a candidate are not a lattice point")
-            point.append(x)
-        point = tuple(point)
-        if [pairing(r, point) for r in forms] != vals:
+            if u not in origin:
+                origin[u] = (T, frac, absdet)
+        _check_distinct(points, absdet)
+    origin.pop(0, None)
+    elements = []
+    for u in _sieve(sorted(origin), guard):
+        point = _fold(*origin[u])
+        if [pairing(r, point) for r in forms] != [(u >> (k * width)) & field for k in range(m)]:
             raise AssertionError(f"point {point} does not reproduce its facet values")
-        points.append(point)
-    return points
+        elements.append(point)
+    return HilbertBasis(dual=dual, elements=tuple(sorted(elements)))

@@ -85,17 +85,6 @@ class Support:
         return max(max(e) for e in self.exponents)
 
 
-@dataclass(frozen=True)
-class AlphaTuple:
-    """Prescribed vanishing orders, one positive integer per variable."""
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(x < 1 for x in self.orders):
-            raise ValueError("vanishing orders must all be at least 1")
-
-
 def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -103,6 +92,8 @@ def _is_integer(x) -> bool:
 def _integer_rows(exponents, num_vars=None) -> list[tuple[int, ...]]:
     """The exponent vectors as tuples: a nonempty list of nonnegative integer
     rows of one width (`num_vars` when given); anything else is refused."""
+    if num_vars is not None and not _is_integer(num_vars):
+        raise SupportError("not_integer", f"vars must be an integer, got {num_vars!r}")
     try:
         rows = [tuple(e) for e in exponents]
     except TypeError:
@@ -126,7 +117,7 @@ def _integer_rows(exponents, num_vars=None) -> list[tuple[int, ...]]:
 
 
 def _as_alpha(alpha, num_vars) -> tuple[int, ...]:
-    orders = alpha.orders if isinstance(alpha, AlphaTuple) else tuple(alpha)
+    orders = tuple(alpha)
     if not all(_is_integer(x) for x in orders):
         raise ValueError("vanishing orders must be integers")
     if len(orders) != num_vars:
@@ -355,14 +346,14 @@ class GenericForm:
     def monomial_count(self) -> int:
         return len(self.terms)
 
-    def evaluate(self, coefficients, point, prime=None):
+    def evaluate(self, coefficients, point, prime):
         total = 0
         for mult, ci, expo in self.terms:
             term = mult * coefficients[ci]
             for x, e in zip(point, expo):
                 term *= x**e
             total += term
-        return total % prime if prime is not None else total
+        return total % prime
 
     def describe(self) -> str:
         """Readable rendering with symbolic coefficients a<i>."""

@@ -131,7 +131,6 @@ class TruncatedExpansion:
 
     alpha: tuple[int, ...]
     order: int  # window cap m on the superscripts
-    upto: int  # largest t-power expanded
     prime: int | None  # None means exact integer coefficients
     terms: dict  # s -> {monomial: coefficient}
 
@@ -171,7 +170,7 @@ def _combine(coeffs, per_monomial, s, prime):
     return acc
 
 
-def expand(support: Support, coeffs, alpha, m, prime=None, upto=None) -> TruncatedExpansion:
+def expand(support: Support, coeffs, alpha, m, prime=None) -> TruncatedExpansion:
     """Arc expansion of sum_i coeffs[i] x^{I^i} with orders alpha, cut at m.
 
     Coefficients are matched to `support.exponents`, which is canonically
@@ -185,10 +184,9 @@ def expand(support: Support, coeffs, alpha, m, prime=None, upto=None) -> Truncat
         raise OracleError("one coefficient per support monomial is required")
     if any(c == 0 if prime is None else c % prime == 0 for c in coeffs):
         raise OracleError("coefficients must be nonzero in the field")
-    upto = m if upto is None else upto
-    per_monomial = [_expand_single_monomial(e, alpha, m, upto) for e in support.exponents]
+    per_monomial = [_expand_single_monomial(e, alpha, m, m) for e in support.exponents]
     total = {
-        s: poly for s in range(upto + 1) if (poly := _combine(coeffs, per_monomial, s, prime))
+        s: poly for s in range(m + 1) if (poly := _combine(coeffs, per_monomial, s, prime))
     }
     for s, poly in total.items():
         for mono in poly:
@@ -196,9 +194,7 @@ def expand(support: Support, coeffs, alpha, m, prime=None, upto=None) -> Truncat
                 raise AssertionError(
                     f"weight invariant broken: {mono} in the t^{s} coefficient"
                 )
-    return TruncatedExpansion(
-        alpha=alpha, order=m, upto=upto, prime=prime, terms=total
-    )
+    return TruncatedExpansion(alpha=alpha, order=m, prime=prime, terms=total)
 
 
 # ---------------------------------------------------------------------------

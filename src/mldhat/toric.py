@@ -27,7 +27,9 @@ rays (0,0,1), (1,0,1), (0,1,1), (1,1,1), the only minimal interior point
 (1,1,2) lies on the diagonal wall between the two cells, and the points
 with every coefficient in (0, 1] give lambda = 1 instead of 0.  A closed
 parallelepiped point is p + sum_J v for a half-open point p and rays J on
-which p has coefficient 0, so there are at most 2^n sum_T |det T|.
+which p has coefficient 0, so there are at most 2^n sum_T |det T|.  The
+coefficient numerators of p come from the same walk that folds p, so a
+zero coefficient is read off the walk.
 """
 
 from __future__ import annotations
@@ -38,13 +40,8 @@ from dataclasses import dataclass
 from .cones import Cone, ConeError, FaceSpec, dual_cone, face_cone, resolve_face
 from .cones import split_torus_factor
 from .cones import enumerate_lattice_points  # not called here; perfbench/tracing.py wraps this name
-from .hilbert import (
-    HilbertBasis,
-    budgeted_subsets,
-    hilbert_basis,
-    parallelepiped_points,
-)
-from .lattice import LatticeError, adjugate, as_vector, pairing, rank_of
+from .hilbert import HilbertBasis, _check_distinct, _fold, budgeted_walks, hilbert_basis
+from .lattice import LatticeError, as_vector, pairing, rank_of
 
 
 @dataclass(frozen=True)
@@ -115,19 +112,21 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
 def _candidate_points(cone: Cone, max_points: int | None):
     """Interior lattice points of the closed ray parallelepipeds (see above)."""
     n = cone.ambient_rank
-    subsets = budgeted_subsets(cone.generators, n, max_points, "toric candidates", scale=2**n)
+    walks = budgeted_walks(cone.generators, n, max_points, "toric candidates", scale=2**n)
     _, dual_rays = cone.dual_pair
     points: set[tuple[int, ...]] = set()
-    for rays in subsets:
-        # row i of the adjugate pairs with p to det * (coefficient of ray i)
-        adj = adjugate([[v[j] for v in rays] for j in range(n)])
-        for p in parallelepiped_points(rays):
-            zero = [v for v, row in zip(rays, adj) if pairing(row, p) == 0]
+    for rays, absdet, numerators in walks:
+        half_open = set()
+        for frac in numerators:
+            p = _fold(rays, frac, absdet)
+            half_open.add(p)
+            zero = [v for v, f in zip(rays, frac) if f == 0]
             for k in range(len(zero) + 1):
                 for extra in itertools.combinations(zero, k):
                     a = tuple(sum(col) for col in zip(p, *extra))
                     if all(pairing(u, a) > 0 for u in dual_rays):
                         points.add(a)
+        _check_distinct(half_open, absdet)
     return points
 
 

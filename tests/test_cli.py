@@ -89,6 +89,18 @@ class TestParsers:
         with pytest.raises(SupportError):
             parse_support_file(str(path))
 
+    @pytest.mark.parametrize("num_vars", [2.0, None, True, "2"])
+    def test_vars_must_be_an_integer(self, tmp_path, num_vars):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"vars": num_vars, "support": [[2, 0], [0, 3]]}))
+        with pytest.raises(SupportError, match="'vars' must be an integer"):
+            parse_support_file(str(path))
+        code, out, err = run_cli(["hyper", "--support", str(path)])
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["kind"] == "SupportError"
+        assert report["error"] == f"'vars' must be an integer, got {num_vars!r}"
+
 
 class TestCommands:
     def test_toric(self, cone_file):

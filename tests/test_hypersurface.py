@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mldhat.hypersurface import (
-    AlphaTuple,
     Support,
     SupportError,
     _integer_rows,
@@ -144,6 +143,12 @@ class TestValidation:
             validate_support([(2, -1), (0, 1)], num_vars=3)
         assert err.value.clause == "ragged"
 
+    @pytest.mark.parametrize("num_vars", [2.0, True, "2", [2]])
+    def test_rejects_non_integer_num_vars(self, num_vars):
+        with pytest.raises(SupportError, match="vars must be an integer") as err:
+            validate_support([(2, 0), (0, 3)], num_vars=num_vars)
+        assert err.value.clause == "not_integer"
+
     def test_rejects_divisible(self):
         with pytest.raises(SupportError) as err:
             validate_support([(2, 0), (4, 0)])
@@ -204,8 +209,8 @@ class TestFeasibility:
                 assert is_feasible(s, orders) == is_feasible(s, scaled)
 
     def test_alpha_tuple_validation(self):
-        with pytest.raises(ValueError):
-            AlphaTuple(orders=(1, 0, 2))
+        with pytest.raises(ValueError, match="at least 1"):
+            is_feasible(WHITNEY, (1, 0, 2))
 
     @given(
         st.lists(st.integers(1, 6), min_size=3, max_size=3),
