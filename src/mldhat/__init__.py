@@ -21,7 +21,7 @@ here is safe to call concurrently.
 """
 
 from .cones import Cone, FaceSpec, dual_cone, face_cone, has_isolated_fixed_point
-from .cones import is_simplicial, is_smooth, membership, split_torus_factor
+from .cones import is_simplicial, is_smooth, split_torus_factor
 from .cones import RationalPolytope, UnboundedPolytopeError, enumerate_lattice_points
 from .hilbert import HilbertBasis, hilbert_basis
 from .hypersurface import (
@@ -89,7 +89,6 @@ __all__ = [
     "is_feasible",
     "is_simplicial",
     "is_smooth",
-    "membership",
     "minimize_objective",
     "minimize_spanning_cost",
     "mld_at_point",

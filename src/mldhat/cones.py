@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from .lattice import (
     LatticeError,
     as_vector,
-    determinant,
     express_in_basis,
     is_zero,
     pairing,
     primitive,
     rank_of,
+    row_hermite,
     saturate,
     vec_neg,
     vec_scale,
@@ -252,12 +252,6 @@ def dual_cone(c: Cone) -> Cone:
     return Cone(c.ambient_rank, tuple(c.dual_pair[1]), ([], list(c.generators)))
 
 
-def membership(c: Cone, a, mode="closed") -> bool:
-    if mode not in ("closed", "interior"):
-        raise ValueError("mode must be 'closed' or 'interior'")
-    return c.contains(a, strict=(mode == "interior"))
-
-
 def _in_span_lattice(gens) -> Cone:
     """The cone of `gens` in the coordinates of the saturation of its span."""
     basis = saturate(gens)
@@ -352,11 +346,16 @@ def is_simplicial(c: Cone) -> bool:
 
 
 def is_smooth(c: Cone) -> bool:
-    """Do the extreme rays form a lattice basis?"""
+    """Do the extreme rays form a lattice basis?
+
+    They do exactly when the cone is simplicial and the row Hermite form of
+    its rays is the identity: a basis of the lattice they span, itself a
+    basis of Z^n.
+    """
     _require_full_pointed(c)
     if not is_simplicial(c):
         return False
-    return abs(determinant([list(g) for g in c.generators])) == 1
+    return row_hermite(c.generators) == _unit_vectors(c.ambient_rank)
 
 
 def facets(c: Cone) -> list[tuple[int, ...]]:

@@ -12,9 +12,11 @@ reducible ones.
 The sieve runs in facet-value coordinates, exactly:
 
 * the candidate set is the one above, walked once per ray subset T:
-  `_numerators` gives |det T| and the coefficient numerators of each
-  point, the sieve folds them into facet values, and each kept value is
-  folded back into its point from the first (T, numerators) that gave it;
+  `_numerators` decomposes T by one row Hermite form, which tells whether
+  T is independent and gives |det T| and the coefficient numerators of
+  each point; the sieve folds them into facet values, and each kept value
+  is folded back into its point from the first (T, numerators) that gave
+  it;
 * the facet-value map u -> (<r, u>)_r over the primal rays r is injective
   on a full-dimensional cone, so deduplicating values deduplicates points;
 * the degree of u, its pairing with the grading point sum_r r, is the sum
@@ -28,19 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .cones import Cone, ConeError
-from .lattice import (
-    LatticeError,
-    LimitError,
-    adjugate,
-    determinant,
-    pairing,
-    rank_of,
-    row_hermite,
-)
+from .lattice import LatticeError, LimitError, pairing, row_hermite
+from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -62,25 +56,33 @@ class HilbertBasis:
 def _numerators(rays):
     """|det T| and a walk over the coefficient numerators of the points of T.
 
-    For independent rays T the half-open parallelepiped {sum l_i t_i :
+    One row Hermite form [H | U] of [T | I] decomposes the square matrix T
+    whose rows are the rays: U is unimodular with U T = H, and T is
+    independent exactly when every pivot of H lies on its diagonal.  Then H
+    is the Hermite form of T, |det T| is the product of its diagonal, and
+    back-substitution in H C = |det T| U gives the integer matrix
+    C = |det T| T^-1.  For a dependent T the result is None.
+
+    For independent rays the half-open parallelepiped {sum l_i t_i :
     0 <= l_i < 1} holds one lattice point per coset of the sublattice T
     spans.  The walk yields, for each, the numerators frac with
     l_i = frac_i / |det T|: an odometer over the coordinate box on the
-    diagonal of a triangular basis of that sublattice (a transversal of the
-    quotient) keeps q = sign * adj(T) @ t, and frac = q mod |det T| folds t
-    into the parallelepiped.
+    diagonal of H (a transversal of the quotient) keeps q = sum_j x_j C_j
+    for the box point x, and frac = q mod |det T| folds x into the
+    parallelepiped.
     """
     n = len(rays)
-    matrix = [[r[j] for r in rays] for j in range(n)]  # columns = rays
-    tri = row_hermite([tuple(r) for r in rays])
-    if len(tri) != n:
-        raise LatticeError("parallelepiped needs linearly independent rays")
-    det = determinant(matrix)
-    adj = adjugate(matrix)
-    sign = 1 if det > 0 else -1
-    absdet = abs(det)
-    diag = [tri[i][i] for i in range(n)]
-    cols = [[sign * adj[i][j] for i in range(n)] for j in range(n)]
+    h = row_hermite([(*r, *(int(i == j) for j in range(n))) for i, r in enumerate(rays)])
+    diag = [h[i][i] for i in range(n)]
+    if not all(diag):
+        return None
+    absdet = prod(diag)
+    cols = [None] * n
+    for i in reversed(range(n)):
+        row = [absdet * x for x in h[i][n:]]
+        for j in range(i + 1, n):
+            row = [a - h[i][j] * b for a, b in zip(row, cols[j])]
+        cols[i] = [a // diag[i] for a in row]
 
     def walk():
         t = [0] * n
@@ -134,7 +136,12 @@ def parallelepiped_points(rays) -> list[tuple[int, ...]]:
 
     The numerators of `_numerators`, each folded into its point.
     """
-    absdet, numerators = _numerators(rays)
+    if any(len(r) != len(rays) for r in rays):
+        raise LatticeError("parallelepiped needs as many rays as their rank")
+    walk = _numerators(rays)
+    if walk is None:
+        raise LatticeError("parallelepiped needs linearly independent rays")
+    absdet, numerators = walk
     points = [_fold(rays, frac, absdet) for frac in numerators]
     _check_distinct(set(points), absdet)
     return points
@@ -167,25 +174,17 @@ def _sieve(ordered, guard) -> list[int]:
     return elements
 
 
-@lru_cache(maxsize=128)
-def independent_subsets(vectors, n):
-    """All rank-n subsets of a tuple of vectors, cached per tuple."""
-    return tuple(
-        combo for combo in itertools.combinations(vectors, n) if rank_of(combo) == n
-    )
-
-
 def budgeted_walks(vectors, n, max_points, stage, scale=1):
     """(T, |det T|, numerator walk) for the independent n-subsets T of `vectors`.
 
-    With `max_points` set, a LimitError names the stage before any rank test
-    when the C(k, n) subsets to test exceed it, and before any point is built
-    when the stage's scale * sum_T |det T| points do.
+    With `max_points` set, a LimitError names the stage before any
+    elimination when the C(k, n) subsets to decompose exceed it, and before
+    any point is built when the stage's scale * sum_T |det T| points do.
     """
     tests = comb(len(vectors), n)
     if max_points is not None and tests > max_points:
         raise LimitError(f"{stage}: {tests} ray subsets to rank-test exceed the limit ({max_points})")
-    walks = [(T, *_numerators(T)) for T in independent_subsets(vectors, n)]
+    walks = [(T, *w) for T in itertools.combinations(vectors, n) if (w := _numerators(T))]
     if max_points is not None:
         estimate = scale * sum(absdet for _, absdet, _ in walks)
         if estimate > max_points:

@@ -2,9 +2,9 @@
 
 Lattice vectors are plain tuples of Python ints; the ambient rank is the
 tuple length.  Everything here is integer elimination: the row Hermite form
-gives ranks, kernels and saturations, Bareiss elimination gives
-determinants, and one pass along echelon pivots gives coordinates.  No
-floating point and no rational arithmetic is used anywhere.  Polyhedral
+gives ranks, kernels and saturations, and one pass along echelon pivots
+gives coordinates.  No floating point and no rational arithmetic is used
+anywhere.  Polyhedral
 questions (duals, faces, lattice points of polytopes) are answered by the
 double description in `cones`.
 """
@@ -168,55 +168,6 @@ def saturate(vectors) -> list[Vector]:
         return []
     n = len(vecs[0])
     return integer_kernel(integer_kernel(vecs, n), n)
-
-
-# ---------------------------------------------------------------------------
-# Small exact dense routines
-
-
-def determinant(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise LatticeError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[-1][-1]
-
-
-def adjugate(rows) -> list[Vector]:
-    """Adjugate matrix: adj(A) @ A = det(A) * I."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    if n == 1:
-        return [(1,)]
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            row.append((-1) ** (i + j) * determinant(minor))
-        adj.append(tuple(row))
-    return adj
 
 
 def express_in_basis(basis_rows, v) -> Vector:

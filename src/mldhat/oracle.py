@@ -36,10 +36,16 @@ class OracleError(ValueError):
     """Invalid oracle input (truncation too small, bad prime...)."""
 
 
+# psi_12, the least strong pseudoprime to all twelve bases 2, ..., 37: below
+# it Miller-Rabin on those bases decides primality exactly
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _require_odd_prime(p):
     if p < 3 or p % 2 == 0:
         raise OracleError("the sampler needs an odd prime")
-    # deterministic Miller-Rabin, sufficient far beyond desk-scale primes
+    if p >= _PRIME_BOUND:
+        raise OracleError(f"the prime must be below {_PRIME_BOUND}, where primality is decided exactly")
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2

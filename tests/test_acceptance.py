@@ -29,6 +29,7 @@ from mldhat.hypersurface import (
 from mldhat.lattice import pairing, rank_of
 from mldhat.oracle import expand, staircase_verify
 from mldhat.toric import minimize_spanning_cost, spanning_cost_greedy
+from reference_kernels import determinant
 from test_toric import spanning_cost_bruteforce
 
 
@@ -134,8 +135,6 @@ def test_criterion_4_hilbert_basis():
 
 
 def test_criterion_5_greedy_equals_bruteforce():
-    from mldhat.lattice import determinant
-
     rng = random.Random(55)
     cones = []
     while len(cones) < 30:

@@ -478,6 +478,24 @@ class TestCommands:
         assert out == ""
         assert json.loads(err)["kind"] == "OracleError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["staircase", "--alpha", "2,1,2", "--m", "4"],
+            ["torus-point", "--alpha", "2,1,2"],
+            ["expand", "--alpha", "2,1,2", "--m", "4"],
+        ],
+    )
+    def test_rejects_strong_pseudoprime_to_all_bases(self, support_file, argv):
+        # 399165290221 * 798330580441 passes Miller-Rabin on every base 2, ..., 37
+        psi12 = "318665857834031151167461"
+        code, out, err = run_cli(["oracle", *argv, "--support", support_file, "--prime", psi12])
+        assert code == 2
+        assert out == ""
+        report = json.loads(err)
+        assert report["kind"] == "OracleError"
+        assert psi12 in report["error"]
+
     def test_expand_huge_exponent(self, tmp_path):
         # the t-series of x^e is empty past t^m once e * alpha > m
         path = tmp_path / "huge.json"

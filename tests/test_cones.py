@@ -16,7 +16,6 @@ from mldhat.cones import (
     has_isolated_fixed_point,
     is_simplicial,
     is_smooth,
-    membership,
     resolve_face,
     split_torus_factor,
 )
@@ -273,36 +272,36 @@ class TestDual:
 class TestMembership:
     def test_interior_point_of_wedge(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
-        assert membership(c, (1, 0), "interior")
+        assert c.contains((1, 0), strict=True)
 
     def test_origin_not_interior(self):
         c = Cone.from_generators(2, [(1, 0), (0, 1)])
-        assert not membership(c, (0, 0), "interior")
-        assert membership(c, (0, 0), "closed")
+        assert not c.contains((0, 0), strict=True)
+        assert c.contains((0, 0))
 
     def test_boundary_point(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
-        assert not membership(c, (0, 1), "interior")
-        assert membership(c, (0, 1), "closed")
+        assert not c.contains((0, 1), strict=True)
+        assert c.contains((0, 1))
 
     def test_interior_requires_full_dimensional(self):
         c = Cone.from_generators(2, [(1, 0)])
         with pytest.raises(ConeError):
-            membership(c, (1, 0), "interior")
+            c.contains((1, 0), strict=True)
 
     def test_closed_membership_of_flat_cone(self):
         # points off the span of a lower-dimensional cone are not members
         c = Cone.from_generators(2, [(1, 0)])
-        assert membership(c, (3, 0), "closed")
-        assert not membership(c, (-1, 0), "closed")
-        assert not membership(c, (1, 1), "closed")
+        assert c.contains((3, 0))
+        assert not c.contains((-1, 0))
+        assert not c.contains((1, 1))
 
     def test_generators_are_members(self):
         rng = random.Random(5)
         for _ in range(50):
             c = random_pointed_cone(rng, rng.randint(2, 3), 5)
             for g in c.generators:
-                assert membership(c, g, "closed")
+                assert c.contains(g)
 
     def test_interior_implies_closed(self):
         rng = random.Random(6)
@@ -310,15 +309,15 @@ class TestMembership:
             n = rng.randint(2, 3)
             c = random_pointed_cone(rng, n, 5)
             a = tuple(sum(col) for col in zip(*c.generators))
-            if membership(c, a, "interior"):
-                assert membership(c, a, "closed")
+            if c.contains(a, strict=True):
+                assert c.contains(a)
 
     def test_against_functional_grid_oracle(self):
         rng = random.Random(7)
         for _ in range(20):
             c = random_pointed_cone(rng, 2, 3)
             for pt in itertools.product(range(-3, 4), repeat=2):
-                assert membership(c, pt, "closed") == brute_membership(c, pt, radius=12)
+                assert c.contains(pt) == brute_membership(c, pt, radius=12)
 
 
 class TestSplit:

@@ -1,17 +1,13 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from mldhat.cones import Cone, ConeError, dual_cone
-from mldhat.hilbert import (
-    _pack,
-    _sieve,
-    hilbert_basis,
-    independent_subsets,
-    parallelepiped_points,
-)
-from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, vec_sub
+from mldhat.hilbert import _numerators, _pack, _sieve, hilbert_basis, parallelepiped_points
+from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, row_hermite, vec_sub
+from reference_kernels import determinant, independent_subsets, reference_numerators
 
 
 def _grading_point(dual):
@@ -130,14 +126,63 @@ class TestParallelepiped:
             rays = [
                 tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)
             ]
-            from mldhat.lattice import determinant
-
             d = determinant([list(r) for r in rays])
             if d == 0:
                 continue
             pts = parallelepiped_points(tuple(rays))
             assert len(pts) == abs(d)
             assert len(set(pts)) == abs(d)
+
+    @pytest.mark.parametrize("rays", [((1, 2), (2, 4)), ((1, 0, 1), (0, 1, 1), (1, 1, 2)), ((0,),)])
+    def test_dependent_rays_rejected(self, rays):
+        with pytest.raises(LatticeError, match="parallelepiped needs linearly independent rays"):
+            parallelepiped_points(rays)
+
+    @pytest.mark.parametrize("rays", [((1, 0, 5), (0, 2, 0)), ((1, 0), (0, 1), (1, 1))])
+    def test_non_square_rays_rejected(self, rays):
+        with pytest.raises(LatticeError, match="as many rays as their rank"):
+            parallelepiped_points(rays)
+
+
+class TestNumeratorKernel:
+    """One Hermite form of [T | I] against rank test, Bareiss and adjugate."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_reference_numerators(self, n):
+        rng = random.Random(900 + n)
+        signs = {-1: 0, 0: 0, 1: 0}
+        for _ in range(300):
+            rays = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n)]
+            if rng.random() < 0.2:
+                # a combination of the others: singular with nonzero entries
+                rays[-1] = tuple(sum(c * r[j] for c, r in zip((1, -2, 1), rays[:-1])) for j in range(n))
+            d = determinant(rays)
+            signs[(d > 0) - (d < 0)] += 1
+            if abs(d) > 3000:
+                continue
+            walk = _numerators(rays)
+            if d == 0:
+                assert walk is None, rays
+                continue
+            absdet, numerators = walk
+            assert (absdet, list(numerators)) == reference_numerators(rays), rays
+        assert all(signs.values()), signs
+
+    def test_one_hermite_form_per_subset(self, monkeypatch):
+        # the only elimination left is row_hermite, called once per n-subset
+        hexagon = Cone.from_generators(
+            3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
+        )
+        calls = []
+
+        def counted(rows, original=row_hermite):
+            calls.append(len(rows))
+            return original(rows)
+
+        for module in ("mldhat.lattice", "mldhat.hilbert", "mldhat.cones"):
+            monkeypatch.setattr(f"{module}.row_hermite", counted)
+        hilbert_basis(hexagon)
+        assert calls == [3] * math.comb(6, 3)
 
 
 class TestHilbertBasis:

@@ -66,10 +66,17 @@ class TestExpand:
         with pytest.raises(OracleError):
             expand(WHITNEY, [1, 1], (2, 1, 2), m=1)
 
-    @pytest.mark.parametrize("prime", [4, 91, 2, 1, 0, -7])
+    # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+    # pseudoprime to every base 2, ..., 37
+    @pytest.mark.parametrize("prime", [4, 91, 2, 1, 0, -7, 318665857834031151167461])
     def test_rejects_non_prime_modulus(self, prime):
         with pytest.raises(OracleError):
             expand(WHITNEY, [1, 1], (2, 1, 2), m=4, prime=prime)
+
+    def test_accepts_large_prime_below_bound(self):
+        prime = 2**61 - 1
+        g = expand(WHITNEY, [1, prime - 1], (2, 1, 2), m=4, prime=prime)
+        assert g == expand(WHITNEY, [1, -1], (2, 1, 2), m=4, prime=prime)
 
     def test_weight_invariant_random(self):
         rng = random.Random(9)

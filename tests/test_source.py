@@ -62,3 +62,51 @@ def test_exactness_check_catches(source):
 
 def test_exactness_check_passes_integer_code():
     assert not list(inexact_nodes(ast.parse("x = a // b\nx //= 2\ny = 10**3\nz = float")))
+
+
+def cache_nodes(tree):
+    """The line of each lru_cache import and each cached function of an input.
+
+    A cache on a function without parameters is a lazily built constant
+    (the CLI's argument parser) and is allowed.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "lru_cache" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            node.args.args or node.args.posonlyargs or node.args.kwonlyargs
+            or node.args.vararg or node.args.kwarg
+        ):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_per_input_caches(path):
+    # a cache keyed by its input pays off only when inputs repeat, and a
+    # one-op CLI process never repeats one
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(cache_nodes(tree))
+    assert not lines, f"{path.name} caches per input at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from functools import lru_cache",
+        "@functools.lru_cache(8)\ndef f(x): pass",
+        "@functools.cache\ndef f(*, x): pass",
+        "@cache\ndef f(x): pass",
+    ],
+)
+def test_cache_check_catches(source):
+    assert list(cache_nodes(ast.parse(source)))
+
+
+def test_cache_check_passes_constants_and_other_functools():
+    source = "import functools\n@functools.cache\ndef parser(): pass\nfrom functools import reduce\n"
+    assert not list(cache_nodes(ast.parse(source)))
