@@ -252,6 +252,7 @@ def _run_oracle(args):
             prime=args.prime,
             trials=args.trials,
             seed=seed,
+            max_points=args.max_subsets,
         )
         return {
             "kind": "staircase",
@@ -290,7 +291,9 @@ def _run_oracle(args):
             if args.coeffs is not None
             else [1] * len(support.exponents)
         )
-        result = expand(support, coeffs, args.alpha, m=args.m, prime=args.prime_opt)
+        result = expand(
+            support, coeffs, args.alpha, m=args.m, prime=args.prime_opt, max_points=args.max_subsets
+        )
         terms = {}
         for s in sorted(result.terms):
             terms[str(s)] = [

@@ -12,11 +12,17 @@ solves the staircase, and verifies the resulting point against every
 equation, so a successful trial certifies that the expected number of
 equations cuts the window dimension down independently.
 
+The monomials of each G_s do not depend on the drawn coefficients, only
+on the support, alpha, m and p (see `staircase_verify`), so the staircase
+compiles every equation once per call into a term plan over a flat list
+of values, and a trial only evaluates the plans.
+
 The one nonlinear step, the nonzero roots of a univariate form over F_p,
 is exact and deterministic: gcd with x^(p-1) - 1, then equal-degree
 splitting (`_nonzero_roots`), in O(d^2 log p) field operations per gcd
-step.  Any odd prime works, 31-bit ones included; there is no scan over
-the residues.
+step.  Every power it takes is of a linear base x + a, so a multiply is a
+shift (`_powmod_minus_one`).  Any odd prime works, 31-bit ones included;
+there is no scan over the residues.
 
 Randomly drawn nonzero coefficients stand in for "very general" complex
 ones.  Finite-field evidence comes only from the `oracle` commands: the
@@ -28,8 +34,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb, prod
 
 from .hypersurface import GenericForm, Support, certificate_data, is_feasible, weight_data
+from .lattice import LimitError
 
 
 class OracleError(ValueError):
@@ -158,6 +166,18 @@ def _window_orders(support: Support, alpha, m):
     return alpha
 
 
+def _window_monomial_bound(support: Support, alpha, m) -> int:
+    """At most this many window monomials in the expansion of the support.
+
+    A window monomial of x^I picks, for every variable j, a multiset of I_j
+    superscripts from alpha_j..m: C(m - alpha_j + I_j, I_j) choices.  The
+    weight cut of the expansion only removes monomials.
+    """
+    return sum(
+        prod(comb(m - a + e, e) for a, e in zip(alpha, expo)) for expo in support.exponents
+    )
+
+
 def _combine(coeffs, per_monomial, s, prime):
     """G_s = sum_i coeffs[i] * (t^s coefficient of monomial i's series).
 
@@ -176,12 +196,14 @@ def _combine(coeffs, per_monomial, s, prime):
     return acc
 
 
-def expand(support: Support, coeffs, alpha, m, prime=None) -> TruncatedExpansion:
+def expand(support: Support, coeffs, alpha, m, prime=None, max_points=None) -> TruncatedExpansion:
     """Arc expansion of sum_i coeffs[i] x^{I^i} with orders alpha, cut at m.
 
     Coefficients are matched to `support.exponents`, which is canonically
     sorted.  Every monomial of every G_s has weight exactly s; the
-    expansion asserts this invariant as it goes.
+    expansion asserts this invariant as it goes.  With `max_points`,
+    LimitError is raised before any expansion when the window monomials
+    (`_window_monomial_bound`) exceed it.
     """
     alpha = _window_orders(support, alpha, m)
     if prime is not None:
@@ -190,6 +212,10 @@ def expand(support: Support, coeffs, alpha, m, prime=None) -> TruncatedExpansion
         raise OracleError("one coefficient per support monomial is required")
     if any(c == 0 if prime is None else c % prime == 0 for c in coeffs):
         raise OracleError("coefficients must be nonzero in the field")
+    if max_points is not None and (terms := _window_monomial_bound(support, alpha, m)) > max_points:
+        raise LimitError(
+            f"oracle expand: up to {terms} window monomials exceed the limit ({max_points})"
+        )
     per_monomial = [_expand_single_monomial(e, alpha, m, m) for e in support.exponents]
     total = {
         s: poly for s in range(m + 1) if (poly := _combine(coeffs, per_monomial, s, prime))
@@ -280,14 +306,21 @@ def _gcd(a, b, p):
     return a
 
 
-def _powmod_minus_one(base, e, f, p):
-    """base^e - 1 mod a monic f, by square-and-multiply; base reduced mod f."""
+def _powmod_minus_one(a, e, f, p):
+    """(x + a)^e - 1 mod a monic f of degree >= 1.
+
+    Left-to-right square-and-multiply: a multiply by the linear base is a
+    shift plus a * result, with the one term of degree deg f reduced away.
+    """
     result = [1]
-    while e:
-        if e & 1:
-            result = _divmod(_poly_product(result, base, p), f, p)[1]
-        base = _divmod(_poly_product(base, base, p), f, p)[1]
-        e >>= 1
+    for bit in bin(e)[2:]:
+        result = _divmod(_poly_product(result, result, p), f, p)[1]
+        if bit == "1":
+            result = [(lo + a * hi) % p for lo, hi in zip([0] + result, result + [0])]
+            if len(result) == len(f):
+                top = result[-1]
+                result = [(c - top * fc) % p for c, fc in zip(result, f)]
+            _trim(result)
     result = result or [0]
     result[0] = (result[0] - 1) % p
     return _trim(result)
@@ -322,7 +355,7 @@ def _nonzero_roots(uni, prime, rng):
         root = (-c0 * pow(c1, prime - 2, prime)) % prime
         return [root] if root else []
     f = _monic([uni.get(d, 0) % prime for d in range(degree + 1)], prime)
-    g = _gcd(f, _powmod_minus_one([0, 1], prime - 1, f, prime), prime)
+    g = _gcd(f, _powmod_minus_one(0, prime - 1, f, prime), prime)
     roots = []
     factors = [g] if len(g) > 1 else []
     while factors:
@@ -331,7 +364,7 @@ def _nonzero_roots(uni, prime, rng):
             roots.append(-h[0] % prime)
             continue
         for a in range(prime):
-            d = _gcd(h, _powmod_minus_one([a, 1], (prime - 1) // 2, h, prime), prime)
+            d = _gcd(h, _powmod_minus_one(a, (prime - 1) // 2, h, prime), prime)
             if 1 < len(d) < len(h):
                 factors += [d, _divmod(h, d, prime)[0]]
                 break
@@ -355,8 +388,43 @@ def _solve_variable(form: GenericForm) -> int:
     return min(varying, key=lambda j: (max(e[j] for e in exponents), j))
 
 
+def _compile_equation(per_monomial, s, pivot, slot, prime):
+    """G_s as a term plan on its pivot, its check terms, and the other variables it reads.
+
+    A term is (k(M) mod p, factor slots): slot len(window) + i holds the
+    coefficient c_i of the support monomial M comes from, and every other
+    factor is the window slot of a non-pivot variable of M, listed once per
+    unit of exponent.  M is left out where k(M) = 0 in F_p, as in G_s.  The
+    plan groups the terms by pivot degree, degrees 0 and 1 always present;
+    a check term lists the pivot slot as well, to evaluate G_s at a point.
+    """
+    coefficient_slot = len(slot)
+    plan, check, reads = [[], []], [], set()
+    for i, series in enumerate(per_monomial):
+        for mono, mult in series.get(s, {}).items():
+            c = mult % prime
+            if not c:
+                continue
+            factors, degree = [coefficient_slot + i], 0
+            for var, e in mono:
+                if var == pivot:
+                    degree += e
+                else:
+                    reads.add(var)
+                    factors += [slot[var]] * e
+            plan += [[] for _ in range(degree + 1 - len(plan))]
+            plan[degree].append((c, tuple(factors)))
+            check.append((c, tuple(factors + [slot[pivot]] * degree)))
+    return plan, check, reads
+
+
+def _collapse(plan, value, prime):
+    """The coefficients of an equation's pivot powers in F_p, other slots read by `value`."""
+    return [sum([prod(map(value, f), start=c) for c, f in terms]) % prime for terms in plan]
+
+
 def staircase_verify(
-    support: Support, alpha, m, prime=10007, trials=50, seed=0
+    support: Support, alpha, m, prime=10007, trials=50, seed=0, max_points=None
 ) -> StaircaseResult:
     """Sample the staircase solution of the window equations over F_p.
 
@@ -364,6 +432,37 @@ def staircase_verify(
     and confirms that the equations from the minimal weight up to m + mu
     each eliminate one variable, so the stratum dimension matches
     window - equations; infeasible order tuples give the empty stratum.
+
+    The equations are compiled once per call.  A window monomial M of G_k
+    comes from exactly one support monomial x^{I^i}: the exponents of M in
+    the variables x_j^(u), summed over u, are I^i_j, and the support
+    monomials are distinct.  So its coefficient is c_i k(M) with k(M) the
+    product of multinomial coefficients, and since c_i != 0 in F_p the
+    monomials of G_k are those with k(M) != 0 mod p, whatever the trial
+    draws.  Each equation becomes one term plan (`_compile_equation`); a
+    trial keeps its coefficients and window values in one flat list and
+    collapses the plans onto their pivots (`_collapse`).
+
+    Failure reasons, in the order a trial meets them:
+
+    * no_nonzero_root: the initial form G_n0 has no nonzero root in its
+      pivot at the drawn values (per trial);
+    * pivot_derivative_vanishes: the pivot coefficient vanishes at that
+      root (per trial);
+    * equation_not_linear_in_pivot, linear_pivot_coefficient_vanishes: a
+      later G_k has a nonzero coefficient on a pivot power above 1, or a
+      zero one on the pivot (per trial);
+    * equation_touches_undetermined_variable: G_k reads a pivot of a later
+      equation.  This depends only on the monomial set of G_k, so it is
+      decided once per call, and every trial that gets that far records it.
+
+    Every successful trial then evaluates each equation, pivots included,
+    at the point found, and a nonzero value raises AssertionError.  The
+    random stream is drawn in a fixed order: the coefficients, the window
+    values in window order, then the root finder's shuffle.
+
+    With `max_points`, LimitError is raised before any expansion when the
+    window monomials (`_window_monomial_bound`) times the trials exceed it.
     """
     alpha = _window_orders(support, alpha, m)
     _require_odd_prime(prime)
@@ -380,6 +479,13 @@ def staircase_verify(
             window_size=len(window),
             empty=True,
         )
+    if max_points is not None:
+        terms = _window_monomial_bound(support, alpha, m)
+        if terms * trials > max_points:
+            raise LimitError(
+                f"oracle staircase: up to {terms * trials} term evaluations "
+                f"({terms} window monomials, {trials} trials) exceed the limit ({max_points})"
+            )
     # pivot schedule for the equations from n0 through m + mu
     data = weight_data(support, alpha)
     cert = certificate_data(support, alpha)
@@ -400,62 +506,65 @@ def staircase_verify(
         raise AssertionError("pivot escaped the window")
     equations = list(range(n0, upto + 1))
     n_equations = len(equations)
+    slot = {var: s for s, var in enumerate(window)}
+    pivot_vars = set(pivots.values()) | {base_pivot}
+    free_vars = [var for var in window if var not in pivot_vars]
+    # the draws of a trial, in window order: nonzero at the lowest superscript
+    free = [(slot[(j, u)], int(u == alpha[j])) for j, u in free_vars]
+    assigned = set(free_vars) | {base_pivot}
+    lowest = [(j, alpha[j]) for j in range(nv)]
+    base, base_check, reads = _compile_equation(per_monomial, n0, base_pivot, slot, prime)
+    if not reads.union(lowest) <= assigned:
+        raise AssertionError("the base step reads a pivot of a later equation")
+    # steps up to the first equation that reads an undetermined variable
+    steps, blocked, checks = [], None, [(n0, base_check)]
+    for k in equations[1:]:
+        plan, check, reads = _compile_equation(per_monomial, k, pivots[k], slot, prime)
+        if not reads <= assigned:
+            blocked = "equation_touches_undetermined_variable"
+            break
+        assigned.add(pivots[k])
+        steps.append((slot[pivots[k]], plan))
+        checks.append((k, check))
+    lowest_slots = [slot[var] for var in lowest]
+    values = [0] * (len(window) + len(support.exponents))
+    value = values.__getitem__
     rng = random.Random(seed)
     successes = 0
     reasons = []
     for _ in range(trials):
         coeffs = [rng.randrange(1, prime) for _ in support.exponents]
-        gks = {k: _combine(coeffs, per_monomial, k, prime) for k in equations}
-        assignment = {}
-        pivot_vars = set(pivots.values()) | {base_pivot}
-        for var in window:
-            if var in pivot_vars:
-                continue
-            j, u = var
-            if u == alpha[j]:
-                assignment[var] = rng.randrange(1, prime)
-            else:
-                assignment[var] = rng.randrange(prime)
+        values[len(window):] = coeffs
+        for s, low in free:
+            values[s] = rng.randrange(low, prime)
         # base step: the initial form must vanish at a nonzero pivot value
-        uni = _substitute(gks[n0], assignment, base_pivot, prime)
+        uni = {d: c for d, c in enumerate(_collapse(base, value, prime)) if c}
         roots = _nonzero_roots(uni, prime, rng)
         if not roots:
             reasons.append("no_nonzero_root")
             continue
-        assignment[base_pivot] = roots[0]
-        pivot_value = cert.pivot_coefficient.evaluate(
-            coeffs, [assignment[(j, alpha[j])] for j in range(nv)], prime
-        )
+        values[slot[base_pivot]] = roots[0]
+        pivot_value = cert.pivot_coefficient.evaluate(coeffs, [values[s] for s in lowest_slots], prime)
         if pivot_value % prime == 0:
             reasons.append("pivot_derivative_vanishes")
             continue
-        ok = True
-        for k in equations[1:]:
-            pv = pivots[k]
-            try:
-                uni = _substitute(gks[k], assignment, pv, prime)
-            except KeyError:
-                reasons.append("equation_touches_undetermined_variable")
-                ok = False
+        for ps, plan in steps:
+            c0, c1, *higher = _collapse(plan, value, prime)
+            if any(higher):
+                reason = "equation_not_linear_in_pivot"
                 break
-            if max(uni, default=0) > 1:
-                reasons.append("equation_not_linear_in_pivot")
-                ok = False
+            if not c1:
+                reason = "linear_pivot_coefficient_vanishes"
                 break
-            c1 = uni.get(1, 0)
-            if c1 % prime == 0:
-                reasons.append("linear_pivot_coefficient_vanishes")
-                ok = False
-                break
-            assignment[pv] = (-uni.get(0, 0) * pow(c1, prime - 2, prime)) % prime
-        if not ok:
+            values[ps] = -c0 * pow(c1, -1, prime) % prime
+        else:
+            reason = blocked
+        if reason is not None:
+            reasons.append(reason)
             continue
-        for k in equations:
-            uni = _substitute(gks[k], assignment, (-1, -1), prime)
-            if uni.get(0, 0) % prime:
-                raise AssertionError(
-                    f"staircase produced a non-solution at equation {k}"
-                )
+        for k, terms in checks:
+            if _collapse([terms], value, prime)[0]:
+                raise AssertionError(f"staircase produced a non-solution at equation {k}")
         successes += 1
     return StaircaseResult(
         free_parameter_count=len(window) - n_equations,

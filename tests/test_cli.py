@@ -232,6 +232,26 @@ class TestCommands:
         assert report["kind"] == "SupportError"
         assert "no entries" in report["error"]
 
+    @pytest.mark.parametrize("command", ["staircase", "expand"])
+    def test_oracle_limit_exit_code(self, tmp_path, command):
+        # millions of window monomials at m = 240: refused before any expansion
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"vars": 3, "support": [[2, 0, 0], [0, 2, 1], [0, 0, 3]]}))
+        argv = ["oracle", command, "--support", str(path), "--alpha", "2,1,2", "--m", "240"]
+        started = time.perf_counter()
+        code, out, err = run_cli(["--max-subsets", "10", *argv])
+        assert time.perf_counter() - started < 5.0
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["kind"] == "LimitError"
+        assert report["error"].startswith(f"oracle {command}: up to ")
+
+    @pytest.mark.parametrize("command", ["staircase", "expand"])
+    def test_oracle_under_limit_unchanged(self, support_file, command):
+        argv = ["--seed", "1", "oracle", command, "--support", support_file, "--alpha", "2,1,2", "--m", "5"]
+        assert run_cli(["--max-subsets", "100000", *argv]) == run_cli(argv)
+
     def test_hilbert_limit_exit_code(self, tmp_path):
         # 200000 parallelepiped points: the guard trips before building any
         path = tmp_path / "wide.json"

@@ -7,14 +7,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mldhat.hypersurface import GenericForm, certificate_data, validate_support, weight_data
+from mldhat.hypersurface import (
+    GenericForm,
+    certificate_data,
+    is_feasible,
+    validate_support,
+    weight_data,
+)
+from mldhat.lattice import LimitError
 from mldhat.oracle import (
     OracleError,
+    _divmod,
     _nonzero_roots,
+    _powmod_minus_one,
+    _window_monomial_bound,
     expand,
     staircase_verify,
     torus_point_sample,
 )
+from reference_kernels import reference_powmod_minus_one, reference_staircase_verify
 from test_hypersurface import raw_support
 
 WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
@@ -225,6 +236,86 @@ class TestStaircase:
         assert result.estimated_dim == 2 * 7 - 4 - 1 + data.min_weight - data.pivot_gap
 
 
+# the (support, alpha) pairs of TestStaircase, the infeasible one included
+STAIRCASE_CASES = [
+    ([(2, 0, 0), (0, 2, 1)], (2, 1, 2)),
+    ([(2, 0, 0), (0, 2, 1)], (1, 1, 1)),
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2)], (1, 1, 1)),
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2)], (2, 2, 2)),
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2)], (1, 2, 2)),
+    ([(3, 0, 0), (1, 2, 0), (0, 0, 2)], (2, 1, 2)),
+    ([(5, 0, 0), (0, 3, 0), (0, 0, 2)], (2, 2, 3)),
+    ([(4, 0, 0), (0, 3, 0), (0, 0, 2)], (1, 2, 2)),
+    ([(4, 0, 0), (0, 4, 0), (1, 1, 1)], (1, 1, 5)),  # intermediate pivot chain
+    ([(0, 1, 2), (2, 0, 1), (3, 0, 0)], (2, 2, 2)),
+]
+
+
+class TestStaircasePlans:
+    """The compiled staircase against the per-trial symbolic rebuild."""
+
+    @pytest.mark.parametrize("rows, alpha", STAIRCASE_CASES)
+    @pytest.mark.parametrize("prime", [3, 5, 101, 10007])
+    def test_matches_reference_on_known_supports(self, rows, alpha, prime):
+        s = validate_support(rows)
+        for m in range(max(alpha), max(alpha) + 5):
+            args = (s, alpha, m, prime, 20, m)
+            assert staircase_verify(*args) == reference_staircase_verify(*args)
+
+    def test_matches_reference_on_random_supports(self):
+        rng = random.Random(14)
+        reasons = set()
+        compared = 0
+        while compared < 150:
+            nv = rng.randint(2, 4)
+            rows = {tuple(rng.randint(0, 5) for _ in range(nv)) for _ in range(rng.randint(2, 4))}
+            rows.discard((0,) * nv)
+            if len(rows) < 2:
+                continue
+            s = raw_support(rows)
+            alpha = tuple(rng.randint(1, 3) for _ in range(nv))
+            if not is_feasible(s, alpha):
+                continue
+            args = (s, alpha, max(alpha) + rng.randint(0, 3), rng.choice([3, 5, 7, 11, 101]), 12, compared)
+            result = staircase_verify(*args)
+            assert result == reference_staircase_verify(*args), args
+            reasons.update(result.failure_reasons)
+            compared += 1
+        assert reasons == {"no_nonzero_root", "pivot_derivative_vanishes"}
+
+    def test_failure_reasons(self):
+        s = validate_support([(0, 1, 2), (2, 0, 1), (3, 0, 0)])
+        result = staircase_verify(s, (2, 2, 2), m=4, prime=5, trials=10, seed=0)
+        assert result.successes == 7
+        assert result.failure_reasons == ("no_nonzero_root", "pivot_derivative_vanishes")
+
+    def test_window_monomial_bound(self):
+        # over the integers every multiset of superscripts appears, so with
+        # the weight cut above the top weight the bound is the exact count
+        rng = random.Random(3)
+        for _ in range(40):
+            nv = rng.randint(1, 3)
+            s = raw_support({tuple(rng.randint(0, 3) for _ in range(nv)) for _ in range(3)} - {(0,) * nv})
+            alpha = tuple(rng.randint(1, 2) for _ in range(nv))
+            m = max(alpha) + rng.randint(0, 2)
+            exp = expand(s, [1] * len(s.exponents), alpha, m=m)
+            bound = _window_monomial_bound(s, alpha, m)
+            assert sum(len(poly) for poly in exp.terms.values()) <= bound
+
+    def test_limits(self):
+        alpha, m, trials = (2, 1, 2), 8, 5
+        bound = _window_monomial_bound(WHITNEY, alpha, m)
+        args = (WHITNEY, alpha, m, 101, trials, 1)
+        assert staircase_verify(*args, max_points=bound * trials) == staircase_verify(*args)
+        with pytest.raises(LimitError, match=r"^oracle staircase: up to"):
+            staircase_verify(*args, max_points=bound * trials - 1)
+        assert expand(WHITNEY, [1, 1], alpha, m, max_points=bound) == expand(WHITNEY, [1, 1], alpha, m)
+        with pytest.raises(LimitError, match=rf"^oracle expand: up to {bound} window monomials"):
+            expand(WHITNEY, [1, 1], alpha, m, max_points=bound - 1)
+        # an infeasible tuple expands nothing, so no limit refuses it
+        assert staircase_verify(WHITNEY, (1, 1, 1), m, 101, trials, max_points=0).empty
+
+
 class TestTorusSample:
     def test_whitney_style_form(self):
         data = certificate_data(WHITNEY, (2, 1, 2))
@@ -349,6 +440,16 @@ class TestNonzeroRoots:
         expected = residue_scan_roots(uni, p)
         assert rng.shuffled == [expected]
         assert sorted(roots) == expected
+
+    def test_linear_power_matches_square_and_multiply(self):
+        rng = random.Random(5)
+        for p in (3, 5, 7, 101, 10007, 2147483647):
+            for _ in range(200):
+                f = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+                a = rng.randrange(p)
+                e = rng.choice([rng.randint(1, 64), p - 1, (p - 1) // 2])
+                base = _divmod([a, 1], f, p)[1]
+                assert _powmod_minus_one(a, e, f, p) == reference_powmod_minus_one(base, e, f, p)
 
     def test_large_prime_cubic(self):
         p = 2147483647
