@@ -18,11 +18,13 @@ compiles every equation once per call into a term plan over a flat list
 of values, and a trial only evaluates the plans.
 
 The one nonlinear step, the nonzero roots of a univariate form over F_p,
-is exact and deterministic: gcd with x^(p-1) - 1, then equal-degree
-splitting (`_nonzero_roots`), in O(d^2 log p) field operations per gcd
-step.  Every power it takes is of a linear base x + a, so a multiply is a
-shift (`_powmod_minus_one`).  Any odd prime works, 31-bit ones included;
-there is no scan over the residues.
+is exact and deterministic (`_nonzero_roots`).  A quadratic is solved in
+closed form: Euler's criterion on its discriminant, then a Tonelli-Shanks
+square root (`_quadratic_roots`).  Degree 3 and up takes gcd with
+x^(p-1) - 1, then equal-degree splitting (`_split_roots`), in
+O(d^2 log p) field operations per gcd step; every power it takes is of a
+linear base x + a, so a multiply is a shift (`_powmod_minus_one`).  Any
+odd prime works, 31-bit ones included; there is no scan over the residues.
 
 Randomly drawn nonzero coefficients stand in for "very general" complex
 ones.  Finite-field evidence comes only from the `oracle` commands: the
@@ -326,12 +328,57 @@ def _powmod_minus_one(a, e, f, p):
     return _trim(result)
 
 
-def _nonzero_roots(uni, prime, rng):
-    """Nonzero roots of a univariate polynomial over F_p, random order.
+def _sqrt_mod(a, p):
+    """A square root of a mod an odd prime p, a a square (Tonelli-Shanks).
 
-    Linear equations are solved directly.  For degree d >= 2 the finder is
-    exact and deterministic (Cantor-Zassenhaus with a stepped shift,
-    O(d^2 log p) per gcd step), so every odd prime takes the same route:
+    With p - 1 = 2^s q, q odd, x = a^((q+1)/2) and b = a^q keep x^2 = a b.
+    While b != 1, its order is 2^i with i < r, where y of order 2^r
+    generates the 2-Sylow subgroup holding b; multiplying x by
+    t = y^(2^(r-i-1)) and b by t^2 lowers the order of b (Cohen, A Course
+    in Computational Algebraic Number Theory, Algorithm 1.5.1).  y is z^q
+    for the least non-residue z = 2, 3, ..., so the root is deterministic;
+    for p = 3 mod 4 (s = 1) b is 1 at once and no z is needed.
+    """
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    x, b = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if b == 1 or not a:
+        return x
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    y, r = pow(z, q, p), s
+    while b != 1:
+        i, t = 0, b
+        while t != 1:
+            t = t * t % p
+            i += 1
+        t = pow(y, 1 << (r - i - 1), p)
+        y, r = t * t % p, i
+        x, b = x * t % p, b * y % p
+    return x
+
+
+def _quadratic_roots(f, p):
+    """The distinct nonzero roots of a monic x^2 + bx + c over F_p, in closed form.
+
+    The roots are (-b +- sqrt(D)) / 2 for the discriminant D = b^2 - 4c,
+    and there are none when D is a non-square (Euler's criterion:
+    D^((p-1)/2) = -1).  D = 0 gives the double root once.
+    """
+    c, b, _ = f
+    disc = (b * b - 4 * c) % p
+    if pow(disc, (p - 1) // 2, p) == p - 1:
+        return []
+    root = _sqrt_mod(disc, p)
+    half = (p + 1) // 2
+    return [r for r in {(root - b) * half % p, (-root - b) * half % p} if r]
+
+
+def _split_roots(f, p):
+    """The distinct nonzero roots of a monic f over F_p (Cantor-Zassenhaus).
 
     * g = gcd(f, x^(p-1) - 1), with x^(p-1) reduced mod f by
       square-and-multiply, is the product of x - r over exactly the distinct
@@ -342,6 +389,33 @@ def _nonzero_roots(uni, prime, rng):
       distinct roots r1 != r2, a -> (r1 + a)/(r2 + a) takes every value but
       1 on F_p minus {-r2}, so some a < p gives the two roots opposite
       quadratic character (or sends r1 to 0), and the split is proper.
+    """
+    g = _gcd(f, _powmod_minus_one(0, p - 1, f, p), p)
+    roots = []
+    factors = [g] if len(g) > 1 else []
+    while factors:
+        h = factors.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+            continue
+        for a in range(p):
+            d = _gcd(h, _powmod_minus_one(a, (p - 1) // 2, h, p), p)
+            if 1 < len(d) < len(h):
+                factors += [d, _divmod(h, d, p)[0]]
+                break
+        else:
+            raise AssertionError(f"no shift splits {h} over F_{p}")
+    return roots
+
+
+def _nonzero_roots(uni, prime, rng):
+    """Nonzero roots of a univariate polynomial over F_p, random order.
+
+    Exact and deterministic for every odd prime: a linear equation is
+    solved directly, a quadratic in closed form (`_quadratic_roots`), and
+    degree 3 and up by Cantor-Zassenhaus with a stepped shift
+    (`_split_roots`, O(d^2 log p) per gcd step).  Every root of degree 2
+    and up is checked by substitution, and a non-root raises AssertionError.
 
     The roots are sorted before the shuffle, and no step draws from `rng`,
     so the caller's random stream is the one a residue scan would leave.
@@ -355,21 +429,13 @@ def _nonzero_roots(uni, prime, rng):
         root = (-c0 * pow(c1, prime - 2, prime)) % prime
         return [root] if root else []
     f = _monic([uni.get(d, 0) % prime for d in range(degree + 1)], prime)
-    g = _gcd(f, _powmod_minus_one(0, prime - 1, f, prime), prime)
-    roots = []
-    factors = [g] if len(g) > 1 else []
-    while factors:
-        h = factors.pop()
-        if len(h) == 2:
-            roots.append(-h[0] % prime)
-            continue
-        for a in range(prime):
-            d = _gcd(h, _powmod_minus_one(a, (prime - 1) // 2, h, prime), prime)
-            if 1 < len(d) < len(h):
-                factors += [d, _divmod(h, d, prime)[0]]
-                break
-        else:
-            raise AssertionError(f"no shift splits {h} over F_{prime}")
+    roots = _quadratic_roots(f, prime) if degree == 2 else _split_roots(f, prime)
+    for r in roots:
+        value = 0
+        for c in reversed(f):
+            value = (value * r + c) % prime
+        if value:
+            raise AssertionError(f"{r} is not a root of {f} over F_{prime}")
     roots.sort()
     rng.shuffle(roots)
     return roots
@@ -418,6 +484,26 @@ def _compile_equation(per_monomial, s, pivot, slot, prime):
     return plan, check, reads
 
 
+def _pivot_schedule(support: Support, alpha, m):
+    """The certificate data and the pivot of each arc equation G_k, in order.
+
+    The equations run from k = n0 to m + mu; the base pivot of G_n0 is the
+    lowest superscript of the solve variable of the initial form, and each
+    later G_k is solved for a new highest superscript: first of that
+    variable, up to the pivot order n0', then of the pivot index j0.
+    """
+    data = weight_data(support, alpha)
+    cert = certificate_data(support, alpha)
+    n0, mu = data.min_weight, data.pivot_gap
+    j0, n0p = cert.pivot_index, cert.pivot_order
+    jp = _solve_variable(cert.initial_form)
+    pivots = {k: (jp, alpha[jp] + (k - n0)) for k in range(n0, n0p + 1)}
+    pivots.update((k, (j0, k - mu)) for k in range(n0p + 1, m + mu + 1))
+    if any(u > m for _, u in pivots.values()):
+        raise AssertionError("pivot escaped the window")
+    return cert, pivots
+
+
 def _collapse(plan, value, prime):
     """The coefficients of an equation's pivot powers in F_p, other slots read by `value`."""
     return [sum([prod(map(value, f), start=c) for c, f in terms]) % prime for terms in plan]
@@ -446,15 +532,22 @@ def staircase_verify(
     Failure reasons, in the order a trial meets them:
 
     * no_nonzero_root: the initial form G_n0 has no nonzero root in its
-      pivot at the drawn values (per trial);
+      pivot at the drawn values;
     * pivot_derivative_vanishes: the pivot coefficient vanishes at that
-      root (per trial);
-    * equation_not_linear_in_pivot, linear_pivot_coefficient_vanishes: a
-      later G_k has a nonzero coefficient on a pivot power above 1, or a
-      zero one on the pivot (per trial);
-    * equation_touches_undetermined_variable: G_k reads a pivot of a later
-      equation.  This depends only on the monomial set of G_k, so it is
-      decided once per call, and every trial that gets that far records it.
+      root;
+    * linear_pivot_coefficient_vanishes: a later G_k has a zero
+      coefficient on its pivot.
+
+    No G_k with k > n0 reads a pivot of a later equation or a square of its
+    own pivot, by weight (`_pivot_schedule` gives the pivots).  A window
+    monomial M of x^{I^i} has weight k = w_i + sum of (u - alpha_j) over
+    its factors x_j^(u), with w_i = alpha . I^i.  A pivot (jp, alpha_jp +
+    k' - n0) of the first chain adds k' - n0 >= 1 to w_i >= n0; a pivot
+    (j0, k' - mu) of the second adds k' - mu - alpha_j0 >= k' - n0' >= 1,
+    and w_i >= mu + alpha_j0 when I^i_j0 > 0.  So M holding the pivot of
+    G_k' has weight at least k', and holding the pivot of G_k twice, at
+    least k + 1.  Both are checked as the plans are compiled, and a
+    violation raises AssertionError.
 
     Every successful trial then evaluates each equation, pivots included,
     at the point found, and a nonzero value raises AssertionError.  The
@@ -486,29 +579,13 @@ def staircase_verify(
                 f"oracle staircase: up to {terms * trials} term evaluations "
                 f"({terms} window monomials, {trials} trials) exceed the limit ({max_points})"
             )
-    # pivot schedule for the equations from n0 through m + mu
-    data = weight_data(support, alpha)
-    cert = certificate_data(support, alpha)
-    n0, mu = data.min_weight, data.pivot_gap
-    j0, n0p = cert.pivot_index, cert.pivot_order
-    jp = _solve_variable(cert.initial_form)  # base pivot
-    upto = m + mu
-    per_monomial = [
-        _expand_single_monomial(e, alpha, m, upto) for e in support.exponents
-    ]
-    pivots: dict[int, tuple[int, int]] = {}
-    for k in range(n0 + 1, n0p + 1):
-        pivots[k] = (jp, alpha[jp] + (k - n0))
-    for k in range(n0p + 1, upto + 1):
-        pivots[k] = (j0, k - mu)
-    base_pivot = (jp, alpha[jp])
-    if any(u > m for _, u in pivots.values()):
-        raise AssertionError("pivot escaped the window")
-    equations = list(range(n0, upto + 1))
-    n_equations = len(equations)
+    cert, pivots = _pivot_schedule(support, alpha, m)
+    n0, *equations = pivots
+    base_pivot = pivots[n0]
+    n_equations = len(pivots)
+    per_monomial = [_expand_single_monomial(e, alpha, m, max(pivots)) for e in support.exponents]
     slot = {var: s for s, var in enumerate(window)}
-    pivot_vars = set(pivots.values()) | {base_pivot}
-    free_vars = [var for var in window if var not in pivot_vars]
+    free_vars = [var for var in window if var not in pivots.values()]
     # the draws of a trial, in window order: nonzero at the lowest superscript
     free = [(slot[(j, u)], int(u == alpha[j])) for j, u in free_vars]
     assigned = set(free_vars) | {base_pivot}
@@ -516,13 +593,13 @@ def staircase_verify(
     base, base_check, reads = _compile_equation(per_monomial, n0, base_pivot, slot, prime)
     if not reads.union(lowest) <= assigned:
         raise AssertionError("the base step reads a pivot of a later equation")
-    # steps up to the first equation that reads an undetermined variable
-    steps, blocked, checks = [], None, [(n0, base_check)]
-    for k in equations[1:]:
+    steps, checks = [], [(n0, base_check)]
+    for k in equations:
         plan, check, reads = _compile_equation(per_monomial, k, pivots[k], slot, prime)
         if not reads <= assigned:
-            blocked = "equation_touches_undetermined_variable"
-            break
+            raise AssertionError(f"G_{k} reads a pivot of a later equation")
+        if len(plan) > 2:
+            raise AssertionError(f"G_{k} is not linear in its pivot")
         assigned.add(pivots[k])
         steps.append((slot[pivots[k]], plan))
         checks.append((k, check))
@@ -549,23 +626,16 @@ def staircase_verify(
             reasons.append("pivot_derivative_vanishes")
             continue
         for ps, plan in steps:
-            c0, c1, *higher = _collapse(plan, value, prime)
-            if any(higher):
-                reason = "equation_not_linear_in_pivot"
-                break
+            c0, c1 = _collapse(plan, value, prime)
             if not c1:
-                reason = "linear_pivot_coefficient_vanishes"
+                reasons.append("linear_pivot_coefficient_vanishes")
                 break
             values[ps] = -c0 * pow(c1, -1, prime) % prime
         else:
-            reason = blocked
-        if reason is not None:
-            reasons.append(reason)
-            continue
-        for k, terms in checks:
-            if _collapse([terms], value, prime)[0]:
-                raise AssertionError(f"staircase produced a non-solution at equation {k}")
-        successes += 1
+            for k, terms in checks:
+                if _collapse([terms], value, prime)[0]:
+                    raise AssertionError(f"staircase produced a non-solution at equation {k}")
+            successes += 1
     return StaircaseResult(
         free_parameter_count=len(window) - n_equations,
         equations_solved=n_equations,

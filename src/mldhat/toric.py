@@ -41,7 +41,8 @@ from .cones import Cone, ConeError, FaceSpec, dual_cone, face_cone, resolve_face
 from .cones import split_torus_factor
 from .cones import enumerate_lattice_points  # not called here; perfbench/tracing.py wraps this name
 from .hilbert import HilbertBasis, _check_distinct, _fold, budgeted_walks, hilbert_basis
-from .lattice import LatticeError, as_vector, pairing, rank_of
+from .lattice import LatticeError, as_vector, pairing
+from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,11 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
     The greedy value equals the true minimum: an exchange argument swaps
     any optimal set, element by element, into the greedy one without
     increasing the total.
+
+    The span test keeps the chosen elements in fraction-free echelon form:
+    each stored row is zero at the pivot columns of the rows stored before
+    it, so reducing u against the rows in turn zeroes every pivot column,
+    and u lies in the span exactly when nothing is left.
     """
     n = hb.rank
     a = as_vector(a, n)
@@ -98,8 +104,16 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
         raise LatticeError("spanning cost needs an interior lattice point")
     ranked = sorted(hb.elements, key=lambda u: (pairing(u, a), u))
     chosen: list[tuple[int, ...]] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
     for u in ranked:
-        if rank_of(chosen + [u]) > len(chosen):
+        v = list(u)
+        for col, row in echelon:
+            if v[col]:
+                p, q = row[col], v[col]
+                v = [p * x - q * y for x, y in zip(v, row)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is not None:
+            echelon.append((col, v))
             chosen.append(u)
             if len(chosen) == n:
                 break

@@ -10,7 +10,14 @@ brute-force oracles of the tests iterate over.
 per-call term plans: each trial rebuilds every G_k as a symbolic dict and
 collapses it onto its pivot with one `pow` per variable per monomial.
 `reference_powmod_minus_one` is the right-to-left square-and-multiply the
-root finder used before its linear-base kernel.
+root finder used before its linear-base kernel.  `reference_nonzero_roots`
+is the root finder before quadratics were solved in closed form: every
+degree from 2 up goes through Cantor-Zassenhaus (`_split_roots`, which
+degree 3 and up still takes).
+
+`reference_spanning_cost_greedy` is the greedy spanning cost with one full
+Hermite-form rank test per scanned basis element, as it was before the
+greedy kept an echelon form of the elements it has chosen.
 """
 
 import functools
@@ -18,21 +25,24 @@ import itertools
 import random
 
 from mldhat.hypersurface import certificate_data, is_feasible, weight_data
-from mldhat.lattice import LatticeError, rank_of, row_hermite
+from mldhat.lattice import LatticeError, as_vector, pairing, rank_of, row_hermite
 from mldhat.oracle import (
     StaircaseResult,
     _combine,
     _divmod,
     _expand_single_monomial,
+    _monic,
     _nonzero_roots,
     _poly_product,
     _require_odd_prime,
     _require_trials,
     _solve_variable,
+    _split_roots,
     _substitute,
     _trim,
     _window_orders,
 )
+from mldhat.toric import SpanningWitness
 
 
 def determinant(rows) -> int:
@@ -120,6 +130,42 @@ def reference_powmod_minus_one(base, e, f, p):
     result = result or [0]
     result[0] = (result[0] - 1) % p
     return _trim(result)
+
+
+def reference_nonzero_roots(uni, prime, rng):
+    """Nonzero roots over F_p, every degree >= 2 by Cantor-Zassenhaus; sorted, then shuffled."""
+    degree = max(uni, default=0)
+    if degree == 0:
+        return []
+    if degree == 1:
+        c1 = uni.get(1, 0)
+        c0 = uni.get(0, 0)
+        root = (-c0 * pow(c1, prime - 2, prime)) % prime
+        return [root] if root else []
+    f = _monic([uni.get(d, 0) % prime for d in range(degree + 1)], prime)
+    roots = _split_roots(f, prime)
+    roots.sort()
+    rng.shuffle(roots)
+    return roots
+
+
+def reference_spanning_cost_greedy(a, hb):
+    """The greedy spanning cost with a fresh rank test of chosen + [u] for every u."""
+    n = hb.rank
+    a = as_vector(a, n)
+    if not hb.is_interior_point(a):
+        raise LatticeError("spanning cost needs an interior lattice point")
+    ranked = sorted(hb.elements, key=lambda u: (pairing(u, a), u))
+    chosen = []
+    for u in ranked:
+        if rank_of(chosen + [u]) > len(chosen):
+            chosen.append(u)
+            if len(chosen) == n:
+                break
+    if len(chosen) < n:
+        raise LatticeError("basis does not span; cone cannot be full-dimensional")
+    value = sum(pairing(u, a) for u in chosen)
+    return SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(chosen)))
 
 
 def reference_staircase_verify(support, alpha, m, prime=10007, trials=50, seed=0):

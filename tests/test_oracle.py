@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 import math
+import pathlib
 import random
 import time
 from itertools import product
@@ -14,21 +18,30 @@ from mldhat.hypersurface import (
     validate_support,
     weight_data,
 )
+from mldhat import cli, oracle
 from mldhat.lattice import LimitError
 from mldhat.oracle import (
     OracleError,
     _divmod,
+    _expand_single_monomial,
     _nonzero_roots,
+    _pivot_schedule,
     _powmod_minus_one,
+    _sqrt_mod,
     _window_monomial_bound,
     expand,
     staircase_verify,
     torus_point_sample,
 )
-from reference_kernels import reference_powmod_minus_one, reference_staircase_verify
+from reference_kernels import (
+    reference_nonzero_roots,
+    reference_powmod_minus_one,
+    reference_staircase_verify,
+)
 from test_hypersurface import raw_support
 
 WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 PRIMES = [p for p in range(3, 212) if all(p % q for q in range(2, p))]
 
 
@@ -316,6 +329,60 @@ class TestStaircasePlans:
         assert staircase_verify(WHITNEY, (1, 1, 1), m, 101, trials, max_points=0).empty
 
 
+class TestPivotSchedule:
+    """The weight argument of `staircase_verify`, over the integers.
+
+    No G_k reads the pivot of a later equation, and no G_k after the first
+    holds its own pivot squared.  Checked on the exact expansion (every
+    multinomial kept), so it holds for every prime.
+    """
+
+    @staticmethod
+    def check(support, alpha, m):
+        _, pivots = _pivot_schedule(support, alpha, m)
+        n0, top = min(pivots), max(pivots)
+        per_monomial = [_expand_single_monomial(e, alpha, m, top) for e in support.exponents]
+        for k, pivot in pivots.items():
+            later = {var for k2, var in pivots.items() if k2 > k}
+            for series in per_monomial:
+                for mono in series.get(k, {}):
+                    powers = dict(mono)
+                    assert not later & powers.keys(), (support, alpha, m, k, mono)
+                    assert k == n0 or powers.get(pivot, 0) <= 1, (support, alpha, m, k, mono)
+
+    def test_pool_pairs(self):
+        pool = json.loads((PERFBENCH / "pool.json").read_text(encoding="utf-8"))
+        assert len(pool["oracle_pairs"]) == 40
+        for pair in pool["oracle_pairs"]:
+            s = validate_support(pair["support"])
+            alpha = tuple(pair["alpha"])
+            for offset in (2, 4, 6):  # the offsets of the benchmark's staircase and expand ops
+                self.check(s, alpha, max(alpha) + offset)
+
+    @pytest.mark.parametrize("rows, alpha", STAIRCASE_CASES)
+    def test_staircase_cases(self, rows, alpha):
+        s = validate_support(rows)
+        if is_feasible(s, alpha):
+            for m in range(max(alpha), max(alpha) + 5):
+                self.check(s, alpha, m)
+
+    def test_random_supports(self):
+        rng = random.Random(15)
+        checked = 0
+        while checked < 1500:
+            nv = rng.randint(2, 4)
+            rows = {tuple(rng.randint(0, 5) for _ in range(nv)) for _ in range(rng.randint(2, 4))}
+            rows.discard((0,) * nv)
+            if len(rows) < 2:
+                continue
+            s = raw_support(rows)
+            alpha = tuple(rng.randint(1, 3) for _ in range(nv))
+            if not is_feasible(s, alpha):
+                continue
+            self.check(s, alpha, max(alpha) + rng.randint(0, 3))
+            checked += 1
+
+
 class TestTorusSample:
     def test_whitney_style_form(self):
         data = certificate_data(WHITNEY, (2, 1, 2))
@@ -425,6 +492,73 @@ def univariate_forms(draw):
         for r in roots:
             poly = _times_linear(poly, r, p)
     return {d: c for d, c in enumerate(poly) if c}, p
+
+
+class TestQuadraticRoots:
+    """The closed form for quadratics against Cantor-Zassenhaus."""
+
+    @staticmethod
+    def agree(uni, p, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        roots = _nonzero_roots(dict(uni), p, ours)
+        assert roots == reference_nonzero_roots(dict(uni), p, theirs), (uni, p)
+        assert ours.getstate() == theirs.getstate()
+        return len(roots)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 101])
+    def test_every_monic_quadratic(self, p):
+        counts = [0, 0, 0]
+        for b, c in product(range(p), repeat=2):
+            counts[self.agree({d: x for d, x in enumerate((c, b, 1)) if x}, p, b * p + c)] += 1
+        assert all(counts)
+
+    @pytest.mark.parametrize("p", [10007, 65537, 998244353, 2**61 - 1])
+    def test_random_quadratics(self, p):
+        # random forms, then a double root, a root at 0 and two random roots
+        rng = random.Random(p)
+        counts = [0, 0, 0]
+        for trial in range(400):
+            if trial % 4 == 0:
+                c, b = rng.randrange(p), rng.randrange(p)
+            else:
+                r1 = rng.randrange(p)
+                r2 = [r1, 0, rng.randrange(p)][trial % 4 - 1]
+                c, b = r1 * r2 % p, -(r1 + r2) % p
+            lead = rng.randrange(1, p)
+            uni = {d: x * lead % p for d, x in enumerate((c, b, 1)) if x}
+            counts[self.agree(uni, p, trial)] += 1
+        assert all(counts)
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 17, 97, 101, 7681, 65537, 998244353, 2**61 - 1])
+    def test_square_root(self, p):
+        # 2-adic parts of p - 1 from 1 (3, 2^61 - 1) to 23 (998244353)
+        rng = random.Random(p)
+        for x in [0, 1, p - 1] + [rng.randrange(p) for _ in range(100)]:
+            root = _sqrt_mod(x * x % p, p)
+            assert root in (x, p - x if x else 0)
+
+
+class TestRootFinderEndToEnd:
+    def test_corpus_oracle_ops_match_reference_root_finder(self, tmp_path, monkeypatch):
+        # the staircase and torus-point ops of the hyper-oracle corpus, seed 1
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import corpus
+
+        ops = [op for op in corpus.build("hyper-oracle", 1, str(tmp_path)) if op.kind in ("staircase", "torus")]
+        assert len(ops) == 160
+
+        def run():
+            outputs = []
+            for op in ops:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(list(op.argv))
+                outputs.append((code, out.getvalue()))
+            return outputs
+
+        ours = run()
+        monkeypatch.setattr(oracle, "_nonzero_roots", reference_nonzero_roots)
+        assert run() == ours
 
 
 class TestNonzeroRoots:

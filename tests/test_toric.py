@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -17,12 +19,13 @@ from mldhat.lattice import LatticeError, LimitError, as_vector, pairing, rank_of
 from mldhat.toric import (
     OrbitDimension,
     SpanningWitness,
+    _candidate_points,
     mld_at_point,
     minimize_spanning_cost,
     orbit_dimension,
     spanning_cost_greedy,
 )
-from reference_kernels import determinant, independent_subsets
+from reference_kernels import determinant, independent_subsets, reference_spanning_cost_greedy
 
 A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
 
@@ -142,6 +145,34 @@ class TestGreedy:
         hb = hilbert_basis(dual_cone(A1_CONE))
         with pytest.raises(LatticeError):
             spanning_cost_greedy((0, 1), hb)
+
+
+class TestGreedyEchelon:
+    """The echelon-form greedy against a fresh rank test per scanned element."""
+
+    @staticmethod
+    def agree(rays):
+        """Both greedy routes give the same witness at every candidate point."""
+        cone = Cone.from_generators(len(rays[0]), rays)
+        hb = hilbert_basis(dual_cone(cone))
+        for a in _candidate_points(cone, None):
+            assert spanning_cost_greedy(a, hb) == reference_spanning_cost_greedy(a, hb), (rays, a)
+
+    def test_pool_cones(self):
+        # the pool cones of the benchmark's toric ops
+        pool = json.loads(
+            (pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8")
+        )
+        searched = [e["rays"] for f in ("surfaces", "simplicial_isolated", "toric_random") for e in pool[f]]
+        assert len(searched) == 72
+        for rays in searched:
+            self.agree(rays)
+
+    def test_random_cones(self):
+        rng = random.Random(15)
+        for k in range(150):
+            n = 2 + k % 3
+            self.agree(random_pointed_cone(rng, n, 4 if n < 4 else 2).generators)
 
 
 class TestBruteforce:
