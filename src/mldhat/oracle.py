@@ -12,10 +12,14 @@ solves the staircase, and verifies the resulting point against every
 equation, so a successful trial certifies that the expected number of
 equations cuts the window dimension down independently.
 
-The monomials of each G_s do not depend on the drawn coefficients, only
-on the support, alpha, m and p (see `staircase_verify`), so the staircase
-compiles every equation once per call into a term plan over a flat list
-of values, and a trial only evaluates the plans.
+Each support monomial x^I expands by multinomial compositions
+(`_expand_single_monomial`): every variable j picks a multiset of I_j
+superscripts, and the picks give one window monomial M with its
+multiplicity k(M), so no series is multiplied out.  The monomials of each
+G_s do not depend on the drawn coefficients, only on the support, alpha,
+m and p (see `staircase_verify`), so the staircase compiles every
+equation once per call into a term plan over a flat list of values, and
+a trial only evaluates the plans.
 
 The one nonlinear step, the nonzero roots of a univariate form over F_p,
 is exact and deterministic (`_nonzero_roots`).  A quadratic is solved in
@@ -35,8 +39,10 @@ hypersurface module, and `torus_point_sample` is its independent check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from math import comb, prod
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 from .hypersurface import GenericForm, Support, certificate_data, is_feasible, weight_data
 from .lattice import LimitError
@@ -83,61 +89,40 @@ def _require_trials(trials):
 Monomial = tuple[tuple[tuple[int, int], int], ...]
 
 
-def _poly_mul(a, b):
-    out: dict[Monomial, int] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            merged = dict(ma)
-            for var, e in mb:
-                merged[var] = merged.get(var, 0) + e
-            key = tuple(sorted(merged.items()))
-            out[key] = out.get(key, 0) + ca * cb
-    return {m: c for m, c in out.items() if c != 0}
-
-
 def _monomial_weight(mono: Monomial) -> int:
     return sum(u * e for ((_, u), e) in mono)
 
 
-def _series_mul(a, b, upto):
-    out: dict[int, dict] = {}
-    for da, pa in a.items():
-        for db, pb in b.items():
-            d = da + db
-            if d > upto:
-                continue
-            prod = _poly_mul(pa, pb)
-            if not prod:
-                continue
-            acc = out.setdefault(d, {})
-            for m, c in prod.items():
-                nc = acc.get(m, 0) + c
-                if nc:
-                    acc[m] = nc
-                else:
-                    acc.pop(m, None)
-    return {d: p for d, p in out.items() if p}
-
-
-def _series_pow(base, e, upto):
-    result = {0: {(): 1}}
-    for _ in range(e):
-        if not result:
-            break  # every power of a series without constant term past t^upto
-        result = _series_mul(result, base, upto)
-    return result
-
-
 def _expand_single_monomial(exponents, alpha, m, upto):
-    """t-series of prod_j (sum_{u=alpha_j}^m x_j^(u) t^u)^{e_j}, cut at t^upto."""
-    series = {0: {(): 1}}
+    """t-series of prod_j (sum_{u=alpha_j}^m x_j^(u) t^u)^{I_j}, cut at t^upto.
+
+    Returned as {s: {M: k(M)}}.  Each variable j picks a multiset of I_j
+    superscripts from alpha_j..m, u taken e_{j,u} times; the picks give the
+    window monomial M = prod (x_j^(u))^e_{j,u} of weight s = alpha . I plus
+    the excess, the sum of (u - alpha_j) e_{j,u}, and k(M) = prod_j I_j! /
+    prod_u e_{j,u}! is the number of ways to order them.  Distinct picks give
+    distinct M, and a pick whose excess is above upto - alpha . I is past
+    the cut.
+    """
+    weight = sum(a * e for a, e in zip(alpha, exponents))
+    slack = upto - weight
+    if slack < 0:
+        return {}
+    picks = [((), 0, 1)]  # (factors of M, excess, k(M)) over the variables so far
     for j, e in enumerate(exponents):
-        if e == 0:
-            continue
-        var_series = {
-            u: {(((j, u), 1),): 1} for u in range(alpha[j], m + 1)
-        }
-        series = _series_mul(series, _series_pow(var_series, e, upto), upto)
+        options = []
+        for combo in combinations_with_replacement(range(alpha[j], min(m, alpha[j] + slack) + 1), e):
+            excess = sum(combo) - alpha[j] * e
+            if excess <= slack:
+                counts = Counter(combo)
+                k = factorial(e) // prod(map(factorial, counts.values()))
+                options.append((tuple(((j, u), c) for u, c in counts.items()), excess, k))
+        picks = [
+            (f + g, x + y, k * l) for f, x, k in picks for g, y, l in options if x + y <= slack
+        ]
+    series: dict[int, dict[Monomial, int]] = {}
+    for factors, excess, k in picks:
+        series.setdefault(weight + excess, {})[factors] = k
     return series
 
 
@@ -245,22 +230,6 @@ class StaircaseResult:
     window_size: int | None
     empty: bool = False
     failure_reasons: tuple[str, ...] = ()
-
-
-def _substitute(poly, assignment, pivot, prime):
-    """Collapse a window polynomial to a univariate dict {degree: coeff}."""
-    uni: dict[int, int] = {}
-    for mono, coeff in poly.items():
-        val = coeff % prime
-        deg = 0
-        for var, e in mono:
-            if var == pivot:
-                deg += e
-            else:
-                val = (val * pow(assignment[var], e, prime)) % prime
-        if val:
-            uni[deg] = (uni.get(deg, 0) + val) % prime
-    return {d: c for d, c in uni.items() if c % prime}
 
 
 # dense polynomials over F_p: coefficient lists, lowest degree first, no
@@ -680,13 +649,13 @@ def torus_point_sample(
     for trial in range(trials):
         coeffs = {i: rng.randrange(1, prime) for i in coeff_indices}
         point = [rng.randrange(1, prime) for _ in range(nv)]
-        # the form as a window polynomial in variables j, terms with equal
-        # exponents added up, collapsed onto the solve variable
-        poly: dict[tuple, int] = {}
+        # the form collapsed onto the solve variable: {degree: coefficient}
+        uni: dict[int, int] = {}
         for mult, ci, expo in initial_form.terms:
-            mono = tuple(enumerate(expo))
-            poly[mono] = poly.get(mono, 0) + mult * coeffs[ci]
-        roots = _nonzero_roots(_substitute(poly, point, solve_var, prime), prime, rng)
+            others = prod(pow(x, e, prime) for j, (x, e) in enumerate(zip(point, expo)) if j != solve_var)
+            degree = expo[solve_var]
+            uni[degree] = (uni.get(degree, 0) + mult * coeffs[ci] * others) % prime
+        roots = _nonzero_roots({d: c for d, c in uni.items() if c}, prime, rng)
         for root in roots:
             point[solve_var] = root
             if initial_form.evaluate(coeffs, point, prime):

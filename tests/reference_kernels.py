@@ -6,9 +6,14 @@ form, a Bareiss determinant and a cofactor adjugate with one determinant
 per entry.  `independent_subsets` is the rank-tested subset list that the
 brute-force oracles of the tests iterate over.
 
+`reference_expand_single_monomial` is the arc expansion of one monomial as
+it was before it was read off multinomial compositions: it multiplies
+truncated symbolic series (`_series_pow`, `_series_mul`, `_poly_mul`).
 `reference_staircase_verify` is the staircase oracle as it was before the
-per-call term plans: each trial rebuilds every G_k as a symbolic dict and
-collapses it onto its pivot with one `pow` per variable per monomial.
+per-call term plans, on that expansion: each trial rebuilds every G_k as
+a symbolic dict and collapses it onto its pivot with one `pow` per
+variable per monomial (`_substitute`, which the torus-point sampler also
+used before it collapsed its form directly).
 `reference_powmod_minus_one` is the right-to-left square-and-multiply the
 root finder used before its linear-base kernel.  `reference_nonzero_roots`
 is the root finder before quadratics were solved in closed form: every
@@ -30,7 +35,6 @@ from mldhat.oracle import (
     StaircaseResult,
     _combine,
     _divmod,
-    _expand_single_monomial,
     _monic,
     _nonzero_roots,
     _poly_product,
@@ -38,7 +42,6 @@ from mldhat.oracle import (
     _require_trials,
     _solve_variable,
     _split_roots,
-    _substitute,
     _trim,
     _window_orders,
 )
@@ -119,6 +122,76 @@ def independent_subsets(vectors, n):
     return tuple(combo for combo in itertools.combinations(vectors, n) if rank_of(combo) == n)
 
 
+def _poly_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            merged = dict(ma)
+            for var, e in mb:
+                merged[var] = merged.get(var, 0) + e
+            key = tuple(sorted(merged.items()))
+            out[key] = out.get(key, 0) + ca * cb
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _series_mul(a, b, upto):
+    out = {}
+    for da, pa in a.items():
+        for db, pb in b.items():
+            d = da + db
+            if d > upto:
+                continue
+            prod = _poly_mul(pa, pb)
+            if not prod:
+                continue
+            acc = out.setdefault(d, {})
+            for m, c in prod.items():
+                nc = acc.get(m, 0) + c
+                if nc:
+                    acc[m] = nc
+                else:
+                    acc.pop(m, None)
+    return {d: p for d, p in out.items() if p}
+
+
+def _series_pow(base, e, upto):
+    result = {0: {(): 1}}
+    for _ in range(e):
+        if not result:
+            break  # every power of a series without constant term past t^upto
+        result = _series_mul(result, base, upto)
+    return result
+
+
+def reference_expand_single_monomial(exponents, alpha, m, upto):
+    """t-series of prod_j (sum_{u=alpha_j}^m x_j^(u) t^u)^{e_j}, cut at t^upto."""
+    series = {0: {(): 1}}
+    for j, e in enumerate(exponents):
+        if e == 0:
+            continue
+        var_series = {
+            u: {(((j, u), 1),): 1} for u in range(alpha[j], m + 1)
+        }
+        series = _series_mul(series, _series_pow(var_series, e, upto), upto)
+    return series
+
+
+def _substitute(poly, assignment, pivot, prime):
+    """Collapse a window polynomial to a univariate dict {degree: coeff}."""
+    uni = {}
+    for mono, coeff in poly.items():
+        val = coeff % prime
+        deg = 0
+        for var, e in mono:
+            if var == pivot:
+                deg += e
+            else:
+                val = (val * pow(assignment[var], e, prime)) % prime
+        if val:
+            uni[deg] = (uni.get(deg, 0) + val) % prime
+    return {d: c for d, c in uni.items() if c % prime}
+
+
 def reference_powmod_minus_one(base, e, f, p):
     """base^e - 1 mod a monic f, by square-and-multiply; base reduced mod f."""
     result = [1]
@@ -192,7 +265,7 @@ def reference_staircase_verify(support, alpha, m, prime=10007, trials=50, seed=0
     jp = _solve_variable(cert.initial_form)
     upto = m + mu
     per_monomial = [
-        _expand_single_monomial(e, alpha, m, upto) for e in support.exponents
+        reference_expand_single_monomial(e, alpha, m, upto) for e in support.exponents
     ]
     pivots = {}
     for k in range(n0 + 1, n0p + 1):

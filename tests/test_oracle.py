@@ -34,6 +34,7 @@ from mldhat.oracle import (
     torus_point_sample,
 )
 from reference_kernels import (
+    reference_expand_single_monomial,
     reference_nonzero_roots,
     reference_powmod_minus_one,
     reference_staircase_verify,
@@ -381,6 +382,50 @@ class TestPivotSchedule:
                 continue
             self.check(s, alpha, max(alpha) + rng.randint(0, 3))
             checked += 1
+
+
+class TestExpansionCompositions:
+    """The composition generator against the retired series multiplication."""
+
+    @staticmethod
+    def agree(support, alpha, m, upto):
+        for e in support.exponents:
+            ours = _expand_single_monomial(e, alpha, m, upto)
+            assert ours == reference_expand_single_monomial(e, alpha, m, upto), (e, alpha, m, upto)
+
+    def test_pool_pairs(self):
+        pool = json.loads((PERFBENCH / "pool.json").read_text(encoding="utf-8"))
+        for pair in pool["oracle_pairs"]:
+            s = validate_support(pair["support"])
+            alpha = tuple(pair["alpha"])
+            mu = weight_data(s, alpha).pivot_gap
+            for offset in (2, 4, 6):
+                m = max(alpha) + offset
+                for upto in (m, m + mu):  # expand's cut and the staircase's
+                    self.agree(s, alpha, m, upto)
+
+    @pytest.mark.parametrize("rows, alpha", STAIRCASE_CASES)
+    def test_staircase_cases(self, rows, alpha):
+        s = validate_support(rows)
+        for m in range(max(alpha), max(alpha) + 5):
+            for upto in range(m, m + 5):  # m + mu for every feasible case
+                self.agree(s, alpha, m, upto)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), min_size=1, max_size=4),
+        st.integers(0, 4),
+        st.integers(-1, 6),
+    )
+    @example([(3, 1), (0, 2)], 0, -1)  # upto below alpha . I: nothing survives the cut
+    @example([(0, 1), (0, 2)], 1, 0)  # the constant monomial
+    def test_random_exponents(self, pairs, extra, past):
+        exponents, alpha = (tuple(x) for x in zip(*pairs))
+        m = max(alpha) + extra
+        upto = m + past
+        assert _expand_single_monomial(exponents, alpha, m, upto) == reference_expand_single_monomial(
+            exponents, alpha, m, upto
+        )
 
 
 class TestTorusSample:

@@ -110,3 +110,42 @@ def test_cache_check_catches(source):
 def test_cache_check_passes_constants_and_other_functools():
     source = "import functools\n@functools.cache\ndef parser(): pass\nfrom functools import reduce\n"
     assert not list(cache_nodes(ast.parse(source)))
+
+
+def unreferenced_private(trees):
+    """(module, name) for each private top-level function or class that no
+    other top-level statement of the package reads, by name or attribute."""
+    reads = [
+        (stmt, {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+         | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)})
+        for tree in trees.values()
+        for stmt in tree.body
+    ]
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not any(other is not stmt and stmt.name in names for other, names in reads)
+            ):
+                yield module, stmt.name
+
+
+def test_private_helpers_have_library_callers():
+    # code that only the tests use belongs in the tests (reference_kernels.py)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    found = list(unreferenced_private(trees))
+    assert not found, f"private helpers with no caller in the package: {found}"
+
+
+def test_private_helper_check_catches():
+    trees = {
+        "a.py": ast.parse("def _used(): pass\ndef _dead(): return _dead()\nclass _Gone: pass\n"),
+        "b.py": ast.parse("from a import _used\nx = _used()\n"),
+    }
+    assert sorted(unreferenced_private(trees)) == [("a.py", "_Gone"), ("a.py", "_dead")]
+
+
+def test_private_helper_check_passes_attribute_and_public_use():
+    trees = {"a.py": ast.parse("import m\ndef _helper(): pass\ndef public(): pass\ny = m._helper\n")}
+    assert not list(unreferenced_private(trees))
