@@ -198,7 +198,7 @@ def _run_toric(args):
 def _run_hyper(args):
     support = parse_support_file(args.support)
     started = time.perf_counter()
-    report = hypersurface_report(support, certify=args.certify, max_points=args.max_subsets)
+    report = hypersurface_report(support, max_points=args.max_subsets)
     elapsed = time.perf_counter() - started
     payload = {
         "variety_kind": "hypersurface",
@@ -343,7 +343,7 @@ def build_parser():
 
     hyper = sub.add_parser("hyper", help="lower bound and certificate for a hypersurface support", allow_abbrev=False)
     hyper.add_argument("--support", required=True, help="JSON file with vars and support")
-    hyper.add_argument("--certify", action="store_true", help="decide the equality certificate exactly with the torus-zero criterion")
+    hyper.add_argument("--certify", action="store_true", help="no effect: the certificate is always decided exactly")
     hyper.set_defaults(func=_run_hyper)
 
     hilb = sub.add_parser("hilbert", help="minimal generating set of the lattice points of a cone", allow_abbrev=False)

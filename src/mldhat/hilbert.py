@@ -183,7 +183,7 @@ def budgeted_walks(vectors, n, max_points, stage, scale=1):
     """
     tests = comb(len(vectors), n)
     if max_points is not None and tests > max_points:
-        raise LimitError(f"{stage}: {tests} ray subsets to rank-test exceed the limit ({max_points})")
+        raise LimitError(f"{stage}: {tests} ray subsets to decompose exceed the limit ({max_points})")
     walks = [(T, *w) for T in itertools.combinations(vectors, n) if (w := _numerators(T))]
     if max_points is not None:
         estimate = scale * sum(absdet for _, absdet, _ in walks)

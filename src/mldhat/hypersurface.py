@@ -43,9 +43,9 @@ Equality holds when the lowest-order coefficient form f of the arc
 expansion has a torus zero off the vanishing locus of the pivot
 derivative g.  For very general coefficients this is decided exactly
 (see equality_certificate): it holds precisely when f has two or more
-monomials and f does not divide g.  Two criteria are applied in turn:
-the monomial criterion (g is a single monomial, which f cannot divide)
-and, under `certify`, the torus-zero criterion, which is the full test.
+monomials and f does not divide g.  Each report decides it at every
+minimizer; the kind names the deciding test: the monomial criterion (g
+is a single monomial, which f cannot divide) or the full torus-zero one.
 """
 
 from __future__ import annotations
@@ -416,6 +416,10 @@ class Certificate:
     detail: dict
 
 
+# preference among the certificates of the minimizers; None is undecided
+_KIND_ORDER = ("monomial_criterion", "torus_zero_criterion", None)
+
+
 def _divides_pivot_derivative(data: CertificateData) -> bool:
     """Does the initial form f divide the pivot derivative g on the torus?
 
@@ -429,18 +433,22 @@ def _divides_pivot_derivative(data: CertificateData) -> bool:
     return set(data.pivot_monomials) == symbols and len(exponents) == 1
 
 
-def equality_certificate(support: Support, alpha, certify=False) -> Certificate:
+def equality_certificate(support: Support, alpha) -> Certificate:
     """Decide whether the lower bound is attained at alpha.
 
     The bound is attained once, for very general coefficients c, the
     initial form f has a torus zero off the zero set of the pivot
-    derivative g.  Two criteria certify this:
+    derivative g.  The certificate's kind names the test that decides it:
 
     * monomial criterion: f has at least two monomials and g is a single
       monomial, which has no torus zero;
-    * torus-zero criterion (only when `certify`): f has at least two
-      monomials and does not divide g in the Laurent polynomial ring, which
+    * torus-zero criterion: f has at least two monomials and does not
+      divide g in the Laurent polynomial ring, which
       `_divides_pivot_derivative` reads off the terms.
+
+    The monomial criterion implies the torus-zero one: f | g would make
+    g = k * f / x_j0 (see `_divides_pivot_derivative`), with as many
+    monomials as f.  So the kinds only record which test decided.
 
     The torus-zero criterion is exact.  A form with one monomial has no
     torus zero.  Otherwise let Z = {(c, x) in (C*)^N x (C*)^(n+1) : f = 0}.
@@ -472,7 +480,7 @@ def equality_certificate(support: Support, alpha, certify=False) -> Certificate:
     if data.initial_form.monomial_count >= 2:
         if data.pivot_coefficient.monomial_count == 1:
             kind = "monomial_criterion"
-        elif certify and not _divides_pivot_derivative(data):
+        elif not _divides_pivot_derivative(data):
             kind = "torus_zero_criterion"
     status = "UNDECIDED" if kind is None else "CERTIFIED"
     return Certificate(status=status, kind=kind, alpha=orders, detail=detail)
@@ -515,30 +523,17 @@ class HypersurfaceMldReport:
     dropped_variables: tuple[int, ...]
 
 
-def hypersurface_report(support: Support, certify=False, max_points=None) -> HypersurfaceMldReport:
-    """Lower bound for lambda(0) with an equality certificate when found.
+def hypersurface_report(support: Support, max_points=None) -> HypersurfaceMldReport:
+    """Lower bound for lambda(0) with an equality certificate when one exists.
 
-    The layered scan finds every minimizer.  The monomial criterion is
-    tried at each of them in lexicographic order; when none is certified
-    and `certify` is set, the torus-zero criterion then gets the same pass.
+    The layered scan finds every minimizer, and each gets its certificate.
+    The report keeps the first, in lexicographic order, of the best kind:
+    monomial criterion, then torus-zero criterion, then undecided.
     """
     n = support.dimension_of_hypersurface
     result = minimize_objective(support, max_points=max_points)
-    chosen = first = None
-    for orders in result.minimizers:
-        cert = equality_certificate(support, orders)
-        first = first or cert
-        if cert.status == "CERTIFIED":
-            chosen = cert
-            break
-    if chosen is None and certify:
-        for orders in result.minimizers:
-            cert = equality_certificate(support, orders, certify=True)
-            if cert.status == "CERTIFIED":
-                chosen = cert
-                break
-    if chosen is None:
-        chosen = first  # the undecided certificate of result.witness
+    certificates = [equality_certificate(support, orders) for orders in result.minimizers]
+    chosen = min(certificates, key=lambda cert: _KIND_ORDER.index(cert.kind))
     status = "EXACT" if chosen.status == "CERTIFIED" else "LOWER_BOUND"
     return HypersurfaceMldReport(
         lambda_lower_bound=result.value,

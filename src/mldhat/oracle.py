@@ -32,8 +32,8 @@ odd prime works, 31-bit ones included; there is no scan over the residues.
 
 Randomly drawn nonzero coefficients stand in for "very general" complex
 ones.  Finite-field evidence comes only from the `oracle` commands: the
-equality certificate of `hyper --certify` is decided exactly in the
-hypersurface module, and `torus_point_sample` is its independent check.
+equality certificate of `hyper` is decided exactly in the hypersurface
+module, and `torus_point_sample` is its independent check.
 """
 
 from __future__ import annotations

@@ -23,13 +23,29 @@ degree 3 and up still takes).
 `reference_spanning_cost_greedy` is the greedy spanning cost with one full
 Hermite-form rank test per scanned basis element, as it was before the
 greedy kept an echelon form of the elements it has chosen.
+
+`reference_hypersurface_report` is the hypersurface report as it was
+before every report decided its certificate exactly: a first pass tries
+the monomial criterion at each minimizer, and only under `certify` a
+second pass tries the torus-zero criterion
+(`reference_equality_certificate`).
 """
 
 import functools
 import itertools
 import random
 
-from mldhat.hypersurface import certificate_data, is_feasible, weight_data
+from mldhat.hypersurface import (
+    ASSUMPTIONS,
+    Certificate,
+    HypersurfaceMldReport,
+    _as_alpha,
+    _divides_pivot_derivative,
+    certificate_data,
+    is_feasible,
+    minimize_objective,
+    weight_data,
+)
 from mldhat.lattice import LatticeError, as_vector, pairing, rank_of, row_hermite
 from mldhat.oracle import (
     StaircaseResult,
@@ -342,4 +358,57 @@ def reference_staircase_verify(support, alpha, m, prime=10007, trials=50, seed=0
         window_size=len(window),
         empty=False,
         failure_reasons=tuple(sorted(set(reasons))),
+    )
+
+
+def reference_equality_certificate(support, alpha, certify=False):
+    """The certificate with the torus-zero criterion only under `certify`."""
+    orders = _as_alpha(alpha, support.num_vars)
+    data = certificate_data(support, orders)
+    detail = {
+        "pivot_index": data.pivot_index,
+        "initial_form": data.initial_form.describe(),
+        "initial_form_monomials": data.initial_form.monomial_count,
+        "pivot_coefficient": data.pivot_coefficient.describe(),
+        "pivot_coefficient_monomials": data.pivot_coefficient.monomial_count,
+    }
+    kind = None
+    if data.initial_form.monomial_count >= 2:
+        if data.pivot_coefficient.monomial_count == 1:
+            kind = "monomial_criterion"
+        elif certify and not _divides_pivot_derivative(data):
+            kind = "torus_zero_criterion"
+    status = "UNDECIDED" if kind is None else "CERTIFIED"
+    return Certificate(status=status, kind=kind, alpha=orders, detail=detail)
+
+
+def reference_hypersurface_report(support, certify=False, max_points=None):
+    """The report from two passes over the minimizers, the second under `certify`."""
+    n = support.dimension_of_hypersurface
+    result = minimize_objective(support, max_points=max_points)
+    chosen = first = None
+    for orders in result.minimizers:
+        cert = reference_equality_certificate(support, orders)
+        first = first or cert
+        if cert.status == "CERTIFIED":
+            chosen = cert
+            break
+    if chosen is None and certify:
+        for orders in result.minimizers:
+            cert = reference_equality_certificate(support, orders, certify=True)
+            if cert.status == "CERTIFIED":
+                chosen = cert
+                break
+    if chosen is None:
+        chosen = first  # the undecided certificate of result.witness
+    status = "EXACT" if chosen.status == "CERTIFIED" else "LOWER_BOUND"
+    return HypersurfaceMldReport(
+        lambda_lower_bound=result.value,
+        mather_mld_lower_bound=result.value + n,
+        status=status,
+        witness_alpha=chosen.alpha,
+        certificate=chosen,
+        search_box_bound=result.box_bound,
+        assumptions=ASSUMPTIONS,
+        dropped_variables=support.dropped_variables,
     )

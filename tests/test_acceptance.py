@@ -248,7 +248,7 @@ def test_criterion_7_ade_regression_table():
 
 def test_criterion_8_curve_example():
     curve = validate_support([(2, 0), (0, 2), (1, 1), (0, 3)])
-    report = hypersurface_report(curve, certify=True)
+    report = hypersurface_report(curve)
     assert report.lambda_lower_bound == 0
     assert report.witness_alpha == (1, 1)
     assert report.status == "EXACT"

@@ -18,6 +18,11 @@ from mldhat.cli import (
 )
 from mldhat.cones import ConeError
 from mldhat.hypersurface import SupportError
+from test_golden import OPS as GOLDEN_OPS
+from test_golden import run_op, write_inputs
+
+
+NO_OP_FLAGS = {"hyper": "--certify", "toric": "--no-fast-paths"}
 
 
 def run_cli(argv):
@@ -445,7 +450,7 @@ class TestCommands:
         assert exc.value.code == 2
 
     def test_rank_tests_limit_exit_code(self, tmp_path):
-        # the rank-4 moment cone: C(30, 4) = 27405 ray subsets to rank-test
+        # the rank-4 moment cone: C(30, 4) = 27405 ray subsets to decompose
         path = tmp_path / "moment.json"
         rays = [[1, i, i**2, i**3] for i in range(30)]
         path.write_text(json.dumps({"lattice_rank": 4, "rays": rays}))
@@ -584,6 +589,18 @@ class TestCommands:
         flagged = run_cli(argv + ["--no-fast-paths"])
         assert plain[0] == 0
         assert plain == flagged
+
+    @pytest.mark.parametrize(
+        "op", [op for op in GOLDEN_OPS if op[0] in NO_OP_FLAGS], ids=lambda op: " ".join(op)[:60]
+    )
+    def test_no_op_flags_on_golden_inputs(self, tmp_path, op):
+        # `hyper --certify` and `toric --no-fast-paths` are accepted and ignored
+        flag = NO_OP_FLAGS[op[0]]
+        plain = [t for t in op if t != flag]
+        paths = write_inputs(tmp_path)
+        without, with_flag = run_op(plain, paths), run_op(plain + [flag], paths)
+        del without["op"], with_flag["op"]
+        assert without == with_flag
 
 
 JSON_LEAVES = (

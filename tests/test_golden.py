@@ -1,4 +1,4 @@
-"""Golden reports: about 25 CLI ops whose exit code, stdout and stderr are
+"""Golden reports: about 30 CLI ops whose exit code, stdout and stderr are
 pinned byte for byte.
 
 A change that is meant to keep every reported value (a refactor, a
@@ -35,6 +35,8 @@ INPUTS = {
     "rank4_five": {"lattice_rank": 4, "rays": [[-2, -1, -2, -1], [-1, 1, 0, 2], [-1, 1, 1, 2], [-2, -2, 2, 0], [-1, -1, -1, -1]]},
     "whitney": {"vars": 3, "support": [[2, 0, 0], [0, 2, 1]]},
     "equality": {"vars": 3, "support": [[1, 1, 0], [1, 0, 1], [0, 3, 0], [0, 0, 3]]},
+    # certified only by the torus-zero criterion: g has two monomials
+    "curve": {"vars": 2, "support": [[2, 0], [0, 2], [1, 1], [0, 3]]},
     "four_vars": {"vars": 4, "support": [[0, 1, 0, 1], [1, 0, 3, 2], [2, 2, 2, 0], [3, 2, 0, 0]]},
     "a2": {"vars": 3, "support": [[0, 0, 2], [0, 2, 0], [3, 0, 0]]},
     "wrong_length": {"vars": 2, "support": [[1, 0, 0], [0, 2, 0]]},
@@ -70,6 +72,10 @@ OPS = [
     ["toric", "--cone", "{rank4_five}"],
     # 5 subsets pass the subset check, the 8 parallelepiped points do not
     ["--max-subsets", "6", "hilbert", "--cone", "{rank4_five}"],
+    # the torus-zero criterion decides plain `hyper` too; --certify changes nothing
+    ["hyper", "--support", "{curve}"],
+    ["hyper", "--certify", "--support", "{curve}"],
+    ["hyper", "--support", "{equality}"],
 ]
 
 

@@ -212,7 +212,7 @@ class TestHilbertBasis:
         wide = Cone.from_generators(2, [(1, 0), (1, 200000)])
         with pytest.raises(LimitError, match="hilbert parallelepiped points"):
             hilbert_basis(wide, max_points=10)
-        # six rays in rank 3: C(6, 3) = 20 subsets to rank-test
+        # six rays in rank 3: C(6, 3) = 20 subsets to decompose
         hexagon = Cone.from_generators(
             3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
         )

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from mldhat.hypersurface import (
 )
 from mldhat.lattice import LimitError
 from mldhat.oracle import torus_point_sample
+from reference_kernels import reference_hypersurface_report
 
 WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
 CURVE = validate_support([(2, 0), (0, 2), (1, 1), (0, 3)])
@@ -350,19 +353,17 @@ class TestCertificates:
             assert data.pivot_coefficient.monomial_count == 1
 
     def test_curve_needs_the_torus_zero_criterion(self):
-        cert = equality_certificate(CURVE, (1, 1))
-        assert cert.status == "UNDECIDED"
+        # g has two monomials, so the monomial criterion does not apply
         data = certificate_data(CURVE, (1, 1))
         assert data.initial_form.monomial_count == 3
         assert data.pivot_coefficient.monomial_count == 2
-        cert = equality_certificate(CURVE, (1, 1), certify=True)
+        cert = equality_certificate(CURVE, (1, 1))
         assert cert.status == "CERTIFIED"
         assert cert.kind == "torus_zero_criterion"
 
     def test_torus_zero_certificate_carries_no_sample(self):
-        undecided = equality_certificate(CURVE, (1, 1))
-        certified = equality_certificate(CURVE, (1, 1), certify=True)
-        assert certified.detail == undecided.detail
+        certified = equality_certificate(CURVE, (1, 1))
+        assert certified.kind == "torus_zero_criterion"
         assert set(certified.detail) == {
             "pivot_index",
             "initial_form",
@@ -375,7 +376,7 @@ class TestCertificates:
         data = certificate_data(DIVIDES, (1, 1, 1))
         assert data.initial_form.describe() == "a2*x0*x2 + a3*x0*x1"
         assert data.pivot_coefficient.describe() == "a2*x2 + a3*x1"
-        cert = equality_certificate(DIVIDES, (1, 1, 1), certify=True)
+        cert = equality_certificate(DIVIDES, (1, 1, 1))
         assert cert.status == "UNDECIDED" and cert.kind is None
         for prime in (101, 10007):
             assert torus_point_sample(
@@ -388,7 +389,7 @@ class TestCertificates:
         data = certificate_data(s, (1, 1, 2))
         assert data.initial_form.describe() == "a0*x2^2 + a1*x0*x1*x2"
         assert data.pivot_coefficient.describe() == "2*a0*x2 + a1*x0*x1"
-        cert = equality_certificate(s, (1, 1, 2), certify=True)
+        cert = equality_certificate(s, (1, 1, 2))
         assert cert.kind == "torus_zero_criterion"
 
 
@@ -419,7 +420,7 @@ class TestTorusZeroCriterionAgainstSampler:
         for s, minimizers in random_supports(rng, 1000):
             for alpha in minimizers:
                 data = certificate_data(s, alpha)
-                certified = equality_certificate(s, alpha, certify=True).status == "CERTIFIED"
+                certified = equality_certificate(s, alpha).status == "CERTIFIED"
                 forms = (data.initial_form, data.pivot_coefficient)
                 witness = torus_point_sample(*forms, prime=10007, trials=50, seed=1)
                 assert (witness is not None) == certified, (s.exponents, alpha)
@@ -429,6 +430,49 @@ class TestTorusZeroCriterionAgainstSampler:
                     assert torus_point_sample(*forms, prime=101, trials=50, seed=1) is None
                     no += 1
         assert yes > 1000 and no > 15
+
+
+def regression_supports():
+    """The 180 supports of the benchmark pool and the ADE table: (support,
+    recorded status or None)."""
+    pool = json.loads(
+        (pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8")
+    )
+    rows = [(e["support"], e["status"]) for e in pool["supports"]]
+    rows += [(e["support"], None) for e in pool["oracle_pairs"]]
+    ade = [("A", k, 3) for k in (1, 2, 5)] + [("D", k, 3) for k in (4, 5, 6, 7)]
+    ade += [("D", 5, 4), ("D", 6, 4), ("E6", None, 3), ("E7", None, 3), ("E8", None, 3)]
+    rows += [(ade_support(kind, k, nvars), "EXACT") for kind, k, nvars in ade]
+    return [(validate_support(expo), status) for expo, status in rows]
+
+
+class TestReportAgainstTwoPasses:
+    """The one certificate route against the retired two-pass report."""
+
+    def test_regression_supports(self):
+        moved = 0
+        supports = regression_supports()
+        for s, status in supports:
+            report = hypersurface_report(s)
+            assert report == reference_hypersurface_report(s, certify=True), s.exponents
+            assert status in (None, report.status)
+            before = reference_hypersurface_report(s)
+            if before != report:
+                # only the certificate moves, from undecided to torus-zero
+                assert (before.status, report.status) == ("LOWER_BOUND", "EXACT")
+                assert report.certificate.kind == "torus_zero_criterion"
+                assert before.lambda_lower_bound == report.lambda_lower_bound
+                moved += 1
+        assert (len(supports), moved) == (180, 13)
+
+    def test_random_supports(self):
+        rng = random.Random(20261019)
+        kinds = set()
+        for s, _ in random_supports(rng, 300):
+            report = hypersurface_report(s, max_points=20000)
+            assert report == reference_hypersurface_report(s, certify=True, max_points=20000), s.exponents
+            kinds.add(report.certificate.kind)
+        assert kinds == {"monomial_criterion", "torus_zero_criterion", None}
 
 
 class TestBinomial:
@@ -485,15 +529,16 @@ class TestReports:
         assert report.witness_alpha == (2, 1, 2)
         assert report.status == "EXACT"
 
-    def test_curve_without_certify_stays_lower_bound(self):
+    def test_curve_is_exact_by_the_torus_zero_criterion(self):
         report = hypersurface_report(CURVE)
         assert report.lambda_lower_bound == 0
         assert report.witness_alpha == (1, 1)
-        assert report.status == "LOWER_BOUND"
+        assert report.status == "EXACT"
+        assert report.certificate.kind == "torus_zero_criterion"
 
-    def test_certify_moves_past_a_divisible_minimizer(self):
+    def test_report_moves_past_a_divisible_minimizer(self):
         # (1, 1, 1) is the first minimizer, but there f divides g
-        report = hypersurface_report(DIVIDES, certify=True)
+        report = hypersurface_report(DIVIDES)
         assert report.lambda_lower_bound == 0
         assert minimize_objective(DIVIDES).minimizers[0] == (1, 1, 1)
         assert report.witness_alpha == (2, 1, 1)

@@ -1,7 +1,10 @@
 import ast
 import pathlib
+import types
 
 import pytest
+
+import mldhat
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "mldhat").glob("*.py"))
 
@@ -149,3 +152,27 @@ def test_private_helper_check_catches():
 def test_private_helper_check_passes_attribute_and_public_use():
     trees = {"a.py": ast.parse("import m\ndef _helper(): pass\ndef public(): pass\ny = m._helper\n")}
     assert not list(unreferenced_private(trees))
+
+
+def export_faults(module, names):
+    """(name, fault) for each exported name listed twice or not bound in module."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            yield name, "listed twice"
+        elif not hasattr(module, name):
+            yield name, "not bound"
+        seen.add(name)
+
+
+def test_public_names_resolve_once():
+    found = list(export_faults(mldhat, mldhat.__all__))
+    assert not found, f"faults in mldhat.__all__: {found}"
+
+
+def test_export_check_catches():
+    module = types.SimpleNamespace(a=1, b=2)
+    assert list(export_faults(module, ["a", "b", "a", "gone"])) == [
+        ("a", "listed twice"),
+        ("gone", "not bound"),
+    ]
