@@ -20,8 +20,7 @@ values are immutable and all operations are pure functions, so everything
 here is safe to call concurrently.
 """
 
-from .cones import Cone, FaceSpec, dual_cone, face_cone, has_isolated_fixed_point
-from .cones import is_simplicial, is_smooth, split_torus_factor
+from .cones import Cone, FaceSpec, dual_cone, has_isolated_fixed_point, is_simplicial, is_smooth
 from .cones import RationalPolytope, UnboundedPolytopeError, enumerate_lattice_points
 from .hilbert import HilbertBasis, hilbert_basis
 from .hypersurface import (
@@ -82,7 +81,6 @@ __all__ = [
     "enumerate_lattice_points",
     "equality_certificate",
     "expand",
-    "face_cone",
     "has_isolated_fixed_point",
     "hilbert_basis",
     "hypersurface_report",
@@ -98,7 +96,6 @@ __all__ = [
     "rank_of",
     "saturate",
     "spanning_cost_greedy",
-    "split_torus_factor",
     "staircase_verify",
     "torus_point_sample",
     "validate_support",

@@ -15,7 +15,7 @@ import re
 import sys
 import time
 
-from .cones import Cone, ConeError, FaceError, FaceSpec, dual_cone
+from .cones import Cone, ConeError, FaceSpec, dual_cone
 from .hilbert import hilbert_basis
 from .hypersurface import (
     Support,
@@ -24,8 +24,8 @@ from .hypersurface import (
     hypersurface_report,
     validate_support,
 )
-from .lattice import LatticeError, LimitError
-from .oracle import OracleError, expand, staircase_verify, torus_point_sample
+from .lattice import LimitError
+from .oracle import expand, staircase_verify, torus_point_sample
 from .toric import mld_at_point
 
 BIG = 2**63
@@ -241,76 +241,77 @@ def _run_dual(args):
     }
 
 
-def _run_oracle(args):
+def _oracle_seed(args):
+    return args.seed if args.seed is not None else 0
+
+
+def _run_staircase(args):
+    result = staircase_verify(
+        parse_support_file(args.support),
+        args.alpha,
+        m=args.m,
+        prime=args.prime,
+        trials=args.trials,
+        seed=_oracle_seed(args),
+        max_points=args.max_subsets,
+    )
+    return {
+        "kind": "staircase",
+        "empty": result.empty,
+        "window_size": result.window_size,
+        "equations_solved": result.equations_solved,
+        "free_parameter_count": result.free_parameter_count,
+        "estimated_dim": result.estimated_dim,
+        "trials": result.trials,
+        "successes": result.successes,
+        "failure_reasons": list(result.failure_reasons),
+    }
+
+
+def _run_torus_point(args):
+    data = certificate_data(parse_support_file(args.support), args.alpha)
+    witness = torus_point_sample(
+        data.initial_form,
+        data.pivot_coefficient,
+        prime=args.prime,
+        trials=args.trials,
+        seed=_oracle_seed(args),
+    )
+    return {
+        "kind": "torus-point",
+        "witness": None
+        if witness is None
+        else {
+            "prime": witness["prime"],
+            "trials_used": witness["trials_used"],
+            "point": list(witness["point"]),
+            "coefficients": list(witness["coefficients"]),
+        },
+    }
+
+
+def _run_expand(args):
     support = parse_support_file(args.support)
-    seed = args.seed if args.seed is not None else 0
-    if args.oracle_command == "staircase":
-        result = staircase_verify(
-            support,
-            args.alpha,
-            m=args.m,
-            prime=args.prime,
-            trials=args.trials,
-            seed=seed,
-            max_points=args.max_subsets,
-        )
-        return {
-            "kind": "staircase",
-            "empty": result.empty,
-            "window_size": result.window_size,
-            "equations_solved": result.equations_solved,
-            "free_parameter_count": result.free_parameter_count,
-            "estimated_dim": result.estimated_dim,
-            "trials": result.trials,
-            "successes": result.successes,
-            "failure_reasons": list(result.failure_reasons),
-        }
-    if args.oracle_command == "torus-point":
-        data = certificate_data(support, args.alpha)
-        witness = torus_point_sample(
-            data.initial_form,
-            data.pivot_coefficient,
-            prime=args.prime,
-            trials=args.trials,
-            seed=seed,
-        )
-        return {
-            "kind": "torus-point",
-            "witness": None
-            if witness is None
-            else {
-                "prime": witness["prime"],
-                "trials_used": witness["trials_used"],
-                "point": list(witness["point"]),
-                "coefficients": list(witness["coefficients"]),
-            },
-        }
-    if args.oracle_command == "expand":
-        coeffs = (
-            list(args.coeffs)
-            if args.coeffs is not None
-            else [1] * len(support.exponents)
-        )
-        result = expand(
-            support, coeffs, args.alpha, m=args.m, prime=args.prime_opt, max_points=args.max_subsets
-        )
-        terms = {}
-        for s in sorted(result.terms):
-            terms[str(s)] = [
-                {
-                    "coefficient": c,
-                    "monomial": [[j, u, e] for ((j, u), e) in mono],
-                }
-                for mono, c in sorted(result.terms[s].items())
-            ]
-        return {
-            "kind": "expand",
-            "alpha": list(result.alpha),
-            "m": result.order,
-            "prime": result.prime,
-            "terms": terms,
-        }
-    raise ValueError(f"unknown oracle command {args.oracle_command!r}")
+    coeffs = list(args.coeffs) if args.coeffs is not None else [1] * len(support.exponents)
+    result = expand(
+        support, coeffs, args.alpha, m=args.m, prime=args.prime_opt, max_points=args.max_subsets
+    )
+    terms = {}
+    for s in sorted(result.terms):
+        terms[str(s)] = [
+            {
+                "coefficient": c,
+                "monomial": [[j, u, e] for ((j, u), e) in mono],
+            }
+            for mono, c in sorted(result.terms[s].items())
+        ]
+    return {
+        "kind": "expand",
+        "alpha": list(result.alpha),
+        "m": result.order,
+        "prime": result.prime,
+        "terms": terms,
+    }
 
 
 @functools.cache
@@ -362,20 +363,20 @@ def build_parser():
     stair.add_argument("--m", required=True, type=integer)
     stair.add_argument("--prime", type=integer, default=10007)
     stair.add_argument("--trials", type=integer, default=50)
-    stair.set_defaults(func=_run_oracle)
+    stair.set_defaults(func=_run_staircase)
     torus = osub.add_parser("torus-point", help="sample a torus zero of the initial form", allow_abbrev=False)
     torus.add_argument("--support", required=True)
     torus.add_argument("--alpha", required=True, type=_alpha_arg)
     torus.add_argument("--prime", type=integer, default=10007)
     torus.add_argument("--trials", type=integer, default=50)
-    torus.set_defaults(func=_run_oracle)
+    torus.set_defaults(func=_run_torus_point)
     expand_p = osub.add_parser("expand", help="print the truncated arc expansion", allow_abbrev=False)
     expand_p.add_argument("--support", required=True)
     expand_p.add_argument("--alpha", required=True, type=_alpha_arg)
     expand_p.add_argument("--m", required=True, type=integer)
     expand_p.add_argument("--coeffs", type=_alpha_arg, default=None)
     expand_p.add_argument("--prime", dest="prime_opt", type=integer, default=None)
-    expand_p.set_defaults(func=_run_oracle)
+    expand_p.set_defaults(func=_run_expand)
     return parser
 
 
@@ -406,7 +407,7 @@ def main(argv=None):
     args = parser.parse_args(_attach_tuple_values(sys.argv[1:] if argv is None else argv))
     try:
         payload = args.func(args)
-    except (ConeError, FaceError, SupportError, LatticeError, OracleError, ValueError) as exc:
+    except ValueError as exc:  # every input error class derives from it
         print(dump_report({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 2
     except LimitError as exc:

@@ -14,8 +14,8 @@ Every cone carries its double description: `Cone.from_generators` and
 `dual_cone`, the only two constructors, store the pair (dual lines, dual
 rays) as the cone's `dual_pair` next to its sorted primitive extreme rays.
 `dual_cone` swaps the two halves, so a cone and its dual together cost one
-sweep, and a face is a new cone built from its rays in the lattice they
-span.
+sweep, and `face_chart` builds a face as a new cone from its rays in the
+lattice they span, with the rank of the torus factor it leaves.
 """
 
 from __future__ import annotations
@@ -218,10 +218,6 @@ class Cone:
                 raise ConeError("generator rank mismatch")
 
     @property
-    def span_rank(self) -> int:
-        return self.ambient_rank - len(self.dual_pair[0])
-
-    @property
     def is_full_dimensional(self) -> bool:
         return not self.dual_pair[0]
 
@@ -250,23 +246,6 @@ def dual_cone(c: Cone) -> Cone:
             "split off the torus factor first"
         )
     return Cone(c.ambient_rank, tuple(c.dual_pair[1]), ([], list(c.generators)))
-
-
-def _in_span_lattice(gens) -> Cone:
-    """The cone of `gens` in the coordinates of the saturation of its span."""
-    basis = saturate(gens)
-    return Cone.from_generators(len(basis), [express_in_basis(basis, g) for g in gens])
-
-
-def split_torus_factor(c: Cone):
-    """Re-express a cone inside the saturation of its span.
-
-    Returns (full-dimensional cone in Z^k, torus_rank n-k); a cone that
-    already spans comes back unchanged with torus rank 0.
-    """
-    if c.is_full_dimensional:
-        return c, 0
-    return _in_span_lattice(c.generators), c.ambient_rank - c.span_rank
 
 
 @dataclass(frozen=True)
@@ -324,15 +303,26 @@ def resolve_face(c: Cone, f: FaceSpec) -> tuple[int, ...]:
     return subset
 
 
-def face_cone(c: Cone, f: FaceSpec) -> Cone:
-    """The face as a full-dimensional pointed cone in the lattice it spans."""
-    subset = resolve_face(c, f)
-    if not subset:
-        raise FaceError("the zero face has no cone; handle dimension 0 at the call site")
-    if len(subset) == len(c.generators):
-        return split_torus_factor(c)[0]
-    # the extreme rays of a face are the extreme rays of c lying in it
-    return _in_span_lattice([c.generators[i] for i in subset])
+def face_chart(c: Cone, face: FaceSpec | None = None):
+    """The chart of a face: (ray indices, chart, torus rank).
+
+    Near the distinguished point of a face F, the toric variety of c is the
+    toric variety of F, taken in the lattice F spans, times a torus of rank
+    n - dim F.  The chart is the face's rays expressed in a basis of the
+    saturation of their span, a full-dimensional pointed cone; the extreme
+    rays of a face are the extreme rays of c lying in it.  `face=None`
+    means the whole cone, and a full-dimensional cone comes back unchanged
+    with torus rank 0.  The zero face has no chart (None) and torus rank n.
+    """
+    indices = tuple(range(len(c.generators))) if face is None else resolve_face(c, face)
+    if not indices:
+        return indices, None, c.ambient_rank
+    if c.is_full_dimensional and len(indices) == len(c.generators):
+        return indices, c, 0
+    rays = [c.generators[i] for i in indices]
+    basis = saturate(rays)
+    chart = Cone.from_generators(len(basis), [express_in_basis(basis, r) for r in rays])
+    return indices, chart, c.ambient_rank - len(basis)
 
 
 def _require_full_pointed(c: Cone):
@@ -371,15 +361,12 @@ def facets(c: Cone) -> list[tuple[int, ...]]:
 def has_isolated_fixed_point(c: Cone) -> bool:
     """Is every proper face smooth?  (Equivalently: every facet is smooth;
     faces of smooth cones are smooth, so facet smoothness propagates down.)
+    The facet of a rank-1 cone is the zero face, which has no chart.
     """
     _require_full_pointed(c)
-    if c.ambient_rank == 1:
-        return True
     for subset in facets(c):
-        if not subset:
-            continue
-        face = face_cone(c, FaceSpec(generator_subset=subset))
-        if not is_smooth(face):
+        _, chart, _ = face_chart(c, FaceSpec(generator_subset=subset))
+        if chart is not None and not is_smooth(chart):
             return False
     return True
 

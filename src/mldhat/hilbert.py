@@ -195,8 +195,9 @@ def budgeted_walks(vectors, n, max_points, stage, scale=1):
 def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     """The unique minimal generating set of the lattice points of `dual`.
 
-    Requires a full-dimensional pointed cone (reduce with split_torus_factor
-    first if needed); `max_points` caps the parallelepiped points.
+    Requires a full-dimensional pointed cone (a cone that does not span
+    reduces to its chart, `cones.face_chart(c)`, first); `max_points` caps
+    the parallelepiped points.
 
     The work runs in facet-value coordinates: u maps to its values <r, u>
     under the primal rays r, the facet forms of `dual`, packed as one

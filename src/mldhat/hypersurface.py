@@ -347,11 +347,12 @@ class GenericForm:
         return len(self.terms)
 
     def evaluate(self, coefficients, point, prime):
+        """The form's value mod prime; each power is taken mod prime."""
         total = 0
         for mult, ci, expo in self.terms:
             term = mult * coefficients[ci]
             for x, e in zip(point, expo):
-                term *= x**e
+                term = term * pow(x, e, prime) % prime
             total += term
         return total % prime
 

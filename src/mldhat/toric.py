@@ -37,8 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cones import Cone, ConeError, FaceSpec, dual_cone, face_cone, resolve_face
-from .cones import split_torus_factor
+from .cones import Cone, ConeError, FaceSpec, dual_cone, face_chart
 from .cones import enumerate_lattice_points  # not called here; perfbench/tracing.py wraps this name
 from .hilbert import HilbertBasis, _check_distinct, _fold, budgeted_walks, hilbert_basis
 from .lattice import LatticeError, as_vector, pairing
@@ -203,36 +202,25 @@ def mld_at_point(
 ) -> ToricMldReport:
     """lambda and mld-hat at the distinguished point of a face of the cone.
 
-    The face is reduced to a full-dimensional cone in the lattice it spans
-    and any torus factor is split off; lambda is unchanged by both
-    reductions while mld-hat keeps the ambient dimension of the original
-    variety.
+    `face_chart` gives the face's chart and the rank n - dim F of the torus
+    factor beside it (`face=None` is the whole cone).  lambda is computed on
+    the chart; mld-hat = lambda + n keeps the ambient dimension of the
+    original variety.  The zero face has no chart: its distinguished point
+    lies in the dense torus, a smooth point, with lambda 0.
     """
-    n_original = cone.ambient_rank
-    face_indices: tuple[int, ...] | None = None
-    working = cone
-    if face is not None:
-        face_indices = resolve_face(cone, face)
-        if len(face_indices) == 0:
-            # the zero face: its distinguished point lies in the dense torus,
-            # a smooth point
-            witness = SpanningWitness(point=(), value=0, chosen_set=())
-            return ToricMldReport(
-                lambda_value=0,
-                mather_mld=n_original,
-                witness=witness,
-                fast_path="smooth",
-                torus_factor_rank=n_original,
-                face_reduced_from=face_indices,
-            )
-        working = face_cone(cone, FaceSpec(generator_subset=face_indices))
-    reduced, torus_rank = split_torus_factor(working)
-    report = minimize_spanning_cost(reduced, max_points=max_points)
+    n = cone.ambient_rank
+    indices, chart, torus_rank = face_chart(cone, face)
+    if chart is None:
+        lambda_value, fast_path = 0, "smooth"
+        witness = SpanningWitness(point=(), value=0, chosen_set=())
+    else:
+        search = minimize_spanning_cost(chart, max_points=max_points)
+        lambda_value, witness, fast_path = search.lambda_value, search.witness, search.fast_path
     return ToricMldReport(
-        lambda_value=report.lambda_value,
-        mather_mld=report.lambda_value + n_original,
-        witness=report.witness,
-        fast_path=report.fast_path,
+        lambda_value=lambda_value,
+        mather_mld=lambda_value + n,
+        witness=witness,
+        fast_path=fast_path,
         torus_factor_rank=torus_rank,
-        face_reduced_from=face_indices,
+        face_reduced_from=None if face is None else indices,
     )

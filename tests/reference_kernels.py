@@ -29,12 +29,19 @@ before every report decided its certificate exactly: a first pass tries
 the monomial criterion at each minimizer, and only under `certify` a
 second pass tries the torus-zero criterion
 (`reference_equality_certificate`).
+
+`face_cone` and `split_torus_factor` are the two face reductions as they
+were before one `face_chart` reduced a face and its torus factor in one
+step: `face_cone` re-expresses a face in the lattice its rays span (the
+whole cone through `split_torus_factor`), and `split_torus_factor` does
+the same for a whole cone that does not span, with torus rank n - dim.
 """
 
 import functools
 import itertools
 import random
 
+from mldhat.cones import Cone, FaceError, resolve_face
 from mldhat.hypersurface import (
     ASSUMPTIONS,
     Certificate,
@@ -46,7 +53,15 @@ from mldhat.hypersurface import (
     minimize_objective,
     weight_data,
 )
-from mldhat.lattice import LatticeError, as_vector, pairing, rank_of, row_hermite
+from mldhat.lattice import (
+    LatticeError,
+    as_vector,
+    express_in_basis,
+    pairing,
+    rank_of,
+    row_hermite,
+    saturate,
+)
 from mldhat.oracle import (
     StaircaseResult,
     _combine,
@@ -412,3 +427,26 @@ def reference_hypersurface_report(support, certify=False, max_points=None):
         assumptions=ASSUMPTIONS,
         dropped_variables=support.dropped_variables,
     )
+
+
+def _in_span_lattice(gens):
+    """The cone of `gens` in the coordinates of the saturation of its span."""
+    basis = saturate(gens)
+    return Cone.from_generators(len(basis), [express_in_basis(basis, g) for g in gens])
+
+
+def split_torus_factor(c):
+    """(full-dimensional cone in Z^k, torus rank n - k) for a cone spanning rank k."""
+    if c.is_full_dimensional:
+        return c, 0
+    return _in_span_lattice(c.generators), c.ambient_rank - rank_of(c.generators)
+
+
+def face_cone(c, f):
+    """The face as a full-dimensional pointed cone in the lattice it spans."""
+    subset = resolve_face(c, f)
+    if not subset:
+        raise FaceError("the zero face has no cone; handle dimension 0 at the call site")
+    if len(subset) == len(c.generators):
+        return split_torus_factor(c)[0]
+    return _in_span_lattice([c.generators[i] for i in subset])

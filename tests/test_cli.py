@@ -16,8 +16,10 @@ from mldhat.cli import (
     parse_cone_file,
     parse_support_file,
 )
-from mldhat.cones import ConeError
+from mldhat.cones import ConeError, FaceError
 from mldhat.hypersurface import SupportError
+from mldhat.lattice import LatticeError, LimitError
+from mldhat.oracle import OracleError
 from test_golden import OPS as GOLDEN_OPS
 from test_golden import run_op, write_inputs
 
@@ -189,6 +191,12 @@ class TestCommands:
         code, out, err = run_cli(["toric", "--cone", str(path)])
         assert code == 2
         assert "error" in json.loads(err)
+
+    def test_input_errors_are_value_errors(self):
+        # main maps ValueError to exit 2 and LimitError to exit 3
+        for error in (ConeError, FaceError, SupportError, LatticeError, OracleError):
+            assert issubclass(error, ValueError), error
+        assert not issubclass(LimitError, ValueError)
 
     def test_limit_exit_code(self, cone_file):
         code, _, err = run_cli(
@@ -531,6 +539,18 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["terms"] == {"1": [{"coefficient": 1, "monomial": [[1, 1, 1]]}],
                                             "2": [{"coefficient": 1, "monomial": [[1, 2, 1]]}]}
+
+    def test_torus_point_huge_exponent(self, tmp_path):
+        # the form is evaluated with modular powers, never x**(10**7) exactly
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vars": 2, "support": [[10**7, 0], [0, 1]]}))
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            ["--seed", "0", "oracle", "torus-point", "--support", str(path), "--alpha", "1,10000000"]
+        )
+        assert time.perf_counter() - started < 10.0
+        assert code == 0
+        assert json.loads(out)["witness"]["trials_used"] == 1
 
     def test_staircase_large_prime(self, tmp_path):
         path = tmp_path / "a2.json"

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,13 +13,12 @@ from mldhat.cones import (
     FaceSpec,
     dual_cone,
     dual_description,
-    face_cone,
+    face_chart,
     facets,
     has_isolated_fixed_point,
     is_simplicial,
     is_smooth,
     resolve_face,
-    split_torus_factor,
 )
 from mldhat.lattice import (
     as_vector,
@@ -29,6 +30,7 @@ from mldhat.lattice import (
     vec_scale,
     vec_sub,
 )
+from reference_kernels import face_cone, split_torus_factor
 
 
 def exact_coefficients(cols, u):
@@ -323,26 +325,28 @@ class TestMembership:
 class TestSplit:
     def test_single_ray_in_plane(self):
         c = Cone.from_generators(2, [(1, 0)])
-        reduced, torus_rank = split_torus_factor(c)
-        assert reduced.ambient_rank == 1
+        indices, chart, torus_rank = face_chart(c)
+        assert indices == (0,)
+        assert chart.ambient_rank == 1
         assert torus_rank == 1
-        assert reduced.generators == ((1,),)
+        assert chart.generators == ((1,),)
 
     def test_full_orthant_unchanged(self):
         c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        reduced, torus_rank = split_torus_factor(c)
-        assert reduced is c and torus_rank == 0
+        indices, chart, torus_rank = face_chart(c)
+        assert indices == (0, 1, 2)
+        assert chart is c and torus_rank == 0
 
     def test_full_rank_skew_cone_unchanged(self):
         c = Cone.from_generators(2, [(2, 2), (0, 4)])
-        reduced, torus_rank = split_torus_factor(c)
-        assert torus_rank == 0 and reduced.ambient_rank == 2
+        _, chart, torus_rank = face_chart(c)
+        assert torus_rank == 0 and chart.ambient_rank == 2
 
     def test_reduced_cone_is_full_dimensional(self):
         c = Cone.from_generators(3, [(1, 0, 1), (0, 1, 1)])
-        reduced, torus_rank = split_torus_factor(c)
+        _, chart, torus_rank = face_chart(c)
         assert torus_rank == 1
-        assert reduced.is_full_dimensional
+        assert chart.is_full_dimensional
 
 
 class TestFaces:
@@ -351,21 +355,35 @@ class TestFaces:
         idx = tuple(
             i for i, g in enumerate(c.generators) if g in ((1, 0, 0), (0, 1, 0))
         )
-        face = face_cone(c, FaceSpec(generator_subset=idx))
+        indices, face, torus_rank = face_chart(c, FaceSpec(generator_subset=idx))
+        assert indices == idx
         assert face.ambient_rank == 2
         assert face.generators == ((0, 1), (1, 0))
+        assert torus_rank == 1
 
     def test_whole_cone_face(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
-        face = face_cone(c, FaceSpec(generator_subset=(0, 1)))
-        assert face is c
+        _, face, torus_rank = face_chart(c, FaceSpec(generator_subset=(0, 1)))
+        assert face is c and torus_rank == 0
+
+    def test_whole_face_of_a_cone_that_does_not_span(self):
+        # the torus factor of the whole cone does not depend on how it is asked for
+        c = Cone.from_generators(3, [(1, 0, 0), (1, 2, 0)])
+        whole = face_chart(c, FaceSpec(generator_subset=(0, 1)))
+        assert whole == face_chart(c)
+        assert whole[2] == 1
 
     def test_smooth_ray_face(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
         idx = c.generators.index((0, 1))
-        face = face_cone(c, FaceSpec(generator_subset=(idx,)))
+        _, face, torus_rank = face_chart(c, FaceSpec(generator_subset=(idx,)))
         assert face.ambient_rank == 1
         assert face.generators == ((1,),)
+        assert torus_rank == 1
+
+    def test_zero_face_has_no_chart(self):
+        c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert face_chart(c, FaceSpec(generator_subset=())) == ((), None, 3)
 
     def test_functional_spec(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
@@ -382,7 +400,7 @@ class TestFaces:
         i = gens.index((1, 0, 0))
         j = gens.index((0, 1, 1))
         with pytest.raises(FaceError):
-            face_cone(c, FaceSpec(generator_subset=(i, j)))
+            face_chart(c, FaceSpec(generator_subset=(i, j)))
 
     @pytest.mark.parametrize("index", [0.9, True])
     def test_non_integer_ray_index_rejected(self, index):
@@ -408,8 +426,86 @@ class TestFaces:
             for subset in facets(c):
                 if not subset:
                     continue
-                face = face_cone(c, FaceSpec(generator_subset=subset))
+                _, face, _ = face_chart(c, FaceSpec(generator_subset=subset))
                 assert face.is_full_dimensional
+
+
+def every_face(c):
+    """(ray indices, supporting functional) of each face of a pointed cone.
+
+    A functional in the dual cone is a line plus a nonnegative combination
+    of dual rays, and it vanishes on a ray of c exactly when each dual ray
+    with a positive coefficient does; so the faces are the zero sets of the
+    sums of the subsets of the dual rays (the empty sum gives c itself).
+    """
+    _, dual_rays = c.dual_pair
+    faces = {}
+    for k in range(len(dual_rays) + 1):
+        for chosen in itertools.combinations(dual_rays, k):
+            u = tuple(sum(col) for col in zip(*chosen)) if chosen else (0,) * c.ambient_rank
+            zero_set = tuple(i for i, g in enumerate(c.generators) if pairing(u, g) == 0)
+            faces.setdefault(zero_set, u)
+    return sorted(faces.items())
+
+
+def random_embedded_cone(rng, n):
+    """A pointed cone spanning a random sublattice of rank 2..n in Z^n.
+
+    A full-dimensional cone of rank k is mapped into Z^n by a random
+    injective integer matrix, which need not be saturated.
+    """
+    k = rng.randint(2, n)
+    c = random_pointed_cone(rng, k, 3)
+    if k == n:
+        return c
+    while True:
+        columns = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+        if rank_of(columns) == k:
+            break
+    rays = [tuple(sum(x * col[i] for x, col in zip(g, columns)) for i in range(n)) for g in c.generators]
+    return Cone.from_generators(n, rays)
+
+
+def pool_cones():
+    pool = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8"))
+    for key in ("surfaces", "toric_random", "simplicial_isolated", "cones_rank3", "cones_rank4"):
+        for entry in pool[key]:
+            yield Cone.from_generators(len(entry["rays"][0]), [tuple(r) for r in entry["rays"]])
+
+
+class TestFaceChartAgainstReference:
+    """`face_chart` against `face_cone` and `split_torus_factor` as they were."""
+
+    def check_every_face(self, c):
+        n = c.ambient_rank
+        indices, chart, torus_rank = face_chart(c)
+        assert indices == tuple(range(len(c.generators)))
+        assert (chart, torus_rank) == split_torus_factor(c)
+        assert torus_rank == n - rank_of(c.generators)
+        for subset, u in every_face(c):
+            by_rays = face_chart(c, FaceSpec(generator_subset=subset))
+            assert face_chart(c, FaceSpec(supporting_functional=u)) == by_rays
+            got_indices, got_chart, got_rank = by_rays
+            assert got_indices == subset
+            if not subset:
+                assert (got_chart, got_rank) == (None, n)
+                with pytest.raises(FaceError):
+                    face_cone(c, FaceSpec(generator_subset=subset))
+                continue
+            expected = face_cone(c, FaceSpec(generator_subset=subset))
+            assert got_chart.ambient_rank == expected.ambient_rank
+            assert got_chart.generators == expected.generators
+            assert got_rank == n - rank_of([c.generators[i] for i in subset])
+
+    def test_pool_cones(self):
+        for c in pool_cones():
+            self.check_every_face(c)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_cones(self, n):
+        rng = random.Random(1800 + n)
+        for _ in range(60):
+            self.check_every_face(random_embedded_cone(rng, n))
 
 
 class TestPredicates:
@@ -462,7 +558,8 @@ class TestBitmaskKernelAgainstRankReference:
             c = Cone.from_generators(n, vecs)
             assert c.generators == expected[0]
             assert c.dual_pair == expected[1], vecs
-            assert c.span_rank == rank_of(c.generators)
+            # the dual lines are a basis of span(generators)^perp
+            assert c.ambient_rank - len(c.dual_pair[0]) == rank_of(c.generators)
 
     def test_dual_pairs_of_dual_cones(self):
         rng = random.Random(2026)

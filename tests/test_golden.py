@@ -8,7 +8,8 @@ this module as a script from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of `golden_reports.json` like any other change.
+It names each op whose record is new or changed; review that list and the
+diff of `golden_reports.json` like any other change.
 """
 
 import io
@@ -76,6 +77,8 @@ OPS = [
     ["hyper", "--support", "{curve}"],
     ["hyper", "--certify", "--support", "{curve}"],
     ["hyper", "--support", "{equality}"],
+    # the whole cone as a face keeps the torus factor that plain `toric` reports
+    ["toric", "--cone", "{torus_factor}", "--face", "0,1"],
 ]
 
 
@@ -117,5 +120,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
         paths = write_inputs(directory)
         records = [run_op(op, paths) for op in OPS]
+    previous = {}
+    if GOLDEN.exists():
+        previous = {json.dumps(r["op"]): r for r in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+    for record in records:
+        before = previous.get(json.dumps(record["op"]))
+        if before != record:
+            print(f"{'new' if before is None else 'changed'}: {' '.join(record['op'])}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} reports to {GOLDEN}", file=sys.stderr)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mldhat.hypersurface import (
+    GenericForm,
     Support,
     SupportError,
     _integer_rows,
@@ -406,6 +407,46 @@ def random_supports(rng, count):
             continue
         made += 1
         yield s, minimizers
+
+
+def exact_value(form, coefficients, point, prime):
+    """The form's value by exact integer powers, reduced only at the end."""
+    total = 0
+    for mult, ci, expo in form.terms:
+        term = mult * coefficients[ci]
+        for x, e in zip(point, expo):
+            term *= x**e
+        total += term
+    return total % prime
+
+
+class TestGenericFormEvaluate:
+    """Evaluation with modular powers against exact evaluation."""
+
+    def test_random_forms(self):
+        rng = random.Random(1818)
+        for _ in range(2000):
+            nv = rng.randint(1, 4)
+            terms = tuple(
+                (rng.choice([1, -1, 2, -3, 7]), rng.randrange(5), tuple(rng.randint(0, 12) for _ in range(nv)))
+                for _ in range(rng.randint(1, 5))
+            )
+            form = GenericForm(nv, terms)
+            prime = rng.choice([3, 5, 101, 10007, 2**31 - 1])
+            coefficients = [rng.randint(-prime, 2 * prime) for _ in range(5)]
+            point = [rng.randint(-prime, 2 * prime) for _ in range(nv)]
+            got = form.evaluate(coefficients, point, prime)
+            assert got == exact_value(form, coefficients, point, prime), (terms, point, prime)
+
+    def test_certificate_forms(self):
+        rng = random.Random(1819)
+        for s, minimizers in random_supports(rng, 200):
+            for alpha in minimizers:
+                data = certificate_data(s, alpha)
+                for form in (data.initial_form, data.pivot_coefficient):
+                    coefficients = {i: rng.randrange(1, 101) for i in range(len(s.exponents))}
+                    point = [rng.randrange(1, 101) for _ in range(s.num_vars)]
+                    assert form.evaluate(coefficients, point, 101) == exact_value(form, coefficients, point, 101)
 
 
 class TestTorusZeroCriterionAgainstSampler:

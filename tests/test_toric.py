@@ -26,6 +26,7 @@ from mldhat.toric import (
     spanning_cost_greedy,
 )
 from reference_kernels import determinant, independent_subsets, reference_spanning_cost_greedy
+from test_cones import random_embedded_cone
 
 A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
 
@@ -560,3 +561,30 @@ class TestMldAtPoint:
         assert report.lambda_value == 0
         assert report.mather_mld == 3
         assert report.torus_factor_rank == 1
+
+    def test_whole_cone_face_equals_no_face(self):
+        # the whole cone as a face and no face take one chart, field for field
+        pool = json.loads(
+            (pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8")
+        )
+        cones = [
+            Cone.from_generators(len(e["rays"][0]), e["rays"])
+            for f in ("surfaces", "simplicial_isolated", "toric_random")
+            for e in pool[f]
+        ]
+        rng = random.Random(1820)
+        cones += [random_embedded_cone(rng, 3) for _ in range(40)]
+        for c in cones:
+            whole = tuple(range(len(c.generators)))
+            plain = mld_at_point(c)
+            by_rays = mld_at_point(c, FaceSpec(generator_subset=whole))
+            assert plain.face_reduced_from is None
+            assert by_rays.face_reduced_from == whole
+            for name in ("lambda_value", "mather_mld", "witness", "fast_path", "torus_factor_rank"):
+                assert getattr(by_rays, name) == getattr(plain, name), (c.generators, name)
+            assert plain.torus_factor_rank == c.ambient_rank - rank_of(c.generators)
+
+    def test_torus_rank_of_a_face_is_its_codimension(self):
+        c = orthant(3)
+        for subset, rank in (((0, 1), 1), ((2,), 2), ((), 3), ((0, 1, 2), 0)):
+            assert mld_at_point(c, FaceSpec(generator_subset=subset)).torus_factor_rank == rank
