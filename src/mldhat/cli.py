@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .cones import Cone, ConeError, FaceSpec, dual_cone
 from .hilbert import hilbert_basis
@@ -37,31 +38,8 @@ def _is_big_integer_text(text):
     return INTEGER.fullmatch(text) is not None and abs(int(text)) >= BIG
 
 
-def _encode(value):
-    """JSON-safe copy with arbitrary-precision integers kept lossless.
-
-    Integers of magnitude 2^63 or more become decimal strings, so a string
-    that reads as one is refused: the encoding stays one-to-one.
-    """
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) >= BIG else value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        if _is_big_integer_text(value):
-            raise ValueError(f"the string {value!r} would read back as an integer")
-        return value
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def _decode(value):
-    """Inverse of _encode: big-integer strings come back as ints.
+    """Inverse of the big-integer rule of `dump_report`: such strings come back as ints.
 
     A string counts as an integer by the rule of `integer`, so "--5" or
     "²" stay strings.
@@ -75,8 +53,46 @@ def _decode(value):
     return value
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def dump_report(report: dict) -> str:
-    return json.dumps(_encode(report), indent=2, sort_keys=False)
+    """The report as JSON indented by two spaces, written in one walk.
+
+    Integers of magnitude 2^63 or more become decimal strings, so a string
+    that reads as one is refused: the encoding stays one-to-one.  Keys are
+    written as str(key); tuples as lists.  The text is what the `json`
+    module writes at indent 2 for the same tree with big integers as strings.
+    """
+    return _write(report, "\n")
+
+
+def _write(value, newline):
+    """The JSON text of one value; `newline` is the line break and indent of its level."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return f'"{value}"' if abs(value) >= BIG else str(value)
+    if isinstance(value, str):
+        if _is_big_integer_text(value):
+            raise ValueError(f"the string {value!r} would read back as an integer")
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        text = repr(value)
+        return _FLOAT_WORDS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{encode_basestring_ascii(str(k))}: {_write(v, inner)}" for k, v in value.items()]
+        return "{" + ",".join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + ",".join([inner + _write(v, inner) for v in value]) + newline + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def load_report(text: str) -> dict:
@@ -115,14 +131,6 @@ def parse_support_file(path) -> Support:
     if type(data["vars"]) is not int:
         raise SupportError("io", f"'vars' must be an integer, got {data['vars']!r}")
     return validate_support(data["support"], num_vars=data["vars"])
-
-
-def _witness_dict(witness):
-    return {
-        "point": list(witness.point),
-        "value": witness.value,
-        "chosen_set": [list(u) for u in witness.chosen_set],
-    }
 
 
 def integer(text):
@@ -178,16 +186,12 @@ def _run_toric(args):
         "lambda": report.lambda_value,
         "mather_mld": report.mather_mld,
         "status": "EXACT",
-        "witness": _witness_dict(report.witness),
+        "witness": vars(report.witness),
         "assumptions": [],
         "diagnostics": {
             "fast_path": report.fast_path,
             "torus_factor_rank": report.torus_factor_rank,
-            "face_reduced_from": (
-                list(report.face_reduced_from)
-                if report.face_reduced_from is not None
-                else None
-            ),
+            "face_reduced_from": report.face_reduced_from,
             "ambient_rank": cone.ambient_rank,
         },
         "timings": None if args.seed is not None else {"seconds": elapsed},
@@ -205,16 +209,16 @@ def _run_hyper(args):
         "lambda_lower_bound": report.lambda_lower_bound,
         "mather_mld_lower_bound": report.mather_mld_lower_bound,
         "status": report.status,
-        "witness": {"alpha": list(report.witness_alpha)},
-        "assumptions": list(report.assumptions),
+        "witness": {"alpha": report.witness_alpha},
+        "assumptions": report.assumptions,
         "certificate": {
             "status": report.certificate.status,
             "kind": report.certificate.kind,
-            "detail": dict(report.certificate.detail),
+            "detail": report.certificate.detail,
         },
         "diagnostics": {
             "search_box_bound": report.search_box_bound,
-            "dropped_variables": list(report.dropped_variables),
+            "dropped_variables": report.dropped_variables,
             "hypersurface_dimension": support.dimension_of_hypersurface,
         },
         "timings": None if args.seed is not None else {"seconds": elapsed},
@@ -225,20 +229,13 @@ def _run_hyper(args):
 def _run_hilbert(args):
     cone = parse_cone_file(args.cone)
     basis = hilbert_basis(cone, max_points=args.max_subsets)
-    return {
-        "cone_rays": [list(r) for r in cone.generators],
-        "elements": [list(u) for u in basis.elements],
-        "count": len(basis.elements),
-    }
+    return {"cone_rays": cone.generators, "elements": basis.elements, "count": len(basis.elements)}
 
 
 def _run_dual(args):
     cone = parse_cone_file(args.cone)
     dual = dual_cone(cone)
-    return {
-        "cone_rays": [list(r) for r in cone.generators],
-        "dual_rays": [list(r) for r in dual.generators],
-    }
+    return {"cone_rays": cone.generators, "dual_rays": dual.generators}
 
 
 def _oracle_seed(args):
@@ -255,17 +252,7 @@ def _run_staircase(args):
         seed=_oracle_seed(args),
         max_points=args.max_subsets,
     )
-    return {
-        "kind": "staircase",
-        "empty": result.empty,
-        "window_size": result.window_size,
-        "equations_solved": result.equations_solved,
-        "free_parameter_count": result.free_parameter_count,
-        "estimated_dim": result.estimated_dim,
-        "trials": result.trials,
-        "successes": result.successes,
-        "failure_reasons": list(result.failure_reasons),
-    }
+    return {"kind": "staircase", **vars(result)}
 
 
 def _run_torus_point(args):
@@ -276,23 +263,14 @@ def _run_torus_point(args):
         prime=args.prime,
         trials=args.trials,
         seed=_oracle_seed(args),
+        max_points=args.max_subsets,
     )
-    return {
-        "kind": "torus-point",
-        "witness": None
-        if witness is None
-        else {
-            "prime": witness["prime"],
-            "trials_used": witness["trials_used"],
-            "point": list(witness["point"]),
-            "coefficients": list(witness["coefficients"]),
-        },
-    }
+    return {"kind": "torus-point", "witness": witness}
 
 
 def _run_expand(args):
     support = parse_support_file(args.support)
-    coeffs = list(args.coeffs) if args.coeffs is not None else [1] * len(support.exponents)
+    coeffs = args.coeffs if args.coeffs is not None else [1] * len(support.exponents)
     result = expand(
         support, coeffs, args.alpha, m=args.m, prime=args.prime_opt, max_points=args.max_subsets
     )
@@ -307,7 +285,7 @@ def _run_expand(args):
         ]
     return {
         "kind": "expand",
-        "alpha": list(result.alpha),
+        "alpha": result.alpha,
         "m": result.order,
         "prime": result.prime,
         "terms": terms,

@@ -51,9 +51,9 @@ is a single monomial, which f cannot divide) or the full torus-zero one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
-from .lattice import LimitError, rank_of
+from .lattice import LimitError, content, rank_of
 
 
 class SupportError(ValueError):
@@ -173,11 +173,7 @@ def validate_support(exponents, num_vars=None) -> Support:
                 "a one-dimensional support must consist of exactly two lattice "
                 "points (its segment may contain no third one)",
             )
-        d = tuple(a - b for a, b in zip(reduced[1], reduced[0]))
-        g = 0
-        for x in d:
-            g = gcd(g, abs(x))
-        if g != 1:
+        if content(a - b for a, b in zip(reduced[1], reduced[0])) != 1:
             raise SupportError(
                 "one_dimensional",
                 "the segment between the two exponents contains interior lattice "

@@ -222,13 +222,15 @@ def expand(support: Support, coeffs, alpha, m, prime=None, max_points=None) -> T
 
 @dataclass(frozen=True)
 class StaircaseResult:
-    free_parameter_count: int | None
+    """The fields in the order of the `oracle staircase` report."""
+
+    empty: bool
+    window_size: int | None
     equations_solved: int | None
+    free_parameter_count: int | None
+    estimated_dim: int | None
     trials: int
     successes: int
-    estimated_dim: int | None
-    window_size: int | None
-    empty: bool = False
     failure_reasons: tuple[str, ...] = ()
 
 
@@ -627,6 +629,7 @@ def torus_point_sample(
     prime=10007,
     trials=50,
     seed=0,
+    max_points=None,
 ):
     """A torus point killing the initial form but not the pivot derivative.
 
@@ -635,6 +638,11 @@ def torus_point_sample(
     the pivot derivative is nonzero.  Returns an evidence dict or None.
     A witness exists only where the exact torus-zero criterion of
     hypersurface.equality_certificate holds; None proves nothing.
+
+    With `max_points`, LimitError is raised before any draw when trials
+    times d^2 times the bit length of the prime exceeds it, d the top
+    degree of the solve variable: the root finding of one trial takes
+    O(d^2 log p) field operations (`_nonzero_roots`).
     """
     _require_odd_prime(prime)
     _require_trials(trials)
@@ -642,6 +650,15 @@ def torus_point_sample(
         return None  # one monomial times a generic coefficient has no torus zero
     nv = initial_form.num_vars
     solve_var = _solve_variable(initial_form)
+    if max_points is not None:
+        d = max(expo[solve_var] for _, _, expo in initial_form.terms)
+        steps = trials * d * d * prime.bit_length()
+        if steps > max_points:
+            raise LimitError(
+                f"oracle torus-point: up to {steps} root-finding steps "
+                f"({trials} trials, degree {d}, {prime.bit_length()}-bit prime) "
+                f"exceed the limit ({max_points})"
+            )
     coeff_indices = sorted(
         {i for _, i, _ in initial_form.terms} | {i for _, i, _ in pivot_form.terms}
     )

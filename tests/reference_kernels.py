@@ -35,12 +35,18 @@ were before one `face_chart` reduced a face and its torus factor in one
 step: `face_cone` re-expresses a face in the lattice its rays span (the
 whole cone through `split_torus_factor`), and `split_torus_factor` does
 the same for a whole cone that does not span, with torus rank n - dim.
+
+`reference_encode` is the JSON-safe copy of a report that `dump_report`
+made before it wrote the text in one walk: it turns big integers into
+strings and refuses strings that read as one, and `json.dumps(indent=2)`
+then wrote the copy.
 """
 
 import functools
 import itertools
 import random
 
+from mldhat.cli import BIG, _is_big_integer_text
 from mldhat.cones import Cone, FaceError, resolve_face
 from mldhat.hypersurface import (
     ASSUMPTIONS,
@@ -450,3 +456,26 @@ def face_cone(c, f):
     if len(subset) == len(c.generators):
         return split_torus_factor(c)[0]
     return _in_span_lattice([c.generators[i] for i in subset])
+
+
+def reference_encode(value):
+    """JSON-safe copy with arbitrary-precision integers kept lossless.
+
+    Integers of magnitude 2^63 or more become decimal strings, so a string
+    that reads as one is refused: the encoding stays one-to-one.
+    """
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return str(value) if abs(value) >= BIG else value
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        if _is_big_integer_text(value):
+            raise ValueError(f"the string {value!r} would read back as an integer")
+        return value
+    if isinstance(value, dict):
+        return {str(k): reference_encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_encode(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value)!r}")

@@ -20,6 +20,8 @@ from mldhat.cones import ConeError, FaceError
 from mldhat.hypersurface import SupportError
 from mldhat.lattice import LatticeError, LimitError
 from mldhat.oracle import OracleError
+from reference_kernels import reference_encode
+from test_golden import GOLDEN
 from test_golden import OPS as GOLDEN_OPS
 from test_golden import run_op, write_inputs
 
@@ -264,6 +266,48 @@ class TestCommands:
     def test_oracle_under_limit_unchanged(self, support_file, command):
         argv = ["--seed", "1", "oracle", command, "--support", support_file, "--alpha", "2,1,2", "--m", "5"]
         assert run_cli(["--max-subsets", "100000", *argv]) == run_cli(argv)
+
+    def test_torus_point_limit_exit_code(self, tmp_path):
+        # degree 3000 in the solve variable: about 1.8 s a trial, refused before any draw
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"vars": 2, "support": [[3000, 0], [0, 3001]]}))
+        argv = ["oracle", "torus-point", "--support", str(path), "--alpha", "3001,3000"]
+        started = time.perf_counter()
+        code, out, err = run_cli(["--max-subsets", "1000000", *argv])
+        assert time.perf_counter() - started < 5.0
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["kind"] == "LimitError"
+        assert report["error"].startswith(
+            "oracle torus-point: up to 6300000000 root-finding steps (50 trials, degree 3000, 14-bit prime)"
+        )
+
+    def test_torus_point_under_limit_unchanged(self, support_file):
+        argv = ["--seed", "1", "oracle", "torus-point", "--support", support_file, "--alpha", "2,1,2"]
+        assert run_cli(["--max-subsets", "100000", *argv]) == run_cli(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilbert", "--cone", "{cone}"],
+            ["toric", "--cone", "{cone}"],
+            ["hyper", "--support", "{support}"],
+            ["oracle", "expand", "--support", "{support}", "--alpha", "2,1,2", "--m", "4"],
+            ["oracle", "staircase", "--support", "{support}", "--alpha", "2,1,2", "--m", "4"],
+            ["oracle", "torus-point", "--support", "{support}", "--alpha", "2,1,2"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_every_guarded_command_trips_at_zero(self, cone_file, support_file, argv):
+        # the README: N = 0 trips at the first stage
+        argv = [a.format(cone=cone_file, support=support_file) for a in argv]
+        code, out, err = run_cli(["--seed", "0", "--max-subsets", "0", *argv])
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["kind"] == "LimitError"
+        assert report["error"].endswith("(0)")
 
     def test_hilbert_limit_exit_code(self, tmp_path):
         # 200000 parallelepiped points: the guard trips before building any
@@ -773,3 +817,88 @@ class TestRoundTrip:
     def test_strings_below_the_threshold_round_trip(self):
         report = {"v": str(2**63 - 1), "w": "-42", "x": "007", "y": "--99999999999999999999"}
         assert load_report(dump_report(report)) == report
+
+
+def reference_dump(value):
+    """The report text as it was written before the one-walk writer."""
+    return json.dumps(reference_encode(value), indent=2)
+
+
+def outcome(dump, value):
+    """The text `dump` writes, or the class and message of what it raises."""
+    try:
+        return dump(value)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+BOUNDARY_INTEGERS = [2**63, -(2**63), 2**63 - 1, -(2**63) + 1, 2**64, -(10**40), 0]
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(BOUNDARY_INTEGERS)
+    | st.floats()
+    | st.text()
+    | st.sampled_from([str(2**63), str(-(2**63)), str(2**63 - 1), "007", "--5", "²", "é\u2028\"\\"])
+    | st.sampled_from([b"bytes", frozenset({1}), 1j])
+)
+# keys that coincide after str() (1 and "1") are merged by the copy but
+# written twice by the writer; no report has such keys
+KEYS = st.text() | st.integers() | st.sampled_from(BOUNDARY_INTEGERS) | st.booleans() | st.none()
+NESTED = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=4).filter(lambda d: len({str(k) for k in d}) == len(d)),
+    max_leaves=25,
+)
+
+
+class TestWriter:
+    """`dump_report` against the copy-then-`json.dumps` route it replaced."""
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_OPS)), ids=lambda i: " ".join(GOLDEN_OPS[i])[:60])
+    def test_golden_reports(self, index):
+        record = json.loads(GOLDEN.read_text(encoding="utf-8"))[index]
+        for text in (record["stdout"], record["stderr"]):
+            if text:
+                report = load_report(text)
+                assert dump_report(report) == reference_dump(report) == text[:-1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(NESTED)
+    def test_nested_values(self, value):
+        assert outcome(dump_report, value) == outcome(reference_dump, value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            {"a": [], "b": {}, "c": ()},
+            [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+            {"s": "non-ASCII \u00e9\u4e2d\U0001f600 and \\ \" \n \x00"},
+            {1: "int key", None: "none key", True: "bool key", (1, 2): "tuple key"},
+            {"big": 2**63, "small": 2**63 - 1, "neg": -(2**63), "tuple": (2**100, -(2**100))},
+        ],
+    )
+    def test_edge_values(self, value):
+        assert dump_report(value) == reference_dump(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"v": str(2**63)},
+            [1, [2, {"deep": "-99999999999999999999"}]],
+            {"x": b"bytes"},
+            [{1, 2}],
+            {"first": str(2**64), "second": object()},
+            {"first": object(), "second": str(2**64)},
+        ],
+    )
+    def test_same_refusals(self, value):
+        expected = outcome(reference_dump, value)
+        assert isinstance(expected, tuple)
+        assert outcome(dump_report, value) == expected

@@ -79,6 +79,9 @@ OPS = [
     ["hyper", "--support", "{equality}"],
     # the whole cone as a face keeps the torus factor that plain `toric` reports
     ["toric", "--cone", "{torus_factor}", "--face", "0,1"],
+    # a coefficient of 2^63 is written as a decimal string
+    ["oracle", "expand", "--support", "{whitney}", "--alpha", "1,1,1", "--m", "2", "--coeffs", "1,9223372036854775808"],
+    ["--max-subsets", "0", "oracle", "torus-point", "--support", "{equality}", "--alpha", "2,1,1"],
 ]
 
 

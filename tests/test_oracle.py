@@ -444,6 +444,20 @@ class TestTorusSample:
         with pytest.raises(OracleError):
             torus_point_sample(monomial, monomial, prime=101, trials=trials)
 
+    def test_limit(self):
+        data = certificate_data(WHITNEY, (2, 1, 2))
+        args = (data.initial_form, data.pivot_coefficient, 101, 30, 7)
+        # the solve variable x2 has degree 1 and 101 has 7 bits: 30 * 1 * 7 steps
+        assert torus_point_sample(*args, max_points=210) == torus_point_sample(*args)
+        with pytest.raises(
+            LimitError,
+            match=r"^oracle torus-point: up to 210 root-finding steps \(30 trials, degree 1, 7-bit prime\)",
+        ):
+            torus_point_sample(*args, max_points=209)
+        # a monomial has no torus zero and draws nothing, so no limit refuses it
+        form = GenericForm(num_vars=2, terms=((1, 0, (2, 0)),))
+        assert torus_point_sample(form, form, prime=101, trials=10, max_points=0) is None
+
     def test_monomial_has_no_torus_zero(self):
         form = GenericForm(num_vars=2, terms=((1, 0, (2, 0)),))
         pivot = GenericForm(num_vars=2, terms=((2, 0, (1, 0)),))
