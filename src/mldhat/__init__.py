@@ -20,7 +20,7 @@ values are immutable and all operations are pure functions, so everything
 here is safe to call concurrently.
 """
 
-from .cones import Cone, FaceSpec, dual_cone, has_isolated_fixed_point, is_simplicial, is_smooth
+from .cones import Cone, FaceSpec, dual_cone
 from .cones import RationalPolytope, UnboundedPolytopeError, enumerate_lattice_points
 from .hilbert import HilbertBasis, hilbert_basis
 from .hypersurface import (
@@ -50,12 +50,10 @@ from .oracle import (
     torus_point_sample,
 )
 from .toric import (
-    OrbitDimension,
     SpanningWitness,
     ToricMldReport,
     mld_at_point,
     minimize_spanning_cost,
-    orbit_dimension,
     spanning_cost_greedy,
 )
 
@@ -68,7 +66,6 @@ __all__ = [
     "HypersurfaceMldReport",
     "LatticeError",
     "LimitError",
-    "OrbitDimension",
     "RationalPolytope",
     "SpanningWitness",
     "StaircaseResult",
@@ -81,17 +78,13 @@ __all__ = [
     "enumerate_lattice_points",
     "equality_certificate",
     "expand",
-    "has_isolated_fixed_point",
     "hilbert_basis",
     "hypersurface_report",
     "is_feasible",
-    "is_simplicial",
-    "is_smooth",
     "minimize_objective",
     "minimize_spanning_cost",
     "mld_at_point",
     "objective",
-    "orbit_dimension",
     "pairing",
     "rank_of",
     "saturate",

@@ -1,4 +1,4 @@
-"""Rational polyhedral cones: duals, faces, membership, smoothness tests.
+"""Rational polyhedral cones: duals, faces, membership, face charts.
 
 A cone is stored by its primitive extreme rays in a lattice Z^n and must be
 pointed (it contains no nonzero linear subspace).  Dual descriptions are
@@ -31,7 +31,6 @@ from .lattice import (
     pairing,
     primitive,
     rank_of,
-    row_hermite,
     saturate,
     vec_neg,
     vec_scale,
@@ -323,52 +322,6 @@ def face_chart(c: Cone, face: FaceSpec | None = None):
     basis = saturate(rays)
     chart = Cone.from_generators(len(basis), [express_in_basis(basis, r) for r in rays])
     return indices, chart, c.ambient_rank - len(basis)
-
-
-def _require_full_pointed(c: Cone):
-    if not c.is_full_dimensional:
-        raise ConeError("this predicate needs a full-dimensional cone")
-
-
-def is_simplicial(c: Cone) -> bool:
-    _require_full_pointed(c)
-    return len(c.generators) == c.ambient_rank
-
-
-def is_smooth(c: Cone) -> bool:
-    """Do the extreme rays form a lattice basis?
-
-    They do exactly when the cone is simplicial and the row Hermite form of
-    its rays is the identity: a basis of the lattice they span, itself a
-    basis of Z^n.
-    """
-    _require_full_pointed(c)
-    if not is_simplicial(c):
-        return False
-    return row_hermite(c.generators) == _unit_vectors(c.ambient_rank)
-
-
-def facets(c: Cone) -> list[tuple[int, ...]]:
-    """Ray-index sets of the facets (codimension-one faces)."""
-    _require_full_pointed(c)
-    _, dual_rays = c.dual_pair
-    out = []
-    for u in dual_rays:
-        out.append(tuple(i for i, v in enumerate(c.generators) if pairing(u, v) == 0))
-    return sorted(set(out))
-
-
-def has_isolated_fixed_point(c: Cone) -> bool:
-    """Is every proper face smooth?  (Equivalently: every facet is smooth;
-    faces of smooth cones are smooth, so facet smoothness propagates down.)
-    The facet of a rank-1 cone is the zero face, which has no chart.
-    """
-    _require_full_pointed(c)
-    for subset in facets(c):
-        _, chart, _ = face_chart(c, FaceSpec(generator_subset=subset))
-        if chart is not None and not is_smooth(chart):
-            return False
-    return True
 
 
 class UnboundedPolytopeError(LatticeError):

@@ -135,9 +135,6 @@ class TruncatedExpansion:
     prime: int | None  # None means exact integer coefficients
     terms: dict  # s -> {monomial: coefficient}
 
-    def coefficient(self, s):
-        return self.terms.get(s, {})
-
 
 def _window_orders(support: Support, alpha, m):
     """alpha as a tuple, checked against the support and the window cap m."""
@@ -636,6 +633,8 @@ def torus_point_sample(
     Draws nonzero coefficients and nonzero values for all but one variable,
     solves the initial form for the remaining one, and keeps a root where
     the pivot derivative is nonzero.  Returns an evidence dict or None.
+    Each root is checked on the initial form itself, and a root of the
+    collapsed form that misses it raises AssertionError.
     A witness exists only where the exact torus-zero criterion of
     hypersurface.equality_certificate holds; None proves nothing.
 
@@ -676,7 +675,7 @@ def torus_point_sample(
         for root in roots:
             point[solve_var] = root
             if initial_form.evaluate(coeffs, point, prime):
-                continue
+                raise AssertionError(f"root {root} of the collapsed form misses the initial form")
             if pivot_form.evaluate(coeffs, point, prime):
                 return {
                     "prime": prime,

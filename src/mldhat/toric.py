@@ -57,23 +57,6 @@ class SpanningWitness:
 
 
 @dataclass(frozen=True)
-class OrbitDimension:
-    """Dimension of a jet orbit, exact or bracketed below the threshold."""
-
-    exact: bool
-    lower: int
-    upper: int
-    cost: int
-    threshold: int
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError("orbit dimension is only known as an interval")
-        return self.lower
-
-
-@dataclass(frozen=True)
 class ToricMldReport:
     lambda_value: int
     mather_mld: int
@@ -88,9 +71,16 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
 
     Repeatedly picks the basis element of smallest pairing (ties broken by
     lexicographic order) outside the span of the elements already chosen.
-    The greedy value equals the true minimum: an exchange argument swaps
-    any optimal set, element by element, into the greedy one without
-    increasing the total.
+    The spanning sets are the bases of a matroid, and the greedy basis is
+    Gale optimal (Gale, 1968): its k-th smallest pairing is at most the
+    k-th smallest pairing of every basis, for each k.  Summing over k makes
+    the greedy value the true minimum.  Taking k = n makes its largest
+    pairing at most that of every basis, in particular of every optimal
+    set, so the greedy set attains the jet-orbit threshold: the least, over
+    optimal sets, of their largest pairing with a.  From level m on that
+    threshold, the orbit of the order map of a in the m-jets has dimension
+    exactly (m + 1) n - cost(a); below it only the bracket
+    [(m + 1) n - cost(a), (m + 1) n - m] is known.
 
     The span test keeps the chosen elements in fraction-free echelon form:
     each stored row is zero at the pivot columns of the rows stored before
@@ -161,37 +151,6 @@ def minimize_spanning_cost(cone: Cone, max_points: int | None = None) -> ToricMl
         fast_path="none",
         torus_factor_rank=0,
         face_reduced_from=None,
-    )
-
-
-def orbit_dimension(a, m: int, hb: HilbertBasis) -> OrbitDimension:
-    """Dimension of the jet orbit through the order map of a at level m.
-
-    Exact when m reaches the threshold, the least over optimal spanning
-    sets of their largest pairing with a; otherwise only the bracket
-    [ (m+1)n - cost, (m+1)n - m ] is known.  Any optimal set qualifies for
-    the threshold: ordering an optimal set by pairing value, a cheaper
-    element outside each partial span could be exchanged in and would lower
-    the total, so every optimal set already satisfies the greedy minimality
-    property that the exactness argument needs step by step.
-
-    The greedy set of `spanning_cost_greedy` attains the threshold.  The
-    spanning sets are the bases of a matroid, and the greedy basis is Gale
-    optimal (Gale, 1968): its k-th smallest pairing is at most the k-th
-    smallest pairing of every basis, for each k.  Summing over k makes it
-    an optimal set, and k = n makes its largest pairing at most that of
-    every basis, in particular of every optimal set.
-    """
-    if m < 1:
-        raise ValueError("jet level m must be at least 1")
-    n = hb.rank
-    best = spanning_cost_greedy(a, hb)
-    threshold = max(pairing(u, best.point) for u in best.chosen_set)
-    exact = m >= threshold
-    lower = (m + 1) * n - best.value
-    upper = lower if exact else (m + 1) * n - m
-    return OrbitDimension(
-        exact=exact, lower=lower, upper=upper, cost=best.value, threshold=threshold
     )
 
 

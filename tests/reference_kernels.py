@@ -36,6 +36,11 @@ step: `face_cone` re-expresses a face in the lattice its rays span (the
 whole cone through `split_torus_factor`), and `split_torus_factor` does
 the same for a whole cone that does not span, with torus rank n - dim.
 
+`is_simplicial`, `is_smooth`, `facets` and `has_isolated_fixed_point`
+are the cone predicates that no command calls; the tests use them to pick
+cones (simplicial with an isolated fixed point, for instance) and to walk
+the facets of a cone.
+
 `reference_encode` is the JSON-safe copy of a report that `dump_report`
 made before it wrote the text in one walk: it turns big integers into
 strings and refuses strings that read as one, and `json.dumps(indent=2)`
@@ -47,7 +52,7 @@ import itertools
 import random
 
 from mldhat.cli import BIG, _is_big_integer_text
-from mldhat.cones import Cone, FaceError, resolve_face
+from mldhat.cones import Cone, ConeError, FaceError, FaceSpec, face_chart, resolve_face
 from mldhat.hypersurface import (
     ASSUMPTIONS,
     Certificate,
@@ -456,6 +461,52 @@ def face_cone(c, f):
     if len(subset) == len(c.generators):
         return split_torus_factor(c)[0]
     return _in_span_lattice([c.generators[i] for i in subset])
+
+
+def _require_full_pointed(c):
+    if not c.is_full_dimensional:
+        raise ConeError("this predicate needs a full-dimensional cone")
+
+
+def is_simplicial(c):
+    _require_full_pointed(c)
+    return len(c.generators) == c.ambient_rank
+
+
+def is_smooth(c):
+    """Do the extreme rays form a lattice basis?
+
+    They do exactly when the cone is simplicial and the row Hermite form of
+    its rays is the identity: a basis of the lattice they span, itself a
+    basis of Z^n.
+    """
+    _require_full_pointed(c)
+    n = c.ambient_rank
+    return is_simplicial(c) and row_hermite(c.generators) == [
+        tuple(int(i == j) for j in range(n)) for i in range(n)
+    ]
+
+
+def facets(c):
+    """Ray-index sets of the facets (codimension-one faces)."""
+    _require_full_pointed(c)
+    _, dual_rays = c.dual_pair
+    return sorted(
+        {tuple(i for i, v in enumerate(c.generators) if pairing(u, v) == 0) for u in dual_rays}
+    )
+
+
+def has_isolated_fixed_point(c):
+    """Is every proper face smooth?  (Equivalently: every facet is smooth;
+    faces of smooth cones are smooth, so facet smoothness propagates down.)
+    The facet of a rank-1 cone is the zero face, which has no chart.
+    """
+    _require_full_pointed(c)
+    for subset in facets(c):
+        _, chart, _ = face_chart(c, FaceSpec(generator_subset=subset))
+        if chart is not None and not is_smooth(chart):
+            return False
+    return True
 
 
 def reference_encode(value):

@@ -9,13 +9,7 @@ import random
 import time
 from math import gcd
 
-from mldhat.cones import (
-    Cone,
-    ConeError,
-    dual_cone,
-    has_isolated_fixed_point,
-    is_simplicial,
-)
+from mldhat.cones import Cone, ConeError, dual_cone
 from mldhat.hilbert import hilbert_basis
 from mldhat.hypersurface import (
     binomial_lambda,
@@ -29,7 +23,7 @@ from mldhat.hypersurface import (
 from mldhat.lattice import pairing, rank_of
 from mldhat.oracle import expand, staircase_verify
 from mldhat.toric import minimize_spanning_cost, spanning_cost_greedy
-from reference_kernels import determinant
+from reference_kernels import determinant, has_isolated_fixed_point, is_simplicial
 from test_toric import spanning_cost_bruteforce
 
 

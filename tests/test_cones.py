@@ -14,10 +14,6 @@ from mldhat.cones import (
     dual_cone,
     dual_description,
     face_chart,
-    facets,
-    has_isolated_fixed_point,
-    is_simplicial,
-    is_smooth,
     resolve_face,
 )
 from mldhat.lattice import (
@@ -30,7 +26,14 @@ from mldhat.lattice import (
     vec_scale,
     vec_sub,
 )
-from reference_kernels import face_cone, split_torus_factor
+from reference_kernels import (
+    face_cone,
+    facets,
+    has_isolated_fixed_point,
+    is_simplicial,
+    is_smooth,
+    split_torus_factor,
+)
 
 
 def exact_coefficients(cols, u):

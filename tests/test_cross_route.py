@@ -14,7 +14,8 @@ is a bijection onto the feasible order tuples.  At every such a,
     cost(a) - n = Obj(alpha(a)),    n = N - 1,
 
 where cost is the toric greedy spanning cost and Obj the hypersurface
-objective.  So the two lambdas agree, and orbit_dimension(a, m).lower =
+objective.  So the two lambdas agree, and from the greedy threshold
+m >= max <a, u> over the greedy spanning set on, the jet orbit dimension
 (m + 1) n - cost(a) equals the staircase count window - equations at
 (alpha(a), m).
 
@@ -34,9 +35,9 @@ import pytest
 from mldhat.cones import Cone, dual_cone
 from mldhat.hilbert import HilbertBasis, hilbert_basis
 from mldhat.hypersurface import SupportError, binomial_lambda, objective, validate_support
-from mldhat.lattice import content, express_in_basis, integer_kernel
+from mldhat.lattice import content, express_in_basis, integer_kernel, pairing
 from mldhat.oracle import staircase_verify
-from mldhat.toric import minimize_spanning_cost, orbit_dimension, spanning_cost_greedy
+from mldhat.toric import minimize_spanning_cost, spanning_cost_greedy
 
 # (u, v, lambda): x^u - x^v
 LAMBDA_POSITIVE_BINOMIALS = (
@@ -160,13 +161,14 @@ def test_lambda_positive_corpus(u, v, lam):
 def test_orbit_dimension_is_the_staircase_count(u, v, lam):
     chart = toric_chart(u, v)
     support = validate_support([u, v])
+    n = len(u) - 1
     for alpha in feasible_orders(u, v, 3):
         a = express_in_basis(chart.kernel, alpha)
-        m = max(orbit_dimension(a, 1, chart.basis).threshold, *alpha)
-        orbit = orbit_dimension(a, m, chart.basis)
+        best = spanning_cost_greedy(a, chart.basis)
+        m = max(*(pairing(w, a) for w in best.chosen_set), *alpha)
         result = staircase_verify(support, alpha, m, trials=3, seed=0)
-        assert orbit.exact
-        assert orbit.lower == result.window_size - result.equations_solved == result.estimated_dim
+        assert (m + 1) * n - best.value == result.window_size - result.equations_solved
+        assert result.window_size - result.equations_solved == result.estimated_dim
         assert result.successes == 3
 
 

@@ -179,7 +179,7 @@ class TestNumeratorKernel:
             calls.append(len(rows))
             return original(rows)
 
-        for module in ("mldhat.lattice", "mldhat.hilbert", "mldhat.cones"):
+        for module in ("mldhat.lattice", "mldhat.hilbert"):
             monkeypatch.setattr(f"{module}.row_hermite", counted)
         hilbert_basis(hexagon)
         assert calls == [3] * math.comb(6, 3)

@@ -56,23 +56,23 @@ class TestExpand:
         # f = x^2 with order 1 and truncation 3
         s = raw_support([(2,)])
         exp = expand(s, [1], (1,), m=3)
-        assert exp.coefficient(2) == {mono((((0, 1)), 2)): 1}
-        assert exp.coefficient(3) == {mono((((0, 1)), 1), (((0, 2)), 1)): 2}
+        assert exp.terms[2] == {mono((((0, 1)), 2)): 1}
+        assert exp.terms[3] == {mono((((0, 1)), 1), (((0, 2)), 1)): 2}
 
     def test_square_of_one_variable(self):
         s = validate_support([(2, 0), (0, 1)])  # x^2 + y, to look at the x part
         exp = expand(s, [1, 1], (1, 2), m=3)
         # t^2 coefficient: (x^(1))^2 together with the y^(2) term of y
-        g2 = exp.coefficient(2)
+        g2 = exp.terms[2]
         assert g2[mono((((0, 1)), 2))] == 1
-        g3 = exp.coefficient(3)
+        g3 = exp.terms[3]
         assert g3[mono((((0, 1)), 1), (((0, 2)), 1))] == 2
 
     def test_whitney_initial_form(self):
         # coefficients follow the canonical (sorted) order of the support
         assert WHITNEY.exponents == ((0, 2, 1), (2, 0, 0))
         exp = expand(WHITNEY, [-1, 1], (2, 1, 2), m=4)
-        g4 = exp.coefficient(4)
+        g4 = exp.terms[4]
         assert g4 == {
             mono((((0, 2)), 2)): 1,
             mono((((1, 1)), 2), (((2, 2)), 1)): -1,
@@ -81,7 +81,7 @@ class TestExpand:
     def test_linear_plus_square(self):
         s = validate_support([(1, 0), (0, 2)])
         exp = expand(s, [1, 1], (2, 1), m=2)
-        g2 = exp.coefficient(2)
+        g2 = exp.terms[2]
         assert g2 == {
             mono((((0, 2)), 1)): 1,
             mono((((1, 1)), 2)): 1,
@@ -618,6 +618,18 @@ class TestRootFinderEndToEnd:
         ours = run()
         monkeypatch.setattr(oracle, "_nonzero_roots", reference_nonzero_roots)
         assert run() == ours
+
+    def test_torus_point_refuses_a_non_root(self, tmp_path, monkeypatch):
+        # a root of the collapsed form that misses the initial form is a
+        # fault in the collapse, not "no witness"
+        def non_root(uni, prime, rng):
+            return [next(r for r in range(1, prime) if sum(c * pow(r, d, prime) for d, c in uni.items()) % prime)]
+
+        monkeypatch.setattr(oracle, "_nonzero_roots", non_root)
+        path = tmp_path / "whitney.json"
+        path.write_text(json.dumps({"vars": 3, "support": [[2, 0, 0], [0, 2, 1]]}))
+        with pytest.raises(AssertionError, match="misses the initial form"):
+            cli.main(["oracle", "torus-point", "--support", str(path), "--alpha", "2,1,2", "--prime", "101"])
 
 
 class TestNonzeroRoots:

@@ -6,7 +6,9 @@ import pytest
 
 import mldhat
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "mldhat").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "mldhat").glob("*.py"))
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def assert_lines(tree):
@@ -115,9 +117,13 @@ def test_cache_check_passes_constants_and_other_functools():
     assert not list(cache_nodes(ast.parse(source)))
 
 
-def unreferenced_private(trees):
-    """(module, name) for each private top-level function or class that no
-    other top-level statement of the package reads, by name or attribute."""
+def unread_definitions(trees, exempt=frozenset()):
+    """(module, name) for each top-level function or class that no other
+    top-level statement of the package reads, by name or attribute.
+
+    Import statements read nothing: they bind names, and a name bound only
+    to be re-exported has no reader.  Names in `exempt` are skipped.
+    """
     reads = [
         (stmt, {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
          | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)})
@@ -128,17 +134,28 @@ def unreferenced_private(trees):
         for stmt in tree.body:
             if (
                 isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and stmt.name.startswith("_")
+                and stmt.name not in exempt
                 and not any(other is not stmt and stmt.name in names for other, names in reads)
             ):
                 yield module, stmt.name
 
 
-def test_private_helpers_have_library_callers():
+def string_constants(tree):
+    """Every string constant of a module."""
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+# the benchmark's tracer looks functions up by name, spelled as strings
+TRACED = string_constants(ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING)))
+# the report reader that README documents for library callers
+DOCUMENTED = {"load_report"}
+
+
+def test_top_level_names_have_library_readers():
     # code that only the tests use belongs in the tests (reference_kernels.py)
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
-    found = list(unreferenced_private(trees))
-    assert not found, f"private helpers with no caller in the package: {found}"
+    found = list(unread_definitions(trees, TRACED | DOCUMENTED))
+    assert not found, f"functions and classes with no reader in the package: {found}"
 
 
 def test_private_helper_check_catches():
@@ -146,12 +163,22 @@ def test_private_helper_check_catches():
         "a.py": ast.parse("def _used(): pass\ndef _dead(): return _dead()\nclass _Gone: pass\n"),
         "b.py": ast.parse("from a import _used\nx = _used()\n"),
     }
-    assert sorted(unreferenced_private(trees)) == [("a.py", "_Gone"), ("a.py", "_dead")]
+    assert sorted(unread_definitions(trees)) == [("a.py", "_Gone"), ("a.py", "_dead")]
+
+
+def test_reader_check_catches_dead_public_function():
+    # an import and a listing in __all__ are not readers
+    trees = {
+        "a.py": ast.parse("def dead(): pass\ndef traced(): pass\n"),
+        "__init__.py": ast.parse("from .a import dead, traced\n__all__ = ['dead', 'traced']\n"),
+    }
+    assert list(unread_definitions(trees)) == [("a.py", "dead"), ("a.py", "traced")]
+    assert list(unread_definitions(trees, {"traced"})) == [("a.py", "dead")]
 
 
 def test_private_helper_check_passes_attribute_and_public_use():
-    trees = {"a.py": ast.parse("import m\ndef _helper(): pass\ndef public(): pass\ny = m._helper\n")}
-    assert not list(unreferenced_private(trees))
+    trees = {"a.py": ast.parse("import m\ndef _helper(): pass\ndef public(): pass\ny = m._helper\nz = public()\n")}
+    assert not list(unread_definitions(trees))
 
 
 def export_faults(module, names):

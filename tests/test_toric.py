@@ -17,12 +17,10 @@ from mldhat.cones import (
 from mldhat.hilbert import HilbertBasis, hilbert_basis
 from mldhat.lattice import LatticeError, LimitError, as_vector, pairing, rank_of
 from mldhat.toric import (
-    OrbitDimension,
     SpanningWitness,
     _candidate_points,
     mld_at_point,
     minimize_spanning_cost,
-    orbit_dimension,
     spanning_cost_greedy,
 )
 from reference_kernels import determinant, independent_subsets, reference_spanning_cost_greedy
@@ -452,11 +450,12 @@ class TestInvariants:
             assert spanning_cost_greedy(a, hb).value >= n
 
 
-def reference_orbit_dimension(a, m, hb):
-    """The orbit dimension from every optimal spanning set, by brute force.
+def reference_orbit_dimension(a, hb):
+    """(cost, threshold) from every optimal spanning set, by brute force.
 
     The threshold is the least, over the spanning sets of least cost, of
-    their largest pairing with a.
+    their largest pairing with a: from jet level m = threshold on, the orbit
+    of the order map of a has dimension exactly (m + 1) n - cost.
     """
     n = hb.rank
     costs = [
@@ -464,18 +463,22 @@ def reference_orbit_dimension(a, m, hb):
         for combo in independent_subsets(hb.elements, n)
     ]
     value = min(cost for cost, _ in costs)
-    threshold = min(top for cost, top in costs if cost == value)
-    exact = m >= threshold
-    lower = (m + 1) * n - value
-    upper = lower if exact else (m + 1) * n - m
-    return OrbitDimension(exact=exact, lower=lower, upper=upper, cost=value, threshold=threshold)
+    return value, min(top for cost, top in costs if cost == value)
+
+
+def greedy_threshold(a, hb):
+    """(cost, threshold) read off the greedy spanning set."""
+    best = spanning_cost_greedy(a, hb)
+    return best.value, max(pairing(u, best.point) for u in best.chosen_set)
 
 
 class TestOrbitDimension:
     def test_agrees_with_bruteforce_threshold(self):
+        # the greedy set is Gale optimal, so its largest pairing is the
+        # least over all optimal sets (see spanning_cost_greedy)
         rng = random.Random(83)
         checks = 0
-        below = 0
+        thresholds = set()
         cones = 0
         while cones < 40:
             n = rng.choice((2, 2, 3, 3, 4))
@@ -492,36 +495,31 @@ class TestOrbitDimension:
             cones += 1
             for _ in range(6):
                 a = random_interior_point(rng, c)
-                for m in range(1, 9):
-                    expected = reference_orbit_dimension(a, m, hb)
-                    assert orbit_dimension(a, m, hb) == expected, (c.generators, a, m)
-                    below += not expected.exact
-                    checks += 1
-        assert checks == 40 * 6 * 8
-        assert below >= 200
+                expected = reference_orbit_dimension(a, hb)
+                assert greedy_threshold(a, hb) == expected, (c.generators, a)
+                thresholds.add(expected[1])
+                checks += 1
+        assert checks == 40 * 6
+        assert len(thresholds) >= 15  # 20 distinct thresholds, 1 to 23
 
     def test_exact_smooth_case(self):
+        # m = 3 reaches the threshold: dimension (3 + 1) * 2 - cost
         hb = hilbert_basis(dual_cone(orthant(2)))
-        d = orbit_dimension((1, 1), 3, hb)
-        assert d.exact and d.value == 6
+        value, threshold = greedy_threshold((1, 1), hb)
+        assert threshold <= 3 and (3 + 1) * 2 - value == 6
 
     def test_exact_a1_cone(self):
         hb = hilbert_basis(dual_cone(A1_CONE))
-        d = orbit_dimension((1, 0), 2, hb)
-        assert d.exact and d.value == 4
+        value, threshold = greedy_threshold((1, 0), hb)
+        assert threshold <= 2 and (2 + 1) * 2 - value == 4
 
     def test_interval_below_threshold(self):
+        # m = 2 is below the threshold: (m + 1) n - cost is only a lower bound
         dual = Cone.from_generators(2, [(1, 0), (1, 3)])
         primal = dual_cone(dual)
         hb = hilbert_basis(dual_cone(primal))
-        d = orbit_dimension((2, 1), 2, hb)
-        assert not d.exact
-        assert (d.lower, d.upper) == (1, 4)
-
-    def test_rejects_bad_level(self):
-        hb = hilbert_basis(dual_cone(orthant(2)))
-        with pytest.raises(ValueError):
-            orbit_dimension((1, 1), 0, hb)
+        value, threshold = greedy_threshold((2, 1), hb)
+        assert threshold > 2 and (2 + 1) * 2 - value == 1
 
 
 class TestMldAtPoint:
