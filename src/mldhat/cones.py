@@ -1,4 +1,4 @@
-"""Rational polyhedral cones: duals, faces, membership, face charts.
+"""Rational polyhedral cones: duals, faces, membership, face charts, triangulations.
 
 A cone is stored by its primitive extreme rays in a lattice Z^n and must be
 pointed (it contains no nonzero linear subspace).  Dual descriptions are
@@ -16,6 +16,8 @@ rays) as the cone's `dual_pair` next to its sorted primitive extreme rays.
 `dual_cone` swaps the two halves, so a cone and its dual together cost one
 sweep, and `face_chart` builds a face as a new cone from its rays in the
 lattice they span, with the rank of the torus factor it leaves.
+`pulling_triangulation` reads the cells of one triangulation without new
+rays off the same facet incidences, as bitmasks.
 """
 
 from __future__ import annotations
@@ -259,6 +261,44 @@ class FaceSpec:
             raise FaceError(
                 "specify exactly one of supporting_functional or generator_subset"
             )
+
+
+def pulling_triangulation(c: Cone):
+    """The cells of the pulling triangulation of a full-dimensional cone.
+
+    Each cell is a tuple of n linearly independent extreme rays, in
+    generator order; the cells cover the cone and their interiors are
+    disjoint, and no ray is added (De Loera, Rambau and Santos,
+    *Triangulations*, 2010, section 4.3).  Pulling the least ray v of a
+    face F cones v over the cells of the facets of F that do not contain v,
+    each triangulated the same way, so that two facets induce the same cells
+    on the face they share; the empty face has the one empty cell.
+
+    Faces are bitmasks of ray indices, read off the facet incidences of the
+    dual pair as in `dual_description`: the faces of F are the faces of the
+    cone inside F, each an intersection of facets G of the cone, so the
+    facets of F are the inclusion-maximal sets F & G other than F.  A facet
+    of F not containing v has dimension dim F - 1 and v lies off its span,
+    so every cell has as many rays as its dimension, with no rank test.
+    """
+    gens = c.generators
+    # bit i of facets[k] is set when the k-th dual ray vanishes on gens[i]
+    facets = [sum(1 << i for i, g in enumerate(gens) if pairing(r, g) == 0) for r in c.dual_pair[1]]
+
+    def pull(face):
+        if not face:
+            yield 0
+            return
+        v = face & -face
+        parts = {face & f for f in facets} - {face}
+        for part in sorted(parts):
+            if part & v or any(part & q == part and q != part for q in parts):
+                continue
+            for cell in pull(part):
+                yield cell | v
+
+    for cell in pull((1 << len(gens)) - 1):
+        yield tuple(g for i, g in enumerate(gens) if cell >> i & 1)
 
 
 def resolve_face(c: Cone, f: FaceSpec) -> tuple[int, ...]:

@@ -3,20 +3,26 @@
 For a full-dimensional pointed cone D in the dual lattice, the semigroup of
 lattice points of D has a unique minimal generating set: its irreducible
 elements (those not expressible as a sum of two nonzero semigroup
-elements).  Every irreducible element lies, for some linearly independent
-subset of the extreme rays of D, in the union of those rays with the
-half-open parallelepiped they span; so the basis is found by collecting
-these candidates over all spanning ray subsets and sieving out the
-reducible ones.
+elements).  The candidates come from one triangulation of D without new
+rays, the pulling triangulation of `cones.pulling_triangulation`.  Every
+lattice point x of D lies in a cell T, a simplicial cone on n independent
+extreme rays, and writes as x = p + sum_T k_t t with p in the half-open
+parallelepiped {sum l_t t : 0 <= l_t < 1} of T and integers k_t >= 0.  An
+irreducible x of D is irreducible in the semigroup of T too, since a sum
+in T is a sum in D; so x is a ray t of T (p = 0) or x = p.  The rays of D
+and the half-open parallelepiped points of its cells therefore hold the
+basis.  The basis is then the set of minimal nonzero candidates under
+"u - e lies in D": a reducible u = e + w has an irreducible e, a
+candidate, below it, and below an irreducible u lies no nonzero lattice
+point of D.
 
 The sieve runs in facet-value coordinates, exactly:
 
-* the candidate set is the one above, walked once per ray subset T:
-  `_numerators` decomposes T by one row Hermite form, which tells whether
-  T is independent and gives |det T| and the coefficient numerators of
-  each point; the sieve folds them into facet values, and each kept value
-  is folded back into its point from the first (T, numerators) that gave
-  it;
+* the candidate set is the one above, walked once per cell T:
+  `_numerators` decomposes T by one row Hermite form, which gives |det T|
+  and the coefficient numerators of each point; `cell_walk` folds them
+  into packed facet values, and each minimal value is folded back into its
+  point from the first (T, numerators) that gave it;
 * the facet-value map u -> (<r, u>)_r over the primal rays r is injective
   on a full-dimensional cone, so deduplicating values deduplicates points;
 * the degree of u, its pairing with the grading point sum_r r, is the sum
@@ -28,11 +34,10 @@ The sieve runs in facet-value coordinates, exactly:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import prod
 
-from .cones import Cone, ConeError
+from .cones import Cone, ConeError, pulling_triangulation
 from .lattice import LatticeError, LimitError, pairing, row_hermite
 from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
@@ -124,7 +129,7 @@ def _fold(rays, frac, absdet) -> tuple[int, ...]:
 
 
 def _check_distinct(points, absdet):
-    """Raise unless the set `points` of one ray subset T holds |det T| points."""
+    """Raise unless the set `points` of independent rays T holds |det T| points."""
     if len(points) != absdet:
         raise AssertionError(
             f"found {len(points)} parallelepiped points, expected |det| = {absdet}"
@@ -147,113 +152,117 @@ def parallelepiped_points(rays) -> list[tuple[int, ...]]:
     return points
 
 
-def _pack(values, width) -> int:
-    """The values as one integer, field k in bits [k * width, (k + 1) * width)."""
-    packed = 0
-    for k, v in enumerate(values):
-        packed |= v << (k * width)
-    return packed
+class FacetValues:
+    """Packed facet-value coordinates of lattice points.
 
-
-def _sieve(ordered, guard) -> list[int]:
-    """The packed vectors of `ordered` not reducible by an earlier kept one.
-
-    e reduces u when u - e >= 0 in every field.  With every field value
-    below 2^(width - 1) and `guard` holding the top bit of each field,
-    (u | guard) - e subtracts field by field with no borrow crossing a
-    field, and a field keeps its guard bit exactly when u_k >= e_k.
+    A point u maps to its values <g, u> under the facet forms g of a
+    full-dimensional cone (its dual rays), packed as one integer with field
+    k in bits [k * width, (k + 1) * width) and the degree, the sum of the
+    values, as the top field.  The map is linear and, the facet forms
+    spanning the dual space, injective.  The width puts every field value
+    in [0, bound] below 2^(width - 1), so in the packed subtraction of
+    `minimal_elements` no borrow crosses a field.
     """
-    elements: list[int] = []
-    for u in ordered:
-        ug = u | guard
-        for e in elements:
-            if (ug - e) & guard == guard:
-                break
-        else:
-            elements.append(u)
-    return elements
+
+    def __init__(self, forms, bound: int):
+        self.forms = forms
+        self.width = width = bound.bit_length() + 1
+        self.field = (1 << width) - 1
+        self.guard = self._pack([1 << (width - 1)] * len(forms))
+        self.ones = self._pack([1] * len(forms))
+
+    def _pack(self, values) -> int:
+        packed = 0
+        for k, v in enumerate(values):
+            packed |= v << (k * self.width)
+        return packed
+
+    def pack(self, values) -> int:
+        """The facet values of a point, with their sum as the top field."""
+        return self._pack([*values, sum(values)])
+
+    def is_interior(self, u) -> bool:
+        """Is every facet value of the packed u positive?"""
+        return ((u | self.guard) - self.ones) & self.guard == self.guard
+
+    def minimal_elements(self, packed) -> list[int]:
+        """The packed vectors not above another, in degree order.
+
+        e lies below u when u - e lies in the cone, that is, when
+        u_k >= e_k in every field.  Sorting the packed integers sorts by
+        degree, the top field, and a vector below u other than u has
+        smaller degree; below every non-minimal u lies a minimal one, so one
+        scan against the minimal vectors kept so far keeps exactly the
+        minimal ones.  With `guard` holding the top bit of each field,
+        (u | guard) - e subtracts field by field with no borrow crossing a
+        field, and a field keeps its guard bit exactly when u_k >= e_k.
+        """
+        guard = self.guard
+        elements: list[int] = []
+        for u in sorted(packed):
+            ug = u | guard
+            for e in elements:
+                if (ug - e) & guard == guard:
+                    break
+            else:
+                elements.append(u)
+        return elements
+
+    def point(self, rays, frac, absdet, u) -> tuple[int, ...]:
+        """The point sum_i frac_i * rays_i / |det T| of the packed u, re-checked."""
+        point = _fold(rays, frac, absdet)
+        if [pairing(g, point) for g in self.forms] != [
+            (u >> (k * self.width)) & self.field for k in range(len(self.forms))
+        ]:
+            raise AssertionError(f"point {point} does not reproduce its facet values")
+        return point
 
 
-def budgeted_walks(vectors, n, max_points, stage, scale=1):
-    """(T, |det T|, numerator walk) for the independent n-subsets T of `vectors`.
+def cell_walk(cone: Cone, max_points, stage, scale=1):
+    """(coordinates, cells): the half-open parallelepiped points of each cell.
 
-    With `max_points` set, a LimitError names the stage before any
-    elimination when the C(k, n) subsets to decompose exceed it, and before
-    any point is built when the stage's scale * sum_T |det T| points do.
+    The cells are those of `cones.pulling_triangulation(cone)`, and each
+    comes as (T, |det T|, packed rays of T, {packed point: numerators}).
+    A point with numerators frac packs to sum_i frac_i * P(t_i) // |det T|,
+    since P is linear and no field of the sum overflows.
+
+    With `max_points` set, a LimitError names the stage as soon as the
+    triangulation passes the limit, and before any point is built when the
+    stage's scale * sum_T |det T| points exceed it.  Checks, each raising:
+    every cell is independent, every packed fold divides exactly and leaves
+    the top bits of each field clear, and every cell gives |det T| distinct
+    points.
     """
-    tests = comb(len(vectors), n)
-    if max_points is not None and tests > max_points:
-        raise LimitError(f"{stage}: {tests} ray subsets to decompose exceed the limit ({max_points})")
-    walks = [(T, *w) for T in itertools.combinations(vectors, n) if (w := _numerators(T))]
+    walks = []
+    for count, T in enumerate(pulling_triangulation(cone), 1):
+        if max_points is not None and count > max_points:
+            raise LimitError(f"{stage}: cell {count} of the triangulation exceeds the limit ({max_points})")
+        walk = _numerators(T)
+        if walk is None:
+            raise AssertionError(f"cell {T} is not linearly independent")
+        walks.append((T, *walk))
     if max_points is not None:
         estimate = scale * sum(absdet for _, absdet, _ in walks)
         if estimate > max_points:
             raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
-    return walks
-
-
-def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
-    """The unique minimal generating set of the lattice points of `dual`.
-
-    Requires a full-dimensional pointed cone (a cone that does not span
-    reduces to its chart, `cones.face_chart(c)`, first); `max_points` caps
-    the parallelepiped points.
-
-    The work runs in facet-value coordinates: u maps to its values <r, u>
-    under the primal rays r, the facet forms of `dual`, packed as one
-    integer with the degree sum_r <r, u> as its top field.
-
-    * Candidates: the rays of `dual` and the points of the half-open
-      parallelepipeds of its independent ray subsets T, the candidate set
-      of the module docstring.  A point with numerators frac packs to
-      sum_i frac_i * P(t_i) // |det T|, since P is linear and no field of
-      the sum overflows: each is at most n * max|det T| * max value, below
-      2^(width - 1).
-    * Deduplicating on the packed integer deduplicates points: the facet
-      forms span the dual space of a full-dimensional cone, so the
-      facet-value map is injective.
-    * Order: the grading point sum_r r is interior to the primal cone, and
-      the degree of u is its pairing with u, the sum of the facet values.
-      Sorting the packed integers sorts by degree, the top field.  A
-      reducible u = v + w has v, w of smaller degree, and some irreducible
-      e of smaller degree has u - e in the cone; equal degrees never
-      reduce each other.  So one scan against the elements kept so far
-      leaves exactly the irreducible candidates.
-    * Sieve: u - e lies in the cone exactly when every facet value of u is
-      at least that of e.  Every value is below 2^(width - 1), so no borrow
-      crosses a field and the guard-bit test of `_sieve` equals this
-      componentwise comparison.
-    * Points: each packed candidate remembers the first (T, frac) that
-      gave it, a ray t the origin ((t,), (1,), 1); a kept value becomes
-      its point by `_fold` from that origin, with no second solve.
-    * Checks, each raising: every packed fold divides exactly and leaves
-      the top bits of each field clear, every subset gives |det T|
-      distinct points, every point fold divides exactly, and every element
-      reproduces all its facet values.
-    """
-    n = dual.ambient_rank
-    if not dual.is_full_dimensional:
-        raise ConeError("hilbert_basis needs a full-dimensional cone")
-    walks = budgeted_walks(dual.generators, n, max_points, "hilbert parallelepiped points")
-    _, forms = dual.dual_pair
-    m = len(forms)
-    values = {t: [pairing(r, t) for r in forms] for t in dual.generators}
+    forms = cone.dual_pair[1]
+    values = {t: [pairing(g, t) for g in forms] for t in cone.generators}
     max_det = max(absdet for _, absdet, _ in walks)
     max_value = max(max(v) for v in values.values())
-    width = (n * max_det * max_value).bit_length() + 1
-    field = (1 << width) - 1
-    guard = _pack([1 << (width - 1)] * m, width)
+    # a fold sum has every field at most n * max|det T| * max value, and a
+    # closed parallelepiped point below 2 n * max value
+    coords = FacetValues(forms, 2 * cone.ambient_rank * max_det * max_value)
     # fold check: with 2^g > max|det T|, a true point has every facet value
     # below n * max value < 2^(width - g); conversely a quotient with the top
     # g bits of each field clear, times |det T|, carries into no next field,
     # so the sum was divisible field by field
     g = max_det.bit_length()
-    high = _pack([field ^ ((1 << (width - g)) - 1)] * m, width)
-    packed = {t: _pack(v + [sum(v)], width) for t, v in values.items()}
-    origin = {p: ((t,), (1,), 1) for t, p in packed.items()}  # packed value -> (T, frac, |det T|)
+    high = coords._pack([coords.field ^ ((1 << (coords.width - g)) - 1)] * len(forms))
+    packed = {t: coords.pack(v) for t, v in values.items()}
+    cells = []
     for T, absdet, numerators in walks:
         rays = [packed[t] for t in T]
-        points = set()
+        points = {}
         for frac in numerators:
             s = 0
             for f, p in zip(frac, rays):
@@ -261,15 +270,40 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
             u, rest = divmod(s, absdet)
             if rest or u & high:
                 raise LatticeError("parallelepiped fold produced a non-lattice point")
-            points.add(u)
+            points[u] = frac
+        _check_distinct(points, absdet)
+        cells.append((T, absdet, rays, points))
+    return coords, cells
+
+
+def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
+    """The unique minimal generating set of the lattice points of `dual`.
+
+    Requires a full-dimensional pointed cone (a cone that does not span
+    reduces to its chart, `cones.face_chart(c)`, first); `max_points` caps
+    the cells and the parallelepiped points.
+
+    The candidates of the module docstring, packed by `cell_walk`: the rays
+    of `dual` and the half-open parallelepiped points of its cells, with 0
+    removed.  Deduplicating on the packed integer deduplicates points.  The
+    basis is their minimal elements under "u - e lies in `dual`", which
+    `FacetValues.minimal_elements` keeps by one scan in degree order: the
+    grading point sum_r r over the primal rays r is interior to the primal
+    cone, and its pairing with u, the degree, is the sum of the facet
+    values.  Each packed candidate remembers the first (T, frac) that gave
+    it, a ray t the origin ((t,), (1,), 1); a kept value becomes its point
+    by one fold from that origin, with no second solve, and the point must
+    reproduce all its facet values.
+    """
+    if not dual.is_full_dimensional:
+        raise ConeError("hilbert_basis needs a full-dimensional cone")
+    coords, cells = cell_walk(dual, max_points, "hilbert parallelepiped points")
+    # packed value -> (T, frac, |det T|); every ray lies in a cell
+    origin = {p: ((t,), (1,), 1) for T, _, rays, _ in cells for t, p in zip(T, rays)}
+    for T, absdet, _, points in cells:
+        for u, frac in points.items():
             if u not in origin:
                 origin[u] = (T, frac, absdet)
-        _check_distinct(points, absdet)
     origin.pop(0, None)
-    elements = []
-    for u in _sieve(sorted(origin), guard):
-        point = _fold(*origin[u])
-        if [pairing(r, point) for r in forms] != [(u >> (k * width)) & field for k in range(m)]:
-            raise AssertionError(f"point {point} does not reproduce its facet values")
-        elements.append(point)
+    elements = [coords.point(*origin[u], u) for u in coords.minimal_elements(origin)]
     return HilbertBasis(dual=dual, elements=tuple(sorted(elements)))

@@ -19,7 +19,7 @@ class LatticeError(ValueError):
 
 
 class LimitError(RuntimeError):
-    """An internal combinatorial guard tripped (e.g. too many subsets)."""
+    """An internal combinatorial guard tripped (e.g. too many cells or points)."""
 
 
 Vector = tuple[int, ...]

@@ -11,35 +11,45 @@ independent n-element subsets {u_1, ..., u_n} of the dual semigroup; the
 minimum is always computed over Hilbert-basis elements, since any optimal
 u_i is irreducible.  The Mather minimal log discrepancy is lambda + dim X.
 
-Candidate set.  The search evaluates the interior lattice points of the
-closed parallelepipeds {sum_{v in T} c_v v : 0 <= c_v <= 1} over the
-independent n-subsets T of the extreme rays; they hold a minimizer.
-(1) If a and a - w are interior, with w a lattice point of the cone, then
-cost(a - w) <= cost(a): every dual-semigroup element pairs nonnegatively
-with w.  (2) Triangulate the cone without new rays.  An interior point a
-lies in the relative interior of a face of a cell T, spanned by the rays S
-with positive coefficient c_v; that face is interior, since each dual ray
-pairs positively with a, hence with some v in S.  Subtracting
-w = sum_S (ceil(c_v) - 1) v leaves coefficients in (0, 1] on S and 0 off
-S: the same support, so a - w is interior, and it lies in the closed
-parallelepiped of T.  Closed matters: on the cone over the unit square,
-rays (0,0,1), (1,0,1), (0,1,1), (1,1,1), the only minimal interior point
-(1,1,2) lies on the diagonal wall between the two cells, and the points
-with every coefficient in (0, 1] give lambda = 1 instead of 0.  A closed
-parallelepiped point is p + sum_J v for a half-open point p and rays J on
-which p has coefficient 0, so there are at most 2^n sum_T |det T|.  The
-coefficient numerators of p come from the same walk that folds p, so a
-zero coefficient is read off the walk.
+Candidate set.  The search evaluates the minimal interior lattice points
+of the closed parallelepipeds {sum_{v in T} c_v v : 0 <= c_v <= 1} over the
+cells T of the pulling triangulation of the cone
+(`cones.pulling_triangulation`, no new rays); they hold every minimizer,
+and the witness is the least minimizer under `SpanningWitness.sort_key`
+over all interior points.
+(1) Strict monotonicity: if a = b + w with b interior and w != 0 a lattice
+point of the cone, then cost(a) > cost(b).  For an optimal set {u_i} of a,
+cost(a) = sum <u_i, b> + sum <u_i, w> >= cost(b) + sum <u_i, w>; every
+<u_i, w> >= 0, and the u_i span, so some <u_i, w> > 0.  So every
+minimizer is minimal among the interior points under "a - b lies in the
+cone", and a point minimal there is minimal in any candidate set holding
+it.  (2) Every minimal interior point lies in a closed parallelepiped.  An
+interior point a lies in the relative interior of a face of a cell T,
+spanned by the rays S with positive coefficient c_v; that face is
+interior, since each dual ray pairs positively with a, hence with some v
+in S.  Subtracting w = sum_S (ceil(c_v) - 1) v leaves coefficients in
+(0, 1] on S and 0 off S: the same support, so a - w is interior, and it
+lies in the closed parallelepiped of T; for a minimal a, w = 0.  Closed
+matters: on the cone over the unit square, rays (0,0,1), (1,0,1), (0,1,1),
+(1,1,1), the only minimal interior point (1,1,2) lies on the diagonal wall
+between the two cells, and the points with every coefficient in (0, 1]
+give lambda = 1 instead of 0.  A closed parallelepiped point is
+p + sum_J v for a half-open point p and rays J on which p has coefficient
+0, so there are at most 2^n sum_T |det T|.  The coefficient numerators of
+p come from the same walk that folds p, so a zero coefficient is read off
+the walk.  By (1) and (2), the least witness over the minimal candidates,
+kept by the sieve of `hilbert.FacetValues.minimal_elements` on the dual-ray
+values, is the least over all interior points; the greedy runs on the
+minimal candidates only.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cones import Cone, ConeError, FaceSpec, dual_cone, face_chart
 from .cones import enumerate_lattice_points  # not called here; perfbench/tracing.py wraps this name
-from .hilbert import HilbertBasis, _check_distinct, _fold, budgeted_walks, hilbert_basis
+from .hilbert import HilbertBasis, cell_walk, hilbert_basis
 from .lattice import LatticeError, as_vector, pairing
 from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
@@ -113,30 +123,33 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
 
 
 def _candidate_points(cone: Cone, max_points: int | None):
-    """Interior lattice points of the closed ray parallelepipeds (see above)."""
-    n = cone.ambient_rank
-    walks = budgeted_walks(cone.generators, n, max_points, "toric candidates", scale=2**n)
-    _, dual_rays = cone.dual_pair
-    points: set[tuple[int, ...]] = set()
-    for rays, absdet, numerators in walks:
-        half_open = set()
-        for frac in numerators:
-            p = _fold(rays, frac, absdet)
-            half_open.add(p)
-            zero = [v for v, f in zip(rays, frac) if f == 0]
-            for k in range(len(zero) + 1):
-                for extra in itertools.combinations(zero, k):
-                    a = tuple(sum(col) for col in zip(p, *extra))
-                    if all(pairing(u, a) > 0 for u in dual_rays):
-                        points.add(a)
-        _check_distinct(half_open, absdet)
-    return points
+    """The minimal interior points of the closed cell parallelepipeds (see above).
+
+    Each closed point is packed from its half-open point by adding the
+    packed rays with coefficient 0, tested for interior on its packed facet
+    values, and remembers the first (T, numerators) that gave it, a ray
+    with numerator |det T|; each minimal point is folded from there and must
+    reproduce its facet values.
+    """
+    coords, cells = cell_walk(cone, max_points, "toric candidates", scale=2**cone.ambient_rank)
+    origin = {}  # packed interior point -> (T, frac, |det T|)
+    for T, absdet, rays, points in cells:
+        for u, frac in points.items():
+            closed = [(u, frac)]
+            for j, (f, r) in enumerate(zip(frac, rays)):
+                if f == 0:
+                    closed += [(a + r, c[:j] + [absdet] + c[j + 1 :]) for a, c in closed]
+            for a, c in closed:
+                if a not in origin and coords.is_interior(a):
+                    origin[a] = (T, c, absdet)
+    return [coords.point(*origin[a], a) for a in coords.minimal_elements(origin)]
 
 
 def minimize_spanning_cost(cone: Cone, max_points: int | None = None) -> ToricMldReport:
     """lambda and mld-hat at the torus-fixed point of a full-dimensional cone.
 
-    `max_points` caps the Hilbert parallelepiped points and the candidates.
+    `max_points` caps the cells and points of the Hilbert basis and of the
+    candidates.
     """
     n = cone.ambient_rank
     if not cone.is_full_dimensional:

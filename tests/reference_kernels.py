@@ -20,6 +20,16 @@ is the root finder before quadratics were solved in closed form: every
 degree from 2 up goes through Cantor-Zassenhaus (`_split_roots`, which
 degree 3 and up still takes).
 
+`reference_walks` is the all-subsets walk both lattice-point searches made
+before they walked the cells of one pulling triangulation: every
+independent n-subset of the rays, decomposed by `_numerators`.
+`reference_hilbert_basis` sieves the rays and the half-open parallelepiped
+points of those subsets pairwise, in grading order, as coordinate vectors.
+`reference_candidate_points` is the toric candidate set as it was before
+the minimal-element sieve, the interior points of the closed
+parallelepipeds of every independent subset, and
+`reference_minimize_spanning_cost` runs the greedy on every one of them.
+
 `reference_spanning_cost_greedy` is the greedy spanning cost with one full
 Hermite-form rank test per scanned basis element, as it was before the
 greedy kept an echelon form of the elements it has chosen.
@@ -52,7 +62,7 @@ import itertools
 import random
 
 from mldhat.cli import BIG, _is_big_integer_text
-from mldhat.cones import Cone, ConeError, FaceError, FaceSpec, face_chart, resolve_face
+from mldhat.cones import Cone, ConeError, FaceError, FaceSpec, dual_cone, face_chart, resolve_face
 from mldhat.hypersurface import (
     ASSUMPTIONS,
     Certificate,
@@ -87,7 +97,8 @@ from mldhat.oracle import (
     _trim,
     _window_orders,
 )
-from mldhat.toric import SpanningWitness
+from mldhat.hilbert import _check_distinct, _fold, _numerators, parallelepiped_points
+from mldhat.toric import SpanningWitness, ToricMldReport, spanning_cost_greedy
 
 
 def determinant(rows) -> int:
@@ -262,6 +273,69 @@ def reference_nonzero_roots(uni, prime, rng):
     roots.sort()
     rng.shuffle(roots)
     return roots
+
+
+def reference_walks(vectors, n):
+    """(T, |det T|, numerator walk) for every independent n-subset T of `vectors`."""
+    return [(T, *w) for T in itertools.combinations(vectors, n) if (w := _numerators(T))]
+
+
+def reference_hilbert_basis(dual):
+    """The Hilbert basis by the pairwise sieve over all-subsets candidates.
+
+    The rays and the half-open parallelepiped points of every independent
+    ray subset, kept as coordinate vectors and scanned in grading order; u
+    is reducible when u - v lies in the cone, every value <r, u> at least
+    <r, v> over the primal rays r, for an irreducible v found before it.
+    """
+    n = dual.ambient_rank
+    candidates = set(dual.generators)
+    for T, _, _ in reference_walks(dual.generators, n):
+        candidates.update(parallelepiped_points(T))
+    candidates.discard(tuple([0] * n))
+    primal_rays = dual_cone(dual).generators
+    grading = tuple(sum(col) for col in zip(*primal_rays))
+    values = {u: [pairing(r, u) for r in primal_rays] for u in candidates}
+    elements = []
+    for u in sorted(candidates, key=lambda u: (pairing(u, grading), u)):
+        if not any(all(x >= y for x, y in zip(values[u], values[v])) for v in elements):
+            elements.append(u)
+    return tuple(sorted(elements))
+
+
+def reference_candidate_points(cone):
+    """Interior lattice points of the closed parallelepipeds of every independent subset."""
+    n = cone.ambient_rank
+    _, dual_rays = cone.dual_pair
+    points = set()
+    for rays, absdet, numerators in reference_walks(cone.generators, n):
+        half_open = set()
+        for frac in numerators:
+            p = _fold(rays, frac, absdet)
+            half_open.add(p)
+            zero = [v for v, f in zip(rays, frac) if f == 0]
+            for k in range(len(zero) + 1):
+                for extra in itertools.combinations(zero, k):
+                    a = tuple(sum(col) for col in zip(p, *extra))
+                    if all(pairing(u, a) > 0 for u in dual_rays):
+                        points.add(a)
+        _check_distinct(half_open, absdet)
+    return points
+
+
+def reference_minimize_spanning_cost(cone, hb):
+    """The toric search with the greedy over `hb` on every all-subsets candidate."""
+    n = cone.ambient_rank
+    witnesses = [spanning_cost_greedy(a, hb) for a in reference_candidate_points(cone)]
+    best = min(witnesses, key=SpanningWitness.sort_key)
+    return ToricMldReport(
+        lambda_value=best.value - n,
+        mather_mld=best.value,
+        witness=best,
+        fast_path="none",
+        torus_factor_rank=0,
+        face_reduced_from=None,
+    )
 
 
 def reference_spanning_cost_greedy(a, hb):

@@ -502,18 +502,23 @@ class TestCommands:
         assert exc.value.code == 2
 
     def test_rank_tests_limit_exit_code(self, tmp_path):
-        # the rank-4 moment cone: C(30, 4) = 27405 ray subsets to decompose
+        # the rank-4 moment cone: 27 cells (not C(30, 4) = 27405 ray subsets),
+        # which pass a limit of 1000; their points do not
         path = tmp_path / "moment.json"
         rays = [[1, i, i**2, i**3] for i in range(30)]
         path.write_text(json.dumps({"lattice_rank": 4, "rays": rays}))
-        started = time.perf_counter()
-        code, out, err = run_cli(["--max-subsets", "1000", "hilbert", "--cone", str(path)])
-        assert time.perf_counter() - started < 5.0
-        assert code == 3
-        assert out == ""
-        report = json.loads(err)
-        assert report["kind"] == "LimitError"
-        assert "hilbert parallelepiped points: 27405 ray subsets" in report["error"]
+        for limit, message in (
+            ("1000", "hilbert parallelepiped points: about 19709676 points exceed the limit (1000)"),
+            ("26", "hilbert parallelepiped points: cell 27 of the triangulation exceeds the limit (26)"),
+        ):
+            started = time.perf_counter()
+            code, out, err = run_cli(["--max-subsets", limit, "hilbert", "--cone", str(path)])
+            assert time.perf_counter() - started < 5.0
+            assert code == 3
+            assert out == ""
+            report = json.loads(err)
+            assert report["kind"] == "LimitError"
+            assert report["error"] == message
 
     def test_toric_report_is_exact(self, cone_file):
         code, out, _ = run_cli(["--seed", "0", "toric", "--cone", cone_file])

@@ -14,6 +14,7 @@ from mldhat.cones import (
     dual_cone,
     dual_description,
     face_chart,
+    pulling_triangulation,
     resolve_face,
 )
 from mldhat.lattice import (
@@ -27,6 +28,7 @@ from mldhat.lattice import (
     vec_sub,
 )
 from reference_kernels import (
+    determinant,
     face_cone,
     facets,
     has_isolated_fixed_point,
@@ -474,6 +476,84 @@ def pool_cones():
     for key in ("surfaces", "toric_random", "simplicial_isolated", "cones_rank3", "cones_rank4"):
         for entry in pool[key]:
             yield Cone.from_generators(len(entry["rays"][0]), [tuple(r) for r in entry["rays"]])
+
+
+def volume(c, cells):
+    """The volume of the slice <h, x> = 1 of the cone, h the sum of its dual rays.
+
+    A cell T slices to the simplex on the points t / <h, t>, of volume
+    |det T| / prod_t <h, t> up to a factor that depends on n only.
+    """
+    h = [sum(col) for col in zip(*c.dual_pair[1])]
+    total = Fraction(0)
+    for T in cells:
+        heights = 1
+        for t in T:
+            heights *= pairing(h, t)
+        total += Fraction(abs(determinant(T)), heights)
+    return total
+
+
+class TestPullingTriangulation:
+    """The cells cover the cone, their interiors are disjoint, and their
+    volumes add up to the same total after a lattice automorphism changes
+    which ray is pulled first."""
+
+    HEXAGON = [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
+    SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    MOMENT = [(1, i, i * i, i**3) for i in range(30)]
+
+    @staticmethod
+    def check(c, rng, points=30):
+        """The number of sampled points in the interior of a cell."""
+        n = c.ambient_rank
+        cells = list(pulling_triangulation(c))
+        assert len(set(cells)) == len(cells)
+        for T in cells:
+            assert len(T) == n and list(T) == sorted(T) and set(T) <= set(c.generators)
+            assert rank_of(T) == n
+        # a signed coordinate permutation keeps every determinant and
+        # reorders the rays, so another ray is pulled first
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signs = [rng.choice((-1, 1)) for _ in range(n)]
+        moved = Cone.from_generators(n, [tuple(signs[i] * g[perm[i]] for i in range(n)) for g in c.generators])
+        assert volume(c, cells) == volume(moved, list(pulling_triangulation(moved)))
+        inside = 0
+        for _ in range(points):
+            # zero coefficients put some points on the boundary or on walls
+            coeffs = [rng.randint(1, 60) if rng.random() < 0.75 else 0 for _ in c.generators]
+            x = tuple(sum(k * g[j] for k, g in zip(coeffs, c.generators)) for j in range(n))
+            if not any(x):
+                continue
+            where = [exact_coefficients(T, x) for T in cells]
+            assert any(all(k >= 0 for k in w) for w in where), (c.generators, x)
+            interior = sum(all(k > 0 for k in w) for w in where)
+            assert interior <= 1, (c.generators, x)
+            inside += interior
+        return inside
+
+    # a polygon or a 3-polytope whose first ray is joined to every other by
+    # an edge has k - 2 or k - 3 cells, the least any triangulation has
+    @pytest.mark.parametrize(
+        "rays, cells", [(HEXAGON, 4), (SQUARE, 2), (MOMENT, 27)], ids=["hexagon", "square", "moment"]
+    )
+    def test_named_cones(self, rays, cells):
+        c = Cone.from_generators(len(rays[0]), rays)
+        assert len(list(pulling_triangulation(c))) == cells
+        assert self.check(c, random.Random(len(rays))) >= 10
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_cones(self, n):
+        rng = random.Random(1300 + n)
+        inside = 0
+        for _ in range(30):
+            inside += self.check(random_pointed_cone(rng, n, 3, max_gens=n + 3), rng, points=10)
+        assert inside >= 100
+
+    def test_simplicial_cone_is_its_own_cell(self):
+        c = Cone.from_generators(3, [(1, 0, 0), (1, 2, 0), (0, 0, 1)])
+        assert list(pulling_triangulation(c)) == [c.generators]
 
 
 class TestFaceChartAgainstReference:

@@ -32,7 +32,8 @@ INPUTS = {
     "four_rays3": {"lattice_rank": 3, "rays": [[-3, -1, -3], [-2, -2, 3], [-1, -3, 0], [-1, 3, 1]]},
     "torus_factor": {"lattice_rank": 3, "rays": [[1, 0, 0], [1, 2, 0]]},
     "rank4": {"lattice_rank": 4, "rays": [[-6, 3, -4, 1], [-5, 1, 0, 4], [2, -5, 5, 3], [6, -6, -2, 1]]},
-    # ray subsets of determinant 0, -2 and -4 in the cone, 0 and -2 in its dual
+    # ray subsets of determinant 0, -2 and -4 in the cone, 0 and -2 in its
+    # dual; its pulling triangulation has cells of determinant 1 and 4
     "rank4_five": {"lattice_rank": 4, "rays": [[-2, -1, -2, -1], [-1, 1, 0, 2], [-1, 1, 1, 2], [-2, -2, 2, 0], [-1, -1, -1, -1]]},
     "whitney": {"vars": 3, "support": [[2, 0, 0], [0, 2, 1]]},
     "equality": {"vars": 3, "support": [[1, 1, 0], [1, 0, 1], [0, 3, 0], [0, 0, 3]]},
@@ -71,8 +72,8 @@ OPS = [
     ["--max-subsets", "0", "toric", "--cone", "{square}"],
     ["hilbert", "--cone", "{rank4_five}"],
     ["toric", "--cone", "{rank4_five}"],
-    # 5 subsets pass the subset check, the 8 parallelepiped points do not
-    ["--max-subsets", "6", "hilbert", "--cone", "{rank4_five}"],
+    # the 2 cells pass the cell check, their 5 parallelepiped points do not
+    ["--max-subsets", "4", "hilbert", "--cone", "{rank4_five}"],
     # the torus-zero criterion decides plain `hyper` too; --certify changes nothing
     ["hyper", "--support", "{curve}"],
     ["hyper", "--certify", "--support", "{curve}"],

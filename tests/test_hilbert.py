@@ -1,13 +1,14 @@
 import itertools
-import math
+import json
+import pathlib
 import random
 
 import pytest
 
 from mldhat.cones import Cone, ConeError, dual_cone
-from mldhat.hilbert import _numerators, _pack, _sieve, hilbert_basis, parallelepiped_points
+from mldhat.hilbert import FacetValues, _numerators, hilbert_basis, parallelepiped_points
 from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, row_hermite, vec_sub
-from reference_kernels import determinant, independent_subsets, reference_numerators
+from reference_kernels import determinant, reference_hilbert_basis, reference_numerators, reference_walks
 
 
 def _grading_point(dual):
@@ -39,34 +40,6 @@ def is_irreducible(u, candidates, dual):
         if dual.contains(vec_sub(u, v)):
             return False
     return True
-
-
-def reference_sieve(dual):
-    """The Hilbert basis by the pairwise sieve over parallelepiped points.
-
-    The same candidates as hilbert_basis, kept as coordinate vectors and
-    scanned in grading order; u is reducible when u - v lies in the cone
-    for an irreducible v found before it.
-    """
-    n = dual.ambient_rank
-    candidates = set(dual.generators)
-    for combo in independent_subsets(dual.generators, n):
-        candidates.update(parallelepiped_points(combo))
-    candidates.discard(tuple([0] * n))
-    grading = _grading_point(dual)
-    primal_rays = dual_cone(dual).generators
-    ordered = sorted(candidates, key=lambda u: (pairing(u, grading), u))
-    elements = []
-    for u in ordered:
-        reducible = False
-        for v in elements:
-            w = vec_sub(u, v)
-            if all(pairing(r, w) >= 0 for r in primal_rays):
-                reducible = True
-                break
-        if not reducible:
-            elements.append(u)
-    return tuple(sorted(elements))
 
 
 def naive_basis_2d(dual, box):
@@ -168,8 +141,9 @@ class TestNumeratorKernel:
             assert (absdet, list(numerators)) == reference_numerators(rays), rays
         assert all(signs.values()), signs
 
-    def test_one_hermite_form_per_subset(self, monkeypatch):
-        # the only elimination left is row_hermite, called once per n-subset
+    def test_one_hermite_form_per_cell(self, monkeypatch):
+        # the only elimination left is row_hermite, called once per cell of
+        # the pulling triangulation: 4 cells, not C(6, 3) = 20 subsets
         hexagon = Cone.from_generators(
             3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
         )
@@ -182,7 +156,7 @@ class TestNumeratorKernel:
         for module in ("mldhat.lattice", "mldhat.hilbert"):
             monkeypatch.setattr(f"{module}.row_hermite", counted)
         hilbert_basis(hexagon)
-        assert calls == [3] * math.comb(6, 3)
+        assert calls == [3] * 4
 
 
 class TestHilbertBasis:
@@ -212,14 +186,15 @@ class TestHilbertBasis:
         wide = Cone.from_generators(2, [(1, 0), (1, 200000)])
         with pytest.raises(LimitError, match="hilbert parallelepiped points"):
             hilbert_basis(wide, max_points=10)
-        # six rays in rank 3: C(6, 3) = 20 subsets to decompose
+        # six rays in rank 3: 4 cells of determinants 1, 1, 2, 2
         hexagon = Cone.from_generators(
             3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
         )
-        with pytest.raises(LimitError, match="hilbert parallelepiped points: 20 ray subsets"):
-            hilbert_basis(hexagon, max_points=19)
-        with pytest.raises(LimitError, match="hilbert parallelepiped points: about"):
-            hilbert_basis(hexagon, max_points=20)
+        with pytest.raises(LimitError, match=r"hilbert parallelepiped points: cell 4 of the triangulation exceeds the limit \(3\)"):
+            hilbert_basis(hexagon, max_points=3)
+        with pytest.raises(LimitError, match=r"hilbert parallelepiped points: about 6 points exceed the limit \(4\)"):
+            hilbert_basis(hexagon, max_points=4)
+        assert hilbert_basis(hexagon, max_points=6) == hilbert_basis(hexagon)
         # a limit equal to the point count (|det| = 2) is not exceeded
         wedge = Cone.from_generators(2, [(1, 0), (1, 2)])
         assert hilbert_basis(wedge, max_points=2).elements == ((1, 0), (1, 1), (1, 2))
@@ -322,9 +297,23 @@ class TestFacetValueKernel:
         # from rank 3 on, non-simplicial cones are in the draw
         assert n == 2 or any(len(c.generators) > n for c in cones)
         for cone in cones:
-            assert hilbert_basis(cone, max_points=60000).elements == reference_sieve(cone)
+            assert hilbert_basis(cone, max_points=60000).elements == reference_hilbert_basis(cone)
+
+    def test_matches_reference_on_pool_cones(self):
+        # the cones of the benchmark's hilbert ops whose all-subsets walk
+        # has at most 3000 points: all 70 of them
+        pool = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8"))
+        checked = 0
+        for entry in pool["cones_rank3"] + pool["cones_rank4"]:
+            cone = Cone.from_generators(len(entry["rays"][0]), entry["rays"])
+            if sum(absdet for _, absdet, _ in reference_walks(cone.generators, cone.ambient_rank)) > 3000:
+                continue
+            assert hilbert_basis(cone).elements == reference_hilbert_basis(cone), cone.generators
+            checked += 1
+        assert checked == 70
 
     def test_guard_bits_compare_componentwise(self):
+        # the unit forms of the orthant: the facet values are the coordinates
         rng = random.Random(5)
         for _ in range(3000):
             fields = rng.randint(1, 6)
@@ -332,7 +321,7 @@ class TestFacetValueKernel:
             u = [rng.randint(0, top) for _ in range(fields)]
             # e near u in each field, so both outcomes of each comparison occur
             e = [max(0, x + rng.randint(-2, 1)) if rng.random() < 0.8 else rng.randint(0, top) for x in u]
-            width = top.bit_length() + 1
-            guard = _pack([1 << (width - 1)] * fields, width)
-            reduced = _sieve([_pack(e, width), _pack(u, width)], guard) == [_pack(e, width)]
+            coords = FacetValues([tuple(int(i == j) for j in range(fields)) for i in range(fields)], top)
+            reduced = coords.minimal_elements({coords.pack(e), coords.pack(u)}) == [coords.pack(e)]
             assert reduced == all(x >= y for x, y in zip(u, e))
+            assert coords.is_interior(coords.pack(u)) == all(u)

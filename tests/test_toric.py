@@ -23,7 +23,13 @@ from mldhat.toric import (
     minimize_spanning_cost,
     spanning_cost_greedy,
 )
-from reference_kernels import determinant, independent_subsets, reference_spanning_cost_greedy
+from reference_kernels import (
+    determinant,
+    independent_subsets,
+    reference_candidate_points,
+    reference_minimize_spanning_cost,
+    reference_spanning_cost_greedy,
+)
 from test_cones import random_embedded_cone
 
 A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
@@ -147,15 +153,31 @@ class TestGreedy:
 
 
 class TestGreedyEchelon:
-    """The echelon-form greedy against a fresh rank test per scanned element."""
+    """The search against the all-subsets, all-candidates route.
+
+    At every all-subsets candidate, the echelon-form greedy gives the same
+    witness as a fresh rank test per scanned element.  The minimal cell
+    candidates are the minimal interior points, found the same way from
+    the all-subsets candidates, and the full report equals the one of the
+    greedy run on every all-subsets candidate.
+    """
 
     @staticmethod
     def agree(rays):
-        """Both greedy routes give the same witness at every candidate point."""
         cone = Cone.from_generators(len(rays[0]), rays)
         hb = hilbert_basis(dual_cone(cone))
-        for a in _candidate_points(cone, None):
+        candidates = reference_candidate_points(cone)
+        for a in candidates:
             assert spanning_cost_greedy(a, hb) == reference_spanning_cost_greedy(a, hb), (rays, a)
+        _, dual_rays = cone.dual_pair
+        values = {a: [pairing(g, a) for g in dual_rays] for a in candidates}
+        minimal = {
+            a
+            for a in candidates
+            if not any(b != a and all(x >= y for x, y in zip(values[a], values[b])) for b in candidates)
+        }
+        assert sorted(_candidate_points(cone, None)) == sorted(minimal), rays
+        assert minimize_spanning_cost(cone) == reference_minimize_spanning_cost(cone, hb), rays
 
     def test_pool_cones(self):
         # the pool cones of the benchmark's toric ops
@@ -347,8 +369,10 @@ class TestMinimize:
         assert box_reference(SQUARE_CONE).sort_key() == report.witness.sort_key()
 
     def test_candidate_limit(self):
-        with pytest.raises(LimitError, match="toric candidates"):
-            minimize_spanning_cost(SQUARE_CONE, max_points=20)
+        # 2 cells of determinant 1, so at most 2^3 * 2 = 16 closed points
+        with pytest.raises(LimitError, match=r"toric candidates: about 16 points exceed the limit \(15\)"):
+            minimize_spanning_cost(SQUARE_CONE, max_points=15)
+        assert minimize_spanning_cost(SQUARE_CONE, max_points=16) == minimize_spanning_cost(SQUARE_CONE)
 
     # every ray has a positive last coordinate, so the cone is pointed; the
     # box scan grows fast with the rank, so rank 4 gets 0/1 entries
