@@ -282,23 +282,22 @@ def pulling_triangulation(c: Cone):
     so every cell has as many rays as its dimension, with no rank test.
     """
     gens = c.generators
+    if len(gens) == c.ambient_rank:  # simplicial: the cone is its one cell
+        yield gens
+        return
     # bit i of facets[k] is set when the k-th dual ray vanishes on gens[i]
     facets = [sum(1 << i for i, g in enumerate(gens) if pairing(r, g) == 0) for r in c.dual_pair[1]]
-
-    def pull(face):
+    stack = [((1 << len(gens)) - 1, 0)]  # (face still to triangulate, rays pulled so far)
+    while stack:
+        face, cell = stack.pop()
         if not face:
-            yield 0
-            return
+            yield tuple(g for i, g in enumerate(gens) if cell >> i & 1)
+            continue
         v = face & -face
         parts = {face & f for f in facets} - {face}
-        for part in sorted(parts):
-            if part & v or any(part & q == part and q != part for q in parts):
-                continue
-            for cell in pull(part):
-                yield cell | v
-
-    for cell in pull((1 << len(gens)) - 1):
-        yield tuple(g for i, g in enumerate(gens) if cell >> i & 1)
+        for part in sorted(parts, reverse=True):
+            if not part & v and not any(part & q == part and q != part for q in parts):
+                stack.append((part, cell | v))
 
 
 def resolve_face(c: Cone, f: FaceSpec) -> tuple[int, ...]:

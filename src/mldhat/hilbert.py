@@ -13,23 +13,12 @@ in T is a sum in D; so x is a ray t of T (p = 0) or x = p.  The rays of D
 and the half-open parallelepiped points of its cells therefore hold the
 basis.  The basis is then the set of minimal nonzero candidates under
 "u - e lies in D": a reducible u = e + w has an irreducible e, a
-candidate, below it, and below an irreducible u lies no nonzero lattice
-point of D.
+candidate, below it, and no nonzero lattice point of D other than an
+irreducible u lies below it.
 
-The sieve runs in facet-value coordinates, exactly:
-
-* the candidate set is the one above, walked once per cell T:
-  `_numerators` decomposes T by one row Hermite form, which gives |det T|
-  and the coefficient numerators of each point; `cell_walk` folds them
-  into packed facet values, and each minimal value is folded back into its
-  point from the first (T, numerators) that gave it;
-* the facet-value map u -> (<r, u>)_r over the primal rays r is injective
-  on a full-dimensional cone, so deduplicating values deduplicates points;
-* the degree of u, its pairing with the grading point sum_r r, is the sum
-  of its facet values;
-* every value is below 2^(w - 1) for the field width w, so in the packed
-  subtraction no borrow crosses a field, and the guard-bit test equals the
-  componentwise comparison u >= e that decides whether u - e lies in D.
+Both searches over lattice points, this one and the toric candidates,
+walk the cells with `cell_walk` and keep minimal elements with
+`FacetValues.minimal_elements`, exactly, in packed facet-value coordinates.
 """
 
 from __future__ import annotations
@@ -156,34 +145,26 @@ class FacetValues:
     """Packed facet-value coordinates of lattice points.
 
     A point u maps to its values <g, u> under the facet forms g of a
-    full-dimensional cone (its dual rays), packed as one integer with field
-    k in bits [k * width, (k + 1) * width) and the degree, the sum of the
-    values, as the top field.  The map is linear and, the facet forms
-    spanning the dual space, injective.  The width puts every field value
-    in [0, bound] below 2^(width - 1), so in the packed subtraction of
-    `minimal_elements` no borrow crosses a field.
+    full-dimensional cone (its dual rays) and, as the top field, their sum,
+    the degree, all packed into one integer.  The map is linear and, the
+    facet forms spanning the dual space, injective.  The width puts every
+    field value in [0, bound] below 2^(width - 1), so in the packed
+    subtraction of `minimal_elements` no borrow crosses a field.
     """
 
     def __init__(self, forms, bound: int):
         self.forms = forms
         self.width = width = bound.bit_length() + 1
         self.field = (1 << width) - 1
-        self.guard = self._pack([1 << (width - 1)] * len(forms))
-        self.ones = self._pack([1] * len(forms))
+        self.guard = self.pack([1 << (width - 1)] * len(forms))
+        self.ones = self.pack([1] * len(forms))
 
-    def _pack(self, values) -> int:
+    def pack(self, values) -> int:
+        """The values as one integer, field k in bits [k * width, (k + 1) * width)."""
         packed = 0
         for k, v in enumerate(values):
             packed |= v << (k * self.width)
         return packed
-
-    def pack(self, values) -> int:
-        """The facet values of a point, with their sum as the top field."""
-        return self._pack([*values, sum(values)])
-
-    def is_interior(self, u) -> bool:
-        """Is every facet value of the packed u positive?"""
-        return ((u | self.guard) - self.ones) & self.guard == self.guard
 
     def minimal_elements(self, packed) -> list[int]:
         """The packed vectors not above another, in degree order.
@@ -257,8 +238,8 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
     # g bits of each field clear, times |det T|, carries into no next field,
     # so the sum was divisible field by field
     g = max_det.bit_length()
-    high = coords._pack([coords.field ^ ((1 << (coords.width - g)) - 1)] * len(forms))
-    packed = {t: coords.pack(v) for t, v in values.items()}
+    high = coords.pack([coords.field ^ ((1 << (coords.width - g)) - 1)] * len(forms))
+    packed = {t: coords.pack(v + [sum(v)]) for t, v in values.items()}
     cells = []
     for T, absdet, numerators in walks:
         rays = [packed[t] for t in T]
@@ -285,15 +266,10 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
 
     The candidates of the module docstring, packed by `cell_walk`: the rays
     of `dual` and the half-open parallelepiped points of its cells, with 0
-    removed.  Deduplicating on the packed integer deduplicates points.  The
-    basis is their minimal elements under "u - e lies in `dual`", which
-    `FacetValues.minimal_elements` keeps by one scan in degree order: the
-    grading point sum_r r over the primal rays r is interior to the primal
-    cone, and its pairing with u, the degree, is the sum of the facet
-    values.  Each packed candidate remembers the first (T, frac) that gave
-    it, a ray t the origin ((t,), (1,), 1); a kept value becomes its point
-    by one fold from that origin, with no second solve, and the point must
-    reproduce all its facet values.
+    removed; deduplicating on the packed integer deduplicates points.  Each
+    remembers the first (T, frac) that gave it, a ray t the origin
+    ((t,), (1,), 1), and each minimal one becomes its point by one fold
+    from there, with no second solve.
     """
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")

@@ -132,6 +132,7 @@ def _candidate_points(cone: Cone, max_points: int | None):
     reproduce its facet values.
     """
     coords, cells = cell_walk(cone, max_points, "toric candidates", scale=2**cone.ambient_rank)
+    guard, ones = coords.guard, coords.ones
     origin = {}  # packed interior point -> (T, frac, |det T|)
     for T, absdet, rays, points in cells:
         for u, frac in points.items():
@@ -140,7 +141,8 @@ def _candidate_points(cone: Cone, max_points: int | None):
                 if f == 0:
                     closed += [(a + r, c[:j] + [absdet] + c[j + 1 :]) for a, c in closed]
             for a, c in closed:
-                if a not in origin and coords.is_interior(a):
+                # every facet value at least 1: no field loses its guard bit
+                if a not in origin and ((a | guard) - ones) & guard == guard:
                     origin[a] = (T, c, absdet)
     return [coords.point(*origin[a], a) for a in coords.minimal_elements(origin)]
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mldhat import hilbert
 from mldhat.cones import Cone, ConeError, dual_cone
 from mldhat.hilbert import FacetValues, _numerators, hilbert_basis, parallelepiped_points
 from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, row_hermite, vec_sub
@@ -157,6 +158,38 @@ class TestNumeratorKernel:
             monkeypatch.setattr(f"{module}.row_hermite", counted)
         hilbert_basis(hexagon)
         assert calls == [3] * 4
+
+
+class TestCellWalkChecks:
+    """Each check of the cell walk raises on a planted fault."""
+
+    WEDGE = Cone.from_generators(2, [(1, 0), (1, 2)])  # one cell, |det| = 2
+
+    @staticmethod
+    def plant(monkeypatch, numerators):
+        original = hilbert._numerators
+        monkeypatch.setattr(hilbert, "_numerators", lambda rays: (original(rays)[0], iter(numerators)))
+
+    def test_dependent_cell(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "pulling_triangulation", lambda cone: iter([((1, 0), (1, 0))]))
+        with pytest.raises(AssertionError, match="not linearly independent"):
+            hilbert_basis(self.WEDGE)
+
+    def test_repeated_point(self, monkeypatch):
+        self.plant(monkeypatch, [[0, 0], [0, 0]])
+        with pytest.raises(AssertionError, match=r"found 1 parallelepiped points, expected \|det\| = 2"):
+            hilbert_basis(self.WEDGE)
+
+    def test_non_lattice_fold(self, monkeypatch):
+        self.plant(monkeypatch, [[0, 0], [1, 0]])
+        with pytest.raises(LatticeError, match="non-lattice point"):
+            hilbert_basis(self.WEDGE)
+
+    def test_point_that_misses_its_facet_values(self):
+        coords = FacetValues([(1, 0), (0, 1)], 10)
+        with pytest.raises(AssertionError, match="does not reproduce its facet values"):
+            coords.point(((1, 0), (0, 1)), [1, 1], 1, coords.pack([1, 2]))
+        assert coords.point(((1, 0), (0, 1)), [1, 2], 1, coords.pack([1, 2])) == (1, 2)
 
 
 class TestHilbertBasis:
@@ -322,6 +355,6 @@ class TestFacetValueKernel:
             # e near u in each field, so both outcomes of each comparison occur
             e = [max(0, x + rng.randint(-2, 1)) if rng.random() < 0.8 else rng.randint(0, top) for x in u]
             coords = FacetValues([tuple(int(i == j) for j in range(fields)) for i in range(fields)], top)
-            reduced = coords.minimal_elements({coords.pack(e), coords.pack(u)}) == [coords.pack(e)]
+            pe, pu = coords.pack([*e, sum(e)]), coords.pack([*u, sum(u)])
+            reduced = coords.minimal_elements({pe, pu}) == [pe]
             assert reduced == all(x >= y for x, y in zip(u, e))
-            assert coords.is_interior(coords.pack(u)) == all(u)
