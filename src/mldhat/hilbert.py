@@ -190,7 +190,7 @@ class FacetValues:
         return elements
 
     def point(self, rays, frac, absdet, u) -> tuple[int, ...]:
-        """The point sum_i frac_i * rays_i / |det T| of the packed u, re-checked."""
+        """The point sum_i frac_i * rays_i / |det T|; raise unless it has the values packed in u."""
         point = _fold(rays, frac, absdet)
         if [pairing(g, point) for g in self.forms] != [
             (u >> (k * self.width)) & self.field for k in range(len(self.forms))

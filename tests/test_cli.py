@@ -502,8 +502,8 @@ class TestCommands:
         assert exc.value.code == 2
 
     def test_rank_tests_limit_exit_code(self, tmp_path):
-        # the rank-4 moment cone: 27 cells (not C(30, 4) = 27405 ray subsets),
-        # which pass a limit of 1000; their points do not
+        # the rank-4 moment cone: its 27 cells pass a limit of 1000, their
+        # points do not
         path = tmp_path / "moment.json"
         rays = [[1, i, i**2, i**3] for i in range(30)]
         path.write_text(json.dumps({"lattice_rank": 4, "rays": rays}))

@@ -144,7 +144,7 @@ class TestNumeratorKernel:
 
     def test_one_hermite_form_per_cell(self, monkeypatch):
         # the only elimination left is row_hermite, called once per cell of
-        # the pulling triangulation: 4 cells, not C(6, 3) = 20 subsets
+        # the pulling triangulation: 4 cells
         hexagon = Cone.from_generators(
             3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
         )
