@@ -281,6 +281,8 @@ def pulling_triangulation(c: Cone):
     of F not containing v has dimension dim F - 1 and v lies off its span,
     so every cell has as many rays as its dimension, with no rank test.
     """
+    if not c.is_full_dimensional:
+        raise ConeError("pulling_triangulation needs a full-dimensional cone")
     gens = c.generators
     if len(gens) == c.ambient_rank:  # simplicial: the cone is its one cell
         yield gens

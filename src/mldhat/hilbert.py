@@ -202,10 +202,11 @@ class FacetValues:
 def cell_walk(cone: Cone, max_points, stage, scale=1):
     """(coordinates, cells): the half-open parallelepiped points of each cell.
 
-    The cells are those of `cones.pulling_triangulation(cone)`, and each
-    comes as (T, |det T|, packed rays of T, {packed point: numerators}).
-    A point with numerators frac packs to sum_i frac_i * P(t_i) // |det T|,
-    since P is linear and no field of the sum overflows.
+    The cells are those of `cones.pulling_triangulation(cone)`, walked one
+    at a time, so that the points of one cell are held at once; each comes
+    as (T, |det T|, packed rays of T, {packed point: numerators}).  A point
+    with numerators frac packs to sum_i frac_i * P(t_i) // |det T|, since
+    P is linear and no field of the sum overflows.
 
     With `max_points` set, a LimitError names the stage as soon as the
     triangulation passes the limit, and before any point is built when the
@@ -240,21 +241,23 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
     g = max_det.bit_length()
     high = coords.pack([coords.field ^ ((1 << (coords.width - g)) - 1)] * len(forms))
     packed = {t: coords.pack(v + [sum(v)]) for t, v in values.items()}
-    cells = []
-    for T, absdet, numerators in walks:
-        rays = [packed[t] for t in T]
-        points = {}
-        for frac in numerators:
-            s = 0
-            for f, p in zip(frac, rays):
-                s += f * p
-            u, rest = divmod(s, absdet)
-            if rest or u & high:
-                raise LatticeError("parallelepiped fold produced a non-lattice point")
-            points[u] = frac
-        _check_distinct(points, absdet)
-        cells.append((T, absdet, rays, points))
-    return coords, cells
+
+    def cells():
+        for T, absdet, numerators in walks:
+            rays = [packed[t] for t in T]
+            points = {}
+            for frac in numerators:
+                s = 0
+                for f, p in zip(frac, rays):
+                    s += f * p
+                u, rest = divmod(s, absdet)
+                if rest or u & high:
+                    raise LatticeError("parallelepiped fold produced a non-lattice point")
+                points[u] = frac
+            _check_distinct(points, absdet)
+            yield T, absdet, rays, points
+
+    return coords, cells()
 
 
 def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
@@ -274,9 +277,10 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
     coords, cells = cell_walk(dual, max_points, "hilbert parallelepiped points")
-    # packed value -> (T, frac, |det T|); every ray lies in a cell
-    origin = {p: ((t,), (1,), 1) for T, _, rays, _ in cells for t, p in zip(T, rays)}
-    for T, absdet, _, points in cells:
+    origin = {}  # packed value -> (T, frac, |det T|)
+    for T, absdet, rays, points in cells:
+        for t, p in zip(T, rays):  # every ray lies in a cell
+            origin.setdefault(p, ((t,), (1,), 1))
         for u, frac in points.items():
             if u not in origin:
                 origin[u] = (T, frac, absdet)

@@ -555,6 +555,13 @@ class TestPullingTriangulation:
         c = Cone.from_generators(3, [(1, 0, 0), (1, 2, 0), (0, 0, 1)])
         assert list(pulling_triangulation(c)) == [c.generators]
 
+    @pytest.mark.parametrize("rays", [[(1, 0, 0), (1, 2, 0)], [(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (0, 0, 1, 0)]])
+    def test_cone_that_does_not_span_refused(self, rays):
+        # the second has as many rays as the rank, but spans only 3 dimensions
+        c = Cone.from_generators(len(rays[0]), rays)
+        with pytest.raises(ConeError, match="full-dimensional"):
+            list(pulling_triangulation(c))
+
 
 class TestFaceChartAgainstReference:
     """`face_chart` against `face_cone` and `split_torus_factor` as they were."""
