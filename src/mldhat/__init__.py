@@ -40,7 +40,6 @@ from .lattice import (
     LimitError,
     pairing,
     rank_of,
-    saturate,
 )
 from .oracle import (
     StaircaseResult,
@@ -87,7 +86,6 @@ __all__ = [
     "objective",
     "pairing",
     "rank_of",
-    "saturate",
     "spanning_cost_greedy",
     "staircase_verify",
     "torus_point_sample",

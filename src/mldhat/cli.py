@@ -26,7 +26,7 @@ from .hypersurface import (
     validate_support,
 )
 from .lattice import LimitError
-from .oracle import expand, staircase_verify, torus_point_sample
+from .oracle import check_alpha, expand, staircase_verify, torus_point_sample
 from .toric import mld_at_point
 
 BIG = 2**63
@@ -99,16 +99,22 @@ def load_report(text: str) -> dict:
     return _decode(json.loads(text))
 
 
-def parse_cone_file(path) -> Cone:
+def _read_json_file(path, what, keys, error):
+    """The JSON object of a `what` file, holding both `keys`; `error(message)` builds each refusal."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConeError(f"cannot read cone file: {exc}")
+        raise error(f"cannot read {what} file: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConeError(f"cone file is not valid JSON: {exc}")
-    if not isinstance(data, dict) or "lattice_rank" not in data or "rays" not in data:
-        raise ConeError("cone file needs keys 'lattice_rank' and 'rays'")
+        raise error(f"{what} file is not valid JSON: {exc}")
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise error(f"{what} file needs keys {keys[0]!r} and {keys[1]!r}")
+    return data
+
+
+def parse_cone_file(path) -> Cone:
+    data = _read_json_file(path, "cone", ("lattice_rank", "rays"), ConeError)
     rank = data["lattice_rank"]
     rays = data["rays"]
     if type(rank) is not int or not isinstance(rays, list):
@@ -119,15 +125,7 @@ def parse_cone_file(path) -> Cone:
 
 
 def parse_support_file(path) -> Support:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SupportError("io", f"cannot read support file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SupportError("io", f"support file is not valid JSON: {exc}")
-    if not isinstance(data, dict) or "vars" not in data or "support" not in data:
-        raise SupportError("io", "support file needs keys 'vars' and 'support'")
+    data = _read_json_file(path, "support", ("vars", "support"), functools.partial(SupportError, "io"))
     if type(data["vars"]) is not int:
         raise SupportError("io", f"'vars' must be an integer, got {data['vars']!r}")
     return validate_support(data["support"], num_vars=data["vars"])
@@ -256,7 +254,8 @@ def _run_staircase(args):
 
 
 def _run_torus_point(args):
-    data = certificate_data(parse_support_file(args.support), args.alpha)
+    support = parse_support_file(args.support)
+    data = certificate_data(support, check_alpha(support, args.alpha))
     witness = torus_point_sample(
         data.initial_form,
         data.pivot_coefficient,

@@ -8,32 +8,37 @@ line-splitting inequality projects the rays along the split line, and any
 other inequality combines exactly the adjacent pairs of rays across it,
 found by comparing bitmasks.  No step computes a rank, every intermediate
 set is minimal, and the output is canonical (primitive, lexicographically
-sorted).  Extreme rays are picked out by the same zero-set comparison.
+sorted).
 
 Every cone carries its double description: `Cone.from_generators` and
 `dual_cone`, the only two constructors, store the pair (dual lines, dual
 rays) as the cone's `dual_pair` next to its sorted primitive extreme rays.
 `dual_cone` swaps the two halves, so a cone and its dual together cost one
-sweep, and `face_chart` builds a face as a new cone from its rays in the
-lattice they span, with the rank of the torus factor it leaves.
-`pulling_triangulation` reads the cells of one triangulation without new
-rays off the same facet incidences, as bitmasks.
+sweep.  Faces are read off one facet table, the bitmask of the extreme
+rays on each facet (`_facet_masks`): `_extreme_rays` keeps a generator
+when the facets through it hold no other, `resolve_face` checks a ray
+subset against the intersection of the facets containing it, `face_chart`
+takes a face's rays in the lattice they span, the kernel of the dual lines
+and the facet normals through the face, and `pulling_triangulation` reads
+the cells of one triangulation off the same table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .lattice import (
     LatticeError,
     as_vector,
     express_in_basis,
+    integer_kernel,
     is_zero,
     pairing,
     primitive,
     rank_of,
-    saturate,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -146,24 +151,31 @@ def dual_description(ineq_vectors, n):
     return sorted(lines), sorted(rays)
 
 
+def _facet_masks(gens, dual_rays):
+    """The facet table: bit i of mask k is set when dual ray k vanishes on gens[i].
+
+    The dual rays are the facet normals of the cone of `gens` in its span.
+    A face is the intersection of the facets containing it, and its span is
+    cut out by their normals and the dual lines (Ziegler, *Lectures on
+    Polytopes*, 1995, section 2.2).
+    """
+    return [sum(1 << i for i, g in enumerate(gens) if pairing(r, g) == 0) for r in dual_rays]
+
+
 def _extreme_rays(gens, dual_rays):
     """Extreme rays among distinct primitive generators of a pointed cone C.
 
-    With Z(g) the dual rays vanishing on g, the face cut out by Z(g) is the
-    minimal face F of C containing g, and F is generated by the generators
-    lying in it, those h with Z(h) containing Z(g).  So g spans the face
-    R_{>=0} g, that is, g is extreme, exactly when no other generator
-    vanishes on every dual ray that vanishes on g.  The dual lines vanish on
-    all of C and do not enter the test.
+    The minimal face of C containing g is the intersection of the facets
+    containing g (all of C when none does), and it is generated by the
+    generators lying in it.  So g spans the face R_{>=0} g, that is, g is
+    extreme, exactly when those facets meet the generators in g alone.
     """
-    # bit k of masks[i] is set when dual_rays[k] vanishes on gens[i]
-    masks = [
-        sum(1 << k for k, r in enumerate(dual_rays) if pairing(g, r) == 0) for g in gens
-    ]
+    facets = _facet_masks(gens, dual_rays)
+    every = (1 << len(gens)) - 1
     return [
         g
-        for i, (g, m) in enumerate(zip(gens, masks))
-        if not any(mh & m == m and h != i for h, mh in enumerate(masks))
+        for i, g in enumerate(gens)
+        if functools.reduce(operator.and_, [f for f in facets if f >> i & 1], every) == 1 << i
     ]
 
 
@@ -287,8 +299,7 @@ def pulling_triangulation(c: Cone):
     if len(gens) == c.ambient_rank:  # simplicial: the cone is its one cell
         yield gens
         return
-    # bit i of facets[k] is set when the k-th dual ray vanishes on gens[i]
-    facets = [sum(1 << i for i, g in enumerate(gens) if pairing(r, g) == 0) for r in c.dual_pair[1]]
+    facets = _facet_masks(gens, c.dual_pair[1])
     stack = [((1 << len(gens)) - 1, 0)]  # (face still to triangulate, rays pulled so far)
     while stack:
         face, cell = stack.pop()
@@ -304,14 +315,11 @@ def pulling_triangulation(c: Cone):
 
 def resolve_face(c: Cone, f: FaceSpec) -> tuple[int, ...]:
     """Validated tuple of extreme-ray indices spanning the face."""
-    lines, dual_rays = c.dual_pair
     if f.supporting_functional is not None:
         u = as_vector(f.supporting_functional, c.ambient_rank)
         if any(pairing(u, v) < 0 for v in c.generators):
             raise FaceError("supporting functional is negative on a generator, not in the dual cone")
-        return tuple(
-            i for i, v in enumerate(c.generators) if pairing(u, v) == 0
-        )
+        return tuple(i for i, v in enumerate(c.generators) if pairing(u, v) == 0)
     if not all(type(i) is int for i in f.generator_subset):
         raise FaceError(f"ray indices must be integers, got {list(f.generator_subset)!r}")
     subset = tuple(sorted(f.generator_subset))
@@ -322,24 +330,15 @@ def resolve_face(c: Cone, f: FaceSpec) -> tuple[int, ...]:
             raise FaceError(f"ray index {i} out of range")
     if len(subset) == len(c.generators):
         return subset
-    # the minimal face containing the subset is the zero set of the sum of
-    # all dual rays vanishing on it; the subset is a face iff they coincide
-    vanishing = [
-        r
-        for r in dual_rays
-        if all(pairing(r, c.generators[i]) == 0 for i in subset)
-    ]
-    u = tuple(sum(col) for col in zip(*vanishing)) if vanishing else None
-    if u is None:
-        raise FaceError(
-            f"no supporting functional vanishes on rays {subset}; not a face"
-        )
-    zero_set = tuple(i for i, v in enumerate(c.generators) if pairing(u, v) == 0)
-    if zero_set != subset:
-        extra = [i for i in zero_set if i not in subset]
-        raise FaceError(
-            f"rays {subset} do not form a face: the minimal face also contains ray {extra[0]}"
-        )
+    # the subset is a face iff it is the intersection of the facets containing it
+    s = sum(1 << i for i in subset)
+    containing = [m for m in _facet_masks(c.generators, c.dual_pair[1]) if m & s == s]
+    if not containing:
+        raise FaceError(f"no supporting functional vanishes on rays {subset}; not a face")
+    extra = functools.reduce(operator.and_, containing) & ~s
+    if extra:
+        first = (extra & -extra).bit_length() - 1
+        raise FaceError(f"rays {subset} do not form a face: the minimal face also contains ray {first}")
     return subset
 
 
@@ -350,17 +349,22 @@ def face_chart(c: Cone, face: FaceSpec | None = None):
     toric variety of F, taken in the lattice F spans, times a torus of rank
     n - dim F.  The chart is the face's rays expressed in a basis of the
     saturation of their span, a full-dimensional pointed cone; the extreme
-    rays of a face are the extreme rays of c lying in it.  `face=None`
-    means the whole cone, and a full-dimensional cone comes back unchanged
-    with torus rank 0.  The zero face has no chart (None) and torus rank n.
+    rays of a face are the extreme rays of c lying in it.  The basis is the
+    `integer_kernel` of the dual lines and the facet normals through F.
+    `face=None` means the whole cone, and a full-dimensional cone comes
+    back unchanged with torus rank 0.  The zero face has no chart (None)
+    and torus rank n.
     """
     indices = tuple(range(len(c.generators))) if face is None else resolve_face(c, face)
     if not indices:
         return indices, None, c.ambient_rank
     if c.is_full_dimensional and len(indices) == len(c.generators):
         return indices, c, 0
+    s = sum(1 << i for i in indices)
+    lines, dual_rays = c.dual_pair
+    normals = [r for r, m in zip(dual_rays, _facet_masks(c.generators, dual_rays)) if m & s == s]
+    basis = integer_kernel(lines + normals, c.ambient_rank)
     rays = [c.generators[i] for i in indices]
-    basis = saturate(rays)
     chart = Cone.from_generators(len(basis), [express_in_basis(basis, r) for r in rays])
     return indices, chart, c.ambient_rank - len(basis)
 

@@ -2,11 +2,12 @@
 
 Lattice vectors are plain tuples of Python ints; the ambient rank is the
 tuple length.  Everything here is integer elimination: the row Hermite form
-gives ranks, kernels and saturations, and one pass along echelon pivots
-gives coordinates.  No floating point and no rational arithmetic is used
-anywhere.  Polyhedral
-questions (duals, faces, lattice points of polytopes) are answered by the
-double description in `cones`.
+gives ranks and kernels (a kernel is a saturated lattice, so the
+saturation of a span is the kernel of its orthogonal complement), and one
+pass along echelon pivots gives coordinates.  No floating point and no
+rational arithmetic is used anywhere.  Polyhedral questions (duals, faces,
+lattice points of polytopes) are answered by the double description in
+`cones`.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def primitive(v) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# Integer elimination: Hermite form, rank, kernel, saturation
+# Integer elimination: Hermite form, rank, kernel
 
 
 def row_hermite(rows) -> list[Vector]:
@@ -142,7 +143,9 @@ def integer_kernel(rows, n) -> list[Vector]:
     Computed from the Hermite form of the transposed matrix augmented with an
     identity block: rows whose constraint part vanishes carry a kernel basis.
     With no rows every row of the block qualifies, and the kernel Z^n comes
-    back as the unit vectors.
+    back as the unit vectors.  The kernel rows come last, so restricted to
+    the identity block they are the row Hermite form of the kernel lattice,
+    which is unique, in the echelon form `express_in_basis` needs.
     """
     rows = [as_vector(r, n) for r in rows]
     m = len(rows)
@@ -153,27 +156,10 @@ def integer_kernel(rows, n) -> list[Vector]:
     return [r[m:] for r in h if all(x == 0 for x in r[:m])]
 
 
-def saturate(vectors) -> list[Vector]:
-    """Lattice basis of Span_Q(vectors) intersected with Z^n.
-
-    The double integer-kernel of the input: the kernel of a matrix is always
-    a saturated lattice, and the orthogonal complement taken twice returns
-    the saturation of the row span.  The result has rank_of(vectors) elements
-    and every input vector is an integer combination of it.  Its rows are
-    the kernel rows of a row Hermite form, restricted to the kernel block,
-    so they are in row Hermite form themselves, as `express_in_basis` needs.
-    """
-    vecs = list(vectors)
-    if not vecs:
-        return []
-    n = len(vecs[0])
-    return integer_kernel(integer_kernel(vecs, n), n)
-
-
 def express_in_basis(basis_rows, v) -> Vector:
     """Integer coordinates of v in a basis given in echelon form.
 
-    `saturate` and `row_hermite` return their rows in that form.  Each row's
+    `integer_kernel` and `row_hermite` return their rows in that form.  Each row's
     first nonzero entry, its pivot, lies right of the previous row's, so
     every later row vanishes in that column: reading the coordinate q_i from
     the pivot column of row i, top to bottom, leaves a remainder

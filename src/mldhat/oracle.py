@@ -136,15 +136,21 @@ class TruncatedExpansion:
     terms: dict  # s -> {monomial: coefficient}
 
 
-def _window_orders(support: Support, alpha, m):
-    """alpha as a tuple, checked against the support and the window cap m."""
+def check_alpha(support: Support, alpha):
+    """alpha as a tuple, checked to list a positive order for every variable of the support."""
     alpha = tuple(alpha)
     if not all(type(a) is int for a in alpha):
         raise OracleError(f"alpha entries must be integers, got {list(alpha)!r}")
-    if type(m) is not int:
-        raise OracleError(f"truncation order m must be an integer, got {m!r}")
     if len(alpha) != support.num_vars or any(a < 1 for a in alpha):
         raise OracleError("alpha must list a positive order for every variable")
+    return alpha
+
+
+def _window_orders(support: Support, alpha, m):
+    """alpha as a tuple, checked against the support and the window cap m."""
+    alpha = check_alpha(support, alpha)
+    if type(m) is not int:
+        raise OracleError(f"truncation order m must be an integer, got {m!r}")
     if m < max(alpha):
         raise OracleError("truncation order m must be at least every entry of alpha")
     return alpha
@@ -376,9 +382,10 @@ def _split_roots(f, p):
     return roots
 
 
-def _nonzero_roots(uni, prime, rng):
+def _nonzero_roots(f, prime, rng):
     """Nonzero roots of a univariate polynomial over F_p, random order.
 
+    `f` lists the coefficients in F_p, lowest degree first.
     Exact and deterministic for every odd prime: a linear equation is
     solved directly, a quadratic in closed form (`_quadratic_roots`), and
     degree 3 and up by Cantor-Zassenhaus with a stepped shift
@@ -388,15 +395,14 @@ def _nonzero_roots(uni, prime, rng):
     The roots are sorted before the shuffle, and no step draws from `rng`,
     so the caller's random stream is the one a residue scan would leave.
     """
-    degree = max(uni, default=0)
-    if degree == 0:
+    f = _trim(list(f))
+    degree = len(f) - 1
+    if degree < 1:
         return []
     if degree == 1:
-        c1 = uni.get(1, 0)
-        c0 = uni.get(0, 0)
-        root = (-c0 * pow(c1, prime - 2, prime)) % prime
+        root = (-f[0] * pow(f[1], prime - 2, prime)) % prime
         return [root] if root else []
-    f = _monic([uni.get(d, 0) % prime for d in range(degree + 1)], prime)
+    f = _monic(f, prime)
     roots = _quadratic_roots(f, prime) if degree == 2 else _split_roots(f, prime)
     for r in roots:
         value = 0
@@ -583,8 +589,7 @@ def staircase_verify(
         for s, low in free:
             values[s] = rng.randrange(low, prime)
         # base step: the initial form must vanish at a nonzero pivot value
-        uni = {d: c for d, c in enumerate(_collapse(base, value, prime)) if c}
-        roots = _nonzero_roots(uni, prime, rng)
+        roots = _nonzero_roots(_collapse(base, value, prime), prime, rng)
         if not roots:
             reasons.append("no_nonzero_root")
             continue
@@ -649,8 +654,8 @@ def torus_point_sample(
         return None  # one monomial times a generic coefficient has no torus zero
     nv = initial_form.num_vars
     solve_var = _solve_variable(initial_form)
+    d = max(expo[solve_var] for _, _, expo in initial_form.terms)
     if max_points is not None:
-        d = max(expo[solve_var] for _, _, expo in initial_form.terms)
         steps = trials * d * d * prime.bit_length()
         if steps > max_points:
             raise LimitError(
@@ -665,13 +670,13 @@ def torus_point_sample(
     for trial in range(trials):
         coeffs = {i: rng.randrange(1, prime) for i in coeff_indices}
         point = [rng.randrange(1, prime) for _ in range(nv)]
-        # the form collapsed onto the solve variable: {degree: coefficient}
-        uni: dict[int, int] = {}
+        # the form collapsed onto the solve variable, lowest degree first
+        uni = [0] * (d + 1)
         for mult, ci, expo in initial_form.terms:
             others = prod(pow(x, e, prime) for j, (x, e) in enumerate(zip(point, expo)) if j != solve_var)
             degree = expo[solve_var]
-            uni[degree] = (uni.get(degree, 0) + mult * coeffs[ci] * others) % prime
-        roots = _nonzero_roots({d: c for d, c in uni.items() if c}, prime, rng)
+            uni[degree] = (uni[degree] + mult * coeffs[ci] * others) % prime
+        roots = _nonzero_roots(uni, prime, rng)
         for root in roots:
             point[solve_var] = root
             if initial_form.evaluate(coeffs, point, prime):

@@ -40,9 +40,13 @@ the monomial criterion at each minimizer, and only under `certify` a
 second pass tries the torus-zero criterion
 (`reference_equality_certificate`).
 
-`face_cone` and `split_torus_factor` are the two face reductions as they
-were before one `face_chart` reduced a face and its torus factor in one
-step: `face_cone` re-expresses a face in the lattice its rays span (the
+`reference_resolve_face` and `reference_face_chart` are the face routes
+as they were before both read the facet table: a ray subset is a face
+when it is the zero set of the sum of the dual rays vanishing on it, and
+the chart lattice is `saturate`, the double integer kernel of the face's
+rays.  `face_cone` and `split_torus_factor` are the two face reductions as
+they were before one `face_chart` reduced a face and its torus factor in
+one step: `face_cone` re-expresses a face in the lattice its rays span (the
 whole cone through `split_torus_factor`), and `split_torus_factor` does
 the same for a whole cone that does not span, with torus rank n - dim.
 
@@ -62,7 +66,7 @@ import itertools
 import random
 
 from mldhat.cli import BIG, _is_big_integer_text
-from mldhat.cones import Cone, ConeError, FaceError, FaceSpec, dual_cone, face_chart, resolve_face
+from mldhat.cones import Cone, ConeError, FaceError, FaceSpec, dual_cone, face_chart
 from mldhat.hypersurface import (
     ASSUMPTIONS,
     Certificate,
@@ -78,10 +82,10 @@ from mldhat.lattice import (
     LatticeError,
     as_vector,
     express_in_basis,
+    integer_kernel,
     pairing,
     rank_of,
     row_hermite,
-    saturate,
 )
 from mldhat.oracle import (
     StaircaseResult,
@@ -258,17 +262,20 @@ def reference_powmod_minus_one(base, e, f, p):
     return _trim(result)
 
 
-def reference_nonzero_roots(uni, prime, rng):
-    """Nonzero roots over F_p, every degree >= 2 by Cantor-Zassenhaus; sorted, then shuffled."""
-    degree = max(uni, default=0)
-    if degree == 0:
+def reference_nonzero_roots(f, prime, rng):
+    """Nonzero roots over F_p, every degree >= 2 by Cantor-Zassenhaus; sorted, then shuffled.
+
+    `f` is the dense coefficient list, lowest degree first, as the library's
+    root finder takes it.
+    """
+    f = _trim(list(f))
+    degree = len(f) - 1
+    if degree < 1:
         return []
     if degree == 1:
-        c1 = uni.get(1, 0)
-        c0 = uni.get(0, 0)
-        root = (-c0 * pow(c1, prime - 2, prime)) % prime
+        root = (-f[0] * pow(f[1], prime - 2, prime)) % prime
         return [root] if root else []
-    f = _monic([uni.get(d, 0) % prime for d in range(degree + 1)], prime)
+    f = _monic(f, prime)
     roots = _split_roots(f, prime)
     roots.sort()
     rng.shuffle(roots)
@@ -410,7 +417,7 @@ def reference_staircase_verify(support, alpha, m, prime=10007, trials=50, seed=0
             else:
                 assignment[var] = rng.randrange(prime)
         uni = _substitute(gks[n0], assignment, base_pivot, prime)
-        roots = _nonzero_roots(uni, prime, rng)
+        roots = _nonzero_roots([uni.get(d, 0) for d in range(max(uni, default=0) + 1)], prime, rng)
         if not roots:
             reasons.append("no_nonzero_root")
             continue
@@ -514,6 +521,64 @@ def reference_hypersurface_report(support, certify=False, max_points=None):
     )
 
 
+def saturate(vectors):
+    """Lattice basis of Span_Q(vectors) intersected with Z^n, in row Hermite form.
+
+    The double integer kernel of the input: the kernel of a matrix is always
+    a saturated lattice, and the orthogonal complement taken twice returns
+    the saturation of the row span.
+    """
+    vecs = list(vectors)
+    if not vecs:
+        return []
+    n = len(vecs[0])
+    return integer_kernel(integer_kernel(vecs, n), n)
+
+
+def reference_resolve_face(c, f):
+    """Validated ray indices of a face; a subset by the sum of the dual rays vanishing on it."""
+    _, dual_rays = c.dual_pair
+    if f.supporting_functional is not None:
+        u = as_vector(f.supporting_functional, c.ambient_rank)
+        if any(pairing(u, v) < 0 for v in c.generators):
+            raise FaceError("supporting functional is negative on a generator, not in the dual cone")
+        return tuple(i for i, v in enumerate(c.generators) if pairing(u, v) == 0)
+    if not all(type(i) is int for i in f.generator_subset):
+        raise FaceError(f"ray indices must be integers, got {list(f.generator_subset)!r}")
+    subset = tuple(sorted(f.generator_subset))
+    if len(set(subset)) != len(subset):
+        raise FaceError(f"ray indices repeat in {list(f.generator_subset)!r}")
+    for i in subset:
+        if not 0 <= i < len(c.generators):
+            raise FaceError(f"ray index {i} out of range")
+    if len(subset) == len(c.generators):
+        return subset
+    # the minimal face containing the subset is the zero set of the sum of
+    # all dual rays vanishing on it; the subset is a face iff they coincide
+    vanishing = [r for r in dual_rays if all(pairing(r, c.generators[i]) == 0 for i in subset)]
+    if not vanishing:
+        raise FaceError(f"no supporting functional vanishes on rays {subset}; not a face")
+    u = tuple(sum(col) for col in zip(*vanishing))
+    zero_set = tuple(i for i, v in enumerate(c.generators) if pairing(u, v) == 0)
+    if zero_set != subset:
+        extra = [i for i in zero_set if i not in subset]
+        raise FaceError(
+            f"rays {subset} do not form a face: the minimal face also contains ray {extra[0]}"
+        )
+    return subset
+
+
+def reference_face_chart(c, face=None):
+    """(ray indices, chart, torus rank) with the chart lattice from `saturate`."""
+    indices = tuple(range(len(c.generators))) if face is None else reference_resolve_face(c, face)
+    if not indices:
+        return indices, None, c.ambient_rank
+    if c.is_full_dimensional and len(indices) == len(c.generators):
+        return indices, c, 0
+    chart = _in_span_lattice([c.generators[i] for i in indices])
+    return indices, chart, c.ambient_rank - chart.ambient_rank
+
+
 def _in_span_lattice(gens):
     """The cone of `gens` in the coordinates of the saturation of its span."""
     basis = saturate(gens)
@@ -529,7 +594,7 @@ def split_torus_factor(c):
 
 def face_cone(c, f):
     """The face as a full-dimensional pointed cone in the lattice it spans."""
-    subset = resolve_face(c, f)
+    subset = reference_resolve_face(c, f)
     if not subset:
         raise FaceError("the zero face has no cone; handle dimension 0 at the call site")
     if len(subset) == len(c.generators):

