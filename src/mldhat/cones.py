@@ -12,15 +12,18 @@ sorted).
 
 Every cone carries its double description: `Cone.from_generators` and
 `dual_cone`, the only two constructors, store the pair (dual lines, dual
-rays) as the cone's `dual_pair` next to its sorted primitive extreme rays.
-`dual_cone` swaps the two halves, so a cone and its dual together cost one
-sweep.  Faces are read off one facet table, the bitmask of the extreme
-rays on each facet (`_facet_masks`): `_extreme_rays` keeps a generator
-when the facets through it hold no other, `resolve_face` checks a ray
-subset against the intersection of the facets containing it, `face_chart`
-takes a face's rays in the lattice they span, the kernel of the dual lines
-and the facet normals through the face, and `pulling_triangulation` reads
-the cells of one triangulation off the same table.
+rays) as the cone's `dual_pair` next to its sorted primitive extreme rays,
+and the facet table as its `facets`: the bitmask of the extreme rays on
+each facet.  The table comes from the sweep over the generators, whose
+ray masks have one bit per distinct nonzero inequality in input order;
+`dual_cone` swaps the two halves of the pair and transposes the table, so
+a cone and its dual together cost one sweep.  Faces are read off the
+table: `_extreme_rays` keeps a generator when the facets through it hold
+no other, `resolve_face` checks a ray subset against the intersection of
+the facets containing it, `face_chart` takes a face's rays in the lattice
+they span, the kernel of the dual lines and the facet normals through the
+face, and `pulling_triangulation` reads the cells of one triangulation
+off the same table.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .lattice import (
     is_zero,
     pairing,
     primitive,
-    rank_of,
+    rank_of,  # not called here; perfbench/tracing.py wraps this name
     vec_neg,
     vec_scale,
     vec_sub,
@@ -58,11 +61,13 @@ def _unit_vectors(n):
 
 
 def dual_description(ineq_vectors, n):
-    """Generators of {u in Z^n : <u, a> >= 0 for all a}, as (lines, rays).
+    """Generators of {u in Z^n : <u, a> >= 0 for all a}, as (lines, rays, masks).
 
     The lineality part `lines` is a lattice basis of the maximal linear
     subspace; `rays` generate the pointed remainder and are exactly the
     extreme rays modulo lineality.  Both lists are primitive and sorted.
+    `masks[k]` has bit j set when the j-th distinct nonzero primitive
+    inequality, in input order, vanishes on `rays[k]`: the facet table.
 
     The sweep starts from Z^n (lines = unit vectors, no rays) and adds one
     inequality a at a time.  Each ray carries the bitmask of the processed
@@ -148,33 +153,28 @@ def dual_description(ineq_vectors, n):
                 )
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    return sorted(lines), sorted(rays)
+    table = sorted(zip(rays, masks))
+    return sorted(lines), [r for r, _ in table], [m for _, m in table]
 
 
-def _facet_masks(gens, dual_rays):
-    """The facet table: bit i of mask k is set when dual ray k vanishes on gens[i].
+def _extreme_rays(count, facets):
+    """Indices of the extreme rays among `count` distinct primitive generators of a cone C.
 
-    The dual rays are the facet normals of the cone of `gens` in its span.
-    A face is the intersection of the facets containing it, and its span is
-    cut out by their normals and the dual lines (Ziegler, *Lectures on
-    Polytopes*, 1995, section 2.2).
+    `facets` has bit i of mask k set when dual ray k vanishes on generator
+    i.  The minimal face of C containing g is the intersection of the
+    facets containing g (all of C when none does), and it is generated by
+    the generators lying in it.  So g spans the face R_{>=0} g, that is, g
+    is extreme, exactly when those facets meet the generators in g alone.
+
+    C is pointed exactly when some generator is extreme.  A pointed C
+    other than 0 is generated by its extreme rays, and the face that each
+    one spans holds a generator.  A nonzero lineality space lies in every
+    face and is spanned by at least two generators, so no face is one ray.
     """
-    return [sum(1 << i for i, g in enumerate(gens) if pairing(r, g) == 0) for r in dual_rays]
-
-
-def _extreme_rays(gens, dual_rays):
-    """Extreme rays among distinct primitive generators of a pointed cone C.
-
-    The minimal face of C containing g is the intersection of the facets
-    containing g (all of C when none does), and it is generated by the
-    generators lying in it.  So g spans the face R_{>=0} g, that is, g is
-    extreme, exactly when those facets meet the generators in g alone.
-    """
-    facets = _facet_masks(gens, dual_rays)
-    every = (1 << len(gens)) - 1
+    every = (1 << count) - 1
     return [
-        g
-        for i, g in enumerate(gens)
+        i
+        for i in range(count)
         if functools.reduce(operator.and_, [f for f in facets if f >> i & 1], every) == 1 << i
     ]
 
@@ -183,16 +183,22 @@ def _extreme_rays(gens, dual_rays):
 class Cone:
     """A pointed rational polyhedral cone with its double description.
 
-    `generators` are the primitive extreme rays, sorted; `dual_pair` is
-    (lines, rays) of `dual_description(generators)`: the lines are a
-    lattice basis of span(generators)^perp and the rays generate the dual
-    cone modulo them.  Equality and hashing use the generators only.  Build
-    cones with `Cone.from_generators` or `dual_cone`, which establish both.
+    `generators` are the primitive extreme rays, sorted; `dual_pair` and
+    `facets` are (lines, rays) and the masks of
+    `dual_description(generators)`: the lines are a lattice basis of
+    span(generators)^perp, the rays generate the dual cone modulo them, and
+    bit i of `facets[k]` is set when rays[k] vanishes on generator i.  A
+    face is the intersection of the facets containing it, and its span is
+    cut out by their normals and the lines (Ziegler, *Lectures on
+    Polytopes*, 1995, section 2.2).  Equality and hashing use the
+    generators only.  Build cones with `Cone.from_generators` or
+    `dual_cone`, which establish all three.
     """
 
     ambient_rank: int
     generators: tuple[tuple[int, ...], ...]
     dual_pair: tuple[list, list] = field(compare=False, repr=False)
+    facets: list[int] = field(compare=False, repr=False)
 
     @staticmethod
     def from_generators(ambient_rank, generators):
@@ -201,27 +207,27 @@ class Cone:
         n = ambient_rank
         if n < 1:
             raise ConeError("ambient rank must be positive")
-        gens = []
-        seen = set()
+        gens = set()
         for g in generators:
             v = as_vector(g, n)
             if is_zero(v):
                 raise ConeError("zero vector is not a valid ray generator")
-            v = primitive(v)
-            if v not in seen:
-                seen.add(v)
-                gens.append(v)
+            gens.add(primitive(v))
         if not gens:
             raise ConeError("a cone needs at least one generator")
-        lines, rays = dual_description(gens, n)
-        if rank_of(list(lines) + list(rays)) < n:
+        gens = sorted(gens)
+        lines, rays, facets = dual_description(gens, n)
+        keep = _extreme_rays(len(gens), facets)
+        if not keep:
             raise ConeError("cone is not pointed: it contains a nonzero linear subspace")
-        extremes = tuple(sorted(_extreme_rays(gens, rays)))
-        if lines:
-            # rays modulo lineality are representatives that depend on the
-            # input; sweeping the extreme rays makes the pair canonical
-            lines, rays = dual_description(extremes, n)
-        return Cone(n, extremes, (lines, rays))
+        extremes = tuple(gens[i] for i in keep)
+        if len(keep) < len(gens) and lines:
+            # rays modulo lineality are representatives that depend on the input;
+            # sweeping the sorted extreme rays, as when all are extreme, makes them canonical
+            lines, rays, facets = dual_description(extremes, n)
+        elif len(keep) < len(gens):  # the same facets: keep the bits of the extreme rays
+            facets = [sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in facets]
+        return Cone(n, extremes, (lines, rays), facets)
 
     def __post_init__(self):
         if not self.generators:
@@ -234,31 +240,21 @@ class Cone:
     def is_full_dimensional(self) -> bool:
         return not self.dual_pair[0]
 
-    def contains(self, point, strict=False) -> bool:
-        """Closed (or topological-interior) membership via the dual description."""
-        a = as_vector(point, self.ambient_rank)
-        lines, rays = self.dual_pair
-        if strict:
-            if not self.is_full_dimensional:
-                raise ConeError("interior membership needs a full-dimensional cone")
-            return all(pairing(r, a) > 0 for r in rays)
-        return all(pairing(l, a) == 0 for l in lines) and all(
-            pairing(r, a) >= 0 for r in rays
-        )
-
 
 def dual_cone(c: Cone) -> Cone:
     """The dual cone in the dual lattice, for a full-dimensional cone.
 
     The dual's generators are c's dual rays, and its dual pair is c's
     generators with no lines: c is pointed, so its dual is full-dimensional.
+    Its facet table is c's transposed.
     """
     if not c.is_full_dimensional:
         raise ConeError(
             "dual of a non-full-dimensional cone is not pointed; "
             "split off the torus factor first"
         )
-    return Cone(c.ambient_rank, tuple(c.dual_pair[1]), ([], list(c.generators)))
+    facets = [sum(1 << k for k, m in enumerate(c.facets) if m >> i & 1) for i in range(len(c.generators))]
+    return Cone(c.ambient_rank, tuple(c.dual_pair[1]), ([], list(c.generators)), facets)
 
 
 @dataclass(frozen=True)
@@ -286,10 +282,10 @@ def pulling_triangulation(c: Cone):
     each triangulated the same way, so that two facets induce the same cells
     on the face they share; the empty face has the one empty cell.
 
-    Faces are bitmasks of ray indices, read off the facet incidences of the
-    dual pair as in `dual_description`: the faces of F are the faces of the
-    cone inside F, each an intersection of facets G of the cone, so the
-    facets of F are the inclusion-maximal sets F & G other than F.  A facet
+    Faces are bitmasks of ray indices, read off the facet table `c.facets`:
+    the faces of F are the faces of the cone inside F, each an intersection
+    of facets G of the cone, so the facets of F are the inclusion-maximal
+    sets F & G other than F.  A facet
     of F not containing v has dimension dim F - 1 and v lies off its span,
     so every cell has as many rays as its dimension, with no rank test.
     """
@@ -299,7 +295,6 @@ def pulling_triangulation(c: Cone):
     if len(gens) == c.ambient_rank:  # simplicial: the cone is its one cell
         yield gens
         return
-    facets = _facet_masks(gens, c.dual_pair[1])
     stack = [((1 << len(gens)) - 1, 0)]  # (face still to triangulate, rays pulled so far)
     while stack:
         face, cell = stack.pop()
@@ -307,7 +302,7 @@ def pulling_triangulation(c: Cone):
             yield tuple(g for i, g in enumerate(gens) if cell >> i & 1)
             continue
         v = face & -face
-        parts = {face & f for f in facets} - {face}
+        parts = {face & f for f in c.facets} - {face}
         for part in sorted(parts, reverse=True):
             if not part & v and not any(part & q == part and q != part for q in parts):
                 stack.append((part, cell | v))
@@ -332,7 +327,7 @@ def resolve_face(c: Cone, f: FaceSpec) -> tuple[int, ...]:
         return subset
     # the subset is a face iff it is the intersection of the facets containing it
     s = sum(1 << i for i in subset)
-    containing = [m for m in _facet_masks(c.generators, c.dual_pair[1]) if m & s == s]
+    containing = [m for m in c.facets if m & s == s]
     if not containing:
         raise FaceError(f"no supporting functional vanishes on rays {subset}; not a face")
     extra = functools.reduce(operator.and_, containing) & ~s
@@ -362,7 +357,7 @@ def face_chart(c: Cone, face: FaceSpec | None = None):
         return indices, c, 0
     s = sum(1 << i for i in indices)
     lines, dual_rays = c.dual_pair
-    normals = [r for r, m in zip(dual_rays, _facet_masks(c.generators, dual_rays)) if m & s == s]
+    normals = [r for r, m in zip(dual_rays, c.facets) if m & s == s]
     basis = integer_kernel(lines + normals, c.ambient_rank)
     rays = [c.generators[i] for i in indices]
     chart = Cone.from_generators(len(basis), [express_in_basis(basis, r) for r in rays])
@@ -413,7 +408,7 @@ def enumerate_lattice_points(p: RationalPolytope) -> list[tuple[int, ...]]:
     """
     n = p.ambient_rank
     cone_ineqs = [tuple(normal) + (-offset,) for normal, offset in p.inequalities]
-    lines, rays = dual_description(cone_ineqs + [(0,) * n + (1,)], n + 1)
+    lines, rays, _ = dual_description(cone_ineqs + [(0,) * n + (1,)], n + 1)
     vertices = [r for r in rays if r[n] > 0]
     if not vertices:
         return []

@@ -50,6 +50,11 @@ one step: `face_cone` re-expresses a face in the lattice its rays span (the
 whole cone through `split_torus_factor`), and `split_torus_factor` does
 the same for a whole cone that does not span, with torus rank n - dim.
 
+`reference_facet_masks` is the facet table as it was before the cone
+kept the one its double-description sweep tracks: one pairing per dual
+ray and generator, rebuilt by every face route that read it.  `contains`
+is the closed and interior membership test that was `Cone.contains`.
+
 `is_simplicial`, `is_smooth`, `facets` and `has_isolated_fixed_point`
 are the cone predicates that no command calls; the tests use them to pick
 cones (simplicial with an isolated fixed point, for instance) and to walk
@@ -600,6 +605,22 @@ def face_cone(c, f):
     if len(subset) == len(c.generators):
         return split_torus_factor(c)[0]
     return _in_span_lattice([c.generators[i] for i in subset])
+
+
+def reference_facet_masks(gens, dual_rays):
+    """The facet table by pairings: bit i of mask k is set when dual ray k vanishes on gens[i]."""
+    return [sum(1 << i for i, g in enumerate(gens) if pairing(r, g) == 0) for r in dual_rays]
+
+
+def contains(c, point, strict=False):
+    """Closed (or topological-interior) membership in c via its dual description."""
+    a = as_vector(point, c.ambient_rank)
+    lines, rays = c.dual_pair
+    if strict:
+        if not c.is_full_dimensional:
+            raise ConeError("interior membership needs a full-dimensional cone")
+        return all(pairing(r, a) > 0 for r in rays)
+    return all(pairing(l, a) == 0 for l in lines) and all(pairing(r, a) >= 0 for r in rays)
 
 
 def _require_full_pointed(c):

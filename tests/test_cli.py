@@ -141,6 +141,29 @@ class TestParsers:
             if error is SupportError:
                 assert caught.value.clause == "io"
 
+    @pytest.mark.parametrize(
+        "command, option, what, kind",
+        [("dual", "--cone", "cone", "ConeError"), ("hyper", "--support", "support", "SupportError")],
+    )
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b'{"lattice_rank": 1, "rays": [[%s]], "vars": 1, "support": [[%s]]}' % (b"1" * 5000, b"1" * 5000),
+             "Exceeds the limit (4300 digits)"),
+            (b"\xff", "'utf-8' codec can't decode"),
+        ],
+        ids=["5000-digit-integer", "not-utf-8"],
+    )
+    def test_undecodable_files_refused(self, tmp_path, command, option, what, kind, data, reason):
+        # json.load raises both as a plain ValueError, not a JSONDecodeError
+        path = tmp_path / f"{what}.json"
+        path.write_bytes(data)
+        code, out, err = run_cli([command, option, str(path)])
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["kind"] == kind
+        assert report["error"].startswith(f"{what} file is not valid JSON: {reason}")
+
 
 class TestCommands:
     def test_toric(self, cone_file):
@@ -794,6 +817,44 @@ class TestDualDescriptionCalls:
         path = tmp_path / "cone.json"
         path.write_text(json.dumps({"lattice_rank": len(rays[0]), "rays": rays}))
         assert self.count_calls(monkeypatch, ["toric", "--cone", str(path), "--face", face]) == 2
+
+
+class TestConesCallNoRankTest:
+    """Pointedness and extreme rays are read off the facet table: no cone route needs a rank."""
+
+    WEDGE = [[2, -1], [0, 1]]
+    SQUARE = [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, 1, 2]]  # (1, 1, 2) is no extreme ray
+    FLAT_SQUARE = [r + [0] for r in SQUARE]  # spans rank 3 of 4
+
+    @pytest.fixture(autouse=True)
+    def refuse_rank(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("mldhat.cones called rank_of")
+
+        monkeypatch.setattr(cones, "rank_of", refused)
+
+    def test_from_generators(self):
+        for rays, extremes in ((self.WEDGE, 2), (self.SQUARE, 4), (self.FLAT_SQUARE, 4)):
+            c = cones.Cone.from_generators(len(rays[0]), [tuple(r) for r in rays])
+            assert len(c.generators) == extremes
+        with pytest.raises(ConeError, match="not pointed"):
+            cones.Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1)])
+
+    # dual and hilbert need a full-dimensional cone
+    @pytest.mark.parametrize(
+        "rays, argv",
+        [
+            pytest.param(rays, argv, id=f"{name}-{'-'.join(argv)}")
+            for name, rays in (("wedge", WEDGE), ("square", SQUARE), ("flat-square", FLAT_SQUARE))
+            for argv in (["dual"], ["hilbert"], ["toric"], ["toric", "--face", "0,1"])
+            if argv[0] == "toric" or name != "flat-square"
+        ],
+    )
+    def test_ops(self, tmp_path, rays, argv):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"lattice_rank": len(rays[0]), "rays": rays}))
+        code, _, err = run_cli([argv[0], "--cone", str(path), *argv[1:]])
+        assert code == 0, err
 
 
 class TestFuzz:

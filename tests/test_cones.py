@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mldhat import cones
 from mldhat.cones import (
     Cone,
     ConeError,
@@ -28,6 +29,7 @@ from mldhat.lattice import (
     vec_sub,
 )
 from reference_kernels import (
+    contains,
     determinant,
     face_cone,
     facets,
@@ -35,6 +37,7 @@ from reference_kernels import (
     is_simplicial,
     is_smooth,
     reference_face_chart,
+    reference_facet_masks,
     reference_resolve_face,
     split_torus_factor,
 )
@@ -184,6 +187,16 @@ def random_vectors(rng, n):
     return vecs
 
 
+def distinct_inequalities(vecs, n):
+    """The distinct nonzero primitive vectors, in input order: one bit each in the sweep's masks."""
+    return list(dict.fromkeys(primitive(as_vector(v, n)) for v in vecs if any(v)))
+
+
+def assert_facet_table(c):
+    """The facet table the cone keeps is the one pairings give."""
+    assert c.facets == reference_facet_masks(c.generators, c.dual_pair[1]), c
+
+
 def moment_rays(k):
     return [(1, i, i * i, i**3) for i in range(1, k + 1)]
 
@@ -244,6 +257,31 @@ class TestConstruction:
         c = Cone.from_generators(2, [(1, 0), (1, 1), (0, 1)])
         assert c.generators == ((0, 1), (1, 0))
 
+    @pytest.mark.parametrize(
+        "rays, sweeps",
+        [
+            ([(1, 2, 0), (1, 0, 0)], 1),
+            ([(1, 2, 0), (1, 1, 0), (1, 0, 0)], 2),
+            ([(1, 0), (1, 1), (0, 1)], 1),
+        ],
+        ids=["flat", "flat-with-inner-ray", "full-with-inner-ray"],
+    )
+    def test_sweeps_again_only_to_drop_a_ray_of_a_flat_cone(self, monkeypatch, rays, sweeps):
+        # the generators are swept sorted, so the first sweep is canonical
+        # unless a ray is dropped from a cone with dual lines
+        calls = []
+        original = cones.dual_description
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cones, "dual_description", counted)
+        c = Cone.from_generators(len(rays[0]), rays)
+        assert len(calls) == sweeps
+        assert c.dual_pair == reference_dual_description(c.generators, c.ambient_rank)
+        assert_facet_table(c)
+
 
 class TestDual:
     def test_index_two_wedge(self):
@@ -281,36 +319,36 @@ class TestDual:
 class TestMembership:
     def test_interior_point_of_wedge(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
-        assert c.contains((1, 0), strict=True)
+        assert contains(c, (1, 0), strict=True)
 
     def test_origin_not_interior(self):
         c = Cone.from_generators(2, [(1, 0), (0, 1)])
-        assert not c.contains((0, 0), strict=True)
-        assert c.contains((0, 0))
+        assert not contains(c, (0, 0), strict=True)
+        assert contains(c, (0, 0))
 
     def test_boundary_point(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
-        assert not c.contains((0, 1), strict=True)
-        assert c.contains((0, 1))
+        assert not contains(c, (0, 1), strict=True)
+        assert contains(c, (0, 1))
 
     def test_interior_requires_full_dimensional(self):
         c = Cone.from_generators(2, [(1, 0)])
         with pytest.raises(ConeError):
-            c.contains((1, 0), strict=True)
+            contains(c, (1, 0), strict=True)
 
     def test_closed_membership_of_flat_cone(self):
         # points off the span of a lower-dimensional cone are not members
         c = Cone.from_generators(2, [(1, 0)])
-        assert c.contains((3, 0))
-        assert not c.contains((-1, 0))
-        assert not c.contains((1, 1))
+        assert contains(c, (3, 0))
+        assert not contains(c, (-1, 0))
+        assert not contains(c, (1, 1))
 
     def test_generators_are_members(self):
         rng = random.Random(5)
         for _ in range(50):
             c = random_pointed_cone(rng, rng.randint(2, 3), 5)
             for g in c.generators:
-                assert c.contains(g)
+                assert contains(c, g)
 
     def test_interior_implies_closed(self):
         rng = random.Random(6)
@@ -318,15 +356,15 @@ class TestMembership:
             n = rng.randint(2, 3)
             c = random_pointed_cone(rng, n, 5)
             a = tuple(sum(col) for col in zip(*c.generators))
-            if c.contains(a, strict=True):
-                assert c.contains(a)
+            if contains(c, a, strict=True):
+                assert contains(c, a)
 
     def test_against_functional_grid_oracle(self):
         rng = random.Random(7)
         for _ in range(20):
             c = random_pointed_cone(rng, 2, 3)
             for pt in itertools.product(range(-3, 4), repeat=2):
-                assert c.contains(pt) == brute_membership(c, pt, radius=12)
+                assert contains(c, pt) == brute_membership(c, pt, radius=12)
 
 
 class TestSplit:
@@ -629,11 +667,19 @@ class TestPredicates:
 
 class TestBitmaskKernelAgainstRankReference:
     def test_dual_description_identical(self):
+        # the masks are checked against the facet table by pairings
         rng = random.Random(2024)
+        kinds = {"pointed": 0, "not pointed": 0, "not spanning": 0}
         for _ in range(1000):
             n = rng.randint(1, 5)
             vecs = random_vectors(rng, n)
-            assert dual_description(vecs, n) == reference_dual_description(vecs, n), vecs
+            lines, rays, masks = dual_description(vecs, n)
+            assert (lines, rays) == reference_dual_description(vecs, n), vecs
+            assert masks == reference_facet_masks(distinct_inequalities(vecs, n), rays), vecs
+            if rank_of(vecs) < n:
+                kinds["not spanning"] += 1
+            kinds["pointed" if rank_of(lines + rays) == n else "not pointed"] += 1
+        assert all(count >= 100 for count in kinds.values()), kinds
 
     def test_from_generators_identical(self):
         rng = random.Random(2025)
@@ -665,6 +711,8 @@ class TestBitmaskKernelAgainstRankReference:
                 continue
             d = dual_cone(c)
             assert d.dual_pair == reference_dual_description(d.generators, n)
+            assert_facet_table(c)
+            assert_facet_table(d)
             assert dual_cone(d).generators == c.generators
 
     @pytest.mark.parametrize("k", [4, 7, 12])
@@ -709,9 +757,17 @@ class TestBitmaskKernelAgainstRankReference:
 
 class TestDualDescription:
     def test_halfspace(self):
-        lines, rays = dual_description([(1, 0)], 2)
+        lines, rays, masks = dual_description([(1, 0)], 2)
         assert lines == [(0, 1)]
         assert rays == [(1, 0)]
+        assert masks == [0]
+
+    def test_masks_index_distinct_inequalities_in_input_order(self):
+        # (2, 0) repeats (1, 0) and the zero vector is no inequality, so
+        # (0, 1) and (1, 1) hold bits 1 and 2
+        lines, rays, masks = dual_description([(1, 0), (0, 0), (2, 0), (0, 1), (1, 1)], 2)
+        assert (lines, rays) == ([], [(0, 1), (1, 0)])
+        assert masks == [0b001, 0b010]
 
     def test_generation_completeness_via_lp(self):
         # every grid point satisfying the inequalities must be a combination
@@ -727,7 +783,7 @@ class TestDualDescription:
                 for _ in range(rng.randint(1, 4))
             ]
             vecs = [v for v in vecs if any(v)] or [(1,) * n]
-            lines, rays = dual_description(vecs, n)
+            lines, rays, _ = dual_description(vecs, n)
             gens = list(rays) + list(lines) + [vec_neg(l) for l in lines]
             for u in itertools.product(range(-2, 3), repeat=n):
                 if all(pairing(u, v) >= 0 for v in vecs):
@@ -744,7 +800,7 @@ class TestDualDescription:
                 tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)
             ]
             vecs = [v for v in vecs if any(v)] or [(1,) * n]
-            lines, rays = dual_description(vecs, n)
+            lines, rays, _ = dual_description(vecs, n)
             # every generator satisfies the inequalities
             for l in lines:
                 assert all(pairing(l, v) == 0 for v in vecs)
@@ -786,6 +842,8 @@ class TestFaceTableAgainstReference:
 
     @staticmethod
     def check_every_ray_subset(c, seen):
+        assert_facet_table(c)
+        assert_facet_table(face_chart(c)[1])
         assert face_outcome(face_chart, c, None) == face_outcome(reference_face_chart, c, None)
         for k in range(len(c.generators) + 1):
             for subset in itertools.combinations(range(len(c.generators)), k):
@@ -794,6 +852,9 @@ class TestFaceTableAgainstReference:
                 assert got == face_outcome(reference_resolve_face, c, face), (c, subset)
                 assert face_outcome(face_chart, c, face) == face_outcome(reference_face_chart, c, face), (c, subset)
                 if got == subset:
+                    chart = face_chart(c, face)[1]
+                    if chart is not None:
+                        assert_facet_table(chart)
                     seen["face"] += 1
                 else:
                     seen["no functional" if "no supporting" in got[1] else "not a face"] += 1
