@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .cones import Cone, ConeError, pulling_triangulation
 from .lattice import LatticeError, LimitError, pairing, row_hermite
@@ -106,11 +107,8 @@ def _numerators(rays):
 def _fold(rays, frac, absdet) -> tuple[int, ...]:
     """The point sum_i frac_i * rays_i / |det T|, by exact division."""
     point = []
-    for j in range(len(rays[0])):
-        num = 0
-        for r, f in zip(rays, frac):
-            num += r[j] * f
-        x, rest = divmod(num, absdet)
+    for column in zip(*rays):
+        x, rest = divmod(sum(map(mul, column, frac)), absdet)
         if rest:
             raise LatticeError("parallelepiped fold produced a non-lattice point")
         point.append(x)
@@ -247,10 +245,7 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
             rays = [packed[t] for t in T]
             points = {}
             for frac in numerators:
-                s = 0
-                for f, p in zip(frac, rays):
-                    s += f * p
-                u, rest = divmod(s, absdet)
+                u, rest = divmod(sum(map(mul, frac, rays)), absdet)
                 if rest or u & high:
                     raise LatticeError("parallelepiped fold produced a non-lattice point")
                 points[u] = frac

@@ -13,6 +13,7 @@ lattice points of polytopes) are answered by the double description in
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 
 class LatticeError(ValueError):
@@ -40,7 +41,7 @@ def pairing(u, a) -> int:
     """Exact dot product <u, a> of two integer vectors of equal rank."""
     if len(u) != len(a):
         raise LatticeError(f"rank mismatch in pairing: {len(u)} vs {len(a)}")
-    return sum(x * y for x, y in zip(u, a))
+    return sum(map(mul, u, a))
 
 
 def vec_sub(u, v) -> Vector:

@@ -41,8 +41,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, repeat
 from math import comb, factorial, prod
+from operator import mul, neg
 
 from .hypersurface import GenericForm, Support, certificate_data, is_feasible, weight_data
 from .lattice import LimitError
@@ -83,6 +84,22 @@ def _require_odd_prime(p):
 def _require_trials(trials):
     if trials < 1:
         raise OracleError("the sampler needs at least one trial")
+
+
+def _draw(getrandbits, lo, hi):
+    """An integer in [lo, hi), hi > lo, drawn as random.Random.randrange(lo, hi) draws it.
+
+    With k the bit length of the width hi - lo, getrandbits(k) is drawn
+    until it is below the width.  This is how randrange draws on CPython
+    3.10 to 3.12 (`Random._randbelow_with_getrandbits`), so `getrandbits`
+    of a random.Random leaves the same stream as randrange would.
+    """
+    width = hi - lo
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return lo + r
 
 
 # polynomials in window variables: {((j, u), exponent) sorted tuple: coefficient}
@@ -483,6 +500,53 @@ def _collapse(plan, value, prime):
     return [sum([prod(map(value, f), start=c) for c, f in terms]) % prime for terms in plan]
 
 
+# trials whose linear steps and re-check run together: one call holds at
+# most this many value rows, whatever the number of trials
+_BLOCK = 128
+
+
+def _column_sums(terms, columns, count):
+    """Per trial, sum_terms c * prod of its factor slots, not reduced; one column per slot.
+
+    Each term chains map(mul, ...) over its slot columns, and one
+    map(sum, zip(...)) adds the terms trial by trial, all in C.
+    """
+    products = []
+    for c, (first, *rest) in terms:
+        column = columns[first]
+        for f in rest:
+            column = map(mul, column, columns[f])
+        products.append(map(mul, repeat(c), column))
+    return list(map(sum, zip(*products))) if products else [0] * count
+
+
+def _solve_block(rows, steps, checks, prime):
+    """Solve the linear steps of a block of trials at once, then re-check them.
+
+    `rows` holds the value row of each trial that passed the base step.
+    Per step, c1 and c0 come from `_column_sums` over the live trials; a
+    trial with c1 = 0 leaves the block, and the pivot column becomes
+    -c0 / c1.  Every equation is then evaluated at every point left, and
+    a nonzero value raises AssertionError naming it.  Returns the number
+    of trials solved.
+    """
+    columns = list(zip(*rows))
+    live = len(rows)
+    for ps, (constant, linear) in steps:
+        c1 = list(map(prime.__rmod__, _column_sums(linear, columns, live)))
+        if not all(c1):
+            columns = [list(compress(column, c1)) for column in columns]
+            c1 = list(compress(c1, c1))
+            live = len(c1)
+        c0 = map(neg, _column_sums(constant, columns, live))
+        inverses = map(pow, c1, repeat(-1), repeat(prime))
+        columns[ps] = list(map(prime.__rmod__, map(mul, c0, inverses)))
+    for k, terms in checks:
+        if any(map(prime.__rmod__, _column_sums(terms, columns, live))):
+            raise AssertionError(f"staircase produced a non-solution at equation {k}")
+    return live
+
+
 def staircase_verify(
     support: Support, alpha, m, prime=10007, trials=50, seed=0, max_points=None
 ) -> StaircaseResult:
@@ -499,9 +563,25 @@ def staircase_verify(
     monomials are distinct.  So its coefficient is c_i k(M) with k(M) the
     product of multinomial coefficients, and since c_i != 0 in F_p the
     monomials of G_k are those with k(M) != 0 mod p, whatever the trial
-    draws.  Each equation becomes one term plan (`_compile_equation`); a
-    trial keeps its coefficients and window values in one flat list and
-    collapses the plans onto their pivots (`_collapse`).
+    draws.  Each equation becomes one term plan (`_compile_equation`).
+
+    The trials run in two phases.  Phase 1, trial by trial: draw (`_draw`)
+    the coefficients and the free window values into one flat list,
+    collapse the base plan onto its pivot (`_collapse`), take the first
+    root of `_nonzero_roots` and test the pivot derivative there; a trial
+    that passes appends a copy of its values to the current block.  Phase
+    2, once per block of `_BLOCK` trials and after the last trial
+    (`_solve_block`): each linear step in order for all the trials of the
+    block at once, as column products, then the full re-check of every
+    equation at every point solved.  A block holds at most `_BLOCK` rows
+    of window plus support size values, so the memory of a call does not
+    grow with the trials.  The random stream is the one a trial-by-trial
+    loop draws: only phase 1 draws, in a fixed order per trial (the
+    coefficients, the window values in window order, then the root
+    finder's shuffle), and phase 2 draws nothing.  The report does not
+    depend on the order the trials finish in either: `successes` is a
+    count and `failure_reasons` a sorted set.  So every report is the
+    trial-by-trial one, byte for byte.
 
     Failure reasons, in the order a trial meets them:
 
@@ -510,7 +590,16 @@ def staircase_verify(
     * pivot_derivative_vanishes: the pivot coefficient vanishes at that
       root;
     * linear_pivot_coefficient_vanishes: a later G_k has a zero
-      coefficient on its pivot.
+      coefficient on its pivot.  Only the first chain can meet it.  There
+      the coefficient of the pivot (jp, alpha_jp + k - n0) in G_k comes
+      from the minimal monomials alone, so it is the derivative of the
+      initial form in x_jp at the lowest values, the base root included:
+      the derivative of the collapsed base form at its root, zero exactly
+      at a multiple root.  On the second chain it is the pivot derivative,
+      already nonzero.  A multiple root needs the discriminant of the base
+      form to vanish, or its derivative to vanish identically, so the
+      reason is rare but real: a x^2 + b xy + c y^2 has a double root in x
+      where b^2 = 4ac, and a x^3 + b y^3 over F_3 only a triple one.
 
     No G_k with k > n0 reads a pivot of a later equation or a square of its
     own pivot, by weight (`_pivot_schedule` gives the pivots).  A window
@@ -523,10 +612,8 @@ def staircase_verify(
     least k + 1.  Both are checked as the plans are compiled, and a
     violation raises AssertionError.
 
-    Every successful trial then evaluates each equation, pivots included,
-    at the point found, and a nonzero value raises AssertionError.  The
-    random stream is drawn in a fixed order: the coefficients, the window
-    values in window order, then the root finder's shuffle.
+    Every solved trial evaluates each equation, pivots included, at the
+    point found, and a nonzero value raises AssertionError.
 
     With `max_points`, LimitError is raised before any expansion when the
     window monomials (`_window_monomial_bound`) times the trials exceed it.
@@ -581,34 +668,32 @@ def staircase_verify(
     values = [0] * (len(window) + len(support.exponents))
     value = values.__getitem__
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     successes = 0
-    reasons = []
-    for _ in range(trials):
-        coeffs = [rng.randrange(1, prime) for _ in support.exponents]
+    reasons = set()
+    block = []
+    for trial in range(trials):
+        coeffs = [_draw(getrandbits, 1, prime) for _ in support.exponents]
         values[len(window):] = coeffs
         for s, low in free:
-            values[s] = rng.randrange(low, prime)
+            values[s] = _draw(getrandbits, low, prime)
         # base step: the initial form must vanish at a nonzero pivot value
         roots = _nonzero_roots(_collapse(base, value, prime), prime, rng)
         if not roots:
-            reasons.append("no_nonzero_root")
-            continue
-        values[slot[base_pivot]] = roots[0]
-        pivot_value = cert.pivot_coefficient.evaluate(coeffs, [values[s] for s in lowest_slots], prime)
-        if pivot_value % prime == 0:
-            reasons.append("pivot_derivative_vanishes")
-            continue
-        for ps, plan in steps:
-            c0, c1 = _collapse(plan, value, prime)
-            if not c1:
-                reasons.append("linear_pivot_coefficient_vanishes")
-                break
-            values[ps] = -c0 * pow(c1, -1, prime) % prime
+            reasons.add("no_nonzero_root")
         else:
-            for k, terms in checks:
-                if _collapse([terms], value, prime)[0]:
-                    raise AssertionError(f"staircase produced a non-solution at equation {k}")
-            successes += 1
+            values[slot[base_pivot]] = roots[0]
+            pivot_value = cert.pivot_coefficient.evaluate(coeffs, [values[s] for s in lowest_slots], prime)
+            if pivot_value % prime == 0:
+                reasons.add("pivot_derivative_vanishes")
+            else:
+                block.append(values[:])
+        if block and (len(block) == _BLOCK or trial == trials - 1):
+            solved = _solve_block(block, steps, checks, prime)
+            if solved < len(block):
+                reasons.add("linear_pivot_coefficient_vanishes")
+            successes += solved
+            block = []
     return StaircaseResult(
         free_parameter_count=len(window) - n_equations,
         equations_solved=n_equations,
@@ -617,7 +702,7 @@ def staircase_verify(
         estimated_dim=len(window) - n_equations,
         window_size=len(window),
         empty=False,
-        failure_reasons=tuple(sorted(set(reasons))),
+        failure_reasons=tuple(sorted(reasons)),
     )
 
 
@@ -667,9 +752,10 @@ def torus_point_sample(
         {i for _, i, _ in initial_form.terms} | {i for _, i, _ in pivot_form.terms}
     )
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     for trial in range(trials):
-        coeffs = {i: rng.randrange(1, prime) for i in coeff_indices}
-        point = [rng.randrange(1, prime) for _ in range(nv)]
+        coeffs = {i: _draw(getrandbits, 1, prime) for i in coeff_indices}
+        point = [_draw(getrandbits, 1, prime) for _ in range(nv)]
         # the form collapsed onto the solve variable, lowest degree first
         uni = [0] * (d + 1)
         for mult, ci, expo in initial_form.terms:

@@ -5,6 +5,7 @@ import math
 import pathlib
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -328,6 +329,84 @@ class TestStaircasePlans:
             expand(WHITNEY, [1, 1], alpha, m, max_points=bound - 1)
         # an infeasible tuple expands nothing, so no limit refuses it
         assert staircase_verify(WHITNEY, (1, 1, 1), m, 101, trials, max_points=0).empty
+
+
+# a binary quadratic form plus a variable of higher order: the pivot x of
+# the base step is solved on a x^2 + b xy + c y^2, and the chain step after
+# it has c1 = 2a x + b y, which vanishes at the double root of b^2 = 4ac
+QUADRATIC_FORM = ([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)], (1, 1, 3))
+
+
+class TestStaircaseBlocks:
+    """The blocked linear steps and re-check of `staircase_verify`."""
+
+    @staticmethod
+    def prime_below(bound):
+        p = bound - 2 if bound % 2 else bound - 1
+        while True:
+            try:
+                oracle._require_odd_prime(p)
+                return p
+            except OracleError:
+                p -= 2
+
+    def test_draw_matches_randrange(self):
+        widths = [1, 3, 101, 2**31 - 1, self.prime_below(oracle._PRIME_BOUND)]
+        widths += [2**e + d for e in range(1, 70, 7) for d in (-1, 0, 1)]
+        for width in widths:
+            for lo in (0, 1):
+                for seed in range(60):
+                    drawn, expected = random.Random(seed), random.Random(seed)
+                    got = [oracle._draw(drawn.getrandbits, lo, lo + width) for _ in range(4)]
+                    assert got == [expected.randrange(lo, lo + width) for _ in range(4)], (width, seed)
+                    assert drawn.getstate() == expected.getstate()
+
+    @pytest.mark.parametrize("prime", [5, 7])
+    def test_linear_pivot_coefficient_vanishes_at_a_double_root(self, prime):
+        s = validate_support(QUADRATIC_FORM[0])
+        for m in range(3, 6):
+            args = (s, QUADRATIC_FORM[1], m, prime, 60, m)
+            result = staircase_verify(*args)
+            assert result == reference_staircase_verify(*args)
+            assert "linear_pivot_coefficient_vanishes" in result.failure_reasons
+            assert 0 < result.successes < 60
+
+    def test_every_trial_drops_where_the_chain_loses_its_pivot(self):
+        # over F_3 the cube x^3 has a triple root, and k(M) = 3 removes the
+        # pivot from the chain equation altogether
+        s = validate_support([(3, 0, 0), (0, 3, 0), (0, 0, 1)])
+        args = (s, (1, 1, 4), 5, 3, 30, 2)
+        result = staircase_verify(*args)
+        assert result == reference_staircase_verify(*args)
+        assert (result.successes, result.failure_reasons) == (0, ("linear_pivot_coefficient_vanishes",))
+
+    @pytest.mark.parametrize(
+        "rows, alpha, m, prime",
+        [
+            ([(2, 0, 0), (0, 2, 1)], (2, 1, 2), 4, 101),
+            (*QUADRATIC_FORM, 4, 5),
+            ([(4, 0, 0), (0, 4, 0), (1, 1, 1)], (1, 1, 5), 6, 101),
+        ],
+    )
+    def test_block_boundaries(self, rows, alpha, m, prime):
+        s = validate_support(rows)
+        block = oracle._BLOCK
+        for trials in (block - 1, block, block + 1, 2 * block + 1):
+            args = (s, alpha, m, prime, trials, trials)
+            assert staircase_verify(*args) == reference_staircase_verify(*args)
+
+    def test_memory_is_bounded_by_the_block(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                staircase_verify(WHITNEY, (2, 1, 2), 4, 101, trials, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        staircase_verify(WHITNEY, (2, 1, 2), 4, 101, 1, 0)  # one-time allocations before tracing
+        one_block = peak(oracle._BLOCK)
+        assert peak(20 * oracle._BLOCK) <= 2 * one_block
 
 
 class TestPivotSchedule:
