@@ -143,23 +143,16 @@ def validate_support(exponents, num_vars=None) -> Support:
         raise SupportError(
             "origin_in_support", "the defining equation may not have a constant term"
         )
-    dropped = tuple(j for j in range(width) if all(r[j] == 0 for r in rows))
-    if dropped:
-        keep = [j for j in range(width) if j not in dropped]
-        reduced = [tuple(r[j] for j in keep) for r in rows]
-    else:
-        reduced = rows
-    eff_width = width - len(dropped)
-    if eff_width == 0:
-        raise SupportError("origin_in_support", "the support uses no variable at all")
-    for j in range(eff_width):
-        if all(r[j] > 0 for r in reduced):
-            original = j if not dropped else [k for k in range(width) if k not in dropped][j]
+    columns = list(zip(*rows))  # of nonnegative exponents
+    for j, column in enumerate(columns):
+        if all(column):
             raise SupportError(
                 "divisible",
-                f"every monomial is divisible by variable {original}; the support "
+                f"every monomial is divisible by variable {j}; the support "
                 "must contain a point in each coordinate plane",
             )
+    dropped = tuple(j for j, column in enumerate(columns) if not any(column))
+    reduced = list(zip(*(column for column in columns if any(column))))
     diffs = [tuple(a - b for a, b in zip(r, reduced[0])) for r in reduced[1:]]
     dim = rank_of(diffs) if diffs else 0
     if dim == 0:
@@ -180,7 +173,7 @@ def validate_support(exponents, num_vars=None) -> Support:
                 "points",
             )
     return Support(
-        num_vars=eff_width,
+        num_vars=width - len(dropped),
         exponents=tuple(sorted(reduced)),
         original_num_vars=width,
         dropped_variables=dropped,

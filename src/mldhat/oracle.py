@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, repeat
+from itertools import combinations_with_replacement, repeat
 from math import comb, factorial, prod
 from operator import mul, neg
 
@@ -505,7 +505,7 @@ def _collapse(plan, value, prime):
 _BLOCK = 128
 
 
-def _column_sums(terms, columns, count):
+def _column_sums(terms, columns):
     """Per trial, sum_terms c * prod of its factor slots, not reduced; one column per slot.
 
     Each term chains map(mul, ...) over its slot columns, and one
@@ -517,34 +517,25 @@ def _column_sums(terms, columns, count):
         for f in rest:
             column = map(mul, column, columns[f])
         products.append(map(mul, repeat(c), column))
-    return list(map(sum, zip(*products))) if products else [0] * count
+    return list(map(sum, zip(*products))) if products else [0] * len(columns[0])
 
 
 def _solve_block(rows, steps, checks, prime):
     """Solve the linear steps of a block of trials at once, then re-check them.
 
-    `rows` holds the value row of each trial that passed the base step.
-    Per step, c1 and c0 come from `_column_sums` over the live trials; a
-    trial with c1 = 0 leaves the block, and the pivot column becomes
-    -c0 / c1.  Every equation is then evaluated at every point left, and
-    a nonzero value raises AssertionError naming it.  Returns the number
-    of trials solved.
+    `rows` holds the value row of each trial that passed phase 1, ending
+    in the inverses of its two chain coefficients.  Per step the pivot
+    column is -c0, from `_column_sums`, times the inverse column of the
+    step's chain.  Every equation is then evaluated at every point, and a
+    nonzero value raises AssertionError naming it.
     """
     columns = list(zip(*rows))
-    live = len(rows)
-    for ps, (constant, linear) in steps:
-        c1 = list(map(prime.__rmod__, _column_sums(linear, columns, live)))
-        if not all(c1):
-            columns = [list(compress(column, c1)) for column in columns]
-            c1 = list(compress(c1, c1))
-            live = len(c1)
-        c0 = map(neg, _column_sums(constant, columns, live))
-        inverses = map(pow, c1, repeat(-1), repeat(prime))
-        columns[ps] = list(map(prime.__rmod__, map(mul, c0, inverses)))
+    for ps, constant, inverse in steps:
+        c0 = map(neg, _column_sums(constant, columns))
+        columns[ps] = list(map(prime.__rmod__, map(mul, c0, columns[inverse])))
     for k, terms in checks:
-        if any(map(prime.__rmod__, _column_sums(terms, columns, live))):
+        if any(map(prime.__rmod__, _column_sums(terms, columns))):
             raise AssertionError(f"staircase produced a non-solution at equation {k}")
-    return live
 
 
 def staircase_verify(
@@ -565,41 +556,39 @@ def staircase_verify(
     monomials of G_k are those with k(M) != 0 mod p, whatever the trial
     draws.  Each equation becomes one term plan (`_compile_equation`).
 
-    The trials run in two phases.  Phase 1, trial by trial: draw (`_draw`)
+    The trials run in two phases.  Phase 1, trial by trial, draws (`_draw`)
     the coefficients and the free window values into one flat list,
-    collapse the base plan onto its pivot (`_collapse`), take the first
-    root of `_nonzero_roots` and test the pivot derivative there; a trial
-    that passes appends a copy of its values to the current block.  Phase
-    2, once per block of `_BLOCK` trials and after the last trial
-    (`_solve_block`): each linear step in order for all the trials of the
-    block at once, as column products, then the full re-check of every
-    equation at every point solved.  A block holds at most `_BLOCK` rows
-    of window plus support size values, so the memory of a call does not
-    grow with the trials.  The random stream is the one a trial-by-trial
-    loop draws: only phase 1 draws, in a fixed order per trial (the
-    coefficients, the window values in window order, then the root
-    finder's shuffle), and phase 2 draws nothing.  The report does not
-    depend on the order the trials finish in either: `successes` is a
-    count and `failure_reasons` a sorted set.  So every report is the
-    trial-by-trial one, byte for byte.
+    collapses the base plan onto its pivot (`_collapse`), takes the first
+    root of `_nonzero_roots` and reads both chain coefficients there
+    (below); a trial that passes appends a copy of its values, ending in
+    the inverses of those two, to the current block.  Phase 2
+    (`_solve_block`), once per block of `_BLOCK` trials and after the last
+    one, solves each linear step for the whole block, its constant part as
+    column products times its chain's inverse, then re-checks every
+    equation at every point.  Phase 2 draws nothing and drops nothing, and
+    a block holds at most `_BLOCK` rows, so the memory of a call does not
+    grow with the trials.  Only phase 1 draws, in a fixed order per trial
+    (the coefficients, the window values in window order, the root
+    finder's shuffle); `successes` is a count and `failure_reasons` a
+    sorted set; so every report is the trial-by-trial one, byte for byte.
 
-    Failure reasons, in the order a trial meets them:
+    Failure reasons, all decided in phase 1, in the order a trial meets
+    them:
 
     * no_nonzero_root: the initial form G_n0 has no nonzero root in its
       pivot at the drawn values;
-    * pivot_derivative_vanishes: the pivot coefficient vanishes at that
+    * pivot_derivative_vanishes: the pivot derivative g vanishes at that
       root;
     * linear_pivot_coefficient_vanishes: a later G_k has a zero
-      coefficient on its pivot.  Only the first chain can meet it.  There
-      the coefficient of the pivot (jp, alpha_jp + k - n0) in G_k comes
-      from the minimal monomials alone, so it is the derivative of the
-      initial form in x_jp at the lowest values, the base root included:
-      the derivative of the collapsed base form at its root, zero exactly
-      at a multiple root.  On the second chain it is the pivot derivative,
-      already nonzero.  A multiple root needs the discriminant of the base
-      form to vanish, or its derivative to vanish identically, so the
-      reason is rare but real: a x^2 + b xy + c y^2 has a double root in x
-      where b^2 = 4ac, and a x^3 + b y^3 over F_3 only a triple one.
+      coefficient on its pivot, one per chain and trial.  On the first
+      chain (k <= n0') the coefficient of (jp, alpha_jp + k - n0) in G_k
+      comes from the minimal monomials alone: it is the derivative of the
+      initial form in x_jp at the lowest values, f'(root) for the
+      collapsed base form f, zero exactly at a multiple root.  On the
+      second it is g, already nonzero.  So the reason needs n0' > n0 and
+      f'(root) = 0, hence a vanishing discriminant of f or f' = 0
+      identically: rare but real.  a x^2 + b xy + c y^2 has a double root
+      in x where b^2 = 4ac, and a x^3 + b y^3 over F_3 only a triple one.
 
     No G_k with k > n0 reads a pivot of a later equation or a square of its
     own pivot, by weight (`_pivot_schedule` gives the pivots).  A window
@@ -613,7 +602,8 @@ def staircase_verify(
     violation raises AssertionError.
 
     Every solved trial evaluates each equation, pivots included, at the
-    point found, and a nonzero value raises AssertionError.
+    point found, and a nonzero value raises AssertionError; so a chain
+    coefficient other than the one above cannot pass unseen.
 
     With `max_points`, LimitError is raised before any expansion when the
     window monomials (`_window_monomial_bound`) times the trials exceed it.
@@ -654,6 +644,9 @@ def staircase_verify(
     base, base_check, reads = _compile_equation(per_monomial, n0, base_pivot, slot, prime)
     if not reads.union(lowest) <= assigned:
         raise AssertionError("the base step reads a pivot of a later equation")
+    # a value row: the window, the coefficients, then the inverses of the
+    # chain coefficients f'(root) and g
+    inverses = len(window) + len(support.exponents)
     steps, checks = [], [(n0, base_check)]
     for k in equations:
         plan, check, reads = _compile_equation(per_monomial, k, pivots[k], slot, prime)
@@ -662,10 +655,10 @@ def staircase_verify(
         if len(plan) > 2:
             raise AssertionError(f"G_{k} is not linear in its pivot")
         assigned.add(pivots[k])
-        steps.append((slot[pivots[k]], plan))
+        steps.append((slot[pivots[k]], plan[0], inverses + (k > cert.pivot_order)))
         checks.append((k, check))
     lowest_slots = [slot[var] for var in lowest]
-    values = [0] * (len(window) + len(support.exponents))
+    values = [0] * (inverses + 2)
     value = values.__getitem__
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
@@ -674,25 +667,32 @@ def staircase_verify(
     block = []
     for trial in range(trials):
         coeffs = [_draw(getrandbits, 1, prime) for _ in support.exponents]
-        values[len(window):] = coeffs
+        values[len(window):inverses] = coeffs
         for s, low in free:
             values[s] = _draw(getrandbits, low, prime)
         # base step: the initial form must vanish at a nonzero pivot value
-        roots = _nonzero_roots(_collapse(base, value, prime), prime, rng)
+        collapsed = _collapse(base, value, prime)
+        roots = _nonzero_roots(collapsed, prime, rng)
         if not roots:
             reasons.add("no_nonzero_root")
         else:
-            values[slot[base_pivot]] = roots[0]
-            pivot_value = cert.pivot_coefficient.evaluate(coeffs, [values[s] for s in lowest_slots], prime)
-            if pivot_value % prime == 0:
+            root = values[slot[base_pivot]] = roots[0]
+            g = cert.pivot_coefficient.evaluate(coeffs, [values[s] for s in lowest_slots], prime)
+            slope = 1  # f'(root), the first chain's coefficient: read only if that chain is not empty
+            if cert.pivot_order > n0:
+                slope = 0
+                for d in range(len(collapsed) - 1, 0, -1):
+                    slope = (slope * root + d * collapsed[d]) % prime
+            if not g:
                 reasons.add("pivot_derivative_vanishes")
+            elif not slope:
+                reasons.add("linear_pivot_coefficient_vanishes")
             else:
+                values[inverses:] = pow(slope, -1, prime), pow(g, -1, prime)
                 block.append(values[:])
         if block and (len(block) == _BLOCK or trial == trials - 1):
-            solved = _solve_block(block, steps, checks, prime)
-            if solved < len(block):
-                reasons.add("linear_pivot_coefficient_vanishes")
-            successes += solved
+            _solve_block(block, steps, checks, prime)
+            successes += len(block)
             block = []
     return StaircaseResult(
         free_parameter_count=len(window) - n_equations,

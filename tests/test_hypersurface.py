@@ -158,9 +158,21 @@ class TestValidation:
             validate_support([(2, 0), (4, 0)])
         assert err.value.clause == "divisible"
 
+    def test_divisible_names_the_variable_as_given(self):
+        # variable 0 appears in no monomial and is dropped; the message still
+        # names variable 1 of the rows as given
+        with pytest.raises(SupportError, match="divisible by variable 1;") as err:
+            validate_support([(0, 2, 0), (0, 1, 1)])
+        assert err.value.clause == "divisible"
+
     def test_rejects_origin(self):
         with pytest.raises(SupportError) as err:
             validate_support([(0, 0, 0), (1, 1, 0)])
+        assert err.value.clause == "origin_in_support"
+
+    def test_rejects_a_support_with_no_variable(self):
+        with pytest.raises(SupportError, match="constant term") as err:
+            validate_support([(0, 0)])
         assert err.value.clause == "origin_in_support"
 
     def test_rejects_single_monomial(self):

@@ -23,6 +23,8 @@ from mldhat import cli, oracle
 from mldhat.lattice import LimitError
 from mldhat.oracle import (
     OracleError,
+    _collapse,
+    _compile_equation,
     _divmod,
     _expand_single_monomial,
     _nonzero_roots,
@@ -394,6 +396,92 @@ class TestStaircaseBlocks:
         for trials in (block - 1, block, block + 1, 2 * block + 1):
             args = (s, alpha, m, prime, trials, trials)
             assert staircase_verify(*args) == reference_staircase_verify(*args)
+
+    def test_first_chain_coefficient_is_not_read_where_that_chain_is_empty(self):
+        # n0' = n0 = 12, so every step is on the second chain; over F_3 the
+        # solve variable x2 enters the initial form a0 x1^2 x2^3 + a1 x1^4
+        # only cubed, so f' = 0 at every root and still every trial succeeds
+        s = validate_support([(0, 4, 2), (3, 0, 4), (0, 4, 0), (0, 2, 3)])
+        alpha = (2, 3, 2)
+        cert, pivots = _pivot_schedule(s, alpha, 5)
+        assert cert.pivot_order == min(pivots) == 12
+        args = (s, alpha, 5, 3, 20, 0)
+        result = staircase_verify(*args)
+        assert result == reference_staircase_verify(*args)
+        assert (result.successes, result.failure_reasons) == (20, ())
+
+    @pytest.mark.parametrize("chain, equation", [(-2, 3), (-1, 4)])
+    def test_a_wrong_chain_inverse_fails_the_recheck(self, monkeypatch, chain, equation):
+        # both chains are nonempty: G_3 is solved on the first, G_4 and G_5 on the second
+        blocks = []
+        monkeypatch.setattr(oracle, "_solve_block", lambda *block: blocks.append(block))
+        staircase_verify(validate_support(QUADRATIC_FORM[0]), QUADRATIC_FORM[1], 5, 101, 20, 0)
+        monkeypatch.undo()
+        [(rows, steps, checks, prime)] = blocks
+        oracle._solve_block(rows, steps, checks, prime)  # the rows as recorded pass
+        for row in rows:
+            row[chain] = row[chain] % (prime - 1) + 1
+        with pytest.raises(AssertionError, match=rf"^staircase produced a non-solution at equation {equation}$"):
+            oracle._solve_block(rows, steps, checks, prime)
+
+    @staticmethod
+    def chain_coefficients_agree(support, alpha, m, rng):
+        """Check each step's pivot coefficient at random values; returns the steps checked per chain.
+
+        On the first chain it is the derivative of the initial form in the
+        solve variable at the lowest values, and on the second the pivot
+        derivative g there.
+        """
+        cert, pivots = _pivot_schedule(support, alpha, m)
+        n0 = min(pivots)
+        jp = pivots[n0][0]
+        window = [(j, u) for j in range(support.num_vars) for u in range(alpha[j], m + 1)]
+        slot = {var: s for s, var in enumerate(window)}
+        per_monomial = [_expand_single_monomial(e, alpha, m, max(pivots)) for e in support.exponents]
+        for prime in (3, 5, 7, 101):
+            values = [rng.randrange(prime) for _ in window]
+            coeffs = [rng.randrange(1, prime) for _ in support.exponents]
+            lowest = [values[slot[(j, a)]] for j, a in enumerate(alpha)]
+            derivative = 0
+            for mult, i, expo in cert.initial_form.terms:
+                if expo[jp]:
+                    lowered = [e - (j == jp) for j, e in enumerate(expo)]
+                    derivative += mult * coeffs[i] * expo[jp] * math.prod(map(pow, lowest, lowered))
+            derivative %= prime
+            g = cert.pivot_coefficient.evaluate(coeffs, lowest, prime)
+            for k in range(n0 + 1, max(pivots) + 1):
+                plan, _, _ = _compile_equation(per_monomial, k, pivots[k], slot, prime)
+                linear = _collapse(plan, (values + coeffs).__getitem__, prime)[1]
+                expected = derivative if k <= cert.pivot_order else g
+                assert linear == expected, (support, alpha, m, prime, k)
+        return cert.pivot_order - n0, max(pivots) - cert.pivot_order
+
+    def test_each_chain_has_one_pivot_coefficient(self):
+        rng = random.Random(25)
+        pool = json.loads((PERFBENCH / "pool.json").read_text(encoding="utf-8"))
+        cases = [(validate_support(pair["support"]), tuple(pair["alpha"])) for pair in pool["oracle_pairs"]]
+        while len(cases) < 440:
+            nv = rng.randint(2, 3)
+            rows = {tuple(rng.randint(0, 4) for _ in range(nv)) for _ in range(rng.randint(2, 4))}
+            rows.discard((0,) * nv)
+            if len(rows) < 2:
+                continue
+            s = raw_support(rows)
+            alpha = tuple(rng.randint(1, 3) for _ in range(nv))
+            if is_feasible(s, alpha):
+                cases.append((s, alpha))
+        # random supports seldom have a first chain; a binary form of degree
+        # d plus z of order above d always has one, of length alpha_z - d
+        while len(cases) < 540:
+            d = rng.randint(2, 4)
+            form = {(a, d - a, 0) for a in rng.sample(range(d + 1), rng.randint(2, d + 1))}
+            cases.append((raw_support(form | {(0, 0, 1)}), (1, 1, d + rng.randint(1, 2))))
+        first = second = 0
+        for s, alpha in cases:
+            for m in range(max(alpha) + 1, max(alpha) + 4):
+                on_first, on_second = self.chain_coefficients_agree(s, alpha, m, rng)
+                first, second = first + on_first, second + on_second
+        assert min(first, second) > 400, (first, second)
 
     def test_memory_is_bounded_by_the_block(self):
         def peak(trials):
