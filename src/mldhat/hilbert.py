@@ -19,6 +19,16 @@ irreducible u lies below it.
 Both searches over lattice points, this one and the toric candidates,
 walk the cells with `cell_walk` and keep minimal elements with
 `FacetValues.minimal_elements`, exactly, in packed facet-value coordinates.
+The walk of a cell T (`_numerators`) keeps one running packed sum
+S = sum_i frac_i * P(t_i) of the current point's numerators frac and the
+packed rays P(t_i), so each point costs one big-integer addition, and one
+subtraction when a numerator wraps; the point is S // |det T|.  S stays
+exactly that sum: the moves add columns reduced mod |det T|, so each
+numerator wraps at most once per move and each wrap subtracts
+|det T| * P(t_i); the walk steps only the Hermite digits above 1, as the
+others only take 0.  So the points, their order, each point's first
+(T, frac) and the reports are those of the full odometer with one fold
+per point.
 """
 
 from __future__ import annotations
@@ -56,15 +66,42 @@ def _numerators(rays):
     independent exactly when every pivot of H lies on its diagonal.  Then H
     is the Hermite form of T, |det T| is the product of its diagonal, and
     back-substitution in H C = |det T| U gives the integer matrix
-    C = |det T| T^-1.  For a dependent T the result is None.
+    C = |det T| T^-1, whose rows the walk reads from the first j with
+    H_jj > 1 on.  For a dependent T the result is None.
 
     For independent rays the half-open parallelepiped {sum l_i t_i :
     0 <= l_i < 1} holds one lattice point per coset of the sublattice T
-    spans.  The walk yields, for each, the numerators frac with
-    l_i = frac_i / |det T|: an odometer over the coordinate box on the
-    diagonal of H (a transversal of the quotient) keeps q = sum_j x_j C_j
-    for the box point x, and frac = q mod |det T| folds x into the
-    parallelepiped.
+    spans, and the box 0 <= x_j < H_jj on the diagonal of H is a
+    transversal of the cosets.  The point of the coset of x has
+    l_i = frac_i / |det T| with frac = x C mod |det T|.  `walk(packed)`,
+    for packed images P(t_i) of the rays, visits the box in odometer order,
+    the last digit fastest, and yields for each point (q, S): its
+    numerators frac packed as `unpack_numerators` reads them, and
+    S = sum_i frac_i * P(t_i).
+
+    * A digit j with H_jj = 1 only ever takes 0, so the odometer has a
+      digit only for each j with H_jj > 1, and the points come in the
+      order of the full box.
+    * A move raises one digit by 1 and sets every later digit back to 0.
+      It adds to frac a fixed column: the row of C for the digit, minus
+      H_kk - 1 times the row of C for each later digit k, all taken
+      mod |det T|.  To S it adds that column's packed sum.
+    * frac_i and the column's entry are both below |det T|, so their sum
+      is below 2 |det T|: a single wrap, subtracting |det T| from frac_i
+      and |det T| * P(t_i) from S, reduces it.  So frac is exactly
+      x C mod |det T|, and S exactly sum_i frac_i * P(t_i), at every
+      point.
+
+    The walk keeps q and S in one integer x, S above q, with every
+    numerator field biased by 2^(w - 1) - |det T| for the field width w of
+    q: a field's top bit is then set after a move exactly when it must
+    wrap.  Each ray lifts to P(t_i) above its numerator unit, so that
+    x = bias + sum_i frac_i * lift_i, and a move or a wrap is one packed
+    addition.  Each point costs the addition of its packed move, a mask
+    for the top bits and, when one is set, the subtraction of the wraps.
+    After the last point, the move that sets every digit back to 0 must
+    bring x back to the bias, the first point; the walk raises
+    AssertionError if it does not.
     """
     n = len(rays)
     h = row_hermite([(*r, *(int(i == j) for j in range(n))) for i, r in enumerate(rays)])
@@ -72,36 +109,73 @@ def _numerators(rays):
     if not all(diag):
         return None
     absdet = prod(diag)
+    # back-substitution from the last row of C up to the first digit with
+    # H_jj > 1, as the walk reads no row above it
+    first = next((j for j in range(n) if diag[j] > 1), n)
     cols = [None] * n
-    for i in reversed(range(n)):
+    moves = []  # (column, radix H_jj) for each digit j with H_jj > 1, last digit first
+    back = [0] * n  # sum over the later digits k of (H_kk - 1) C_k
+    for i in reversed(range(first, n)):
         row = [absdet * x for x in h[i][n:]]
         for j in range(i + 1, n):
             row = [a - h[i][j] * b for a, b in zip(row, cols[j])]
-        cols[i] = [a // diag[i] for a in row]
+        cols[i] = col = [a // diag[i] for a in row]
+        if diag[i] > 1:
+            moves.append(([(c - b) % absdet for c, b in zip(col, back)], diag[i]))
+            back = [b + (diag[i] - 1) * c for b, c in zip(back, col)]
+    closing = [-b % absdet for b in back]  # every digit back to 0
+    # q packs numerator i in bits [i * width, (i + 1) * width), biased so
+    # that a field's top bit is set exactly when it has reached |det T|
+    width = absdet.bit_length() + 1
+    top = 1 << (width - 1)
+    above = n * width  # S sits above q
+    units = [1 << s for s in range(0, above, width)]
+    ones = sum(units)
+    bias, guard, mask = (top - absdet) * ones, top * ones, (1 << above) - 1
 
-    def walk():
-        t = [0] * n
-        q = [0] * n
-        while True:
-            yield [x % absdet for x in q]
-            j = n - 1
-            while j >= 0:
-                t[j] += 1
-                if t[j] < diag[j]:
-                    col = cols[j]
-                    for i in range(n):
-                        q[i] += col[i]
-                    break
-                t[j] = 0
-                col = cols[j]
-                back = diag[j] - 1
-                for i in range(n):
-                    q[i] -= back * col[i]
-                j -= 1
-            if j < 0:
-                return
+    def walk(packed):
+        lifts = [(p << above) + unit for p, unit in zip(packed, units)]
+        sequence = []  # the packed move after each point, in odometer order
+        for column, radix in moves:
+            sequence += ([sum(map(mul, column, lifts))] + sequence) * (radix - 1)
+        sequence.append(sum(map(mul, closing, lifts)))
+        wraps = {}  # top bits set -> |det T| times the lifts of those fields
+        x = bias
+        for move in sequence:
+            yield (x & mask) - bias, x >> above
+            x += move
+            g = x & guard
+            if g:
+                wrap = wraps.get(g)
+                if wrap is None:
+                    wrap = wraps[g] = absdet * sum(r for r, unit in zip(lifts, units) if g & top * unit)
+                x -= wrap
+        if x != bias:
+            raise AssertionError(f"the walk of {rays} does not return to its first point")
 
-    return absdet, walk()
+    return absdet, walk
+
+
+def unpack_numerators(q, absdet, n) -> list[int]:
+    """The numerators frac_0..frac_{n-1} of a point of a cell T, packed in q.
+
+    frac_i sits in bits [i * w, (i + 1) * w), w = |det T|.bit_length() + 1:
+    the numerators lie in [0, |det T|], below 2^(w - 1).
+    """
+    width = absdet.bit_length() + 1
+    field = (1 << width) - 1
+    return [(q >> s) & field for s in range(0, n * width, width)]
+
+
+def numerator_fields(absdet, n) -> list[tuple[int, int]]:
+    """(mask, |det T| in it) for each numerator field of `unpack_numerators`.
+
+    frac_i is 0 exactly when q & mask_i is 0, and adding the second entry
+    then raises frac_i to |det T|.
+    """
+    width = absdet.bit_length() + 1
+    field = (1 << width) - 1
+    return [(field << s, absdet << s) for s in range(0, n * width, width)]
 
 
 def _fold(rays, frac, absdet) -> tuple[int, ...]:
@@ -126,15 +200,16 @@ def _check_distinct(points, absdet):
 def parallelepiped_points(rays) -> list[tuple[int, ...]]:
     """Lattice points of {sum l_i r_i : 0 <= l_i < 1} for independent rays.
 
-    The numerators of `_numerators`, each folded into its point.
+    The numerators of `_numerators`' walk, each folded into its point; the
+    walk runs on zero packed rays, as no packed sum is wanted here.
     """
     if any(len(r) != len(rays) for r in rays):
         raise LatticeError("parallelepiped needs as many rays as their rank")
-    walk = _numerators(rays)
-    if walk is None:
+    cell = _numerators(rays)
+    if cell is None:
         raise LatticeError("parallelepiped needs linearly independent rays")
-    absdet, numerators = walk
-    points = [_fold(rays, frac, absdet) for frac in numerators]
+    absdet, walk = cell
+    points = [_fold(rays, unpack_numerators(q, absdet, len(rays)), absdet) for q, _ in walk([0] * len(rays))]
     _check_distinct(set(points), absdet)
     return points
 
@@ -187,9 +262,12 @@ class FacetValues:
                 elements.append(u)
         return elements
 
-    def point(self, rays, frac, absdet, u) -> tuple[int, ...]:
-        """The point sum_i frac_i * rays_i / |det T|; raise unless it has the values packed in u."""
-        point = _fold(rays, frac, absdet)
+    def point(self, rays, q, absdet, u) -> tuple[int, ...]:
+        """The point sum_i frac_i * rays_i / |det T|; raise unless it has the values packed in u.
+
+        q packs the numerators frac as `unpack_numerators` reads them.
+        """
+        point = _fold(rays, unpack_numerators(q, absdet, len(rays)), absdet)
         if [pairing(g, point) for g in self.forms] != [
             (u >> (k * self.width)) & self.field for k in range(len(self.forms))
         ]:
@@ -202,25 +280,31 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
 
     The cells are those of `cones.pulling_triangulation(cone)`, walked one
     at a time, so that the points of one cell are held at once; each comes
-    as (T, |det T|, packed rays of T, {packed point: numerators}).  A point
-    with numerators frac packs to sum_i frac_i * P(t_i) // |det T|, since
-    P is linear and no field of the sum overflows.
+    as (T, |det T|, packed rays of T, {packed point: packed numerators}),
+    the numerators as `unpack_numerators` reads them.  A point with
+    numerators frac packs to S // |det T| with S = sum_i frac_i * P(t_i),
+    since P is linear and no field of the sum overflows.  S is the running
+    sum of the cell's walk (`_numerators`), and it stays exactly that sum:
+    every move adds reduced columns, below |det T|, so each numerator
+    wraps at most once per move, and the walk skips only digits that take
+    0 alone.  So the points come in the order of the full odometer, each
+    keeps the same first (T, frac), and the reports do not change.
 
     With `max_points` set, a LimitError names the stage as soon as the
     triangulation passes the limit, and before any point is built when the
     stage's scale * sum_T |det T| points exceed it.  Checks, each raising:
     every cell is independent, every packed fold divides exactly and leaves
-    the top bits of each field clear, and every cell gives |det T| distinct
-    points.
+    the top bits of each field clear, every cell gives |det T| distinct
+    points, and every walk ends where it began (`_numerators`).
     """
     walks = []
     for count, T in enumerate(pulling_triangulation(cone), 1):
         if max_points is not None and count > max_points:
             raise LimitError(f"{stage}: cell {count} of the triangulation exceeds the limit ({max_points})")
-        walk = _numerators(T)
-        if walk is None:
+        cell = _numerators(T)
+        if cell is None:
             raise AssertionError(f"cell {T} is not linearly independent")
-        walks.append((T, *walk))
+        walks.append((T, *cell))
     if max_points is not None:
         estimate = scale * sum(absdet for _, absdet, _ in walks)
         if estimate > max_points:
@@ -241,14 +325,14 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
     packed = {t: coords.pack(v + [sum(v)]) for t, v in values.items()}
 
     def cells():
-        for T, absdet, numerators in walks:
+        for T, absdet, walk in walks:
             rays = [packed[t] for t in T]
             points = {}
-            for frac in numerators:
-                u, rest = divmod(sum(map(mul, frac, rays)), absdet)
+            for q, s in walk(rays):
+                u, rest = divmod(s, absdet)
                 if rest or u & high:
                     raise LatticeError("parallelepiped fold produced a non-lattice point")
-                points[u] = frac
+                points[u] = q
             _check_distinct(points, absdet)
             yield T, absdet, rays, points
 
@@ -265,20 +349,20 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     The candidates of the module docstring, packed by `cell_walk`: the rays
     of `dual` and the half-open parallelepiped points of its cells, with 0
     removed; deduplicating on the packed integer deduplicates points.  Each
-    remembers the first (T, frac) that gave it, a ray t the origin
-    ((t,), (1,), 1), and each minimal one becomes its point by one fold
-    from there, with no second solve.
+    remembers the first (T, packed numerators, |det T|) that gave it, a ray
+    t the origin ((t,), 1, 1), and each minimal one becomes its point by
+    one fold from there, with no second solve.
     """
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
     coords, cells = cell_walk(dual, max_points, "hilbert parallelepiped points")
-    origin = {}  # packed value -> (T, frac, |det T|)
+    origin = {}  # packed value -> (T, packed numerators, |det T|)
     for T, absdet, rays, points in cells:
         for t, p in zip(T, rays):  # every ray lies in a cell
-            origin.setdefault(p, ((t,), (1,), 1))
-        for u, frac in points.items():
+            origin.setdefault(p, ((t,), 1, 1))
+        for u, q in points.items():
             if u not in origin:
-                origin[u] = (T, frac, absdet)
+                origin[u] = (T, q, absdet)
     origin.pop(0, None)
     elements = [coords.point(*origin[u], u) for u in coords.minimal_elements(origin)]
     return HilbertBasis(dual=dual, elements=tuple(sorted(elements)))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from .cones import Cone, ConeError, FaceSpec, dual_cone, face_chart
 from .cones import enumerate_lattice_points  # not called here; perfbench/tracing.py wraps this name
-from .hilbert import HilbertBasis, cell_walk, hilbert_basis
+from .hilbert import HilbertBasis, cell_walk, hilbert_basis, numerator_fields
 from .lattice import LatticeError, as_vector, pairing
 from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
@@ -133,13 +133,14 @@ def _candidate_points(cone: Cone, max_points: int | None):
     """
     coords, cells = cell_walk(cone, max_points, "toric candidates", scale=2**cone.ambient_rank)
     guard, ones = coords.guard, coords.ones
-    origin = {}  # packed interior point -> (T, frac, |det T|)
+    origin = {}  # packed interior point -> (T, packed numerators, |det T|)
     for T, absdet, rays, points in cells:
-        for u, frac in points.items():
-            closed = [(u, frac)]
-            for j, (f, r) in enumerate(zip(frac, rays)):
-                if f == 0:
-                    closed += [(a + r, c[:j] + [absdet] + c[j + 1 :]) for a, c in closed]
+        fields = list(zip(rays, numerator_fields(absdet, len(T))))
+        for u, q in points.items():
+            closed = [(u, q)]
+            for r, (mask, full) in fields:
+                if not q & mask:
+                    closed += [(a + r, c + full) for a, c in closed]
             for a, c in closed:
                 # every facet value at least 1: no field loses its guard bit
                 if a not in origin and ((a | guard) - ones) & guard == guard:

@@ -22,7 +22,8 @@ degree 3 and up still takes).
 
 `reference_walks` is the all-subsets walk both lattice-point searches made
 before they walked the cells of one pulling triangulation: every
-independent n-subset of the rays, decomposed by `_numerators`.
+independent n-subset of the rays, decomposed by `_numerators`, with its
+numerators unpacked by `numerator_lists`.
 `reference_hilbert_basis` sieves the rays and the half-open parallelepiped
 points of those subsets pairwise, in grading order, as coordinate vectors.
 `reference_candidate_points` is the toric candidate set as it was before
@@ -106,7 +107,7 @@ from mldhat.oracle import (
     _trim,
     _window_orders,
 )
-from mldhat.hilbert import _check_distinct, _fold, _numerators, parallelepiped_points
+from mldhat.hilbert import _check_distinct, _fold, _numerators, parallelepiped_points, unpack_numerators
 from mldhat.toric import SpanningWitness, ToricMldReport, spanning_cost_greedy
 
 
@@ -287,9 +288,18 @@ def reference_nonzero_roots(f, prime, rng):
     return roots
 
 
+def numerator_lists(rays):
+    """|det T| and the numerators of the points of `_numerators`' walk, as lists; None for a dependent T."""
+    cell = _numerators(rays)
+    if cell is None:
+        return None
+    absdet, walk = cell
+    return absdet, [unpack_numerators(q, absdet, len(rays)) for q, _ in walk([0] * len(rays))]
+
+
 def reference_walks(vectors, n):
-    """(T, |det T|, numerator walk) for every independent n-subset T of `vectors`."""
-    return [(T, *w) for T in itertools.combinations(vectors, n) if (w := _numerators(T))]
+    """(T, |det T|, numerator lists) for every independent n-subset T of `vectors`."""
+    return [(T, *w) for T in itertools.combinations(vectors, n) if (w := numerator_lists(T))]
 
 
 def reference_hilbert_basis(dual):

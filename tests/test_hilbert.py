@@ -2,14 +2,25 @@ import itertools
 import json
 import pathlib
 import random
+from math import gcd
+from operator import mul
 
 import pytest
 
 from mldhat import hilbert
 from mldhat.cones import Cone, ConeError, dual_cone
-from mldhat.hilbert import FacetValues, _numerators, hilbert_basis, parallelepiped_points
+from mldhat.hilbert import FacetValues, _numerators, hilbert_basis, parallelepiped_points, unpack_numerators
 from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, row_hermite, vec_sub
-from reference_kernels import contains, determinant, reference_hilbert_basis, reference_numerators, reference_walks
+from mldhat.toric import minimize_spanning_cost
+from reference_kernels import (
+    adjugate,
+    contains,
+    determinant,
+    numerator_lists,
+    reference_hilbert_basis,
+    reference_numerators,
+    reference_walks,
+)
 
 
 def _grading_point(dual):
@@ -134,13 +145,37 @@ class TestNumeratorKernel:
             signs[(d > 0) - (d < 0)] += 1
             if abs(d) > 3000:
                 continue
-            walk = _numerators(rays)
+            walk = numerator_lists(rays)
             if d == 0:
                 assert walk is None, rays
                 continue
             absdet, numerators = walk
             assert (absdet, list(numerators)) == reference_numerators(rays), rays
         assert all(signs.values()), signs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_running_sum_matches_reference(self, n):
+        # the walk against reference_numerators, in order, and its running
+        # sum against the fold of each point's numerators, on random packed rays
+        rng = random.Random(950 + n)
+        multi_digit = non_cyclic = 0
+        for _ in range(200):
+            rays = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n)]
+            d = determinant(rays)
+            if d == 0 or abs(d) > 3000:
+                continue
+            absdet, walk = _numerators(rays)
+            packed = [rng.getrandbits(rng.choice([1, 8, 64, 200])) for _ in range(n)]
+            points = [(unpack_numerators(q, absdet, n), s) for q, s in walk(packed)]
+            assert (absdet, [frac for frac, _ in points]) == reference_numerators(rays), rays
+            assert [s for _, s in points] == [sum(map(mul, frac, packed)) for frac, _ in points], (rays, packed)
+            # the walk steps the Hermite digits above 1 only
+            hermite = row_hermite(rays)
+            multi_digit += sum(hermite[i][i] > 1 for i in range(n)) >= 2
+            # Z^n / T Z^n is not cyclic when the (n - 1)-minors share a factor
+            non_cyclic += gcd(*(x for row in adjugate(rays) for x in row)) > 1
+        if n > 1:
+            assert multi_digit >= 40 and non_cyclic >= 5, (multi_digit, non_cyclic)
 
     def test_one_hermite_form_per_cell(self, monkeypatch):
         # the only elimination left is row_hermite, called once per cell of
@@ -167,8 +202,20 @@ class TestCellWalkChecks:
 
     @staticmethod
     def plant(monkeypatch, numerators):
+        # a walk over the given numerators, each with its exact running sum
         original = hilbert._numerators
-        monkeypatch.setattr(hilbert, "_numerators", lambda rays: (original(rays)[0], iter(numerators)))
+
+        def planted(rays):
+            absdet = original(rays)[0]
+            width = absdet.bit_length() + 1
+
+            def walk(packed):
+                for frac in numerators:
+                    yield sum(f << (i * width) for i, f in enumerate(frac)), sum(map(mul, frac, packed))
+
+            return absdet, walk
+
+        monkeypatch.setattr(hilbert, "_numerators", planted)
 
     def test_dependent_cell(self, monkeypatch):
         monkeypatch.setattr(hilbert, "pulling_triangulation", lambda cone: iter([((1, 0), (1, 0))]))
@@ -185,11 +232,37 @@ class TestCellWalkChecks:
         with pytest.raises(LatticeError, match="non-lattice point"):
             hilbert_basis(self.WEDGE)
 
+    def test_skipped_wrap(self, monkeypatch):
+        # a running sum that misses |det T| * P(t_i) at every wrap of
+        # numerator i: each point moves up by the rays that wrapped so far,
+        # until its facet values reach the top bits of their fields
+        original = hilbert._numerators
+
+        def planted(rays):
+            absdet, walk = original(rays)
+
+            def drifting(packed):
+                drift, last = 0, [0] * len(rays)
+                for q, s in walk(packed):
+                    frac = unpack_numerators(q, absdet, len(rays))
+                    drift += sum(absdet * p for f, e, p in zip(frac, last, packed) if f < e)
+                    last = frac
+                    yield q, s + drift
+
+            return absdet, drifting
+
+        monkeypatch.setattr(hilbert, "_numerators", planted)
+        wedge = Cone.from_generators(2, [(1, 0), (1, 20)])  # one cell, |det| = 20
+        for search in (hilbert_basis, minimize_spanning_cost):
+            with pytest.raises(LatticeError, match="non-lattice point"):
+                search(wedge)
+
     def test_point_that_misses_its_facet_values(self):
+        # numerators (1, 1) and (1, 2) of the unit rays, packed two bits apart
         coords = FacetValues([(1, 0), (0, 1)], 10)
         with pytest.raises(AssertionError, match="does not reproduce its facet values"):
-            coords.point(((1, 0), (0, 1)), [1, 1], 1, coords.pack([1, 2]))
-        assert coords.point(((1, 0), (0, 1)), [1, 2], 1, coords.pack([1, 2])) == (1, 2)
+            coords.point(((1, 0), (0, 1)), 1 + (1 << 2), 1, coords.pack([1, 2]))
+        assert coords.point(((1, 0), (0, 1)), 1 + (2 << 2), 1, coords.pack([1, 2])) == (1, 2)
 
 
 class TestHilbertBasis:

@@ -300,6 +300,32 @@ class TestStaircasePlans:
             compared += 1
         assert reasons == {"no_nonzero_root", "pivot_derivative_vanishes"}
 
+    def test_matches_reference_on_first_chain_supports(self):
+        # random supports seldom have a first chain (n0' > n0); a binary form
+        # of degree d plus z of order above d has one, and z times x and y
+        # in place of z alone makes the pivot derivative g vary
+        rng = random.Random(26)
+        reasons = set()
+        first_chain = compared = 0
+        while compared < 60:
+            d = rng.randint(2, 4)
+            form = {(a, d - a, 0) for a in rng.sample(range(d + 1), rng.randint(2, d + 1))}
+            s = raw_support(form | rng.choice([{(0, 0, 1)}, {(1, 0, 1), (0, 1, 1)}]))
+            alpha = (1, 1, d + rng.randint(1, 2))
+            if not is_feasible(s, alpha):
+                continue
+            m = max(alpha) + rng.randint(0, 3)
+            args = (s, alpha, m, rng.choice([3, 5, 7, 11, 101]), 12, compared)
+            result = staircase_verify(*args)
+            assert result == reference_staircase_verify(*args), args
+            reasons.update(result.failure_reasons)
+            cert, pivots = _pivot_schedule(s, alpha, m)
+            # a trial that passed solved the first chain's steps
+            first_chain += cert.pivot_order > min(pivots) and result.successes > 0
+            compared += 1
+        assert first_chain >= 20, first_chain
+        assert reasons == {"no_nonzero_root", "pivot_derivative_vanishes", "linear_pivot_coefficient_vanishes"}
+
     def test_failure_reasons(self):
         s = validate_support([(0, 1, 2), (2, 0, 1), (3, 0, 0)])
         result = staircase_verify(s, (2, 2, 2), m=4, prime=5, trials=10, seed=0)
