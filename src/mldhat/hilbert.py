@@ -16,7 +16,7 @@ basis.  The basis is then the set of minimal nonzero candidates under
 candidate, below it, and no nonzero lattice point of D other than an
 irreducible u lies below it.
 
-Both searches over lattice points, this one and the toric candidates,
+Both searches over lattice points, this one and `interior_candidates`,
 walk the cells with `cell_walk` and keep minimal elements with
 `FacetValues.minimal_elements`, exactly, in packed facet-value coordinates.
 The walk of a cell T (`_numerators`) keeps one running packed sum
@@ -48,14 +48,6 @@ class HilbertBasis:
 
     dual: Cone
     elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return self.dual.ambient_rank
-
-    def is_interior_point(self, a) -> bool:
-        """Is a in the topological interior of the primal cone?"""
-        return all(pairing(u, a) > 0 for u in self.dual.generators)
 
 
 def _numerators(rays):
@@ -165,17 +157,6 @@ def unpack_numerators(q, absdet, n) -> list[int]:
     width = absdet.bit_length() + 1
     field = (1 << width) - 1
     return [(q >> s) & field for s in range(0, n * width, width)]
-
-
-def numerator_fields(absdet, n) -> list[tuple[int, int]]:
-    """(mask, |det T| in it) for each numerator field of `unpack_numerators`.
-
-    frac_i is 0 exactly when q & mask_i is 0, and adding the second entry
-    then raises frac_i to |det T|.
-    """
-    width = absdet.bit_length() + 1
-    field = (1 << width) - 1
-    return [(field << s, absdet << s) for s in range(0, n * width, width)]
 
 
 def _fold(rays, frac, absdet) -> tuple[int, ...]:
@@ -366,3 +347,51 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     origin.pop(0, None)
     elements = [coords.point(*origin[u], u) for u in coords.minimal_elements(origin)]
     return HilbertBasis(dual=dual, elements=tuple(sorted(elements)))
+
+
+def interior_candidates(cone: Cone, max_points: int | None) -> list[tuple[int, ...]]:
+    """The minimal interior lattice points of the closed cell parallelepipeds.
+
+    The closed parallelepipeds are {sum_{v in T} c_v v : 0 <= c_v <= 1}
+    over the cells T of `cones.pulling_triangulation(cone)`, and every
+    minimal interior lattice point of `cone` lies in one.  An interior
+    point a lies in the relative interior of a face of a cell T, spanned by
+    the rays S with positive coefficient c_v; that face is interior, since
+    each dual ray pairs positively with a, hence with some v in S.
+    Subtracting w = sum_S (ceil(c_v) - 1) v leaves coefficients in (0, 1]
+    on S and 0 off S: the same support, so a - w is interior, and it lies
+    in the closed parallelepiped of T; for a minimal a, w = 0.  Closed
+    matters: on the cone over the unit square, rays (0,0,1), (1,0,1),
+    (0,1,1), (1,1,1), the only minimal interior point (1,1,2) lies on the
+    diagonal wall between the two cells, and the points with every
+    coefficient in (0, 1] give the toric lambda 1 instead of 0.  A closed
+    parallelepiped point is p + sum_J v for a half-open point p and rays J
+    on which p has coefficient 0, so there are at most 2^n sum_T |det T|,
+    the scale of the `max_points` estimate.  The coefficient numerators of
+    p come from the same walk that folds p, so a zero coefficient is read
+    off the walk.
+
+    Each closed point is packed from its half-open point by adding the
+    packed rays J, tested for interior on its packed facet values, and
+    remembers the first (T, numerators) that gave it, a ray of J with
+    numerator |det T|; each minimal point is folded from there and must
+    reproduce its facet values.
+    """
+    coords, cells = cell_walk(cone, max_points, "toric candidates", scale=2**cone.ambient_rank)
+    guard, ones = coords.guard, coords.ones
+    origin = {}  # packed interior point -> (T, packed numerators, |det T|)
+    for T, absdet, rays, points in cells:
+        # numerator i in bits [i * width, (i + 1) * width), as `unpack_numerators` reads it
+        width = absdet.bit_length() + 1
+        field = (1 << width) - 1
+        fields = [(r, field << s, absdet << s) for r, s in zip(rays, range(0, len(T) * width, width))]
+        for u, q in points.items():
+            closed = [(u, q)]
+            for r, mask, full in fields:
+                if not q & mask:
+                    closed += [(a + r, c + full) for a, c in closed]
+            for a, c in closed:
+                # every facet value at least 1: no field loses its guard bit
+                if a not in origin and ((a | guard) - ones) & guard == guard:
+                    origin[a] = (T, c, absdet)
+    return [coords.point(*origin[a], a) for a in coords.minimal_elements(origin)]

@@ -31,6 +31,15 @@ and nested, so scanning B = 0, 1, 2, ... and stopping at the first layer
 holding a tuple with Obj <= B is exhaustive: that layer holds every tuple
 with Obj <= B, the previous one held none with Obj <= B - 1, so the
 minimum is B and the layer's tuples of value B are all the minimizers.
+Within a layer, fix the pivot j* and the other coordinates: monomial i
+then weighs c_i + s_i a at alpha_{j*} = a, with s_i = I^i_{j*}, a line
+in a.  A feasible a attains the minimum weight at two monomials i != k,
+so c_i + s_i a = c_k + s_k a: when s_i != s_k, a is the crossing
+(c_k - c_i) / (s_i - s_k) of the two lines, and when s_i = s_k the two
+lines coincide.  So the scan evaluates only the integer crossings a in
+1..top, top the bound on alpha_{j*} above, and all of 1..top when two of
+the lines coincide.  The crossings are at most N(N - 1)/2 for N
+monomials, whatever the size of the exponents.
 
 Existence.  The scan stops because a feasible tuple exists unless some
 monomial divides every other one.  If none does, the Newton polyhedron
@@ -51,6 +60,7 @@ is a single monomial, which f cannot divide) or the full torus-zero one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .lattice import LimitError, content, rank_of
@@ -270,9 +280,8 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
         raise SupportError(
             "infeasible", "one monomial divides every other one, so no tuple is feasible"
         )
-    # monomials whose weight bounds the pivot coordinate, per pivot
-    planes = [[e for e in exponents if e[j] == 0] for j in range(nv)]
-    if not all(planes):
+    # each coordinate plane holds a monomial, whose weight bounds the pivot
+    if not all(any(e[j] == 0 for e in exponents) for j in range(nv)):
         raise SupportError(
             "divisible",
             "every monomial is divisible by one variable; the scan needs a "
@@ -294,12 +303,18 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
             for rest in _small_tuples(nv - 1, layer):
                 orders = list(rest)
                 orders.insert(pivot, 0)
-                top = layer + min(
-                    sum(a * i for a, i in zip(orders, e)) for e in planes[pivot]
-                )
+                # (I^i_pivot, weight of I^i off the pivot): monomial i weighs
+                # c_i + s_i * a at orders[pivot] = a (module docstring)
+                lines = [(e[pivot], sum(a * i for a, i in zip(orders, e))) for e in exponents]
+                top = layer + min(c for s, c in lines if not s)
                 largest = max(largest, top)
                 base = sum(rest) - nv + 1
-                for a in range(1, top + 1):
+                if len(set(lines)) < len(lines):
+                    ties = range(1, top + 1)
+                else:
+                    ties = {q for (s, c), (t, d) in combinations(lines, 2) if s != t
+                            for q, r in [divmod(d - c, s - t)] if not r and 0 < q <= top}
+                for a in ties:
                     orders[pivot] = a
                     data = _evaluate(exponents, orders)
                     if data is not None and base + a - data.min_weight + data.pivot_gap <= layer:

@@ -34,6 +34,12 @@ parallelepipeds of every independent subset, and
 `reference_spanning_cost_greedy` is the greedy spanning cost with one full
 Hermite-form rank test per scanned basis element, as it was before the
 greedy kept an echelon form of the elements it has chosen.
+`is_interior_point` is the interior test that was a method of
+`HilbertBasis`: every dual ray pairs positively with the point.
+
+`reference_minimize_objective` is the layered tuple scan as it was
+before it evaluated only the orders of the pivot where two monomial
+weights tie: it evaluates every order 1..top.
 
 `reference_hypersurface_report` is the hypersurface report as it was
 before every report decided its certificate exactly: a first pass tries
@@ -70,6 +76,7 @@ then wrote the copy.
 import functools
 import itertools
 import random
+from math import comb
 
 from mldhat.cli import BIG, _is_big_integer_text
 from mldhat.cones import Cone, ConeError, FaceError, FaceSpec, dual_cone, face_chart
@@ -77,8 +84,12 @@ from mldhat.hypersurface import (
     ASSUMPTIONS,
     Certificate,
     HypersurfaceMldReport,
+    ObjectiveMinimum,
+    SupportError,
     _as_alpha,
     _divides_pivot_derivative,
+    _evaluate,
+    _small_tuples,
     certificate_data,
     is_feasible,
     minimize_objective,
@@ -86,6 +97,7 @@ from mldhat.hypersurface import (
 )
 from mldhat.lattice import (
     LatticeError,
+    LimitError,
     as_vector,
     express_in_basis,
     integer_kernel,
@@ -360,11 +372,16 @@ def reference_minimize_spanning_cost(cone, hb):
     )
 
 
+def is_interior_point(hb, a):
+    """Is a in the topological interior of the primal cone of the basis `hb`?"""
+    return all(pairing(u, a) > 0 for u in hb.dual.generators)
+
+
 def reference_spanning_cost_greedy(a, hb):
     """The greedy spanning cost with a fresh rank test of chosen + [u] for every u."""
-    n = hb.rank
+    n = hb.dual.ambient_rank
     a = as_vector(a, n)
-    if not hb.is_interior_point(a):
+    if not is_interior_point(hb, a):
         raise LatticeError("spanning cost needs an interior lattice point")
     ranked = sorted(hb.elements, key=lambda u: (pairing(u, a), u))
     chosen = []
@@ -502,6 +519,59 @@ def reference_equality_certificate(support, alpha, certify=False):
             kind = "torus_zero_criterion"
     status = "UNDECIDED" if kind is None else "CERTIFIED"
     return Certificate(status=status, kind=kind, alpha=orders, detail=detail)
+
+
+def reference_minimize_objective(support, max_points=None):
+    """The layered scan with every order 1..top of the pivot evaluated."""
+    exponents = support.exponents
+    nv = support.num_vars
+    if any(all(all(x <= y for x, y in zip(e, f)) for f in exponents) for e in exponents):
+        raise SupportError(
+            "infeasible", "one monomial divides every other one, so no tuple is feasible"
+        )
+    # monomials whose weight bounds the pivot coordinate, per pivot
+    planes = [[e for e in exponents if e[j] == 0] for j in range(nv)]
+    if not all(planes):
+        raise SupportError(
+            "divisible",
+            "every monomial is divisible by one variable; the scan needs a "
+            "monomial in each coordinate plane",
+        )
+    d_max = support.max_entry
+    largest = 0
+    layer = 0
+    while True:
+        if max_points is not None:
+            size = nv * comb(layer + nv - 1, nv - 1) * (layer + 1 + d_max * (layer + nv - 1))
+            if size > max_points:
+                raise LimitError(
+                    f"layer {layer} of the tuple scan holds up to {size} tuples, "
+                    f"over the limit ({max_points})"
+                )
+        found = set()
+        for pivot in range(nv):
+            for rest in _small_tuples(nv - 1, layer):
+                orders = list(rest)
+                orders.insert(pivot, 0)
+                top = layer + min(
+                    sum(a * i for a, i in zip(orders, e)) for e in planes[pivot]
+                )
+                largest = max(largest, top)
+                base = sum(rest) - nv + 1
+                for a in range(1, top + 1):
+                    orders[pivot] = a
+                    data = _evaluate(exponents, orders)
+                    if data is not None and base + a - data.min_weight + data.pivot_gap <= layer:
+                        found.add(tuple(orders))
+        if found:
+            minimizers = tuple(sorted(found))
+            return ObjectiveMinimum(
+                value=layer,
+                witness=minimizers[0],
+                box_bound=largest,
+                minimizers=minimizers,
+            )
+        layer += 1
 
 
 def reference_hypersurface_report(support, certify=False, max_points=None):

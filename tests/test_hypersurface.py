@@ -25,7 +25,9 @@ from mldhat.hypersurface import (
 )
 from mldhat.lattice import LimitError
 from mldhat.oracle import torus_point_sample
-from reference_kernels import reference_hypersurface_report
+from mldhat import hypersurface
+from reference_kernels import reference_hypersurface_report, reference_minimize_objective
+from test_cross_route import LAMBDA_POSITIVE_BINOMIALS, random_normal_binomials
 
 WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
 CURVE = validate_support([(2, 0), (0, 2), (1, 1), (0, 3)])
@@ -526,6 +528,61 @@ class TestReportAgainstTwoPasses:
             assert report == reference_hypersurface_report(s, certify=True, max_points=20000), s.exponents
             kinds.add(report.certificate.kind)
         assert kinds == {"monomial_criterion", "torus_zero_criterion", None}
+
+
+def scan_outcome(scan, support, max_points):
+    """The scan's `ObjectiveMinimum`, or the message of its LimitError."""
+    try:
+        return scan(support, max_points=max_points)
+    except LimitError as err:
+        return str(err)
+
+
+class TestScanAtTies:
+    """The scan that evaluates only the pivot orders where two weights tie,
+    against the one that evaluates every order 1..top."""
+
+    @staticmethod
+    def agree(supports, max_points=None):
+        for s in supports:
+            got = scan_outcome(minimize_objective, s, max_points)
+            assert got == scan_outcome(reference_minimize_objective, s, max_points), s.exponents
+
+    def test_regression_supports(self):
+        # the pool's supports and oracle pairs, and the ADE rows
+        self.agree([s for s, _ in regression_supports()])
+
+    def test_cross_route_binomials(self):
+        pairs = [(u, v) for u, v, _ in LAMBDA_POSITIVE_BINOMIALS] + random_normal_binomials(seed=2017, count=40)
+        self.agree([validate_support([u, v]) for u, v in pairs])
+
+    def test_random_supports(self):
+        rng = random.Random(27)
+        supports = []
+        for nvars in (2, 3, 4, 5):
+            while len(supports) < 100 * (nvars - 1):
+                s = random_integral_support(rng, nvars, 3, max_monomials=5)
+                if s.num_vars == nvars:
+                    supports.append(s)
+        self.agree(supports, max_points=20000)
+
+    def test_coinciding_lines(self):
+        # x^k and y^k weigh the same at alpha_x = alpha_y, whatever the
+        # pivot order, so those layers walk every order 1..top
+        family = [[(k, 0, 0), (0, k, 0), (0, 0, m)] for k in (2, 3, 5) for m in (2, 3, 7)]
+        family += [[(k, 0, 0, 0), (0, k, 0, 0), (0, 0, k, 0), (0, 0, 0, 2)] for k in (2, 3)]
+        family.append([(2, 1, 0), (1, 2, 0), (0, 0, 3)])
+        self.agree([validate_support(rows) for rows in family])
+
+    @pytest.mark.parametrize("exponent", [10**7, 10**20])
+    def test_large_exponent_takes_one_evaluation_per_crossing(self, monkeypatch, exponent):
+        # layer 0 has one tuple per pivot, and two monomials cross at most once
+        calls = []
+        evaluate = hypersurface._evaluate
+        monkeypatch.setattr(hypersurface, "_evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        result = minimize_objective(validate_support([(exponent, 0), (0, 1)]))
+        assert (result.value, result.minimizers, result.box_bound) == (0, ((1, exponent),), exponent)
+        assert len(calls) <= 2
 
 
 class TestBinomial:

@@ -14,11 +14,10 @@ from mldhat.cones import (
     dual_cone,
     enumerate_lattice_points,
 )
-from mldhat.hilbert import HilbertBasis, hilbert_basis
+from mldhat.hilbert import HilbertBasis, hilbert_basis, interior_candidates
 from mldhat.lattice import LatticeError, LimitError, as_vector, pairing, rank_of
 from mldhat.toric import (
     SpanningWitness,
-    _candidate_points,
     mld_at_point,
     minimize_spanning_cost,
     spanning_cost_greedy,
@@ -27,6 +26,7 @@ from reference_kernels import (
     contains,
     determinant,
     independent_subsets,
+    is_interior_point,
     reference_candidate_points,
     reference_minimize_spanning_cost,
     reference_spanning_cost_greedy,
@@ -42,9 +42,9 @@ SQUARE_CONE = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1
 
 def spanning_cost_bruteforce(a, hb: HilbertBasis, max_subsets=1_000_000) -> SpanningWitness:
     """Exhaustive minimum over all spanning subsets; the greedy oracle."""
-    n = hb.rank
+    n = hb.dual.ambient_rank
     a = as_vector(a, n)
-    if not hb.is_interior_point(a):
+    if not is_interior_point(hb, a):
         raise LatticeError("spanning cost needs an interior lattice point")
     s = len(hb.elements)
     count = 1
@@ -177,7 +177,7 @@ class TestGreedyEchelon:
             for a in candidates
             if not any(b != a and all(x >= y for x, y in zip(values[a], values[b])) for b in candidates)
         }
-        assert sorted(_candidate_points(cone, None)) == sorted(minimal), rays
+        assert sorted(interior_candidates(cone, None)) == sorted(minimal), rays
         assert minimize_spanning_cost(cone) == reference_minimize_spanning_cost(cone, hb), rays
 
     def test_pool_cones(self):
@@ -482,7 +482,7 @@ def reference_orbit_dimension(a, hb):
     their largest pairing with a: from jet level m = threshold on, the orbit
     of the order map of a has dimension exactly (m + 1) n - cost.
     """
-    n = hb.rank
+    n = hb.dual.ambient_rank
     costs = [
         (sum(pairing(u, a) for u in combo), max(pairing(u, a) for u in combo))
         for combo in independent_subsets(hb.elements, n)
