@@ -34,12 +34,20 @@ minimum is B and the layer's tuples of value B are all the minimizers.
 Within a layer, fix the pivot j* and the other coordinates: monomial i
 then weighs c_i + s_i a at alpha_{j*} = a, with s_i = I^i_{j*}, a line
 in a.  A feasible a attains the minimum weight at two monomials i != k,
-so c_i + s_i a = c_k + s_k a: when s_i != s_k, a is the crossing
-(c_k - c_i) / (s_i - s_k) of the two lines, and when s_i = s_k the two
-lines coincide.  So the scan evaluates only the integer crossings a in
-1..top, top the bound on alpha_{j*} above, and all of 1..top when two of
-the lines coincide.  The crossings are at most N(N - 1)/2 for N
-monomials, whatever the size of the exponents.
+so c_i + s_i a = c_k + s_k a.  The tie set of the pair is one integral
+crossing (c_k - c_i) / (s_i - s_k) when s_i != s_k, and all of 1..top,
+top the bound on alpha_{j*} above, when the two lines coincide.  Clipped
+to the interval where line i lies on or below every line, it is a set of
+feasible orders, and every feasible order of 1..top lies in the clipped
+tie set of a pair attaining its minimum.  On that interval n0 is line i
+and mu is a minimum of lines in a (each term alpha . I^i - alpha_j is
+one), so Obj is concave there: the orders with Obj > B form an interval,
+and those with Obj <= B a prefix and a suffix of the clipped one.
+The scan walks in from both ends while Obj <= B, the second walk
+stopping where the first one ended, so a pair costs at most 2
+evaluations beyond the orders it finds.  A layer that finds nothing thus
+makes at most (n + 1) C(B + n, n) N (N - 1) evaluations for N monomials,
+whatever the size of the exponents.
 
 Existence.  The scan stops because a feasible tuple exists unless some
 monomial divides every other one.  If none does, the Newton polyhedron
@@ -89,10 +97,6 @@ class Support:
     @property
     def dimension_of_hypersurface(self) -> int:
         return self.original_num_vars - 1
-
-    @property
-    def max_entry(self) -> int:
-        return max(max(e) for e in self.exponents)
 
 
 def _is_integer(x) -> bool:
@@ -268,11 +272,15 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
     """Global minimum of the objective over feasible tuples, with all minimizers.
 
     Scans the layers B = 0, 1, 2, ... described in the module docstring
-    and stops at the first one holding a tuple with Obj <= B.  The two
+    and stops at the first one holding a tuple with Obj <= B.  For each
+    pivot and each tuple of the other orders, each pair of monomials gives
+    the interval of pivot orders where the pair ties and its first line is
+    the minimum; Obj is concave there, so walking in from both ends while
+    Obj <= B finds every order of the interval with Obj <= B.  The two
     conditions the stopping argument needs are checked first: no monomial
     divides every other one, and each coordinate plane holds a monomial.
-    `max_points` bounds the estimated size of each layer before it is
-    scanned.
+    `max_points` bounds each layer's evaluations before it is scanned,
+    estimated as 2 per pair of monomials per tuple of the other orders.
     """
     exponents = support.exponents
     nv = support.num_vars
@@ -287,17 +295,13 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
             "every monomial is divisible by one variable; the scan needs a "
             "monomial in each coordinate plane",
         )
-    d_max = support.max_entry
-    largest = 0
-    layer = 0
+    largest = layer = 0
     while True:
         if max_points is not None:
-            size = nv * comb(layer + nv - 1, nv - 1) * (layer + 1 + d_max * (layer + nv - 1))
+            size = nv * comb(layer + nv - 1, nv - 1) * len(exponents) * (len(exponents) - 1)
             if size > max_points:
-                raise LimitError(
-                    f"layer {layer} of the tuple scan holds up to {size} tuples, "
-                    f"over the limit ({max_points})"
-                )
+                raise LimitError(f"layer {layer} of the tuple scan takes up to {size} "
+                                 f"evaluations, over the limit ({max_points})")
         found = set()
         for pivot in range(nv):
             for rest in _small_tuples(nv - 1, layer):
@@ -309,16 +313,32 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
                 top = layer + min(c for s, c in lines if not s)
                 largest = max(largest, top)
                 base = sum(rest) - nv + 1
-                if len(set(lines)) < len(lines):
-                    ties = range(1, top + 1)
-                else:
-                    ties = {q for (s, c), (t, d) in combinations(lines, 2) if s != t
-                            for q, r in [divmod(d - c, s - t)] if not r and 0 < q <= top}
-                for a in ties:
-                    orders[pivot] = a
-                    data = _evaluate(exponents, orders)
-                    if data is not None and base + a - data.min_weight + data.pivot_gap <= layer:
-                        found.add(tuple(orders))
+                ties = set()
+                for (s, c), (t, d) in combinations(lines, 2):
+                    # the pair ties at one crossing q, or everywhere if the lines coincide
+                    q, r = divmod(d - c, s - t) if s != t else (None, c - d)
+                    lo, hi = (1, 0) if r else (1, top) if q is None else (max(q, 1), min(q, top))
+                    # clip to the orders where line (s, c) lies on or below every line
+                    for u, e in lines if lo <= hi else ():
+                        if s > u:
+                            hi = min(hi, (e - c) // (s - u))
+                        elif s < u:
+                            lo = max(lo, -((e - c) // (u - s)))
+                        elif c > e:
+                            hi = 0
+                    ties.add((lo, hi))
+                for lo, hi in ties:
+                    # every order of [lo, hi] is feasible and Obj is concave
+                    # there: walk in from both ends while Obj <= layer
+                    for a, step in ((lo, 1), (hi, -1)):
+                        while lo <= a <= hi:
+                            orders[pivot] = a
+                            data = _evaluate(exponents, orders)
+                            if base + a - data.min_weight + data.pivot_gap > layer:
+                                break
+                            found.add(tuple(orders))
+                            a += step
+                        lo = a + 1  # the walk down stops where the walk up ended
         if found:
             minimizers = tuple(sorted(found))
             return ObjectiveMinimum(

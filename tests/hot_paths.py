@@ -4,8 +4,9 @@ Builds corpus seed N of both benchmark workloads with `perfbench/corpus.py`
 (default N = 4), runs every op in process through `mldhat.cli.main` under
 cProfile, and prints two tables:
 
-* for each op kind, the number of ops and of distinct `mldhat` functions
-  they call;
+* for each op kind, the number of ops, of distinct `mldhat` functions
+  they call and of calls to `mldhat.hypersurface._evaluate`, the kernel
+  the `hyper` scan runs once per candidate tuple;
 * for each module of `src/mldhat`, its lines and its code lines, without
   docstrings, comments or blank lines.
 
@@ -28,6 +29,7 @@ from collections import defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 
 import mldhat
+import mldhat.hypersurface
 from mldhat.cli import main
 
 PACKAGE = pathlib.Path(mldhat.__file__).parent
@@ -38,22 +40,35 @@ SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tok
 
 
 def functions_per_kind(seed):
-    """{op kind: (ops, distinct mldhat functions called)} over corpus seed `seed`."""
+    """{op kind: (ops, distinct mldhat functions called, `_evaluate` calls)}
+    over corpus seed `seed`."""
     sys.path.insert(0, str(PERFBENCH))
     import corpus
 
-    profiles, ops = {}, defaultdict(int)
-    with tempfile.TemporaryDirectory() as directory:
-        for workload in WORKLOADS:
-            for op in corpus.build(workload, seed, directory):
-                profile = profiles.setdefault(op.kind, cProfile.Profile())
-                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                    profile.runcall(main, list(op.argv))
-                ops[op.kind] += 1
+    profiles, ops, evaluations = {}, defaultdict(int), defaultdict(int)
+    evaluate = mldhat.hypersurface._evaluate
+
+    def counted(*args):
+        evaluations[kind] += 1
+        return evaluate(*args)
+
+    mldhat.hypersurface._evaluate = counted
+    try:
+        with tempfile.TemporaryDirectory() as directory:
+            for workload in WORKLOADS:
+                for op in corpus.build(workload, seed, directory):
+                    kind = op.kind
+                    profile = profiles.setdefault(kind, cProfile.Profile())
+                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                        profile.runcall(main, list(op.argv))
+                    ops[kind] += 1
+    finally:
+        mldhat.hypersurface._evaluate = evaluate
     counts = {}
     for kind, profile in profiles.items():
         called = pstats.Stats(profile).stats  # keyed by (file, line, function name)
-        counts[kind] = (ops[kind], sum(pathlib.Path(f).parent == PACKAGE for f, _, _ in called))
+        functions = sum(pathlib.Path(f).parent == PACKAGE for f, _, _ in called)
+        counts[kind] = (ops[kind], functions, evaluations[kind])
     return counts
 
 
@@ -75,10 +90,10 @@ def code_lines(path):
 
 if __name__ == "__main__":
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    print(f"corpus seed {seed}: distinct mldhat functions per op kind")
-    print(f"{'kind':<10} {'ops':>5} {'functions':>9}")
-    for kind, (ops, functions) in sorted(functions_per_kind(seed).items()):
-        print(f"{kind:<10} {ops:>5} {functions:>9}")
+    print(f"corpus seed {seed}: distinct mldhat functions and _evaluate calls per op kind")
+    print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11}")
+    for kind, (ops, functions, evaluations) in sorted(functions_per_kind(seed).items()):
+        print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11}")
     print()
     print(f"{'module':<16} {'lines':>5} {'code':>5}")
     total = code = 0

@@ -537,7 +537,7 @@ def reference_minimize_objective(support, max_points=None):
             "every monomial is divisible by one variable; the scan needs a "
             "monomial in each coordinate plane",
         )
-    d_max = support.max_entry
+    d_max = max(max(e) for e in exponents)
     largest = 0
     layer = 0
     while True:

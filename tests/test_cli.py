@@ -266,6 +266,16 @@ class TestCommands:
         assert code == 3
         assert json.loads(err)["kind"] == "LimitError"
 
+    def test_hyper_limit_ignores_the_exponent_size(self, tmp_path):
+        # layer 0 of a two-monomial scan takes up to 4 evaluations, however
+        # large the exponents
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"vars": 2, "support": [[10000000, 0], [0, 1]]}))
+        argv = ["--seed", "0", "hyper", "--support", str(path)]
+        limited = run_cli(["--max-subsets", "1000000", *argv])
+        assert limited[0] == 0
+        assert limited == run_cli(argv)
+
     @pytest.mark.parametrize("entry", [2.9, True])
     def test_non_integer_exponent_rejected(self, tmp_path, entry):
         path = tmp_path / "bad.json"

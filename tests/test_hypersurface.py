@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 
@@ -12,6 +13,7 @@ from mldhat.hypersurface import (
     Support,
     SupportError,
     _integer_rows,
+    _small_tuples,
     binomial_lambda,
     certificate_data,
     equality_certificate,
@@ -538,8 +540,52 @@ def scan_outcome(scan, support, max_points):
         return str(err)
 
 
+# {xy, xz, y^K, z^K}: every pivot order 1..K-1 of x is a minimizer
+FLAT_FAMILY = [validate_support([(1, 1, 0), (1, 0, 1), (0, k, 0), (0, 0, k)]) for k in (5, 20, 60)]
+
+
+def swapped_row_supports(seed, count):
+    """Random supports with 2-4 variables holding a row and a swap of two of
+    its coordinates: at a pivot off the swap, the two rows weigh the same
+    line whenever the swapped coordinates have the same order."""
+    rng = random.Random(seed)
+    supports = []
+    while len(supports) < count:
+        nvars = rng.randint(2, 4)
+        row = [rng.randint(0, 4) for _ in range(nvars)]
+        j, k = rng.sample(range(nvars), 2)
+        swapped = list(row)
+        swapped[j], swapped[k] = row[k], row[j]
+        rows = {tuple(row), tuple(swapped)}
+        rows.update(tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(0, 2)))
+        try:
+            supports.append(validate_support(sorted(rows)))
+        except SupportError:
+            continue
+    return supports
+
+
+def doubled_line_tuples(support, last_layer):
+    """Tuples of the orders off the pivot, over every pivot and the layers
+    0..last_layer, at which two monomials weigh the same line in the pivot order."""
+    nv, count = support.num_vars, 0
+    for layer in range(last_layer + 1):
+        for pivot in range(nv):
+            for rest in _small_tuples(nv - 1, layer):
+                orders = rest[:pivot] + (0,) + rest[pivot:]
+                lines = [(e[pivot], sum(a * i for a, i in zip(orders, e))) for e in support.exponents]
+                count += len(set(lines)) < len(lines)
+    return count
+
+
+def layer_estimates(support, last_layer):
+    """The scan's evaluation estimates summed over the layers 0..last_layer."""
+    nv, n = support.num_vars, len(support.exponents)
+    return sum(nv * math.comb(layer + nv - 1, nv - 1) * n * (n - 1) for layer in range(last_layer + 1))
+
+
 class TestScanAtTies:
-    """The scan that evaluates only the pivot orders where two weights tie,
+    """The scan that walks each pair's tie interval in from both ends,
     against the one that evaluates every order 1..top."""
 
     @staticmethod
@@ -568,7 +614,7 @@ class TestScanAtTies:
 
     def test_coinciding_lines(self):
         # x^k and y^k weigh the same at alpha_x = alpha_y, whatever the
-        # pivot order, so those layers walk every order 1..top
+        # pivot order, so their tie set is all of 1..top
         family = [[(k, 0, 0), (0, k, 0), (0, 0, m)] for k in (2, 3, 5) for m in (2, 3, 7)]
         family += [[(k, 0, 0, 0), (0, k, 0, 0), (0, 0, k, 0), (0, 0, 0, 2)] for k in (2, 3)]
         family.append([(2, 1, 0), (1, 2, 0), (0, 0, 3)])
@@ -583,6 +629,37 @@ class TestScanAtTies:
         result = minimize_objective(validate_support([(exponent, 0), (0, 1)]))
         assert (result.value, result.minimizers, result.box_bound) == (0, ((1, exponent),), exponent)
         assert len(calls) <= 2
+
+    def test_flat_family(self):
+        # each walk of pivot x crosses the whole interval 1..K-1
+        self.agree(FLAT_FAMILY)
+        for s, k in zip(FLAT_FAMILY, (5, 20, 60)):
+            assert minimize_objective(s).minimizers == tuple((a, 1, 1) for a in range(1, k))
+
+    def test_swapped_rows(self):
+        supports = swapped_row_supports(seed=28, count=300)
+        self.agree(supports)
+        doubled = sum(doubled_line_tuples(s, minimize_objective(s).value) for s in supports)
+        assert doubled >= 100
+
+    @pytest.mark.parametrize("exponent", [10**6, 10**20])
+    def test_coinciding_large_exponents(self, exponent):
+        # x^K + y^K + z^2: the lines of x^K and y^K coincide at pivot z
+        s = validate_support([(exponent, 0, 0), (0, exponent, 0), (0, 0, 2)])
+        result = minimize_objective(s)
+        assert (result.value, result.minimizers, result.box_bound) == (0, ((1, 1, exponent // 2),), exponent)
+
+    def test_evaluations_within_the_estimates(self, monkeypatch):
+        # a layer that finds nothing stays within its estimate; the last one
+        # may evaluate a minimizer again from another pivot or interval
+        calls = []
+        evaluate = hypersurface._evaluate
+        monkeypatch.setattr(hypersurface, "_evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        supports = [s for s, _ in regression_supports()] + FLAT_FAMILY + swapped_row_supports(seed=28, count=300)
+        for s in supports:
+            calls.clear()
+            result = minimize_objective(s)
+            assert len(calls) <= layer_estimates(s, result.value) + 2 * len(result.minimizers), s.exponents
 
 
 class TestBinomial:
