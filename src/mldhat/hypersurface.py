@@ -167,13 +167,9 @@ def validate_support(exponents, num_vars=None) -> Support:
             )
     dropped = tuple(j for j, column in enumerate(columns) if not any(column))
     reduced = list(zip(*(column for column in columns if any(column))))
+    # rank >= 1: a lone monomial failed the divisibility check, and distinct rows differ
     diffs = [tuple(a - b for a, b in zip(r, reduced[0])) for r in reduced[1:]]
-    dim = rank_of(diffs) if diffs else 0
-    if dim == 0:
-        raise SupportError(
-            "dimension", "a single monomial does not define an integral hypersurface"
-        )
-    if dim == 1:
+    if rank_of(diffs) == 1:
         if len(reduced) != 2:
             raise SupportError(
                 "one_dimensional",
@@ -196,39 +192,37 @@ def validate_support(exponents, num_vars=None) -> Support:
 
 @dataclass(frozen=True)
 class WeightData:
-    """Monomial weights, their minimum, the pivot gap and the pairs attaining it."""
+    """The record of one feasible order tuple alpha: its monomial weights,
+    their minimum n0, the pivot gap mu, the pivot index and Obj(alpha)."""
 
-    min_weight: int  # minimal alpha-weight over the monomials
-    pivot_gap: int  # min over (monomial, variable in it) of weight - order
-    attaining_pairs: tuple[tuple[int, int], ...]  # (monomial index, variable)
+    orders: tuple[int, ...]  # alpha
+    min_weight: int  # n0, the minimal alpha-weight over the monomials
+    pivot_gap: int  # mu, min over (monomial, variable in it) of weight - order
     weights: tuple[int, ...]  # alpha-weight of each monomial
+    pivot_index: int  # least j over the pairs (i, j) with I^i_j > 0 attaining mu
+    objective: int  # Obj(alpha) = sum_j (alpha_j - 1) + 1 - n0 + mu
 
 
 def _evaluate(exponents, orders) -> WeightData | None:
-    """The weight data of a tuple in one pass, or None when it is infeasible.
+    """The record of a tuple in one pass, or None when it is infeasible.
 
     The single evaluation kernel: every query on a tuple and the scan in
-    minimize_objective go through it.
+    minimize_objective go through it, and Obj is computed here only.
+    `orders` may be a list; the record keeps a tuple copy.
     """
+    orders = tuple(orders)
     weights = tuple(sum(a * i for a, i in zip(orders, e)) for e in exponents)
-    n0 = min(weights)
-    if weights.count(n0) < 2:
+    min_weight = min(weights)
+    if weights.count(min_weight) < 2:
         return None
-    mu = None
-    pairs = []
-    for i, e in enumerate(exponents):
-        for j, x in enumerate(e):
-            if x <= 0:
-                continue
-            val = weights[i] - orders[j]
-            if mu is None or val < mu:
-                mu = val
-                pairs = [(i, j)]
-            elif val == mu:
-                pairs.append((i, j))
-    return WeightData(
-        min_weight=n0, pivot_gap=mu, attaining_pairs=tuple(pairs), weights=weights
-    )
+    # variables in increasing order and a strict <, so j0 is the least one attaining mu
+    pivot_gap = j0 = None
+    for j, a in enumerate(orders):
+        for w, e in zip(weights, exponents):
+            if e[j] and (pivot_gap is None or w - a < pivot_gap):
+                pivot_gap, j0 = w - a, j
+    obj = sum(orders) - len(orders) + 1 - min_weight + pivot_gap
+    return WeightData(orders, min_weight, pivot_gap, weights, j0, obj)
 
 
 def is_feasible(support: Support, alpha) -> bool:
@@ -237,6 +231,7 @@ def is_feasible(support: Support, alpha) -> bool:
 
 
 def weight_data(support: Support, alpha) -> WeightData:
+    """The record of alpha; ValueError when alpha is not a feasible tuple."""
     data = _evaluate(support.exponents, _as_alpha(alpha, support.num_vars))
     if data is None:
         raise ValueError("the tuple is not feasible for this support")
@@ -244,10 +239,8 @@ def weight_data(support: Support, alpha) -> WeightData:
 
 
 def objective(support: Support, alpha) -> int:
-    """sum_j (alpha_j - 1) + 1 - min_weight + pivot_gap, always >= 0."""
-    orders = _as_alpha(alpha, support.num_vars)
-    data = weight_data(support, orders)
-    return sum(orders) - support.num_vars + 1 - data.min_weight + data.pivot_gap
+    """Obj(alpha), the `objective` field of its record; always >= 0."""
+    return weight_data(support, alpha).objective
 
 
 @dataclass(frozen=True)
@@ -312,7 +305,6 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
                 lines = [(e[pivot], sum(a * i for a, i in zip(orders, e))) for e in exponents]
                 top = layer + min(c for s, c in lines if not s)
                 largest = max(largest, top)
-                base = sum(rest) - nv + 1
                 ties = set()
                 for (s, c), (t, d) in combinations(lines, 2):
                     # the pair ties at one crossing q, or everywhere if the lines coincide
@@ -334,9 +326,9 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
                         while lo <= a <= hi:
                             orders[pivot] = a
                             data = _evaluate(exponents, orders)
-                            if base + a - data.min_weight + data.pivot_gap > layer:
+                            if data.objective > layer:
                                 break
-                            found.add(tuple(orders))
+                            found.add(data.orders)
                             a += step
                         lo = a + 1  # the walk down stops where the walk up ended
         if found:
@@ -397,24 +389,28 @@ class GenericForm:
 
 @dataclass(frozen=True)
 class CertificateData:
-    """The lowest-order form and pivot data of the arc expansion at alpha."""
+    """The lowest-order form and pivot data of the arc expansion at alpha,
+    with the record of alpha they are read from."""
 
+    record: WeightData  # the record of alpha: orders, weights, n0, mu, pivot index, Obj
     initial_form: GenericForm  # coefficient of the minimal t-power
-    pivot_index: int  # variable carrying the new highest superscript
     pivot_order: int  # minimal weight among monomials using the pivot
     pivot_monomials: tuple[int, ...]  # support indices attaining it
     pivot_coefficient: GenericForm  # derivative form multiplying each new pivot
 
 
 def certificate_data(support: Support, alpha) -> CertificateData:
-    orders = _as_alpha(alpha, support.num_vars)
-    data = weight_data(support, orders)
+    """The certificate data at alpha, read off the record of alpha (one
+    `weight_data` call), which it keeps as `record`: the initial form is the
+    sum of the monomials of weight n0, and the pivot j0 is the record's
+    pivot index.  ValueError when alpha is not a feasible tuple."""
+    data = weight_data(support, alpha)
     minimal = [i for i, p in enumerate(data.weights) if p == data.min_weight]
     initial = GenericForm(
         num_vars=support.num_vars,
         terms=tuple((1, i, support.exponents[i]) for i in minimal),
     )
-    j0 = min(j for _, j in data.attaining_pairs)
+    j0 = data.pivot_index
     with_pivot = [i for i, e in enumerate(support.exponents) if e[j0] > 0]
     pivot_order = min(data.weights[i] for i in with_pivot)
     sigma = tuple(i for i in with_pivot if data.weights[i] == pivot_order)
@@ -425,8 +421,8 @@ def certificate_data(support: Support, alpha) -> CertificateData:
         derivative_terms.append((e[j0], i, lowered))
     pivot_form = GenericForm(num_vars=support.num_vars, terms=tuple(derivative_terms))
     return CertificateData(
+        record=data,
         initial_form=initial,
-        pivot_index=j0,
         pivot_order=pivot_order,
         pivot_monomials=sigma,
         pivot_coefficient=pivot_form,
@@ -492,10 +488,9 @@ def equality_certificate(support: Support, alpha) -> Certificate:
     shows that a finite-field witness (oracle.torus_point_sample) can exist
     only when the criterion holds.
     """
-    orders = _as_alpha(alpha, support.num_vars)
-    data = certificate_data(support, orders)
+    data = certificate_data(support, alpha)
     detail = {
-        "pivot_index": data.pivot_index,
+        "pivot_index": data.record.pivot_index,
         "initial_form": data.initial_form.describe(),
         "initial_form_monomials": data.initial_form.monomial_count,
         "pivot_coefficient": data.pivot_coefficient.describe(),
@@ -508,7 +503,7 @@ def equality_certificate(support: Support, alpha) -> Certificate:
         elif not _divides_pivot_derivative(data):
             kind = "torus_zero_criterion"
     status = "UNDECIDED" if kind is None else "CERTIFIED"
-    return Certificate(status=status, kind=kind, alpha=orders, detail=detail)
+    return Certificate(status=status, kind=kind, alpha=data.record.orders, detail=detail)
 
 
 # ---------------------------------------------------------------------------

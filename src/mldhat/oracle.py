@@ -45,7 +45,7 @@ from itertools import combinations_with_replacement, repeat
 from math import comb, factorial, prod
 from operator import mul, neg
 
-from .hypersurface import GenericForm, Support, certificate_data, is_feasible, weight_data
+from .hypersurface import GenericForm, Support, certificate_data, is_feasible
 from .lattice import LimitError
 
 
@@ -478,15 +478,15 @@ def _compile_equation(per_monomial, s, pivot, slot, prime):
 def _pivot_schedule(support: Support, alpha, m):
     """The certificate data and the pivot of each arc equation G_k, in order.
 
-    The equations run from k = n0 to m + mu; the base pivot of G_n0 is the
+    The equations run from k = n0 to m + mu, n0 and mu read from the
+    record the certificate data carries; the base pivot of G_n0 is the
     lowest superscript of the solve variable of the initial form, and each
     later G_k is solved for a new highest superscript: first of that
     variable, up to the pivot order n0', then of the pivot index j0.
     """
-    data = weight_data(support, alpha)
     cert = certificate_data(support, alpha)
-    n0, mu = data.min_weight, data.pivot_gap
-    j0, n0p = cert.pivot_index, cert.pivot_order
+    n0, mu, j0 = cert.record.min_weight, cert.record.pivot_gap, cert.record.pivot_index
+    n0p = cert.pivot_order
     jp = _solve_variable(cert.initial_form)
     pivots = {k: (jp, alpha[jp] + (k - n0)) for k in range(n0, n0p + 1)}
     pivots.update((k, (j0, k - mu)) for k in range(n0p + 1, m + mu + 1))

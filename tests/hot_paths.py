@@ -2,13 +2,16 @@
 
 Builds corpus seed N of both benchmark workloads with `perfbench/corpus.py`
 (default N = 4), runs every op in process through `mldhat.cli.main` under
-cProfile, and prints two tables:
+cProfile and a `sys.settrace` line tracer, and prints two tables and a list:
 
 * for each op kind, the number of ops, of distinct `mldhat` functions
-  they call and of calls to `mldhat.hypersurface._evaluate`, the kernel
-  the `hyper` scan runs once per candidate tuple;
-* for each module of `src/mldhat`, its lines and its code lines, without
-  docstrings, comments or blank lines.
+  they call, of calls to `mldhat.hypersurface._evaluate`, the kernel the
+  `hyper` scan runs once per candidate tuple, and of calls to
+  `mldhat.hypersurface._as_alpha`, the check of an order tuple;
+* for each module of `src/mldhat`, its lines, its code lines (without
+  docstrings, comments or blank lines) and its unrun lines: the
+  statements inside functions that no op of the seed runs;
+* the unrun lines of each module, by line number.
 
 Run it from the repository root:
 
@@ -35,24 +38,46 @@ from mldhat.cli import main
 PACKAGE = pathlib.Path(mldhat.__file__).parent
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 WORKLOADS = ("toric-cones", "hyper-oracle")
+COUNTED = ("_evaluate", "_as_alpha")  # functions of mldhat.hypersurface counted per op kind
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def functions_per_kind(seed):
-    """{op kind: (ops, distinct mldhat functions called, `_evaluate` calls)}
-    over corpus seed `seed`."""
+def run_corpus(seed):
+    """Run every op of corpus seed `seed`.
+
+    Returns {op kind: (ops, distinct mldhat functions called, calls to each
+    of COUNTED)} and the set of (file, line) pairs of `mldhat` that ran.
+    """
     sys.path.insert(0, str(PERFBENCH))
     import corpus
 
-    profiles, ops, evaluations = {}, defaultdict(int), defaultdict(int)
-    evaluate = mldhat.hypersurface._evaluate
+    profiles, ops = {}, defaultdict(int)
+    calls = {name: defaultdict(int) for name in COUNTED}
+    originals = {name: getattr(mldhat.hypersurface, name) for name in COUNTED}
 
-    def counted(*args):
-        evaluations[kind] += 1
-        return evaluate(*args)
+    def counter(name):
+        function = originals[name]
 
-    mldhat.hypersurface._evaluate = counted
+        def counted(*args):
+            calls[name][kind] += 1
+            return function(*args)
+
+        return counted
+
+    ran = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        # only frames of mldhat get the line tracer
+        return trace_lines if pathlib.Path(frame.f_code.co_filename).parent == PACKAGE else None
+
+    for name in COUNTED:
+        setattr(mldhat.hypersurface, name, counter(name))
     try:
         with tempfile.TemporaryDirectory() as directory:
             for workload in WORKLOADS:
@@ -60,16 +85,53 @@ def functions_per_kind(seed):
                     kind = op.kind
                     profile = profiles.setdefault(kind, cProfile.Profile())
                     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                        profile.runcall(main, list(op.argv))
+                        sys.settrace(trace_calls)
+                        try:
+                            profile.runcall(main, list(op.argv))
+                        finally:
+                            sys.settrace(None)
                     ops[kind] += 1
     finally:
-        mldhat.hypersurface._evaluate = evaluate
+        for name, function in originals.items():
+            setattr(mldhat.hypersurface, name, function)
     counts = {}
     for kind, profile in profiles.items():
         called = pstats.Stats(profile).stats  # keyed by (file, line, function name)
         functions = sum(pathlib.Path(f).parent == PACKAGE for f, _, _ in called)
-        counts[kind] = (ops[kind], functions, evaluations[kind])
-    return counts
+        counts[kind] = (ops[kind], functions, *(calls[name][kind] for name in COUNTED))
+    return counts, ran
+
+
+def own_statements(body):
+    """The statements of a body and of its nested blocks, not those of nested defs or classes."""
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "handlers", "finalbody"):
+                yield from own_statements(getattr(node, field, ()))
+
+
+def unrun_lines(path, ran):
+    """First lines of the statements inside functions of `path` that no traced op ran.
+
+    A statement ran when a line of its header ran: its own lines for a
+    simple statement, the lines before its first child for a compound one.
+    Docstrings and `try:` lines, which hold no code of their own, are left out.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = function.body[ast.get_docstring(function, clean=False) is not None:]
+        for node in own_statements(body):
+            if isinstance(node, ast.Try):
+                continue
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+            header = node.body[0].lineno - 1 if getattr(node, "body", None) else node.end_lineno
+            if not any((str(path), line) in ran for line in range(first, max(first, header) + 1)):
+                lines.add(node.lineno)
+    return sorted(lines)
 
 
 def code_lines(path):
@@ -90,15 +152,22 @@ def code_lines(path):
 
 if __name__ == "__main__":
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    print(f"corpus seed {seed}: distinct mldhat functions and _evaluate calls per op kind")
-    print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11}")
-    for kind, (ops, functions, evaluations) in sorted(functions_per_kind(seed).items()):
-        print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11}")
+    counts, ran = run_corpus(seed)
+    print(f"corpus seed {seed}: distinct mldhat functions and kernel calls per op kind")
+    print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9}")
+    for kind, (ops, functions, evaluations, checks) in sorted(counts.items()):
+        print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9}")
     print()
-    print(f"{'module':<16} {'lines':>5} {'code':>5}")
-    total = code = 0
+    print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
+    total = code = missed = 0
+    unrun = {}
     for path in sorted(PACKAGE.glob("*.py")):
         lines, body = len(path.read_text(encoding="utf-8").splitlines()), code_lines(path)
-        total, code = total + lines, code + body
-        print(f"{path.name:<16} {lines:>5} {body:>5}")
-    print(f"{'total':<16} {total:>5} {code:>5}")
+        unrun[path.name] = unrun_lines(path, ran)
+        total, code, missed = total + lines, code + body, missed + len(unrun[path.name])
+        print(f"{path.name:<16} {lines:>5} {body:>5} {len(unrun[path.name]):>5}")
+    print(f"{'total':<16} {total:>5} {code:>5} {missed:>5}")
+    print()
+    print(f"statements inside functions that no op of seed {seed} runs, by first line")
+    for name, lines in unrun.items():
+        print(f"{name}: {', '.join(map(str, lines)) or '-'}")

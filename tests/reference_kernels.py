@@ -37,9 +37,12 @@ greedy kept an echelon form of the elements it has chosen.
 `is_interior_point` is the interior test that was a method of
 `HilbertBasis`: every dual ray pairs positively with the point.
 
-`reference_minimize_objective` is the layered tuple scan as it was
-before it evaluated only the orders of the pivot where two monomial
-weights tie: it evaluates every order 1..top.
+`reference_evaluate` is the tuple kernel as it was before its one record
+held the pivot index and Obj: it lists every pair (monomial, variable)
+attaining the pivot gap.  `reference_minimize_objective` is the layered
+tuple scan as it was before it evaluated only the orders of the pivot
+where two monomial weights tie: it evaluates every order 1..top, with
+`reference_evaluate` and Obj written out.
 
 `reference_hypersurface_report` is the hypersurface report as it was
 before every report decided its certificate exactly: a first pass tries
@@ -88,7 +91,6 @@ from mldhat.hypersurface import (
     SupportError,
     _as_alpha,
     _divides_pivot_derivative,
-    _evaluate,
     _small_tuples,
     certificate_data,
     is_feasible,
@@ -416,7 +418,7 @@ def reference_staircase_verify(support, alpha, m, prime=10007, trials=50, seed=0
     data = weight_data(support, alpha)
     cert = certificate_data(support, alpha)
     n0, mu = data.min_weight, data.pivot_gap
-    j0, n0p = cert.pivot_index, cert.pivot_order
+    j0, n0p = cert.record.pivot_index, cert.pivot_order
     jp = _solve_variable(cert.initial_form)
     upto = m + mu
     per_monomial = [
@@ -505,7 +507,7 @@ def reference_equality_certificate(support, alpha, certify=False):
     orders = _as_alpha(alpha, support.num_vars)
     data = certificate_data(support, orders)
     detail = {
-        "pivot_index": data.pivot_index,
+        "pivot_index": data.record.pivot_index,
         "initial_form": data.initial_form.describe(),
         "initial_form_monomials": data.initial_form.monomial_count,
         "pivot_coefficient": data.pivot_coefficient.describe(),
@@ -519,6 +521,27 @@ def reference_equality_certificate(support, alpha, certify=False):
             kind = "torus_zero_criterion"
     status = "UNDECIDED" if kind is None else "CERTIFIED"
     return Certificate(status=status, kind=kind, alpha=orders, detail=detail)
+
+
+def reference_evaluate(exponents, orders):
+    """(weights, n0, mu, pairs attaining mu) of a tuple, or None when it is infeasible."""
+    weights = tuple(sum(a * i for a, i in zip(orders, e)) for e in exponents)
+    n0 = min(weights)
+    if weights.count(n0) < 2:
+        return None
+    mu = None
+    pairs = []
+    for i, e in enumerate(exponents):
+        for j, x in enumerate(e):
+            if x <= 0:
+                continue
+            val = weights[i] - orders[j]
+            if mu is None or val < mu:
+                mu = val
+                pairs = [(i, j)]
+            elif val == mu:
+                pairs.append((i, j))
+    return weights, n0, mu, tuple(pairs)
 
 
 def reference_minimize_objective(support, max_points=None):
@@ -560,8 +583,8 @@ def reference_minimize_objective(support, max_points=None):
                 base = sum(rest) - nv + 1
                 for a in range(1, top + 1):
                     orders[pivot] = a
-                    data = _evaluate(exponents, orders)
-                    if data is not None and base + a - data.min_weight + data.pivot_gap <= layer:
+                    data = reference_evaluate(exponents, orders)
+                    if data is not None and base + a - data[1] + data[2] <= layer:
                         found.add(tuple(orders))
         if found:
             minimizers = tuple(sorted(found))

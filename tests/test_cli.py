@@ -781,6 +781,52 @@ SUPPORT_FILES = st.one_of(
 )
 
 
+def assert_refused(argv, error, kind):
+    """The command exits 2 with nothing on stdout and exactly this error."""
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": error, "kind": kind}
+
+
+class TestRefusals:
+    """Input refusals that no other test reaches, each with its exit 2 and message."""
+
+    def test_face_and_face_functional_together(self, orthant_file):
+        argv = ["toric", "--cone", orthant_file, "--face", "0", "--face-functional", "1,0"]
+        assert_refused(argv, "give at most one of --face and --face-functional", "ValueError")
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ({"lattice_rank": "2", "rays": [[1, 0]]},
+             "'lattice_rank' must be an integer and 'rays' a list"),
+            ({"lattice_rank": 2, "rays": {"a": 1}},
+             "'lattice_rank' must be an integer and 'rays' a list"),
+            ({"lattice_rank": 0, "rays": [[1, 0]]}, "ambient rank must be positive"),
+            ({"lattice_rank": 2, "rays": []}, "a cone needs at least one generator"),
+        ],
+        ids=["string-rank", "dict-rays", "zero-rank", "no-rays"],
+    )
+    def test_malformed_cone_file(self, tmp_path, data, error):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(data))
+        assert_refused(["toric", "--cone", str(path)], error, "ConeError")
+
+    @pytest.mark.parametrize(
+        "options, error",
+        [
+            (["--coeffs", "1"], "one coefficient per support monomial is required"),
+            (["--coeffs", "0,1"], "coefficients must be nonzero in the field"),
+            (["--prime", "101", "--coeffs", "101,1"], "coefficients must be nonzero in the field"),
+        ],
+        ids=["too-few", "zero", "zero-mod-prime"],
+    )
+    def test_bad_expand_coefficients(self, support_file, options, error):
+        argv = ["oracle", "expand", "--support", support_file, "--alpha", "2,1,2", "--m", "4"]
+        assert_refused(argv + options, error, "OracleError")
+
+
 class TestDualDescriptionCalls:
     """A cone read from a file and its dual cost one double description."""
 

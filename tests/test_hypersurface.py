@@ -28,7 +28,11 @@ from mldhat.hypersurface import (
 from mldhat.lattice import LimitError
 from mldhat.oracle import torus_point_sample
 from mldhat import hypersurface
-from reference_kernels import reference_hypersurface_report, reference_minimize_objective
+from reference_kernels import (
+    reference_evaluate,
+    reference_hypersurface_report,
+    reference_minimize_objective,
+)
 from test_cross_route import LAMBDA_POSITIVE_BINOMIALS, random_normal_binomials
 
 WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
@@ -247,11 +251,10 @@ class TestWeightData:
         data = weight_data(WHITNEY, (2, 1, 2))
         assert data.min_weight == 4
         assert data.pivot_gap == 2
-        # pairs: the x^2 monomial with x, and the y^2 z monomial with z
-        named = {
-            (WHITNEY.exponents[i], j) for i, j in data.attaining_pairs
-        }
-        assert named == {((2, 0, 0), 0), ((0, 2, 1), 2)}
+        # mu is attained by the x^2 monomial with x and the y^2 z monomial
+        # with z; the pivot is the lesser variable, x
+        assert data.pivot_index == 0
+        assert data.orders == (2, 1, 2)
 
     def test_a1_threefold(self):
         s = validate_support([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
@@ -265,6 +268,33 @@ class TestWeightData:
             data = weight_data(s, (2, 1, 2))
             assert data.min_weight == 4
             assert data.pivot_gap == 2
+
+    def test_record_against_reference_kernel(self):
+        # the one-pass record against the kernel that listed every pair
+        # attaining mu; the orders are lists, as the scan passes them
+        rng = random.Random(29)
+        cases = []
+        for _ in range(200):
+            s = random_integral_support(rng, rng.randint(2, 3), 3, max_monomials=5)
+            box = itertools.product((1, 2, 3), repeat=s.num_vars)
+            cases += [(s, list(orders)) for orders in box]
+        outcomes = {True: 0, False: 0}
+        ties = 0  # feasible cases where mu is attained at two variables
+        for s, orders in cases:
+            data = hypersurface._evaluate(s.exponents, orders)
+            reference = reference_evaluate(s.exponents, orders)
+            outcomes[data is None] += 1
+            assert (data is None) == (reference is None)
+            if data is None:
+                continue
+            weights, n0, mu, pairs = reference
+            assert data.orders == tuple(orders)
+            assert (data.weights, data.min_weight, data.pivot_gap) == (weights, n0, mu)
+            assert data.pivot_index == min(j for _, j in pairs)
+            assert data.objective == sum(orders) - s.num_vars + 1 - n0 + mu
+            ties += len({j for _, j in pairs}) > 1
+        assert len(cases) >= 1000 and min(outcomes.values()) >= 200 and ties >= 100, (
+            len(cases), outcomes, ties)
 
 
 class TestObjective:
@@ -351,7 +381,7 @@ class TestCertificates:
         data = certificate_data(WHITNEY, (2, 1, 2))
         assert data.initial_form.monomial_count == 2
         assert data.pivot_coefficient.monomial_count == 1
-        assert data.pivot_index == 0
+        assert data.record.pivot_index == 0
 
     def test_a_k_higher_dimension(self):
         s = validate_support(ade_support("A", k=3, nvars=4))
