@@ -106,7 +106,7 @@ def _read_json_file(path, what, keys, error):
             data = json.load(fh)
     except OSError as exc:
         raise error(f"cannot read {what} file: {exc}")
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int_max_str_digits
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, or too deep a nest
         raise error(f"{what} file is not valid JSON: {exc}")
     if not isinstance(data, dict) or any(key not in data for key in keys):
         raise error(f"{what} file needs keys {keys[0]!r} and {keys[1]!r}")

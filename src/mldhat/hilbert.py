@@ -19,16 +19,9 @@ irreducible u lies below it.
 Both searches over lattice points, this one and `interior_candidates`,
 walk the cells with `cell_walk` and keep minimal elements with
 `FacetValues.minimal_elements`, exactly, in packed facet-value coordinates.
-The walk of a cell T (`_numerators`) keeps one running packed sum
-S = sum_i frac_i * P(t_i) of the current point's numerators frac and the
-packed rays P(t_i), so each point costs one big-integer addition, and one
-subtraction when a numerator wraps; the point is S // |det T|.  S stays
-exactly that sum: the moves add columns reduced mod |det T|, so each
-numerator wraps at most once per move and each wrap subtracts
-|det T| * P(t_i); the walk steps only the Hermite digits above 1, as the
-others only take 0.  So the points, their order, each point's first
-(T, frac) and the reports are those of the full odometer with one fold
-per point.
+The walk of a cell (`_numerators`) costs one big-integer addition per
+point, and visits the points of the full odometer in its order, as its
+docstring shows; so the reports do not depend on how it steps.
 """
 
 from __future__ import annotations
@@ -196,29 +189,39 @@ def parallelepiped_points(rays) -> list[tuple[int, ...]]:
 
 
 class FacetValues:
-    """Packed facet-value coordinates of lattice points.
+    """Packed facet-value coordinates of lattice points: one linear map.
 
-    A point u maps to its values <g, u> under the facet forms g of a
-    full-dimensional cone (its dual rays) and, as the top field, their sum,
-    the degree, all packed into one integer.  The map is linear and, the
-    facet forms spanning the dual space, injective.  The width puts every
-    field value in [0, bound] below 2^(width - 1), so in the packed
-    subtraction of `minimal_elements` no borrow crosses a field.
+    `image(x)` packs the values <g, x> of a point x under the facet forms g
+    of a full-dimensional cone (its dual rays), field k in bits
+    [k * width, (k + 1) * width), and, as the top field, their sum, the
+    degree.  It is sum_j x_j * columns[j]: column j holds the j-th entry of
+    every form in its field and their sum in the top field.  The map is
+    linear and, the facet forms spanning the dual space, injective.  The
+    width puts every field value in [0, bound] below 2^(width - 1), so in
+    the packed subtraction of `minimal_elements` no borrow crosses a field.
+    `ones` holds a 1 in every facet field, and `guard` the top bit of each.
+
+    `point` checks a folded point against its packed value u by one integer
+    comparison, image(point) == u, and the check is exact for the points of
+    `cell_walk`.  Each numerator field there has |det T|.bit_length() + 1
+    bits, so a folded point has coefficients in [0, 4) on the rays of its
+    cell, and every facet value of the point lies in [0, 4 n max value),
+    for the largest facet value of a generator.  That range lies inside
+    [0, 2^width), since 2^(width - 1) > bound = 2 n max|det T| max value.
+    So the packed integer image(point) has only one reading as fields, and
+    equal integers mean equal fields, the degree included.
     """
 
     def __init__(self, forms, bound: int):
-        self.forms = forms
         self.width = width = bound.bit_length() + 1
-        self.field = (1 << width) - 1
-        self.guard = self.pack([1 << (width - 1)] * len(forms))
-        self.ones = self.pack([1] * len(forms))
+        degree = len(forms) * width  # the shift of the top field
+        self.columns = [sum(g << (k * width) for k, g in enumerate(column)) + (sum(column) << degree) for column in zip(*forms)]
+        self.ones = sum(1 << (k * width) for k in range(len(forms)))
+        self.guard = (1 << (width - 1)) * self.ones
 
-    def pack(self, values) -> int:
-        """The values as one integer, field k in bits [k * width, (k + 1) * width)."""
-        packed = 0
-        for k, v in enumerate(values):
-            packed |= v << (k * self.width)
-        return packed
+    def image(self, x) -> int:
+        """The packed facet values and degree of the point x."""
+        return sum(map(mul, x, self.columns))
 
     def minimal_elements(self, packed) -> list[int]:
         """The packed vectors not above another, in degree order.
@@ -244,14 +247,12 @@ class FacetValues:
         return elements
 
     def point(self, rays, q, absdet, u) -> tuple[int, ...]:
-        """The point sum_i frac_i * rays_i / |det T|; raise unless it has the values packed in u.
+        """The point sum_i frac_i * rays_i / |det T|; raise unless its image is u.
 
         q packs the numerators frac as `unpack_numerators` reads them.
         """
         point = _fold(rays, unpack_numerators(q, absdet, len(rays)), absdet)
-        if [pairing(g, point) for g in self.forms] != [
-            (u >> (k * self.width)) & self.field for k in range(len(self.forms))
-        ]:
+        if self.image(point) != u:
             raise AssertionError(f"point {point} does not reproduce its facet values")
         return point
 
@@ -264,12 +265,9 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
     as (T, |det T|, packed rays of T, {packed point: packed numerators}),
     the numerators as `unpack_numerators` reads them.  A point with
     numerators frac packs to S // |det T| with S = sum_i frac_i * P(t_i),
-    since P is linear and no field of the sum overflows.  S is the running
-    sum of the cell's walk (`_numerators`), and it stays exactly that sum:
-    every move adds reduced columns, below |det T|, so each numerator
-    wraps at most once per move, and the walk skips only digits that take
-    0 alone.  So the points come in the order of the full odometer, each
-    keeps the same first (T, frac), and the reports do not change.
+    P = `FacetValues.image`, since P is linear and no field of the sum
+    overflows.  S is the running sum of the cell's walk, exact and in the
+    order of the full odometer by `_numerators`.
 
     With `max_points` set, a LimitError names the stage as soon as the
     triangulation passes the limit, and before any point is built when the
@@ -291,9 +289,8 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
         if estimate > max_points:
             raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
     forms = cone.dual_pair[1]
-    values = {t: [pairing(g, t) for g in forms] for t in cone.generators}
     max_det = max(absdet for _, absdet, _ in walks)
-    max_value = max(max(v) for v in values.values())
+    max_value = max(pairing(g, t) for g in forms for t in cone.generators)
     # a fold sum has every field at most n * max|det T| * max value, and a
     # closed parallelepiped point below 2 n * max value
     coords = FacetValues(forms, 2 * cone.ambient_rank * max_det * max_value)
@@ -302,8 +299,8 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
     # g bits of each field clear, times |det T|, carries into no next field,
     # so the sum was divisible field by field
     g = max_det.bit_length()
-    high = coords.pack([coords.field ^ ((1 << (coords.width - g)) - 1)] * len(forms))
-    packed = {t: coords.pack(v + [sum(v)]) for t, v in values.items()}
+    high = (((1 << g) - 1) << (coords.width - g)) * coords.ones
+    packed = {t: coords.image(t) for t in cone.generators}
 
     def cells():
         for T, absdet, walk in walks:

@@ -395,7 +395,6 @@ class CertificateData:
     record: WeightData  # the record of alpha: orders, weights, n0, mu, pivot index, Obj
     initial_form: GenericForm  # coefficient of the minimal t-power
     pivot_order: int  # minimal weight among monomials using the pivot
-    pivot_monomials: tuple[int, ...]  # support indices attaining it
     pivot_coefficient: GenericForm  # derivative form multiplying each new pivot
 
 
@@ -424,7 +423,6 @@ def certificate_data(support: Support, alpha) -> CertificateData:
         record=data,
         initial_form=initial,
         pivot_order=pivot_order,
-        pivot_monomials=sigma,
         pivot_coefficient=pivot_form,
     )
 
@@ -450,8 +448,8 @@ def _divides_pivot_derivative(data: CertificateData) -> bool:
     pivot exponent of I^i) is one common k and g = k * f / x_j0.
     """
     symbols = {i for _, i, _ in data.initial_form.terms}
-    exponents = {k for k, _, _ in data.pivot_coefficient.terms}
-    return set(data.pivot_monomials) == symbols and len(exponents) == 1
+    exponents, pivot_symbols, _ = zip(*data.pivot_coefficient.terms)  # some monomial uses the pivot
+    return set(pivot_symbols) == symbols and len(set(exponents)) == 1
 
 
 def equality_certificate(support: Support, alpha) -> Certificate:
@@ -496,12 +494,12 @@ def equality_certificate(support: Support, alpha) -> Certificate:
         "pivot_coefficient": data.pivot_coefficient.describe(),
         "pivot_coefficient_monomials": data.pivot_coefficient.monomial_count,
     }
+    # f has two monomials: a feasible alpha attains n0 twice, and certificate_data refuses the rest
     kind = None
-    if data.initial_form.monomial_count >= 2:
-        if data.pivot_coefficient.monomial_count == 1:
-            kind = "monomial_criterion"
-        elif not _divides_pivot_derivative(data):
-            kind = "torus_zero_criterion"
+    if data.pivot_coefficient.monomial_count == 1:
+        kind = "monomial_criterion"
+    elif not _divides_pivot_derivative(data):
+        kind = "torus_zero_criterion"
     status = "UNDECIDED" if kind is None else "CERTIFIED"
     return Certificate(status=status, kind=kind, alpha=data.record.orders, detail=detail)
 

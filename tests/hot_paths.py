@@ -6,8 +6,10 @@ cProfile and a `sys.settrace` line tracer, and prints two tables and a list:
 
 * for each op kind, the number of ops, of distinct `mldhat` functions
   they call, of calls to `mldhat.hypersurface._evaluate`, the kernel the
-  `hyper` scan runs once per candidate tuple, and of calls to
-  `mldhat.hypersurface._as_alpha`, the check of an order tuple;
+  `hyper` scan runs once per candidate tuple, of calls to
+  `mldhat.hypersurface._as_alpha`, the check of an order tuple, and of
+  calls to `mldhat.lattice.pairing` from the modules that import it
+  (`cones`, `hilbert`, `toric`);
 * for each module of `src/mldhat`, its lines, its code lines (without
   docstrings, comments or blank lines) and its unrun lines: the
   statements inside functions that no op of the seed runs;
@@ -22,6 +24,7 @@ It is a script, not a test module: pytest does not collect it.
 
 import ast
 import cProfile
+import importlib
 import io
 import pathlib
 import pstats
@@ -32,13 +35,17 @@ from collections import defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 
 import mldhat
-import mldhat.hypersurface
 from mldhat.cli import main
 
 PACKAGE = pathlib.Path(mldhat.__file__).parent
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 WORKLOADS = ("toric-cones", "hyper-oracle")
-COUNTED = ("_evaluate", "_as_alpha")  # functions of mldhat.hypersurface counted per op kind
+# functions counted per op kind: name -> the mldhat modules whose global of that name is wrapped
+COUNTED = {
+    "_evaluate": ("hypersurface",),
+    "_as_alpha": ("hypersurface",),
+    "pairing": ("cones", "hilbert", "toric"),  # every module that imports it from lattice
+}
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -54,11 +61,10 @@ def run_corpus(seed):
 
     profiles, ops = {}, defaultdict(int)
     calls = {name: defaultdict(int) for name in COUNTED}
-    originals = {name: getattr(mldhat.hypersurface, name) for name in COUNTED}
+    targets = [(importlib.import_module(f"mldhat.{module}"), name) for name, modules in COUNTED.items() for module in modules]
+    originals = {(module, name): getattr(module, name) for module, name in targets}
 
-    def counter(name):
-        function = originals[name]
-
+    def counter(name, function):
         def counted(*args):
             calls[name][kind] += 1
             return function(*args)
@@ -76,8 +82,8 @@ def run_corpus(seed):
         # only frames of mldhat get the line tracer
         return trace_lines if pathlib.Path(frame.f_code.co_filename).parent == PACKAGE else None
 
-    for name in COUNTED:
-        setattr(mldhat.hypersurface, name, counter(name))
+    for (module, name), function in originals.items():
+        setattr(module, name, counter(name, function))
     try:
         with tempfile.TemporaryDirectory() as directory:
             for workload in WORKLOADS:
@@ -92,8 +98,8 @@ def run_corpus(seed):
                             sys.settrace(None)
                     ops[kind] += 1
     finally:
-        for name, function in originals.items():
-            setattr(mldhat.hypersurface, name, function)
+        for (module, name), function in originals.items():
+            setattr(module, name, function)
     counts = {}
     for kind, profile in profiles.items():
         called = pstats.Stats(profile).stats  # keyed by (file, line, function name)
@@ -154,9 +160,9 @@ if __name__ == "__main__":
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     counts, ran = run_corpus(seed)
     print(f"corpus seed {seed}: distinct mldhat functions and kernel calls per op kind")
-    print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9}")
-    for kind, (ops, functions, evaluations, checks) in sorted(counts.items()):
-        print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9}")
+    print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} {'pairing':>8}")
+    for kind, (ops, functions, evaluations, checks, pairings) in sorted(counts.items()):
+        print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9} {pairings:>8}")
     print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0

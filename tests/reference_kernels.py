@@ -31,6 +31,11 @@ the minimal-element sieve, the interior points of the closed
 parallelepipeds of every independent subset, and
 `reference_minimize_spanning_cost` runs the greedy on every one of them.
 
+`reference_facet_values` is the packing of facet values as the cell walk
+made it before one linear map (`FacetValues.image`) wrote it: one
+`pairing` per facet form, then the values and their sum, the degree,
+packed field by field.
+
 `reference_spanning_cost_greedy` is the greedy spanning cost with one full
 Hermite-form rank test per scanned basis element, as it was before the
 greedy kept an echelon form of the elements it has chosen.
@@ -357,6 +362,15 @@ def reference_candidate_points(cone):
                         points.add(a)
         _check_distinct(half_open, absdet)
     return points
+
+
+def reference_facet_values(forms, width, point) -> int:
+    """The facet values of `point` and their sum, field k in bits [k * width, (k + 1) * width)."""
+    values = [pairing(g, point) for g in forms]
+    packed = 0
+    for k, v in enumerate(values + [sum(values)]):
+        packed |= v << (k * width)
+    return packed
 
 
 def reference_minimize_spanning_cost(cone, hb):

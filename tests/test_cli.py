@@ -826,6 +826,21 @@ class TestRefusals:
         argv = ["oracle", "expand", "--support", support_file, "--alpha", "2,1,2", "--m", "4"]
         assert_refused(argv + options, error, "OracleError")
 
+    @pytest.mark.parametrize(
+        "command, option, what, kind",
+        [("toric", "--cone", "cone", "ConeError"), ("hyper", "--support", "support", "SupportError")],
+        ids=["cone", "support"],
+    )
+    def test_deeply_nested_file(self, tmp_path, command, option, what, kind):
+        # json.load raises RecursionError, not a ValueError, on a nest this deep
+        path = tmp_path / f"{what}.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli([command, option, str(path)])
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["kind"] == kind
+        assert report["error"].startswith(f"{what} file is not valid JSON: maximum recursion depth exceeded")
+
 
 class TestDualDescriptionCalls:
     """A cone read from a file and its dual cost one double description."""

@@ -9,7 +9,16 @@ import pytest
 
 from mldhat import hilbert
 from mldhat.cones import Cone, ConeError, dual_cone
-from mldhat.hilbert import FacetValues, _numerators, hilbert_basis, parallelepiped_points, unpack_numerators
+from mldhat.hilbert import (
+    FacetValues,
+    _fold,
+    _numerators,
+    cell_walk,
+    hilbert_basis,
+    interior_candidates,
+    parallelepiped_points,
+    unpack_numerators,
+)
 from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, row_hermite, vec_sub
 from mldhat.toric import minimize_spanning_cost
 from reference_kernels import (
@@ -17,6 +26,7 @@ from reference_kernels import (
     contains,
     determinant,
     numerator_lists,
+    reference_facet_values,
     reference_hilbert_basis,
     reference_numerators,
     reference_walks,
@@ -261,8 +271,8 @@ class TestCellWalkChecks:
         # numerators (1, 1) and (1, 2) of the unit rays, packed two bits apart
         coords = FacetValues([(1, 0), (0, 1)], 10)
         with pytest.raises(AssertionError, match="does not reproduce its facet values"):
-            coords.point(((1, 0), (0, 1)), 1 + (1 << 2), 1, coords.pack([1, 2]))
-        assert coords.point(((1, 0), (0, 1)), 1 + (2 << 2), 1, coords.pack([1, 2])) == (1, 2)
+            coords.point(((1, 0), (0, 1)), 1 + (1 << 2), 1, coords.image((1, 2)))
+        assert coords.point(((1, 0), (0, 1)), 1 + (2 << 2), 1, coords.image((1, 2))) == (1, 2)
 
 
 class TestHilbertBasis:
@@ -395,6 +405,18 @@ def random_full_cones(rng, n, count):
     return cones
 
 
+def pool_cones():
+    """The cones of the benchmark's hilbert ops whose all-subsets walk has at most 3000 points: all 70."""
+    pool = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8"))
+    cones = []
+    for entry in pool["cones_rank3"] + pool["cones_rank4"]:
+        cone = Cone.from_generators(len(entry["rays"][0]), entry["rays"])
+        if sum(absdet for _, absdet, _ in reference_walks(cone.generators, cone.ambient_rank)) <= 3000:
+            cones.append(cone)
+    assert len(cones) == 70
+    return cones
+
+
 class TestFacetValueKernel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_reference_sieve(self, n):
@@ -406,17 +428,57 @@ class TestFacetValueKernel:
             assert hilbert_basis(cone, max_points=60000).elements == reference_hilbert_basis(cone)
 
     def test_matches_reference_on_pool_cones(self):
-        # the cones of the benchmark's hilbert ops whose all-subsets walk
-        # has at most 3000 points: all 70 of them
-        pool = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8"))
-        checked = 0
-        for entry in pool["cones_rank3"] + pool["cones_rank4"]:
-            cone = Cone.from_generators(len(entry["rays"][0]), entry["rays"])
-            if sum(absdet for _, absdet, _ in reference_walks(cone.generators, cone.ambient_rank)) > 3000:
-                continue
+        for cone in pool_cones():
             assert hilbert_basis(cone).elements == reference_hilbert_basis(cone), cone.generators
-            checked += 1
-        assert checked == 70
+
+    def test_image_matches_reference_packing(self):
+        # image against one pairing per facet form on every generator, every
+        # walked point, every Hilbert basis element and every minimal interior
+        # candidate of each cone
+        corpus = json.loads(pathlib.Path(__file__).with_name("lambda_positive_cones.json").read_text(encoding="utf-8"))
+        corpus_cones = [Cone.from_generators(len(entry["rays"][0]), entry["rays"]) for entry in corpus]
+        for cone in pool_cones() + corpus_cones + [dual_cone(c) for c in corpus_cones]:
+            coords, cells = cell_walk(cone, None, "test")
+            forms, n = cone.dual_pair[1], cone.ambient_rank
+            points = list(cone.generators)
+            for T, absdet, rays, walked in cells:
+                assert rays == [coords.image(t) for t in T]
+                for u, q in walked.items():
+                    point = _fold(T, unpack_numerators(q, absdet, n), absdet)
+                    assert u == reference_facet_values(forms, coords.width, point), (cone.generators, point)
+                    points.append(point)
+            points += hilbert_basis(cone).elements
+            points += interior_candidates(cone, None)
+            for point in points:
+                assert coords.image(point) == reference_facet_values(forms, coords.width, point), (cone.generators, point)
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)],
+        ],
+        ids=["orthant", "hexagon"],
+    )
+    def test_numerators_at_field_maximum_refused(self, rays):
+        # in a unimodular cell each numerator field has 2 bits, so its
+        # largest value 3 puts coefficient 3 on every ray, the edge of the
+        # range [0, 4) in which image(point) has one reading
+        cone = Cone.from_generators(3, rays)
+        coords, cells = cell_walk(cone, None, "test")
+        unimodular = 0
+        for T, absdet, packed_rays, points in cells:
+            if absdet != 1:
+                continue
+            unimodular += 1
+            largest = 3 + (3 << 2) + (3 << 4)  # every numerator at 3
+            point = tuple(3 * sum(column) for column in zip(*T))
+            assert coords.image(point) == reference_facet_values(cone.dual_pair[1], coords.width, point)
+            for u in [*points, *packed_rays]:
+                with pytest.raises(AssertionError, match="does not reproduce its facet values"):
+                    coords.point(T, largest, 1, u)
+            assert coords.point(T, largest, 1, coords.image(point)) == point
+        assert unimodular >= 1
 
     def test_guard_bits_compare_componentwise(self):
         # the unit forms of the orthant: the facet values are the coordinates
@@ -428,6 +490,6 @@ class TestFacetValueKernel:
             # e near u in each field, so both outcomes of each comparison occur
             e = [max(0, x + rng.randint(-2, 1)) if rng.random() < 0.8 else rng.randint(0, top) for x in u]
             coords = FacetValues([tuple(int(i == j) for j in range(fields)) for i in range(fields)], top)
-            pe, pu = coords.pack([*e, sum(e)]), coords.pack([*u, sum(u)])
+            pe, pu = coords.image(e), coords.image(u)
             reduced = coords.minimal_elements({pe, pu}) == [pe]
             assert reduced == all(x >= y for x, y in zip(u, e))
