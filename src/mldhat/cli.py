@@ -24,6 +24,7 @@ from .hypersurface import (
     certificate_data,
     hypersurface_report,
     validate_support,
+    weight_data,
 )
 from .lattice import LimitError
 from .oracle import check_alpha, expand, staircase_verify, torus_point_sample
@@ -255,7 +256,7 @@ def _run_staircase(args):
 
 def _run_torus_point(args):
     support = parse_support_file(args.support)
-    data = certificate_data(support, check_alpha(support, args.alpha))
+    data = certificate_data(support, weight_data(support, check_alpha(support, args.alpha)))
     witness = torus_point_sample(
         data.initial_form,
         data.pivot_coefficient,

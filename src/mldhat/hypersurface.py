@@ -63,6 +63,10 @@ derivative g.  For very general coefficients this is decided exactly
 monomials and f does not divide g.  Each report decides it at every
 minimizer; the kind names the deciding test: the monomial criterion (g
 is a single monomial, which f cannot divide) or the full torus-zero one.
+Each step reads only the output of the one before it: the record of a
+tuple (`WeightData`, from `weight_data` or the scan's kernel), then its
+forms f and g (`certificate_data`), then the certificate
+(`equality_certificate`).  So no step checks or evaluates alpha again.
 """
 
 from __future__ import annotations
@@ -358,10 +362,6 @@ class GenericForm:
     num_vars: int
     terms: tuple[tuple[int, int, tuple[int, ...]], ...]
 
-    @property
-    def monomial_count(self) -> int:
-        return len(self.terms)
-
     def evaluate(self, coefficients, point, prime):
         """The form's value mod prime; each power is taken mod prime."""
         total = 0
@@ -398,12 +398,13 @@ class CertificateData:
     pivot_coefficient: GenericForm  # derivative form multiplying each new pivot
 
 
-def certificate_data(support: Support, alpha) -> CertificateData:
-    """The certificate data at alpha, read off the record of alpha (one
-    `weight_data` call), which it keeps as `record`: the initial form is the
-    sum of the monomials of weight n0, and the pivot j0 is the record's
-    pivot index.  ValueError when alpha is not a feasible tuple."""
-    data = weight_data(support, alpha)
+def certificate_data(support: Support, data: WeightData) -> CertificateData:
+    """The certificate data of a feasible tuple, read off its record `data`,
+    which it keeps as `record`: the initial form is the sum of the monomials
+    of weight n0, and the pivot j0 is the record's pivot index.  The record
+    comes from `weight_data`, which checks alpha, or from the kernel
+    `_evaluate` on a tuple the scan made; nothing here evaluates alpha
+    again."""
     minimal = [i for i, p in enumerate(data.weights) if p == data.min_weight]
     initial = GenericForm(
         num_vars=support.num_vars,
@@ -452,8 +453,9 @@ def _divides_pivot_derivative(data: CertificateData) -> bool:
     return set(pivot_symbols) == symbols and len(set(exponents)) == 1
 
 
-def equality_certificate(support: Support, alpha) -> Certificate:
-    """Decide whether the lower bound is attained at alpha.
+def equality_certificate(data: CertificateData) -> Certificate:
+    """Decide whether the lower bound is attained at the tuple alpha of
+    `data`, the certificate data from `certificate_data`.
 
     The bound is attained once, for very general coefficients c, the
     initial form f has a torus zero off the zero set of the pivot
@@ -486,17 +488,16 @@ def equality_certificate(support: Support, alpha) -> Certificate:
     shows that a finite-field witness (oracle.torus_point_sample) can exist
     only when the criterion holds.
     """
-    data = certificate_data(support, alpha)
     detail = {
         "pivot_index": data.record.pivot_index,
         "initial_form": data.initial_form.describe(),
-        "initial_form_monomials": data.initial_form.monomial_count,
+        "initial_form_monomials": len(data.initial_form.terms),
         "pivot_coefficient": data.pivot_coefficient.describe(),
-        "pivot_coefficient_monomials": data.pivot_coefficient.monomial_count,
+        "pivot_coefficient_monomials": len(data.pivot_coefficient.terms),
     }
-    # f has two monomials: a feasible alpha attains n0 twice, and certificate_data refuses the rest
+    # f has two monomials: the record is of a feasible alpha, which attains n0 twice
     kind = None
-    if data.pivot_coefficient.monomial_count == 1:
+    if len(data.pivot_coefficient.terms) == 1:
         kind = "monomial_criterion"
     elif not _divides_pivot_derivative(data):
         kind = "torus_zero_criterion"
@@ -550,7 +551,9 @@ def hypersurface_report(support: Support, max_points=None) -> HypersurfaceMldRep
     """
     n = support.dimension_of_hypersurface
     result = minimize_objective(support, max_points=max_points)
-    certificates = [equality_certificate(support, orders) for orders in result.minimizers]
+    # the scan made these tuples, so each is feasible: one kernel call gives its record
+    records = [_evaluate(support.exponents, orders) for orders in result.minimizers]
+    certificates = [equality_certificate(certificate_data(support, data)) for data in records]
     chosen = min(certificates, key=lambda cert: _KIND_ORDER.index(cert.kind))
     status = "EXACT" if chosen.status == "CERTIFIED" else "LOWER_BOUND"
     return HypersurfaceMldReport(

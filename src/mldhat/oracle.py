@@ -45,7 +45,7 @@ from itertools import combinations_with_replacement, repeat
 from math import comb, factorial, prod
 from operator import mul, neg
 
-from .hypersurface import GenericForm, Support, certificate_data, is_feasible
+from .hypersurface import GenericForm, Support, WeightData, _evaluate, certificate_data
 from .lattice import LimitError
 
 
@@ -475,17 +475,18 @@ def _compile_equation(per_monomial, s, pivot, slot, prime):
     return plan, check, reads
 
 
-def _pivot_schedule(support: Support, alpha, m):
+def _pivot_schedule(support: Support, record: WeightData, m):
     """The certificate data and the pivot of each arc equation G_k, in order.
 
-    The equations run from k = n0 to m + mu, n0 and mu read from the
-    record the certificate data carries; the base pivot of G_n0 is the
-    lowest superscript of the solve variable of the initial form, and each
-    later G_k is solved for a new highest superscript: first of that
-    variable, up to the pivot order n0', then of the pivot index j0.
+    `record` is the record of a feasible alpha, and n0, mu, the pivot
+    index j0 and alpha itself are read off it.  The equations run from
+    k = n0 to m + mu; the base pivot of G_n0 is the lowest superscript of
+    the solve variable of the initial form, and each later G_k is solved
+    for a new highest superscript: first of that variable, up to the pivot
+    order n0', then of j0.
     """
-    cert = certificate_data(support, alpha)
-    n0, mu, j0 = cert.record.min_weight, cert.record.pivot_gap, cert.record.pivot_index
+    cert = certificate_data(support, record)
+    n0, mu, j0, alpha = record.min_weight, record.pivot_gap, record.pivot_index, record.orders
     n0p = cert.pivot_order
     jp = _solve_variable(cert.initial_form)
     pivots = {k: (jp, alpha[jp] + (k - n0)) for k in range(n0, n0p + 1)}
@@ -547,6 +548,8 @@ def staircase_verify(
     and confirms that the equations from the minimal weight up to m + mu
     each eliminate one variable, so the stratum dimension matches
     window - equations; infeasible order tuples give the empty stratum.
+    One kernel call (`_evaluate`) decides feasibility and gives the record
+    of alpha, which `_pivot_schedule` reads.
 
     The equations are compiled once per call.  A window monomial M of G_k
     comes from exactly one support monomial x^{I^i}: the exponents of M in
@@ -613,7 +616,8 @@ def staircase_verify(
     _require_trials(trials)
     nv = support.num_vars
     window = [(j, u) for j in range(nv) for u in range(alpha[j], m + 1)]
-    if not is_feasible(support, alpha):
+    record = _evaluate(support.exponents, alpha)
+    if record is None:
         return StaircaseResult(
             free_parameter_count=None,
             equations_solved=None,
@@ -630,7 +634,7 @@ def staircase_verify(
                 f"oracle staircase: up to {terms * trials} term evaluations "
                 f"({terms} window monomials, {trials} trials) exceed the limit ({max_points})"
             )
-    cert, pivots = _pivot_schedule(support, alpha, m)
+    cert, pivots = _pivot_schedule(support, record, m)
     n0, *equations = pivots
     base_pivot = pivots[n0]
     n_equations = len(pivots)

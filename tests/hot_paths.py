@@ -4,10 +4,12 @@ Builds corpus seed N of both benchmark workloads with `perfbench/corpus.py`
 (default N = 4), runs every op in process through `mldhat.cli.main` under
 cProfile and a `sys.settrace` line tracer, and prints two tables and a list:
 
-* for each op kind, the number of ops, of distinct `mldhat` functions
-  they call, of calls to `mldhat.hypersurface._evaluate`, the kernel the
-  `hyper` scan runs once per candidate tuple, of calls to
-  `mldhat.hypersurface._as_alpha`, the check of an order tuple, and of
+* for each op kind, the number of ops, of distinct named `mldhat`
+  functions they call (comprehensions, generator expressions and lambdas
+  left out, so the count follows call paths, not style), of calls to
+  `_evaluate`, the kernel the `hyper` scan runs once per candidate tuple,
+  through every module that binds it (`hypersurface`, `oracle`), of calls
+  to `mldhat.hypersurface._as_alpha`, the check of an order tuple, and of
   calls to `mldhat.lattice.pairing` from the modules that import it
   (`cones`, `hilbert`, `toric`);
 * for each module of `src/mldhat`, its lines, its code lines (without
@@ -42,10 +44,12 @@ PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 WORKLOADS = ("toric-cones", "hyper-oracle")
 # functions counted per op kind: name -> the mldhat modules whose global of that name is wrapped
 COUNTED = {
-    "_evaluate": ("hypersurface",),
+    "_evaluate": ("hypersurface", "oracle"),  # every module that binds it
     "_as_alpha": ("hypersurface",),
     "pairing": ("cones", "hilbert", "toric"),  # every module that imports it from lattice
 }
+# code objects that are not named functions
+ANONYMOUS = {"<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>", "<lambda>"}
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -53,8 +57,8 @@ SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tok
 def run_corpus(seed):
     """Run every op of corpus seed `seed`.
 
-    Returns {op kind: (ops, distinct mldhat functions called, calls to each
-    of COUNTED)} and the set of (file, line) pairs of `mldhat` that ran.
+    Returns {op kind: (ops, distinct named mldhat functions called, calls
+    to each of COUNTED)} and the set of (file, line) pairs of `mldhat` that ran.
     """
     sys.path.insert(0, str(PERFBENCH))
     import corpus
@@ -103,7 +107,7 @@ def run_corpus(seed):
     counts = {}
     for kind, profile in profiles.items():
         called = pstats.Stats(profile).stats  # keyed by (file, line, function name)
-        functions = sum(pathlib.Path(f).parent == PACKAGE for f, _, _ in called)
+        functions = sum(pathlib.Path(f).parent == PACKAGE and name not in ANONYMOUS for f, _, name in called)
         counts[kind] = (ops[kind], functions, *(calls[name][kind] for name in COUNTED))
     return counts, ran
 
@@ -159,7 +163,7 @@ def code_lines(path):
 if __name__ == "__main__":
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     counts, ran = run_corpus(seed)
-    print(f"corpus seed {seed}: distinct mldhat functions and kernel calls per op kind")
+    print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
     print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} {'pairing':>8}")
     for kind, (ops, functions, evaluations, checks, pairings) in sorted(counts.items()):
         print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9} {pairings:>8}")

@@ -430,7 +430,7 @@ def reference_staircase_verify(support, alpha, m, prime=10007, trials=50, seed=0
             empty=True,
         )
     data = weight_data(support, alpha)
-    cert = certificate_data(support, alpha)
+    cert = certificate_data(support, data)
     n0, mu = data.min_weight, data.pivot_gap
     j0, n0p = cert.record.pivot_index, cert.pivot_order
     jp = _solve_variable(cert.initial_form)
@@ -519,17 +519,17 @@ def reference_staircase_verify(support, alpha, m, prime=10007, trials=50, seed=0
 def reference_equality_certificate(support, alpha, certify=False):
     """The certificate with the torus-zero criterion only under `certify`."""
     orders = _as_alpha(alpha, support.num_vars)
-    data = certificate_data(support, orders)
+    data = certificate_data(support, weight_data(support, orders))
     detail = {
         "pivot_index": data.record.pivot_index,
         "initial_form": data.initial_form.describe(),
-        "initial_form_monomials": data.initial_form.monomial_count,
+        "initial_form_monomials": len(data.initial_form.terms),
         "pivot_coefficient": data.pivot_coefficient.describe(),
-        "pivot_coefficient_monomials": data.pivot_coefficient.monomial_count,
+        "pivot_coefficient_monomials": len(data.pivot_coefficient.terms),
     }
     kind = None
-    if data.initial_form.monomial_count >= 2:
-        if data.pivot_coefficient.monomial_count == 1:
+    if len(data.initial_form.terms) >= 2:
+        if len(data.pivot_coefficient.terms) == 1:
             kind = "monomial_criterion"
         elif certify and not _divides_pivot_derivative(data):
             kind = "torus_zero_criterion"

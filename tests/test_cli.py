@@ -1,14 +1,18 @@
+import importlib
 import io
 import json
+import pkgutil
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mldhat import cones
+import mldhat
+from mldhat import cones, hypersurface
 from mldhat.cli import (
     dump_report,
     load_report,
@@ -24,6 +28,7 @@ from reference_kernels import reference_encode
 from test_golden import GOLDEN
 from test_golden import OPS as GOLDEN_OPS
 from test_golden import run_op, write_inputs
+from test_hypersurface import FLAT_FAMILY, regression_supports
 
 
 NO_OP_FLAGS = {"hyper": "--certify", "toric": "--no-fast-paths"}
@@ -888,6 +893,63 @@ class TestDualDescriptionCalls:
         path = tmp_path / "cone.json"
         path.write_text(json.dumps({"lattice_rank": len(rays[0]), "rays": rays}))
         assert self.count_calls(monkeypatch, ["toric", "--cone", str(path), "--face", face]) == 2
+
+
+class TestOneCheckOneEvaluation:
+    """An op checks its order tuple with `_as_alpha` and evaluates it with
+    `_evaluate` at most once, counted through every mldhat module that binds
+    either name: each certificate step reads the record the step before it made."""
+
+    @staticmethod
+    def counters(monkeypatch):
+        """Wrap `_as_alpha` and `_evaluate` wherever mldhat binds them; returns their call counts."""
+        calls = Counter()
+        modules = [importlib.import_module(f"mldhat.{info.name}") for info in pkgutil.iter_modules(mldhat.__path__)]
+        for name in ("_as_alpha", "_evaluate"):
+            original = getattr(hypersurface, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_hyper_checks_no_tuple(self, monkeypatch, tmp_path):
+        calls = self.counters(monkeypatch)
+        supports = [s for s, _ in regression_supports()[::30]] + FLAT_FAMILY
+        for i, s in enumerate(supports):
+            path = tmp_path / f"support{i}.json"
+            path.write_text(json.dumps({"vars": s.num_vars, "support": s.exponents}))
+            calls.clear()
+            code, _, _ = run_cli(["hyper", "--support", str(path)])
+            assert code == 0
+            # the scan evaluates, and each minimizer is evaluated once more for its record
+            assert calls["_evaluate"] > 0 and calls["_as_alpha"] == 0, s.exponents
+
+    @pytest.mark.parametrize("alpha", ["2,1,2", "1,1,1"], ids=["feasible", "infeasible"])
+    def test_staircase_evaluates_once(self, monkeypatch, support_file, alpha):
+        calls = self.counters(monkeypatch)
+        argv = ["oracle", "staircase", "--support", support_file, "--alpha", alpha, "--m", "4", "--trials", "5"]
+        code, _, _ = run_cli(["--seed", "0", *argv])
+        assert code == 0
+        assert calls == {"_evaluate": 1}
+
+    def test_torus_point_checks_and_evaluates_once(self, monkeypatch, support_file):
+        calls = self.counters(monkeypatch)
+        argv = ["oracle", "torus-point", "--support", support_file, "--alpha", "2,1,2", "--trials", "5"]
+        code, _, _ = run_cli(["--seed", "0", *argv])
+        assert code == 0
+        assert calls == {"_as_alpha": 1, "_evaluate": 1}
+
+    def test_torus_point_refuses_an_infeasible_tuple(self, monkeypatch, support_file):
+        calls = self.counters(monkeypatch)
+        code, _, err = run_cli(["oracle", "torus-point", "--support", support_file, "--alpha", "1,1,1"])
+        assert code == 2
+        assert json.loads(err) == {"error": "the tuple is not feasible for this support", "kind": "ValueError"}
+        assert calls == {"_as_alpha": 1, "_evaluate": 1}
 
 
 class TestConesCallNoRankTest:

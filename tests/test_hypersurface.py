@@ -375,41 +375,40 @@ class TestMinimize:
 
 class TestCertificates:
     def test_whitney_monomial_criterion(self):
-        cert = equality_certificate(WHITNEY, (2, 1, 2))
+        data = certificate_data(WHITNEY, weight_data(WHITNEY, (2, 1, 2)))
+        cert = equality_certificate(data)
         assert cert.status == "CERTIFIED"
         assert cert.kind == "monomial_criterion"
-        data = certificate_data(WHITNEY, (2, 1, 2))
-        assert data.initial_form.monomial_count == 2
-        assert data.pivot_coefficient.monomial_count == 1
+        assert len(data.initial_form.terms) == 2
+        assert len(data.pivot_coefficient.terms) == 1
         assert data.record.pivot_index == 0
 
     def test_a_k_higher_dimension(self):
         s = validate_support(ade_support("A", k=3, nvars=4))
-        cert = equality_certificate(s, (1, 1, 1, 1))
+        cert = equality_certificate(certificate_data(s, weight_data(s, (1, 1, 1, 1))))
         assert cert.status == "CERTIFIED"
         assert cert.kind == "monomial_criterion"
 
     def test_d_k_higher_dimension(self):
         for nvars in (4, 5):
             s = validate_support(ade_support("D", k=5, nvars=nvars))
-            cert = equality_certificate(s, (1,) * nvars)
-            assert cert.status == "CERTIFIED"
-            data = certificate_data(s, (1,) * nvars)
+            data = certificate_data(s, weight_data(s, (1,) * nvars))
+            assert equality_certificate(data).status == "CERTIFIED"
             # the initial form keeps the pure squares, the pivot is their variable
-            assert data.initial_form.monomial_count == nvars - 2
-            assert data.pivot_coefficient.monomial_count == 1
+            assert len(data.initial_form.terms) == nvars - 2
+            assert len(data.pivot_coefficient.terms) == 1
 
     def test_curve_needs_the_torus_zero_criterion(self):
         # g has two monomials, so the monomial criterion does not apply
-        data = certificate_data(CURVE, (1, 1))
-        assert data.initial_form.monomial_count == 3
-        assert data.pivot_coefficient.monomial_count == 2
-        cert = equality_certificate(CURVE, (1, 1))
+        data = certificate_data(CURVE, weight_data(CURVE, (1, 1)))
+        assert len(data.initial_form.terms) == 3
+        assert len(data.pivot_coefficient.terms) == 2
+        cert = equality_certificate(data)
         assert cert.status == "CERTIFIED"
         assert cert.kind == "torus_zero_criterion"
 
     def test_torus_zero_certificate_carries_no_sample(self):
-        certified = equality_certificate(CURVE, (1, 1))
+        certified = equality_certificate(certificate_data(CURVE, weight_data(CURVE, (1, 1))))
         assert certified.kind == "torus_zero_criterion"
         assert set(certified.detail) == {
             "pivot_index",
@@ -420,10 +419,10 @@ class TestCertificates:
         }
 
     def test_initial_form_dividing_the_pivot_derivative(self):
-        data = certificate_data(DIVIDES, (1, 1, 1))
+        data = certificate_data(DIVIDES, weight_data(DIVIDES, (1, 1, 1)))
         assert data.initial_form.describe() == "a2*x0*x2 + a3*x0*x1"
         assert data.pivot_coefficient.describe() == "a2*x2 + a3*x1"
-        cert = equality_certificate(DIVIDES, (1, 1, 1))
+        cert = equality_certificate(data)
         assert cert.status == "UNDECIDED" and cert.kind is None
         for prime in (101, 10007):
             assert torus_point_sample(
@@ -433,10 +432,10 @@ class TestCertificates:
     def test_unequal_pivot_exponents_do_not_divide(self):
         # f and g share their symbols, but the pivot exponents 2 and 1 differ
         s = validate_support([(0, 0, 2), (1, 1, 1), (3, 2, 0)])
-        data = certificate_data(s, (1, 1, 2))
+        data = certificate_data(s, weight_data(s, (1, 1, 2)))
         assert data.initial_form.describe() == "a0*x2^2 + a1*x0*x1*x2"
         assert data.pivot_coefficient.describe() == "2*a0*x2 + a1*x0*x1"
-        cert = equality_certificate(s, (1, 1, 2))
+        cert = equality_certificate(data)
         assert cert.kind == "torus_zero_criterion"
 
 
@@ -488,7 +487,7 @@ class TestGenericFormEvaluate:
         rng = random.Random(1819)
         for s, minimizers in random_supports(rng, 200):
             for alpha in minimizers:
-                data = certificate_data(s, alpha)
+                data = certificate_data(s, weight_data(s, alpha))
                 for form in (data.initial_form, data.pivot_coefficient):
                     coefficients = {i: rng.randrange(1, 101) for i in range(len(s.exponents))}
                     point = [rng.randrange(1, 101) for _ in range(s.num_vars)]
@@ -506,8 +505,8 @@ class TestTorusZeroCriterionAgainstSampler:
         yes = no = 0
         for s, minimizers in random_supports(rng, 1000):
             for alpha in minimizers:
-                data = certificate_data(s, alpha)
-                certified = equality_certificate(s, alpha).status == "CERTIFIED"
+                data = certificate_data(s, weight_data(s, alpha))
+                certified = equality_certificate(data).status == "CERTIFIED"
                 forms = (data.initial_form, data.pivot_coefficient)
                 witness = torus_point_sample(*forms, prime=10007, trials=50, seed=1)
                 assert (witness is not None) == certified, (s.exponents, alpha)

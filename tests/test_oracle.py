@@ -244,9 +244,7 @@ class TestStaircase:
         s = validate_support([(4, 0, 0), (0, 4, 0), (1, 1, 1)])
         alpha = (1, 1, 5)
         data = weight_data(s, alpha)
-        from mldhat.hypersurface import certificate_data as cdata
-
-        cert = cdata(s, alpha)
+        cert = certificate_data(s, data)
         assert cert.pivot_order > data.min_weight  # middle chain is nonempty
         result = staircase_verify(s, alpha, m=7, prime=401, trials=80, seed=4)
         assert result.successes > 0
@@ -319,7 +317,7 @@ class TestStaircasePlans:
             result = staircase_verify(*args)
             assert result == reference_staircase_verify(*args), args
             reasons.update(result.failure_reasons)
-            cert, pivots = _pivot_schedule(s, alpha, m)
+            cert, pivots = _pivot_schedule(s, weight_data(s, alpha), m)
             # a trial that passed solved the first chain's steps
             first_chain += cert.pivot_order > min(pivots) and result.successes > 0
             compared += 1
@@ -429,7 +427,7 @@ class TestStaircaseBlocks:
         # only cubed, so f' = 0 at every root and still every trial succeeds
         s = validate_support([(0, 4, 2), (3, 0, 4), (0, 4, 0), (0, 2, 3)])
         alpha = (2, 3, 2)
-        cert, pivots = _pivot_schedule(s, alpha, 5)
+        cert, pivots = _pivot_schedule(s, weight_data(s, alpha), 5)
         assert cert.pivot_order == min(pivots) == 12
         args = (s, alpha, 5, 3, 20, 0)
         result = staircase_verify(*args)
@@ -458,7 +456,7 @@ class TestStaircaseBlocks:
         solve variable at the lowest values, and on the second the pivot
         derivative g there.
         """
-        cert, pivots = _pivot_schedule(support, alpha, m)
+        cert, pivots = _pivot_schedule(support, weight_data(support, alpha), m)
         n0 = min(pivots)
         jp = pivots[n0][0]
         window = [(j, u) for j in range(support.num_vars) for u in range(alpha[j], m + 1)]
@@ -533,7 +531,7 @@ class TestPivotSchedule:
 
     @staticmethod
     def check(support, alpha, m):
-        _, pivots = _pivot_schedule(support, alpha, m)
+        _, pivots = _pivot_schedule(support, weight_data(support, alpha), m)
         n0, top = min(pivots), max(pivots)
         per_monomial = [_expand_single_monomial(e, alpha, m, top) for e in support.exponents]
         for k, pivot in pivots.items():
@@ -623,14 +621,14 @@ class TestExpansionCompositions:
 
 class TestTorusSample:
     def test_whitney_style_form(self):
-        data = certificate_data(WHITNEY, (2, 1, 2))
+        data = certificate_data(WHITNEY, weight_data(WHITNEY, (2, 1, 2)))
         witness = torus_point_sample(data.initial_form, data.pivot_coefficient, prime=101, trials=30, seed=7)
         assert witness is not None
         assert all(x != 0 for x in witness["point"])
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_non_positive_trials_rejected(self, trials):
-        data = certificate_data(WHITNEY, (2, 1, 2))
+        data = certificate_data(WHITNEY, weight_data(WHITNEY, (2, 1, 2)))
         with pytest.raises(OracleError):
             torus_point_sample(data.initial_form, data.pivot_coefficient, prime=101, trials=trials)
         monomial = GenericForm(num_vars=2, terms=((1, 0, (2, 0)),))
@@ -638,7 +636,7 @@ class TestTorusSample:
             torus_point_sample(monomial, monomial, prime=101, trials=trials)
 
     def test_limit(self):
-        data = certificate_data(WHITNEY, (2, 1, 2))
+        data = certificate_data(WHITNEY, weight_data(WHITNEY, (2, 1, 2)))
         args = (data.initial_form, data.pivot_coefficient, 101, 30, 7)
         # the solve variable x2 has degree 1 and 101 has 7 bits: 30 * 1 * 7 steps
         assert torus_point_sample(*args, max_points=210) == torus_point_sample(*args)
@@ -675,7 +673,7 @@ class TestTorusSample:
         rows = [(0, 1, 1), (0, 2, 0), (0, 3, 1), (2, 0, 1)]
         s = validate_support([tuple(r[p] for p in perm) for r in rows])
         alpha = tuple((1, 2, 1)[p] for p in perm)
-        data = certificate_data(s, alpha)
+        data = certificate_data(s, weight_data(s, alpha))
         witness = torus_point_sample(
             data.initial_form, data.pivot_coefficient, prime=10007, trials=50, seed=0
         )
@@ -684,7 +682,7 @@ class TestTorusSample:
 
     def test_curve_certificate_upgrade(self):
         curve = validate_support([(2, 0), (0, 2), (1, 1), (0, 3)])
-        data = certificate_data(curve, (1, 1))
+        data = certificate_data(curve, weight_data(curve, (1, 1)))
         witness = torus_point_sample(
             data.initial_form, data.pivot_coefficient, prime=10007, trials=50, seed=11
         )
