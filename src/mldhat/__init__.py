@@ -21,17 +21,13 @@ here is safe to call concurrently.
 """
 
 from .cones import Cone, FaceSpec, dual_cone
-from .cones import RationalPolytope, UnboundedPolytopeError, enumerate_lattice_points
 from .hilbert import HilbertBasis, hilbert_basis
 from .hypersurface import (
     HypersurfaceMldReport,
     Support,
-    binomial_lambda,
     equality_certificate,
     hypersurface_report,
-    is_feasible,
     minimize_objective,
-    objective,
     validate_support,
     weight_data,
 )
@@ -65,25 +61,19 @@ __all__ = [
     "HypersurfaceMldReport",
     "LatticeError",
     "LimitError",
-    "RationalPolytope",
     "SpanningWitness",
     "StaircaseResult",
     "Support",
     "ToricMldReport",
     "TruncatedExpansion",
-    "UnboundedPolytopeError",
-    "binomial_lambda",
     "dual_cone",
-    "enumerate_lattice_points",
     "equality_certificate",
     "expand",
     "hilbert_basis",
     "hypersurface_report",
-    "is_feasible",
     "minimize_objective",
     "minimize_spanning_cost",
     "mld_at_point",
-    "objective",
     "pairing",
     "rank_of",
     "spanning_cost_greedy",

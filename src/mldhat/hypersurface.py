@@ -250,8 +250,9 @@ def objective(support: Support, alpha) -> int:
 @dataclass(frozen=True)
 class ObjectiveMinimum:
     value: int
-    witness: tuple[int, ...]
-    box_bound: int  # largest coordinate of any scanned tuple
+    # the largest pivot bound `top` of the layers scanned: every evaluated
+    # tuple lies in [1, box_bound]^n, though none need reach it
+    box_bound: int
     minimizers: tuple[tuple[int, ...], ...]  # sorted
 
 
@@ -336,13 +337,7 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
                             a += step
                         lo = a + 1  # the walk down stops where the walk up ended
         if found:
-            minimizers = tuple(sorted(found))
-            return ObjectiveMinimum(
-                value=layer,
-                witness=minimizers[0],
-                box_bound=largest,
-                minimizers=minimizers,
-            )
+            return ObjectiveMinimum(value=layer, box_bound=largest, minimizers=tuple(sorted(found)))
         layer += 1
 
 
@@ -509,19 +504,13 @@ def equality_certificate(data: CertificateData) -> Certificate:
 # Binomials with disjoint variables
 
 
-def is_binomial(support: Support) -> bool:
-    if len(support.exponents) != 2:
-        return False
-    a, b = support.exponents
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def binomial_lambda(support: Support):
     """Minimum of the objective for a binomial support with disjoint variables.
 
     Checks the shape and runs the general scan, minimize_objective.
     """
-    if not is_binomial(support):
+    exponents = support.exponents
+    if len(exponents) != 2 or any(x and y for x, y in zip(*exponents)):
         raise ValueError("binomial_lambda needs a binomial with disjoint variables")
     return minimize_objective(support)
 

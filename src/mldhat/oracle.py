@@ -185,30 +185,16 @@ def _window_monomial_bound(support: Support, alpha, m) -> int:
     )
 
 
-def _combine(coeffs, per_monomial, s, prime):
-    """G_s = sum_i coeffs[i] * (t^s coefficient of monomial i's series).
-
-    Reduced mod prime unless prime is None; zero coefficients are dropped.
-    """
-    acc: dict[Monomial, int] = {}
-    for c, series in zip(coeffs, per_monomial):
-        for mono, k in series.get(s, {}).items():
-            v = acc.get(mono, 0) + c * k
-            if prime is not None:
-                v %= prime
-            if v:
-                acc[mono] = v
-            else:
-                acc.pop(mono, None)
-    return acc
-
-
 def expand(support: Support, coeffs, alpha, m, prime=None, max_points=None) -> TruncatedExpansion:
     """Arc expansion of sum_i coeffs[i] x^{I^i} with orders alpha, cut at m.
 
     Coefficients are matched to `support.exponents`, which is canonically
-    sorted.  Every monomial of every G_s has weight exactly s; the
-    expansion asserts this invariant as it goes.  With `max_points`,
+    sorted.  A window monomial comes from exactly one support monomial
+    (see `staircase_verify`), so G_s holds each monomial M of weight s of
+    the series of x^{I^i} once, with coefficient c_i k(M), reduced mod the
+    prime if one is given and left out where it is zero.  Every monomial
+    of every G_s has weight exactly s; the expansion asserts this
+    invariant as it goes.  With `max_points`,
     LimitError is raised before any expansion when the window monomials
     (`_window_monomial_bound`) exceed it.
     """
@@ -223,17 +209,20 @@ def expand(support: Support, coeffs, alpha, m, prime=None, max_points=None) -> T
         raise LimitError(
             f"oracle expand: up to {terms} window monomials exceed the limit ({max_points})"
         )
-    per_monomial = [_expand_single_monomial(e, alpha, m, m) for e in support.exponents]
-    total = {
-        s: poly for s in range(m + 1) if (poly := _combine(coeffs, per_monomial, s, prime))
-    }
+    total: dict[int, dict[Monomial, int]] = {}
+    for c, exponents in zip(coeffs, support.exponents):
+        for s, series in _expand_single_monomial(exponents, alpha, m, m).items():
+            for mono, k in series.items():
+                v = c * k if prime is None else c * k % prime
+                if v:
+                    total.setdefault(s, {})[mono] = v
     for s, poly in total.items():
         for mono in poly:
             if _monomial_weight(mono) != s:
                 raise AssertionError(
                     f"weight invariant broken: {mono} in the t^{s} coefficient"
                 )
-    return TruncatedExpansion(alpha=alpha, order=m, prime=prime, terms=total)
+    return TruncatedExpansion(alpha=alpha, order=m, prime=prime, terms=dict(sorted(total.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +597,14 @@ def staircase_verify(
     point found, and a nonzero value raises AssertionError; so a chain
     coefficient other than the one above cannot pass unseen.
 
-    With `max_points`, LimitError is raised before any expansion when the
-    window monomials (`_window_monomial_bound`) times the trials exceed it.
+    With `max_points`, LimitError is raised before the window is built
+    when the window monomials (`_window_monomial_bound`) times the trials
+    exceed it.  An infeasible alpha returns its window size, the sum of
+    m - alpha_j + 1, without building the window either.
     """
     alpha = _window_orders(support, alpha, m)
     _require_odd_prime(prime)
     _require_trials(trials)
-    nv = support.num_vars
-    window = [(j, u) for j in range(nv) for u in range(alpha[j], m + 1)]
     record = _evaluate(support.exponents, alpha)
     if record is None:
         return StaircaseResult(
@@ -624,7 +613,7 @@ def staircase_verify(
             trials=0,
             successes=0,
             estimated_dim=None,
-            window_size=len(window),
+            window_size=sum(m - a + 1 for a in alpha),
             empty=True,
         )
     if max_points is not None:
@@ -634,6 +623,8 @@ def staircase_verify(
                 f"oracle staircase: up to {terms * trials} term evaluations "
                 f"({terms} window monomials, {trials} trials) exceed the limit ({max_points})"
             )
+    nv = support.num_vars
+    window = [(j, u) for j in range(nv) for u in range(alpha[j], m + 1)]
     cert, pivots = _pivot_schedule(support, record, m)
     n0, *equations = pivots
     base_pivot = pivots[n0]

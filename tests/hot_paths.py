@@ -2,7 +2,10 @@
 
 Builds corpus seed N of both benchmark workloads with `perfbench/corpus.py`
 (default N = 4), runs every op in process through `mldhat.cli.main` under
-cProfile and a `sys.settrace` line tracer, and prints two tables and a list:
+cProfile and a `sys.settrace` line tracer, and prints two tables and a list.
+Given several seeds, it prints the first table once per seed, and the
+rest once for all of them: a statement is unrun when no op of any of the
+seeds runs it.
 
 * for each op kind, the number of ops, of distinct named `mldhat`
   functions they call (comprehensions, generator expressions and lambdas
@@ -19,7 +22,7 @@ cProfile and a `sys.settrace` line tracer, and prints two tables and a list:
 
 Run it from the repository root:
 
-    PYTHONPATH=src python tests/hot_paths.py [N]
+    PYTHONPATH=src python tests/hot_paths.py [N ...]
 
 It is a script, not a test module: pytest does not collect it.
 """
@@ -161,13 +164,16 @@ def code_lines(path):
 
 
 if __name__ == "__main__":
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    counts, ran = run_corpus(seed)
-    print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
-    print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} {'pairing':>8}")
-    for kind, (ops, functions, evaluations, checks, pairings) in sorted(counts.items()):
-        print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9} {pairings:>8}")
-    print()
+    seeds = [int(arg) for arg in sys.argv[1:]] or [4]
+    ran = set()
+    for seed in seeds:
+        counts, seed_ran = run_corpus(seed)
+        ran |= seed_ran
+        print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
+        print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} {'pairing':>8}")
+        for kind, (ops, functions, evaluations, checks, pairings) in sorted(counts.items()):
+            print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9} {pairings:>8}")
+        print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0
     unrun = {}
@@ -178,6 +184,7 @@ if __name__ == "__main__":
         print(f"{path.name:<16} {lines:>5} {body:>5} {len(unrun[path.name]):>5}")
     print(f"{'total':<16} {total:>5} {code:>5} {missed:>5}")
     print()
-    print(f"statements inside functions that no op of seed {seed} runs, by first line")
+    label = f"seed {seeds[0]}" if len(seeds) == 1 else "seeds " + ", ".join(map(str, seeds))
+    print(f"statements inside functions that no op of {label} runs, by first line")
     for name, lines in unrun.items():
         print(f"{name}: {', '.join(map(str, lines)) or '-'}")

@@ -13,7 +13,10 @@ truncated symbolic series (`_series_pow`, `_series_mul`, `_poly_mul`).
 per-call term plans, on that expansion: each trial rebuilds every G_k as
 a symbolic dict and collapses it onto its pivot with one `pow` per
 variable per monomial (`_substitute`, which the torus-point sampler also
-used before it collapsed its form directly).
+used before it collapsed its form directly).  It sums the series of the
+support monomials with `_combine`, the merge that `expand` made before it
+wrote each window monomial once, from the one support monomial it comes
+from.
 `reference_powmod_minus_one` is the right-to-left square-and-multiply the
 root finder used before its linear-base kernel.  `reference_nonzero_roots`
 is the root finder before quadratics were solved in closed form: every
@@ -48,6 +51,9 @@ attaining the pivot gap.  `reference_minimize_objective` is the layered
 tuple scan as it was before it evaluated only the orders of the pivot
 where two monomial weights tie: it evaluates every order 1..top, with
 `reference_evaluate` and Obj written out.
+
+`is_binomial` is the shape test that `binomial_lambda` made through a
+function of its own: two monomials with disjoint variables.
 
 `reference_hypersurface_report` is the hypersurface report as it was
 before every report decided its certificate exactly: a first pass tries
@@ -114,7 +120,6 @@ from mldhat.lattice import (
 )
 from mldhat.oracle import (
     StaircaseResult,
-    _combine,
     _divmod,
     _monic,
     _nonzero_roots,
@@ -412,6 +417,24 @@ def reference_spanning_cost_greedy(a, hb):
     return SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(chosen)))
 
 
+def _combine(coeffs, per_monomial, s, prime):
+    """G_s = sum_i coeffs[i] * (t^s coefficient of monomial i's series).
+
+    Reduced mod prime unless prime is None; zero coefficients are dropped.
+    """
+    acc = {}
+    for c, series in zip(coeffs, per_monomial):
+        for mono, k in series.get(s, {}).items():
+            v = acc.get(mono, 0) + c * k
+            if prime is not None:
+                v %= prime
+            if v:
+                acc[mono] = v
+            else:
+                acc.pop(mono, None)
+    return acc
+
+
 def reference_staircase_verify(support, alpha, m, prime=10007, trials=50, seed=0):
     """The staircase oracle with a symbolic rebuild of every G_k per trial."""
     alpha = _window_orders(support, alpha, m)
@@ -601,14 +624,15 @@ def reference_minimize_objective(support, max_points=None):
                     if data is not None and base + a - data[1] + data[2] <= layer:
                         found.add(tuple(orders))
         if found:
-            minimizers = tuple(sorted(found))
-            return ObjectiveMinimum(
-                value=layer,
-                witness=minimizers[0],
-                box_bound=largest,
-                minimizers=minimizers,
-            )
+            return ObjectiveMinimum(value=layer, box_bound=largest, minimizers=tuple(sorted(found)))
         layer += 1
+
+
+def is_binomial(support):
+    if len(support.exponents) != 2:
+        return False
+    a, b = support.exponents
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def reference_hypersurface_report(support, certify=False, max_points=None):
@@ -629,7 +653,7 @@ def reference_hypersurface_report(support, certify=False, max_points=None):
                 chosen = cert
                 break
     if chosen is None:
-        chosen = first  # the undecided certificate of result.witness
+        chosen = first  # the undecided certificate of result.minimizers[0]
     status = "EXACT" if chosen.status == "CERTIFIED" else "LOWER_BOUND"
     return HypersurfaceMldReport(
         lambda_lower_bound=result.value,

@@ -18,7 +18,6 @@ from mldhat.hypersurface import (
     certificate_data,
     equality_certificate,
     hypersurface_report,
-    is_binomial,
     is_feasible,
     minimize_objective,
     objective,
@@ -29,6 +28,7 @@ from mldhat.lattice import LimitError
 from mldhat.oracle import torus_point_sample
 from mldhat import hypersurface
 from reference_kernels import (
+    is_binomial,
     reference_evaluate,
     reference_hypersurface_report,
     reference_minimize_objective,
@@ -333,14 +333,14 @@ class TestMinimize:
     def test_whitney(self):
         result = minimize_objective(WHITNEY)
         assert result.value == 1
-        assert result.witness == (2, 1, 2)
+        assert result.minimizers[0] == (2, 1, 2)
 
     def test_a_k_family(self):
         for k in (1, 2, 5):
             s = validate_support(ade_support("A", k=k))
             result = minimize_objective(s)
             assert result.value == 0
-            assert result.witness == (1, 1, 1)
+            assert result.minimizers[0] == (1, 1, 1)
 
     def test_e8(self):
         s = validate_support(ade_support("E8"))
@@ -362,7 +362,7 @@ class TestMinimize:
                 continue  # keep the doubled oracle box tractable
             wide = brute_minimum(s, 2 * result.box_bound)
             assert result.value == wide[0]
-            assert result.witness == wide[1]
+            assert result.minimizers[0] == wide[1]
             assert result.minimizers == wide[2]
             checked += 1
 
@@ -695,7 +695,7 @@ class TestBinomial:
     def test_whitney(self):
         result = binomial_lambda(WHITNEY)
         assert result.value == 1
-        assert result.witness == (2, 1, 2)
+        assert result.minimizers[0] == (2, 1, 2)
 
     def test_toric_threefold(self):
         s = validate_support([(1, 1, 1, 0), (0, 0, 0, 2)])
@@ -706,7 +706,7 @@ class TestBinomial:
         s = validate_support([(1, 1, 0, 0), (0, 0, 1, 1)])
         result = binomial_lambda(s)
         assert result.value == 0
-        assert result.witness == (1, 1, 1, 1)
+        assert result.minimizers[0] == (1, 1, 1, 1)
 
     def test_agrees_with_general_pipeline(self):
         for exps in (
@@ -720,7 +720,21 @@ class TestBinomial:
             fast = binomial_lambda(s)
             slow = minimize_objective(s)
             assert fast.value == slow.value
-            assert fast.witness == slow.witness
+            assert fast.minimizers[0] == slow.minimizers[0]
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            validate_support([(2, 0, 0), (0, 2, 1), (1, 1, 1)]),
+            # a valid binomial touches every coordinate plane, so its variables
+            # are disjoint: a shared one needs the rows without those checks
+            raw_support([(2, 1, 0), (0, 1, 2)]),
+        ],
+        ids=["three-monomials", "shared-variable"],
+    )
+    def test_refuses_other_shapes(self, support):
+        with pytest.raises(ValueError, match="^binomial_lambda needs a binomial with disjoint variables$"):
+            binomial_lambda(support)
 
 
 class TestReports:

@@ -37,6 +37,7 @@ from mldhat.oracle import (
     torus_point_sample,
 )
 from reference_kernels import (
+    _combine,
     reference_expand_single_monomial,
     reference_nonzero_roots,
     reference_powmod_minus_one,
@@ -145,6 +146,33 @@ class TestExpand:
                 for e in counts:
                     expected //= math.factorial(e)
                 assert coeff == expected
+
+    def test_matches_the_merge_route(self):
+        # expand writes each window monomial once; summing the series of the
+        # support monomials per t-power (`_combine`) gives the same G_s, in
+        # the same order.  Over F_3 an exponent of 3 or more makes 3 divide
+        # some k(M), and those monomials drop
+        rng = random.Random(32)
+        dropped = 0
+        for prime in (None, 101, 3) * 40:
+            nv = rng.randint(1, 3)
+            rows = {tuple(rng.randint(0, 3) for _ in range(nv)) for _ in range(rng.randint(1, 4))} - {(0,) * nv}
+            if prime == 3 or not rows:
+                rows.add(tuple(rng.randint(3, 4) if j == 0 else rng.randint(0, 1) for j in range(nv)))
+            s = raw_support(rows)
+            alpha = tuple(rng.randint(1, 2) for _ in range(nv))
+            m = max(alpha) + rng.randint(0, 3)
+            coeffs = [rng.choice([-1, 1]) * rng.randint(1, 2 if prime == 3 else 9) for _ in s.exponents]
+            per_monomial = [_expand_single_monomial(e, alpha, m, m) for e in s.exponents]
+            merged = {k: g for k in range(m + 1) if (g := _combine(coeffs, per_monomial, k, prime))}
+            terms = expand(s, coeffs, alpha, m, prime=prime).terms
+            assert terms == merged
+            assert [list(g) for g in terms.values()] == [list(g) for g in merged.values()]
+            assert list(terms) == sorted(terms)
+            if prime == 3:
+                exact = expand(s, coeffs, alpha, m).terms
+                dropped += sum(map(len, exact.values())) - sum(map(len, terms.values()))
+        assert dropped > 0
 
 
 class TestStaircase:
@@ -355,6 +383,23 @@ class TestStaircasePlans:
             expand(WHITNEY, [1, 1], alpha, m, max_points=bound - 1)
         # an infeasible tuple expands nothing, so no limit refuses it
         assert staircase_verify(WHITNEY, (1, 1, 1), m, 101, trials, max_points=0).empty
+
+    def test_refusals_build_no_window(self):
+        # the window holds m - alpha_j + 1 superscripts of each variable, 3 * 10^5
+        # entries here (tens of MB), so a small peak shows that neither the
+        # refusal nor the infeasible tuple built it.  m stays this small so
+        # that a regression cannot turn into a runaway allocation
+        m = 10**5
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError, match=r"^oracle staircase: up to"):
+                staircase_verify(WHITNEY, (2, 1, 2), m, 101, 5, max_points=1000)
+            empty = staircase_verify(WHITNEY, (1, 1, 1), m, 101, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (empty.empty, empty.window_size) == (True, 3 * m)
+        assert peak < 10**6
 
 
 # a binary quadratic form plus a variable of higher order: the pivot x of

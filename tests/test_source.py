@@ -151,11 +151,22 @@ TRACED = string_constants(ast.parse(TRACING.read_text(encoding="utf-8"), filenam
 DOCUMENTED = {"load_report"}
 
 
+def package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+
+
 def test_top_level_names_have_library_readers():
     # code that only the tests use belongs in the tests (reference_kernels.py)
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
-    found = list(unread_definitions(trees, TRACED | DOCUMENTED))
+    found = list(unread_definitions(package_trees(), TRACED | DOCUMENTED))
     assert not found, f"functions and classes with no reader in the package: {found}"
+
+
+def test_exports_have_library_readers():
+    # the tracer finds what it wraps in its module, so a name that only the
+    # tests and the tracer read is kept there but not exported
+    unread = {name for _, name in unread_definitions(package_trees(), DOCUMENTED)}
+    found = sorted(unread.intersection(mldhat.__all__))
+    assert not found, f"exported names with no reader in the package: {found}"
 
 
 def test_private_helper_check_catches():
