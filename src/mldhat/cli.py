@@ -237,10 +237,6 @@ def _run_dual(args):
     return {"cone_rays": cone.generators, "dual_rays": dual.generators}
 
 
-def _oracle_seed(args):
-    return args.seed if args.seed is not None else 0
-
-
 def _run_staircase(args):
     result = staircase_verify(
         parse_support_file(args.support),
@@ -248,7 +244,7 @@ def _run_staircase(args):
         m=args.m,
         prime=args.prime,
         trials=args.trials,
-        seed=_oracle_seed(args),
+        seed=args.seed or 0,
         max_points=args.max_subsets,
     )
     return {"kind": "staircase", **vars(result)}
@@ -262,7 +258,7 @@ def _run_torus_point(args):
         data.pivot_coefficient,
         prime=args.prime,
         trials=args.trials,
-        seed=_oracle_seed(args),
+        seed=args.seed or 0,
         max_points=args.max_subsets,
     )
     return {"kind": "torus-point", "witness": witness}

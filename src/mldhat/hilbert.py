@@ -39,7 +39,6 @@ from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this
 class HilbertBasis:
     """The irreducible elements of the lattice semigroup of a dual cone."""
 
-    dual: Cone
     elements: tuple[tuple[int, ...], ...]
 
 
@@ -343,7 +342,7 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
                 origin[u] = (T, q, absdet)
     origin.pop(0, None)
     elements = [coords.point(*origin[u], u) for u in coords.minimal_elements(origin)]
-    return HilbertBasis(dual=dual, elements=tuple(sorted(elements)))
+    return HilbertBasis(elements=tuple(sorted(elements)))
 
 
 def interior_candidates(cone: Cone, max_points: int | None) -> list[tuple[int, ...]]:

@@ -60,9 +60,11 @@ Equality holds when the lowest-order coefficient form f of the arc
 expansion has a torus zero off the vanishing locus of the pivot
 derivative g.  For very general coefficients this is decided exactly
 (see equality_certificate): it holds precisely when f has two or more
-monomials and f does not divide g.  Each report decides it at every
-minimizer; the kind names the deciding test: the monomial criterion (g
-is a single monomial, which f cannot divide) or the full torus-zero one.
+monomials and f does not divide g.  Each report decides it once per
+class of minimizers with the same f, g and pivot index
+(`hypersurface_report`); the kind names the deciding test: the monomial
+criterion (g is a single monomial, which f cannot divide) or the full
+torus-zero one.
 Each step reads only the output of the one before it: the record of a
 tuple (`WeightData`, from `weight_data` or the scan's kernel), then its
 forms f and g (`certificate_data`), then the certificate
@@ -254,6 +256,7 @@ class ObjectiveMinimum:
     # tuple lies in [1, box_bound]^n, though none need reach it
     box_bound: int
     minimizers: tuple[tuple[int, ...], ...]  # sorted
+    records: tuple[WeightData, ...]  # the scan's record of each minimizer, in `minimizers` order
 
 
 def _small_tuples(count, budget):
@@ -300,7 +303,7 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
             if size > max_points:
                 raise LimitError(f"layer {layer} of the tuple scan takes up to {size} "
                                  f"evaluations, over the limit ({max_points})")
-        found = set()
+        found = {}  # orders -> record
         for pivot in range(nv):
             for rest in _small_tuples(nv - 1, layer):
                 orders = list(rest)
@@ -333,11 +336,12 @@ def minimize_objective(support: Support, max_points=None) -> ObjectiveMinimum:
                             data = _evaluate(exponents, orders)
                             if data.objective > layer:
                                 break
-                            found.add(data.orders)
+                            found[data.orders] = data
                             a += step
                         lo = a + 1  # the walk down stops where the walk up ended
         if found:
-            return ObjectiveMinimum(value=layer, box_bound=largest, minimizers=tuple(sorted(found)))
+            minimizers, records = zip(*sorted(found.items()))
+            return ObjectiveMinimum(value=layer, box_bound=largest, minimizers=minimizers, records=records)
         layer += 1
 
 
@@ -534,15 +538,22 @@ class HypersurfaceMldReport:
 def hypersurface_report(support: Support, max_points=None) -> HypersurfaceMldReport:
     """Lower bound for lambda(0) with an equality certificate when one exists.
 
-    The layered scan finds every minimizer, and each gets its certificate.
-    The report keeps the first, in lexicographic order, of the best kind:
-    monomial criterion, then torus-zero criterion, then undecided.
+    The layered scan finds every minimizer with its record, and the
+    certificate data of each is read off that record.  equality_certificate
+    reads only the pivot index, the initial form and the pivot coefficient
+    besides alpha, so the minimizers that share all three form a class with
+    one certificate up to alpha, and each class is certified once, at its
+    first, least alpha.  The report keeps the first, in lexicographic order,
+    of the best kind: monomial criterion, then torus-zero criterion, then
+    undecided.
     """
     n = support.dimension_of_hypersurface
     result = minimize_objective(support, max_points=max_points)
-    # the scan made these tuples, so each is feasible: one kernel call gives its record
-    records = [_evaluate(support.exponents, orders) for orders in result.minimizers]
-    certificates = [equality_certificate(certificate_data(support, data)) for data in records]
+    classes = {}  # (pivot index, initial form, pivot coefficient) -> data of the least alpha
+    for record in result.records:
+        data = certificate_data(support, record)
+        classes.setdefault((record.pivot_index, data.initial_form, data.pivot_coefficient), data)
+    certificates = [equality_certificate(data) for data in classes.values()]
     chosen = min(certificates, key=lambda cert: _KIND_ORDER.index(cert.kind))
     status = "EXACT" if chosen.status == "CERTIFIED" else "LOWER_BOUND"
     return HypersurfaceMldReport(

@@ -62,10 +62,7 @@ def is_zero(v) -> bool:
 
 def content(v) -> int:
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def primitive(v) -> Vector:
@@ -127,15 +124,9 @@ def row_hermite(rows) -> list[Vector]:
 
 
 def rank_of(vectors) -> int:
-    """Rank over the rationals of a family of integer vectors (0 if empty)."""
-    vecs = list(vectors)
-    if not vecs:
-        return 0
-    rank = len(vecs[0])
-    for v in vecs:
-        if len(v) != rank:
-            raise LatticeError("vectors of mixed rank")
-    return len(row_hermite(vecs))
+    """Rank over the rationals of a family of integer vectors (0 if empty);
+    `row_hermite` refuses ragged input with a LatticeError."""
+    return len(row_hermite(list(vectors)))
 
 
 def integer_kernel(rows, n) -> list[Vector]:

@@ -39,6 +39,7 @@ module, and `torus_point_sample` is its independent check.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, repeat
@@ -106,10 +107,6 @@ def _draw(getrandbits, lo, hi):
 Monomial = tuple[tuple[tuple[int, int], int], ...]
 
 
-def _monomial_weight(mono: Monomial) -> int:
-    return sum(u * e for ((_, u), e) in mono)
-
-
 def _expand_single_monomial(exponents, alpha, m, upto):
     """t-series of prod_j (sum_{u=alpha_j}^m x_j^(u) t^u)^{I_j}, cut at t^upto.
 
@@ -173,16 +170,32 @@ def _window_orders(support: Support, alpha, m):
     return alpha
 
 
-def _window_monomial_bound(support: Support, alpha, m) -> int:
-    """At most this many window monomials in the expansion of the support.
+def _window_monomial_bound(support: Support, alpha, m, cut) -> int | None:
+    """At most this many window monomials in the expansion of the support
+    cut at t^cut, or None when that is over 2^63.
 
-    A window monomial of x^I picks, for every variable j, a multiset of I_j
-    superscripts from alpha_j..m: C(m - alpha_j + I_j, I_j) choices.  The
-    weight cut of the expansion only removes monomials.
+    A window monomial of x^I weighs alpha . I plus its excess, the sum of
+    u - alpha_j over its superscripts u (`_expand_single_monomial`).  So
+    x^I has none when alpha . I > cut, and otherwise every variable j picks
+    a multiset of I_j superscripts from alpha_j..alpha_j + s_j, with
+    s_j = min(m - alpha_j, cut - alpha . I): C(s_j + I_j, I_j) choices.
+    That is at least 2^k for k = min(s_j, I_j), and takes time growing
+    with k to compute (`math.comb` took 44 s at k = 10^6 with Python 3.11
+    on a 2-vCPU VM), so it is computed for k <= 63 only; a count of 4300
+    digits or more could not be printed either.
     """
-    return sum(
-        prod(comb(m - a + e, e) for a, e in zip(alpha, expo)) for expo in support.exponents
-    )
+    total = 0
+    for expo in support.exponents:
+        slack = cut - sum(map(mul, alpha, expo))
+        if slack >= 0:
+            count = 1
+            for a, e in zip(alpha, expo):
+                s = min(m - a, slack)
+                if min(s, e) > 63:
+                    return None
+                count *= comb(s + e, e)
+            total += count
+    return total if total <= 1 << 63 else None
 
 
 def expand(support: Support, coeffs, alpha, m, prime=None, max_points=None) -> TruncatedExpansion:
@@ -194,9 +207,9 @@ def expand(support: Support, coeffs, alpha, m, prime=None, max_points=None) -> T
     the series of x^{I^i} once, with coefficient c_i k(M), reduced mod the
     prime if one is given and left out where it is zero.  Every monomial
     of every G_s has weight exactly s; the expansion asserts this
-    invariant as it goes.  With `max_points`,
-    LimitError is raised before any expansion when the window monomials
-    (`_window_monomial_bound`) exceed it.
+    invariant as it goes.  LimitError is raised before any expansion when
+    the window monomials (`_window_monomial_bound`, cut at t^m) exceed
+    `max_points` or sys.maxsize: no list can hold more.
     """
     alpha = _window_orders(support, alpha, m)
     if prime is not None:
@@ -205,10 +218,11 @@ def expand(support: Support, coeffs, alpha, m, prime=None, max_points=None) -> T
         raise OracleError("one coefficient per support monomial is required")
     if any(c == 0 if prime is None else c % prime == 0 for c in coeffs):
         raise OracleError("coefficients must be nonzero in the field")
-    if max_points is not None and (terms := _window_monomial_bound(support, alpha, m)) > max_points:
-        raise LimitError(
-            f"oracle expand: up to {terms} window monomials exceed the limit ({max_points})"
-        )
+    limit = sys.maxsize if max_points is None else min(max_points, sys.maxsize)
+    terms = _window_monomial_bound(support, alpha, m, m)
+    if terms is None or terms > limit:
+        count = "over 2^63" if terms is None else f"up to {terms}"
+        raise LimitError(f"oracle expand: {count} window monomials exceed the limit ({limit})")
     total: dict[int, dict[Monomial, int]] = {}
     for c, exponents in zip(coeffs, support.exponents):
         for s, series in _expand_single_monomial(exponents, alpha, m, m).items():
@@ -218,7 +232,7 @@ def expand(support: Support, coeffs, alpha, m, prime=None, max_points=None) -> T
                     total.setdefault(s, {})[mono] = v
     for s, poly in total.items():
         for mono in poly:
-            if _monomial_weight(mono) != s:
+            if sum(u * e for (_, u), e in mono) != s:
                 raise AssertionError(
                     f"weight invariant broken: {mono} in the t^{s} coefficient"
                 )
@@ -597,9 +611,10 @@ def staircase_verify(
     point found, and a nonzero value raises AssertionError; so a chain
     coefficient other than the one above cannot pass unseen.
 
-    With `max_points`, LimitError is raised before the window is built
-    when the window monomials (`_window_monomial_bound`) times the trials
-    exceed it.  An infeasible alpha returns its window size, the sum of
+    LimitError is raised before the window is built when the window
+    monomials (`_window_monomial_bound`, cut at t^(m + mu), the last
+    equation) times the trials exceed `max_points` or sys.maxsize.  An
+    infeasible alpha returns its window size, the sum of
     m - alpha_j + 1, without building the window either.
     """
     alpha = _window_orders(support, alpha, m)
@@ -616,13 +631,11 @@ def staircase_verify(
             window_size=sum(m - a + 1 for a in alpha),
             empty=True,
         )
-    if max_points is not None:
-        terms = _window_monomial_bound(support, alpha, m)
-        if terms * trials > max_points:
-            raise LimitError(
-                f"oracle staircase: up to {terms * trials} term evaluations "
-                f"({terms} window monomials, {trials} trials) exceed the limit ({max_points})"
-            )
+    limit = sys.maxsize if max_points is None else min(max_points, sys.maxsize)
+    terms = _window_monomial_bound(support, alpha, m, m + record.pivot_gap)
+    if terms is None or terms * trials > limit:
+        count = "over 2^63" if terms is None else f"up to {terms}"
+        raise LimitError(f"oracle staircase: {count} window monomials times {trials} trials exceed the limit ({limit})")
     nv = support.num_vars
     window = [(j, u) for j in range(nv) for u in range(alpha[j], m + 1)]
     cert, pivots = _pivot_schedule(support, record, m)

@@ -81,16 +81,21 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
     exactly (m + 1) n - cost(a); below it only the bracket
     [(m + 1) n - cost(a), (m + 1) n - m] is known.
 
+    The basis holds the primitive vector of every extreme ray of the dual
+    cone, as each is irreducible, so a is interior, pairing positively with
+    every one of them, exactly when its least pairing in the ranking is
+    positive: every basis element is a nonnegative combination of them.
+
     The span test keeps the chosen elements in fraction-free echelon form:
     each stored row is zero at the pivot columns of the rows stored before
     it, so reducing u against the rows in turn zeroes every pivot column,
     and u lies in the span exactly when nothing is left.
     """
-    n = hb.dual.ambient_rank
+    n = len(hb.elements[0]) if hb.elements else 0
     a = as_vector(a, n)
-    if not all(pairing(u, a) > 0 for u in hb.dual.generators):
-        raise LatticeError("spanning cost needs an interior lattice point")
     ranked = sorted((pairing(u, a), u) for u in hb.elements)
+    if not ranked or ranked[0][0] <= 0:
+        raise LatticeError("spanning cost needs an interior lattice point")
     chosen: list[tuple[int, ...]] = []
     value = 0
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)

@@ -12,9 +12,11 @@ seeds runs it.
   left out, so the count follows call paths, not style), of calls to
   `_evaluate`, the kernel the `hyper` scan runs once per candidate tuple,
   through every module that binds it (`hypersurface`, `oracle`), of calls
-  to `mldhat.hypersurface._as_alpha`, the check of an order tuple, and of
-  calls to `mldhat.lattice.pairing` from the modules that import it
-  (`cones`, `hilbert`, `toric`);
+  to `mldhat.hypersurface._as_alpha`, the check of an order tuple, of
+  calls to `mldhat.hypersurface.equality_certificate`, which the `hyper`
+  report makes once per certificate class of its minimizers, and of calls
+  to `mldhat.lattice.pairing` from the modules that import it (`cones`,
+  `hilbert`, `toric`);
 * for each module of `src/mldhat`, its lines, its code lines (without
   docstrings, comments or blank lines) and its unrun lines: the
   statements inside functions that no op of the seed runs;
@@ -49,6 +51,7 @@ WORKLOADS = ("toric-cones", "hyper-oracle")
 COUNTED = {
     "_evaluate": ("hypersurface", "oracle"),  # every module that binds it
     "_as_alpha": ("hypersurface",),
+    "equality_certificate": ("hypersurface",),
     "pairing": ("cones", "hilbert", "toric"),  # every module that imports it from lattice
 }
 # code objects that are not named functions
@@ -170,9 +173,10 @@ if __name__ == "__main__":
         counts, seed_ran = run_corpus(seed)
         ran |= seed_ran
         print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
-        print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} {'pairing':>8}")
-        for kind, (ops, functions, evaluations, checks, pairings) in sorted(counts.items()):
-            print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9} {pairings:>8}")
+        print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} "
+              f"{'certificates':>12} {'pairing':>8}")
+        for kind, (ops, functions, evaluations, checks, certificates, pairings) in sorted(counts.items()):
+            print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9} {certificates:>12} {pairings:>8}")
         print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0

@@ -43,14 +43,16 @@ packed field by field.
 Hermite-form rank test per scanned basis element, as it was before the
 greedy kept an echelon form of the elements it has chosen.
 `is_interior_point` is the interior test that was a method of
-`HilbertBasis`: every dual ray pairs positively with the point.
+`HilbertBasis`: every ray of the dual cone pairs positively with the
+point.
 
 `reference_evaluate` is the tuple kernel as it was before its one record
 held the pivot index and Obj: it lists every pair (monomial, variable)
 attaining the pivot gap.  `reference_minimize_objective` is the layered
 tuple scan as it was before it evaluated only the orders of the pivot
 where two monomial weights tie: it evaluates every order 1..top, with
-`reference_evaluate` and Obj written out.
+`reference_evaluate` and Obj written out, and gives each minimizer its
+record from the library kernel `_evaluate`.
 
 `is_binomial` is the shape test that `binomial_lambda` made through a
 function of its own: two monomials with disjoint variables.
@@ -102,6 +104,7 @@ from mldhat.hypersurface import (
     SupportError,
     _as_alpha,
     _divides_pivot_derivative,
+    _evaluate,
     _small_tuples,
     certificate_data,
     is_feasible,
@@ -393,16 +396,17 @@ def reference_minimize_spanning_cost(cone, hb):
     )
 
 
-def is_interior_point(hb, a):
-    """Is a in the topological interior of the primal cone of the basis `hb`?"""
-    return all(pairing(u, a) > 0 for u in hb.dual.generators)
+def is_interior_point(dual, a):
+    """Is a in the topological interior of the primal cone of the cone `dual`?"""
+    return all(pairing(u, a) > 0 for u in dual.generators)
 
 
-def reference_spanning_cost_greedy(a, hb):
-    """The greedy spanning cost with a fresh rank test of chosen + [u] for every u."""
-    n = hb.dual.ambient_rank
+def reference_spanning_cost_greedy(a, hb, dual):
+    """The greedy spanning cost with a fresh rank test of chosen + [u] for
+    every u, over the basis `hb` of the cone `dual`."""
+    n = dual.ambient_rank
     a = as_vector(a, n)
-    if not is_interior_point(hb, a):
+    if not is_interior_point(dual, a):
         raise LatticeError("spanning cost needs an interior lattice point")
     ranked = sorted(hb.elements, key=lambda u: (pairing(u, a), u))
     chosen = []
@@ -624,7 +628,9 @@ def reference_minimize_objective(support, max_points=None):
                     if data is not None and base + a - data[1] + data[2] <= layer:
                         found.add(tuple(orders))
         if found:
-            return ObjectiveMinimum(value=layer, box_bound=largest, minimizers=tuple(sorted(found)))
+            minimizers = tuple(sorted(found))
+            records = tuple(_evaluate(exponents, orders) for orders in minimizers)
+            return ObjectiveMinimum(value=layer, box_bound=largest, minimizers=minimizers, records=records)
         layer += 1
 
 

@@ -157,16 +157,16 @@ def test_criterion_5_greedy_equals_bruteforce():
         hb = hilbert_basis(d)
         if len(hb.elements) > 14:
             continue
-        cones.append((c, hb))
+        cones.append((c, d, hb))
     pairs = 0
-    for c, hb in cones:
+    for c, d, hb in cones:
         for _ in range(10):
             coeffs = [rng.randint(1, 3) for _ in c.generators]
             a = tuple(
                 sum(x * g[j] for x, g in zip(coeffs, c.generators))
                 for j in range(c.ambient_rank)
             )
-            assert spanning_cost_greedy(a, hb).value == spanning_cost_bruteforce(a, hb).value
+            assert spanning_cost_greedy(a, hb).value == spanning_cost_bruteforce(a, hb, d).value
             pairs += 1
     assert pairs == 300
     report_pass(5, "greedy spanning cost equals exhaustive minimum on 300 random instances")

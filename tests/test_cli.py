@@ -1,7 +1,10 @@
 import importlib
 import io
 import json
+import os
+import pathlib
 import pkgutil
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -32,6 +35,18 @@ from test_hypersurface import FLAT_FAMILY, regression_supports
 
 
 NO_OP_FLAGS = {"hyper": "--certify", "toric": "--no-fast-paths"}
+
+# runs mldhat.cli.main on argv under a 1 GB address-space cap, prints the
+# seconds main took and exits with its code
+CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from mldhat.cli import main
+started = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - started)
+sys.exit(code)
+"""
 
 
 def run_cli(argv):
@@ -330,6 +345,38 @@ class TestCommands:
         report = json.loads(err)
         assert report["kind"] == "LimitError"
         assert report["error"].startswith(f"oracle {command}: up to ")
+
+    @pytest.mark.parametrize(
+        "command, rows, alpha, m",
+        [
+            ("staircase", [[2, 0, 0], [0, 2, 1]], "2,1,2", 10**20),
+            ("expand", [[2, 0, 0], [0, 2, 1]], "2,1,2", 10**20),
+            ("staircase", [[10**8, 0], [0, 1]], f"1,{10**8}", 2 * 10**8),
+            ("expand", [[10**8, 0], [0, 1]], "1,1", 2 * 10**8),
+        ],
+        ids=["staircase-whitney", "expand-whitney", "staircase-exponent", "expand-exponent"],
+    )
+    def test_oracle_window_past_sys_maxsize_without_a_limit(self, tmp_path, command, rows, alpha, m):
+        # the Whitney umbrella at m = 10^20, and x^(10^8) with 10^8 orders of
+        # slack, whose count would take minutes to compute: no list can hold
+        # the window, so the guard trips with no --max-subsets before the
+        # count is finished.  The command runs in a child capped at 1 GB of
+        # address space and 30 s, so that a missing guard fails instead of
+        # growing until the machine runs out
+        path = tmp_path / "support.json"
+        path.write_text(json.dumps({"vars": len(rows[0]), "support": rows}))
+        argv = ["oracle", command, "--support", str(path), "--alpha", alpha, "--m", str(m)]
+        child = subprocess.run(
+            [sys.executable, "-c", CAPPED_MAIN, *argv],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(mldhat.__file__).parent.parent)},
+        )
+        assert child.returncode == 3, child.stderr
+        assert float(child.stdout) < 1.0
+        report = json.loads(child.stderr)
+        assert report["kind"] == "LimitError"
+        assert report["error"].startswith(f"oracle {command}: over 2^63 window monomials ")
+        assert report["error"].endswith(f"exceed the limit ({sys.maxsize})")
 
     @pytest.mark.parametrize("command", ["staircase", "expand"])
     def test_oracle_under_limit_unchanged(self, support_file, command):
@@ -919,6 +966,15 @@ class TestOneCheckOneEvaluation:
 
     def test_hyper_checks_no_tuple(self, monkeypatch, tmp_path):
         calls = self.counters(monkeypatch)
+        scan = hypersurface.minimize_objective
+
+        def counted_scan(*args, **kwargs):
+            before = calls["_evaluate"]
+            result = scan(*args, **kwargs)
+            calls["scan"] += calls["_evaluate"] - before
+            return result
+
+        monkeypatch.setattr(hypersurface, "minimize_objective", counted_scan)
         supports = [s for s, _ in regression_supports()[::30]] + FLAT_FAMILY
         for i, s in enumerate(supports):
             path = tmp_path / f"support{i}.json"
@@ -926,8 +982,7 @@ class TestOneCheckOneEvaluation:
             calls.clear()
             code, _, _ = run_cli(["hyper", "--support", str(path)])
             assert code == 0
-            # the scan evaluates, and each minimizer is evaluated once more for its record
-            assert calls["_evaluate"] > 0 and calls["_as_alpha"] == 0, s.exponents
+            assert calls["_evaluate"] == calls["scan"] > 0 and calls["_as_alpha"] == 0, s.exponents
 
     @pytest.mark.parametrize("alpha", ["2,1,2", "1,1,1"], ids=["feasible", "infeasible"])
     def test_staircase_evaluates_once(self, monkeypatch, support_file, alpha):

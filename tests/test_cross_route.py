@@ -53,12 +53,13 @@ LAMBDA_POSITIVE_BINOMIALS = (
 class ToricChart(NamedTuple):
     kernel: list  # rows: a basis of the lattice L, in echelon form
     characters: tuple  # u_j: the kernel coordinates of the coordinate x_j
-    basis: HilbertBasis  # of the dual cone generated by the u_j
+    dual: Cone  # the cone generated by the u_j
+    basis: HilbertBasis  # of `dual`
 
     @property
     def cone(self) -> Cone:
         """The primal cone, in kernel coordinates."""
-        return dual_cone(self.basis.dual)
+        return dual_cone(self.dual)
 
     @property
     def is_normal(self) -> bool:
@@ -70,7 +71,7 @@ def toric_chart(u, v) -> ToricChart:
     kernel = integer_kernel([[a - b for a, b in zip(u, v)]], size)
     characters = tuple(tuple(row[j] for row in kernel) for j in range(size))
     dual = Cone.from_generators(size - 1, characters)
-    return ToricChart(kernel, characters, hilbert_basis(dual))
+    return ToricChart(kernel, characters, dual, hilbert_basis(dual))
 
 
 def feasible_orders(u, v, box):
@@ -111,7 +112,7 @@ def test_characters_pair_to_the_orders():
     for alpha in feasible_orders(u, v, 3):
         a = express_in_basis(chart.kernel, alpha)
         assert tuple(sum(x * y for x, y in zip(c, a)) for c in chart.characters) == alpha
-        assert is_interior_point(chart.basis, a)
+        assert is_interior_point(chart.dual, a)
 
 
 def test_saturation_test_sees_a_non_normal_binomial():

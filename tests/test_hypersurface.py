@@ -560,6 +560,19 @@ class TestReportAgainstTwoPasses:
             kinds.add(report.certificate.kind)
         assert kinds == {"monomial_criterion", "torus_zero_criterion", None}
 
+    def test_flat_family(self, monkeypatch):
+        # the minimizers fall into an undecided class and a torus-zero one
+        # starting later, and each class is certified once
+        calls = []
+        certify = hypersurface.equality_certificate
+        monkeypatch.setattr(hypersurface, "equality_certificate", lambda data: calls.append(data) or certify(data))
+        for s in FLAT_FAMILY:
+            calls.clear()
+            report = hypersurface_report(s)
+            assert report == reference_hypersurface_report(s, certify=True), s.exponents
+            assert [certify(data).kind for data in calls] == [None, "torus_zero_criterion"]
+            assert report.witness_alpha > calls[0].record.orders
+
 
 def scan_outcome(scan, support, max_points):
     """The scan's `ObjectiveMinimum`, or the message of its LimitError."""

@@ -10,6 +10,7 @@ from mldhat.cones import RationalPolytope, UnboundedPolytopeError, enumerate_lat
 from mldhat.lattice import (
     LatticeError,
     as_vector,
+    content,
     express_in_basis,
     integer_kernel,
     pairing,
@@ -127,6 +128,11 @@ class TestRank:
     def test_empty(self):
         assert rank_of([]) == 0
 
+    @pytest.mark.parametrize("rows", [[(1, 0), (1,)], [(1,), (1, 0)], [(), (0,)]])
+    def test_ragged(self, rows):
+        with pytest.raises(LatticeError, match="ragged matrix"):
+            rank_of(iter(rows))
+
     def test_random_against_fraction_elimination(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -147,6 +153,24 @@ class TestRank:
                         mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
                 rank += 1
             assert rank_of(rows) == rank
+
+
+class TestContent:
+    def test_random_against_euclid(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            v = [rng.randint(-30, 30) * rng.choice((1, 1, 6)) for _ in range(rng.randint(0, 5))]
+            g = 0
+            for x in v:
+                a, b = g, abs(x)
+                while b:
+                    a, b = b, a % b
+                g = a
+            assert content(v) == content(iter(v)) == g, v
+
+    def test_zero_and_empty(self):
+        assert content((0, 0)) == content(()) == 0
+        assert content((0, -4, 6)) == 2
 
 
 class TestSaturate:

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+import sys
 import time
 import tracemalloc
 from itertools import product
@@ -359,8 +360,7 @@ class TestStaircasePlans:
         assert result.failure_reasons == ("no_nonzero_root", "pivot_derivative_vanishes")
 
     def test_window_monomial_bound(self):
-        # over the integers every multiset of superscripts appears, so with
-        # the weight cut above the top weight the bound is the exact count
+        # over the integers every multiset of superscripts within the cut appears
         rng = random.Random(3)
         for _ in range(40):
             nv = rng.randint(1, 3)
@@ -368,16 +368,66 @@ class TestStaircasePlans:
             alpha = tuple(rng.randint(1, 2) for _ in range(nv))
             m = max(alpha) + rng.randint(0, 2)
             exp = expand(s, [1] * len(s.exponents), alpha, m=m)
-            bound = _window_monomial_bound(s, alpha, m)
+            bound = _window_monomial_bound(s, alpha, m, m)
             assert sum(len(poly) for poly in exp.terms.values()) <= bound
+
+    def test_window_monomial_bound_at_the_cut(self):
+        # x^60 at weight 60 has one unit of slack below the cut 61, so each of
+        # its 60 superscripts is 1 or 2: 61 monomials, not C(120, 60); and
+        # x^(10^20) lies past the cut, with none
+        s = validate_support([(60, 0), (0, 1)])
+        assert _window_monomial_bound(s, (1, 1), 61, 61) == 61 + 61
+        exp = expand(s, [1, 1], (1, 1), m=61)
+        assert sum(len(poly) for poly in exp.terms.values()) == 2 + 61
+        assert _window_monomial_bound(validate_support([(10**20, 0), (0, 1)]), (1, 1), 2, 2) == 2
+
+    def test_window_monomial_bound_left_uncounted(self):
+        # C(s + I_j, I_j) >= 2^min(s, I_j), which is not computed past 63;
+        # a count over 2^63 is not returned either
+        assert _window_monomial_bound(validate_support([(20, 0), (0, 1)]), (1, 1), 40, 40) == math.comb(40, 20) + 40
+        s = validate_support([(70, 0), (0, 1)])
+        assert _window_monomial_bound(s, (1, 1), 140, 140) is None
+        big = validate_support([(10**8, 0), (0, 1)])
+        started = time.perf_counter()
+        assert _window_monomial_bound(big, (1, 1), 2 * 10**8, 2 * 10**8) is None
+        assert time.perf_counter() - started < 1.0
+        # four factors of about 10^1173 each, past the 4300 digits that int to str converts
+        wide = validate_support([(10**20,) * 4 + (0,), (0, 0, 0, 0, 1)])
+        assert _window_monomial_bound(wide, (1,) * 5, 4 * 10**20 + 63, 4 * 10**20 + 63) is None
+        # a limit above sys.maxsize counts as sys.maxsize: no list holds more
+        for limit, shown in ((1000, 1000), (2**100, sys.maxsize)):
+            with pytest.raises(LimitError, match=rf"^oracle expand: over 2\^63 window monomials exceed the limit \({shown}\)$"):
+                expand(s, [1, 1], (1, 1), 140, max_points=limit)
+
+    def test_staircase_cut_is_its_last_equation(self):
+        # the staircase expands up to its last equation G_(m + mu), and its
+        # guard's bound at that cut covers the expansion
+        rng = random.Random(33)
+        checked = 0
+        while checked < 60:
+            nv = rng.randint(2, 3)
+            rows = {tuple(rng.randint(0, 3) for _ in range(nv)) for _ in range(rng.randint(2, 4))} - {(0,) * nv}
+            alpha = tuple(rng.randint(1, 3) for _ in range(nv))
+            if len(rows) < 2 or not is_feasible(s := raw_support(rows), alpha):
+                continue
+            m = max(alpha) + rng.randint(0, 4)
+            record = weight_data(s, alpha)
+            _, pivots = _pivot_schedule(s, record, m)
+            cut = m + record.pivot_gap
+            assert max(pivots) == cut
+            terms = sum(len(p) for e in s.exponents for p in _expand_single_monomial(e, alpha, m, cut).values())
+            assert terms <= _window_monomial_bound(s, alpha, m, cut)
+            checked += 1
 
     def test_limits(self):
         alpha, m, trials = (2, 1, 2), 8, 5
-        bound = _window_monomial_bound(WHITNEY, alpha, m)
+        bound = _window_monomial_bound(WHITNEY, alpha, m, m)
+        # the staircase cuts at its last equation, G_(m + mu)
+        cut_bound = _window_monomial_bound(WHITNEY, alpha, m, m + weight_data(WHITNEY, alpha).pivot_gap)
         args = (WHITNEY, alpha, m, 101, trials, 1)
-        assert staircase_verify(*args, max_points=bound * trials) == staircase_verify(*args)
-        with pytest.raises(LimitError, match=r"^oracle staircase: up to"):
-            staircase_verify(*args, max_points=bound * trials - 1)
+        assert staircase_verify(*args, max_points=cut_bound * trials) == staircase_verify(*args)
+        with pytest.raises(LimitError, match=rf"^oracle staircase: up to {cut_bound} window monomials times {trials} trials"):
+            staircase_verify(*args, max_points=cut_bound * trials - 1)
         assert expand(WHITNEY, [1, 1], alpha, m, max_points=bound) == expand(WHITNEY, [1, 1], alpha, m)
         with pytest.raises(LimitError, match=rf"^oracle expand: up to {bound} window monomials"):
             expand(WHITNEY, [1, 1], alpha, m, max_points=bound - 1)

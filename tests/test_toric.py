@@ -40,11 +40,12 @@ A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
 SQUARE_CONE = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
 
 
-def spanning_cost_bruteforce(a, hb: HilbertBasis, max_subsets=1_000_000) -> SpanningWitness:
-    """Exhaustive minimum over all spanning subsets; the greedy oracle."""
-    n = hb.dual.ambient_rank
+def spanning_cost_bruteforce(a, hb: HilbertBasis, dual: Cone, max_subsets=1_000_000) -> SpanningWitness:
+    """Exhaustive minimum over all spanning subsets of the basis `hb` of
+    the cone `dual`; the greedy oracle."""
+    n = dual.ambient_rank
     a = as_vector(a, n)
-    if not is_interior_point(hb, a):
+    if not is_interior_point(dual, a):
         raise LatticeError("spanning cost needs an interior lattice point")
     s = len(hb.elements)
     count = 1
@@ -148,9 +149,23 @@ class TestGreedy:
         assert w.value == 3
 
     def test_rejects_boundary_point(self):
+        # (0, 1) pairs to 0 with the dual ray (1, 0)
         hb = hilbert_basis(dual_cone(A1_CONE))
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError, match="^spanning cost needs an interior lattice point$"):
             spanning_cost_greedy((0, 1), hb)
+
+    def test_rejects_outside_point(self):
+        # (-1, 1) pairs to -1 with the dual ray (1, 0)
+        hb = hilbert_basis(dual_cone(A1_CONE))
+        with pytest.raises(LatticeError, match="^spanning cost needs an interior lattice point$"):
+            spanning_cost_greedy((-1, 1), hb)
+
+    def test_rejects_a_wrong_rank_and_an_empty_basis(self):
+        hb = hilbert_basis(dual_cone(A1_CONE))
+        with pytest.raises(LatticeError, match="rank 2"):
+            spanning_cost_greedy((1, 0, 0), hb)
+        with pytest.raises(LatticeError):
+            spanning_cost_greedy((1, 0), HilbertBasis(elements=()))
 
 
 class TestGreedyEchelon:
@@ -166,10 +181,11 @@ class TestGreedyEchelon:
     @staticmethod
     def agree(rays):
         cone = Cone.from_generators(len(rays[0]), rays)
-        hb = hilbert_basis(dual_cone(cone))
+        dual = dual_cone(cone)
+        hb = hilbert_basis(dual)
         candidates = reference_candidate_points(cone)
         for a in candidates:
-            assert spanning_cost_greedy(a, hb) == reference_spanning_cost_greedy(a, hb), (rays, a)
+            assert spanning_cost_greedy(a, hb) == reference_spanning_cost_greedy(a, hb, dual), (rays, a)
         _, dual_rays = cone.dual_pair
         values = {a: [pairing(g, a) for g in dual_rays] for a in candidates}
         minimal = {
@@ -199,23 +215,25 @@ class TestGreedyEchelon:
 
 class TestBruteforce:
     def test_matches_greedy_on_examples(self):
-        hb = hilbert_basis(dual_cone(A1_CONE))
+        dual = dual_cone(A1_CONE)
+        hb = hilbert_basis(dual)
         for a in [(1, 0), (1, 1), (2, 0)]:
             assert (
-                spanning_cost_bruteforce(a, hb).value
+                spanning_cost_bruteforce(a, hb, dual).value
                 == spanning_cost_greedy(a, hb).value
             )
 
     def test_orthant_three(self):
-        hb = hilbert_basis(dual_cone(orthant(3)))
-        assert spanning_cost_bruteforce((1, 2, 3), hb).value == 6
+        dual = dual_cone(orthant(3))
+        assert spanning_cost_bruteforce((1, 2, 3), hilbert_basis(dual), dual).value == 6
 
     def test_wedge_hand_enumeration(self):
         dual = Cone.from_generators(2, [(1, 0), (1, 3)])
         primal = dual_cone(dual)
-        hb = hilbert_basis(dual_cone(primal))
+        wedge = dual_cone(primal)
+        hb = hilbert_basis(wedge)
         assert hb.elements == ((1, 0), (1, 1), (1, 2), (1, 3))
-        w = spanning_cost_bruteforce((2, 1), hb)
+        w = spanning_cost_bruteforce((2, 1), hb, wedge)
         assert w.value == 5
         assert w.chosen_set == ((1, 0), (1, 1))
 
@@ -241,12 +259,12 @@ class TestBruteforce:
             hb = hilbert_basis(d)
             if len(hb.elements) > 14:
                 continue
-            cones.append((c, hb))
-        for c, hb in cones:
+            cones.append((c, d, hb))
+        for c, d, hb in cones:
             for _ in range(10):
                 a = random_interior_point(rng, c)
                 g = spanning_cost_greedy(a, hb)
-                b = spanning_cost_bruteforce(a, hb)
+                b = spanning_cost_bruteforce(a, hb, d)
                 assert g.value == b.value
                 pairs += 1
         assert pairs == 300
@@ -265,8 +283,8 @@ class TestMinimize:
         assert report.lambda_value == 0
         assert report.mather_mld == 2
         assert report.fast_path == "none"
-        hb = hilbert_basis(dual_cone(A1_CONE))
-        assert spanning_cost_bruteforce(report.witness.point, hb).value == report.witness.value
+        dual = dual_cone(A1_CONE)
+        assert spanning_cost_bruteforce(report.witness.point, hilbert_basis(dual), dual).value == report.witness.value
 
     def test_smooth_orthants(self):
         for n in (1, 2, 3, 4):
@@ -335,8 +353,9 @@ class TestMinimize:
         while checked < 12:
             n = rng.choice([2, 3])
             c = random_pointed_cone(rng, n, 4)
+            dual = dual_cone(c)
             try:
-                hb = hilbert_basis(dual_cone(c))
+                hb = hilbert_basis(dual)
             except Exception:
                 continue
             if len(hb.elements) > 10:
@@ -355,7 +374,7 @@ class TestMinimize:
                     sum(r[j] * a[j] for j in range(n)) >= 1 for r in dual_rays
                 ):
                     continue
-                w = spanning_cost_bruteforce(a, hb)
+                w = spanning_cost_bruteforce(a, hb, dual)
                 if best is None or w.value < best:
                     best = w.value
             assert best - n == report.lambda_value, c.generators
@@ -482,7 +501,7 @@ def reference_orbit_dimension(a, hb):
     their largest pairing with a: from jet level m = threshold on, the orbit
     of the order map of a has dimension exactly (m + 1) n - cost.
     """
-    n = hb.dual.ambient_rank
+    n = len(a)
     costs = [
         (sum(pairing(u, a) for u in combo), max(pairing(u, a) for u in combo))
         for combo in independent_subsets(hb.elements, n)
