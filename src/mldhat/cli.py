@@ -1,20 +1,27 @@
-"""Command-line surface: JSON files in, JSON reports out.
+"""usage: mldhat [global options] command [options]
+
+Mather minimal log discrepancies of affine toric varieties and very general
+hypersurfaces: JSON files in, JSON reports out.  Global options come before
+the command.  `--name value` and `--name=value` mean the same; a value may
+start with - but not with --, and a switch takes no value.  Every option is
+spelled in full.
 
 Exit codes: 0 on success, 2 on any input or validation error, 3 when an
 internal combinatorial guard trips.  With --seed the output is fully
 deterministic (timings are omitted), so identical invocations produce
-byte-identical reports.
+byte-identical reports.  --max-subsets N exits 3 before the work starts
+when a stage would generate more than N points.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .cones import Cone, ConeError, FaceSpec, dual_cone
 from .hilbert import hilbert_basis
@@ -143,19 +150,12 @@ def nonnegative_integer(text):
     """A decimal integer that is zero or more."""
     value = integer(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return value
 
 
 def _integers(text):
     return tuple(integer(x) for x in text.split(","))
-
-
-def _alpha_arg(text):
-    try:
-        return _integers(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer tuple")
 
 
 def _face_indices(text):
@@ -169,6 +169,7 @@ def _face_indices(text):
 
 
 def _run_toric(args):
+    """Lambda and mld-hat at a point of an affine toric variety."""
     cone = parse_cone_file(args.cone)
     if args.face is not None and args.face_functional is not None:
         raise ValueError("give at most one of --face and --face-functional")
@@ -199,6 +200,7 @@ def _run_toric(args):
 
 
 def _run_hyper(args):
+    """Lower bound and equality certificate for a hypersurface support."""
     support = parse_support_file(args.support)
     started = time.perf_counter()
     report = hypersurface_report(support, max_points=args.max_subsets)
@@ -226,18 +228,21 @@ def _run_hyper(args):
 
 
 def _run_hilbert(args):
+    """Minimal generating set of the lattice points of a cone."""
     cone = parse_cone_file(args.cone)
     basis = hilbert_basis(cone, max_points=args.max_subsets)
     return {"cone_rays": cone.generators, "elements": basis.elements, "count": len(basis.elements)}
 
 
 def _run_dual(args):
+    """Extreme rays of the dual cone."""
     cone = parse_cone_file(args.cone)
     dual = dual_cone(cone)
     return {"cone_rays": cone.generators, "dual_rays": dual.generators}
 
 
 def _run_staircase(args):
+    """Sample the staircase solution of the window equations."""
     result = staircase_verify(
         parse_support_file(args.support),
         args.alpha,
@@ -251,6 +256,7 @@ def _run_staircase(args):
 
 
 def _run_torus_point(args):
+    """Sample a torus zero of the initial form."""
     support = parse_support_file(args.support)
     data = certificate_data(support, weight_data(support, check_alpha(support, args.alpha)))
     witness = torus_point_sample(
@@ -265,10 +271,11 @@ def _run_torus_point(args):
 
 
 def _run_expand(args):
+    """The truncated arc expansion."""
     support = parse_support_file(args.support)
     coeffs = args.coeffs if args.coeffs is not None else [1] * len(support.exponents)
     result = expand(
-        support, coeffs, args.alpha, m=args.m, prime=args.prime_opt, max_points=args.max_subsets
+        support, coeffs, args.alpha, m=args.m, prime=args.prime, max_points=args.max_subsets
     )
     terms = {}
     for s in sorted(result.terms):
@@ -288,99 +295,86 @@ def _run_expand(args):
     }
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built on first use and shared by every main() call.
+REQUIRED = object()  # the default of an option that must be given
+_CONE = {"--cone": (str, REQUIRED)}
+_ORACLE = {"--support": (str, REQUIRED), "--alpha": (_integers, REQUIRED)}
+_SAMPLER = {"--prime": (integer, 10007), "--trials": (integer, 50)}
+# The global options under "", then each command: its runner and its
+# options.  Each option maps to (value parser, default); a parser of None
+# marks a switch, which takes no value.  `toric --no-fast-paths` and `hyper
+# --certify` change nothing: there is one toric search, and every
+# certificate is decided exactly.
+OPTIONS = {
+    "": (None, {"--seed": (integer, None), "--max-subsets": (nonnegative_integer, None)}),
+    "toric": (_run_toric, {**_CONE, "--face": (str, None), "--face-functional": (str, None), "--no-fast-paths": (None, False)}),
+    "hyper": (_run_hyper, {"--support": (str, REQUIRED), "--certify": (None, False)}),
+    "hilbert": (_run_hilbert, _CONE),
+    "dual": (_run_dual, _CONE),
+    "oracle staircase": (_run_staircase, {**_ORACLE, "--m": (integer, REQUIRED), **_SAMPLER}),
+    "oracle torus-point": (_run_torus_point, {**_ORACLE, **_SAMPLER}),
+    "oracle expand": (_run_expand, {**_ORACLE, "--m": (integer, REQUIRED), "--coeffs": (_integers, None), "--prime": (integer, None)}),
+}
 
-    Every parser refuses abbreviated options, so each option is spelled in
-    full: an abbreviation such as `--face-func` escapes
-    `_attach_tuple_values`, which would leave a negative tuple after it to be
-    read as an option.
+
+def parse_args(argv):
+    """The runner of the command that `argv` names and the namespace of its options.
+
+    One pass over the tokens: the global options, the command's words,
+    then the command's options.  `--help` or `-h` prints the module
+    docstring and every command and option of OPTIONS and exits 0; any
+    other fault prints `mldhat: error:` and exits 2.
     """
-    parser = argparse.ArgumentParser(
-        prog="mldhat",
-        allow_abbrev=False,
-        description=(
-            "Mather minimal log discrepancies of affine toric varieties and "
-            "very general hypersurfaces"
-        ),
-    )
-    parser.add_argument("--seed", type=integer, default=None, help="fix all randomness; makes output byte-identical")
-    parser.add_argument("--max-subsets", type=nonnegative_integer, default=None, help="abort with exit code 3 when a stage would generate more than this many points")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    toric = sub.add_parser("toric", help="invariants at a point of an affine toric variety", allow_abbrev=False)
-    toric.add_argument("--cone", required=True, help="JSON file with lattice_rank and rays")
-    toric.add_argument("--face", default=None, help="comma-separated ray indices of a face (empty string for the zero face)")
-    toric.add_argument("--face-functional", default=None, help="comma-separated dual vector whose zero set is the face")
-    toric.add_argument("--no-fast-paths", action="store_true", help="no effect: every cone takes the one general search")
-    toric.set_defaults(func=_run_toric)
-
-    hyper = sub.add_parser("hyper", help="lower bound and certificate for a hypersurface support", allow_abbrev=False)
-    hyper.add_argument("--support", required=True, help="JSON file with vars and support")
-    hyper.add_argument("--certify", action="store_true", help="no effect: the certificate is always decided exactly")
-    hyper.set_defaults(func=_run_hyper)
-
-    hilb = sub.add_parser("hilbert", help="minimal generating set of the lattice points of a cone", allow_abbrev=False)
-    hilb.add_argument("--cone", required=True)
-    hilb.set_defaults(func=_run_hilbert)
-
-    dual = sub.add_parser("dual", help="extreme rays of the dual cone", allow_abbrev=False)
-    dual.add_argument("--cone", required=True)
-    dual.set_defaults(func=_run_dual)
-
-    oracle = sub.add_parser("oracle", help="finite-field verification tools", allow_abbrev=False)
-    osub = oracle.add_subparsers(dest="oracle_command", required=True)
-    stair = osub.add_parser("staircase", help="sample the staircase solution of the window equations", allow_abbrev=False)
-    stair.add_argument("--support", required=True)
-    stair.add_argument("--alpha", required=True, type=_alpha_arg)
-    stair.add_argument("--m", required=True, type=integer)
-    stair.add_argument("--prime", type=integer, default=10007)
-    stair.add_argument("--trials", type=integer, default=50)
-    stair.set_defaults(func=_run_staircase)
-    torus = osub.add_parser("torus-point", help="sample a torus zero of the initial form", allow_abbrev=False)
-    torus.add_argument("--support", required=True)
-    torus.add_argument("--alpha", required=True, type=_alpha_arg)
-    torus.add_argument("--prime", type=integer, default=10007)
-    torus.add_argument("--trials", type=integer, default=50)
-    torus.set_defaults(func=_run_torus_point)
-    expand_p = osub.add_parser("expand", help="print the truncated arc expansion", allow_abbrev=False)
-    expand_p.add_argument("--support", required=True)
-    expand_p.add_argument("--alpha", required=True, type=_alpha_arg)
-    expand_p.add_argument("--m", required=True, type=integer)
-    expand_p.add_argument("--coeffs", type=_alpha_arg, default=None)
-    expand_p.add_argument("--prime", dest="prime_opt", type=integer, default=None)
-    expand_p.set_defaults(func=_run_expand)
-    return parser
-
-
-# options whose value is a comma-separated integer tuple
-TUPLE_OPTIONS = ("--face-functional", "--alpha", "--coeffs")
-
-
-def _attach_tuple_values(argv):
-    """Rewrite `--alpha -1,2` as `--alpha=-1,2` for the tuple options.
-
-    argparse takes a token that starts with "-" and is not a plain negative
-    number for an option, so a tuple with a negative first entry would
-    leave its option without a value.  Any token after a tuple option that
-    starts with "-" and a digit is that option's value; a missing value
-    (the next token is an option) is still an argparse error.
-    """
-    out = []
-    for token in argv:
-        if out and out[-1] in TUPLE_OPTIONS and re.match(r"-[0-9]", token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+    command, (runner, options) = "", OPTIONS[""]
+    values = {name: default for name, (_, default) in options.items()}
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            if token in ("--help", "-h"):
+                print(__doc__ or "")
+                for key, (run, table) in OPTIONS.items():
+                    words = []
+                    for name, (parse, default) in table.items():
+                        word = name if parse is None else f"{name} {parse.__name__.strip('_').upper()}"
+                        words.append(word if default is REQUIRED else f"[{word}]" if default in (None, False) else f"[{word}={default}]")
+                    print(f"  {key or '(global options)':<19}", *words)
+                    if run is not None:
+                        print(" " * 22 + (run.__doc__ or ""))
+                raise SystemExit(0)
+            name, equals, value = token.partition("=")
+            if name not in options:
+                if runner is not None or token.startswith("-"):
+                    raise ValueError(f"unrecognized argument {token!r}")
+                command = f"{command} {token}".lstrip()
+                runner, options = OPTIONS.get(command, (None, {}))
+                values.update((name, default) for name, (_, default) in options.items())
+            elif options[name][0] is None:
+                if equals:
+                    raise ValueError(f"the switch {name} takes no value")
+                values[name] = True
+            else:
+                if not equals:
+                    value = next(tokens, "--")
+                if value.startswith("--"):
+                    raise ValueError(f"{name} expects a value")
+                try:
+                    values[name] = options[name][0](value)
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
+        if runner is None:
+            raise ValueError(f"expected a command, one of: {', '.join(list(OPTIONS)[1:])}")
+        missing = [name for name, value in values.items() if value is REQUIRED]
+        if missing:
+            raise ValueError(f"{command} needs {', '.join(missing)}")
+    except ValueError as exc:
+        print(f"mldhat: error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    return runner, SimpleNamespace(**{name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_attach_tuple_values(sys.argv[1:] if argv is None else argv))
+    runner, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        payload = args.func(args)
+        payload = runner(args)
     except ValueError as exc:  # every input error class derives from it
         print(dump_report({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 2

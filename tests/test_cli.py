@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import mldhat
 from mldhat import cones, hypersurface
 from mldhat.cli import (
+    OPTIONS,
     dump_report,
     load_report,
     main,
@@ -609,6 +611,8 @@ class TestCommands:
             ["toric", "--face-functional", "--cone", "{cone}"],
             ["toric", "--cone", "{cone}", "--face-functional"],
             ["oracle", "expand", "--support", "{support}", "--m", "4", "--alpha", "--coeffs", "1,1"],
+            ["dual", "--cone", "--max-subsets", "5"],
+            ["dual", "--cone=--x"],
         ],
     )
     def test_missing_tuple_value_still_rejected(self, cone_file, support_file, argv):
@@ -616,6 +620,88 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hyper", "--support", "{support}", "--certify=yes"],
+            ["toric", "--cone", "{cone}", "--no-fast-paths="],
+            ["toric", "--seed", "1", "--cone", "{cone}"],
+            ["toric", "--cone", "{cone}", "--max-subsets", "5"],
+            ["oracle", "--seed", "1", "expand", "--support", "{support}", "--alpha", "2,1,2", "--m", "4"],
+            ["--seed", "1"],
+            [],
+            ["oracle"],
+            ["oracle", "stairs", "--support", "{support}"],
+            ["toric", "--cone", "{cone}", "stray"],
+            ["dual", "stray", "--cone", "{cone}"],
+            ["dual", "--cone", "{cone}", "-x"],
+            ["toric"],
+            ["oracle", "staircase", "--support", "{support}", "--alpha", "2,1,2"],
+            ["oracle", "expand", "--support", "{support}", "--m", "4"],
+        ],
+        ids=lambda argv: " ".join(argv) or "empty",
+    )
+    def test_malformed_arguments_rejected(self, cone_file, support_file, argv):
+        # switches with values, global options after the command, no command,
+        # stray tokens and missing options
+        argv = [a.format(cone=cone_file, support=support_file) for a in argv]
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+            main(argv)
+        assert exc.value.code == 2
+        assert err.getvalue().startswith("mldhat: error: ")
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    @pytest.mark.parametrize("before", [[], ["--seed", "0"], ["oracle"], ["toric", "--cone", "x.json"]])
+    def test_help_names_every_command_and_option(self, flag, before):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stdout(out):
+            main([*before, flag])
+        assert exc.value.code == 0
+        text = out.getvalue()
+        assert text.startswith("usage: mldhat [global options] command [options]")
+        for command, (_, options) in OPTIONS.items():
+            line = next(line for line in text.splitlines() if line.startswith(f"  {command or '(global options)'}  "))
+            assert set(options) <= set(re.findall(r"--[a-z-]+", line)), line
+
+    def test_repeated_option_keeps_its_last_value(self, orthant_file, cone_file, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        toric = ["--seed", "0", "toric", "--cone", orthant_file]
+        last = run_cli(toric + ["--face", "1,2"])
+        assert last != run_cli(toric + ["--face", "0"])
+        assert run_cli(toric + ["--face", "0", "--face", "1,2"]) == last
+        assert run_cli(["--seed", "1", "--seed", "0", "dual", "--cone", missing, "--cone", cone_file]) == (
+            run_cli(["--seed", "0", "dual", "--cone", cone_file])
+        )
+
+    def test_value_may_start_with_a_single_dash(self, monkeypatch, tmp_path, cone_file):
+        # a file named -c.json is a value, not an option
+        (tmp_path / "-c.json").write_text(pathlib.Path(cone_file).read_text())
+        monkeypatch.chdir(tmp_path)
+        result = run_cli(["--seed", "0", "dual", "--cone", "-c.json"])
+        assert result[0] == 0
+        assert result == run_cli(["--seed", "0", "dual", "--cone", cone_file])
+        assert result == run_cli(["--seed", "0", "dual", "--cone=-c.json"])
+
+    def test_console_entry(self, cone_file):
+        # `python -m mldhat.cli` reads sys.argv and ends in sys.exit(main())
+        def child(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "mldhat.cli", *argv], capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(pathlib.Path(mldhat.__file__).parent.parent)},
+            )
+
+        shown = child("--help")
+        assert shown.returncode == 0
+        assert all(command in shown.stdout for command in OPTIONS)
+        refused = child("toric", "--seed", "1")
+        assert refused.returncode == 2
+        assert refused.stdout == ""
+        assert refused.stderr.startswith("mldhat: error: ")
+        argv = ["--seed", "0", "dual", "--cone", cone_file]
+        answered = child(*argv)
+        assert (answered.returncode, answered.stdout, answered.stderr) == run_cli(argv)
 
     def test_rank_tests_limit_exit_code(self, tmp_path):
         # the rank-4 moment cone: its 27 cells pass a limit of 1000, their
@@ -755,7 +841,8 @@ class TestCommands:
             main(["hyper", "--support", support_file, "--certify", option, "10007"])
         assert exc.value.code == 2
 
-    def test_parser_is_reused_across_calls(self, support_file, cone_file):
+    def test_refused_argv_leaves_later_calls_unchanged(self, support_file, cone_file):
+        # parsing keeps no state between calls: a refusal changes no later report
         hyper = ["--seed", "0", "hyper", "--support", support_file, "--certify"]
         code, first, _ = run_cli(hyper)
         assert code == 0
