@@ -6,7 +6,7 @@ of two kinds of varieties:
 
 * affine toric varieties, given by the ray generators of their cone, where
   lambda is the minimum over interior lattice points of a spanning pairing
-  sum over the Hilbert basis of the dual semigroup;
+  sum over the dual semigroup, searched level by level in the pairing;
 * hypersurfaces with a fixed monomial support and very general
   coefficients, where an exhaustive layered scan over vanishing-order
   tuples yields a lower bound together with an equality certificate when one

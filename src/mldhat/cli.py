@@ -165,7 +165,7 @@ def _face_indices(text):
     try:
         return _integers(text)
     except ValueError:
-        raise ValueError(f"--face expects comma-separated ray indices, got {text!r}")
+        raise ValueError(f"expected comma-separated ray indices, got {text!r}") from None
 
 
 def _run_toric(args):
@@ -175,9 +175,9 @@ def _run_toric(args):
         raise ValueError("give at most one of --face and --face-functional")
     face = None
     if args.face is not None:
-        face = FaceSpec(generator_subset=_face_indices(args.face))
+        face = FaceSpec(generator_subset=args.face)
     elif args.face_functional is not None:
-        face = FaceSpec(supporting_functional=_integers(args.face_functional))
+        face = FaceSpec(supporting_functional=args.face_functional)
     started = time.perf_counter()
     report = mld_at_point(cone, face=face, max_points=args.max_subsets)
     elapsed = time.perf_counter() - started
@@ -306,7 +306,7 @@ _SAMPLER = {"--prime": (integer, 10007), "--trials": (integer, 50)}
 # certificate is decided exactly.
 OPTIONS = {
     "": (None, {"--seed": (integer, None), "--max-subsets": (nonnegative_integer, None)}),
-    "toric": (_run_toric, {**_CONE, "--face": (str, None), "--face-functional": (str, None), "--no-fast-paths": (None, False)}),
+    "toric": (_run_toric, {**_CONE, "--face": (_face_indices, None), "--face-functional": (_integers, None), "--no-fast-paths": (None, False)}),
     "hyper": (_run_hyper, {"--support": (str, REQUIRED), "--certify": (None, False)}),
     "hilbert": (_run_hilbert, _CONE),
     "dual": (_run_dual, _CONE),

@@ -7,9 +7,8 @@ is
     lambda(x) = min over interior lattice points a of cost(a) - n,
 
 where cost(a) is the minimum of sum_i <a, u_i> over all linearly
-independent n-element subsets {u_1, ..., u_n} of the dual semigroup; the
-minimum is always computed over Hilbert-basis elements, since any optimal
-u_i is irreducible.  The Mather minimal log discrepancy is lambda + dim X.
+independent n-element subsets {u_1, ..., u_n} of the dual semigroup.  The
+Mather minimal log discrepancy is lambda + dim X.
 
 Candidate set.  The search evaluates the minimal interior lattice points
 of the closed parallelepipeds {sum_{v in T} c_v v : 0 <= c_v <= 1} over
@@ -30,16 +29,48 @@ witness over the minimal candidates, kept by the sieve of
 `hilbert.FacetValues.minimal_elements` on the dual-ray values, is the
 least over all interior points; the greedy runs on the minimal candidates
 only.
+
+Pairing levels.  The greedy of a candidate a (`spanning_cost_greedy`) is
+fed the dual elements of pairing L with a, for L = 1, 2, ..., each level in
+lexicographic order, in place of the dual Hilbert basis.
+(i) Up to every level it picks what the greedy over the Hilbert basis
+picks: a reducible u = e + w pairs strictly above e and w, as a is
+interior, so by induction u lies in the span of the elements passed
+before it, which is the span of the picks; the irreducible elements come
+in the same order in both.  (ii) With n picks by level L their sum is
+cost(a).  With k < n picks, every later pick pairs to L + 1 or more, so
+cost(a) >= (sum of the picks) + (n - k)(L + 1), the bound of a.
+(iii) Every pairing is a positive integer, so cost(a) >= n: lambda >= 0.
+Stop rule: each level feeds the kept candidates by increasing (bound,
+point), and drops one when its (bound, point) sorts after (value, point)
+of the best exact candidate so far, as its witness cannot come first
+under `sort_key` then.  At level 1 every bound is n and the candidates come in
+point order, so the first with n picks, value n, ends the search.  Tie
+rule: a bound equal to the best value is kept when its point is smaller,
+as it may still reach that value at a later level and win on the point.
+
+The elements of a level are the lattice points of a polytope.  Write
+a = c a0, a0 primitive: level L holds elements only when c divides L,
+pairing m = L / c with a0.  The row Hermite form of [a0 | I] has first
+column e_1, so its identity block is a unimodular V with <a0, V_0> = 1
+and <a0, V_i> = 0 for i >= 1, and the elements are m V_0 + sum y_i V_i
+over the lattice points y of m times the slice
+{y : <r, V_0 + sum y_i V_i> >= 0 for every ray r}, bounded as a is
+interior.  The slice is eliminated once per candidate
+(`cones.RationalPolytope`) and each level walks its dilate
+(`cones.enumerate_lattice_points`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
-from .cones import Cone, ConeError, FaceSpec, dual_cone, face_chart
-from .cones import enumerate_lattice_points  # not called here; perfbench/tracing.py wraps this name
-from .hilbert import HilbertBasis, hilbert_basis, interior_candidates
-from .lattice import LatticeError, as_vector, pairing
+from .cones import Cone, ConeError, FaceSpec, RationalPolytope, enumerate_lattice_points, face_chart
+from .hilbert import hilbert_basis  # not called here; perfbench/tracing.py wraps this name
+from .hilbert import interior_candidates
+from .lattice import LatticeError, pairing, row_hermite
 from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
 
@@ -65,41 +96,37 @@ class ToricMldReport:
     face_reduced_from: tuple[int, ...] | None
 
 
-def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
-    """Greedy minimum of sum <a, u_i> over spanning subsets of the basis.
+def spanning_cost_greedy(ranked, echelon) -> list[tuple[int, ...]]:
+    """Feed the greedy the dual elements (pairing, u) of `ranked`; return those it picks.
 
-    Repeatedly picks the basis element of smallest pairing (ties broken by
-    lexicographic order) outside the span of the elements already chosen.
-    The spanning sets are the bases of a matroid, and the greedy basis is
-    Gale optimal (Gale, 1968): its k-th smallest pairing is at most the
-    k-th smallest pairing of every basis, for each k.  Summing over k makes
-    the greedy value the true minimum.  Taking k = n makes its largest
-    pairing at most that of every basis, in particular of every optimal
-    set, so the greedy set attains the jet-orbit threshold: the least, over
-    optimal sets, of their largest pairing with a.  From level m on that
-    threshold, the orbit of the order map of a in the m-jets has dimension
-    exactly (m + 1) n - cost(a); below it only the bracket
+    The greedy of a point a takes dual elements in order of pairing with a,
+    ties broken by lexicographic order, and picks each one outside the span
+    of the elements picked before, until it has n.  The spanning sets are
+    the bases of a matroid, and the greedy basis is Gale optimal (Gale,
+    1968): its k-th smallest pairing is at most the k-th smallest pairing
+    of every basis, for each k.  Summing over k makes the greedy value the
+    true minimum.  Taking k = n makes its largest pairing at most that of
+    every basis, in particular of every optimal set, so the greedy set
+    attains the jet-orbit threshold: the least, over optimal sets, of their
+    largest pairing with a.  From level m on that threshold, the orbit of
+    the order map of a in the m-jets has dimension exactly
+    (m + 1) n - cost(a); below it only the bracket
     [(m + 1) n - cost(a), (m + 1) n - m] is known.
 
-    The basis holds the primitive vector of every extreme ray of the dual
-    cone, as each is irreducible, so a is interior, pairing positively with
-    every one of them, exactly when its least pairing in the ranking is
-    positive: every basis element is a nonnegative combination of them.
-
-    The span test keeps the chosen elements in fraction-free echelon form:
-    each stored row is zero at the pivot columns of the rows stored before
-    it, so reducing u against the rows in turn zeroes every pivot column,
-    and u lies in the span exactly when nothing is left.
+    `echelon` holds the picks so far in fraction-free echelon form, as
+    (pivot column, row); it grows by the new picks, so the next call
+    continues the same greedy.  Each stored row is zero at the pivot
+    columns of the rows stored before it, so reducing u against the rows
+    in turn zeroes every pivot column, and u lies in the span exactly when
+    nothing is left.  Every nonzero dual element pairs positively with an
+    interior point, so a pairing <= 0 raises LatticeError.
     """
-    n = len(hb.elements[0]) if hb.elements else 0
-    a = as_vector(a, n)
-    ranked = sorted((pairing(u, a), u) for u in hb.elements)
-    if not ranked or ranked[0][0] <= 0:
-        raise LatticeError("spanning cost needs an interior lattice point")
-    chosen: list[tuple[int, ...]] = []
-    value = 0
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    picked = []
     for paired, u in ranked:
+        if paired <= 0:
+            raise LatticeError("spanning cost needs an interior lattice point")
+        if len(echelon) == len(u):
+            break
         v = list(u)
         for col, row in echelon:
             if v[col]:
@@ -108,27 +135,68 @@ def spanning_cost_greedy(a, hb: HilbertBasis) -> SpanningWitness:
         col = next((j for j, x in enumerate(v) if x), None)
         if col is not None:
             echelon.append((col, v))
-            chosen.append(u)
-            value += paired
-            if len(chosen) == n:
-                break
-    if len(chosen) < n:
-        raise LatticeError("basis does not span; cone cannot be full-dimensional")
-    return SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(chosen)))
+            picked.append(u)
+    return picked
+
+
+class _LevelGreedy:
+    """The greedy of one candidate a, fed one pairing level at a time (module docstring)."""
+
+    def __init__(self, cone: Cone, a):
+        self.cone, self.point, self.basis, self.slice = cone, a, None, None
+        self.echelon: list = []
+        self.chosen: list[tuple[int, ...]] = []
+        self.value = 0
+
+    def feed(self, level, max_points):
+        """Continue the greedy with the dual elements that pair to `level` with a."""
+        a, n, c = self.point, self.cone.ambient_rank, gcd(*self.point)
+        m, rest = divmod(level, c)
+        if rest:
+            return
+        if self.slice is None:  # built at the first level that holds elements
+            h = row_hermite([(x // c, *(int(i == j) for j in range(n))) for i, x in enumerate(a)])
+            if [row[0] for row in h] != [1] + [0] * (n - 1):
+                raise AssertionError(f"the Hermite form of [{a} / {c} | I] does not start with e_1")
+            self.basis = [row[1:] for row in h]
+            first, *others = self.basis
+            self.slice = RationalPolytope(
+                n - 1, tuple((tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in self.cone.generators)
+            )
+        points = enumerate_lattice_points(self.slice, m, max_points, f"toric level {level}")
+        elements = sorted(tuple(sum(map(mul, column, (m, *y))) for column in zip(*self.basis)) for y in points)
+        picked = spanning_cost_greedy([(level, u) for u in elements], self.echelon)
+        self.chosen += picked
+        self.value += level * len(picked)
+
+    def witness(self) -> SpanningWitness:
+        return SpanningWitness(point=self.point, value=self.value, chosen_set=tuple(sorted(self.chosen)))
 
 
 def minimize_spanning_cost(cone: Cone, max_points: int | None = None) -> ToricMldReport:
     """lambda and mld-hat at the torus-fixed point of a full-dimensional cone.
 
-    `max_points` caps the cells and points of the Hilbert basis and of the
-    candidates.
+    The level search of the module docstring.  `max_points` caps the cells
+    and points of the candidates and the points of each level slice, by
+    the box estimate of `cones.enumerate_lattice_points`.
     """
     n = cone.ambient_rank
     if not cone.is_full_dimensional:
         raise ConeError("split off the torus factor before minimizing")
-    hb = hilbert_basis(dual_cone(cone), max_points=max_points)
-    witnesses = [spanning_cost_greedy(a, hb) for a in interior_candidates(cone, max_points)]
-    best = min(witnesses, key=SpanningWitness.sort_key)
+    searches = [_LevelGreedy(cone, a) for a in sorted(interior_candidates(cone, max_points))]
+    best, level = None, 0
+    while searches:
+        level += 1
+        kept = []
+        for bound, point, greedy in sorted((g.value + (n - len(g.chosen)) * level, g.point, g) for g in searches):
+            if best is not None and (bound, point) > (best.value, best.point):
+                continue
+            greedy.feed(level, max_points)
+            if len(greedy.chosen) < n:
+                kept.append(greedy)
+            elif best is None or greedy.witness().sort_key() < best.sort_key():
+                best = greedy.witness()
+        searches = kept
     return ToricMldReport(
         lambda_value=best.value - n,
         mather_mld=best.value,

@@ -14,9 +14,12 @@ seeds runs it.
   through every module that binds it (`hypersurface`, `oracle`), of calls
   to `mldhat.hypersurface._as_alpha`, the check of an order tuple, of
   calls to `mldhat.hypersurface.equality_certificate`, which the `hyper`
-  report makes once per certificate class of its minimizers, and of calls
+  report makes once per certificate class of its minimizers, of calls
   to `mldhat.lattice.pairing` from the modules that import it (`cones`,
-  `hilbert`, `toric`);
+  `hilbert`, `toric`), of calls to `hilbert_basis` through every module
+  that binds it (`cli`, `toric`), and of calls to
+  `enumerate_lattice_points` through `mldhat.toric`, the binding the toric
+  level search calls, with the lattice points those calls return;
 * for each module of `src/mldhat`, its lines, its code lines (without
   docstrings, comments or blank lines) and its unrun lines: the
   statements inside functions that no op of the seed runs;
@@ -53,6 +56,8 @@ COUNTED = {
     "_as_alpha": ("hypersurface",),
     "equality_certificate": ("hypersurface",),
     "pairing": ("cones", "hilbert", "toric"),  # every module that imports it from lattice
+    "hilbert_basis": ("cli", "toric"),  # every module that binds it
+    "enumerate_lattice_points": ("toric",),  # the level search's binding
 }
 # code objects that are not named functions
 ANONYMOUS = {"<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>", "<lambda>"}
@@ -64,20 +69,25 @@ def run_corpus(seed):
     """Run every op of corpus seed `seed`.
 
     Returns {op kind: (ops, distinct named mldhat functions called, calls
-    to each of COUNTED)} and the set of (file, line) pairs of `mldhat` that ran.
+    to each of COUNTED, lattice points the enumerator returned)} and the
+    set of (file, line) pairs of `mldhat` that ran.
     """
     sys.path.insert(0, str(PERFBENCH))
     import corpus
 
     profiles, ops = {}, defaultdict(int)
     calls = {name: defaultdict(int) for name in COUNTED}
+    points = defaultdict(int)
     targets = [(importlib.import_module(f"mldhat.{module}"), name) for name, modules in COUNTED.items() for module in modules]
     originals = {(module, name): getattr(module, name) for module, name in targets}
 
     def counter(name, function):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name][kind] += 1
-            return function(*args)
+            result = function(*args, **kwargs)
+            if name == "enumerate_lattice_points":
+                points[kind] += len(result)
+            return result
 
         return counted
 
@@ -114,7 +124,7 @@ def run_corpus(seed):
     for kind, profile in profiles.items():
         called = pstats.Stats(profile).stats  # keyed by (file, line, function name)
         functions = sum(pathlib.Path(f).parent == PACKAGE and name not in ANONYMOUS for f, _, name in called)
-        counts[kind] = (ops[kind], functions, *(calls[name][kind] for name in COUNTED))
+        counts[kind] = (ops[kind], functions, *(calls[name][kind] for name in COUNTED), points[kind])
     return counts, ran
 
 
@@ -174,9 +184,9 @@ if __name__ == "__main__":
         ran |= seed_ran
         print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
         print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} "
-              f"{'certificates':>12} {'pairing':>8}")
-        for kind, (ops, functions, evaluations, checks, certificates, pairings) in sorted(counts.items()):
-            print(f"{kind:<10} {ops:>5} {functions:>9} {evaluations:>11} {checks:>9} {certificates:>12} {pairings:>8}")
+              f"{'certificates':>12} {'pairing':>8} {'hilbert_basis':>13} {'enumerations':>12} {'points':>7}")
+        for kind, row in sorted(counts.items()):
+            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 12, 7))))
         print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0

@@ -32,16 +32,23 @@ points of those subsets pairwise, in grading order, as coordinate vectors.
 `reference_candidate_points` is the toric candidate set as it was before
 the minimal-element sieve, the interior points of the closed
 parallelepipeds of every independent subset, and
-`reference_minimize_spanning_cost` runs the greedy on every one of them.
+`reference_minimize_spanning_cost` runs `basis_greedy` on every one of them.
 
 `reference_facet_values` is the packing of facet values as the cell walk
 made it before one linear map (`FacetValues.image`) wrote it: one
 `pairing` per facet form, then the values and their sum, the degree,
 packed field by field.
 
-`reference_spanning_cost_greedy` is the greedy spanning cost with one full
+`basis_greedy` is the greedy spanning cost over a `HilbertBasis`, as the
+library computed it before the greedy was fed pairing levels: the basis
+ranked by pairing with the point, in one call of `spanning_cost_greedy`.
+`reference_spanning_cost_greedy` is the same greedy with one full
 Hermite-form rank test per scanned basis element, as it was before the
 greedy kept an echelon form of the elements it has chosen.
+`reference_enumerate_lattice_points` is the lattice-point enumerator as it
+was before Fourier-Motzkin bounds replaced it: the vertices from the
+double description of the cone over the polytope, then a scan of their
+bounding box.
 `is_interior_point` is the interior test that was a method of
 `HilbertBasis`: every ray of the dual cone pairs positively with the
 point.
@@ -95,7 +102,16 @@ import random
 from math import comb
 
 from mldhat.cli import BIG, _is_big_integer_text
-from mldhat.cones import Cone, ConeError, FaceError, FaceSpec, dual_cone, face_chart
+from mldhat.cones import (
+    Cone,
+    ConeError,
+    FaceError,
+    FaceSpec,
+    UnboundedPolytopeError,
+    dual_cone,
+    dual_description,
+    face_chart,
+)
 from mldhat.hypersurface import (
     ASSUMPTIONS,
     Certificate,
@@ -384,7 +400,7 @@ def reference_facet_values(forms, width, point) -> int:
 def reference_minimize_spanning_cost(cone, hb):
     """The toric search with the greedy over `hb` on every all-subsets candidate."""
     n = cone.ambient_rank
-    witnesses = [spanning_cost_greedy(a, hb) for a in reference_candidate_points(cone)]
+    witnesses = [basis_greedy(a, hb) for a in reference_candidate_points(cone)]
     best = min(witnesses, key=SpanningWitness.sort_key)
     return ToricMldReport(
         lambda_value=best.value - n,
@@ -394,6 +410,61 @@ def reference_minimize_spanning_cost(cone, hb):
         torus_factor_rank=0,
         face_reduced_from=None,
     )
+
+
+def basis_greedy(a, hb):
+    """The greedy spanning cost of a over the basis `hb`, ranked by pairing in one call."""
+    n = len(hb.elements[0]) if hb.elements else 0
+    a = as_vector(a, n)
+    ranked = sorted((pairing(u, a), u) for u in hb.elements)
+    picked = spanning_cost_greedy(ranked, [])
+    if len(picked) < n:
+        raise LatticeError("basis does not span; cone cannot be full-dimensional")
+    value = sum(pairing(u, a) for u in picked)
+    return SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(picked)))
+
+
+def reference_enumerate_lattice_points(p):
+    """All lattice points of a bounded polytope, in lexicographic order, by a box scan.
+
+    P = {x : <normal, x> >= offset} is the slice t = 1 of the cone
+    K = {(x, t) : t >= 0, <normal, x> - offset t >= 0} in Z^(n+1), and
+    `dual_description` writes K = lin + cone(rays).  The lines have t = 0,
+    since t >= 0 is one of the inequalities.  As t is nonnegative on K, the
+    face K cap {t = 0}, the recession cone of P, is generated by the lines
+    and the rays with t = 0; and P is empty exactly when no ray has t > 0.
+    Otherwise:
+
+    * Coordinate j is unbounded above on P exactly when the recession cone
+      holds an x with x_j > 0: when some line has x_j != 0 or some ray with
+      t = 0 has x_j > 0.  It is unbounded below exactly when some ray with
+      t = 0 has x_j < 0 (a line would already have counted as "above").
+      Coordinates are checked in order, above before below.
+    * Past these checks there are no lines and no rays with t = 0 (each is
+      nonzero in some coordinate), so P is the convex hull of its vertices
+      r / t over the rays with t > 0.  Every lattice point lies in the box
+      min ceil(r_j / t) <= x_j <= max floor(r_j / t), in exact floor
+      division, and the box is scanned and filtered by the inequalities.
+    """
+    n = p.ambient_rank
+    cone_ineqs = [tuple(normal) + (-offset,) for normal, offset in p.inequalities]
+    lines, rays, _ = dual_description(cone_ineqs + [(0,) * n + (1,)], n + 1)
+    vertices = [r for r in rays if r[n] > 0]
+    if not vertices:
+        return []
+    recession = [r for r in rays if r[n] == 0]
+    for j in range(n):
+        if any(l[j] for l in lines) or any(r[j] > 0 for r in recession):
+            raise UnboundedPolytopeError(f"coordinate {j} is unbounded above")
+        if any(r[j] < 0 for r in recession):
+            raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")
+    ranges = [
+        range(min(-(-r[j] // r[n]) for r in vertices), max(r[j] // r[n] for r in vertices) + 1)
+        for j in range(n)
+    ]
+    return [
+        pt for pt in itertools.product(*ranges) if all(pairing(normal, pt) >= b for normal, b in p.inequalities)
+    ]
 
 
 def is_interior_point(dual, a):

@@ -37,8 +37,8 @@ from mldhat.hilbert import HilbertBasis, hilbert_basis
 from mldhat.hypersurface import SupportError, binomial_lambda, objective, validate_support
 from mldhat.lattice import content, express_in_basis, integer_kernel, pairing
 from mldhat.oracle import staircase_verify
-from mldhat.toric import minimize_spanning_cost, spanning_cost_greedy
-from reference_kernels import is_interior_point
+from mldhat.toric import minimize_spanning_cost
+from reference_kernels import basis_greedy, is_interior_point, reference_minimize_spanning_cost
 
 # (u, v, lambda): x^u - x^v
 LAMBDA_POSITIVE_BINOMIALS = (
@@ -88,7 +88,7 @@ def route_pairs(u, v, box):
     n = len(u) - 1
     for alpha in feasible_orders(u, v, box):
         a = express_in_basis(chart.kernel, alpha)
-        yield alpha, spanning_cost_greedy(a, chart.basis).value - n, objective(support, alpha)
+        yield alpha, basis_greedy(a, chart.basis).value - n, objective(support, alpha)
 
 
 def random_normal_binomials(seed, count):
@@ -159,6 +159,14 @@ def test_lambda_positive_corpus(u, v, lam):
     assert min(toric for _, toric, _ in pairs) == lam
 
 
+def test_level_route_against_the_basis_route():
+    # the corpus charts decide at level 2, the random normal ones mostly at level 1
+    binomials = [(u, v) for u, v, _ in LAMBDA_POSITIVE_BINOMIALS] + random_normal_binomials(seed=2017, count=40)
+    for u, v in binomials:
+        cone = toric_chart(u, v).cone
+        assert minimize_spanning_cost(cone) == reference_minimize_spanning_cost(cone, hilbert_basis(dual_cone(cone))), (u, v)
+
+
 @pytest.mark.parametrize("u, v, lam", LAMBDA_POSITIVE_BINOMIALS)
 def test_orbit_dimension_is_the_staircase_count(u, v, lam):
     chart = toric_chart(u, v)
@@ -166,7 +174,7 @@ def test_orbit_dimension_is_the_staircase_count(u, v, lam):
     n = len(u) - 1
     for alpha in feasible_orders(u, v, 3):
         a = express_in_basis(chart.kernel, alpha)
-        best = spanning_cost_greedy(a, chart.basis)
+        best = basis_greedy(a, chart.basis)
         m = max(*(pairing(w, a) for w in best.chosen_set), *alpha)
         result = staircase_verify(support, alpha, m, trials=3, seed=0)
         assert (m + 1) * n - best.value == result.window_size - result.equations_solved

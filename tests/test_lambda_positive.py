@@ -8,8 +8,12 @@ with n in 3-4, k in n..6 and b in 1..3; each shape draws DRAWS sets of k
 rays with entries in [-b, b] from its own seeded stream (`shape_stream`).
 A draw is kept when its rays span a pointed full-dimensional cone, the
 search stays within LIMIT points and lambda > 0; each record holds the
-shape, the cone's extreme rays, lambda and the witness.  Cones past the
-limit are left out, so the corpus leans to small duals.
+shape, the cone's extreme rays, lambda and the witness.  LIMIT is the
+search's `max_points`: it caps the cells and candidate points of the cone
+and, level by level, the bounding box of each candidate's level slice.
+When the corpus was recorded it capped the dual Hilbert basis and the
+candidates instead, and cones past it were left out, so the corpus leans
+to small duals; the search under today's meaning keeps the same 91 cones.
 
 To record the corpus anew, run this module as a script from the
 repository root:

@@ -1,14 +1,17 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mldhat.cones import RationalPolytope, UnboundedPolytopeError, enumerate_lattice_points
+from mldhat import cones
+from mldhat.cones import RationalPolytope, UnboundedPolytopeError, dual_description, enumerate_lattice_points
 from mldhat.lattice import (
     LatticeError,
+    LimitError,
     as_vector,
     content,
     express_in_basis,
@@ -18,7 +21,7 @@ from mldhat.lattice import (
     rank_of,
     row_hermite,
 )
-from reference_kernels import saturate
+from reference_kernels import reference_enumerate_lattice_points, saturate
 
 
 def reference_express_in_basis(basis_rows, v):
@@ -415,3 +418,135 @@ class TestEnumerate:
         )
         pts = enumerate_lattice_points(p)
         assert pts == sorted(pts)
+
+
+def random_polytope(rng, n):
+    """Up to five random cuts in rank n, most often inside a box of half-width 0..3.
+
+    Cuts with a zero normal, empty polytopes and, without the box,
+    unbounded ones all come up.
+    """
+    ineqs = [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-5, 5)) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.7:
+        bound = rng.randint(0, 3 if n < 4 else 2)
+        for j in range(n):
+            e = tuple(int(k == j) for k in range(n))
+            ineqs += [(e, -bound), (tuple(-x for x in e), -bound)]
+    return RationalPolytope(n, tuple(ineqs))
+
+
+def outcome(enumerate_points, p):
+    """The points, or the message of the UnboundedPolytopeError."""
+    try:
+        return enumerate_points(p)
+    except UnboundedPolytopeError as exc:
+        return str(exc)
+
+
+def dilate(p, m):
+    return RationalPolytope(p.ambient_rank, tuple((c, m * b) for c, b in p.inequalities))
+
+
+class TestFourierMotzkinBounds:
+    """The depth-first search against the box scan it replaced."""
+
+    def test_seeded_polytopes_against_box_scan(self):
+        rng = random.Random(1986)
+        kinds = Counter()
+        for k in range(1200):
+            n = k % 5
+            p = random_polytope(rng, n)
+            expected = outcome(reference_enumerate_lattice_points, p)
+            assert outcome(enumerate_lattice_points, p) == expected, p.inequalities
+            kinds[n, "unbounded" if isinstance(expected, str) else "points" if expected else "empty"] += 1
+        # every rank from 1 up meets all three outcomes; rank 0 has no unbounded direction
+        assert all(kinds[n, kind] >= 20 for n in range(1, 5) for kind in ("points", "empty", "unbounded")), kinds
+        assert kinds[0, "points"] and kinds[0, "empty"]
+
+    def test_dilations_against_box_scan(self):
+        # one elimination serves every dilation: the offsets scale, the normals stay
+        rng = random.Random(1987)
+        checked = 0
+        while checked < 300:
+            p = random_polytope(rng, rng.randint(1, 3))
+            if isinstance(outcome(enumerate_lattice_points, p), str):
+                continue
+            for m in (2, 3):
+                assert enumerate_lattice_points(p, m) == reference_enumerate_lattice_points(dilate(p, m)), (p, m)
+            checked += 1
+
+    def test_rounding_of_the_offsets(self):
+        # 2 x >= 1 and 2 x <= 3: only x = 1, at dilation 1; at dilation 2, 1 <= x <= 3
+        p = RationalPolytope(1, (((2,), 1), ((-2,), -3)))
+        assert enumerate_lattice_points(p) == [(1,)]
+        assert enumerate_lattice_points(p, 2) == [(1,), (2,), (3,)]
+        # 3 x + 3 y >= 1 and x + y <= 0: no lattice point, though not empty over the rationals
+        q = RationalPolytope(2, (((3, 3), 1), ((-1, -1), 0), ((1, 0), -2), ((-1, 0), -2)))
+        assert enumerate_lattice_points(q) == []
+
+    def test_empty_over_the_rationals_is_empty_before_unbounded(self):
+        # 2 x0 >= 1 and 2 x0 <= 1 hold x0 = 1/2 with x1 free: unbounded, with no
+        # lattice point; rounding first would call it empty
+        p = RationalPolytope(2, (((2, 0), 1), ((-2, 0), -1)))
+        with pytest.raises(UnboundedPolytopeError, match="^coordinate 1 is unbounded above$"):
+            enumerate_lattice_points(p)
+        assert outcome(reference_enumerate_lattice_points, p) == "coordinate 1 is unbounded above"
+
+    def test_zero_dimensional_dilations(self):
+        # a slice of dimension 0 gives one point or none, at every dilation
+        cases = [([((), -1)], [()]), ([((), 2)], []), ([], [()])]
+        for rows, points in cases:
+            p = RationalPolytope(0, tuple(rows))
+            assert [enumerate_lattice_points(p, m) for m in (1, 2, 5)] == [points] * 3
+
+    def test_limit_counts_the_bounding_box(self):
+        # the triangle x, y >= 0, 2 x + 3 y <= 12: its box is 7 by 5
+        p = RationalPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-2, -3), -12)))
+        assert len(enumerate_lattice_points(p)) == 19
+        assert enumerate_lattice_points(p, 1, 35) == enumerate_lattice_points(p)
+        with pytest.raises(LimitError, match=r"^triangle: about 35 points exceed the limit \(34\)$"):
+            enumerate_lattice_points(p, 1, 34, "triangle")
+        # at dilation 2 the box is 13 by 9
+        with pytest.raises(LimitError, match=r"^lattice points: about 117 points exceed the limit \(116\)$"):
+            enumerate_lattice_points(p, 2, 116)
+
+    def test_limit_box_is_the_exact_box(self):
+        # the count is the lattice points of the box of P, from its vertices
+        rng = random.Random(1988)
+        for _ in range(200):
+            p = random_polytope(rng, rng.randint(1, 3))
+            if isinstance(outcome(enumerate_lattice_points, p), str) or p.projections[0]:
+                continue
+            n = p.ambient_rank
+            _, rays, _ = dual_description([c + (-b,) for c, b in p.inequalities] + [(0,) * n + (1,)], n + 1)
+            box = 1
+            for j in range(n):
+                lo = min(-(-r[j] // r[n]) for r in rays)
+                hi = max(r[j] // r[n] for r in rays)
+                box *= max(hi - lo + 1, 0)
+            enumerate_lattice_points(p, 1, box)
+            with pytest.raises(LimitError, match=f"about {box} points"):
+                enumerate_lattice_points(p, 1, box - 1)
+
+    def test_one_elimination_serves_every_dilation(self, monkeypatch):
+        # the projections and the axes of a polytope are made once, at first use
+        calls = []
+        canonical = cones._canonical
+        monkeypatch.setattr(cones, "_canonical", lambda rows: calls.append(1) or canonical(rows))
+        p = RationalPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-2, -3), -12)))
+        assert not calls
+        enumerate_lattice_points(p, 1, 100)
+        made = len(calls)
+        for m in (2, 3, 4):
+            assert enumerate_lattice_points(p, m, 10**6) == reference_enumerate_lattice_points(dilate(p, m))
+        assert made and len(calls) == made
+
+    def test_projection_limit(self, monkeypatch):
+        # a square has two rows bounding each coordinate: eliminating x1 keeps
+        # the two rows of x0 and pairs the two of x1, 3 rows in all
+        square = (((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1))
+        monkeypatch.setattr(cones, "MAX_PROJECTION_ROWS", 2)
+        with pytest.raises(LimitError, match=r"^lattice points: eliminating coordinate 1 gives 3 inequalities, over the limit \(2\)$"):
+            enumerate_lattice_points(RationalPolytope(2, square))
+        monkeypatch.setattr(cones, "MAX_PROJECTION_ROWS", 3)
+        assert enumerate_lattice_points(RationalPolytope(2, square)) == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -1,11 +1,16 @@
+import io
 import json
+import math
 import pathlib
 import random
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mldhat import toric
+from mldhat.cli import main
 from mldhat.cones import (
     Cone,
     ConeError,
@@ -23,11 +28,13 @@ from mldhat.toric import (
     spanning_cost_greedy,
 )
 from reference_kernels import (
+    basis_greedy,
     contains,
     determinant,
     independent_subsets,
     is_interior_point,
     reference_candidate_points,
+    reference_enumerate_lattice_points,
     reference_minimize_spanning_cost,
     reference_spanning_cost_greedy,
 )
@@ -38,6 +45,8 @@ A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
 # cone over the unit square; its only minimal interior point (1, 1, 2) lies
 # on the diagonal wall between the two cells of a triangulation
 SQUARE_CONE = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+
+POOL = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8"))
 
 
 def spanning_cost_bruteforce(a, hb: HilbertBasis, dual: Cone, max_subsets=1_000_000) -> SpanningWitness:
@@ -92,7 +101,7 @@ def box_reference(cone):
             ineqs.append((tuple(-x for x in e), -hi))
         points = enumerate_lattice_points(RationalPolytope(n, tuple(ineqs)))
         best = min(
-            (spanning_cost_greedy(a, hb) for a in points), key=lambda w: w.sort_key()
+            (basis_greedy(a, hb) for a in points), key=lambda w: w.sort_key()
         )
         if best.value <= bound:
             return best
@@ -133,39 +142,49 @@ def random_interior_point(rng, cone):
 class TestGreedy:
     def test_a1_cone_fixed_point(self):
         hb = hilbert_basis(dual_cone(A1_CONE))
-        w = spanning_cost_greedy((1, 0), hb)
+        w = basis_greedy((1, 0), hb)
         assert w.value == 2
         assert w.chosen_set == ((1, 0), (1, 1))
 
     def test_smooth_orthant(self):
         hb = hilbert_basis(dual_cone(orthant(2)))
-        w = spanning_cost_greedy((1, 1), hb)
+        w = basis_greedy((1, 1), hb)
         assert w.value == 2
         assert w.chosen_set == ((0, 1), (1, 0))
 
     def test_off_axis_point(self):
         hb = hilbert_basis(dual_cone(A1_CONE))
-        w = spanning_cost_greedy((1, 1), hb)
+        w = basis_greedy((1, 1), hb)
         assert w.value == 3
 
     def test_rejects_boundary_point(self):
         # (0, 1) pairs to 0 with the dual ray (1, 0)
         hb = hilbert_basis(dual_cone(A1_CONE))
         with pytest.raises(LatticeError, match="^spanning cost needs an interior lattice point$"):
-            spanning_cost_greedy((0, 1), hb)
+            basis_greedy((0, 1), hb)
 
     def test_rejects_outside_point(self):
         # (-1, 1) pairs to -1 with the dual ray (1, 0)
         hb = hilbert_basis(dual_cone(A1_CONE))
         with pytest.raises(LatticeError, match="^spanning cost needs an interior lattice point$"):
-            spanning_cost_greedy((-1, 1), hb)
+            basis_greedy((-1, 1), hb)
+
+    def test_continues_across_calls(self):
+        # the ranking fed in two parts picks what one call picks
+        hb = hilbert_basis(dual_cone(A1_CONE))
+        ranked = sorted((pairing(u, (1, 1)), u) for u in hb.elements)
+        whole = spanning_cost_greedy(ranked, [])
+        for cut in range(len(ranked) + 1):
+            echelon = []
+            assert spanning_cost_greedy(ranked[:cut], echelon) + spanning_cost_greedy(ranked[cut:], echelon) == whole
+        assert whole == [(1, 0), (1, 1)]
 
     def test_rejects_a_wrong_rank_and_an_empty_basis(self):
         hb = hilbert_basis(dual_cone(A1_CONE))
         with pytest.raises(LatticeError, match="rank 2"):
-            spanning_cost_greedy((1, 0, 0), hb)
+            basis_greedy((1, 0, 0), hb)
         with pytest.raises(LatticeError):
-            spanning_cost_greedy((1, 0), HilbertBasis(elements=()))
+            basis_greedy((1, 0), HilbertBasis(elements=()))
 
 
 class TestGreedyEchelon:
@@ -185,7 +204,7 @@ class TestGreedyEchelon:
         hb = hilbert_basis(dual)
         candidates = reference_candidate_points(cone)
         for a in candidates:
-            assert spanning_cost_greedy(a, hb) == reference_spanning_cost_greedy(a, hb, dual), (rays, a)
+            assert basis_greedy(a, hb) == reference_spanning_cost_greedy(a, hb, dual), (rays, a)
         _, dual_rays = cone.dual_pair
         values = {a: [pairing(g, a) for g in dual_rays] for a in candidates}
         minimal = {
@@ -220,7 +239,7 @@ class TestBruteforce:
         for a in [(1, 0), (1, 1), (2, 0)]:
             assert (
                 spanning_cost_bruteforce(a, hb, dual).value
-                == spanning_cost_greedy(a, hb).value
+                == basis_greedy(a, hb).value
             )
 
     def test_orthant_three(self):
@@ -263,7 +282,7 @@ class TestBruteforce:
         for c, d, hb in cones:
             for _ in range(10):
                 a = random_interior_point(rng, c)
-                g = spanning_cost_greedy(a, hb)
+                g = basis_greedy(a, hb)
                 b = spanning_cost_bruteforce(a, hb, d)
                 assert g.value == b.value
                 pairs += 1
@@ -431,6 +450,143 @@ class TestMinimize:
         assert report.witness.value == reference.value
 
 
+def walked_candidates(cone):
+    """The candidates whose level 1 the search walks: in point order, up to the witness."""
+    candidates = sorted(interior_candidates(cone, None))
+    return candidates[: candidates.index(minimize_spanning_cost(cone).witness.point) + 1]
+
+
+class TestLevelRoute:
+    """The level search against the greedy over the dual Hilbert basis it replaced."""
+
+    def test_pool_cones_against_the_basis_route(self):
+        # every rank-3 and rank-4 pool cone whose dual Hilbert basis takes at
+        # most 200,000 points; the 72 smaller pool cones are in TestGreedyEchelon
+        checked = {}
+        for family in ("cones_rank3", "cones_rank4"):
+            for entry in POOL[family]:
+                cone = Cone.from_generators(len(entry["rays"][0]), entry["rays"])
+                try:
+                    hb = hilbert_basis(dual_cone(cone), max_points=200_000)
+                except LimitError:
+                    continue
+                assert minimize_spanning_cost(cone) == reference_minimize_spanning_cost(cone, hb), entry["rays"]
+                checked[family] = checked.get(family, 0) + 1
+        assert checked == {"cones_rank3": 36, "cones_rank4": 6}
+
+    def test_every_rank4_pool_cone_finishes_toric(self, tmp_path):
+        # lambda = 0 on each: the chosen elements lie in the dual, are
+        # independent and pair to 1 with the interior witness point
+        path = tmp_path / "cone.json"
+        assert len(POOL["cones_rank4"]) == 30
+        for entry in POOL["cones_rank4"]:
+            path.write_text(json.dumps({"lattice_rank": 4, "rays": entry["rays"]}))
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["--seed", "0", "toric", "--cone", str(path)]) == 0
+            report = json.loads(out.getvalue())
+            witness = report["witness"]
+            point, chosen = tuple(witness["point"]), [tuple(u) for u in witness["chosen_set"]]
+            cone = Cone.from_generators(4, entry["rays"])
+            assert (report["lambda"], report["mather_mld"], witness["value"]) == (0, 4, 4)
+            assert contains(cone, point, strict=True)
+            assert all(pairing(u, r) >= 0 for u in chosen for r in cone.generators)
+            assert rank_of(chosen) == 4
+            assert [pairing(u, point) for u in chosen] == [1] * 4
+
+    def test_walked_level_one_slices_against_box_scan(self):
+        # the slices the search walks on the rank-4 pool cones: level 1 of
+        # each primitive candidate up to the witness
+        slices = 0
+        for entry in POOL["cones_rank4"]:
+            cone = Cone.from_generators(4, entry["rays"])
+            for a in walked_candidates(cone):
+                if math.gcd(*a) > 1:
+                    continue
+                greedy = toric._LevelGreedy(cone, a)
+                greedy.feed(1, None)
+                piece = greedy.slice
+                assert enumerate_lattice_points(piece) == reference_enumerate_lattice_points(piece), (entry["rays"], a)
+                slices += 1
+        assert slices == 140
+
+    def test_enumerator_is_called_through_the_toric_binding(self, monkeypatch):
+        # the search walks level 1 of each primitive candidate up to the
+        # witness, and no more; a level 1 of c a0, c > 1, holds no element
+        calls = []
+
+        def counted(p, *args):
+            points = enumerate_lattice_points(p, *args)
+            calls.append(len(points))
+            return points
+
+        monkeypatch.setattr(toric, "enumerate_lattice_points", counted)
+        for entry in POOL["cones_rank4"][:12]:
+            cone = Cone.from_generators(4, entry["rays"])
+            primitive = [a for a in walked_candidates(cone) if math.gcd(*a) == 1]
+            del calls[:]
+            minimize_spanning_cost(cone)
+            assert len(calls) == len(primitive) and calls[-1] >= 4, entry["rays"]
+
+    @staticmethod
+    def planned_search(monkeypatch, plans):
+        """The search over fake candidates of rank 3: `plans[a][L]` picks at level L.
+
+        Returns the witness and the (point, level) of every feed, in order.
+        """
+        fed = []
+
+        class Planned:
+            def __init__(self, cone, a):
+                self.point, self.chosen, self.value = a, [], 0
+
+            def feed(self, level, max_points):
+                fed.append((self.point, level))
+                for i in range(plans[self.point].get(level, 0)):
+                    self.chosen.append((level, len(self.chosen), 0))
+                    self.value += level
+
+            def witness(self):
+                return SpanningWitness(self.point, self.value, tuple(sorted(self.chosen)))
+
+        monkeypatch.setattr(toric, "interior_candidates", lambda cone, max_points: list(plans))
+        monkeypatch.setattr(toric, "_LevelGreedy", Planned)
+        return minimize_spanning_cost(orthant(3)).witness, fed
+
+    def test_level_one_stops_at_the_first_exact_candidate(self, monkeypatch):
+        plans = {(3, 3, 3): {1: 3}, (2, 2, 2): {1: 3}, (1, 1, 1): {1: 2, 2: 1}}
+        witness, fed = self.planned_search(monkeypatch, plans)
+        assert (witness.point, witness.value) == ((2, 2, 2), 3)
+        assert fed == [((1, 1, 1), 1), ((2, 2, 2), 1)]
+
+    def test_tie_goes_to_the_next_level(self, monkeypatch):
+        # after level 2, (2, 2, 2) is exact at 1 + 2 + 2 = 5, and (1, 1, 1) has
+        # two picks of 1 and the bound 2 + 3 = 5: a tie, so level 3 is walked,
+        # where (1, 1, 1) reaches 5 too and wins by its point
+        plans = {(2, 2, 2): {1: 1, 2: 2}, (1, 1, 1): {1: 2, 3: 1}, (0, 0, 1): {1: 1, 2: 1}}
+        witness, fed = self.planned_search(monkeypatch, plans)
+        assert (witness.point, witness.value) == ((1, 1, 1), 5)
+        # (0, 0, 1) picks 1 and 2, and its bound 3 + 3 = 6 > 5 drops it before level 3
+        assert fed[-1] == ((1, 1, 1), 3) and ((0, 0, 1), 3) not in fed
+
+    def test_level_limits_name_the_level(self):
+        # the candidates pass at 8 points, the level-1 slice of the witness does not
+        cone = Cone.from_generators(3, [(-1, -2, -1), (0, -1, 1), (0, 0, 1)])
+        with pytest.raises(LimitError, match=r"^toric level 1: about 18 points exceed the limit \(8\)$"):
+            minimize_spanning_cost(cone, max_points=8)
+        # lambda = 1: level 1 decides nothing, and a slice of level 2 has a box of 40 points
+        cone = Cone.from_generators(3, [(-3, -2, 0), (-1, 0, 0), (-1, 2, -2)])
+        with pytest.raises(LimitError, match=r"^toric level 2: about 40 points exceed the limit \(39\)$"):
+            minimize_spanning_cost(cone, max_points=39)
+        assert minimize_spanning_cost(cone, max_points=40) == minimize_spanning_cost(cone)
+        assert minimize_spanning_cost(cone).lambda_value == 1
+
+    def test_rank_one_chart(self):
+        # the chart of a ray: a slice of dimension 0 at every level
+        report = minimize_spanning_cost(Cone.from_generators(1, [(1,)]))
+        assert (report.lambda_value, report.witness.point, report.witness.chosen_set) == (0, (1,), ((1,),))
+
+
 class TestCrossPipeline:
     def test_threefold_with_binomial_equation(self):
         # the semigroup generated by u1, u2, u4, u3 with u1 + u2 + u3 = 2 u4
@@ -465,10 +621,10 @@ class TestInvariants:
             c = random_pointed_cone(rng, 2, 5)
             hb = hilbert_basis(dual_cone(c))
             a = random_interior_point(rng, c)
-            base = spanning_cost_greedy(a, hb).value
+            base = basis_greedy(a, hb).value
             for k in (2, 3):
                 scaled = tuple(k * x for x in a)
-                assert spanning_cost_greedy(scaled, hb).value == k * base
+                assert basis_greedy(scaled, hb).value == k * base
 
     def test_superadditivity(self):
         rng = random.Random(71)
@@ -479,9 +635,9 @@ class TestInvariants:
             b = random_interior_point(rng, c)
             ab = tuple(x + y for x, y in zip(a, b))
             assert (
-                spanning_cost_greedy(ab, hb).value
-                >= spanning_cost_greedy(a, hb).value
-                + spanning_cost_greedy(b, hb).value
+                basis_greedy(ab, hb).value
+                >= basis_greedy(a, hb).value
+                + basis_greedy(b, hb).value
             )
 
     def test_lower_bound_dimension(self):
@@ -491,7 +647,7 @@ class TestInvariants:
             c = random_pointed_cone(rng, n, 4)
             hb = hilbert_basis(dual_cone(c))
             a = random_interior_point(rng, c)
-            assert spanning_cost_greedy(a, hb).value >= n
+            assert basis_greedy(a, hb).value >= n
 
 
 def reference_orbit_dimension(a, hb):
@@ -512,7 +668,7 @@ def reference_orbit_dimension(a, hb):
 
 def greedy_threshold(a, hb):
     """(cost, threshold) read off the greedy spanning set."""
-    best = spanning_cost_greedy(a, hb)
+    best = basis_greedy(a, hb)
     return best.value, max(pairing(u, best.point) for u in best.chosen_set)
 
 
