@@ -1,4 +1,4 @@
-"""Rational polyhedral cones: duals, faces, membership, face charts, triangulations.
+"""Rational polyhedral cones: duals, faces, face charts, triangulations; polytope lattice points.
 
 A cone is stored by its primitive extreme rays in a lattice Z^n and must be
 pointed (it contains no nonzero linear subspace).  Dual descriptions are

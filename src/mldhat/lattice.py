@@ -5,9 +5,9 @@ tuple length.  Everything here is integer elimination: the row Hermite form
 gives ranks and kernels (a kernel is a saturated lattice, so the
 saturation of a span is the kernel of its orthogonal complement), and one
 pass along echelon pivots gives coordinates.  No floating point and no
-rational arithmetic is used anywhere.  Polyhedral questions (duals, faces,
-lattice points of polytopes) are answered by the double description in
-`cones`.
+rational arithmetic is used anywhere.  Polyhedral questions are answered
+in `cones`: duals and faces by the double description, lattice points of
+polytopes by Fourier-Motzkin elimination.
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ class _LevelGreedy:
     """The greedy of one candidate a, fed one pairing level at a time (module docstring)."""
 
     def __init__(self, cone: Cone, a):
-        self.cone, self.point, self.basis, self.slice = cone, a, None, None
+        self.cone, self.point, self.columns, self.slice = cone, a, None, None
         self.echelon: list = []
         self.chosen: list[tuple[int, ...]] = []
         self.value = 0
@@ -158,13 +158,13 @@ class _LevelGreedy:
             h = row_hermite([(x // c, *(int(i == j) for j in range(n))) for i, x in enumerate(a)])
             if [row[0] for row in h] != [1] + [0] * (n - 1):
                 raise AssertionError(f"the Hermite form of [{a} / {c} | I] does not start with e_1")
-            self.basis = [row[1:] for row in h]
-            first, *others = self.basis
+            first, *others = basis = [row[1:] for row in h]
+            self.columns = list(zip(*basis))
             self.slice = RationalPolytope(
                 n - 1, tuple((tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in self.cone.generators)
             )
         points = enumerate_lattice_points(self.slice, m, max_points, f"toric level {level}")
-        elements = sorted(tuple(sum(map(mul, column, (m, *y))) for column in zip(*self.basis)) for y in points)
+        elements = sorted(tuple(sum(map(mul, column, (m, *y))) for column in self.columns) for y in points)
         picked = spanning_cost_greedy([(level, u) for u in elements], self.echelon)
         self.chosen += picked
         self.value += level * len(picked)
