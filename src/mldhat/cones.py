@@ -374,20 +374,23 @@ class UnboundedPolytopeError(LatticeError):
 
 
 def _canonical(rows):
-    """The distinct rows (c, b, g) of <c, x> >= b / g, c primitive, g >= 1 prime to b.
+    """Rows (c, b, g) of <c, x> >= b / g, c primitive, g >= 1 prime to b: the tightest of each c.
 
-    A row with a zero normal, 0 >= b / g, is dropped when it holds and
-    kept as (0, 1, 1), the mark of an empty polytope, when it does not.
+    A row of largest offset implies the others of its normal direction.  A
+    row with a zero normal, 0 >= b / g, is dropped when it holds and kept
+    as (0, 1, 1), the mark of an empty polytope, when it does not.
     """
-    kept = set()
+    kept = {}
     for normal, num, den in rows:
         h = gcd(*normal)
         if h:
             r = gcd(num, den * h)
-            kept.add((tuple(x // h for x in normal), num // r, den * h // r))
+            c, num, den = tuple(x // h for x in normal), num // r, den * h // r
+            if c not in kept or num * kept[c][2] > kept[c][1] * den:
+                kept[c] = (c, num, den)
         elif num > 0:
-            kept.add((normal, 1, 1))
-    return list(kept)
+            kept[normal] = (normal, 1, 1)
+    return list(kept.values())
 
 
 @dataclass(frozen=True)
@@ -459,8 +462,8 @@ def enumerate_lattice_points(
     Exactness: Fourier-Motzkin elimination gives each projection of P
     exactly over the rationals, so the prefixes of every lattice point of P
     meet every bound and the search misses none; and a row of P whose last
-    nonzero entry is c_k passes unchanged into projection k + 1, so every
-    leaf meets every row of P.  A range that no lattice point extends is
+    nonzero entry is c_k passes into projection k + 1, or a tighter row of
+    its direction does, so every leaf meets every row of P.  A range that no lattice point extends is
     empty, and the search backs up.
 
     P is empty over the rationals exactly when its projection onto no
