@@ -6,8 +6,8 @@ gives ranks and kernels (a kernel is a saturated lattice, so the
 saturation of a span is the kernel of its orthogonal complement), and one
 pass along echelon pivots gives coordinates.  No floating point and no
 rational arithmetic is used anywhere.  Polyhedral questions are answered
-in `cones`: duals and faces by the double description, lattice points of
-polytopes by Fourier-Motzkin elimination.
+in `cones`, duals and faces by the double description, and in `toric`,
+the lattice points of a level slice by Fourier-Motzkin elimination.
 """
 
 from __future__ import annotations

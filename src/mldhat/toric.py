@@ -55,10 +55,14 @@ pairing m = L / c with a0.  The row Hermite form of [a0 | I] has first
 column e_1, so its identity block is a unimodular V with <a0, V_0> = 1
 and <a0, V_i> = 0 for i >= 1, and the elements are m V_0 + sum y_i V_i
 over the lattice points y of m times the slice
-{y : <r, V_0 + sum y_i V_i> >= 0 for every ray r}, bounded as a is
-interior.  The slice is eliminated once per candidate
-(`cones.RationalPolytope`) and each level walks its dilate
-(`cones.enumerate_lattice_points`).
+S = {y : <r, V_0 + sum y_i V_i> >= 0 for every ray r}.  S is nonempty:
+every dual ray w pairs positively with the interior point a, so
+w / <a0, w> pairs to 1 with a0 and is V_0 + sum y_i V_i for a rational
+y in S.  S is bounded: a recession direction y != 0 would
+make u = sum y_i V_i a nonzero dual element with <a0, u> = 0, and a0 is
+interior.  So the slice is eliminated once per candidate (`eliminate`)
+and each level walks its dilate (`enumerate_lattice_points`), with no
+test for an empty or an unbounded slice.
 """
 
 from __future__ import annotations
@@ -67,10 +71,10 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .cones import Cone, ConeError, FaceSpec, RationalPolytope, enumerate_lattice_points, face_chart
+from .cones import Cone, ConeError, FaceSpec, face_chart
 from .hilbert import hilbert_basis  # not called here; perfbench/tracing.py wraps this name
 from .hilbert import interior_candidates
-from .lattice import LatticeError, pairing, row_hermite
+from .lattice import LatticeError, LimitError, pairing, row_hermite
 from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
 
@@ -139,31 +143,150 @@ def spanning_cost_greedy(ranked, echelon) -> list[tuple[int, ...]]:
     return picked
 
 
+MAX_PROJECTION_ROWS = 100_000  # inequalities one Fourier-Motzkin projection may hold
+
+
+def _tightest(rows):
+    """Rows (c, b, g) of <c, y> >= b / g, c primitive, g >= 1 prime to b: the tightest of each c.
+
+    A row of largest offset implies the others of its normal direction.  A
+    row with a zero normal, 0 >= b / g, is dropped: the slice is nonempty
+    (module docstring), so it holds there, like every row derived from the
+    slice's rows.
+    """
+    kept = {}
+    for normal, num, den in rows:
+        h = gcd(*normal)
+        if h:
+            r = gcd(num, den * h)
+            c, num, den = tuple(x // h for x in normal), num // r, den * h // r
+            if c not in kept or num * kept[c][2] > kept[c][1] * den:
+                kept[c] = (c, num, den)
+    return list(kept.values())
+
+
+def eliminate(inequalities, dimension, level):
+    """The Fourier-Motzkin projections of the slice {y : <c, y> >= b}: entry k onto y_0..y_k.
+
+    Each projection is a list of `_tightest` rows, and entry dimension - 1
+    is the slice itself.  Eliminating y_k passes the rows with c_k = 0 and
+    adds, for each row with c_k = p > 0 and each with c_k = -q < 0, their
+    sum q * first + p * second, cross multiplied in integers.  The offsets
+    stay exact: dilating by m >= 1 scales every offset by m and no normal,
+    so one elimination serves every level.  A projection of more than
+    MAX_PROJECTION_ROWS rows raises LimitError, naming `level`, before its
+    rows are made.
+    """
+    rows = _tightest((c, b, 1) for c, b in inequalities)
+    projections = []
+    for k in reversed(range(dimension)):
+        projections.append(rows)
+        lower = [row for row in rows if row[0][k] > 0]
+        upper = [row for row in rows if row[0][k] < 0]
+        count = len(rows) - len(lower) - len(upper) + len(lower) * len(upper)
+        if count > MAX_PROJECTION_ROWS:
+            raise LimitError(
+                f"toric level {level}: eliminating coordinate {k} gives {count} inequalities, "
+                f"over the limit ({MAX_PROJECTION_ROWS})"
+            )
+        rows = _tightest(
+            [(c[:k], b, g) for c, b, g in rows if not c[k]]
+            + [
+                (tuple(-d[k] * x + c[k] * y for x, y in zip(c, d[:k])), -d[k] * b * h + c[k] * e * g, g * h)
+                for c, b, g in lower
+                for d, e, h in upper
+            ]
+        )
+    return projections[::-1]
+
+
+def enumerate_lattice_points(projections, dilation):
+    """The lattice points of `dilation` times the slice with these projections, in lexicographic order.
+
+    A depth-first search reads the range of y_k, given y_0..y_(k-1), off
+    `projections[k]`.  At dilation m a row <c, y> >= m b / g holds at a
+    lattice point exactly when <c, y> >= B = ceil(m b / g), as c is
+    integral; with s = sum_(i<k) c_i y_i, it gives y_k >= ceil((B - s) / c_k)
+    when c_k > 0 and y_k <= floor((B - s) / c_k) when c_k < 0.
+    Exactness: Fourier-Motzkin elimination gives each projection of the
+    slice exactly over the rationals, so the prefixes of every lattice point
+    of the slice meet every bound and the search misses none; and a row of
+    the slice whose last nonzero entry is c_k passes into projection k, or a
+    tighter row of its direction does, so every leaf meets every row.  A
+    range that no lattice point extends is empty, and the search backs up.
+    Every range is finite: projection k of the nonempty bounded slice is
+    nonempty and bounded, so it holds a row with c_k > 0 and one with
+    c_k < 0, as y_k would otherwise grow, or fall, without bound on it.
+    """
+    bounds = [
+        (
+            [(c[:k], c[k], -(-dilation * b // g)) for c, b, g in rows if c[k] > 0],
+            [(c[:k], c[k], -(-dilation * b // g)) for c, b, g in rows if c[k] < 0],
+        )
+        for k, rows in enumerate(projections)
+    ]
+    points, prefix = [], []
+
+    def search(k):
+        if k == len(bounds):
+            points.append(tuple(prefix))
+            return
+        below, above = bounds[k]
+        lo = max(-((sum(map(mul, c, prefix)) - b) // ck) for c, ck, b in below)
+        hi = min((sum(map(mul, c, prefix)) - b) // -ck for c, ck, b in above)
+        for x in range(lo, hi + 1):
+            prefix.append(x)
+            search(k + 1)
+            prefix.pop()
+
+    search(0)
+    return points
+
+
 class _LevelGreedy:
     """The greedy of one candidate a, fed one pairing level at a time (module docstring)."""
 
     def __init__(self, cone: Cone, a):
-        self.cone, self.point, self.columns, self.slice = cone, a, None, None
+        self.cone, self.point = cone, a
+        self.columns = self.projections = self.axes = None
         self.echelon: list = []
         self.chosen: list[tuple[int, ...]] = []
         self.value = 0
 
     def feed(self, level, max_points):
-        """Continue the greedy with the dual elements that pair to `level` with a."""
+        """Continue the greedy with the dual elements that pair to `level` with a.
+
+        With `max_points` set, the same at every level, the lattice points of
+        the bounding box of the level's slice are counted first, each range
+        read off `axes[k]`, the projection of the slice onto y_k alone, and a
+        LimitError names the level when they are more than `max_points`.
+        """
         a, n, c = self.point, self.cone.ambient_rank, gcd(*self.point)
         m, rest = divmod(level, c)
         if rest:
             return
-        if self.slice is None:  # built at the first level that holds elements
+        if self.columns is None:  # made at the first level that holds elements
             h = row_hermite([(x // c, *(int(i == j) for j in range(n))) for i, x in enumerate(a)])
             if [row[0] for row in h] != [1] + [0] * (n - 1):
                 raise AssertionError(f"the Hermite form of [{a} / {c} | I] does not start with e_1")
             first, *others = basis = [row[1:] for row in h]
             self.columns = list(zip(*basis))
-            self.slice = RationalPolytope(
-                n - 1, tuple((tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in self.cone.generators)
-            )
-        points = enumerate_lattice_points(self.slice, m, max_points, f"toric level {level}")
+            rows = [(tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in self.cone.generators]
+            self.projections = eliminate(rows, n - 1, level)
+            if max_points is not None:
+                self.axes = [
+                    eliminate([((u[k], *u[:k], *u[k + 1:]), b) for u, b in rows], n - 1, level)[0]
+                    for k in range(n - 1)
+                ]
+        if max_points is not None:
+            estimate = 1
+            for axis in self.axes:
+                lo = max(-(-m * b // g) for (sign,), b, g in axis if sign > 0)
+                hi = min(-m * b // g for (sign,), b, g in axis if sign < 0)
+                estimate *= max(hi - lo + 1, 0)
+            if estimate > max_points:
+                raise LimitError(f"toric level {level}: about {estimate} points exceed the limit ({max_points})")
+        points = enumerate_lattice_points(self.projections, m)
         elements = sorted(tuple(sum(map(mul, column, (m, *y))) for column in self.columns) for y in points)
         picked = spanning_cost_greedy([(level, u) for u in elements], self.echelon)
         self.chosen += picked
@@ -178,7 +301,7 @@ def minimize_spanning_cost(cone: Cone, max_points: int | None = None) -> ToricMl
 
     The level search of the module docstring.  `max_points` caps the cells
     and points of the candidates and the points of each level slice, by
-    the box estimate of `cones.enumerate_lattice_points`.
+    the box estimate of `_LevelGreedy.feed`.
     """
     n = cone.ambient_rank
     if not cone.is_full_dimensional:

@@ -19,7 +19,10 @@ seeds runs it.
   `hilbert`, `toric`), of calls to `hilbert_basis` through every module
   that binds it (`cli`, `toric`), and of calls to
   `enumerate_lattice_points` through `mldhat.toric`, the binding the toric
-  level search calls, with the lattice points those calls return;
+  level search calls, with the lattice points those calls return, and of
+  calls to `eliminate` through `mldhat.toric`, the Fourier-Motzkin
+  elimination of a level slice, with the rows of the projections they
+  return;
 * for each module of `src/mldhat`, its lines, its code lines (without
   docstrings, comments or blank lines) and its unrun lines: the
   statements inside functions that no op of the seed runs;
@@ -58,7 +61,10 @@ COUNTED = {
     "pairing": ("cones", "hilbert", "toric"),  # every module that imports it from lattice
     "hilbert_basis": ("cli", "toric"),  # every module that binds it
     "enumerate_lattice_points": ("toric",),  # the level search's binding
+    "eliminate": ("toric",),  # the level search's binding
 }
+# functions whose results are measured per op kind: name -> the size of one result
+SIZES = {"enumerate_lattice_points": len, "eliminate": lambda projections: sum(map(len, projections))}
 # code objects that are not named functions
 ANONYMOUS = {"<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>", "<lambda>"}
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -68,16 +74,16 @@ SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tok
 def run_corpus(seed):
     """Run every op of corpus seed `seed`.
 
-    Returns {op kind: (ops, distinct named mldhat functions called, calls
-    to each of COUNTED, lattice points the enumerator returned)} and the
-    set of (file, line) pairs of `mldhat` that ran.
+    Returns {op kind: (ops, distinct named mldhat functions called, then
+    for each of COUNTED its calls and, for those in SIZES, the size of
+    their results)} and the set of (file, line) pairs of `mldhat` that ran.
     """
     sys.path.insert(0, str(PERFBENCH))
     import corpus
 
     profiles, ops = {}, defaultdict(int)
     calls = {name: defaultdict(int) for name in COUNTED}
-    points = defaultdict(int)
+    sizes = {name: defaultdict(int) for name in SIZES}
     targets = [(importlib.import_module(f"mldhat.{module}"), name) for name, modules in COUNTED.items() for module in modules]
     originals = {(module, name): getattr(module, name) for module, name in targets}
 
@@ -85,8 +91,8 @@ def run_corpus(seed):
         def counted(*args, **kwargs):
             calls[name][kind] += 1
             result = function(*args, **kwargs)
-            if name == "enumerate_lattice_points":
-                points[kind] += len(result)
+            if name in SIZES:
+                sizes[name][kind] += SIZES[name](result)
             return result
 
         return counted
@@ -124,7 +130,9 @@ def run_corpus(seed):
     for kind, profile in profiles.items():
         called = pstats.Stats(profile).stats  # keyed by (file, line, function name)
         functions = sum(pathlib.Path(f).parent == PACKAGE and name not in ANONYMOUS for f, _, name in called)
-        counts[kind] = (ops[kind], functions, *(calls[name][kind] for name in COUNTED), points[kind])
+        counts[kind] = (ops[kind], functions)
+        for name in COUNTED:
+            counts[kind] += (calls[name][kind],) + ((sizes[name][kind],) if name in SIZES else ())
     return counts, ran
 
 
@@ -184,9 +192,10 @@ if __name__ == "__main__":
         ran |= seed_ran
         print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
         print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} "
-              f"{'certificates':>12} {'pairing':>8} {'hilbert_basis':>13} {'enumerations':>12} {'points':>7}")
+              f"{'certificates':>12} {'pairing':>8} {'hilbert_basis':>13} {'enumerations':>12} {'points':>7} "
+              f"{'eliminations':>12} {'rows':>6}")
         for kind, row in sorted(counts.items()):
-            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 12, 7))))
+            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 12, 7, 12, 6))))
         print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0

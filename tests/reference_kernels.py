@@ -49,6 +49,15 @@ greedy kept an echelon form of the elements it has chosen.
 was before Fourier-Motzkin bounds replaced it: the vertices from the
 double description of the cone over the polytope, then a scan of their
 bounding box.
+`reference_fm_enumerate` is the general Fourier-Motzkin enumerator that
+`cones` held before the toric level slices got a walker of their own
+(`toric.eliminate` and `toric.enumerate_lattice_points`): it takes any
+`RationalPolytope`, tells an empty polytope from an unbounded one over the
+rationals, raising `UnboundedPolytopeError` for the latter, and keeps a
+zero-normal row that fails as the mark of an empty polytope.  The
+slices of the level search are nonempty and bounded, so the library's
+walker needs none of these branches; the tests check it against this
+enumerator and the box scan.
 `is_interior_point` is the interior test that was a method of
 `HilbertBasis`: every ray of the dual cone pairs positively with the
 point.
@@ -99,7 +108,9 @@ then wrote the copy.
 import functools
 import itertools
 import random
-from math import comb
+from dataclasses import dataclass
+from math import comb, gcd
+from operator import mul
 
 from mldhat.cli import BIG, _is_big_integer_text
 from mldhat.cones import (
@@ -107,7 +118,6 @@ from mldhat.cones import (
     ConeError,
     FaceError,
     FaceSpec,
-    UnboundedPolytopeError,
     dual_cone,
     dual_description,
     face_chart,
@@ -465,6 +475,158 @@ def reference_enumerate_lattice_points(p):
     return [
         pt for pt in itertools.product(*ranges) if all(pairing(normal, pt) >= b for normal, b in p.inequalities)
     ]
+
+
+MAX_PROJECTION_ROWS = 100_000  # inequalities one Fourier-Motzkin projection may hold
+
+
+class UnboundedPolytopeError(LatticeError):
+    """The polytope handed to an enumeration is unbounded."""
+
+
+def _canonical(rows):
+    """Rows (c, b, g) of <c, x> >= b / g, c primitive, g >= 1 prime to b: the tightest of each c.
+
+    A row of largest offset implies the others of its normal direction.  A
+    row with a zero normal, 0 >= b / g, is dropped when it holds and kept
+    as (0, 1, 1), the mark of an empty polytope, when it does not.
+    """
+    kept = {}
+    for normal, num, den in rows:
+        h = gcd(*normal)
+        if h:
+            r = gcd(num, den * h)
+            c, num, den = tuple(x // h for x in normal), num // r, den * h // r
+            if c not in kept or num * kept[c][2] > kept[c][1] * den:
+                kept[c] = (c, num, den)
+        elif num > 0:
+            kept[normal] = (normal, 1, 1)
+    return list(kept.values())
+
+
+@dataclass(frozen=True)
+class RationalPolytope:
+    """Intersection of half-spaces <normal, x> >= offset with integer data.
+
+    `projections[k]` is the Fourier-Motzkin projection onto x_0..x_(k-1),
+    as `_canonical` rows; `projections[n]` is the polytope.  Eliminating x_k
+    passes the rows with c_k = 0 and adds, for each row with c_k = p > 0
+    and each with c_k = -q < 0, their sum q * first + p * second, cross
+    multiplied in integers.  The offsets stay exact: dilating by m >= 1
+    scales every offset by m and no normal, so one elimination, made at
+    first use, serves every dilation.  A projection of more than
+    MAX_PROJECTION_ROWS rows raises LimitError before its rows are made.
+    `axes[k]` is the projection onto x_k alone, the rows that bound x_k by
+    itself: `projections[1]` of the polytope with x_k put first.
+    """
+
+    ambient_rank: int
+    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+
+    def __post_init__(self):
+        if any(len(normal) != self.ambient_rank for normal, _ in self.inequalities):
+            raise LatticeError("inequality normal has wrong rank")
+
+    @functools.cached_property
+    def projections(self):
+        rows = _canonical((tuple(normal), offset, 1) for normal, offset in self.inequalities)
+        projections = [rows]
+        for k in reversed(range(self.ambient_rank)):
+            lower = [row for row in rows if row[0][k] > 0]
+            upper = [row for row in rows if row[0][k] < 0]
+            count = len(rows) - len(lower) - len(upper) + len(lower) * len(upper)
+            if count > MAX_PROJECTION_ROWS:
+                raise LimitError(
+                    f"lattice points: eliminating coordinate {k} gives {count} inequalities, "
+                    f"over the limit ({MAX_PROJECTION_ROWS})"
+                )
+            rows = _canonical(
+                [(c[:k], b, g) for c, b, g in rows if not c[k]]
+                + [
+                    (tuple(-d[k] * x + c[k] * y for x, y in zip(c, d[:k])), -d[k] * b * h + c[k] * e * g, g * h)
+                    for c, b, g in lower
+                    for d, e, h in upper
+                ]
+            )
+            projections.append(rows)
+        return projections[::-1]
+
+    @functools.cached_property
+    def axes(self):
+        n = self.ambient_rank
+        return [
+            RationalPolytope(n, tuple(((c[k], *c[:k], *c[k + 1:]), b) for c, b in self.inequalities)).projections[1]
+            for k in range(n)
+        ]
+
+
+def reference_fm_enumerate(
+    p: RationalPolytope, dilation: int = 1, max_points: int | None = None, stage: str = "lattice points"
+) -> list[tuple[int, ...]]:
+    """All lattice points of the bounded polytope dilation * P, in lexicographic order.
+
+    A depth-first search reads the range of x_k, given x_0..x_(k-1), off
+    `p.projections[k + 1]`.  At dilation m a row <c, x> >= m b / g holds at
+    a lattice point exactly when <c, x> >= B = ceil(m b / g), as c is
+    integral; with s = sum_(i<k) c_i x_i, it gives x_k >= ceil((B - s) / c_k)
+    when c_k > 0 and x_k <= floor((B - s) / c_k) when c_k < 0.
+    Exactness: Fourier-Motzkin elimination gives each projection of P
+    exactly over the rationals, so the prefixes of every lattice point of P
+    meet every bound and the search misses none; and a row of P whose last
+    nonzero entry is c_k passes into projection k + 1, or a tighter row of
+    its direction does, so every leaf meets every row of P.  A range that no lattice point extends is
+    empty, and the search backs up.
+
+    P is empty over the rationals exactly when its projection onto no
+    coordinates holds a row 0 >= 1; the result is then [].  Otherwise the
+    coordinates are checked in order, above before below: when x_0..x_(k-1)
+    are bounded on P, x_k is bounded above exactly when a row of
+    projection k + 1 has c_k < 0, as otherwise the projection, and so P,
+    holds points with x_k as large as wanted; below likewise with c_k > 0.
+    The first unbounded coordinate and side raise UnboundedPolytopeError.
+
+    With `max_points` set, the lattice points of the bounding box, each
+    range read off `p.axes`, are counted before the search, and a
+    LimitError names `stage` when they are more than `max_points`.
+    """
+    n = p.ambient_rank
+    if p.projections[0]:
+        return []
+    bounds = []  # per coordinate: the rows bounding it below, then above, as (prefix, c_k, B)
+    for k, rows in enumerate(p.projections[1:]):
+        below = [(c[:k], c[k], -(-dilation * b // g)) for c, b, g in rows if c[k] > 0]
+        above = [(c[:k], c[k], -(-dilation * b // g)) for c, b, g in rows if c[k] < 0]
+        if not above:
+            raise UnboundedPolytopeError(f"coordinate {k} is unbounded above")
+        if not below:
+            raise UnboundedPolytopeError(f"coordinate {k} is unbounded below")
+        bounds.append((below, above))
+    if max_points is not None:
+        estimate = 1
+        for axis in p.axes:
+            lo = max(-(-dilation * b // g) for (c,), b, g in axis if c > 0)
+            hi = min(-dilation * b // g for (c,), b, g in axis if c < 0)
+            estimate *= max(hi - lo + 1, 0)
+        if estimate > max_points:
+            raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
+    if not n:
+        return [()]
+    points, prefix = [], []
+
+    def search(k):
+        below, above = bounds[k]
+        lo = max(-((sum(map(mul, c, prefix)) - b) // ck) for c, ck, b in below)
+        hi = min((sum(map(mul, c, prefix)) - b) // -ck for c, ck, b in above)
+        if k == n - 1:
+            points.extend((*prefix, x) for x in range(lo, hi + 1))
+            return
+        for x in range(lo, hi + 1):
+            prefix.append(x)
+            search(k + 1)
+            prefix.pop()
+
+    search(0)
+    return points
 
 
 def is_interior_point(dual, a):

@@ -14,6 +14,9 @@ and, level by level, the bounding box of each candidate's level slice.
 When the corpus was recorded it capped the dual Hilbert basis and the
 candidates instead, and cones past it were left out, so the corpus leans
 to small duals; the search under today's meaning keeps the same 91 cones.
+Every corpus cone has lambda = 1; products of corpus cones, with lambda 2
+and 3, check that lambda adds up over a product
+(`test_lambda_is_additive_on_products`).
 
 To record the corpus anew, run this module as a script from the
 repository root:
@@ -28,9 +31,12 @@ import json
 import pathlib
 import random
 import sys
+from collections import defaultdict
+from math import gcd
 
 import pytest
 
+from mldhat import toric
 from mldhat.cones import Cone, ConeError, dual_cone
 from mldhat.hilbert import hilbert_basis
 from mldhat.lattice import LimitError
@@ -112,6 +118,75 @@ def test_search_reproduces_one_shape():
     shape = (3, 4, 1)
     assert search(shape) == [r for r in recorded() if tuple(r["shape"]) == shape]
 
+
+
+def product(factors):
+    """The product of cones in the sum of their lattices, and the factors' witnesses joined.
+
+    Each factor is (rank, rays, witness); the product's rays are the
+    factors' rays padded with zeros, and the joined witness is the points
+    put side by side with the chosen sets embedded the same way.
+    """
+    n = sum(rank for rank, _, _ in factors)
+    rays, point, chosen, value, before = [], (), [], 0, 0
+    for rank, factor_rays, w in factors:
+        left, right = (0,) * before, (0,) * (n - before - rank)
+        rays += [left + tuple(r) + right for r in factor_rays]
+        point += w.point
+        chosen += [left + u + right for u in w.chosen_set]
+        value += w.value
+        before += rank
+    return Cone.from_generators(n, rays), SpanningWitness(point, value, tuple(sorted(chosen)))
+
+
+# lambda = 0 factors: the A1 surface singularity and the cone over the unit square
+LAMBDA_ZERO = ([(2, -1), (0, 1)], [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+
+
+def test_lambda_is_additive_on_products(monkeypatch):
+    # The dual semigroup of s1 x s2 is the product of the two, and its
+    # spanning sets are the bases of the direct sum of the two matroids.  So
+    # the greedy of (a1, a2) picks the picks of a1 and of a2, cost adds up,
+    # and the least minimizer is the two least minimizers joined:
+    # lambda(s1 x s2) = lambda(s1) + lambda(s2) with the joined witness.
+    walked = defaultdict(set)  # greedy -> the levels whose slice it walked
+    eliminations = []
+    feed, eliminate = toric._LevelGreedy.feed, toric.eliminate
+
+    def counted_feed(greedy, level, max_points):
+        feed(greedy, level, max_points)
+        if level % gcd(*greedy.point) == 0:
+            walked[greedy].add(level)
+
+    def counted_eliminate(*args):
+        eliminations.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(toric._LevelGreedy, "feed", counted_feed)
+    monkeypatch.setattr(toric, "eliminate", counted_eliminate)
+    records = recorded()
+    factors = [(len(r["rays"][0]), r["rays"], witness(r)) for r in records]
+    zeros = []
+    for rays in LAMBDA_ZERO:
+        cone = Cone.from_generators(len(rays[0]), rays)
+        zeros.append((cone.ambient_rank, rays, minimize_spanning_cost(cone).witness))
+    rng = random.Random(SEED)
+    cases = [rng.sample(factors, 2) for _ in range(60)]
+    cases += [[zeros[0], zeros[1]], [zeros[0], factors[0]], [factors[-1], zeros[1]]]
+    simplicial = [f for f in factors if len(f[1]) == f[0] == 3]
+    cases.append(rng.sample(simplicial, 3))
+    lambdas = []
+    for case in cases:
+        cone, expected = product(case)
+        report = minimize_spanning_cost(cone)
+        lambdas.append(report.lambda_value)
+        assert report.lambda_value == sum(w.value - rank for rank, _, w in case), [rays for _, rays, _ in case]
+        assert report.witness == expected, [rays for _, rays, _ in case]
+    assert lambdas[:60] == [2] * 60 and lambdas[60:] == [0, 1, 1, 3]
+    # one elimination per walked candidate serves every level it walks, and
+    # the search walks level 2 but no deeper: every factor has lambda <= 1
+    assert len(eliminations) == len(walked)
+    assert {frozenset(levels) for levels in walked.values()} == {frozenset({1}), frozenset({1, 2})}
 
 if __name__ == "__main__":
     records = [record for shape in SHAPES for record in search(shape)]

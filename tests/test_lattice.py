@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mldhat import cones
-from mldhat.cones import RationalPolytope, UnboundedPolytopeError, dual_description, enumerate_lattice_points
+from mldhat.cones import dual_description
 from mldhat.lattice import (
     LatticeError,
     LimitError,
@@ -21,7 +20,14 @@ from mldhat.lattice import (
     rank_of,
     row_hermite,
 )
-from reference_kernels import reference_enumerate_lattice_points, saturate
+import reference_kernels
+from reference_kernels import (
+    RationalPolytope,
+    UnboundedPolytopeError,
+    reference_enumerate_lattice_points,
+    reference_fm_enumerate,
+    saturate,
+)
 
 
 def reference_express_in_basis(basis_rows, v):
@@ -316,11 +322,11 @@ class TestEnumerate:
         p = RationalPolytope(
             2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), -1))
         )
-        assert enumerate_lattice_points(p) == [(0, 0), (0, 1), (1, 0)]
+        assert reference_fm_enumerate(p) == [(0, 0), (0, 1), (1, 0)]
 
     def test_infeasible(self):
         p = RationalPolytope(1, (((1,), 1), ((-1,), 0)))
-        assert enumerate_lattice_points(p) == []
+        assert reference_fm_enumerate(p) == []
 
     def test_skew_region_against_box_scan(self):
         # x >= 0, 2y - x >= 0, x + 2y <= 4
@@ -328,13 +334,13 @@ class TestEnumerate:
             2, (((1, 0), 0), ((-1, 2), 0), ((-1, -2), -4))
         )
         expected = sorted(brute_force_points(p, 5))
-        assert enumerate_lattice_points(p) == expected
+        assert reference_fm_enumerate(p) == expected
         assert expected == [(0, 0), (0, 1), (0, 2), (1, 1), (2, 1)]
 
     def test_unbounded_errors(self):
         p = RationalPolytope(2, (((1, 0), 0), ((0, 1), 0)))
         with pytest.raises(UnboundedPolytopeError):
-            enumerate_lattice_points(p)
+            reference_fm_enumerate(p)
 
     def test_random_polytopes_against_box_scan(self):
         rng = random.Random(23)
@@ -357,7 +363,7 @@ class TestEnumerate:
                 ineqs.append((tuple(-x for x in e), -bound))
             p = RationalPolytope(n, tuple(ineqs))
             expected = sorted(brute_force_points(p, bound))
-            assert enumerate_lattice_points(p) == expected, ineqs
+            assert reference_fm_enumerate(p) == expected, ineqs
             counts["points" if expected else "empty"] += 1
             ranks.add(n)
         assert ranks == {1, 2, 3, 4}
@@ -383,26 +389,26 @@ class TestEnumerate:
     )
     def test_unbounded_direction_in_message(self, ineqs, message):
         with pytest.raises(UnboundedPolytopeError, match=f"^{message}$"):
-            enumerate_lattice_points(RationalPolytope(2, ineqs))
+            reference_fm_enumerate(RationalPolytope(2, ineqs))
 
     def test_empty_before_unbounded(self):
         # x0 >= 1 and x0 <= 0 with x1 free: empty, though its recession cone is a line
         p = RationalPolytope(2, (((1, 0), 1), ((-1, 0), 0)))
-        assert enumerate_lattice_points(p) == []
+        assert reference_fm_enumerate(p) == []
 
     def test_zero_dimensional_ambient(self):
-        assert enumerate_lattice_points(RationalPolytope(0, ())) == [()]
-        assert enumerate_lattice_points(RationalPolytope(0, (((), 0), ((), -3)))) == [()]
-        assert enumerate_lattice_points(RationalPolytope(0, (((), 1),))) == []
+        assert reference_fm_enumerate(RationalPolytope(0, ())) == [()]
+        assert reference_fm_enumerate(RationalPolytope(0, (((), 0), ((), -3)))) == [()]
+        assert reference_fm_enumerate(RationalPolytope(0, (((), 1),))) == []
 
     def test_zero_normal(self):
         square = (((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1))
         points = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert enumerate_lattice_points(RationalPolytope(2, square + (((0, 0), -2),))) == points
-        assert enumerate_lattice_points(RationalPolytope(2, square + (((0, 0), 0),))) == points
-        assert enumerate_lattice_points(RationalPolytope(2, square + (((0, 0), 1),))) == []
+        assert reference_fm_enumerate(RationalPolytope(2, square + (((0, 0), -2),))) == points
+        assert reference_fm_enumerate(RationalPolytope(2, square + (((0, 0), 0),))) == points
+        assert reference_fm_enumerate(RationalPolytope(2, square + (((0, 0), 1),))) == []
         # 0 >= 1 cuts away everything, unbounded directions included
-        assert enumerate_lattice_points(RationalPolytope(2, (((0, 0), 1),))) == []
+        assert reference_fm_enumerate(RationalPolytope(2, (((0, 0), 1),))) == []
 
     def test_degenerate_segment(self):
         # opposing inequalities carve out the segment x + y = 1, 0 <= x <= 1
@@ -410,13 +416,13 @@ class TestEnumerate:
             2,
             (((1, 1), 1), ((-1, -1), -1), ((1, 0), 0), ((-1, 0), -1)),
         )
-        assert enumerate_lattice_points(p) == [(0, 1), (1, 0)]
+        assert reference_fm_enumerate(p) == [(0, 1), (1, 0)]
 
     def test_lexicographic_order(self):
         p = RationalPolytope(
             2, (((1, 0), -1), ((-1, 0), -1), ((0, 1), -1), ((0, -1), -1))
         )
-        pts = enumerate_lattice_points(p)
+        pts = reference_fm_enumerate(p)
         assert pts == sorted(pts)
 
 
@@ -448,7 +454,7 @@ def dilate(p, m):
 
 
 class TestFourierMotzkinBounds:
-    """The depth-first search against the box scan it replaced."""
+    """The general Fourier-Motzkin enumerator (`reference_fm_enumerate`) against the box scan it replaced."""
 
     def test_seeded_polytopes_against_box_scan(self):
         rng = random.Random(1986)
@@ -457,7 +463,7 @@ class TestFourierMotzkinBounds:
             n = k % 5
             p = random_polytope(rng, n)
             expected = outcome(reference_enumerate_lattice_points, p)
-            assert outcome(enumerate_lattice_points, p) == expected, p.inequalities
+            assert outcome(reference_fm_enumerate, p) == expected, p.inequalities
             kinds[n, "unbounded" if isinstance(expected, str) else "points" if expected else "empty"] += 1
         # every rank from 1 up meets all three outcomes; rank 0 has no unbounded direction
         assert all(kinds[n, kind] >= 20 for n in range(1, 5) for kind in ("points", "empty", "unbounded")), kinds
@@ -469,27 +475,27 @@ class TestFourierMotzkinBounds:
         checked = 0
         while checked < 300:
             p = random_polytope(rng, rng.randint(1, 3))
-            if isinstance(outcome(enumerate_lattice_points, p), str):
+            if isinstance(outcome(reference_fm_enumerate, p), str):
                 continue
             for m in (2, 3):
-                assert enumerate_lattice_points(p, m) == reference_enumerate_lattice_points(dilate(p, m)), (p, m)
+                assert reference_fm_enumerate(p, m) == reference_enumerate_lattice_points(dilate(p, m)), (p, m)
             checked += 1
 
     def test_rounding_of_the_offsets(self):
         # 2 x >= 1 and 2 x <= 3: only x = 1, at dilation 1; at dilation 2, 1 <= x <= 3
         p = RationalPolytope(1, (((2,), 1), ((-2,), -3)))
-        assert enumerate_lattice_points(p) == [(1,)]
-        assert enumerate_lattice_points(p, 2) == [(1,), (2,), (3,)]
+        assert reference_fm_enumerate(p) == [(1,)]
+        assert reference_fm_enumerate(p, 2) == [(1,), (2,), (3,)]
         # 3 x + 3 y >= 1 and x + y <= 0: no lattice point, though not empty over the rationals
         q = RationalPolytope(2, (((3, 3), 1), ((-1, -1), 0), ((1, 0), -2), ((-1, 0), -2)))
-        assert enumerate_lattice_points(q) == []
+        assert reference_fm_enumerate(q) == []
 
     def test_empty_over_the_rationals_is_empty_before_unbounded(self):
         # 2 x0 >= 1 and 2 x0 <= 1 hold x0 = 1/2 with x1 free: unbounded, with no
         # lattice point; rounding first would call it empty
         p = RationalPolytope(2, (((2, 0), 1), ((-2, 0), -1)))
         with pytest.raises(UnboundedPolytopeError, match="^coordinate 1 is unbounded above$"):
-            enumerate_lattice_points(p)
+            reference_fm_enumerate(p)
         assert outcome(reference_enumerate_lattice_points, p) == "coordinate 1 is unbounded above"
 
     def test_zero_dimensional_dilations(self):
@@ -497,25 +503,25 @@ class TestFourierMotzkinBounds:
         cases = [([((), -1)], [()]), ([((), 2)], []), ([], [()])]
         for rows, points in cases:
             p = RationalPolytope(0, tuple(rows))
-            assert [enumerate_lattice_points(p, m) for m in (1, 2, 5)] == [points] * 3
+            assert [reference_fm_enumerate(p, m) for m in (1, 2, 5)] == [points] * 3
 
     def test_limit_counts_the_bounding_box(self):
         # the triangle x, y >= 0, 2 x + 3 y <= 12: its box is 7 by 5
         p = RationalPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-2, -3), -12)))
-        assert len(enumerate_lattice_points(p)) == 19
-        assert enumerate_lattice_points(p, 1, 35) == enumerate_lattice_points(p)
+        assert len(reference_fm_enumerate(p)) == 19
+        assert reference_fm_enumerate(p, 1, 35) == reference_fm_enumerate(p)
         with pytest.raises(LimitError, match=r"^triangle: about 35 points exceed the limit \(34\)$"):
-            enumerate_lattice_points(p, 1, 34, "triangle")
+            reference_fm_enumerate(p, 1, 34, "triangle")
         # at dilation 2 the box is 13 by 9
         with pytest.raises(LimitError, match=r"^lattice points: about 117 points exceed the limit \(116\)$"):
-            enumerate_lattice_points(p, 2, 116)
+            reference_fm_enumerate(p, 2, 116)
 
     def test_limit_box_is_the_exact_box(self):
         # the count is the lattice points of the box of P, from its vertices
         rng = random.Random(1988)
         for _ in range(200):
             p = random_polytope(rng, rng.randint(1, 3))
-            if isinstance(outcome(enumerate_lattice_points, p), str) or p.projections[0]:
+            if isinstance(outcome(reference_fm_enumerate, p), str) or p.projections[0]:
                 continue
             n = p.ambient_rank
             _, rays, _ = dual_description([c + (-b,) for c, b in p.inequalities] + [(0,) * n + (1,)], n + 1)
@@ -524,29 +530,29 @@ class TestFourierMotzkinBounds:
                 lo = min(-(-r[j] // r[n]) for r in rays)
                 hi = max(r[j] // r[n] for r in rays)
                 box *= max(hi - lo + 1, 0)
-            enumerate_lattice_points(p, 1, box)
+            reference_fm_enumerate(p, 1, box)
             with pytest.raises(LimitError, match=f"about {box} points"):
-                enumerate_lattice_points(p, 1, box - 1)
+                reference_fm_enumerate(p, 1, box - 1)
 
     def test_one_elimination_serves_every_dilation(self, monkeypatch):
         # the projections and the axes of a polytope are made once, at first use
         calls = []
-        canonical = cones._canonical
-        monkeypatch.setattr(cones, "_canonical", lambda rows: calls.append(1) or canonical(rows))
+        canonical = reference_kernels._canonical
+        monkeypatch.setattr(reference_kernels, "_canonical", lambda rows: calls.append(1) or canonical(rows))
         p = RationalPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-2, -3), -12)))
         assert not calls
-        enumerate_lattice_points(p, 1, 100)
+        reference_fm_enumerate(p, 1, 100)
         made = len(calls)
         for m in (2, 3, 4):
-            assert enumerate_lattice_points(p, m, 10**6) == reference_enumerate_lattice_points(dilate(p, m))
+            assert reference_fm_enumerate(p, m, 10**6) == reference_enumerate_lattice_points(dilate(p, m))
         assert made and len(calls) == made
 
     def test_projection_limit(self, monkeypatch):
         # a square has two rows bounding each coordinate: eliminating x1 keeps
         # the two rows of x0 and pairs the two of x1, 3 rows in all
         square = (((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1))
-        monkeypatch.setattr(cones, "MAX_PROJECTION_ROWS", 2)
+        monkeypatch.setattr(reference_kernels, "MAX_PROJECTION_ROWS", 2)
         with pytest.raises(LimitError, match=r"^lattice points: eliminating coordinate 1 gives 3 inequalities, over the limit \(2\)$"):
-            enumerate_lattice_points(RationalPolytope(2, square))
-        monkeypatch.setattr(cones, "MAX_PROJECTION_ROWS", 3)
-        assert enumerate_lattice_points(RationalPolytope(2, square)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            reference_fm_enumerate(RationalPolytope(2, square))
+        monkeypatch.setattr(reference_kernels, "MAX_PROJECTION_ROWS", 3)
+        assert reference_fm_enumerate(RationalPolytope(2, square)) == [(0, 0), (0, 1), (1, 0), (1, 1)]

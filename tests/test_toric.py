@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 
 from mldhat import toric
 from mldhat.cli import main
-from mldhat.cones import (
-    Cone,
-    ConeError,
-    FaceSpec,
-    RationalPolytope,
-    dual_cone,
-    enumerate_lattice_points,
-)
+from mldhat.cones import Cone, ConeError, FaceSpec, dual_cone
 from mldhat.hilbert import HilbertBasis, hilbert_basis, interior_candidates
 from mldhat.lattice import LatticeError, LimitError, as_vector, pairing, rank_of
 from mldhat.toric import (
@@ -28,6 +21,7 @@ from mldhat.toric import (
     spanning_cost_greedy,
 )
 from reference_kernels import (
+    RationalPolytope,
     basis_greedy,
     contains,
     determinant,
@@ -35,6 +29,7 @@ from reference_kernels import (
     is_interior_point,
     reference_candidate_points,
     reference_enumerate_lattice_points,
+    reference_fm_enumerate,
     reference_minimize_spanning_cost,
     reference_spanning_cost_greedy,
 )
@@ -99,7 +94,7 @@ def box_reference(cone):
             hi = bound * sum(max(0, v[j]) for v in cone.generators)
             ineqs.append((e, lo))
             ineqs.append((tuple(-x for x in e), -hi))
-        points = enumerate_lattice_points(RationalPolytope(n, tuple(ineqs)))
+        points = reference_fm_enumerate(RationalPolytope(n, tuple(ineqs)))
         best = min(
             (basis_greedy(a, hb) for a in points), key=lambda w: w.sort_key()
         )
@@ -494,29 +489,57 @@ class TestLevelRoute:
             assert rank_of(chosen) == 4
             assert [pairing(u, point) for u in chosen] == [1] * 4
 
-    def test_walked_level_one_slices_against_box_scan(self):
-        # the slices the search walks on the rank-4 pool cones: level 1 of
-        # each primitive candidate up to the witness
-        slices = 0
-        for entry in POOL["cones_rank4"]:
-            cone = Cone.from_generators(4, entry["rays"])
-            for a in walked_candidates(cone):
-                if math.gcd(*a) > 1:
-                    continue
-                greedy = toric._LevelGreedy(cone, a)
-                greedy.feed(1, None)
-                piece = greedy.slice
-                assert enumerate_lattice_points(piece) == reference_enumerate_lattice_points(piece), (entry["rays"], a)
-                slices += 1
-        assert slices == 140
+    def test_walked_slices_against_the_general_enumerator(self, monkeypatch):
+        # every slice the search walks on the toric pool cones and the
+        # lambda > 0 corpus, at every level it feeds: the walker against the
+        # general enumerator and the box scan on the same dilate
+        fed = []
+        feed = toric._LevelGreedy.feed
+
+        def recorded(greedy, level, max_points):
+            feed(greedy, level, max_points)
+            if level % math.gcd(*greedy.point) == 0:
+                fed.append((greedy, level))
+
+        monkeypatch.setattr(toric._LevelGreedy, "feed", recorded)
+        corpus = json.loads((pathlib.Path(__file__).parent / "lambda_positive_cones.json").read_text(encoding="utf-8"))
+        families = {name: POOL[name] for name in ("surfaces", "toric_random", "simplicial_isolated", "cones_rank3", "cones_rank4")}
+        families["lambda_positive"] = corpus
+        walked = {}
+        for name, entries in families.items():
+            for entry in entries:
+                del fed[:]
+                minimize_spanning_cost(Cone.from_generators(len(entry["rays"][0]), entry["rays"]))
+                for greedy, level in fed:
+                    m = level // math.gcd(*greedy.point)
+                    first, *others = list(zip(*greedy.columns))
+                    piece = RationalPolytope(
+                        len(others),
+                        tuple((tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in greedy.cone.generators),
+                    )
+                    dilate = RationalPolytope(piece.ambient_rank, tuple((c, m * b) for c, b in piece.inequalities))
+                    points = toric.enumerate_lattice_points(greedy.projections, m)
+                    assert points == reference_fm_enumerate(piece, m), (entry["rays"], greedy.point, level)
+                    assert points == reference_enumerate_lattice_points(dilate), (entry["rays"], greedy.point, level)
+                    walked[name, level] = walked.get((name, level), 0) + 1
+        assert walked == {
+            ("surfaces", 1): 50,
+            ("toric_random", 1): 23,
+            ("simplicial_isolated", 1): 8,
+            ("cones_rank3", 1): 92,
+            ("cones_rank4", 1): 140,
+            ("lambda_positive", 1): 340,
+            ("lambda_positive", 2): 92,
+        }
 
     def test_enumerator_is_called_through_the_toric_binding(self, monkeypatch):
         # the search walks level 1 of each primitive candidate up to the
         # witness, and no more; a level 1 of c a0, c > 1, holds no element
         calls = []
+        walk = toric.enumerate_lattice_points
 
-        def counted(p, *args):
-            points = enumerate_lattice_points(p, *args)
+        def counted(*args):
+            points = walk(*args)
             calls.append(len(points))
             return points
 
@@ -580,6 +603,19 @@ class TestLevelRoute:
             minimize_spanning_cost(cone, max_points=39)
         assert minimize_spanning_cost(cone, max_points=40) == minimize_spanning_cost(cone)
         assert minimize_spanning_cost(cone).lambda_value == 1
+
+    def test_projection_limit_names_the_level(self, monkeypatch):
+        # the level-1 slice of the witness (1, 1, 2) of the cone over the unit
+        # square has four rows, two bounding y_1 below and two above:
+        # eliminating y_1 pairs them into 4 rows
+        expected = minimize_spanning_cost(SQUARE_CONE)
+        monkeypatch.setattr(toric, "MAX_PROJECTION_ROWS", 3)
+        with pytest.raises(
+            LimitError, match=r"^toric level 1: eliminating coordinate 1 gives 4 inequalities, over the limit \(3\)$"
+        ):
+            minimize_spanning_cost(SQUARE_CONE)
+        monkeypatch.setattr(toric, "MAX_PROJECTION_ROWS", 4)
+        assert minimize_spanning_cost(SQUARE_CONE) == expected
 
     def test_rank_one_chart(self):
         # the chart of a ray: a slice of dimension 0 at every level
