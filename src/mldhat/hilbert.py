@@ -16,12 +16,20 @@ basis.  The basis is then the set of minimal nonzero candidates under
 candidate, below it, and no nonzero lattice point of D other than an
 irreducible u lies below it.
 
+The sieve scans a candidate u only against the kept elements of degree,
+the sum of the facet values, at most deg(u) / 2 (Bruns-Ichim, J. Algebra
+2010).  A reducible u = e + w, e and w nonzero in D, has a summand, say e,
+of degree at most deg(u) / 2; an irreducible e' with e - e' in D has degree
+at most that, so it sorts before u and is kept by then, and u - e' =
+(e - e') + w lies in D.  `interior_candidates` scans in full, as there w
+need not be interior.
+
 Both searches over lattice points, this one and `interior_candidates`,
 walk the cells with `cell_walk` and keep minimal elements with
 `FacetValues.minimal_elements`, exactly, in packed facet-value coordinates.
-The walk of a cell (`_numerators`) costs one big-integer addition per
-point, and visits the points of the full odometer in its order, as its
-docstring shows; so the reports do not depend on how it steps.
+The walk of a cell (`_walk`) costs one big-integer addition per point,
+and visits the points of the full odometer in its order, as the docstring
+of `_numerators` shows; so the reports do not depend on how it steps.
 """
 
 from __future__ import annotations
@@ -43,25 +51,22 @@ class HilbertBasis:
 
 
 def _numerators(rays):
-    """|det T| and a walk over the coefficient numerators of the points of T.
+    """(|det T|, columns, radices): the moves of the walk over the points of T.
 
     One row Hermite form [H | U] of [T | I] decomposes the square matrix T
     whose rows are the rays: U is unimodular with U T = H, and T is
     independent exactly when every pivot of H lies on its diagonal.  Then H
     is the Hermite form of T, |det T| is the product of its diagonal, and
     back-substitution in H C = |det T| U gives the integer matrix
-    C = |det T| T^-1, whose rows the walk reads from the first j with
+    C = |det T| T^-1, whose rows the moves read from the first j with
     H_jj > 1 on.  For a dependent T the result is None.
 
     For independent rays the half-open parallelepiped {sum l_i t_i :
     0 <= l_i < 1} holds one lattice point per coset of the sublattice T
     spans, and the box 0 <= x_j < H_jj on the diagonal of H is a
     transversal of the cosets.  The point of the coset of x has
-    l_i = frac_i / |det T| with frac = x C mod |det T|.  `walk(packed)`,
-    for packed images P(t_i) of the rays, visits the box in odometer order,
-    the last digit fastest, and yields for each point (q, S): its
-    numerators frac packed as `unpack_numerators` reads them, and
-    S = sum_i frac_i * P(t_i).
+    l_i = frac_i / |det T| with frac = x C mod |det T|.  `_walk` visits the
+    box in odometer order, the last digit fastest:
 
     * A digit j with H_jj = 1 only ever takes 0, so the odometer has a
       digit only for each j with H_jj > 1, and the points come in the
@@ -69,23 +74,9 @@ def _numerators(rays):
     * A move raises one digit by 1 and sets every later digit back to 0.
       It adds to frac a fixed column: the row of C for the digit, minus
       H_kk - 1 times the row of C for each later digit k, all taken
-      mod |det T|.  To S it adds that column's packed sum.
-    * frac_i and the column's entry are both below |det T|, so their sum
-      is below 2 |det T|: a single wrap, subtracting |det T| from frac_i
-      and |det T| * P(t_i) from S, reduces it.  So frac is exactly
-      x C mod |det T|, and S exactly sum_i frac_i * P(t_i), at every
-      point.
-
-    The walk keeps q and S in one integer x, S above q, with every
-    numerator field biased by 2^(w - 1) - |det T| for the field width w of
-    q: a field's top bit is then set after a move exactly when it must
-    wrap.  Each ray lifts to P(t_i) above its numerator unit, so that
-    x = bias + sum_i frac_i * lift_i, and a move or a wrap is one packed
-    addition.  Each point costs the addition of its packed move, a mask
-    for the top bits and, when one is set, the subtraction of the wraps.
-    After the last point, the move that sets every digit back to 0 must
-    bring x back to the bias, the first point; the walk raises
-    AssertionError if it does not.
+      mod |det T|.  `columns` holds it for each digit, the last digit
+      first, then the closing column that sets every digit back to 0, and
+      `radices` holds H_jj for each digit.
     """
     n = len(rays)
     h = row_hermite([(*r, *(int(i == j) for j in range(n))) for i, r in enumerate(rays)])
@@ -94,10 +85,10 @@ def _numerators(rays):
         return None
     absdet = prod(diag)
     # back-substitution from the last row of C up to the first digit with
-    # H_jj > 1, as the walk reads no row above it
+    # H_jj > 1, as no move reads a row above it
     first = next((j for j in range(n) if diag[j] > 1), n)
     cols = [None] * n
-    moves = []  # (column, radix H_jj) for each digit j with H_jj > 1, last digit first
+    columns, radices = [], []
     back = [0] * n  # sum over the later digits k of (H_kk - 1) C_k
     for i in reversed(range(first, n)):
         row = [absdet * x for x in h[i][n:]]
@@ -105,39 +96,71 @@ def _numerators(rays):
             row = [a - h[i][j] * b for a, b in zip(row, cols[j])]
         cols[i] = col = [a // diag[i] for a in row]
         if diag[i] > 1:
-            moves.append(([(c - b) % absdet for c, b in zip(col, back)], diag[i]))
+            columns.append([(c - b) % absdet for c, b in zip(col, back)])
+            radices.append(diag[i])
             back = [b + (diag[i] - 1) * c for b, c in zip(back, col)]
-    closing = [-b % absdet for b in back]  # every digit back to 0
-    # q packs numerator i in bits [i * width, (i + 1) * width), biased so
-    # that a field's top bit is set exactly when it has reached |det T|
+    columns.append([-b % absdet for b in back])
+    return absdet, columns, radices
+
+
+class _Wraps(dict):
+    """Top bits of the fields that wrap -> the sum of their lifts, from the lift of each field on."""
+
+    def __missing__(self, g):
+        low = g & -g
+        self[g] = wrap = self[low] + self[g - low]
+        return wrap
+
+
+def _walk(rays, absdet, columns, radices, packed) -> dict[int, int]:
+    """{u: q} over the points of the cell T, `rays`, in the order of `_numerators`.
+
+    q packs the numerators frac of a point as `unpack_numerators` reads them,
+    and u is P(point) for a linear map P, `packed` holding the P(t_i).  The
+    walk carries u itself: a move adds its column c to frac and
+    P(v) = sum_i c_i P(t_i) / |det T| to u, for the lattice vector
+    v = sum_i c_i t_i / |det T|: one exact division per move, before the
+    walk (`_fold` raises unless v is a lattice vector; for the closing move
+    the return check below implies it).  frac_i + c_i lies below 2 |det T|,
+    so one wrap, subtracting |det T| from frac_i and P(t_i) from u, reduces
+    it: frac is exactly x C mod |det T|, and u exactly P(point), throughout.
+
+    One integer x holds q and u, u above q, each numerator field biased by
+    2^(w - 1) - |det T| for its width w, so that its top bit is set after a
+    move exactly when it must wrap.  Ray i lifts to P(t_i) above |det T| in
+    field i: a move adds sum_i c_i lift_i / |det T|, and a wrap subtracts the
+    lifts of the fields that wrap (`_Wraps`), each one packed addition.
+    After the last point the closing move must bring x back to the bias, and
+    the cell must hold |det T| distinct points; else AssertionError.
+    """
     width = absdet.bit_length() + 1
     top = 1 << (width - 1)
-    above = n * width  # S sits above q
+    above = len(rays) * width  # u sits above q
     units = [1 << s for s in range(0, above, width)]
+    lifts = [(p << above) + absdet * unit for p, unit in zip(packed, units)]
+    for column in columns[:-1]:
+        _fold(rays, column, absdet)  # raises unless the move is a lattice vector
+    steps = [sum(map(mul, column, lifts)) // absdet for column in columns]
+    sequence = []  # the move after each point, in odometer order
+    for step, radix in zip(steps, radices):
+        sequence += ([step] + sequence) * (radix - 1)
+    sequence.append(steps[-1])
     ones = sum(units)
-    bias, guard, mask = (top - absdet) * ones, top * ones, (1 << above) - 1
-
-    def walk(packed):
-        lifts = [(p << above) + unit for p, unit in zip(packed, units)]
-        sequence = []  # the packed move after each point, in odometer order
-        for column, radix in moves:
-            sequence += ([sum(map(mul, column, lifts))] + sequence) * (radix - 1)
-        sequence.append(sum(map(mul, closing, lifts)))
-        wraps = {}  # top bits set -> |det T| times the lifts of those fields
-        x = bias
-        for move in sequence:
-            yield (x & mask) - bias, x >> above
-            x += move
-            g = x & guard
-            if g:
-                wrap = wraps.get(g)
-                if wrap is None:
-                    wrap = wraps[g] = absdet * sum(r for r, unit in zip(lifts, units) if g & top * unit)
-                x -= wrap
-        if x != bias:
-            raise AssertionError(f"the walk of {rays} does not return to its first point")
-
-    return absdet, walk
+    guard, bias, mask = top * ones, (top - absdet) * ones, (1 << above) - 1
+    wraps = _Wraps(zip([top * unit for unit in units], lifts))
+    points = {}
+    x = bias
+    for step in sequence:
+        points[x >> above] = (x & mask) - bias
+        x += step
+        g = x & guard
+        if g:
+            x -= wraps[g]
+    if x != bias:
+        raise AssertionError(f"the walk of {rays} does not return to its first point")
+    if len(points) != absdet:
+        raise AssertionError(f"found {len(points)} parallelepiped points, expected |det| = {absdet}")
+    return points
 
 
 def unpack_numerators(q, absdet, n) -> list[int]:
@@ -162,29 +185,22 @@ def _fold(rays, frac, absdet) -> tuple[int, ...]:
     return tuple(point)
 
 
-def _check_distinct(points, absdet):
-    """Raise unless the set `points` of independent rays T holds |det T| points."""
-    if len(points) != absdet:
-        raise AssertionError(
-            f"found {len(points)} parallelepiped points, expected |det| = {absdet}"
-        )
-
-
 def parallelepiped_points(rays) -> list[tuple[int, ...]]:
     """Lattice points of {sum l_i r_i : 0 <= l_i < 1} for independent rays.
 
-    The numerators of `_numerators`' walk, each folded into its point; the
-    walk runs on zero packed rays, as no packed sum is wanted here.
+    The points of `_walk` on the packed rays |det T| in numerator field i,
+    under which each point packs to its numerators, each folded from them.
     """
-    if any(len(r) != len(rays) for r in rays):
+    n = len(rays)
+    if any(len(r) != n for r in rays):
         raise LatticeError("parallelepiped needs as many rays as their rank")
     cell = _numerators(rays)
     if cell is None:
         raise LatticeError("parallelepiped needs linearly independent rays")
-    absdet, walk = cell
-    points = [_fold(rays, unpack_numerators(q, absdet, len(rays)), absdet) for q, _ in walk([0] * len(rays))]
-    _check_distinct(set(points), absdet)
-    return points
+    absdet = cell[0]
+    width = absdet.bit_length() + 1
+    points = _walk(rays, *cell, [absdet << s for s in range(0, n * width, width)])
+    return [_fold(rays, unpack_numerators(q, absdet, n), absdet) for q in points.values()]
 
 
 class FacetValues:
@@ -193,12 +209,13 @@ class FacetValues:
     `image(x)` packs the values <g, x> of a point x under the facet forms g
     of a full-dimensional cone (its dual rays), field k in bits
     [k * width, (k + 1) * width), and, as the top field, their sum, the
-    degree.  It is sum_j x_j * columns[j]: column j holds the j-th entry of
-    every form in its field and their sum in the top field.  The map is
-    linear and, the facet forms spanning the dual space, injective.  The
-    width puts every field value in [0, bound] below 2^(width - 1), so in
-    the packed subtraction of `minimal_elements` no borrow crosses a field.
-    `ones` holds a 1 in every facet field, and `guard` the top bit of each.
+    degree, from bit `shift` on.  It is sum_j x_j * columns[j]: column j
+    holds the j-th entry of every form in its field and their sum in the
+    top field.  The map is linear and, the facet forms spanning the dual
+    space, injective.  The width puts every field value in [0, bound] below
+    2^(width - 1), so in the packed subtraction of `minimal_elements` no
+    borrow crosses a field.  `ones` holds a 1 in every facet field, and
+    `guard` the top bit of each.
 
     `point` checks a folded point against its packed value u by one integer
     comparison, image(point) == u, and the check is exact for the points of
@@ -206,15 +223,15 @@ class FacetValues:
     bits, so a folded point has coefficients in [0, 4) on the rays of its
     cell, and every facet value of the point lies in [0, 4 n max value),
     for the largest facet value of a generator.  That range lies inside
-    [0, 2^width), since 2^(width - 1) > bound = 2 n max|det T| max value.
-    So the packed integer image(point) has only one reading as fields, and
-    equal integers mean equal fields, the degree included.
+    [0, 2^width), since 2^(width - 1) > bound = 2 n max value.  So the
+    packed integer image(point) has only one reading as fields, and equal
+    integers mean equal fields, the degree included.
     """
 
     def __init__(self, forms, bound: int):
         self.width = width = bound.bit_length() + 1
-        degree = len(forms) * width  # the shift of the top field
-        self.columns = [sum(g << (k * width) for k, g in enumerate(column)) + (sum(column) << degree) for column in zip(*forms)]
+        self.shift = shift = len(forms) * width
+        self.columns = [sum(g << (k * width) for k, g in enumerate(column)) + (sum(column) << shift) for column in zip(*forms)]
         self.ones = sum(1 << (k * width) for k in range(len(forms)))
         self.guard = (1 << (width - 1)) * self.ones
 
@@ -222,7 +239,7 @@ class FacetValues:
         """The packed facet values and degree of the point x."""
         return sum(map(mul, x, self.columns))
 
-    def minimal_elements(self, packed) -> list[int]:
+    def minimal_elements(self, packed, half_degree=False) -> list[int]:
         """The packed vectors not above another, in degree order.
 
         e lies below u when u - e lies in the cone, that is, when
@@ -233,12 +250,21 @@ class FacetValues:
         minimal ones.  With `guard` holding the top bit of each field,
         (u | guard) - e subtracts field by field with no borrow crossing a
         field, and a field keeps its guard bit exactly when u_k >= e_k.
+
+        With `half_degree`, for the Hilbert basis candidates of the module
+        docstring, the scan of u stops at the first kept vector of degree
+        above deg(u) / 2, at or above ((deg(u) >> 1) + 1) << shift: u is
+        then minimal.  Without it the scan stops at u, above every kept one.
         """
-        guard = self.guard
+        guard, shift = self.guard, self.shift
         elements: list[int] = []
         for u in sorted(packed):
             ug = u | guard
+            cut = ((u >> shift >> 1) + 1) << shift if half_degree else u
             for e in elements:
+                if e >= cut:
+                    elements.append(u)
+                    break
                 if (ug - e) & guard == guard:
                     break
             else:
@@ -259,21 +285,16 @@ class FacetValues:
 def cell_walk(cone: Cone, max_points, stage, scale=1):
     """(coordinates, cells): the half-open parallelepiped points of each cell.
 
-    The cells are those of `cones.pulling_triangulation(cone)`, walked one
-    at a time, so that the points of one cell are held at once; each comes
-    as (T, |det T|, packed rays of T, {packed point: packed numerators}),
-    the numerators as `unpack_numerators` reads them.  A point with
-    numerators frac packs to S // |det T| with S = sum_i frac_i * P(t_i),
-    P = `FacetValues.image`, since P is linear and no field of the sum
-    overflows.  S is the running sum of the cell's walk, exact and in the
-    order of the full odometer by `_numerators`.
+    The cells are those of `cones.pulling_triangulation(cone)`, each as
+    (T, |det T|, packed rays of T, {packed point: packed numerators}) from
+    `_walk`, the numerators as `unpack_numerators` reads them and the points
+    packed by `FacetValues.image`.
 
     With `max_points` set, a LimitError names the stage as soon as the
     triangulation passes the limit, and before any point is built when the
     stage's scale * sum_T |det T| points exceed it.  Checks, each raising:
-    every cell is independent, every packed fold divides exactly and leaves
-    the top bits of each field clear, every cell gives |det T| distinct
-    points, and every walk ends where it began (`_numerators`).
+    every cell is independent, every move of a walk is a lattice vector,
+    every walk ends where it began and gives |det T| distinct points.
     """
     walks = []
     for count, T in enumerate(pulling_triangulation(cone), 1):
@@ -284,36 +305,20 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
             raise AssertionError(f"cell {T} is not linearly independent")
         walks.append((T, *cell))
     if max_points is not None:
-        estimate = scale * sum(absdet for _, absdet, _ in walks)
+        estimate = scale * sum(absdet for _, absdet, _, _ in walks)
         if estimate > max_points:
             raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
     forms = cone.dual_pair[1]
-    max_det = max(absdet for _, absdet, _ in walks)
     max_value = max(pairing(g, t) for g in forms for t in cone.generators)
-    # a fold sum has every field at most n * max|det T| * max value, and a
-    # closed parallelepiped point below 2 n * max value
-    coords = FacetValues(forms, 2 * cone.ambient_rank * max_det * max_value)
-    # fold check: with 2^g > max|det T|, a true point has every facet value
-    # below n * max value < 2^(width - g); conversely a quotient with the top
-    # g bits of each field clear, times |det T|, carries into no next field,
-    # so the sum was divisible field by field
-    g = max_det.bit_length()
-    high = (((1 << g) - 1) << (coords.width - g)) * coords.ones
+    # a closed parallelepiped point has every facet value at most n * max
+    # value, and a point folded from any numerators below 4 n max value
+    coords = FacetValues(forms, 2 * cone.ambient_rank * max_value)
     packed = {t: coords.image(t) for t in cone.generators}
-
-    def cells():
-        for T, absdet, walk in walks:
-            rays = [packed[t] for t in T]
-            points = {}
-            for q, s in walk(rays):
-                u, rest = divmod(s, absdet)
-                if rest or u & high:
-                    raise LatticeError("parallelepiped fold produced a non-lattice point")
-                points[u] = q
-            _check_distinct(points, absdet)
-            yield T, absdet, rays, points
-
-    return coords, cells()
+    cells = []
+    for T, absdet, columns, radices in walks:
+        rays = [packed[t] for t in T]
+        cells.append((T, absdet, rays, _walk(T, absdet, columns, radices, rays)))
+    return coords, cells
 
 
 def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
@@ -325,23 +330,21 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
 
     The candidates of the module docstring, packed by `cell_walk`: the rays
     of `dual` and the half-open parallelepiped points of its cells, with 0
-    removed; deduplicating on the packed integer deduplicates points.  Each
-    remembers the first (T, packed numerators, |det T|) that gave it, a ray
-    t the origin ((t,), 1, 1), and each minimal one becomes its point by
-    one fold from there, with no second solve.
+    removed; deduplicating on the packed integer deduplicates points.  The
+    sieve makes the half-degree cut.  A minimal ray is read off directly,
+    and any other minimal value is folded from its numerators in the first
+    cell that holds it, with no second solve.
     """
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
     coords, cells = cell_walk(dual, max_points, "hilbert parallelepiped points")
-    origin = {}  # packed value -> (T, packed numerators, |det T|)
-    for T, absdet, rays, points in cells:
-        for t, p in zip(T, rays):  # every ray lies in a cell
-            origin.setdefault(p, ((t,), 1, 1))
-        for u, q in points.items():
-            if u not in origin:
-                origin[u] = (T, q, absdet)
-    origin.pop(0, None)
-    elements = [coords.point(*origin[u], u) for u in coords.minimal_elements(origin)]
+    rays = {p: t for T, _, packed, _ in cells for t, p in zip(T, packed)}  # every ray lies in a cell
+    candidates = set(rays).union(*(points for *_, points in cells))
+    candidates.discard(0)
+    elements = [
+        rays[u] if u in rays else coords.point(*next((T, points[u], absdet) for T, absdet, _, points in cells if u in points), u)
+        for u in coords.minimal_elements(candidates, half_degree=True)
+    ]
     return HilbertBasis(elements=tuple(sorted(elements)))
 
 
@@ -364,7 +367,7 @@ def interior_candidates(cone: Cone, max_points: int | None) -> list[tuple[int, .
     parallelepiped point is p + sum_J v for a half-open point p and rays J
     on which p has coefficient 0, so there are at most 2^n sum_T |det T|,
     the scale of the `max_points` estimate.  The coefficient numerators of
-    p come from the same walk that folds p, so a zero coefficient is read
+    p come from the same walk that packs p, so a zero coefficient is read
     off the walk.
 
     Each closed point is packed from its half-open point by adding the

@@ -22,7 +22,11 @@ seeds runs it.
   level search calls, with the lattice points those calls return, and of
   calls to `eliminate` through `mldhat.toric`, the Fourier-Motzkin
   elimination of a level slice, with the rows of the projections they
-  return;
+  return, of calls to `mldhat.hilbert._numerators`, one per cell walked,
+  with the cell points walked (sum |det T|), and of the distinct
+  candidates that `FacetValues.minimal_elements` sieves, with the
+  subtraction tests it makes of them (each candidate is handed to the
+  sieve as an int subclass that counts the subtractions made of it);
 * for each module of `src/mldhat`, its lines, its code lines (without
   docstrings, comments or blank lines) and its unrun lines: the
   statements inside functions that no op of the seed runs;
@@ -62,9 +66,14 @@ COUNTED = {
     "hilbert_basis": ("cli", "toric"),  # every module that binds it
     "enumerate_lattice_points": ("toric",),  # the level search's binding
     "eliminate": ("toric",),  # the level search's binding
+    "_numerators": ("hilbert",),  # the cell walk's binding
 }
 # functions whose results are measured per op kind: name -> the size of one result
-SIZES = {"enumerate_lattice_points": len, "eliminate": lambda projections: sum(map(len, projections))}
+SIZES = {
+    "enumerate_lattice_points": len,
+    "eliminate": lambda projections: sum(map(len, projections)),
+    "_numerators": lambda cell: cell[0] if cell else 0,  # |det T|, the points of the cell's walk
+}
 # code objects that are not named functions
 ANONYMOUS = {"<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>", "<lambda>"}
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -76,7 +85,8 @@ def run_corpus(seed):
 
     Returns {op kind: (ops, distinct named mldhat functions called, then
     for each of COUNTED its calls and, for those in SIZES, the size of
-    their results)} and the set of (file, line) pairs of `mldhat` that ran.
+    their results, then the candidates sieved and the sieve's subtraction
+    tests)} and the set of (file, line) pairs of `mldhat` that ran.
     """
     sys.path.insert(0, str(PERFBENCH))
     import corpus
@@ -84,6 +94,20 @@ def run_corpus(seed):
     profiles, ops = {}, defaultdict(int)
     calls = {name: defaultdict(int) for name in COUNTED}
     sizes = {name: defaultdict(int) for name in SIZES}
+    sieved, tests = defaultdict(int), defaultdict(int)
+    facet_values = importlib.import_module("mldhat.hilbert").FacetValues
+    minimal_elements = facet_values.minimal_elements
+
+    class Tested(int):
+        """A packed candidate that counts the subtractions the sieve makes of it."""
+
+        def __rsub__(self, other):
+            tests[kind] += 1
+            return int(other) - int(self)
+
+    def sieve(coords, packed, *args, **kwargs):
+        sieved[kind] += len(packed)
+        return [int(e) for e in minimal_elements(coords, list(map(Tested, packed)), *args, **kwargs)]
     targets = [(importlib.import_module(f"mldhat.{module}"), name) for name, modules in COUNTED.items() for module in modules]
     originals = {(module, name): getattr(module, name) for module, name in targets}
 
@@ -110,6 +134,7 @@ def run_corpus(seed):
 
     for (module, name), function in originals.items():
         setattr(module, name, counter(name, function))
+    facet_values.minimal_elements = sieve
     try:
         with tempfile.TemporaryDirectory() as directory:
             for workload in WORKLOADS:
@@ -126,6 +151,7 @@ def run_corpus(seed):
     finally:
         for (module, name), function in originals.items():
             setattr(module, name, function)
+        facet_values.minimal_elements = minimal_elements
     counts = {}
     for kind, profile in profiles.items():
         called = pstats.Stats(profile).stats  # keyed by (file, line, function name)
@@ -133,6 +159,7 @@ def run_corpus(seed):
         counts[kind] = (ops[kind], functions)
         for name in COUNTED:
             counts[kind] += (calls[name][kind],) + ((sizes[name][kind],) if name in SIZES else ())
+        counts[kind] += (sieved[kind], tests[kind])
     return counts, ran
 
 
@@ -193,9 +220,9 @@ if __name__ == "__main__":
         print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
         print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} "
               f"{'certificates':>12} {'pairing':>8} {'hilbert_basis':>13} {'enumerations':>12} {'points':>7} "
-              f"{'eliminations':>12} {'rows':>6}")
+              f"{'eliminations':>12} {'rows':>6} {'cells':>6} {'walked':>7} {'sieved':>7} {'tests':>7}")
         for kind, row in sorted(counts.items()):
-            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 12, 7, 12, 6))))
+            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 12, 7, 12, 6, 6, 7, 7, 7))))
         print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0

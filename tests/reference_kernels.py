@@ -25,8 +25,8 @@ degree 3 and up still takes).
 
 `reference_walks` is the all-subsets walk both lattice-point searches made
 before they walked the cells of one pulling triangulation: every
-independent n-subset of the rays, decomposed by `_numerators`, with its
-numerators unpacked by `numerator_lists`.
+independent n-subset of the rays, decomposed by `_numerators` and walked
+by `_walk`, with its numerators unpacked by `numerator_lists`.
 `reference_hilbert_basis` sieves the rays and the half-open parallelepiped
 points of those subsets pairwise, in grading order, as coordinate vectors.
 `reference_candidate_points` is the toric candidate set as it was before
@@ -160,7 +160,7 @@ from mldhat.oracle import (
     _trim,
     _window_orders,
 )
-from mldhat.hilbert import _check_distinct, _fold, _numerators, parallelepiped_points, unpack_numerators
+from mldhat.hilbert import _fold, _numerators, _walk, parallelepiped_points, unpack_numerators
 from mldhat.toric import SpanningWitness, ToricMldReport, spanning_cost_greedy
 
 
@@ -342,12 +342,18 @@ def reference_nonzero_roots(f, prime, rng):
 
 
 def numerator_lists(rays):
-    """|det T| and the numerators of the points of `_numerators`' walk, as lists; None for a dependent T."""
+    """|det T| and the numerators of the points of `_walk`, in its order, as lists; None for a dependent T.
+
+    The walk runs on the packed rays |det T| in numerator field i, under
+    which each point's packed value is its packed numerators.
+    """
     cell = _numerators(rays)
     if cell is None:
         return None
-    absdet, walk = cell
-    return absdet, [unpack_numerators(q, absdet, len(rays)) for q, _ in walk([0] * len(rays))]
+    absdet, n = cell[0], len(rays)
+    width = absdet.bit_length() + 1
+    points = _walk(rays, *cell, [absdet << s for s in range(0, n * width, width)])
+    return absdet, [unpack_numerators(q, absdet, n) for q in points.values()]
 
 
 def reference_walks(vectors, n):
@@ -394,7 +400,8 @@ def reference_candidate_points(cone):
                     a = tuple(sum(col) for col in zip(p, *extra))
                     if all(pairing(u, a) > 0 for u in dual_rays):
                         points.add(a)
-        _check_distinct(half_open, absdet)
+        if len(half_open) != absdet:
+            raise AssertionError(f"found {len(half_open)} parallelepiped points, expected |det| = {absdet}")
     return points
 
 

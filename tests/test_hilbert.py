@@ -13,6 +13,7 @@ from mldhat.hilbert import (
     FacetValues,
     _fold,
     _numerators,
+    _walk,
     cell_walk,
     hilbert_basis,
     interior_candidates,
@@ -166,7 +167,9 @@ class TestNumeratorKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_running_sum_matches_reference(self, n):
         # the walk against reference_numerators, in order, and its running
-        # sum against the fold of each point's numerators, on random packed rays
+        # packed value u against the image of each point's fold, under a
+        # random injective linear map P(x) = sum_j x_j columns_j with
+        # signed columns, so that u may be negative
         rng = random.Random(950 + n)
         multi_digit = non_cyclic = 0
         for _ in range(200):
@@ -174,11 +177,14 @@ class TestNumeratorKernel:
             d = determinant(rays)
             if d == 0 or abs(d) > 3000:
                 continue
-            absdet, walk = _numerators(rays)
-            packed = [rng.getrandbits(rng.choice([1, 8, 64, 200])) for _ in range(n)]
-            points = [(unpack_numerators(q, absdet, n), s) for q, s in walk(packed)]
+            cell = _numerators(rays)
+            absdet = cell[0]
+            bits = rng.choice([8, 64, 200])  # coordinates of the points lie in (-2^7, 2^7)
+            columns = [rng.choice([-1, 1]) << (j * bits) for j in range(n)]
+            walked = _walk(rays, *cell, [sum(map(mul, t, columns)) for t in rays])
+            points = [(unpack_numerators(q, absdet, n), u) for u, q in walked.items()]
             assert (absdet, [frac for frac, _ in points]) == reference_numerators(rays), rays
-            assert [s for _, s in points] == [sum(map(mul, frac, packed)) for frac, _ in points], (rays, packed)
+            assert [u for _, u in points] == [sum(map(mul, _fold(rays, frac, absdet), columns)) for frac, _ in points], (rays, columns)
             # the walk steps the Hermite digits above 1 only
             hermite = row_hermite(rays)
             multi_digit += sum(hermite[i][i] > 1 for i in range(n)) >= 2
@@ -211,21 +217,19 @@ class TestCellWalkChecks:
     WEDGE = Cone.from_generators(2, [(1, 0), (1, 2)])  # one cell, |det| = 2
 
     @staticmethod
-    def plant(monkeypatch, numerators):
-        # a walk over the given numerators, each with its exact running sum
+    def plant(monkeypatch, columns):
+        # the moves of every cell: one digit of radix |det T| with the
+        # given column, then the given closing column
         original = hilbert._numerators
 
         def planted(rays):
             absdet = original(rays)[0]
-            width = absdet.bit_length() + 1
-
-            def walk(packed):
-                for frac in numerators:
-                    yield sum(f << (i * width) for i, f in enumerate(frac)), sum(map(mul, frac, packed))
-
-            return absdet, walk
+            return absdet, columns, [absdet]
 
         monkeypatch.setattr(hilbert, "_numerators", planted)
+
+    def searches(self):
+        return hilbert_basis, lambda cone: cell_walk(cone, None, "test")
 
     def test_dependent_cell(self, monkeypatch):
         monkeypatch.setattr(hilbert, "pulling_triangulation", lambda cone: iter([((1, 0), (1, 0))]))
@@ -234,37 +238,32 @@ class TestCellWalkChecks:
 
     def test_repeated_point(self, monkeypatch):
         self.plant(monkeypatch, [[0, 0], [0, 0]])
-        with pytest.raises(AssertionError, match=r"found 1 parallelepiped points, expected \|det\| = 2"):
-            hilbert_basis(self.WEDGE)
+        for search in self.searches():
+            with pytest.raises(AssertionError, match=r"found 1 parallelepiped points, expected \|det\| = 2"):
+                search(self.WEDGE)
 
-    def test_non_lattice_fold(self, monkeypatch):
-        self.plant(monkeypatch, [[0, 0], [1, 0]])
-        with pytest.raises(LatticeError, match="non-lattice point"):
-            hilbert_basis(self.WEDGE)
+    def test_non_lattice_move(self, monkeypatch):
+        # half a ray: its packed image divides by |det T| = 2 all the same,
+        # as every facet value of either ray is even
+        self.plant(monkeypatch, [[1, 0], [1, 0]])
+        for search in self.searches():
+            with pytest.raises(LatticeError, match="non-lattice point"):
+                search(self.WEDGE)
 
     def test_skipped_wrap(self, monkeypatch):
-        # a running sum that misses |det T| * P(t_i) at every wrap of
-        # numerator i: each point moves up by the rays that wrapped so far,
-        # until its facet values reach the top bits of their fields
-        original = hilbert._numerators
+        # wraps that take |det T| off each numerator field that reaches it
+        # but leave u alone: u moves up by the rays that wrapped so far, and
+        # the walk does not come back to its first point
+        class Skipping(hilbert._Wraps):
+            def __init__(self, seeds):
+                # the lift under top bit g of field i is |det T| in field i
+                # plus P(t_i) above every numerator field, a multiple of 2 g
+                super().__init__((g, lift % (2 * g)) for g, lift in seeds)
 
-        def planted(rays):
-            absdet, walk = original(rays)
-
-            def drifting(packed):
-                drift, last = 0, [0] * len(rays)
-                for q, s in walk(packed):
-                    frac = unpack_numerators(q, absdet, len(rays))
-                    drift += sum(absdet * p for f, e, p in zip(frac, last, packed) if f < e)
-                    last = frac
-                    yield q, s + drift
-
-            return absdet, drifting
-
-        monkeypatch.setattr(hilbert, "_numerators", planted)
+        monkeypatch.setattr(hilbert, "_Wraps", Skipping)
         wedge = Cone.from_generators(2, [(1, 0), (1, 20)])  # one cell, |det| = 20
         for search in (hilbert_basis, minimize_spanning_cost):
-            with pytest.raises(LatticeError, match="non-lattice point"):
+            with pytest.raises(AssertionError, match="does not return to its first point"):
                 search(wedge)
 
     def test_point_that_misses_its_facet_values(self):
@@ -415,6 +414,64 @@ def pool_cones():
             cones.append(cone)
     assert len(cones) == 70
     return cones
+
+
+def packed_candidates(cone):
+    """The packed Hilbert basis candidates of `cone`: its rays and the points of `cell_walk`, 0 removed."""
+    coords, cells = cell_walk(cone, None, "test")
+    candidates = {p for _, _, rays, _ in cells for p in rays}.union(*(points for *_, points in cells))
+    candidates.discard(0)
+    return coords, candidates
+
+
+def all_pool_cones():
+    """Every cone of the benchmark pool: the toric cones and their duals, then the cones of the hilbert ops.
+
+    The duals of the hilbert-op cones are left out: some have millions of
+    cell points.
+    """
+    pool = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8"))
+    cones = []
+    for key in ("surfaces", "toric_random", "simplicial_isolated"):
+        for entry in pool[key]:
+            cone = Cone.from_generators(len(entry["rays"][0]), entry["rays"])
+            cones += [cone, dual_cone(cone)]
+    return cones + pool_cones()
+
+
+class TestHalfDegreeCut:
+    """The Hilbert basis sieve with the half-degree cut against the full scan."""
+
+    @staticmethod
+    def assert_cut_matches_full_scan(cone):
+        coords, candidates = packed_candidates(cone)
+        assert coords.minimal_elements(candidates, half_degree=True) == coords.minimal_elements(candidates), cone.generators
+
+    def test_matches_full_scan_on_pool_cones(self):
+        cones = all_pool_cones()
+        assert len(cones) == 2 * (50 + 14 + 8) + 40 + 30
+        for cone in cones:
+            self.assert_cut_matches_full_scan(cone)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_full_scan_on_random_cones(self, n):
+        # 80 cones per rank, 240 in all
+        for cone in random_full_cones(random.Random(1300 + n), n, 80):
+            self.assert_cut_matches_full_scan(cone)
+
+    def test_reducer_of_exactly_half_the_degree(self):
+        # the wedge (-1, 0), (1, 3), |det| = 3, has the cell points (0, 1)
+        # and (0, 2) = 2 (0, 1); the only reducer of (0, 2) is (0, 1), of
+        # exactly half its degree, so a cut at deg(e) < deg(u) / 2 keeps it
+        cone = Cone.from_generators(2, [(-1, 0), (1, 3)])
+        coords, candidates = packed_candidates(cone)
+        e, u = coords.image((0, 1)), coords.image((0, 2))
+        guard = coords.guard
+        assert [x for x in candidates if x != u and ((u | guard) - x) & guard == guard] == [e]
+        assert 2 * (e >> coords.shift) == u >> coords.shift
+        assert coords.minimal_elements(candidates, half_degree=True) == coords.minimal_elements(candidates)
+        assert u not in coords.minimal_elements(candidates, half_degree=True)
+        assert hilbert_basis(cone).elements == ((-1, 0), (0, 1), (1, 3))
 
 
 class TestFacetValueKernel:
