@@ -49,32 +49,37 @@ point order, so the first with n picks, value n, ends the search.  Tie
 rule: a bound equal to the best value is kept when its point is smaller,
 as it may still reach that value at a later level and win on the point.
 
-The elements of a level are the lattice points of a polytope.  Write
-a = c a0, a0 primitive: level L holds elements only when c divides L,
-pairing m = L / c with a0.  The row Hermite form of [a0 | I] has first
-column e_1, so its identity block is a unimodular V with <a0, V_0> = 1
-and <a0, V_i> = 0 for i >= 1, and the elements are m V_0 + sum y_i V_i
-over the lattice points y of m times the slice
-S = {y : <r, V_0 + sum y_i V_i> >= 0 for every ray r}.  S is nonempty:
-every dual ray w pairs positively with the interior point a, so
-w / <a0, w> pairs to 1 with a0 and is V_0 + sum y_i V_i for a rational
-y in S.  S is bounded: a recession direction y != 0 would
-make u = sum y_i V_i a nonzero dual element with <a0, u> = 0, and a0 is
-interior.  So the slice is eliminated once per candidate (`eliminate`)
-and each level walks its dilate (`enumerate_lattice_points`), with no
-test for an empty or an unbounded slice.
+The elements of a level are the lattice points of a polytope.  Every
+candidate a is primitive.  It is minimal among all interior points: an
+interior b != a with a - b in the cone lies above a minimal interior
+point, which lies in a closed parallelepiped (`interior_candidates`), so
+in the pool, and the sieve would have dropped a.  And a = c a0 with
+c >= 2 would leave a - a0 = (c - 1) a0 in the cone, a0 being interior.
+So the row Hermite form of [a | I] has first column e_1, and its
+identity block is a unimodular V with <a, V_0> = 1 and <a, V_i> = 0 for
+i >= 1; the elements of level L are L V_0 + sum y_i V_i over the lattice
+points y of L times the slice
+S = {y : <r, V_0 + sum y_i V_i> >= 0 for every ray r}.  S is the convex
+hull of the points w / <a, w> over the dual rays w (Ziegler, *Lectures on
+Polytopes*, 1995, section 2.2), as every dual ray pairs positively with
+the interior point a; so it is nonempty.  S is bounded: a recession
+direction y != 0 would make u = sum y_i V_i a nonzero dual element with
+<a, u> = 0, and a is interior.  So the slice is eliminated once per
+candidate (`eliminate`) and each level walks its dilate
+(`enumerate_lattice_points`), with no test for an empty or an unbounded
+slice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from operator import mul
 
 from .cones import Cone, ConeError, FaceSpec, face_chart
 from .hilbert import hilbert_basis  # not called here; perfbench/tracing.py wraps this name
 from .hilbert import interior_candidates
-from .lattice import LatticeError, LimitError, pairing, row_hermite
+from .lattice import LatticeError, LimitError, express_in_basis, pairing, row_hermite
 from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
 
@@ -248,7 +253,7 @@ class _LevelGreedy:
 
     def __init__(self, cone: Cone, a):
         self.cone, self.point = cone, a
-        self.columns = self.projections = self.axes = None
+        self.columns = self.projections = self.vertices = None
         self.echelon: list = []
         self.chosen: list[tuple[int, ...]] = []
         self.value = 0
@@ -256,41 +261,47 @@ class _LevelGreedy:
     def feed(self, level, max_points):
         """Continue the greedy with the dual elements that pair to `level` with a.
 
-        With `max_points` set, the same at every level, the lattice points of
-        the bounding box of the level's slice are counted first, each range
-        read off `axes[k]`, the projection of the slice onto y_k alone, and a
-        LimitError names the level when they are more than `max_points`.
+        The first call takes the row Hermite form h of [a | I], raising
+        AssertionError when its first column is not e_1 (a candidate that is
+        not primitive), and eliminates the slice.  With `max_points` set, the
+        same at every level, it also reads each dual ray w off the rows of h,
+        z = express_in_basis(h, (<a, w>, w)): the point w / <a, w> of the
+        slice is y = (z_1, ..., z_(n-1)) / z_0.  Each level then counts the
+        lattice points of the bounding box of its dilate first (`box`), and
+        a LimitError names the level when they are more than `max_points`.
         """
-        a, n, c = self.point, self.cone.ambient_rank, gcd(*self.point)
-        m, rest = divmod(level, c)
-        if rest:
-            return
-        if self.columns is None:  # made at the first level that holds elements
-            h = row_hermite([(x // c, *(int(i == j) for j in range(n))) for i, x in enumerate(a)])
+        a, n = self.point, self.cone.ambient_rank
+        if self.columns is None:
+            h = row_hermite([(x, *(int(i == j) for j in range(n))) for i, x in enumerate(a)])
             if [row[0] for row in h] != [1] + [0] * (n - 1):
-                raise AssertionError(f"the Hermite form of [{a} / {c} | I] does not start with e_1")
+                raise AssertionError(f"the Hermite form of [{a} | I] does not start with e_1")
             first, *others = basis = [row[1:] for row in h]
             self.columns = list(zip(*basis))
             rows = [(tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in self.cone.generators]
             self.projections = eliminate(rows, n - 1, level)
             if max_points is not None:
-                self.axes = [
-                    eliminate([((u[k], *u[:k], *u[k + 1:]), b) for u, b in rows], n - 1, level)[0]
-                    for k in range(n - 1)
-                ]
-        if max_points is not None:
-            estimate = 1
-            for axis in self.axes:
-                lo = max(-(-m * b // g) for (sign,), b, g in axis if sign > 0)
-                hi = min(-m * b // g for (sign,), b, g in axis if sign < 0)
-                estimate *= max(hi - lo + 1, 0)
-            if estimate > max_points:
-                raise LimitError(f"toric level {level}: about {estimate} points exceed the limit ({max_points})")
-        points = enumerate_lattice_points(self.projections, m)
-        elements = sorted(tuple(sum(map(mul, column, (m, *y))) for column in self.columns) for y in points)
+                self.vertices = [express_in_basis(h, (pairing(w, a), *w)) for w in self.cone.dual_pair[1]]
+        if max_points is not None and (estimate := self.box(level)) > max_points:
+            raise LimitError(f"toric level {level}: about {estimate} points exceed the limit ({max_points})")
+        points = enumerate_lattice_points(self.projections, level)
+        elements = sorted(tuple(sum(map(mul, column, (level, *y))) for column in self.columns) for y in points)
         picked = spanning_cost_greedy([(level, u) for u in elements], self.echelon)
         self.chosen += picked
         self.value += level * len(picked)
+
+    def box(self, level):
+        """The lattice points of the bounding box of the level's dilate, read off the dual rays.
+
+        The slice is the convex hull of its points z_k / z_0 (`feed`), so y_k
+        runs over min_w ceil(L z_k / z_0) .. max_w floor(L z_k / z_0) at
+        level L, a range of at least 0 points as the slice is nonempty.
+        """
+        estimate = 1
+        for k in range(1, self.cone.ambient_rank):
+            lo = min(-(-level * z[k] // z[0]) for z in self.vertices)
+            hi = max(level * z[k] // z[0] for z in self.vertices)
+            estimate *= hi - lo + 1
+        return estimate
 
     def witness(self) -> SpanningWitness:
         return SpanningWitness(point=self.point, value=self.value, chosen_set=tuple(sorted(self.chosen)))
@@ -301,7 +312,7 @@ def minimize_spanning_cost(cone: Cone, max_points: int | None = None) -> ToricMl
 
     The level search of the module docstring.  `max_points` caps the cells
     and points of the candidates and the points of each level slice, by
-    the box estimate of `_LevelGreedy.feed`.
+    the box estimate of `_LevelGreedy.box`.
     """
     n = cone.ambient_rank
     if not cone.is_full_dimensional:
@@ -343,19 +354,14 @@ def mld_at_point(
     original variety.  The zero face has no chart: its distinguished point
     lies in the dense torus, a smooth point, with lambda 0.
     """
-    n = cone.ambient_rank
     indices, chart, torus_rank = face_chart(cone, face)
     if chart is None:
-        lambda_value, fast_path = 0, "smooth"
-        witness = SpanningWitness(point=(), value=0, chosen_set=())
+        search = ToricMldReport(0, 0, SpanningWitness(point=(), value=0, chosen_set=()), "smooth", 0, None)
     else:
         search = minimize_spanning_cost(chart, max_points=max_points)
-        lambda_value, witness, fast_path = search.lambda_value, search.witness, search.fast_path
-    return ToricMldReport(
-        lambda_value=lambda_value,
-        mather_mld=lambda_value + n,
-        witness=witness,
-        fast_path=fast_path,
+    return replace(
+        search,
+        mather_mld=search.lambda_value + cone.ambient_rank,
         torus_factor_rank=torus_rank,
         face_reduced_from=None if face is None else indices,
     )

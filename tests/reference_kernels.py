@@ -58,6 +58,10 @@ zero-normal row that fails as the mark of an empty polytope.  The
 slices of the level search are nonempty and bounded, so the library's
 walker needs none of these branches; the tests check it against this
 enumerator and the box scan.
+`reference_level_box` is the bounding box of a level slice as
+`toric._LevelGreedy.feed` counted it before it read the box off the dual
+rays: the slice eliminated once more per coordinate, with that coordinate
+moved first, so that the first projection bounds it alone.
 `is_interior_point` is the interior test that was a method of
 `HilbertBasis`: every ray of the dual cone pairs positively with the
 point.
@@ -161,7 +165,7 @@ from mldhat.oracle import (
     _window_orders,
 )
 from mldhat.hilbert import _fold, _numerators, _walk, parallelepiped_points, unpack_numerators
-from mldhat.toric import SpanningWitness, ToricMldReport, spanning_cost_greedy
+from mldhat.toric import SpanningWitness, ToricMldReport, eliminate, spanning_cost_greedy
 
 
 def determinant(rows) -> int:
@@ -634,6 +638,29 @@ def reference_fm_enumerate(
 
     search(0)
     return points
+
+
+def reference_level_box(cone, a, levels):
+    """The lattice points of the bounding box of each level's slice of the primitive candidate a.
+
+    The slice is the one of the toric module docstring, from the row
+    Hermite form of [a | I]; coordinate y_k is moved first and the slice
+    eliminated, and the projection onto y_k alone bounds it.
+    """
+    n = cone.ambient_rank
+    h = row_hermite([(x, *(int(i == j) for j in range(n))) for i, x in enumerate(a)])
+    first, *others = [row[1:] for row in h]
+    rows = [(tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in cone.generators]
+    axes = [eliminate([((u[k], *u[:k], *u[k + 1:]), b) for u, b in rows], n - 1, 1)[0] for k in range(n - 1)]
+    boxes = []
+    for m in levels:
+        estimate = 1
+        for axis in axes:
+            lo = max(-(-m * b // g) for (sign,), b, g in axis if sign > 0)
+            hi = min(-m * b // g for (sign,), b, g in axis if sign < 0)
+            estimate *= max(hi - lo + 1, 0)
+        boxes.append(estimate)
+    return boxes
 
 
 def is_interior_point(dual, a):

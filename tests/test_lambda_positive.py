@@ -32,7 +32,6 @@ import pathlib
 import random
 import sys
 from collections import defaultdict
-from math import gcd
 
 import pytest
 
@@ -155,8 +154,7 @@ def test_lambda_is_additive_on_products(monkeypatch):
 
     def counted_feed(greedy, level, max_points):
         feed(greedy, level, max_points)
-        if level % gcd(*greedy.point) == 0:
-            walked[greedy].add(level)
+        walked[greedy].add(level)
 
     def counted_eliminate(*args):
         eliminations.append(args)
@@ -175,18 +173,22 @@ def test_lambda_is_additive_on_products(monkeypatch):
     cases += [[zeros[0], zeros[1]], [zeros[0], factors[0]], [factors[-1], zeros[1]]]
     simplicial = [f for f in factors if len(f[1]) == f[0] == 3]
     cases.append(rng.sample(simplicial, 3))
-    lambdas = []
-    for case in cases:
-        cone, expected = product(case)
-        report = minimize_spanning_cost(cone)
-        lambdas.append(report.lambda_value)
-        assert report.lambda_value == sum(w.value - rank for rank, _, w in case), [rays for _, rays, _ in case]
-        assert report.witness == expected, [rays for _, rays, _ in case]
-    assert lambdas[:60] == [2] * 60 and lambdas[60:] == [0, 1, 1, 3]
-    # one elimination per walked candidate serves every level it walks, and
-    # the search walks level 2 but no deeper: every factor has lambda <= 1
-    assert len(eliminations) == len(walked)
-    assert {frozenset(levels) for levels in walked.values()} == {frozenset({1}), frozenset({1, 2})}
+    # one elimination per walked candidate serves every level it walks, with
+    # or without a limit: the box under a limit is read off the dual rays
+    for max_points in (None, 10**15):
+        walked.clear()
+        del eliminations[:]
+        lambdas = []
+        for case in cases:
+            cone, expected = product(case)
+            report = minimize_spanning_cost(cone, max_points)
+            lambdas.append(report.lambda_value)
+            assert report.lambda_value == sum(w.value - rank for rank, _, w in case), [rays for _, rays, _ in case]
+            assert report.witness == expected, [rays for _, rays, _ in case]
+        assert lambdas[:60] == [2] * 60 and lambdas[60:] == [0, 1, 1, 3]
+        assert len(eliminations) == len(walked), max_points
+        # the search walks level 2 but no deeper: every factor has lambda <= 1
+        assert {frozenset(levels) for levels in walked.values()} == {frozenset({1}), frozenset({1, 2})}
 
 if __name__ == "__main__":
     records = [record for shape in SHAPES for record in search(shape)]

@@ -30,6 +30,7 @@ from reference_kernels import (
     reference_candidate_points,
     reference_enumerate_lattice_points,
     reference_fm_enumerate,
+    reference_level_box,
     reference_minimize_spanning_cost,
     reference_spanning_cost_greedy,
 )
@@ -42,6 +43,13 @@ A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
 SQUARE_CONE = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
 
 POOL = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8"))
+LAMBDA_POSITIVE = json.loads((pathlib.Path(__file__).parent / "lambda_positive_cones.json").read_text(encoding="utf-8"))
+# the toric cones of the benchmark pool and the lambda > 0 corpus, by family
+SEARCHED = {
+    name: [entry["rays"] for entry in POOL[name]]
+    for name in ("surfaces", "toric_random", "simplicial_isolated", "cones_rank3", "cones_rank4")
+}
+SEARCHED["lambda_positive"] = [entry["rays"] for entry in LAMBDA_POSITIVE]
 
 
 def spanning_cost_bruteforce(a, hb: HilbertBasis, dual: Cone, max_subsets=1_000_000) -> SpanningWitness:
@@ -208,6 +216,7 @@ class TestGreedyEchelon:
             if not any(b != a and all(x >= y for x, y in zip(values[a], values[b])) for b in candidates)
         }
         assert sorted(interior_candidates(cone, None)) == sorted(minimal), rays
+        assert all(math.gcd(*a) == 1 for a in minimal), rays
         assert minimize_spanning_cost(cone) == reference_minimize_spanning_cost(cone, hb), rays
 
     def test_pool_cones(self):
@@ -498,20 +507,15 @@ class TestLevelRoute:
 
         def recorded(greedy, level, max_points):
             feed(greedy, level, max_points)
-            if level % math.gcd(*greedy.point) == 0:
-                fed.append((greedy, level))
+            fed.append((greedy, level))
 
         monkeypatch.setattr(toric._LevelGreedy, "feed", recorded)
-        corpus = json.loads((pathlib.Path(__file__).parent / "lambda_positive_cones.json").read_text(encoding="utf-8"))
-        families = {name: POOL[name] for name in ("surfaces", "toric_random", "simplicial_isolated", "cones_rank3", "cones_rank4")}
-        families["lambda_positive"] = corpus
         walked = {}
-        for name, entries in families.items():
-            for entry in entries:
+        for name, searched in SEARCHED.items():
+            for rays in searched:
                 del fed[:]
-                minimize_spanning_cost(Cone.from_generators(len(entry["rays"][0]), entry["rays"]))
-                for greedy, level in fed:
-                    m = level // math.gcd(*greedy.point)
+                minimize_spanning_cost(Cone.from_generators(len(rays[0]), rays))
+                for greedy, m in fed:
                     first, *others = list(zip(*greedy.columns))
                     piece = RationalPolytope(
                         len(others),
@@ -519,9 +523,9 @@ class TestLevelRoute:
                     )
                     dilate = RationalPolytope(piece.ambient_rank, tuple((c, m * b) for c, b in piece.inequalities))
                     points = toric.enumerate_lattice_points(greedy.projections, m)
-                    assert points == reference_fm_enumerate(piece, m), (entry["rays"], greedy.point, level)
-                    assert points == reference_enumerate_lattice_points(dilate), (entry["rays"], greedy.point, level)
-                    walked[name, level] = walked.get((name, level), 0) + 1
+                    assert points == reference_fm_enumerate(piece, m), (rays, greedy.point, m)
+                    assert points == reference_enumerate_lattice_points(dilate), (rays, greedy.point, m)
+                    walked[name, m] = walked.get((name, m), 0) + 1
         assert walked == {
             ("surfaces", 1): 50,
             ("toric_random", 1): 23,
@@ -533,8 +537,7 @@ class TestLevelRoute:
         }
 
     def test_enumerator_is_called_through_the_toric_binding(self, monkeypatch):
-        # the search walks level 1 of each primitive candidate up to the
-        # witness, and no more; a level 1 of c a0, c > 1, holds no element
+        # the search walks level 1 of each candidate up to the witness, and no more
         calls = []
         walk = toric.enumerate_lattice_points
 
@@ -546,10 +549,10 @@ class TestLevelRoute:
         monkeypatch.setattr(toric, "enumerate_lattice_points", counted)
         for entry in POOL["cones_rank4"][:12]:
             cone = Cone.from_generators(4, entry["rays"])
-            primitive = [a for a in walked_candidates(cone) if math.gcd(*a) == 1]
+            walked = walked_candidates(cone)
             del calls[:]
             minimize_spanning_cost(cone)
-            assert len(calls) == len(primitive) and calls[-1] >= 4, entry["rays"]
+            assert len(calls) == len(walked) and calls[-1] >= 4, entry["rays"]
 
     @staticmethod
     def planned_search(monkeypatch, plans):
@@ -603,6 +606,31 @@ class TestLevelRoute:
             minimize_spanning_cost(cone, max_points=39)
         assert minimize_spanning_cost(cone, max_points=40) == minimize_spanning_cost(cone)
         assert minimize_spanning_cost(cone).lambda_value == 1
+
+    def test_a_planted_non_primitive_candidate_is_refused(self, monkeypatch):
+        # the Hermite form of [(2, 2, 2) | I] starts with (2, 0, 0): no element pairs to 1
+        monkeypatch.setattr(toric, "interior_candidates", lambda cone, max_points: [(2, 2, 2)])
+        with pytest.raises(AssertionError, match=r"^the Hermite form of \[\(2, 2, 2\) \| I\] does not start with e_1$"):
+            minimize_spanning_cost(orthant(3))
+
+    def test_candidates_are_primitive_and_boxes_match_the_per_axis_route(self):
+        # every candidate of the toric pool cones, the lambda > 0 corpus and
+        # random cones of rank 2-4 is primitive (module docstring), and at
+        # levels 1-6 its box read off the dual rays is the one of one
+        # elimination per axis
+        rng = random.Random(38)
+        cones = [Cone.from_generators(len(rays[0]), rays) for searched in SEARCHED.values() for rays in searched]
+        cones += [random_pointed_cone(rng, 2 + k % 3, 3 if k % 3 < 2 else 2) for k in range(210)]
+        pairs = 0
+        for cone in cones:
+            for a in interior_candidates(cone, None):
+                assert math.gcd(*a) == 1, (cone.generators, a)
+                greedy = toric._LevelGreedy(cone, a)
+                greedy.feed(1, 10**15)
+                levels = range(1, 7)
+                assert [greedy.box(m) for m in levels] == reference_level_box(cone, a, levels), (cone.generators, a)
+                pairs += len(levels)
+        assert pairs > 10_000
 
     def test_projection_limit_names_the_level(self, monkeypatch):
         # the level-1 slice of the witness (1, 1, 2) of the cone over the unit
