@@ -99,7 +99,7 @@ def _write(value, newline):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + ",".join([inner + _write(v, inner) for v in value]) + newline + "]"
+        return "[" + ",".join([inner + (str(v) if type(v) is int and -BIG < v < BIG else _write(v, inner)) for v in value]) + newline + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

@@ -27,9 +27,11 @@ need not be interior.
 Both searches over lattice points, this one and `interior_candidates`,
 walk the cells with `cell_walk` and keep minimal elements with
 `FacetValues.minimal_elements`, exactly, in packed facet-value coordinates.
-The walk of a cell (`_walk`) costs one big-integer addition per point,
-and visits the points of the full odometer in its order, as the docstring
-of `_numerators` shows; so the reports do not depend on how it steps.
+The walk of a cell (`_walk`) costs one big-integer addition per point and
+carries each point's own coordinates, so a kept point is read off the walk
+by shifts and masks, with no division; it visits the points of the full
+odometer in its order, as the docstring of `_numerators` shows, so the
+reports do not depend on how it steps.
 """
 
 from __future__ import annotations
@@ -112,32 +114,45 @@ class _Wraps(dict):
         return wrap
 
 
-def _walk(rays, absdet, columns, radices, packed) -> dict[int, int]:
-    """{u: q} over the points of the cell T, `rays`, in the order of `_numerators`.
+def _walk(rays, absdet, columns, radices, packs, coords) -> dict[int, int]:
+    """{u: x} over the points of the cell T, `rays`, in the order of `_numerators`.
 
-    q packs the numerators frac of a point as `unpack_numerators` reads them,
-    and u is P(point) for a linear map P, `packed` holding the P(t_i).  The
-    walk carries u itself: a move adds its column c to frac and
-    P(v) = sum_i c_i P(t_i) / |det T| to u, for the lattice vector
-    v = sum_i c_i t_i / |det T|: one exact division per move, before the
-    walk (`_fold` raises unless v is a lattice vector; for the closing move
-    the return check below implies it).  frac_i + c_i lies below 2 |det T|,
-    so one wrap, subtracting |det T| from frac_i and P(t_i) from u, reduces
-    it: frac is exactly x C mod |det T|, and u exactly P(point), throughout.
+    u is P(point) for a linear map P, and x the walk's integer at the point:
+    its coordinates biased in the low fields of `coords` (`FacetValues.point`
+    reads them), its numerators frac above them, u above those.  `packs`
+    holds (P(t_i), C(t_i)) for the rays, C(t) = sum_j t_j << (j * spacing)
+    the coordinates packed by `coords.units`.  The walk carries the point
+    itself: a move adds its column c to frac and P(v), C(v) to u and the
+    coordinates, for the lattice vector v = sum_i c_i t_i / |det T|: one
+    exact division per move, before the walk (`_fold` raises unless v is a
+    lattice vector; for the closing move the return check below implies
+    it).  frac_i + c_i lies below 2 |det T|, so one wrap, subtracting
+    |det T| from frac_i and t_i from the point, reduces it: frac is exactly
+    x C mod |det T|, and the point exactly the parallelepiped point of its
+    coset, throughout.
 
-    One integer x holds q and u, u above q, each numerator field biased by
-    2^(w - 1) - |det T| for its width w, so that its top bit is set after a
-    move exactly when it must wrap.  Ray i lifts to P(t_i) above |det T| in
-    field i: a move adds sum_i c_i lift_i / |det T|, and a wrap subtracts the
-    lifts of the fields that wrap (`_Wraps`), each one packed addition.
-    After the last point the closing move must bring x back to the bias, and
-    the cell must hold |det T| distinct points; else AssertionError.
+    Field widths.  Each numerator field is biased by 2^(w - 1) - |det T|
+    for its width w = |det T|.bit_length() + 1, so that its top bit is set
+    after a move exactly when it must wrap.  Between a move and its wraps
+    the coefficients of the point on the rays lie in [0, 2), so
+    |x_j| < 2 sum_i |t_ij| < bias = 2 sum_t max_j |t_j| + 1 over the rays t
+    of the cone; biased, coordinate j lies in (0, 2 bias), below
+    2^spacing with spacing = bias.bit_length() + 1.  So every field stays
+    in range, no carry or borrow reaches the numerators' top bits, and
+    each point's fields read back exactly.
+
+    One integer x holds all three.  Ray i lifts to P(t_i) above |det T| in
+    numerator field i above C(t_i): a move adds sum_i c_i lift_i / |det T|,
+    and a wrap subtracts the lifts of the fields that wrap (`_Wraps`), each
+    one packed addition.  After the last point the closing move must bring x
+    back to its start, and the cell must hold |det T| distinct points; else
+    AssertionError.
     """
     width = absdet.bit_length() + 1
     top = 1 << (width - 1)
-    above = len(rays) * width  # u sits above q
-    units = [1 << s for s in range(0, above, width)]
-    lifts = [(p << above) + absdet * unit for p, unit in zip(packed, units)]
+    above = coords.base + len(rays) * width  # u sits above the numerators, they above the coordinates
+    units = [1 << s for s in range(coords.base, above, width)]
+    lifts = [(p << above) + absdet * unit + c for (p, c), unit in zip(packs, units)]
     for column in columns[:-1]:
         _fold(rays, column, absdet)  # raises unless the move is a lattice vector
     steps = [sum(map(mul, column, lifts)) // absdet for column in columns]
@@ -146,32 +161,21 @@ def _walk(rays, absdet, columns, radices, packed) -> dict[int, int]:
         sequence += ([step] + sequence) * (radix - 1)
     sequence.append(steps[-1])
     ones = sum(units)
-    guard, bias, mask = top * ones, (top - absdet) * ones, (1 << above) - 1
+    guard, start = top * ones, (top - absdet) * ones + coords.offset
     wraps = _Wraps(zip([top * unit for unit in units], lifts))
     points = {}
-    x = bias
+    x = start
     for step in sequence:
-        points[x >> above] = (x & mask) - bias
+        points[x >> above] = x
         x += step
         g = x & guard
         if g:
             x -= wraps[g]
-    if x != bias:
+    if x != start:
         raise AssertionError(f"the walk of {rays} does not return to its first point")
     if len(points) != absdet:
         raise AssertionError(f"found {len(points)} parallelepiped points, expected |det| = {absdet}")
     return points
-
-
-def unpack_numerators(q, absdet, n) -> list[int]:
-    """The numerators frac_0..frac_{n-1} of a point of a cell T, packed in q.
-
-    frac_i sits in bits [i * w, (i + 1) * w), w = |det T|.bit_length() + 1:
-    the numerators lie in [0, |det T|], below 2^(w - 1).
-    """
-    width = absdet.bit_length() + 1
-    field = (1 << width) - 1
-    return [(q >> s) & field for s in range(0, n * width, width)]
 
 
 def _fold(rays, frac, absdet) -> tuple[int, ...]:
@@ -188,8 +192,9 @@ def _fold(rays, frac, absdet) -> tuple[int, ...]:
 def parallelepiped_points(rays) -> list[tuple[int, ...]]:
     """Lattice points of {sum l_i r_i : 0 <= l_i < 1} for independent rays.
 
-    The points of `_walk` on the packed rays |det T| in numerator field i,
-    under which each point packs to its numerators, each folded from them.
+    The points of `_walk` under the unit forms, whose facet values are the
+    coordinates, each read off the walk; on these points, each |x_j| below
+    sum_i |r_ij|, the unit forms' packing is injective.
     """
     n = len(rays)
     if any(len(r) != n for r in rays):
@@ -197,10 +202,9 @@ def parallelepiped_points(rays) -> list[tuple[int, ...]]:
     cell = _numerators(rays)
     if cell is None:
         raise LatticeError("parallelepiped needs linearly independent rays")
-    absdet = cell[0]
-    width = absdet.bit_length() + 1
-    points = _walk(rays, *cell, [absdet << s for s in range(0, n * width, width)])
-    return [_fold(rays, unpack_numerators(q, absdet, n), absdet) for q in points.values()]
+    coords = FacetValues([tuple(int(i == j) for j in range(n)) for i in range(n)], sum(max(map(abs, r)) for r in rays), rays)
+    points = _walk(rays, *cell, [(coords.image(r), sum(map(mul, r, coords.units))) for r in rays], coords)
+    return [coords.point(x, u) for u, x in points.items()]
 
 
 class FacetValues:
@@ -217,23 +221,30 @@ class FacetValues:
     borrow crosses a field.  `ones` holds a 1 in every facet field, and
     `guard` the top bit of each.
 
-    `point` checks a folded point against its packed value u by one integer
-    comparison, image(point) == u, and the check is exact for the points of
-    `cell_walk`.  Each numerator field there has |det T|.bit_length() + 1
-    bits, so a folded point has coefficients in [0, 4) on the rays of its
-    cell, and every facet value of the point lies in [0, 4 n max value),
-    for the largest facet value of a generator.  That range lies inside
-    [0, 2^width), since 2^(width - 1) > bound = 2 n max value.  So the
-    packed integer image(point) has only one reading as fields, and equal
-    integers mean equal fields, the degree included.
+    The walk of `cell_walk` also carries each point's own coordinates, in
+    the low fields of its integer: coordinate j, biased by `bias`, in bits
+    [j * spacing, (j + 1) * spacing), below bit `base`.  `units` holds the
+    1 of each coordinate field, so C(t) = sum_j t_j * units[j] packs a ray,
+    and `offset` the bias of every field; `_walk` argues the widths.
+
+    `point` reads a point off such an integer by shifts and masks and checks
+    it against its packed value u by one integer comparison,
+    image(point) == u.  Fields in [0, 2^width) have one reading, so a point
+    whose facet values lie in [0, 2^(width - 1)), as u's do, passes exactly
+    when it is the point of u.
     """
 
-    def __init__(self, forms, bound: int):
+    def __init__(self, forms, bound: int, generators):
         self.width = width = bound.bit_length() + 1
         self.shift = shift = len(forms) * width
         self.columns = [sum(g << (k * width) for k, g in enumerate(column)) + (sum(column) << shift) for column in zip(*forms)]
         self.ones = sum(1 << (k * width) for k in range(len(forms)))
         self.guard = (1 << (width - 1)) * self.ones
+        self.bias = bias = 2 * sum(max(map(abs, t)) for t in generators) + 1
+        self.spacing = spacing = bias.bit_length() + 1
+        self.base = len(self.columns) * spacing
+        self.units = [1 << s for s in range(0, self.base, spacing)]
+        self.offset = bias * sum(self.units)
 
     def image(self, x) -> int:
         """The packed facet values and degree of the point x."""
@@ -271,12 +282,10 @@ class FacetValues:
                 elements.append(u)
         return elements
 
-    def point(self, rays, q, absdet, u) -> tuple[int, ...]:
-        """The point sum_i frac_i * rays_i / |det T|; raise unless its image is u.
-
-        q packs the numerators frac as `unpack_numerators` reads them.
-        """
-        point = _fold(rays, unpack_numerators(q, absdet, len(rays)), absdet)
+    def point(self, x, u) -> tuple[int, ...]:
+        """The point whose coordinates x holds in its low fields; raise unless its image is u."""
+        field, bias = (1 << self.spacing) - 1, self.bias
+        point = tuple((x >> s & field) - bias for s in range(0, self.base, self.spacing))
         if self.image(point) != u:
             raise AssertionError(f"point {point} does not reproduce its facet values")
         return point
@@ -286,9 +295,11 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
     """(coordinates, cells): the half-open parallelepiped points of each cell.
 
     The cells are those of `cones.pulling_triangulation(cone)`, each as
-    (T, |det T|, packed rays of T, {packed point: packed numerators}) from
-    `_walk`, the numerators as `unpack_numerators` reads them and the points
-    packed by `FacetValues.image`.
+    (T, |det T|, [(P(t), C(t)) for the rays t of T], {u: x}) from `_walk`:
+    P is `FacetValues.image`, C packs the coordinates of a ray in the low
+    fields of the returned `FacetValues`, and x holds the coordinates of
+    the point of u there, as `FacetValues.point` reads them.  Each
+    generator is packed once.
 
     With `max_points` set, a LimitError names the stage as soon as the
     triangulation passes the limit, and before any point is built when the
@@ -310,14 +321,13 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
             raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
     forms = cone.dual_pair[1]
     max_value = max(pairing(g, t) for g in forms for t in cone.generators)
-    # a closed parallelepiped point has every facet value at most n * max
-    # value, and a point folded from any numerators below 4 n max value
-    coords = FacetValues(forms, 2 * cone.ambient_rank * max_value)
-    packed = {t: coords.image(t) for t in cone.generators}
+    # every candidate, a closed parallelepiped point, has each facet value at most n * max value
+    coords = FacetValues(forms, cone.ambient_rank * max_value, cone.generators)
+    packs = {t: (coords.image(t), sum(map(mul, t, coords.units))) for t in cone.generators}
     cells = []
     for T, absdet, columns, radices in walks:
-        rays = [packed[t] for t in T]
-        cells.append((T, absdet, rays, _walk(T, absdet, columns, radices, rays)))
+        rays = [packs[t] for t in T]
+        cells.append((T, absdet, rays, _walk(T, absdet, columns, radices, rays, coords)))
     return coords, cells
 
 
@@ -329,22 +339,20 @@ def hilbert_basis(dual: Cone, max_points: int | None = None) -> HilbertBasis:
     the cells and the parallelepiped points.
 
     The candidates of the module docstring, packed by `cell_walk`: the rays
-    of `dual` and the half-open parallelepiped points of its cells, with 0
-    removed; deduplicating on the packed integer deduplicates points.  The
-    sieve makes the half-degree cut.  A minimal ray is read off directly,
-    and any other minimal value is folded from its numerators in the first
-    cell that holds it, with no second solve.
+    of `dual`, each the closed point 0 + t with coordinates C(t), and the
+    half-open parallelepiped points of its cells, with 0 removed; merging
+    the cells' maps on the packed integer deduplicates points.  The sieve
+    makes the half-degree cut, and each minimal value is read off its
+    coordinates and must reproduce its facet values.
     """
     if not dual.is_full_dimensional:
         raise ConeError("hilbert_basis needs a full-dimensional cone")
     coords, cells = cell_walk(dual, max_points, "hilbert parallelepiped points")
-    rays = {p: t for T, _, packed, _ in cells for t, p in zip(T, packed)}  # every ray lies in a cell
-    candidates = set(rays).union(*(points for *_, points in cells))
-    candidates.discard(0)
-    elements = [
-        rays[u] if u in rays else coords.point(*next((T, points[u], absdet) for T, absdet, _, points in cells if u in points), u)
-        for u in coords.minimal_elements(candidates, half_degree=True)
-    ]
+    found = {p: c + coords.offset for _, _, rays, _ in cells for p, c in rays}
+    for *_, points in cells:
+        found.update(points)
+    del found[0], cells  # the cells' maps are freed once merged
+    elements = [coords.point(found[u], u) for u in coords.minimal_elements(found, half_degree=True)]
     return HilbertBasis(elements=tuple(sorted(elements)))
 
 
@@ -371,26 +379,27 @@ def interior_candidates(cone: Cone, max_points: int | None) -> list[tuple[int, .
     off the walk.
 
     Each closed point is packed from its half-open point by adding the
-    packed rays J, tested for interior on its packed facet values, and
-    remembers the first (T, numerators) that gave it, a ray of J with
-    numerator |det T|; each minimal point is folded from there and must
-    reproduce its facet values.
+    packed values and coordinates of the rays J (its coefficients lie in
+    [0, 1], inside the range `_walk` argues for the coordinate fields), is
+    tested for interior on its packed facet values, and keeps the
+    coordinates of the first that gave it; each minimal point is read off
+    them and must reproduce its facet values.
     """
     coords, cells = cell_walk(cone, max_points, "toric candidates", scale=2**cone.ambient_rank)
     guard, ones = coords.guard, coords.ones
-    origin = {}  # packed interior point -> (T, packed numerators, |det T|)
+    origin = {}  # packed interior point -> an integer holding its coordinates
     for T, absdet, rays, points in cells:
-        # numerator i in bits [i * width, (i + 1) * width), as `unpack_numerators` reads it
+        # numerator i in bits [base + i * width, base + (i + 1) * width), biased as `_walk` packs it
         width = absdet.bit_length() + 1
-        field = (1 << width) - 1
-        fields = [(r, field << s, absdet << s) for r, s in zip(rays, range(0, len(T) * width, width))]
-        for u, q in points.items():
-            closed = [(u, q)]
-            for r, mask, full in fields:
-                if not q & mask:
-                    closed += [(a + r, c + full) for a, c in closed]
-            for a, c in closed:
+        field, zero = (1 << width) - 1, (1 << (width - 1)) - absdet
+        fields = [(r, c, field << s, zero << s) for (r, c), s in zip(rays, range(coords.base, coords.base + len(T) * width, width))]
+        for u, x in points.items():
+            closed = [(u, x)]
+            for r, c, mask, empty in fields:
+                if x & mask == empty:
+                    closed += [(a + r, y + c) for a, y in closed]
+            for a, y in closed:
                 # every facet value at least 1: no field loses its guard bit
                 if a not in origin and ((a | guard) - ones) & guard == guard:
-                    origin[a] = (T, c, absdet)
-    return [coords.point(*origin[a], a) for a in coords.minimal_elements(origin)]
+                    origin[a] = y
+    return [coords.point(origin[a], a) for a in coords.minimal_elements(origin)]

@@ -23,7 +23,9 @@ seeds runs it.
   calls to `eliminate` through `mldhat.toric`, the Fourier-Motzkin
   elimination of a level slice, with the rows of the projections they
   return, of calls to `mldhat.hilbert._numerators`, one per cell walked,
-  with the cell points walked (sum |det T|), and of the distinct
+  with the cell points walked (sum |det T|), of calls to
+  `mldhat.hilbert._fold`, the exact division that checks each move of a
+  cell walk before the walk (the folds), and of the distinct
   candidates that `FacetValues.minimal_elements` sieves, with the
   subtraction tests it makes of them (each candidate is handed to the
   sieve as an int subclass that counts the subtractions made of it);
@@ -67,6 +69,7 @@ COUNTED = {
     "enumerate_lattice_points": ("toric",),  # the level search's binding
     "eliminate": ("toric",),  # the level search's binding
     "_numerators": ("hilbert",),  # the cell walk's binding
+    "_fold": ("hilbert",),  # the move check's binding
 }
 # functions whose results are measured per op kind: name -> the size of one result
 SIZES = {
@@ -220,9 +223,9 @@ if __name__ == "__main__":
         print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
         print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} "
               f"{'certificates':>12} {'pairing':>8} {'hilbert_basis':>13} {'enumerations':>12} {'points':>7} "
-              f"{'eliminations':>12} {'rows':>6} {'cells':>6} {'walked':>7} {'sieved':>7} {'tests':>7}")
+              f"{'eliminations':>12} {'rows':>6} {'cells':>6} {'walked':>7} {'folds':>6} {'sieved':>7} {'tests':>7}")
         for kind, row in sorted(counts.items()):
-            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 12, 7, 12, 6, 6, 7, 7, 7))))
+            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 12, 7, 12, 6, 6, 7, 6, 7, 7))))
         print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0

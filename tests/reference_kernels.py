@@ -27,6 +27,10 @@ degree 3 and up still takes).
 before they walked the cells of one pulling triangulation: every
 independent n-subset of the rays, decomposed by `_numerators` and walked
 by `_walk`, with its numerators unpacked by `numerator_lists`.
+`reference_point` is how both searches read a kept point before the walk
+carried its coordinates: it folds the point from its numerators
+(`unpack_numerators`) by one exact division per coordinate (`_fold`) and
+checks it against its packed facet values.
 `reference_hilbert_basis` sieves the rays and the half-open parallelepiped
 points of those subsets pairwise, in grading order, as coordinate vectors.
 `reference_candidate_points` is the toric candidate set as it was before
@@ -164,7 +168,7 @@ from mldhat.oracle import (
     _trim,
     _window_orders,
 )
-from mldhat.hilbert import _fold, _numerators, _walk, parallelepiped_points, unpack_numerators
+from mldhat.hilbert import FacetValues, _fold, _numerators, _walk, parallelepiped_points
 from mldhat.toric import SpanningWitness, ToricMldReport, eliminate, spanning_cost_greedy
 
 
@@ -345,19 +349,53 @@ def reference_nonzero_roots(f, prime, rng):
     return roots
 
 
-def numerator_lists(rays):
-    """|det T| and the numerators of the points of `_walk`, in its order, as lists; None for a dependent T.
+def unpack_numerators(x, absdet, n, base) -> list[int]:
+    """The numerators frac_0..frac_{n-1} of a walked point, read off the walk's integer x.
 
-    The walk runs on the packed rays |det T| in numerator field i, under
-    which each point's packed value is its packed numerators.
+    frac_i sits in bits [base + i * w, base + (i + 1) * w),
+    w = |det T|.bit_length() + 1, biased by 2^(w - 1) - |det T|, above the
+    coordinate fields, which end at bit `base`.
+    """
+    width = absdet.bit_length() + 1
+    field, bias = (1 << width) - 1, (1 << (width - 1)) - absdet
+    return [((x >> s) & field) - bias for s in range(base, base + n * width, width)]
+
+
+def reference_point(coords, rays, x, absdet, u) -> tuple[int, ...]:
+    """The point sum_i frac_i * rays_i / |det T|, folded by exact division; raise unless its image is u.
+
+    This is how the searches read a kept point before the walk carried
+    its coordinates: from the numerators of x, as `unpack_numerators` reads
+    them, one exact division per coordinate.
+    """
+    point = _fold(rays, unpack_numerators(x, absdet, len(rays), coords.base), absdet)
+    if coords.image(point) != u:
+        raise AssertionError(f"point {point} does not reproduce its facet values")
+    return point
+
+
+def unit_walk(rays):
+    """(|det T|, the unit forms' `FacetValues`, {u: x} from `_walk`) for independent rays; None for a dependent T.
+
+    The walk runs under the unit forms, whose facet values are the
+    coordinates, as `parallelepiped_points` runs it.
     """
     cell = _numerators(rays)
     if cell is None:
         return None
-    absdet, n = cell[0], len(rays)
-    width = absdet.bit_length() + 1
-    points = _walk(rays, *cell, [absdet << s for s in range(0, n * width, width)])
-    return absdet, [unpack_numerators(q, absdet, n) for q in points.values()]
+    n = len(rays)
+    coords = FacetValues([tuple(int(i == j) for j in range(n)) for i in range(n)], sum(max(map(abs, r)) for r in rays), rays)
+    packs = [(coords.image(r), sum(map(mul, r, coords.units))) for r in rays]
+    return cell[0], coords, _walk(rays, *cell, packs, coords)
+
+
+def numerator_lists(rays):
+    """|det T| and the numerators of the points of `_walk`, in its order, as lists; None for a dependent T."""
+    walk = unit_walk(rays)
+    if walk is None:
+        return None
+    absdet, coords, points = walk
+    return absdet, [unpack_numerators(x, absdet, len(rays), coords.base) for x in points.values()]
 
 
 def reference_walks(vectors, n):

@@ -1274,6 +1274,8 @@ class TestWriter:
             {"s": "non-ASCII \u00e9\u4e2d\U0001f600 and \\ \" \n \x00"},
             {1: "int key", None: "none key", True: "bool key", (1, 2): "tuple key"},
             {"big": 2**63, "small": 2**63 - 1, "neg": -(2**63), "tuple": (2**100, -(2**100))},
+            # the list branch writes a small int leaf inline; bools and big ints take their own branches
+            [True, False, 0, 2**63 - 1, -(2**63 - 1), 2**63, -(2**63), (True, 0, (2**63, -(2**63) + 1)), [(False, -(2**63 - 1)), ()]],
         ],
     )
     def test_edge_values(self, value):

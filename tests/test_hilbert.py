@@ -11,6 +11,7 @@ from mldhat import hilbert
 from mldhat.cones import Cone, ConeError, dual_cone
 from mldhat.hilbert import (
     FacetValues,
+    HilbertBasis,
     _fold,
     _numerators,
     _walk,
@@ -18,7 +19,6 @@ from mldhat.hilbert import (
     hilbert_basis,
     interior_candidates,
     parallelepiped_points,
-    unpack_numerators,
 )
 from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, row_hermite, vec_sub
 from mldhat.toric import minimize_spanning_cost
@@ -30,7 +30,10 @@ from reference_kernels import (
     reference_facet_values,
     reference_hilbert_basis,
     reference_numerators,
+    reference_point,
     reference_walks,
+    unit_walk,
+    unpack_numerators,
 )
 
 
@@ -166,10 +169,11 @@ class TestNumeratorKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_running_sum_matches_reference(self, n):
-        # the walk against reference_numerators, in order, and its running
+        # the walk against reference_numerators, in order, its running
         # packed value u against the image of each point's fold, under a
         # random injective linear map P(x) = sum_j x_j columns_j with
-        # signed columns, so that u may be negative
+        # signed columns, so that u may be negative, and the coordinates it
+        # carries against the fold itself
         rng = random.Random(950 + n)
         multi_digit = non_cyclic = 0
         for _ in range(200):
@@ -178,13 +182,16 @@ class TestNumeratorKernel:
             if d == 0 or abs(d) > 3000:
                 continue
             cell = _numerators(rays)
-            absdet = cell[0]
+            absdet, coords, _ = unit_walk(rays)  # the layout of the coordinate fields
             bits = rng.choice([8, 64, 200])  # coordinates of the points lie in (-2^7, 2^7)
             columns = [rng.choice([-1, 1]) << (j * bits) for j in range(n)]
-            walked = _walk(rays, *cell, [sum(map(mul, t, columns)) for t in rays])
-            points = [(unpack_numerators(q, absdet, n), u) for u, q in walked.items()]
-            assert (absdet, [frac for frac, _ in points]) == reference_numerators(rays), rays
-            assert [u for _, u in points] == [sum(map(mul, _fold(rays, frac, absdet), columns)) for frac, _ in points], (rays, columns)
+            packs = [(sum(map(mul, t, columns)), sum(map(mul, t, coords.units))) for t in rays]
+            walked = _walk(rays, *cell, packs, coords)
+            points = [(unpack_numerators(x, absdet, n, coords.base), u, x) for u, x in walked.items()]
+            assert (absdet, [frac for frac, _, _ in points]) == reference_numerators(rays), rays
+            folds = [_fold(rays, frac, absdet) for frac, _, _ in points]
+            assert [u for _, u, _ in points] == [sum(map(mul, p, columns)) for p in folds], (rays, columns)
+            assert [coords.point(x, coords.image(p)) for (_, _, x), p in zip(points, folds)] == folds, rays
             # the walk steps the Hermite digits above 1 only
             hermite = row_hermite(rays)
             multi_digit += sum(hermite[i][i] > 1 for i in range(n)) >= 2
@@ -256,8 +263,9 @@ class TestCellWalkChecks:
         # the walk does not come back to its first point
         class Skipping(hilbert._Wraps):
             def __init__(self, seeds):
-                # the lift under top bit g of field i is |det T| in field i
-                # plus P(t_i) above every numerator field, a multiple of 2 g
+                # the lift under top bit g of field i is C(t_i) in the
+                # coordinate fields, |det T| in field i, and P(t_i) above
+                # every numerator field, a multiple of 2 g
                 super().__init__((g, lift % (2 * g)) for g, lift in seeds)
 
         monkeypatch.setattr(hilbert, "_Wraps", Skipping)
@@ -267,11 +275,95 @@ class TestCellWalkChecks:
                 search(wedge)
 
     def test_point_that_misses_its_facet_values(self):
-        # numerators (1, 1) and (1, 2) of the unit rays, packed two bits apart
-        coords = FacetValues([(1, 0), (0, 1)], 10)
+        # the coordinates (1, 1) and (1, 2), biased in their fields
+        coords = FacetValues([(1, 0), (0, 1)], 10, [(1, 0), (0, 1)])
+        x = coords.offset + coords.units[0] + coords.units[1]
         with pytest.raises(AssertionError, match="does not reproduce its facet values"):
-            coords.point(((1, 0), (0, 1)), 1 + (1 << 2), 1, coords.image((1, 2)))
-        assert coords.point(((1, 0), (0, 1)), 1 + (2 << 2), 1, coords.image((1, 2))) == (1, 2)
+            coords.point(x, coords.image((1, 2)))
+        assert coords.point(x + coords.units[1], coords.image((1, 2))) == (1, 2)
+
+    # planted faults of the coordinate fields: each cone has a kept Hilbert
+    # basis element and a minimal interior point that the fault misreads
+    SKEW = Cone.from_generators(2, [(1, 0), (5, -2)])  # bias 13; (6, -2) overflows a 4-bit field 0
+    SQUARE = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])  # (1, 1, 2) is closed
+
+    @staticmethod
+    def plant_layout(monkeypatch, fault):
+        class Planted(FacetValues):
+            def __init__(self, *args):
+                super().__init__(*args)
+                fault(self)
+
+        monkeypatch.setattr(hilbert, "FacetValues", Planted)
+
+    @staticmethod
+    def assert_misread(cone):
+        for search in (hilbert_basis, lambda cone: interior_candidates(cone, None)):
+            with pytest.raises(AssertionError, match="does not reproduce its facet values"):
+                search(cone)
+
+    @pytest.mark.parametrize("cone", [SKEW, SQUARE], ids=["skew", "square"])
+    def test_coordinate_bias_off_by_one(self, monkeypatch, cone):
+        # the walk starts every coordinate field at bias + 1, `point` takes bias off
+        self.plant_layout(monkeypatch, lambda coords: setattr(coords, "offset", coords.offset + sum(coords.units)))
+        self.assert_misread(cone)
+
+    def test_coordinate_field_one_bit_too_narrow(self, monkeypatch):
+        # on SKEW, bias = 2 (1 + 5) + 1 = 13 in fields of 5 bits; in 4 bits
+        # the first coordinate of (3, -1) + (3, -1) = (6, -2), reached by the
+        # closing move before its wraps, reads 6 + 13 = 19 > 15 and carries
+        # into field 1, as do the kept (3, -1) and (5, -2); field 1 stays
+        # in range, so the numerators above read true and the walk closes
+        def narrow(coords):
+            coords.spacing -= 1
+            coords.base = len(coords.columns) * coords.spacing
+            coords.units = [1 << s for s in range(0, coords.base, coords.spacing)]
+            coords.offset = coords.bias * sum(coords.units)
+
+        self.plant_layout(monkeypatch, narrow)
+        self.assert_misread(self.SKEW)
+        # the same layout holds the square's points, at most 2 + 9 = 11 < 16
+        assert hilbert_basis(self.SQUARE) == HilbertBasis(elements=((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
+
+    def test_closed_point_without_its_ray_coordinates(self, monkeypatch):
+        # the rays' coordinate packs dropped after the walk: a closed point
+        # p + sum_J v, and in `hilbert_basis` each ray, the closed point
+        # 0 + t, keeps the coordinates of p alone
+        original = hilbert.cell_walk
+
+        def dropped(*args, **kwargs):
+            coords, cells = original(*args, **kwargs)
+            return coords, [(T, absdet, [(p, 0) for p, _ in rays], points) for T, absdet, rays, points in cells]
+
+        monkeypatch.setattr(hilbert, "cell_walk", dropped)
+        self.assert_misread(self.SQUARE)
+
+    def test_one_fold_per_move_and_none_per_point(self, monkeypatch):
+        # `_fold` checks each non-closing move once, before the walk; no
+        # kept element or candidate is folded
+        folds, moves = [], []
+        fold, numerators = hilbert._fold, hilbert._numerators
+
+        def counted_fold(*args):
+            folds.append(args)
+            return fold(*args)
+
+        def counted_numerators(rays):
+            cell = numerators(rays)
+            moves.append(len(cell[1]) - 1)  # every column but the closing one
+            return cell
+
+        monkeypatch.setattr(hilbert, "_fold", counted_fold)
+        monkeypatch.setattr(hilbert, "_numerators", counted_numerators)
+        # SKEW keeps (3, -1) off one move; SQUARE walks no move and keeps
+        # the closed (1, 1, 2); the folding route made 2 and 1 folds
+        assert hilbert_basis(self.SKEW).elements == ((1, 0), (3, -1), (5, -2)) and folds == [folds[0]]
+        assert interior_candidates(self.SQUARE, None) == [(1, 1, 2)] and not folds[1:]
+        for cone in [self.SKEW, self.SQUARE] + random_full_cones(random.Random(77), 3, 20):
+            for search in (hilbert_basis, lambda cone: interior_candidates(cone, None)):
+                del folds[:], moves[:]
+                search(cone)
+                assert len(folds) == sum(moves), cone.generators
 
 
 class TestHilbertBasis:
@@ -419,7 +511,7 @@ def pool_cones():
 def packed_candidates(cone):
     """The packed Hilbert basis candidates of `cone`: its rays and the points of `cell_walk`, 0 removed."""
     coords, cells = cell_walk(cone, None, "test")
-    candidates = {p for _, _, rays, _ in cells for p in rays}.union(*(points for *_, points in cells))
+    candidates = {p for _, _, rays, _ in cells for p, _ in rays}.union(*(points for *_, points in cells))
     candidates.discard(0)
     return coords, candidates
 
@@ -474,6 +566,58 @@ class TestHalfDegreeCut:
         assert hilbert_basis(cone).elements == ((-1, 0), (0, 1), (1, 3))
 
 
+def corpus_cones():
+    """The lambda > 0 corpus cones."""
+    corpus = json.loads(pathlib.Path(__file__).with_name("lambda_positive_cones.json").read_text(encoding="utf-8"))
+    return [Cone.from_generators(len(entry["rays"][0]), entry["rays"]) for entry in corpus]
+
+
+# a unimodular shear with entries of 10^12: the image of a cone keeps its
+# cells and determinants, and its coordinate fields pass 64 bits
+SHEAR = ((1, 0, 0), (0, 1, 0), (10**12, -(10**12), 1))
+
+
+def sheared(point):
+    return tuple(sum(x * row[j] for x, row in zip(point, SHEAR)) for j in range(3))
+
+
+class TestCarriedCoordinates:
+    """The coordinates the walk carries against the fold of each point's numerators."""
+
+    @staticmethod
+    def assert_carried_match_folds(cone):
+        coords, cells = cell_walk(cone, None, "test")
+        for T, absdet, rays, points in cells:
+            assert rays == [(coords.image(t), sum(map(mul, t, coords.units))) for t in T]
+            for u, x in points.items():
+                assert coords.point(x, u) == reference_point(coords, T, x, absdet, u), (cone.generators, T)
+        return coords
+
+    def test_pool_cones(self):
+        for cone in all_pool_cones():
+            self.assert_carried_match_folds(cone)
+
+    def test_lambda_positive_corpus(self):
+        cones = corpus_cones()
+        assert len(cones) == 91
+        for cone in cones:
+            self.assert_carried_match_folds(cone)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_cones(self, n):
+        for cone in random_full_cones(random.Random(1500 + n), n, 60):
+            self.assert_carried_match_folds(cone)
+
+    def test_entries_of_ten_to_the_twelve(self):
+        base = Cone.from_generators(3, [(2, 0, 1), (0, 3, 1), (-2, 1, 1), (-1, -2, 1), (1, -3, 1)])  # 3 cells
+        cone = Cone.from_generators(3, [sheared(t) for t in base.generators])
+        assert max(abs(x) for t in cone.generators for x in t) > 10**12
+        coords = self.assert_carried_match_folds(cone)
+        assert coords.spacing > 40 and coords.base > 64
+        assert hilbert_basis(cone).elements == tuple(sorted(map(sheared, hilbert_basis(base).elements)))
+        assert sorted(interior_candidates(cone, None)) == sorted(map(sheared, interior_candidates(base, None)))
+
+
 class TestFacetValueKernel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_reference_sieve(self, n):
@@ -492,16 +636,15 @@ class TestFacetValueKernel:
         # image against one pairing per facet form on every generator, every
         # walked point, every Hilbert basis element and every minimal interior
         # candidate of each cone
-        corpus = json.loads(pathlib.Path(__file__).with_name("lambda_positive_cones.json").read_text(encoding="utf-8"))
-        corpus_cones = [Cone.from_generators(len(entry["rays"][0]), entry["rays"]) for entry in corpus]
-        for cone in pool_cones() + corpus_cones + [dual_cone(c) for c in corpus_cones]:
+        cones = corpus_cones()
+        for cone in pool_cones() + cones + [dual_cone(c) for c in cones]:
             coords, cells = cell_walk(cone, None, "test")
             forms, n = cone.dual_pair[1], cone.ambient_rank
             points = list(cone.generators)
             for T, absdet, rays, walked in cells:
-                assert rays == [coords.image(t) for t in T]
-                for u, q in walked.items():
-                    point = _fold(T, unpack_numerators(q, absdet, n), absdet)
+                assert [p for p, _ in rays] == [coords.image(t) for t in T]
+                for u, x in walked.items():
+                    point = _fold(T, unpack_numerators(x, absdet, n, coords.base), absdet)
                     assert u == reference_facet_values(forms, coords.width, point), (cone.generators, point)
                     points.append(point)
             points += hilbert_basis(cone).elements
@@ -517,25 +660,23 @@ class TestFacetValueKernel:
         ],
         ids=["orthant", "hexagon"],
     )
-    def test_numerators_at_field_maximum_refused(self, rays):
-        # in a unimodular cell each numerator field has 2 bits, so its
-        # largest value 3 puts coefficient 3 on every ray, the edge of the
-        # range [0, 4) in which image(point) has one reading
+    def test_coordinates_at_field_maximum_refused(self, rays):
+        # every walked point and every ray has its coordinates in
+        # (-bias, bias); the largest value of a coordinate field,
+        # 2^spacing - 1, reads as 2^spacing - 1 - bias > bias, outside that
+        # range, so a point read off it matches no walked point or ray
         cone = Cone.from_generators(3, rays)
         coords, cells = cell_walk(cone, None, "test")
-        unimodular = 0
+        largest = sum(((1 << coords.spacing) - 1) * unit for unit in coords.units)
+        point = ((1 << coords.spacing) - 1 - coords.bias,) * 3
+        assert point[0] > coords.bias
         for T, absdet, packed_rays, points in cells:
-            if absdet != 1:
-                continue
-            unimodular += 1
-            largest = 3 + (3 << 2) + (3 << 4)  # every numerator at 3
-            point = tuple(3 * sum(column) for column in zip(*T))
-            assert coords.image(point) == reference_facet_values(cone.dual_pair[1], coords.width, point)
-            for u in [*points, *packed_rays]:
+            values = [*points.items(), *((p, c + coords.offset) for p, c in packed_rays)]
+            for u, x in values:
+                assert all(abs(v) < coords.bias for v in coords.point(x, u))
                 with pytest.raises(AssertionError, match="does not reproduce its facet values"):
-                    coords.point(T, largest, 1, u)
-            assert coords.point(T, largest, 1, coords.image(point)) == point
-        assert unimodular >= 1
+                    coords.point(largest, u)
+        assert coords.point(largest, coords.image(point)) == point
 
     def test_guard_bits_compare_componentwise(self):
         # the unit forms of the orthant: the facet values are the coordinates
@@ -546,7 +687,8 @@ class TestFacetValueKernel:
             u = [rng.randint(0, top) for _ in range(fields)]
             # e near u in each field, so both outcomes of each comparison occur
             e = [max(0, x + rng.randint(-2, 1)) if rng.random() < 0.8 else rng.randint(0, top) for x in u]
-            coords = FacetValues([tuple(int(i == j) for j in range(fields)) for i in range(fields)], top)
+            forms = [tuple(int(i == j) for j in range(fields)) for i in range(fields)]
+            coords = FacetValues(forms, top, forms)
             pe, pu = coords.image(e), coords.image(u)
             reduced = coords.minimal_elements({pe, pu}) == [pe]
             assert reduced == all(x >= y for x, y in zip(u, e))
