@@ -120,8 +120,8 @@ def _walk(rays, absdet, columns, radices, packs, coords) -> dict[int, int]:
     u is P(point) for a linear map P, and x the walk's integer at the point:
     its coordinates biased in the low fields of `coords` (`FacetValues.point`
     reads them), its numerators frac above them, u above those.  `packs`
-    holds (P(t_i), C(t_i)) for the rays, C(t) = sum_j t_j << (j * spacing)
-    the coordinates packed by `coords.units`.  The walk carries the point
+    holds (P(t_i), C(t_i)) for the rays, where C(t) = sum_j t_j * units[j]
+    packs the coordinates of t by `coords.units`.  The walk carries the point
     itself: a move adds its column c to frac and P(v), C(v) to u and the
     coordinates, for the lattice vector v = sum_i c_i t_i / |det T|: one
     exact division per move, before the walk (`_fold` raises unless v is a
