@@ -36,6 +36,7 @@ reports do not depend on how it steps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import prod
 from operator import mul
@@ -302,8 +303,9 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
     generator is packed once.
 
     With `max_points` set, a LimitError names the stage as soon as the
-    triangulation passes the limit, and before any point is built when the
-    stage's scale * sum_T |det T| points exceed it.  Checks, each raising:
+    triangulation passes the limit.  Before any point is built, one names
+    it when the stage's scale * sum_T |det T| points exceed `max_points`
+    or sys.maxsize: no list holds more.  Checks, each raising:
     every cell is independent, every move of a walk is a lattice vector,
     every walk ends where it began and gives |det T| distinct points.
     """
@@ -315,10 +317,10 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
         if cell is None:
             raise AssertionError(f"cell {T} is not linearly independent")
         walks.append((T, *cell))
-    if max_points is not None:
-        estimate = scale * sum(absdet for _, absdet, _, _ in walks)
-        if estimate > max_points:
-            raise LimitError(f"{stage}: about {estimate} points exceed the limit ({max_points})")
+    limit = sys.maxsize if max_points is None else min(max_points, sys.maxsize)
+    estimate = scale * sum(absdet for _, absdet, _, _ in walks)
+    if estimate > limit:
+        raise LimitError(f"{stage}: about {estimate} points exceed the limit ({limit})")
     forms = cone.dual_pair[1]
     max_value = max(pairing(g, t) for g in forms for t in cone.generators)
     # every candidate, a closed parallelepiped point, has each facet value at most n * max value

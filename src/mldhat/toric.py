@@ -41,13 +41,23 @@ in the same order in both.  (ii) With n picks by level L their sum is
 cost(a).  With k < n picks, every later pick pairs to L + 1 or more, so
 cost(a) >= (sum of the picks) + (n - k)(L + 1), the bound of a.
 (iii) Every pairing is a positive integer, so cost(a) >= n: lambda >= 0.
-Stop rule: each level feeds the kept candidates by increasing (bound,
-point), and drops one when its (bound, point) sorts after (value, point)
-of the best exact candidate so far, as its witness cannot come first
-under `sort_key` then.  At level 1 every bound is n and the candidates come in
-point order, so the first with n picks, value n, ends the search.  Tie
-rule: a bound equal to the best value is kept when its point is smaller,
-as it may still reach that value at a later level and win on the point.
+Best-first order.  A heap holds each candidate a under the key
+(bound, a), the bound of (ii) after its last level L, with L = 0 before
+any (bound n), and the search feeds the least key's candidate level L + 1.
+Every key is a lower bound on (cost(a), a), by (ii) and (iii).  With n picks
+the bound is the sum of the picks, so the key is exact; when the least
+key has n picks, its (cost, point) is the least over all candidates, and
+as points are distinct that is the least witness under `sort_key`.  Each
+feed raises a candidate's level, and every candidate has n picks by the
+largest pairing of some spanning set of dual elements, so the search ends.
+Feeding level L to k picks of value v, bound v + (n - k) L, adds k' - k
+picks of L: the bound becomes v + (k' - k) L + (n - k')(L + 1), up by
+n - k'.  So a candidate's keys only grow, and the witness's entry keeps a
+key at most its (cost, point): best-first feeds only entries whose key is
+at most the witness's.  A loop over levels that drops each entry sorting
+after the best exact candidate so far feeds all of those, and maybe more.
+At level 1 every bound is n and the candidates come in point order, so
+the first with n picks, value n, ends the search.
 
 The elements of a level are the lattice points of a polytope.  Every
 candidate a is primitive.  It is minimal among all interior points: an
@@ -73,6 +83,7 @@ slice.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from heapq import heapreplace
 from math import gcd
 from operator import mul
 
@@ -310,27 +321,21 @@ class _LevelGreedy:
 def minimize_spanning_cost(cone: Cone, max_points: int | None = None) -> ToricMldReport:
     """lambda and mld-hat at the torus-fixed point of a full-dimensional cone.
 
-    The level search of the module docstring.  `max_points` caps the cells
-    and points of the candidates and the points of each level slice, by
-    the box estimate of `_LevelGreedy.box`.
+    The best-first level search of the module docstring: a heap of
+    (bound, point, level fed, greedy), one entry per candidate, until the
+    least entry has n picks.  `max_points` caps the cells and points of
+    the candidates and the points of each level slice, by the box estimate
+    of `_LevelGreedy.box`.
     """
     n = cone.ambient_rank
     if not cone.is_full_dimensional:
         raise ConeError("split off the torus factor before minimizing")
-    searches = [_LevelGreedy(cone, a) for a in sorted(interior_candidates(cone, max_points))]
-    best, level = None, 0
-    while searches:
-        level += 1
-        kept = []
-        for bound, point, greedy in sorted((g.value + (n - len(g.chosen)) * level, g.point, g) for g in searches):
-            if best is not None and (bound, point) > (best.value, best.point):
-                continue
-            greedy.feed(level, max_points)
-            if len(greedy.chosen) < n:
-                kept.append(greedy)
-            elif best is None or greedy.witness().sort_key() < best.sort_key():
-                best = greedy.witness()
-        searches = kept
+    heap = [(n, a, 0, _LevelGreedy(cone, a)) for a in sorted(interior_candidates(cone, max_points))]
+    while len(heap[0][3].chosen) < n:
+        _, point, level, greedy = heap[0]
+        greedy.feed(level + 1, max_points)
+        heapreplace(heap, (greedy.value + (n - len(greedy.chosen)) * (level + 2), point, level + 1, greedy))
+    best = heap[0][3].witness()
     return ToricMldReport(
         lambda_value=best.value - n,
         mather_mld=best.value,

@@ -17,13 +17,14 @@ seeds runs it.
   report makes once per certificate class of its minimizers, of calls
   to `mldhat.lattice.pairing` from the modules that import it (`cones`,
   `hilbert`, `toric`), of calls to `hilbert_basis` through every module
-  that binds it (`cli`, `toric`), and of calls to
-  `enumerate_lattice_points` through `mldhat.toric`, the binding the toric
-  level search calls, with the lattice points those calls return, and of
-  calls to `eliminate` through `mldhat.toric`, the Fourier-Motzkin
-  elimination of a level slice, with the rows of the projections they
-  return, of calls to `mldhat.hilbert._numerators`, one per cell walked,
-  with the cell points walked (sum |det T|), of calls to
+  that binds it (`cli`, `toric`), of the `mldhat.toric._LevelGreedy`
+  objects built, one per candidate the toric search holds, fed or not, of
+  calls to `enumerate_lattice_points` through `mldhat.toric`, the binding
+  the toric level search calls, one per fed level, with the lattice points
+  those calls return, of calls to `eliminate` through `mldhat.toric`, the
+  Fourier-Motzkin elimination of a level slice, with the rows of the
+  projections they return, of calls to `mldhat.hilbert._numerators`, one
+  per cell walked, with the cell points walked (sum |det T|), of calls to
   `mldhat.hilbert._fold`, the exact division that checks each move of a
   cell walk before the walk (the folds), and of the distinct
   candidates that `FacetValues.minimal_elements` sieves, with the
@@ -66,6 +67,7 @@ COUNTED = {
     "equality_certificate": ("hypersurface",),
     "pairing": ("cones", "hilbert", "toric"),  # every module that imports it from lattice
     "hilbert_basis": ("cli", "toric"),  # every module that binds it
+    "_LevelGreedy": ("toric",),  # one per candidate the level search builds
     "enumerate_lattice_points": ("toric",),  # the level search's binding
     "eliminate": ("toric",),  # the level search's binding
     "_numerators": ("hilbert",),  # the cell walk's binding
@@ -222,10 +224,10 @@ if __name__ == "__main__":
         ran |= seed_ran
         print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
         print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} "
-              f"{'certificates':>12} {'pairing':>8} {'hilbert_basis':>13} {'enumerations':>12} {'points':>7} "
+              f"{'certificates':>12} {'pairing':>8} {'hilbert_basis':>13} {'candidates':>10} {'enumerations':>12} {'points':>7} "
               f"{'eliminations':>12} {'rows':>6} {'cells':>6} {'walked':>7} {'folds':>6} {'sieved':>7} {'tests':>7}")
         for kind, row in sorted(counts.items()):
-            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 12, 7, 12, 6, 6, 7, 6, 7, 7))))
+            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 8, 13, 10, 12, 7, 12, 6, 6, 7, 6, 7, 7))))
         print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0

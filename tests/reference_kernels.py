@@ -66,6 +66,12 @@ enumerator and the box scan.
 `toric._LevelGreedy.feed` counted it before it read the box off the dual
 rays: the slice eliminated once more per coordinate, with that coordinate
 moved first, so that the first projection bounds it alone.
+`reference_level_search` is the toric level search as it was before one
+best-first heap replaced it: a loop over the levels that sorts the
+candidates still open by (bound, point) at each level, drops one whose
+(bound, point) sorts after (value, point) of the best exact candidate so
+far, and replaces that best when a new witness sorts before it under
+`SpanningWitness.sort_key`.
 `is_interior_point` is the interior test that was a method of
 `HilbertBasis`: every ray of the dual cone pairs positively with the
 point.
@@ -168,8 +174,8 @@ from mldhat.oracle import (
     _trim,
     _window_orders,
 )
-from mldhat.hilbert import FacetValues, _fold, _numerators, _walk, parallelepiped_points
-from mldhat.toric import SpanningWitness, ToricMldReport, eliminate, spanning_cost_greedy
+from mldhat.hilbert import FacetValues, _fold, _numerators, _walk, interior_candidates, parallelepiped_points
+from mldhat.toric import SpanningWitness, ToricMldReport, _LevelGreedy, eliminate, spanning_cost_greedy
 
 
 def determinant(rows) -> int:
@@ -461,6 +467,35 @@ def reference_minimize_spanning_cost(cone, hb):
     n = cone.ambient_rank
     witnesses = [basis_greedy(a, hb) for a in reference_candidate_points(cone)]
     best = min(witnesses, key=SpanningWitness.sort_key)
+    return ToricMldReport(
+        lambda_value=best.value - n,
+        mather_mld=best.value,
+        witness=best,
+        fast_path="none",
+        torus_factor_rank=0,
+        face_reduced_from=None,
+    )
+
+
+def reference_level_search(cone, max_points=None):
+    """The toric search by a loop over the levels, each one feeding the open candidates in (bound, point) order."""
+    n = cone.ambient_rank
+    if not cone.is_full_dimensional:
+        raise ConeError("split off the torus factor before minimizing")
+    searches = [_LevelGreedy(cone, a) for a in sorted(interior_candidates(cone, max_points))]
+    best, level = None, 0
+    while searches:
+        level += 1
+        kept = []
+        for bound, point, greedy in sorted((g.value + (n - len(g.chosen)) * level, g.point, g) for g in searches):
+            if best is not None and (bound, point) > (best.value, best.point):
+                continue
+            greedy.feed(level, max_points)
+            if len(greedy.chosen) < n:
+                kept.append(greedy)
+            elif best is None or greedy.witness().sort_key() < best.sort_key():
+                best = greedy.witness()
+        searches = kept
     return ToricMldReport(
         lambda_value=best.value - n,
         mather_mld=best.value,

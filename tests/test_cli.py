@@ -384,6 +384,30 @@ class TestCommands:
         assert report["error"].startswith(f"oracle {command}: over 2^63 window monomials ")
         assert report["error"].endswith(f"exceed the limit ({sys.maxsize})")
 
+    @pytest.mark.parametrize(
+        "command, stage, points",
+        [("hilbert", "hilbert parallelepiped points", 2**70), ("toric", "toric candidates", 4 * 2**70)],
+        ids=["hilbert", "toric"],
+    )
+    def test_cell_walk_past_sys_maxsize_without_a_limit(self, tmp_path, command, stage, points):
+        # one cell of |det T| = 2^70: no list can hold its walk, so the guard
+        # trips with no --max-subsets before the walk is built.  The command
+        # runs in a child capped like the oracle windows above
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"lattice_rank": 2, "rays": [[1, 0], [1, 2**70]]}))
+        child = subprocess.run(
+            [sys.executable, "-c", CAPPED_MAIN, command, "--cone", str(path)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(mldhat.__file__).parent.parent)},
+        )
+        assert child.returncode == 3, child.stderr
+        assert float(child.stdout) < 1.0
+        report = json.loads(child.stderr)
+        assert report == {
+            "error": f"{stage}: about {points} points exceed the limit ({sys.maxsize})",
+            "kind": "LimitError",
+        }
+
     @pytest.mark.parametrize("command", ["staircase", "expand"])
     def test_oracle_under_limit_unchanged(self, support_file, command):
         argv = ["--seed", "1", "oracle", command, "--support", support_file, "--alpha", "2,1,2", "--m", "5"]

@@ -31,10 +31,12 @@ from reference_kernels import (
     reference_enumerate_lattice_points,
     reference_fm_enumerate,
     reference_level_box,
+    reference_level_search,
     reference_minimize_spanning_cost,
     reference_spanning_cost_greedy,
 )
 from test_cones import random_embedded_cone
+import test_lambda_positive as lambda_positive
 
 A1_CONE = Cone.from_generators(2, [(2, -1), (0, 1)])
 
@@ -536,6 +538,44 @@ class TestLevelRoute:
             ("lambda_positive", 2): 92,
         }
 
+    def test_best_first_against_the_level_loop(self, monkeypatch):
+        # the toric pool cones, the lambda > 0 corpus, 120 rank-6 products of
+        # its rank-3 cones and 300 seeded random cones of rank 2-4, with no
+        # limit and under each limit: best-first gives the report or the
+        # LimitError text of the level loop it replaced, and feeds no
+        # (point, level) that the level loop does not feed
+        fed = []
+        feed = toric._LevelGreedy.feed
+
+        def recorded(greedy, level, max_points):
+            fed.append((greedy.point, level))
+            feed(greedy, level, max_points)
+
+        def run(search, cone, max_points):
+            del fed[:]
+            try:
+                outcome = search(cone, max_points)
+            except LimitError as exc:
+                outcome = str(exc)
+            return outcome, set(fed)
+
+        monkeypatch.setattr(toric._LevelGreedy, "feed", recorded)
+        rng = random.Random(40)
+        rank3 = [(3, r["rays"], lambda_positive.witness(r)) for r in LAMBDA_POSITIVE if len(r["rays"][0]) == 3]
+        cones = [Cone.from_generators(len(rays[0]), rays) for searched in SEARCHED.values() for rays in searched]
+        cones += [lambda_positive.product(rng.sample(rank3, 2))[0] for _ in range(120)]
+        cones += [random_pointed_cone(rng, 2 + k % 3, 3, 5 + k % 3) for k in range(300)]
+        refused, levels = 0, set()
+        for max_points in (None, 0, 5, 10, 20, 40, 100, 400, 5000):
+            for cone in cones:
+                outcome, best_first = run(minimize_spanning_cost, cone, max_points)
+                expected, level_loop = run(reference_level_search, cone, max_points)
+                assert outcome == expected, (cone.generators, max_points)
+                assert best_first <= level_loop, (cone.generators, max_points)
+                refused += isinstance(outcome, str)
+                levels |= {level for _, level in best_first}
+        assert (len(cones), refused, levels) == (653, 3587, {1, 2})
+
     def test_enumerator_is_called_through_the_toric_binding(self, monkeypatch):
         # the search walks level 1 of each candidate up to the witness, and no more
         calls = []
@@ -586,14 +626,28 @@ class TestLevelRoute:
         assert fed == [((1, 1, 1), 1), ((2, 2, 2), 1)]
 
     def test_tie_goes_to_the_next_level(self, monkeypatch):
-        # after level 2, (2, 2, 2) is exact at 1 + 2 + 2 = 5, and (1, 1, 1) has
-        # two picks of 1 and the bound 2 + 3 = 5: a tie, so level 3 is walked,
-        # where (1, 1, 1) reaches 5 too and wins by its point
+        # after level 1 the keys are (5, (0, 0, 1)), (4, (1, 1, 1)) and
+        # (5, (2, 2, 2)).  (1, 1, 1) walks level 2 with no pick, to the bound
+        # 2 + 3 = 5: a tie with both others, and the points order it second.
+        # (0, 0, 1) picks 2 there and goes to 3 + 3 = 6; (1, 1, 1) reaches 5
+        # at level 3, exact and least.  (2, 2, 2), which the level loop walked
+        # at level 2 to be exact at 1 + 2 + 2 = 5, is never fed past level 1
         plans = {(2, 2, 2): {1: 1, 2: 2}, (1, 1, 1): {1: 2, 3: 1}, (0, 0, 1): {1: 1, 2: 1}}
         witness, fed = self.planned_search(monkeypatch, plans)
         assert (witness.point, witness.value) == ((1, 1, 1), 5)
-        # (0, 0, 1) picks 1 and 2, and its bound 3 + 3 = 6 > 5 drops it before level 3
         assert fed[-1] == ((1, 1, 1), 3) and ((0, 0, 1), 3) not in fed
+        assert ((2, 2, 2), 2) not in fed
+
+    def test_a_tie_across_levels_goes_to_the_smaller_point(self, monkeypatch):
+        # (1, 1, 1) waits at level 1 with one pick of 1 and the bound 1 + 2 * 2
+        # = 5; (2, 2, 2) walks level 2 with no pick to the bound 2 + 3 = 5.
+        # At the tie the point, not the level walked, decides: (1, 1, 1) is
+        # fed level 2 and is exact at 5, and (2, 2, 2) never walks level 3,
+        # where it would be exact at 5 too
+        plans = {(2, 2, 2): {1: 2, 3: 1}, (1, 1, 1): {1: 1, 2: 2}}
+        witness, fed = self.planned_search(monkeypatch, plans)
+        assert (witness.point, witness.value) == ((1, 1, 1), 5)
+        assert fed == [((1, 1, 1), 1), ((2, 2, 2), 1), ((2, 2, 2), 2), ((1, 1, 1), 2)]
 
     def test_level_limits_name_the_level(self):
         # the candidates pass at 8 points, the level-1 slice of the witness does not
