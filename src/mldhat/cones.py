@@ -15,15 +15,17 @@ Every cone carries its double description: `Cone.from_generators` and
 rays) as the cone's `dual_pair` next to its sorted primitive extreme rays,
 and the facet table as its `facets`: the bitmask of the extreme rays on
 each facet.  The table comes from the sweep over the generators, whose
-ray masks have one bit per distinct nonzero inequality in input order;
-`dual_cone` swaps the two halves of the pair and transposes the table, so
-a cone and its dual together cost one sweep.  Faces are read off the
-table: `_extreme_rays` keeps a generator when the facets through it hold
-no other, `resolve_face` checks a ray subset against the intersection of
-the facets containing it, `face_chart` takes a face's rays in the lattice
-they span, the kernel of the dual lines and the facet normals through the
-face, and `pulling_triangulation` reads the cells of one triangulation
-off the same table.
+ray masks have one bit per inequality as given: `from_generators` checks
+the generators and makes them primitive, distinct and sorted, and the
+sweep below it works on plain integer tuples with no normalisation of
+its own.  `dual_cone` swaps the two halves of the pair and transposes
+the table, so a cone and its dual together cost one sweep.  Faces are
+read off the table: `_extreme_rays` keeps a generator when the facets
+through it hold no other, `resolve_face` checks a ray subset against the
+intersection of the facets containing it, `face_chart` takes a face's
+rays in the lattice they span, the kernel of the dual lines and the facet
+normals through the face, and `pulling_triangulation` reads the cells of
+one triangulation off the same table.
 """
 
 from __future__ import annotations
@@ -36,13 +38,9 @@ from .lattice import (
     as_vector,
     express_in_basis,
     integer_kernel,
-    is_zero,
     pairing,
     primitive,
     rank_of,  # not called here; perfbench/tracing.py wraps this name
-    vec_neg,
-    vec_scale,
-    vec_sub,
 )
 
 
@@ -54,18 +52,19 @@ class FaceError(ValueError):
     """A generator subset or functional that does not describe a face."""
 
 
-def _unit_vectors(n):
-    return [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-
-
 def dual_description(ineq_vectors, n):
     """Generators of {u in Z^n : <u, a> >= 0 for all a}, as (lines, rays, masks).
 
     The lineality part `lines` is a lattice basis of the maximal linear
     subspace; `rays` generate the pointed remainder and are exactly the
     extreme rays modulo lineality.  Both lists are primitive and sorted.
-    `masks[k]` has bit j set when the j-th distinct nonzero primitive
-    inequality, in input order, vanishes on `rays[k]`: the facet table.
+    `masks[k]` has bit j set when the j-th inequality as given vanishes on
+    `rays[k]`: the facet table.  The inequalities are integer vectors of
+    rank n and are taken as they come, one bit each.  A zero, repeated or
+    scaled one gives the same `lines` and `rays` as the distinct primitive
+    nonzero ones: a zero inequality vanishes everywhere, a repeat cuts
+    nothing more, and every combination below is made primitive.
+    `Cone.from_generators`, the one caller, passes them canonical.
 
     The sweep starts from Z^n (lines = unit vectors, no rays) and adds one
     inequality a at a time.  Each ray carries the bitmask of the processed
@@ -94,18 +93,10 @@ def dual_description(ineq_vectors, n):
       processed b exactly when both rays do, so its mask is Z plus the bit
       of a.
     """
-    ineqs = []
-    seen = set()
-    for a in ineq_vectors:
-        a = primitive(as_vector(a, n))
-        if is_zero(a) or a in seen:
-            continue
-        seen.add(a)
-        ineqs.append(a)
-    lines = _unit_vectors(n)
+    lines = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
-    for k, a in enumerate(ineqs):
+    for k, a in enumerate(ineq_vectors):
         bit = 1 << k
         pivot = next((l for l in lines if pairing(l, a) != 0), None)
         if pivot is not None:
@@ -118,14 +109,12 @@ def dual_description(ineq_vectors, n):
                 if d == 0:
                     new_lines.append(l)
                 else:
-                    new_lines.append(primitive(vec_sub(vec_scale(d0, l), vec_scale(d, pivot))))
+                    new_lines.append(primitive([d0 * x - d * y for x, y in zip(l, pivot)]))
             lines = sorted(new_lines)
             if d0 < 0:
-                pivot, d0 = vec_neg(pivot), -d0
-            rays = [
-                primitive(vec_sub(vec_scale(d0, r), vec_scale(pairing(r, a), pivot)))
-                for r in rays
-            ]
+                pivot, d0 = tuple(-x for x in pivot), -d0
+            values = [pairing(r, a) for r in rays]
+            rays = [primitive([d0 * x - d * y for x, y in zip(r, pivot)]) for r, d in zip(rays, values)]
             rays.append(pivot)
             masks = [m | bit for m in masks] + [bit - 1]
             continue
@@ -146,9 +135,8 @@ def dual_description(ineq_vectors, n):
                     for t, m in enumerate(masks)
                 ):
                     continue
-                new_rays.append(
-                    primitive(vec_sub(vec_scale(values[i], rays[j]), vec_scale(values[j], rays[i])))
-                )
+                vi, vj = values[i], values[j]
+                new_rays.append(primitive([vi * y - vj * x for x, y in zip(rays[i], rays[j])]))
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
     table = sorted(zip(rays, masks))
@@ -200,6 +188,21 @@ class Cone:
 
     @staticmethod
     def from_generators(ambient_rank, generators):
+        """The cone the generators span, which must be pointed.
+
+        This is the one place where generators are checked and made
+        canonical: each must be a nonzero vector of `ambient_rank`
+        integers; each is made primitive, repeats are dropped and the rest
+        are sorted.  Everything below works on these plain tuples.
+        `dual_description` sweeps them as given, with one mask bit per
+        generator, so bit i of a facet mask is generator i.
+        `_extreme_rays` relies on the generators being distinct, since a
+        repeated ray is never alone on its face.  The dual rays modulo
+        lineality depend on the order swept, and sorting makes them
+        canonical.  Generators that are not extreme are dropped: their
+        bits leave the facet table, or, when the cone has dual lines, the
+        extreme rays are swept again.
+        """
         if type(ambient_rank) is not int:
             raise ConeError(f"ambient rank must be an integer, got {ambient_rank!r}")
         n = ambient_rank
@@ -208,7 +211,7 @@ class Cone:
         gens = set()
         for g in generators:
             v = as_vector(g, n)
-            if is_zero(v):
+            if not any(v):
                 raise ConeError("zero vector is not a valid ray generator")
             gens.add(primitive(v))
         if not gens:

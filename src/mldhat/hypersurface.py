@@ -75,9 +75,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
-from .lattice import LimitError, content, rank_of
+from .lattice import LimitError, rank_of
 
 
 class SupportError(ValueError):
@@ -182,7 +182,7 @@ def validate_support(exponents, num_vars=None) -> Support:
                 "a one-dimensional support must consist of exactly two lattice "
                 "points (its segment may contain no third one)",
             )
-        if content(a - b for a, b in zip(reduced[1], reduced[0])) != 1:
+        if gcd(*(a - b for a, b in zip(reduced[1], reduced[0]))) != 1:
             raise SupportError(
                 "one_dimensional",
                 "the segment between the two exponents contains interior lattice "

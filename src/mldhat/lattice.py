@@ -1,7 +1,10 @@
 """Exact integer linear algebra for lattice computations.
 
 Lattice vectors are plain tuples of Python ints; the ambient rank is the
-tuple length.  Everything here is integer elimination: the row Hermite form
+tuple length.  `as_vector` checks the entries and the rank of one vector
+and `primitive` divides out its gcd; there is no layer of vector
+arithmetic, so callers write their sums and scalings in place.
+Everything else here is integer elimination: the row Hermite form
 gives ranks and kernels (a kernel is a saturated lattice, so the
 saturation of a span is the kernel of its orthogonal complement), and one
 pass along echelon pivots gives coordinates.  No floating point and no
@@ -44,30 +47,9 @@ def pairing(u, a) -> int:
     return sum(map(mul, u, a))
 
 
-def vec_sub(u, v) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v) -> Vector:
-    return tuple(c * x for x in v)
-
-
-def vec_neg(v) -> Vector:
-    return tuple(-x for x in v)
-
-
-def is_zero(v) -> bool:
-    return all(x == 0 for x in v)
-
-
-def content(v) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    return gcd(*v)
-
-
 def primitive(v) -> Vector:
     """Divide out the gcd of the entries; the zero vector is returned as is."""
-    g = content(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -173,6 +155,6 @@ def express_in_basis(basis_rows, v) -> Vector:
         x = [a - q * b for a, b in zip(x, r)]
         coords.append(q)
         last = col
-    if not is_zero(x):
+    if any(x):
         raise LatticeError("vector is not in the lattice of the basis")
     return tuple(coords)

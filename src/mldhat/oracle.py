@@ -736,8 +736,8 @@ def torus_point_sample(
     A witness exists only where the exact torus-zero criterion of
     hypersurface.equality_certificate holds; None proves nothing.
 
-    With `max_points`, LimitError is raised before any draw when trials
-    times d^2 times the bit length of the prime exceeds it, d the top
+    LimitError is raised before any draw when trials times d^2 times the
+    bit length of the prime exceeds `max_points` or sys.maxsize, d the top
     degree of the solve variable: the root finding of one trial takes
     O(d^2 log p) field operations (`_nonzero_roots`).
     """
@@ -748,14 +748,14 @@ def torus_point_sample(
     nv = initial_form.num_vars
     solve_var = _solve_variable(initial_form)
     d = max(expo[solve_var] for _, _, expo in initial_form.terms)
-    if max_points is not None:
-        steps = trials * d * d * prime.bit_length()
-        if steps > max_points:
-            raise LimitError(
-                f"oracle torus-point: up to {steps} root-finding steps "
-                f"({trials} trials, degree {d}, {prime.bit_length()}-bit prime) "
-                f"exceed the limit ({max_points})"
-            )
+    limit = sys.maxsize if max_points is None else min(max_points, sys.maxsize)
+    steps = trials * d * d * prime.bit_length()
+    if steps > limit:
+        raise LimitError(
+            f"oracle torus-point: up to {steps} root-finding steps "
+            f"({trials} trials, degree {d}, {prime.bit_length()}-bit prime) "
+            f"exceed the limit ({limit})"
+        )
     coeff_indices = sorted(
         {i for _, i, _ in initial_form.terms} | {i for _, i, _ in pivot_form.terms}
     )

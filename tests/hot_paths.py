@@ -85,13 +85,14 @@ SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tok
            tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def run_corpus(seed):
+def run_corpus(seed, trace=True):
     """Run every op of corpus seed `seed`.
 
     Returns {op kind: (ops, distinct named mldhat functions called, then
     for each of COUNTED its calls and, for those in SIZES, the size of
     their results, then the candidates sieved and the sieve's subtraction
-    tests)} and the set of (file, line) pairs of `mldhat` that ran.
+    tests)} and the set of (file, line) pairs of `mldhat` that ran, left
+    empty with `trace=False`, which runs no line tracer.
     """
     sys.path.insert(0, str(PERFBENCH))
     import corpus
@@ -147,7 +148,7 @@ def run_corpus(seed):
                     kind = op.kind
                     profile = profiles.setdefault(kind, cProfile.Profile())
                     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                        sys.settrace(trace_calls)
+                        sys.settrace(trace_calls if trace else None)
                         try:
                             profile.runcall(main, list(op.argv))
                         finally:

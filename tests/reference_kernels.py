@@ -117,6 +117,10 @@ the facets of a cone.
 made before it wrote the text in one walk: it turns big integers into
 strings and refuses strings that read as one, and `json.dumps(indent=2)`
 then wrote the copy.
+
+`vec_sub`, `vec_scale`, `vec_neg` and `is_zero` are the tuple helpers that
+`lattice` held before the double-description sweep wrote its arithmetic
+in place; the reference routes of the tests still use them.
 """
 
 import functools
@@ -176,6 +180,22 @@ from mldhat.oracle import (
 )
 from mldhat.hilbert import FacetValues, _fold, _numerators, _walk, interior_candidates, parallelepiped_points
 from mldhat.toric import SpanningWitness, ToricMldReport, _LevelGreedy, eliminate, spanning_cost_greedy
+
+
+def vec_sub(u, v):
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def vec_scale(c, v):
+    return tuple(c * x for x in v)
+
+
+def vec_neg(v):
+    return tuple(-x for x in v)
+
+
+def is_zero(v) -> bool:
+    return all(x == 0 for x in v)
 
 
 def determinant(rows) -> int:

@@ -429,6 +429,27 @@ class TestCommands:
             "oracle torus-point: up to 6300000000 root-finding steps (50 trials, degree 3000, 14-bit prime)"
         )
 
+    def test_torus_point_past_sys_maxsize_without_a_limit(self, tmp_path):
+        # the criterion fails on this support, so no trial can succeed: with
+        # 10^24 trials and no --max-subsets the steps pass sys.maxsize, and
+        # the guard trips before any draw.  The command runs in a child
+        # capped like the oracle windows above, so that a missing guard
+        # fails by timeout instead of looping
+        path = tmp_path / "support.json"
+        path.write_text(json.dumps({"vars": 4, "support": [[0, 2, 1, 3], [0, 3, 0, 0], [3, 0, 2, 0], [3, 0, 0, 2]]}))
+        argv = ["oracle", "torus-point", "--support", str(path), "--alpha", "1,2,1,1", "--trials", str(10**24)]
+        child = subprocess.run(
+            [sys.executable, "-c", CAPPED_MAIN, *argv],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(mldhat.__file__).parent.parent)},
+        )
+        assert child.returncode == 3, child.stderr
+        assert float(child.stdout) < 1.0
+        report = json.loads(child.stderr)
+        assert report["kind"] == "LimitError"
+        assert report["error"].startswith(f"oracle torus-point: up to {56 * 10**24} root-finding steps ")
+        assert report["error"].endswith("exceed the limit (9223372036854775807)")
+
     def test_torus_point_under_limit_unchanged(self, support_file):
         argv = ["--seed", "1", "oracle", "torus-point", "--support", support_file, "--alpha", "2,1,2"]
         assert run_cli(["--max-subsets", "100000", *argv]) == run_cli(argv)

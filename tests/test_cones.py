@@ -18,16 +18,7 @@ from mldhat.cones import (
     pulling_triangulation,
     resolve_face,
 )
-from mldhat.lattice import (
-    as_vector,
-    is_zero,
-    pairing,
-    primitive,
-    rank_of,
-    vec_neg,
-    vec_scale,
-    vec_sub,
-)
+from mldhat.lattice import as_vector, pairing, primitive, rank_of
 from reference_kernels import (
     contains,
     determinant,
@@ -36,10 +27,14 @@ from reference_kernels import (
     has_isolated_fixed_point,
     is_simplicial,
     is_smooth,
+    is_zero,
     reference_face_chart,
     reference_facet_masks,
     reference_resolve_face,
     split_torus_factor,
+    vec_neg,
+    vec_scale,
+    vec_sub,
 )
 
 
@@ -188,7 +183,7 @@ def random_vectors(rng, n):
 
 
 def distinct_inequalities(vecs, n):
-    """The distinct nonzero primitive vectors, in input order: one bit each in the sweep's masks."""
+    """The distinct nonzero primitive vectors, in input order: the cone they cut out is the one of `vecs`."""
     return list(dict.fromkeys(primitive(as_vector(v, n)) for v in vecs if any(v)))
 
 
@@ -511,11 +506,23 @@ def random_embedded_cone(rng, n):
     return Cone.from_generators(n, rays)
 
 
-def pool_cones():
+def pool_rays():
+    """The ray lists of the cones of the benchmark pool, as recorded."""
     pool = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "pool.json").read_text(encoding="utf-8"))
     for key in ("surfaces", "toric_random", "simplicial_isolated", "cones_rank3", "cones_rank4"):
         for entry in pool[key]:
-            yield Cone.from_generators(len(entry["rays"][0]), [tuple(r) for r in entry["rays"]])
+            yield [tuple(r) for r in entry["rays"]]
+
+
+def pool_cones():
+    for rays in pool_rays():
+        yield Cone.from_generators(len(rays[0]), rays)
+
+
+def lambda_positive_rays():
+    """The ray lists of the lambda > 0 corpus cones."""
+    corpus = json.loads((pathlib.Path(__file__).parent / "lambda_positive_cones.json").read_text(encoding="utf-8"))
+    return [[tuple(r) for r in entry["rays"]] for entry in corpus]
 
 
 def volume(c, cells):
@@ -675,7 +682,8 @@ class TestBitmaskKernelAgainstRankReference:
             vecs = random_vectors(rng, n)
             lines, rays, masks = dual_description(vecs, n)
             assert (lines, rays) == reference_dual_description(vecs, n), vecs
-            assert masks == reference_facet_masks(distinct_inequalities(vecs, n), rays), vecs
+            # one bit per inequality as given, zero and repeated ones included
+            assert masks == reference_facet_masks(vecs, rays), vecs
             if rank_of(vecs) < n:
                 kinds["not spanning"] += 1
             kinds["pointed" if rank_of(lines + rays) == n else "not pointed"] += 1
@@ -755,6 +763,45 @@ class TestBitmaskKernelAgainstRankReference:
             Cone.from_generators(2, ((-1, 0), (0, 1), (1, 0)))
 
 
+class TestFromGeneratorsCanonicalises:
+    """`Cone.from_generators` is the one normalisation before the sweep: its
+    generators, dual pair and facet table match the rank-pruned reference
+    and the table by pairings, whatever order, scale and repeats the rays
+    come in."""
+
+    @staticmethod
+    def check(rays, rng):
+        n = len(rays[0])
+        c = Cone.from_generators(n, rays)
+        expected = reference_from_generators(n, rays)
+        assert c.generators == expected[0], rays
+        assert c.dual_pair == expected[1] == reference_dual_description(c.generators, n), rays
+        assert_facet_table(c)
+        # shuffled, scaled, repeated and with a sum of two rays inside, the
+        # rays give the same cone
+        inner = tuple(x + y for x, y in zip(rng.choice(rays), rng.choice(rays)))
+        raw = [vec_scale(rng.randint(1, 3), r) for r in rays] + [rng.choice(rays), inner]
+        rng.shuffle(raw)
+        again = Cone.from_generators(n, raw)
+        assert (again.generators, again.dual_pair, again.facets) == (c.generators, c.dual_pair, c.facets), raw
+
+    def test_pool_cones(self):
+        rng = random.Random(2028)
+        for rays in pool_rays():
+            self.check(rays, rng)
+
+    def test_lambda_positive_corpus(self):
+        rng = random.Random(2029)
+        for rays in lambda_positive_rays():
+            self.check(rays, rng)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_cones(self, n):
+        rng = random.Random(2030 + n)
+        for _ in range(40):
+            self.check(list(random_embedded_cone(rng, n).generators), rng)
+
+
 class TestDualDescription:
     def test_halfspace(self):
         lines, rays, masks = dual_description([(1, 0)], 2)
@@ -762,12 +809,40 @@ class TestDualDescription:
         assert rays == [(1, 0)]
         assert masks == [0]
 
-    def test_masks_index_distinct_inequalities_in_input_order(self):
-        # (2, 0) repeats (1, 0) and the zero vector is no inequality, so
-        # (0, 1) and (1, 1) hold bits 1 and 2
+    def test_masks_have_one_bit_per_inequality_as_given(self):
+        # the zero vector vanishes on both rays and (2, 0) wherever (1, 0)
+        # does, so (0, 1) and (1, 1) hold bits 3 and 4
         lines, rays, masks = dual_description([(1, 0), (0, 0), (2, 0), (0, 1), (1, 1)], 2)
         assert (lines, rays) == ([], [(0, 1), (1, 0)])
-        assert masks == [0b001, 0b010]
+        assert masks == [0b00111, 0b01010]
+
+    def test_raw_rows_cut_out_the_cone_of_their_distinct_primitive_rows(self):
+        # zero, repeated and scaled rows change the masks only: bit j of a
+        # ray's mask is set for a zero row, and otherwise is the bit of the
+        # distinct primitive row that rows[j] reduces to
+        rng = random.Random(2027)
+        planted = {"zero": 0, "repeated": 0, "scaled": 0}
+        for _ in range(600):
+            n = rng.randint(1, 5)
+            rows = random_vectors(rng, n)
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.choice(sorted(planted))
+                row = rng.choice(rows)
+                if kind == "zero":
+                    row = (0,) * n
+                elif kind == "scaled":
+                    row = vec_scale(rng.randint(2, 4), row)
+                rows.insert(rng.randint(0, len(rows)), row)
+                planted[kind] += 1
+            distinct = distinct_inequalities(rows, n)
+            lines, rays, masks = dual_description(rows, n)
+            expected_lines, expected_rays, distinct_masks = dual_description(distinct, n)
+            assert (lines, rays) == (expected_lines, expected_rays), rows
+            index = {a: k for k, a in enumerate(distinct)}
+            for m, d in zip(masks, distinct_masks):
+                for j, row in enumerate(rows):
+                    assert m >> j & 1 == (d >> index[primitive(row)] & 1 if any(row) else 1), rows
+        assert all(count >= 300 for count in planted.values()), planted
 
     def test_generation_completeness_via_lp(self):
         # every grid point satisfying the inequalities must be a combination

@@ -20,12 +20,13 @@ from mldhat.hilbert import (
     interior_candidates,
     parallelepiped_points,
 )
-from mldhat.lattice import LatticeError, LimitError, as_vector, is_zero, pairing, row_hermite, vec_sub
+from mldhat.lattice import LatticeError, LimitError, as_vector, pairing, row_hermite
 from mldhat.toric import minimize_spanning_cost
 from reference_kernels import (
     adjugate,
     contains,
     determinant,
+    is_zero,
     numerator_lists,
     reference_facet_values,
     reference_hilbert_basis,
@@ -34,6 +35,7 @@ from reference_kernels import (
     reference_walks,
     unit_walk,
     unpack_numerators,
+    vec_sub,
 )
 
 

@@ -12,7 +12,6 @@ from mldhat.lattice import (
     LatticeError,
     LimitError,
     as_vector,
-    content,
     express_in_basis,
     integer_kernel,
     pairing,
@@ -164,7 +163,7 @@ class TestRank:
             assert rank_of(rows) == rank
 
 
-class TestContent:
+class TestPrimitive:
     def test_random_against_euclid(self):
         rng = random.Random(11)
         for _ in range(2000):
@@ -175,11 +174,12 @@ class TestContent:
                 while b:
                     a, b = b, a % b
                 g = a
-            assert content(v) == content(iter(v)) == g, v
+            assert primitive(v) == tuple(x // max(g, 1) for x in v), v
 
     def test_zero_and_empty(self):
-        assert content((0, 0)) == content(()) == 0
-        assert content((0, -4, 6)) == 2
+        assert primitive((0, 0)) == (0, 0)
+        assert primitive(()) == ()
+        assert primitive((0, -4, 6)) == (0, -2, 3)
 
 
 class TestSaturate:

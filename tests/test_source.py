@@ -4,6 +4,7 @@ import types
 
 import pytest
 
+import hot_paths
 import mldhat
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -211,3 +212,35 @@ def test_export_check_catches():
         ("a", "listed twice"),
         ("gone", "not bound"),
     ]
+
+
+# distinct named mldhat functions per op kind at corpus seed 4, as
+# `tests/hot_paths.py 4` prints them: no op kind's count may go up
+HOT_PATH_FUNCTIONS = {
+    "dual": 17,
+    "expand": 20,
+    "face": 46,
+    "hilbert": 28,
+    "hyper": 23,
+    "staircase": 42,
+    "toric": 40,
+    "torus": 36,
+}
+
+
+def grown_hot_paths(counts, caps):
+    """(op kind, functions, cap) for each kind above its cap or with none."""
+    return [(kind, row[1], caps.get(kind)) for kind, row in sorted(counts.items()) if row[1] > caps.get(kind, -1)]
+
+
+def test_hot_path_function_counts_do_not_grow():
+    # the counting of hot_paths.py under cProfile, without its line tracer
+    counts, _ = hot_paths.run_corpus(4, trace=False)
+    assert sorted(counts) == sorted(HOT_PATH_FUNCTIONS)
+    found = grown_hot_paths(counts, HOT_PATH_FUNCTIONS)
+    assert not found, f"op kinds that call more distinct mldhat functions than their cap: {found}"
+
+
+def test_hot_path_check_catches():
+    counts = {"dual": (40, 18), "face": (35, 46), "new": (1, 3)}
+    assert grown_hot_paths(counts, {"dual": 17, "face": 46}) == [("dual", 18, 17), ("new", 3, None)]
