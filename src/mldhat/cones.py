@@ -98,14 +98,14 @@ def dual_description(ineq_vectors, n):
     masks: list[int] = []
     for k, a in enumerate(ineq_vectors):
         bit = 1 << k
-        pivot = next((l for l in lines if pairing(l, a) != 0), None)
+        pivot = next((l for l in lines if sum(map(operator.mul, l, a))), None)
         if pivot is not None:
-            d0 = pairing(pivot, a)
+            d0 = sum(map(operator.mul, pivot, a))
             new_lines = []
             for l in lines:
                 if l is pivot:
                     continue
-                d = pairing(l, a)
+                d = sum(map(operator.mul, l, a))
                 if d == 0:
                     new_lines.append(l)
                 else:
@@ -113,12 +113,12 @@ def dual_description(ineq_vectors, n):
             lines = sorted(new_lines)
             if d0 < 0:
                 pivot, d0 = tuple(-x for x in pivot), -d0
-            values = [pairing(r, a) for r in rays]
+            values = [sum(map(operator.mul, r, a)) for r in rays]
             rays = [primitive([d0 * x - d * y for x, y in zip(r, pivot)]) for r, d in zip(rays, values)]
             rays.append(pivot)
             masks = [m | bit for m in masks] + [bit - 1]
             continue
-        values = [pairing(r, a) for r in rays]
+        values = [sum(map(operator.mul, r, a)) for r in rays]
         new_rays = []
         new_masks = []
         for r, m, v in zip(rays, masks, values):

@@ -42,7 +42,7 @@ from math import prod
 from operator import mul
 
 from .cones import Cone, ConeError, pulling_triangulation
-from .lattice import LatticeError, LimitError, pairing, row_hermite
+from .lattice import LatticeError, LimitError, row_hermite
 from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
 
@@ -322,7 +322,7 @@ def cell_walk(cone: Cone, max_points, stage, scale=1):
     if estimate > limit:
         raise LimitError(f"{stage}: about {estimate} points exceed the limit ({limit})")
     forms = cone.dual_pair[1]
-    max_value = max(pairing(g, t) for g in forms for t in cone.generators)
+    max_value = max(sum(map(mul, g, t)) for g in forms for t in cone.generators)
     # every candidate, a closed parallelepiped point, has each facet value at most n * max value
     coords = FacetValues(forms, cone.ambient_rank * max_value, cone.generators)
     packs = {t: (coords.image(t), sum(map(mul, t, coords.units))) for t in cone.generators}

@@ -105,20 +105,16 @@ class Support:
         return self.original_num_vars - 1
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _integer_rows(exponents, num_vars=None) -> list[tuple[int, ...]]:
     """The exponent vectors as tuples: a nonempty list of nonnegative integer
     rows of one width (`num_vars` when given); anything else is refused."""
-    if num_vars is not None and not _is_integer(num_vars):
+    if num_vars is not None and type(num_vars) is not int:
         raise SupportError("not_integer", f"vars must be an integer, got {num_vars!r}")
     try:
         rows = [tuple(e) for e in exponents]
     except TypeError:
         raise SupportError("not_integer", "the support must be a list of exponent vectors")
-    if not all(_is_integer(x) for r in rows for x in r):
+    if not all(type(x) is int for r in rows for x in r):
         raise SupportError("not_integer", "exponents must be integers")
     if any(not r for r in rows):
         raise SupportError("empty", "an exponent vector has no entries")
@@ -138,7 +134,7 @@ def _integer_rows(exponents, num_vars=None) -> list[tuple[int, ...]]:
 
 def _as_alpha(alpha, num_vars) -> tuple[int, ...]:
     orders = tuple(alpha)
-    if not all(_is_integer(x) for x in orders):
+    if not all(type(x) is int for x in orders):
         raise ValueError("vanishing orders must be integers")
     if len(orders) != num_vars:
         raise ValueError(f"expected {num_vars} vanishing orders, got {len(orders)}")

@@ -1,9 +1,14 @@
 """Exact integer linear algebra for lattice computations.
 
 Lattice vectors are plain tuples of Python ints; the ambient rank is the
-tuple length.  `as_vector` checks the entries and the rank of one vector
-and `primitive` divides out its gcd; there is no layer of vector
-arithmetic, so callers write their sums and scalings in place.
+tuple length.  One integer rule holds for every input the package checks:
+an entry is an integer when its type is exactly `int`, so bools and other
+int subclasses are refused.  `as_vector` applies it, with the rank, to one
+vector of outside input, and `pairing` is the dot product checked for
+rank, for outside input too; `primitive` divides out a gcd.  There is no
+layer of vector arithmetic: inside the package, where the ranks are
+already fixed, callers write their sums, scalings and dot products
+(`sum(map(mul, u, a))`) in place.
 Everything else here is integer elimination: the row Hermite form
 gives ranks and kernels (a kernel is a saturated lattice, so the
 saturation of a span is the kernel of its orthogonal complement), and one
@@ -30,12 +35,12 @@ class LimitError(RuntimeError):
 Vector = tuple[int, ...]
 
 
-def as_vector(entries, rank=None) -> Vector:
-    """Validate a vector of plain ints (bools refused) and return it as a tuple."""
+def as_vector(entries, rank) -> Vector:
+    """Validate a vector of `rank` entries of type int and return it as a tuple."""
     v = tuple(entries)
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+    if not all(type(x) is int for x in v):
         raise LatticeError(f"vector entries must be integers, got {list(v)!r}")
-    if rank is not None and len(v) != rank:
+    if len(v) != rank:
         raise LatticeError(f"expected a vector of rank {rank}, got {len(v)} entries")
     return v
 

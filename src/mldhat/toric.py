@@ -15,8 +15,8 @@ of the closed parallelepipeds {sum_{v in T} c_v v : 0 <= c_v <= 1} over
 the cells T of the pulling triangulation of the cone
 (`cones.pulling_triangulation`, no new rays), as
 `hilbert.interior_candidates` finds them; they hold every minimizer, and
-the witness is the least minimizer under `SpanningWitness.sort_key` over
-all interior points.
+the witness is the minimizer of least point: the least interior point
+under the key (cost, point) of the best-first heap below.
 (1) Strict monotonicity: if a = b + w with b interior and w != 0 a lattice
 point of the cone, then cost(a) > cost(b).  For an optimal set {u_i} of a,
 cost(a) = sum <u_i, b> + sum <u_i, w> >= cost(b) + sum <u_i, w>; every
@@ -46,10 +46,10 @@ Best-first order.  A heap holds each candidate a under the key
 any (bound n), and the search feeds the least key's candidate level L + 1.
 Every key is a lower bound on (cost(a), a), by (ii) and (iii).  With n picks
 the bound is the sum of the picks, so the key is exact; when the least
-key has n picks, its (cost, point) is the least over all candidates, and
-as points are distinct that is the least witness under `sort_key`.  Each
-feed raises a candidate's level, and every candidate has n picks by the
-largest pairing of some spanning set of dual elements, so the search ends.
+key has n picks, its (cost, point) is the least over all candidates, so
+it is the witness.  Each feed raises a candidate's level, and every
+candidate has n picks by the largest pairing of some spanning set of dual
+elements, so the search ends.
 Feeding level L to k picks of value v, bound v + (n - k) L, adds k' - k
 picks of L: the bound becomes v + (k' - k) L + (n - k')(L + 1), up by
 n - k'.  So a candidate's keys only grow, and the witness's entry keeps a
@@ -90,7 +90,7 @@ from operator import mul
 from .cones import Cone, ConeError, FaceSpec, face_chart
 from .hilbert import hilbert_basis  # not called here; perfbench/tracing.py wraps this name
 from .hilbert import interior_candidates
-from .lattice import LatticeError, LimitError, express_in_basis, pairing, row_hermite
+from .lattice import LatticeError, LimitError, express_in_basis, row_hermite
 from .lattice import rank_of  # not called here; perfbench/tracing.py wraps this name
 
 
@@ -101,9 +101,6 @@ class SpanningWitness:
     point: tuple[int, ...]
     value: int
     chosen_set: tuple[tuple[int, ...], ...]
-
-    def sort_key(self):
-        return (self.value, self.point, self.chosen_set)
 
 
 @dataclass(frozen=True)
@@ -288,10 +285,10 @@ class _LevelGreedy:
                 raise AssertionError(f"the Hermite form of [{a} | I] does not start with e_1")
             first, *others = basis = [row[1:] for row in h]
             self.columns = list(zip(*basis))
-            rows = [(tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in self.cone.generators]
+            rows = [(tuple(sum(map(mul, r, v)) for v in others), -sum(map(mul, r, first))) for r in self.cone.generators]
             self.projections = eliminate(rows, n - 1, level)
             if max_points is not None:
-                self.vertices = [express_in_basis(h, (pairing(w, a), *w)) for w in self.cone.dual_pair[1]]
+                self.vertices = [express_in_basis(h, (sum(map(mul, w, a)), *w)) for w in self.cone.dual_pair[1]]
         if max_points is not None and (estimate := self.box(level)) > max_points:
             raise LimitError(f"toric level {level}: about {estimate} points exceed the limit ({max_points})")
         points = enumerate_lattice_points(self.projections, level)

@@ -71,10 +71,18 @@ best-first heap replaced it: a loop over the levels that sorts the
 candidates still open by (bound, point) at each level, drops one whose
 (bound, point) sorts after (value, point) of the best exact candidate so
 far, and replaces that best when a new witness sorts before it under
-`SpanningWitness.sort_key`.
+`witness_key`.
 `is_interior_point` is the interior test that was a method of
 `HilbertBasis`: every ray of the dual cone pairs positively with the
 point.
+
+`jet_orbit_dimension` checks the toric cost by the paper's own route,
+sharing nothing with the search beyond `Cone`: the dimension of the
+orbit of the arcs t^a u(t) in the m-jets, the rank over F_p
+(p = 2^31 - 1, `rank_mod_p`) of the Jacobian at a random point, over
+the dual elements of pairing at most m with a that
+`dual_elements_up_to` takes from `reference_fm_enumerate`.  The unit
+series are handled through their logarithms (`_unit_log`, `_exp`).
 
 `reference_evaluate` is the tuple kernel as it was before its one record
 held the pivot index and Obj: it lists every pair (monomial, variable)
@@ -121,6 +129,10 @@ then wrote the copy.
 `vec_sub`, `vec_scale`, `vec_neg` and `is_zero` are the tuple helpers that
 `lattice` held before the double-description sweep wrote its arithmetic
 in place; the reference routes of the tests still use them.
+`witness_key` orders spanning witnesses by (value, point, chosen set), so
+that the oracles of the tests pick the least witness; the search orders
+its candidates by (cost, point), and as points are distinct the two
+agree on the witness.
 """
 
 import functools
@@ -196,6 +208,10 @@ def vec_neg(v):
 
 def is_zero(v) -> bool:
     return all(x == 0 for x in v)
+
+
+def witness_key(w):
+    return (w.value, w.point, w.chosen_set)
 
 
 def determinant(rows) -> int:
@@ -486,7 +502,7 @@ def reference_minimize_spanning_cost(cone, hb):
     """The toric search with the greedy over `hb` on every all-subsets candidate."""
     n = cone.ambient_rank
     witnesses = [basis_greedy(a, hb) for a in reference_candidate_points(cone)]
-    best = min(witnesses, key=SpanningWitness.sort_key)
+    best = min(witnesses, key=witness_key)
     return ToricMldReport(
         lambda_value=best.value - n,
         mather_mld=best.value,
@@ -513,7 +529,7 @@ def reference_level_search(cone, max_points=None):
             greedy.feed(level, max_points)
             if len(greedy.chosen) < n:
                 kept.append(greedy)
-            elif best is None or greedy.witness().sort_key() < best.sort_key():
+            elif best is None or witness_key(greedy.witness()) < witness_key(best):
                 best = greedy.witness()
         searches = kept
     return ToricMldReport(
@@ -779,6 +795,99 @@ def reference_spanning_cost_greedy(a, hb, dual):
         raise LatticeError("basis does not span; cone cannot be full-dimensional")
     value = sum(pairing(u, a) for u in chosen)
     return SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(chosen)))
+
+
+JET_PRIME = 2**31 - 1  # the field of the jet-orbit rank
+
+
+def dual_elements_up_to(cone, a, m):
+    """The nonzero dual elements h of a full-dimensional cone with <a, h> <= m, for an interior point a.
+
+    They are the lattice points of m times the polytope
+    {h : <g, h> >= 0 for every generator g, <a, h> <= 1}, bounded as a is
+    interior, enumerated by `reference_fm_enumerate`.
+    """
+    rows = tuple((g, 0) for g in cone.generators) + ((tuple(-x for x in a), -1),)
+    return [h for h in reference_fm_enumerate(RationalPolytope(cone.ambient_rank, rows), m) if any(h)]
+
+
+def _unit_log(u, p):
+    """log u over F_p, to the length of u, for a series u with u_0 = 1 and fewer terms than p."""
+    inverse = [1]
+    for k in range(1, len(u)):
+        inverse.append(-sum(u[j] * inverse[k - j] for j in range(1, k + 1)) % p)
+    # (log u)' = u' / u
+    return [0] + [
+        sum((j + 1) * u[j + 1] * inverse[k - 1 - j] for j in range(k)) * pow(k, -1, p) % p for k in range(1, len(u))
+    ]
+
+
+def _exp(s, p):
+    """exp s over F_p, to the length of s, for a series s with s_0 = 0 and fewer terms than p: e' = s' e."""
+    e = [1]
+    for k in range(1, len(s)):
+        e.append(sum(j * s[j] * e[k - j] for j in range(1, k + 1)) * pow(k, -1, p) % p)
+    return e
+
+
+def rank_mod_p(rows, width, p):
+    """The rank over F_p of integer rows of `width` entries, by elimination; stops at full rank.
+
+    Each stored row is zero at the pivot columns of the rows stored before
+    it, so reducing a row against the stored rows in turn zeroes every
+    pivot column.
+    """
+    echelon = []
+    for row in rows:
+        for col, pivot in echelon:
+            if row[col]:
+                f = row[col]
+                row = [(x - f * y) % p for x, y in zip(row, pivot)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            f = pow(row[col], -1, p)
+            echelon.append((col, [x * f % p for x in row]))
+            if len(echelon) == width:
+                break
+    return len(echelon)
+
+
+def jet_orbit_dimension(elements, a, m, rng, p=JET_PRIME):
+    """The dimension of the orbit of the arcs t^a u(t) in the m-jets, as a rank over F_p at a random point.
+
+    `elements` are the nonzero dual elements h with <a, h> <= m
+    (`dual_elements_up_to`); the others vanish on every m-jet of the
+    arcs.  The arc with unit series u_i = sum_k c_ik t^k (i < n, k <= m)
+    sends the character h to t^<a, h> prod_i u_i^h_i, and the orbit is the
+    image of the c_ik under the map to the t^0..t^m coefficients of these.
+    Its dimension is the generic rank of the Jacobian.  The entry for
+    (h, t^s) and c_ik is h_i times the coefficient of t^(s - <a, h> - k) in
+    prod_j u_j^h_j / u_i = exp(sum_j h_j log u_j - log u_i).  The torus
+    scales each u_i by a constant and acts on the jets by an invertible
+    linear map, so the rank is constant on its orbits and each u_i may
+    start with 1.  The rank over F_p at a random point is at most the
+    generic rank, and equal to it off a hypersurface (Schwartz-Zippel), so
+    a value below the generic rank is rare, and rarer twice in a row.
+    """
+    n = len(a)
+    logs = [_unit_log([1] + [rng.randrange(p) for _ in range(m)], p) for _ in range(n)]
+    rows = []
+    for h in elements:
+        top = m - sum(map(mul, a, h))  # the row of t^s has shift s - <a, h> in 0..top
+        total = [sum(x * log[k] for x, log in zip(h, logs)) for k in range(top + 1)]
+        # prod_j u_j^h_j / u_i for each i with h_i != 0
+        series = [
+            (i, x, _exp([(t - log[k]) % p for k, t in enumerate(total)], p))
+            for i, (x, log) in enumerate(zip(h, logs))
+            if x
+        ]
+        for shift in range(top + 1):
+            row = [0] * ((m + 1) * n)
+            for i, x, e in series:
+                for k in range(shift + 1):
+                    row[i * (m + 1) + k] = x * e[shift - k] % p
+            rows.append(row)
+    return rank_mod_p(rows, (m + 1) * n, p)
 
 
 def _combine(coeffs, per_monomial, s, prime):

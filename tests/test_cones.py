@@ -248,6 +248,14 @@ class TestConstruction:
         with pytest.raises(ConeError):
             Cone.from_generators(rank, [(1,)])
 
+    def test_direct_construction_checks_the_generators(self):
+        # Cone(...) bypasses from_generators; __post_init__ still refuses
+        # an empty generator list and a generator of the wrong rank
+        with pytest.raises(ConeError, match="a cone needs at least one generator"):
+            Cone(2, (), ([], []), [])
+        with pytest.raises(ConeError, match="generator rank mismatch"):
+            Cone(2, ((1, 0, 0),), ([], []), [])
+
     def test_keeps_extreme_rays_only(self):
         c = Cone.from_generators(2, [(1, 0), (1, 1), (0, 1)])
         assert c.generators == ((0, 1), (1, 0))
@@ -458,6 +466,11 @@ class TestFaces:
         c = Cone.from_generators(2, [(1, 0), (0, 1)])
         with pytest.raises(FaceError):
             resolve_face(c, FaceSpec(supporting_functional=(-1, 0)))
+
+    @pytest.mark.parametrize("spec", [{}, {"supporting_functional": (1, 0), "generator_subset": (0,)}])
+    def test_face_spec_needs_exactly_one_description(self, spec):
+        with pytest.raises(FaceError, match="specify exactly one of supporting_functional or generator_subset"):
+            FaceSpec(**spec)
 
     def test_face_cones_full_dimensional_and_pointed(self):
         rng = random.Random(17)

@@ -256,6 +256,10 @@ class TestWeightData:
         assert data.pivot_index == 0
         assert data.orders == (2, 1, 2)
 
+    def test_wrong_number_of_orders(self):
+        with pytest.raises(ValueError, match="expected 3 vanishing orders, got 2"):
+            weight_data(WHITNEY, (1, 1))
+
     def test_a1_threefold(self):
         s = validate_support([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
         data = weight_data(s, (1, 1, 1, 1))
@@ -371,6 +375,13 @@ class TestMinimize:
         with pytest.raises(SupportError) as err:
             minimize_objective(raw_support([(1, 0), (2, 1)]))
         assert err.value.clause == "infeasible"
+
+    def test_scan_refuses_a_hand_built_support_without_a_coordinate_plane_monomial(self):
+        # validate_support refuses this support first; the scan guards a Support built by hand
+        s = Support(num_vars=2, exponents=((1, 2), (2, 1)), original_num_vars=2)
+        with pytest.raises(SupportError, match="the scan needs a monomial in each coordinate plane") as err:
+            minimize_objective(s)
+        assert err.value.clause == "divisible"
 
 
 class TestCertificates:

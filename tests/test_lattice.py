@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mldhat.cones import dual_description
+from mldhat.cones import Cone, FaceError, FaceSpec, dual_description, resolve_face
+from mldhat.hypersurface import SupportError, validate_support, weight_data
 from mldhat.lattice import (
     LatticeError,
     LimitError,
@@ -19,6 +20,7 @@ from mldhat.lattice import (
     rank_of,
     row_hermite,
 )
+from mldhat.oracle import OracleError, check_alpha
 import reference_kernels
 from reference_kernels import (
     RationalPolytope,
@@ -113,18 +115,48 @@ class TestPairing:
         assert left == pairing(tuple(u), tuple(a)) + pairing(tuple(v), tuple(a))
 
 
+class Int(int):
+    """An int subclass: an integer by isinstance, but not of type int."""
+
+
 class TestAsVector:
     def test_plain_ints(self):
         assert as_vector([2, -1], 2) == (2, -1)
 
-    @pytest.mark.parametrize("entry", [2.7, 2.0, True, "1", None, Fraction(1)])
+    @pytest.mark.parametrize("entry", [2.7, 2.0, True, "1", None, Fraction(1), Int(1)])
     def test_rejects_non_integers(self, entry):
         with pytest.raises(LatticeError):
-            as_vector([entry, 1])
+            as_vector([entry, 1], 2)
 
     def test_rank_mismatch(self):
         with pytest.raises(LatticeError):
             as_vector([1, 2], 3)
+
+
+WHITNEY = validate_support([(2, 0, 0), (0, 2, 1)])
+SQUARE = Cone.from_generators(2, [(1, 0), (0, 1)])
+
+
+class TestOneIntegerRule:
+    # every validator takes an entry as an integer when its type is exactly
+    # int, so an int subclass is refused alike, each input with its own error
+    @pytest.mark.parametrize(
+        "check, error, message",
+        [
+            (lambda: Cone.from_generators(2, [(Int(1), 0), (0, 1)]), LatticeError, "vector entries must be integers"),
+            (lambda: validate_support([(Int(2), 0), (0, 1)]), SupportError, "exponents must be integers"),
+            (lambda: validate_support([(2, 0), (0, 1)], num_vars=Int(2)), SupportError, "vars must be an integer"),
+            (lambda: weight_data(WHITNEY, (Int(2), 1, 2)), ValueError, "vanishing orders must be integers"),
+            (lambda: check_alpha(WHITNEY, (Int(2), 1, 2)), OracleError, r"alpha entries must be integers, got \[2, 1, 2\]"),
+            (lambda: resolve_face(SQUARE, FaceSpec(generator_subset=(Int(0),))), FaceError, "ray indices must be integers"),
+            (lambda: resolve_face(SQUARE, FaceSpec(supporting_functional=(Int(1), 0))), LatticeError, "vector entries must be integers"),
+        ],
+        ids=["generators", "exponents", "num_vars", "weight_data", "check_alpha", "ray_indices", "functional"],
+    )
+    def test_int_subclass_refused(self, check, error, message):
+        with pytest.raises(error, match=message) as err:
+            check()
+        assert type(err.value) is error
 
 
 class TestRank:

@@ -217,14 +217,14 @@ def test_export_check_catches():
 # distinct named mldhat functions per op kind at corpus seed 4, as
 # `tests/hot_paths.py 4` prints them: no op kind's count may go up
 HOT_PATH_FUNCTIONS = {
-    "dual": 17,
-    "expand": 20,
-    "face": 46,
-    "hilbert": 28,
-    "hyper": 23,
-    "staircase": 42,
-    "toric": 40,
-    "torus": 36,
+    "dual": 16,
+    "expand": 19,
+    "face": 45,
+    "hilbert": 27,
+    "hyper": 22,
+    "staircase": 41,
+    "toric": 39,
+    "torus": 35,
 }
 
 

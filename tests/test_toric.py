@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 from contextlib import redirect_stdout
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,7 @@ from mldhat import toric
 from mldhat.cli import main
 from mldhat.cones import Cone, ConeError, FaceSpec, dual_cone
 from mldhat.hilbert import HilbertBasis, hilbert_basis, interior_candidates
-from mldhat.lattice import LatticeError, LimitError, as_vector, pairing, rank_of
+from mldhat.lattice import LatticeError, LimitError, as_vector, pairing, primitive, rank_of
 from mldhat.toric import (
     SpanningWitness,
     mld_at_point,
@@ -25,8 +26,10 @@ from reference_kernels import (
     basis_greedy,
     contains,
     determinant,
+    dual_elements_up_to,
     independent_subsets,
     is_interior_point,
+    jet_orbit_dimension,
     reference_candidate_points,
     reference_enumerate_lattice_points,
     reference_fm_enumerate,
@@ -34,6 +37,7 @@ from reference_kernels import (
     reference_level_search,
     reference_minimize_spanning_cost,
     reference_spanning_cost_greedy,
+    witness_key,
 )
 from test_cones import random_embedded_cone
 import test_lambda_positive as lambda_positive
@@ -73,7 +77,7 @@ def spanning_cost_bruteforce(a, hb: HilbertBasis, dual: Cone, max_subsets=1_000_
     for combo in independent_subsets(hb.elements, n):
         value = sum(pairing(u, a) for u in combo)
         cand = SpanningWitness(point=a, value=value, chosen_set=tuple(sorted(combo)))
-        if best is None or cand.sort_key() < best.sort_key():
+        if best is None or witness_key(cand) < witness_key(best):
             best = cand
     if best is None:
         raise LatticeError("basis does not span; cone cannot be full-dimensional")
@@ -106,7 +110,7 @@ def box_reference(cone):
             ineqs.append((tuple(-x for x in e), -hi))
         points = reference_fm_enumerate(RationalPolytope(n, tuple(ineqs)))
         best = min(
-            (basis_greedy(a, hb) for a in points), key=lambda w: w.sort_key()
+            (basis_greedy(a, hb) for a in points), key=witness_key
         )
         if best.value <= bound:
             return best
@@ -411,7 +415,7 @@ class TestMinimize:
         report = minimize_spanning_cost(SQUARE_CONE)
         assert report.lambda_value == 0
         assert report.witness.point == (1, 1, 2)
-        assert box_reference(SQUARE_CONE).sort_key() == report.witness.sort_key()
+        assert witness_key(box_reference(SQUARE_CONE)) == witness_key(report.witness)
 
     def test_candidate_limit(self):
         # 2 cells of determinant 1, so at most 2^3 * 2 = 16 closed points
@@ -790,7 +794,104 @@ def greedy_threshold(a, hb):
     return best.value, max(pairing(u, best.point) for u in best.chosen_set)
 
 
+def jet_faults(cone, greedy, rng):
+    """(m, dimension) wherever the jets disagree twice with the cost of a greedy that has n picks.
+
+    From the threshold m0, the largest pairing of the picks, the orbit of
+    the arcs t^a u(t) in the m-jets has dimension (m + 1) n - cost(a); below
+    it the dimension lies in [(m + 1) n - cost(a), (m + 1) n - m]
+    (`spanning_cost_greedy`).  Each m of 1..m0 + 1 is checked by a rank over
+    F_p at a random point, which can fall below the generic rank; so a
+    dimension outside its range is redrawn once, and reported only when
+    the second draw is outside it too.
+    """
+    n, a, cost = cone.ambient_rank, greedy.point, greedy.value
+    threshold = max(sum(map(mul, u, a)) for u in greedy.chosen)
+    faults = []
+    for m in range(1, threshold + 2):
+        elements = dual_elements_up_to(cone, a, m)
+        low, high = (m + 1) * n - cost, (m + 1) * n - (cost if m >= threshold else m)
+        for _ in range(2):
+            dimension = jet_orbit_dimension(elements, a, m, rng)
+            if low <= dimension <= high:
+                break
+        else:
+            faults.append((m, dimension))
+    return faults
+
+
+def completed_greedies(monkeypatch, cone, greedy_class=toric._LevelGreedy):
+    """The search's report and the greedies it completed (n picks), the witness's among them."""
+    built = []
+
+    class Recorded(greedy_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(toric, "_LevelGreedy", Recorded)
+        report = minimize_spanning_cost(cone)
+    return report, [g for g in built if len(g.chosen) == cone.ambient_rank]
+
+
 class TestOrbitDimension:
+    def test_cost_through_jets(self, monkeypatch):
+        # the paper's route: the orbit dimension in the jets, from the dual
+        # elements of the general enumerator, gives back the cost of the
+        # witness and of every other candidate the search completes, on the
+        # toric pool cones, the lambda > 0 corpus and 40 rank-6 products of
+        # its rank-3 cones (lambda = 2)
+        rng = random.Random(18)
+        rank3 = [(3, r["rays"], lambda_positive.witness(r)) for r in LAMBDA_POSITIVE if len(r["rays"][0]) == 3]
+        cones = [Cone.from_generators(len(rays[0]), rays) for searched in SEARCHED.values() for rays in searched]
+        cones += [lambda_positive.product(rng.sample(rank3, 2))[0] for _ in range(40)]
+        checked, thresholds = 0, set()
+        for cone in cones:
+            report, greedies = completed_greedies(monkeypatch, cone)
+            assert report.witness == next(g for g in greedies if g.point == report.witness.point).witness()
+            for greedy in greedies:
+                assert not jet_faults(cone, greedy, rng), (cone.generators, greedy.point)
+                thresholds.add(max(sum(map(mul, u, greedy.point)) for u in greedy.chosen))
+                checked += 1
+        assert (len(cones), checked, thresholds) == (273, 273, {1, 2})
+
+    def test_cost_through_jets_at_random_points(self):
+        # any interior point obeys the same law; random points of random
+        # cones of rank 2-4 reach thresholds 1-8, so the range below the
+        # threshold is checked at up to 7 levels
+        rng = random.Random(43)
+        reached = set()
+        for _ in range(150):
+            threshold = 9
+            while threshold > 8:
+                cone = random_pointed_cone(rng, rng.choice((2, 3, 3, 4)), 3)
+                greedy = toric._LevelGreedy(cone, primitive(random_interior_point(rng, cone)))
+                level = 0
+                while len(greedy.chosen) < cone.ambient_rank:
+                    level += 1
+                    greedy.feed(level, None)
+                threshold = max(sum(map(mul, u, greedy.point)) for u in greedy.chosen)
+            assert not jet_faults(cone, greedy, rng), (cone.generators, greedy.point)
+            reached.add((cone.ambient_rank, threshold))
+        assert len(reached) == 22
+
+    @pytest.mark.parametrize("offset", [1, -1])
+    def test_a_greedy_one_off_is_caught(self, monkeypatch, offset):
+        class OneOff(toric._LevelGreedy):
+            """A planted fault: the value is off by `offset` once the greedy has n picks."""
+
+            def feed(self, level, max_points):
+                super().feed(level, max_points)
+                if len(self.chosen) == self.cone.ambient_rank:
+                    self.value += offset
+
+        rng = random.Random(19)
+        for rays in SEARCHED["lambda_positive"][:10] + SEARCHED["cones_rank4"][:4]:
+            cone = Cone.from_generators(len(rays[0]), rays)
+            _, greedies = completed_greedies(monkeypatch, cone, OneOff)
+            assert greedies and all(jet_faults(cone, greedy, rng) for greedy in greedies), cone.generators
+
     def test_agrees_with_bruteforce_threshold(self):
         # the greedy set is Gale optimal, so its largest pairing is the
         # least over all optimal sets (see spanning_cost_greedy)
