@@ -123,7 +123,7 @@ class TestAsVector:
     def test_plain_ints(self):
         assert as_vector([2, -1], 2) == (2, -1)
 
-    @pytest.mark.parametrize("entry", [2.7, 2.0, True, "1", None, Fraction(1), Int(1)])
+    @pytest.mark.parametrize("entry", [2.7, 2.0, True, "1", None, Fraction(1), pytest.param(Int(1), id="int_subclass")])
     def test_rejects_non_integers(self, entry):
         with pytest.raises(LatticeError):
             as_vector([entry, 1], 2)
