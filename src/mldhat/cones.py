@@ -202,6 +202,12 @@ class Cone:
         canonical.  Generators that are not extreme are dropped: their
         bits leave the facet table, or, when the cone has dual lines, the
         extreme rays are swept again.
+
+        Two error classes, both ValueError: a generator with an entry that
+        is not an int, or of a rank other than `ambient_rank`, raises
+        LatticeError (from `as_vector`); an ambient rank that is not a
+        positive int, a zero generator, no generator at all or a cone that
+        is not pointed raises ConeError.
         """
         if type(ambient_rank) is not int:
             raise ConeError(f"ambient rank must be an integer, got {ambient_rank!r}")

@@ -14,8 +14,8 @@ gives ranks and kernels (a kernel is a saturated lattice, so the
 saturation of a span is the kernel of its orthogonal complement), and one
 pass along echelon pivots gives coordinates.  No floating point and no
 rational arithmetic is used anywhere.  Polyhedral questions are answered
-in `cones`, duals and faces by the double description, and in `toric`,
-the lattice points of a level slice by Fourier-Motzkin elimination.
+by the double description of `cones`: duals and faces there, and in
+`toric` the projections of a level slice, as the hulls of its vertices.
 """
 
 from __future__ import annotations

@@ -69,25 +69,31 @@ So the row Hermite form of [a | I] has first column e_1, and its
 identity block is a unimodular V with <a, V_0> = 1 and <a, V_i> = 0 for
 i >= 1; the elements of level L are L V_0 + sum y_i V_i over the lattice
 points y of L times the slice
-S = {y : <r, V_0 + sum y_i V_i> >= 0 for every ray r}.  S is the convex
-hull of the points w / <a, w> over the dual rays w (Ziegler, *Lectures on
-Polytopes*, 1995, section 2.2), as every dual ray pairs positively with
-the interior point a; so it is nonempty.  S is bounded: a recession
-direction y != 0 would make u = sum y_i V_i a nonzero dual element with
-<a, u> = 0, and a is interior.  So the slice is eliminated once per
-candidate (`eliminate`) and each level walks its dilate
-(`enumerate_lattice_points`), with no test for an empty or an unbounded
-slice.
+S = {y : <r, V_0 + sum y_i V_i> >= 0 for every ray r}.  Each dual ray w
+is sum z_i V_i with z_0 = <a, w> > 0, as a is interior, and S is the
+convex hull of the points (z_1, ..., z_(n-1)) / z_0 (Ziegler, *Lectures on
+Polytopes*, 1995, section 2.2); so it is nonempty.  S is bounded: a
+recession direction y != 0 would make u = sum y_i V_i a nonzero dual
+element with <a, u> = 0, and a is interior.  It is full-dimensional, the
+section of the full-dimensional dual cone by a hyperplane through its
+interior.  A projection of a hull is the hull of the projected points,
+so the projection of L S onto y_0..y_k is cut out exactly by the facets
+of the cone over the prefixes z_0..z_(k+1), each facet normal d giving
+the row d_0 L + d_1 y_0 + ... + d_(k+1) y_k >= 0.  That cone is pointed,
+as z_0 > 0, and full-dimensional, as S is, so `cones.dual_description`
+gives its facet normals as its rays, with no lines.  So the projections
+are set up once per candidate (`_LevelGreedy.feed`) and each level walks
+its dilate (`enumerate_lattice_points`), with no test for an empty or an
+unbounded slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from heapq import heapreplace
-from math import gcd
 from operator import mul
 
-from .cones import Cone, ConeError, FaceSpec, face_chart
+from .cones import Cone, ConeError, FaceSpec, dual_description, face_chart
 from .hilbert import hilbert_basis  # not called here; perfbench/tracing.py wraps this name
 from .hilbert import interior_candidates
 from .lattice import LatticeError, LimitError, express_in_basis, row_hermite
@@ -156,87 +162,35 @@ def spanning_cost_greedy(ranked, echelon) -> list[tuple[int, ...]]:
     return picked
 
 
-MAX_PROJECTION_ROWS = 100_000  # inequalities one Fourier-Motzkin projection may hold
-
-
-def _tightest(rows):
-    """Rows (c, b, g) of <c, y> >= b / g, c primitive, g >= 1 prime to b: the tightest of each c.
-
-    A row of largest offset implies the others of its normal direction.  A
-    row with a zero normal, 0 >= b / g, is dropped: the slice is nonempty
-    (module docstring), so it holds there, like every row derived from the
-    slice's rows.
-    """
-    kept = {}
-    for normal, num, den in rows:
-        h = gcd(*normal)
-        if h:
-            r = gcd(num, den * h)
-            c, num, den = tuple(x // h for x in normal), num // r, den * h // r
-            if c not in kept or num * kept[c][2] > kept[c][1] * den:
-                kept[c] = (c, num, den)
-    return list(kept.values())
-
-
-def eliminate(inequalities, dimension, level):
-    """The Fourier-Motzkin projections of the slice {y : <c, y> >= b}: entry k onto y_0..y_k.
-
-    Each projection is a list of `_tightest` rows, and entry dimension - 1
-    is the slice itself.  Eliminating y_k passes the rows with c_k = 0 and
-    adds, for each row with c_k = p > 0 and each with c_k = -q < 0, their
-    sum q * first + p * second, cross multiplied in integers.  The offsets
-    stay exact: dilating by m >= 1 scales every offset by m and no normal,
-    so one elimination serves every level.  A projection of more than
-    MAX_PROJECTION_ROWS rows raises LimitError, naming `level`, before its
-    rows are made.
-    """
-    rows = _tightest((c, b, 1) for c, b in inequalities)
-    projections = []
-    for k in reversed(range(dimension)):
-        projections.append(rows)
-        lower = [row for row in rows if row[0][k] > 0]
-        upper = [row for row in rows if row[0][k] < 0]
-        count = len(rows) - len(lower) - len(upper) + len(lower) * len(upper)
-        if count > MAX_PROJECTION_ROWS:
-            raise LimitError(
-                f"toric level {level}: eliminating coordinate {k} gives {count} inequalities, "
-                f"over the limit ({MAX_PROJECTION_ROWS})"
-            )
-        rows = _tightest(
-            [(c[:k], b, g) for c, b, g in rows if not c[k]]
-            + [
-                (tuple(-d[k] * x + c[k] * y for x, y in zip(c, d[:k])), -d[k] * b * h + c[k] * e * g, g * h)
-                for c, b, g in lower
-                for d, e, h in upper
-            ]
-        )
-    return projections[::-1]
-
-
 def enumerate_lattice_points(projections, dilation):
     """The lattice points of `dilation` times the slice with these projections, in lexicographic order.
 
-    A depth-first search reads the range of y_k, given y_0..y_(k-1), off
-    `projections[k]`.  At dilation m a row <c, y> >= m b / g holds at a
-    lattice point exactly when <c, y> >= B = ceil(m b / g), as c is
-    integral; with s = sum_(i<k) c_i y_i, it gives y_k >= ceil((B - s) / c_k)
-    when c_k > 0 and y_k <= floor((B - s) / c_k) when c_k < 0.
-    Exactness: Fourier-Motzkin elimination gives each projection of the
-    slice exactly over the rationals, so the prefixes of every lattice point
-    of the slice meet every bound and the search misses none; and a row of
-    the slice whose last nonzero entry is c_k passes into projection k, or a
-    tighter row of its direction does, so every leaf meets every row.  A
-    range that no lattice point extends is empty, and the search backs up.
-    Every range is finite: projection k of the nonempty bounded slice is
-    nonempty and bounded, so it holds a row with c_k > 0 and one with
-    c_k < 0, as y_k would otherwise grow, or fall, without bound on it.
+    Projection k holds rows d of length k + 2: at dilation L a point
+    y_0..y_k lies in L times the projection of the slice onto y_0..y_k
+    exactly when d_0 L + d_1 y_0 + ... + d_(k+1) y_k >= 0 for every row
+    (`_LevelGreedy.feed`).  A depth-first search reads the range of y_k,
+    given y_0..y_(k-1), off projection k: with c = d_(k+1) and
+    s = sum_(i<k) d_(i+1) y_i, a row gives y_k >= ceil((-L d_0 - s) / c)
+    when c > 0 and y_k <= floor((-L d_0 - s) / c) when c < 0.
+    Exactness: each accepted prefix lies in the exact rational projection,
+    by induction on k.  Its rows with c != 0 hold by the range, and a row
+    with c = 0 leaves out y_k and holds on the whole projection, so on its
+    image, projection k - 1, which holds y_0..y_(k-1) (for k = 0 the row
+    reads d_0 L >= 0, true on the nonempty projection).  The last projection is the slice
+    itself, so every leaf is a lattice point of the dilate; and the
+    prefixes of every lattice point of the dilate lie in the projections,
+    so they meet every bound and the search misses none.  A range that no
+    lattice point extends is empty, and the search backs up.  Every range
+    is finite: projection k of the nonempty bounded slice is nonempty and
+    bounded, so it holds a row with c > 0 and one with c < 0, as y_k would
+    otherwise grow, or fall, without bound on it.
     """
     bounds = [
         (
-            [(c[:k], c[k], -(-dilation * b // g)) for c, b, g in rows if c[k] > 0],
-            [(c[:k], c[k], -(-dilation * b // g)) for c, b, g in rows if c[k] < 0],
+            [(d[1:-1], d[-1], -dilation * d[0]) for d in rows if d[-1] > 0],
+            [(d[1:-1], d[-1], -dilation * d[0]) for d in rows if d[-1] < 0],
         )
-        for k, rows in enumerate(projections)
+        for rows in projections
     ]
     points, prefix = [], []
 
@@ -269,26 +223,37 @@ class _LevelGreedy:
     def feed(self, level, max_points):
         """Continue the greedy with the dual elements that pair to `level` with a.
 
-        The first call takes the row Hermite form h of [a | I], raising
+        The first call sets up the projections of the slice (module
+        docstring).  It takes the row Hermite form h of [a | I], raising
         AssertionError when its first column is not e_1 (a candidate that is
-        not primitive), and eliminates the slice.  With `max_points` set, the
-        same at every level, it also reads each dual ray w off the rows of h,
+        not primitive), and reads each dual ray w off the rows of h,
         z = express_in_basis(h, (<a, w>, w)): the point w / <a, w> of the
-        slice is y = (z_1, ..., z_(n-1)) / z_0.  Each level then counts the
-        lattice points of the bounding box of its dilate first (`box`), and
-        a LimitError names the level when they are more than `max_points`.
+        slice is y = (z_1, ..., z_(n-1)) / z_0.  Projection k < n - 2 is
+        cut out by the facet normals d of the cone over the prefixes
+        z_0..z_(k+1), the rays of one `dual_description`; the slice itself,
+        projection n - 2, by the rows (<r, V_0>, ..., <r, V_(n-1)>) over the
+        rays r.  A rank-1 chart has no coordinates and no projections.
+        No guard bounds the set-up: the cone over V points of rank d has
+        O(V^floor(d/2)) facets (McMullen's upper bound theorem), and so has
+        each cone the sweep passes through, the dual of the cone over the
+        points swept so far; V is the cone's dual-ray count, which
+        `Cone.from_generators` has already swept, so the set-up is
+        polynomial in that count for fixed rank.  With `max_points` set, the
+        same at every level, each level counts the lattice points of the
+        bounding box of its dilate first (`box`), and a LimitError names
+        the level when they are more than `max_points`.
         """
         a, n = self.point, self.cone.ambient_rank
-        if self.columns is None:
+        if self.projections is None:
             h = row_hermite([(x, *(int(i == j) for j in range(n))) for i, x in enumerate(a)])
             if [row[0] for row in h] != [1] + [0] * (n - 1):
                 raise AssertionError(f"the Hermite form of [{a} | I] does not start with e_1")
-            first, *others = basis = [row[1:] for row in h]
+            basis = [row[1:] for row in h]
             self.columns = list(zip(*basis))
-            rows = [(tuple(sum(map(mul, r, v)) for v in others), -sum(map(mul, r, first))) for r in self.cone.generators]
-            self.projections = eliminate(rows, n - 1, level)
-            if max_points is not None:
-                self.vertices = [express_in_basis(h, (sum(map(mul, w, a)), *w)) for w in self.cone.dual_pair[1]]
+            self.vertices = [express_in_basis(h, (sum(map(mul, w, a)), *w)) for w in self.cone.dual_pair[1]]
+            self.projections = [dual_description([z[:k + 2] for z in self.vertices], k + 2)[1] for k in range(n - 2)]
+            if n > 1:
+                self.projections.append([tuple(sum(map(mul, r, v)) for v in basis) for r in self.cone.generators])
         if max_points is not None and (estimate := self.box(level)) > max_points:
             raise LimitError(f"toric level {level}: about {estimate} points exceed the limit ({max_points})")
         points = enumerate_lattice_points(self.projections, level)

@@ -20,9 +20,9 @@ seeds runs it.
   toric search holds, fed or not, of
   calls to `enumerate_lattice_points` through `mldhat.toric`, the binding
   the toric level search calls, one per fed level, with the lattice points
-  those calls return, of calls to `eliminate` through `mldhat.toric`, the
-  Fourier-Motzkin elimination of a level slice, with the rows of the
-  projections they return, of calls to `mldhat.hilbert._numerators`, one
+  those calls return, of calls to `dual_description` through
+  `mldhat.toric`, the hulls of the projections of a level slice, with the
+  facet rows they return, of calls to `mldhat.hilbert._numerators`, one
   per cell walked, with the cell points walked (sum |det T|), of calls to
   `mldhat.hilbert._fold`, the exact division that checks each move of a
   cell walk before the walk (the folds), and of the distinct
@@ -67,14 +67,14 @@ COUNTED = {
     "hilbert_basis": ("cli", "toric"),  # every module that binds it
     "_LevelGreedy": ("toric",),  # one per candidate the level search builds
     "enumerate_lattice_points": ("toric",),  # the level search's binding
-    "eliminate": ("toric",),  # the level search's binding
+    "dual_description": ("toric",),  # the level search's binding
     "_numerators": ("hilbert",),  # the cell walk's binding
     "_fold": ("hilbert",),  # the move check's binding
 }
 # functions whose results are measured per op kind: name -> the size of one result
 SIZES = {
     "enumerate_lattice_points": len,
-    "eliminate": lambda projections: sum(map(len, projections)),
+    "dual_description": lambda description: len(description[1]),  # the facet rows of the hull
     "_numerators": lambda cell: cell[0] if cell else 0,  # |det T|, the points of the cell's walk
 }
 # code objects that are not named functions
@@ -224,9 +224,9 @@ if __name__ == "__main__":
         print(f"corpus seed {seed}: distinct named mldhat functions and kernel calls per op kind")
         print(f"{'kind':<10} {'ops':>5} {'functions':>9} {'evaluations':>11} {'_as_alpha':>9} "
               f"{'certificates':>12} {'hilbert_basis':>13} {'candidates':>10} {'enumerations':>12} {'points':>7} "
-              f"{'eliminations':>12} {'rows':>6} {'cells':>6} {'walked':>7} {'folds':>6} {'sieved':>7} {'tests':>7}")
+              f"{'hulls':>6} {'facets':>6} {'cells':>6} {'walked':>7} {'folds':>6} {'sieved':>7} {'tests':>7}")
         for kind, row in sorted(counts.items()):
-            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 13, 10, 12, 7, 12, 6, 6, 7, 6, 7, 7))))
+            print(f"{kind:<10} " + " ".join(f"{x:>{w}}" for x, w in zip(row, (5, 9, 11, 9, 12, 13, 10, 12, 7, 6, 6, 6, 7, 6, 7, 7))))
         print()
     print(f"{'module':<16} {'lines':>5} {'code':>5} {'unrun':>5}")
     total = code = missed = 0

@@ -54,18 +54,20 @@ was before Fourier-Motzkin bounds replaced it: the vertices from the
 double description of the cone over the polytope, then a scan of their
 bounding box.
 `reference_fm_enumerate` is the general Fourier-Motzkin enumerator that
-`cones` held before the toric level slices got a walker of their own
-(`toric.eliminate` and `toric.enumerate_lattice_points`): it takes any
-`RationalPolytope`, tells an empty polytope from an unbounded one over the
+`cones` held before the toric level slices got a walker of their own: it
+takes any `RationalPolytope`, whose `projections` are the Fourier-Motzkin
+eliminations, tells an empty polytope from an unbounded one over the
 rationals, raising `UnboundedPolytopeError` for the latter, and keeps a
-zero-normal row that fails as the mark of an empty polytope.  The
-slices of the level search are nonempty and bounded, so the library's
-walker needs none of these branches; the tests check it against this
-enumerator and the box scan.
+zero-normal row that fails as the mark of an empty polytope.  The toric
+walker (`toric.enumerate_lattice_points`) took its projections from the
+same elimination, in a copy of its own, before it read them off the
+hulls of the slice's vertices.  The slices of the level search are
+nonempty and bounded, so the library's walker needs none of these
+branches; the tests check it against this enumerator and the box scan.
 `reference_level_box` is the bounding box of a level slice as
 `toric._LevelGreedy.feed` counted it before it read the box off the dual
-rays: the slice eliminated once more per coordinate, with that coordinate
-moved first, so that the first projection bounds it alone.
+rays: each coordinate bounded by the projection of the slice onto it
+alone, the slice's `RationalPolytope.axes`.
 `reference_level_search` is the toric level search as it was before one
 best-first heap replaced it: a loop over the levels that sorts the
 candidates still open by (bound, point) at each level, drops one whose
@@ -191,7 +193,7 @@ from mldhat.oracle import (
     _window_orders,
 )
 from mldhat.hilbert import FacetValues, _fold, _numerators, _walk, interior_candidates, parallelepiped_points
-from mldhat.toric import SpanningWitness, ToricMldReport, _LevelGreedy, eliminate, spanning_cost_greedy
+from mldhat.toric import SpanningWitness, ToricMldReport, _LevelGreedy, spanning_cost_greedy
 
 
 def vec_sub(u, v):
@@ -753,14 +755,14 @@ def reference_level_box(cone, a, levels):
     """The lattice points of the bounding box of each level's slice of the primitive candidate a.
 
     The slice is the one of the toric module docstring, from the row
-    Hermite form of [a | I]; coordinate y_k is moved first and the slice
-    eliminated, and the projection onto y_k alone bounds it.
+    Hermite form of [a | I], as a `RationalPolytope`; its `axes`, the
+    projections onto each y_k alone, bound the coordinates one by one.
     """
     n = cone.ambient_rank
     h = row_hermite([(x, *(int(i == j) for j in range(n))) for i, x in enumerate(a)])
     first, *others = [row[1:] for row in h]
-    rows = [(tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in cone.generators]
-    axes = [eliminate([((u[k], *u[:k], *u[k + 1:]), b) for u, b in rows], n - 1, 1)[0] for k in range(n - 1)]
+    rows = tuple((tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in cone.generators)
+    axes = RationalPolytope(n - 1, rows).axes
     boxes = []
     for m in levels:
         estimate = 1

@@ -18,7 +18,7 @@ from mldhat.cones import (
     pulling_triangulation,
     resolve_face,
 )
-from mldhat.lattice import as_vector, pairing, primitive, rank_of
+from mldhat.lattice import LatticeError, as_vector, pairing, primitive, rank_of
 from reference_kernels import (
     contains,
     determinant,
@@ -247,6 +247,23 @@ class TestConstruction:
     def test_rejects_non_integer_rank(self, rank):
         with pytest.raises(ConeError):
             Cone.from_generators(rank, [(1,)])
+
+    @pytest.mark.parametrize(
+        "rank, rays, kind",
+        [
+            (2, [(1, 0), (0, 1, 0)], LatticeError),
+            (0, [()], ConeError),
+            (2, [], ConeError),
+        ],
+        ids=["generator-rank", "ambient-rank", "none"],
+    )
+    def test_error_classes(self, rank, rays, kind):
+        # a generator of the wrong rank is a LatticeError, a bad cone a
+        # ConeError, and both are ValueErrors; the other cases have tests
+        # of their own
+        with pytest.raises(kind) as caught:
+            Cone.from_generators(rank, rays)
+        assert type(caught.value) is kind and isinstance(caught.value, ValueError)
 
     def test_direct_construction_checks_the_generators(self):
         # Cone(...) bypasses from_generators; __post_init__ still refuses

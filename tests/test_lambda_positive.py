@@ -149,19 +149,16 @@ def test_lambda_is_additive_on_products(monkeypatch):
     # and the least minimizer is the two least minimizers joined:
     # lambda(s1 x s2) = lambda(s1) + lambda(s2) with the joined witness.
     walked = defaultdict(set)  # greedy -> the levels whose slice it walked
-    eliminations = []
-    feed, eliminate = toric._LevelGreedy.feed, toric.eliminate
+    setups = []  # the greedies whose feed found no projections and set them up
+    feed = toric._LevelGreedy.feed
 
     def counted_feed(greedy, level, max_points):
+        if greedy.projections is None:
+            setups.append(greedy)
         feed(greedy, level, max_points)
         walked[greedy].add(level)
 
-    def counted_eliminate(*args):
-        eliminations.append(args)
-        return eliminate(*args)
-
     monkeypatch.setattr(toric._LevelGreedy, "feed", counted_feed)
-    monkeypatch.setattr(toric, "eliminate", counted_eliminate)
     records = recorded()
     factors = [(len(r["rays"][0]), r["rays"], witness(r)) for r in records]
     zeros = []
@@ -173,11 +170,11 @@ def test_lambda_is_additive_on_products(monkeypatch):
     cases += [[zeros[0], zeros[1]], [zeros[0], factors[0]], [factors[-1], zeros[1]]]
     simplicial = [f for f in factors if len(f[1]) == f[0] == 3]
     cases.append(rng.sample(simplicial, 3))
-    # one elimination per walked candidate serves every level it walks, with
-    # or without a limit: the box under a limit is read off the dual rays
+    # one set-up per walked candidate serves every level it walks, with or
+    # without a limit: the box under a limit is read off the same dual rays
     for max_points in (None, 10**15):
         walked.clear()
-        del eliminations[:]
+        del setups[:]
         lambdas = []
         for case in cases:
             cone, expected = product(case)
@@ -186,7 +183,7 @@ def test_lambda_is_additive_on_products(monkeypatch):
             assert report.lambda_value == sum(w.value - rank for rank, _, w in case), [rays for _, rays, _ in case]
             assert report.witness == expected, [rays for _, rays, _ in case]
         assert lambdas[:60] == [2] * 60 and lambdas[60:] == [0, 1, 1, 3]
-        assert len(eliminations) == len(walked), max_points
+        assert len(setups) == len(walked), max_points
         # the search walks level 2 but no deeper: every factor has lambda <= 1
         assert {frozenset(levels) for levels in walked.values()} == {frozenset({1}), frozenset({1, 2})}
 

@@ -219,11 +219,11 @@ def test_export_check_catches():
 HOT_PATH_FUNCTIONS = {
     "dual": 16,
     "expand": 19,
-    "face": 45,
+    "face": 43,
     "hilbert": 27,
     "hyper": 22,
     "staircase": 41,
-    "toric": 39,
+    "toric": 38,
     "torus": 35,
 }
 

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 from operator import mul
 
@@ -138,6 +139,13 @@ def random_pointed_cone(rng, n, entry_bound, max_gens=None):
             return Cone.from_generators(n, gens)
         except ConeError:
             continue
+
+
+def slice_polytope(greedy):
+    """The level slice of a fed `_LevelGreedy`, {y : <r, V_0 + sum y_i V_i> >= 0}, as a `RationalPolytope`."""
+    first, *others = list(zip(*greedy.columns))
+    rows = tuple((tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in greedy.cone.generators)
+    return RationalPolytope(len(others), rows)
 
 
 def random_interior_point(rng, cone):
@@ -522,11 +530,7 @@ class TestLevelRoute:
                 del fed[:]
                 minimize_spanning_cost(Cone.from_generators(len(rays[0]), rays))
                 for greedy, m in fed:
-                    first, *others = list(zip(*greedy.columns))
-                    piece = RationalPolytope(
-                        len(others),
-                        tuple((tuple(pairing(r, v) for v in others), -pairing(r, first)) for r in greedy.cone.generators),
-                    )
+                    piece = slice_polytope(greedy)
                     dilate = RationalPolytope(piece.ambient_rank, tuple((c, m * b) for c, b in piece.inequalities))
                     points = toric.enumerate_lattice_points(greedy.projections, m)
                     assert points == reference_fm_enumerate(piece, m), (rays, greedy.point, m)
@@ -541,6 +545,29 @@ class TestLevelRoute:
             ("lambda_positive", 1): 340,
             ("lambda_positive", 2): 92,
         }
+
+    def test_hull_projections_against_fourier_motzkin(self):
+        # every candidate, fed by the search or not, of the toric pool cones,
+        # the lambda > 0 corpus, 120 rank-6 products of its rank-3 cones and
+        # 60 seeded random rank-5 cones: the walk over the hulls of the
+        # slice's projections against Fourier-Motzkin elimination of the
+        # slice, at dilations 1-3
+        rng = random.Random(43)
+        rank3 = [(3, r["rays"], lambda_positive.witness(r)) for r in LAMBDA_POSITIVE if len(r["rays"][0]) == 3]
+        cones = [Cone.from_generators(len(rays[0]), rays) for searched in SEARCHED.values() for rays in searched]
+        cones += [lambda_positive.product(rng.sample(rank3, 2))[0] for _ in range(120)]
+        cones += [random_pointed_cone(rng, 5, 1, 8) for _ in range(60)]
+        hulls = Counter()
+        for cone in cones:
+            for a in interior_candidates(cone, None):
+                greedy = toric._LevelGreedy(cone, a)
+                greedy.feed(1, None)
+                piece = slice_polytope(greedy)
+                for m in (1, 2, 3):
+                    points = toric.enumerate_lattice_points(greedy.projections, m)
+                    assert points == reference_fm_enumerate(piece, m), (cone.generators, a, m)
+                hulls[cone.ambient_rank] += len(greedy.projections) - 1
+        assert hulls == {2: 0, 3: 948, 4: 5208, 5: 456, 6: 4964}
 
     def test_best_first_against_the_level_loop(self, monkeypatch):
         # the toric pool cones, the lambda > 0 corpus, 120 rank-6 products of
@@ -689,19 +716,6 @@ class TestLevelRoute:
                 assert [greedy.box(m) for m in levels] == reference_level_box(cone, a, levels), (cone.generators, a)
                 pairs += len(levels)
         assert pairs > 10_000
-
-    def test_projection_limit_names_the_level(self, monkeypatch):
-        # the level-1 slice of the witness (1, 1, 2) of the cone over the unit
-        # square has four rows, two bounding y_1 below and two above:
-        # eliminating y_1 pairs them into 4 rows
-        expected = minimize_spanning_cost(SQUARE_CONE)
-        monkeypatch.setattr(toric, "MAX_PROJECTION_ROWS", 3)
-        with pytest.raises(
-            LimitError, match=r"^toric level 1: eliminating coordinate 1 gives 4 inequalities, over the limit \(3\)$"
-        ):
-            minimize_spanning_cost(SQUARE_CONE)
-        monkeypatch.setattr(toric, "MAX_PROJECTION_ROWS", 4)
-        assert minimize_spanning_cost(SQUARE_CONE) == expected
 
     def test_rank_one_chart(self):
         # the chart of a ray: a slice of dimension 0 at every level
